@@ -258,7 +258,7 @@ impl Replica {
 }
 
 /// What one scheduling decision on the replica fleet cost and triggered.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct PlacementOutcome {
     /// Wait before service begins: slot queueing, restart waits, and
     /// overflow re-dispatch penalties.
@@ -1087,6 +1087,207 @@ mod tests {
                     .sum::<SimDuration>()
             };
             prop_assert!(run(replicas) <= run(1));
+        }
+    }
+
+    /// The per-step scheduler's arithmetic in its original form — slot
+    /// *loads* relative to the step barrier, zeroed at every step — kept
+    /// as the reference the production pipeline must replay exactly.
+    struct RefQueue {
+        loads: Vec<Vec<SimDuration>>,
+        down: Vec<SimInstant>,
+    }
+
+    impl RefQueue {
+        fn new(concurrency: u32, replicas: u32) -> Self {
+            let n = replicas.max(1) as usize;
+            RefQueue {
+                loads: vec![vec![SimDuration::ZERO; concurrency as usize]; n],
+                down: vec![SimInstant::EPOCH; n],
+            }
+        }
+
+        fn reset(&mut self) {
+            for loads in &mut self.loads {
+                loads.fill(SimDuration::ZERO);
+            }
+        }
+
+        fn load(&self, r: usize) -> SimDuration {
+            self.loads[r]
+                .iter()
+                .copied()
+                .min()
+                .unwrap_or(SimDuration::ZERO)
+        }
+
+        fn best(&self, now: SimInstant, skip: Option<usize>) -> Option<usize> {
+            (0..self.down.len())
+                .filter(|&r| Some(r) != skip && self.down[r] <= now)
+                .min_by_key(|&r| self.load(r))
+        }
+
+        fn delay(&self, now: SimInstant) -> SimDuration {
+            match self.best(now, None) {
+                Some(r) => self.load(r),
+                None => (0..self.down.len())
+                    .map(|r| self.down[r].duration_since(now) + self.load(r))
+                    .min()
+                    .unwrap_or(SimDuration::ZERO),
+            }
+        }
+
+        /// Adds `work` to replica `r`'s least-loaded slot, returning the
+        /// load it queued behind and the slot.
+        fn book(&mut self, r: usize, work: SimDuration) -> (SimDuration, Option<usize>) {
+            let loads = &mut self.loads[r];
+            let Some(s) = (0..loads.len()).min_by_key(|&s| loads[s]) else {
+                return (SimDuration::ZERO, None);
+            };
+            let queued = loads[s];
+            loads[s] += work;
+            (queued, Some(s))
+        }
+
+        fn shrink(&mut self, r: usize, slot: Option<usize>, by: SimDuration) {
+            if let Some(s) = slot {
+                self.loads[r][s] = self.loads[r][s].saturating_sub(by);
+            }
+        }
+
+        fn place(
+            &mut self,
+            now: SimInstant,
+            work: SimDuration,
+            inj: &mut ServingFaultInjector,
+            hedge_after: Option<SimDuration>,
+        ) -> PlacementOutcome {
+            let mut out = PlacementOutcome::default();
+            let profile = *inj.profile();
+            let mut target = match self.best(now, None) {
+                Some(r) => r,
+                None => {
+                    let r = (0..self.down.len())
+                        .min_by_key(|&r| self.down[r])
+                        .unwrap();
+                    out.queue += self.down[r].duration_since(now);
+                    r
+                }
+            };
+            if !profile.overflow_queue.is_zero() && self.load(target) >= profile.overflow_queue {
+                out.overflowed = true;
+                out.queue += OVERFLOW_REDISPATCH;
+            }
+            if inj.crash() {
+                out.crashed = true;
+                out.failover_penalty = work.mul_f64(CRASH_WASTE);
+                self.down[target] = now + profile.restart;
+                match self.best(now, Some(target)) {
+                    Some(peer) => {
+                        out.failed_over = true;
+                        target = peer;
+                    }
+                    None => out.queue += profile.restart,
+                }
+            }
+            let mut effective = work;
+            if inj.brownout() {
+                out.slowed = true;
+                effective = work.mul_f64(profile.brownout_factor.max(1.0));
+                out.slowdown = effective.saturating_sub(work);
+            }
+            let peer = hedge_after
+                .filter(|h| self.load(target) > *h || out.slowed)
+                .and_then(|_| self.best(now, Some(target)));
+            match (hedge_after, peer) {
+                (Some(h), Some(peer)) => {
+                    let (d1, s1) = self.book(target, effective);
+                    let (d2, s2) = self.book(peer, work);
+                    let won = h + d2 + work < d1 + effective;
+                    out.hedged = Some(won);
+                    if won {
+                        let unused = (d1 + effective)
+                            .saturating_sub(h + d2 + work)
+                            .min(effective);
+                        self.shrink(target, s1, unused);
+                        out.queue += h + d2;
+                        out.slowdown = SimDuration::ZERO;
+                    } else {
+                        let unused = (h + d2 + work)
+                            .saturating_sub(d1 + effective)
+                            .min(work);
+                        self.shrink(peer, s2, unused);
+                        out.queue += d1;
+                    }
+                }
+                _ => out.queue += self.book(target, effective).0,
+            }
+            out
+        }
+    }
+
+    /// The serving fault regimes the replay property draws from.
+    fn fault_regime(kind: usize) -> ServingFaultProfile {
+        match kind {
+            0 => ServingFaultProfile::none(),
+            1 => ServingFaultProfile::crashes(0.4),
+            2 => ServingFaultProfile::brownouts(0.5),
+            3 => ServingFaultProfile {
+                overflow_queue: sec(5),
+                ..ServingFaultProfile::none()
+            },
+            _ => ServingFaultProfile::stressed(0.6),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The scheduler replays the per-step reference exactly —
+        /// outcomes, consume-only delays and fault draws — over random
+        /// work, arrival offsets, fleet shapes, fault regimes and hedging.
+        /// Each op is `(kind, work µs, offset µs)`: kind 0 starts a new
+        /// step `offset` after the last barrier, kind 1 places `work` at
+        /// `barrier + offset`, anything else reads the delay there. In the
+        /// common-instant case every op arrives at the barrier itself and
+        /// no step ever resets.
+        #[test]
+        fn merged_backend_replays_the_per_step_reference(
+            shape in (1u32..4, 0u32..4, 0usize..5, 0u64..1_000, 0usize..3),
+            common in 0u32..2,
+            ops in proptest::collection::vec(
+                (0u32..3, 1u64..20_000_000, 0u64..15_000_000),
+                1..40,
+            ),
+        ) {
+            let (replicas, concurrency, regime, seed, hedge) = shape;
+            let hedge_after = [None, Some(sec(1)), Some(sec(6))][hedge];
+            let common = common == 1;
+            let mut reference = RefQueue::new(concurrency, replicas);
+            let mut queue = BackendQueue::new(concurrency, replicas);
+            let mut ref_inj = ServingFaultInjector::new(fault_regime(regime), seed);
+            let mut inj = ServingFaultInjector::new(fault_regime(regime), seed);
+            let mut barrier = at(0);
+            for (kind, work, offset) in ops {
+                let now = if common {
+                    barrier
+                } else {
+                    barrier + SimDuration::from_micros(offset)
+                };
+                let work = SimDuration::from_micros(work);
+                match kind {
+                    0 if !common => {
+                        barrier = now;
+                        reference.reset();
+                        queue.reset();
+                    }
+                    1 => prop_assert_eq!(
+                        queue.place_at(now, work, &mut inj, hedge_after),
+                        reference.place(now, work, &mut ref_inj, hedge_after)
+                    ),
+                    _ => prop_assert_eq!(queue.delay(now), reference.delay(now)),
+                }
+            }
         }
     }
 }
