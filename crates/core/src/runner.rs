@@ -330,6 +330,18 @@ pub fn run_fleet(
     base_seed: u64,
     fleet: FleetConfig,
 ) -> FleetReport {
+    run_fleet_on(spec, overrides, episodes, base_seed, fleet).0
+}
+
+/// [`run_fleet`], also returning the shared service so its ledgers can be
+/// audited.
+fn run_fleet_on(
+    spec: &WorkloadSpec,
+    overrides: &RunOverrides,
+    episodes: usize,
+    base_seed: u64,
+    fleet: FleetConfig,
+) -> (FleetReport, InferenceService) {
     let fleet = fleet.validated().expect("fleet config must be valid");
     let config = overrides.apply(spec);
     let difficulty = overrides.difficulty.unwrap_or_default();
@@ -343,7 +355,7 @@ pub fn run_fleet(
         None => spec.clone(),
     };
     let service = InferenceService::with_seed(config.serving, base_seed);
-    service.enable_fleet(fleet, episodes);
+    service.enable_fleet(episodes);
     for i in 0..episodes {
         service.push_fleet_event(
             SimInstant::EPOCH + fleet.stagger * i as u64,
@@ -371,7 +383,7 @@ pub fn run_fleet(
                 }
             }
             SimEvent::AgentStepReady { episode } => {
-                service.set_fleet_scope(episode);
+                service.set_scope(episode);
                 let slot = slots[episode]
                     .as_mut()
                     .expect("step-ready for an unadmitted episode");
@@ -406,19 +418,19 @@ pub fn run_fleet(
             }
             SimEvent::BatchWindowClose => {
                 close_scheduled = false;
-                let shares = service.close_fleet_window(ev.at);
+                let shares = service.close_window(ev.at);
                 // Settle per episode, preserving submission order within
                 // each scope and first-appearance order across scopes — both
                 // deterministic, so resume-event sequence ids are too.
                 let mut by_scope: Vec<(usize, Vec<WindowShare>)> = Vec::new();
-                for (scope, share) in shares {
-                    match by_scope.iter_mut().find(|(s, _)| *s == scope) {
+                for share in shares {
+                    match by_scope.iter_mut().find(|(s, _)| *s == share.scope) {
                         Some((_, list)) => list.push(share),
-                        None => by_scope.push((scope, vec![share])),
+                        None => by_scope.push((share.scope, vec![share])),
                     }
                 }
                 for (scope, scope_shares) in by_scope {
-                    service.set_fleet_scope(scope);
+                    service.set_scope(scope);
                     let slot = slots[scope]
                         .as_mut()
                         .expect("window share for a retired episode");
@@ -438,7 +450,7 @@ pub fn run_fleet(
         .enumerate()
         .map(|(i, r)| r.unwrap_or_else(|| panic!("episode {i} never completed")))
         .collect();
-    FleetReport { reports, summary }
+    (FleetReport { reports, summary }, service)
 }
 
 #[cfg(test)]
@@ -916,6 +928,53 @@ mod tests {
         let out = run_fleet(&spec, &overrides, 3, 5, capped);
         assert_eq!(out.reports.len(), 3, "queued arrivals still complete");
         assert_eq!(out.summary.sessions, 3);
+    }
+
+    #[test]
+    fn scope_ledgers_partition_the_service() {
+        // Every tenant belongs to exactly one scope, so summed over scopes
+        // the ledgers cover the whole service: tokens are every tenant's
+        // usage plus the hedge premium, and batch membership is the window
+        // members (each settles as one `batch` span).
+        let spec = find("CoELA").unwrap();
+        let overrides = RunOverrides {
+            difficulty: Some(TaskDifficulty::Easy),
+            serving: Some(embodied_llm::ServingConfig {
+                batching: true,
+                ..embodied_llm::ServingConfig::limited(1).with_replicas(2)
+            }),
+            ..Default::default()
+        };
+        let check = |service: &InferenceService, reports: &[EpisodeReport]| {
+            let mut scoped = embodied_profiler::TokenStats::default();
+            let (mut hedges, mut hedge_tokens, mut batched) = (0, 0, 0);
+            for scope in 0..reports.len() {
+                scoped.merge(&service.total_usage(scope));
+                let faults = service.fault_stats(scope);
+                hedges += faults.hedges();
+                hedge_tokens += faults.hedge_tokens;
+                batched += service.stats(scope).batched_requests;
+            }
+            let mut tenants = embodied_profiler::TokenStats::default();
+            for tenant in 0..service.tenant_count() {
+                tenants.merge(&service.tenant_usage(tenant));
+            }
+            assert_eq!(scoped.calls, tenants.calls + hedges);
+            assert_eq!(scoped.total_tokens(), tenants.total_tokens() + hedge_tokens);
+            let members: u64 = reports
+                .iter()
+                .flat_map(|r| r.by_phase.entries())
+                .filter(|e| e.purpose == "batch")
+                .map(|e| e.calls)
+                .sum();
+            assert!(members > 0, "the configuration must batch");
+            assert_eq!(batched, members);
+        };
+        let (fleet, service) = run_fleet_on(&spec, &overrides, 4, 7, FleetConfig::default());
+        check(&service, &fleet.reports);
+        let mut solo = overrides.build_system(&spec, 7);
+        let report = solo.run();
+        check(&solo.service, std::slice::from_ref(&report));
     }
 
     #[test]

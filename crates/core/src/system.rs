@@ -105,11 +105,9 @@ pub struct EmbodiedSystem {
     /// tenant of — owns the engine stacks, the per-tenant ledger, and the
     /// per-model scheduling backends.
     pub(crate) service: InferenceService,
-    /// The fleet episode scope this system's tenants registered under, or
-    /// `None` outside fleet mode. With a scope set, serving windows defer
-    /// their close to the fleet runner's `BatchWindowClose` event and the
-    /// report reads the scoped ledgers.
-    pub(crate) fleet_scope: Option<usize>,
+    /// The service scope this system's tenants registered under (0 for a
+    /// solo episode); the report reads the service's ledgers by it.
+    pub(crate) scope: usize,
     /// System-level scheduling knobs (cached from the first agent config;
     /// serving is a property of the shared stack, not of one agent).
     pub(crate) serving: ServingConfig,
@@ -143,14 +141,13 @@ impl EmbodiedSystem {
         // The serving fault plane draws from its own salted stream derived
         // from the episode seed — independent of every engine stream.
         let service = InferenceService::with_seed(config.serving, seed);
-        Self::with_shared_service(workload, env, config, paradigm, seed, service, None)
+        Self::with_shared_service(workload, env, config, paradigm, seed, service, 0)
     }
 
-    /// Assembles a system whose engines register as tenants of an
-    /// *existing* service — the fleet path, where N episodes share one
-    /// serving stack. `fleet_scope` stamps every tenant with its episode
-    /// scope; the single-episode [`EmbodiedSystem::new`] passes `None` and
-    /// a private service, making it the exact legacy construction.
+    /// Assembles a system whose engines register as tenants of `service`
+    /// under episode scope `scope` — the fleet path, where N episodes
+    /// share one serving stack. The single-episode [`EmbodiedSystem::new`]
+    /// passes a private service and scope 0.
     pub(crate) fn with_shared_service(
         workload: impl Into<String>,
         env: Box<dyn Environment>,
@@ -158,14 +155,12 @@ impl EmbodiedSystem {
         paradigm: Paradigm,
         seed: u64,
         service: InferenceService,
-        fleet_scope: Option<usize>,
+        scope: usize,
     ) -> Self {
         let workload = workload.into();
         let landmarks = env.landmarks();
-        if let Some(scope) = fleet_scope {
-            // Tenants registered below must carry this episode's scope.
-            service.set_fleet_scope(scope);
-        }
+        // Tenants registered below must carry this episode's scope.
+        service.set_scope(scope);
         let agents: Vec<ModularAgent> = (0..env.num_agents())
             .map(|id| {
                 ModularAgent::new(
@@ -242,7 +237,7 @@ impl EmbodiedSystem {
             recovery_stats: RecoveryStats::default(),
             last_progress: vec![0; team],
             service,
-            fleet_scope,
+            scope,
             serving: config.serving,
             window_entries: Vec::new(),
             workload,
@@ -314,7 +309,7 @@ impl EmbodiedSystem {
         if self.serving_active() {
             // The step loop is a synchronization barrier: backend
             // queues never carry over into the next step.
-            self.service.begin_step();
+            self.service.begin_step(self.trace.now());
         }
         self.counters = StepCounters::default();
         let before = self.trace.elapsed();
@@ -348,22 +343,16 @@ impl EmbodiedSystem {
             Outcome::StepLimit
         };
         // The service ledger covers every engine in the system — agents
-        // and central alike — so accounting cannot drift from wiring. In
-        // fleet mode every query narrows to this episode's scope: the
-        // shared service hosts N episodes' tenants at once.
-        let tokens = match self.fleet_scope {
-            Some(scope) => self.service.total_usage_for_scope(scope),
-            None => self.service.total_usage(),
-        };
+        // and central alike — so accounting cannot drift from wiring. Every
+        // query reads this episode's scope: a fleet's shared service hosts
+        // N episodes' tenants at once.
+        let tokens = self.service.total_usage(self.scope);
         let mut by_phase = PurposeLedger::default();
         for span in self.trace.spans() {
             by_phase.record(&span.phase.to_string(), span.duration, 0, 0);
         }
         let mut resilience = self.degradations;
-        resilience.merge(&match self.fleet_scope {
-            Some(scope) => self.service.total_resilience_for_scope(scope),
-            None => self.service.total_resilience(),
-        });
+        resilience.merge(&self.service.total_resilience(self.scope));
         EpisodeReport {
             workload: self.workload.clone(),
             outcome,
@@ -378,14 +367,8 @@ impl EmbodiedSystem {
             agent_faults: self.agent_faults.stats,
             channel: self.channel.stats,
             repairs: self.repairs,
-            serving: match self.fleet_scope {
-                Some(scope) => self.service.scope_stats(scope),
-                None => self.service.stats(),
-            },
-            serving_faults: match self.fleet_scope {
-                Some(scope) => self.service.scope_fault_stats(scope),
-                None => self.service.fault_stats(),
-            },
+            serving: self.service.stats(self.scope),
+            serving_faults: self.service.fault_stats(self.scope),
             env_faults: self.env.env_fault_stats(),
             recovery: self.recovery_stats,
             step_records: self.step_records.clone(),
@@ -413,31 +396,19 @@ impl EmbodiedSystem {
     }
 
     /// Closes the current window: every deferred call receives its
-    /// amortized share as a `Phase::Batch` span (plus a `Phase::Queue`
-    /// span on the member that led a queued batch) and is only now fed
-    /// into the step counters / per-purpose ledger, at its share latency.
+    /// amortized share and is only now fed into the step counters. In
+    /// fleet mode the window lives on the shared virtual clock and only
+    /// the runner's `BatchWindowClose` event may close it — possibly
+    /// merging this episode's calls with another's — so the deferred
+    /// entries stay parked until `settle_fleet_shares`.
     pub(crate) fn close_serving_window(&mut self) {
-        if self.fleet_scope.is_some() {
-            // Fleet mode: the window lives on the shared virtual clock and
-            // only the runner's `BatchWindowClose` event may close it —
-            // possibly merging this episode's calls with another's. The
-            // deferred entries stay parked until `settle_fleet_shares`.
+        if self.service.fleet_enabled() {
             return;
         }
         let shares = self.service.close_window(self.trace.now());
-        let entries = std::mem::take(&mut self.window_entries);
-        debug_assert_eq!(shares.len(), entries.len());
-        for (entry, share) in entries.into_iter().zip(shares) {
-            if !share.queue.is_zero() {
-                self.trace
-                    .record(entry.module, Phase::Queue, entry.agent, share.queue);
-            }
-            self.trace
-                .record(entry.module, Phase::Batch, entry.agent, share.share);
-            let mut response = entry.response;
-            response.latency = share.share;
-            self.note_llm(&response);
-        }
+        let (calls, max_prompt) = self.apply_window_shares(&shares);
+        self.counters.llm_calls += calls;
+        self.counters.max_prompt_tokens = self.counters.max_prompt_tokens.max(max_prompt);
     }
 
     /// Whether the episode has nothing left to do: the step budget is
@@ -455,28 +426,37 @@ impl EmbodiedSystem {
         self.window_entries.len()
     }
 
-    /// Applies the fleet runner's window shares to this episode: each
-    /// deferred call receives its amortized `Phase::Batch` span (plus a
-    /// `Phase::Queue` span for lead wait) exactly as
-    /// [`Self::close_serving_window`] would have recorded it, but after
-    /// the fact — the window closed on the shared virtual clock, outside
-    /// this episode's step. The re-attributed time and call counts are
-    /// folded back into the step record that deferred them.
+    /// Applies the fleet runner's window shares to this episode after the
+    /// fact: the window closed on the shared virtual clock, outside this
+    /// episode's step, so the re-attributed time and call counts fold into
+    /// the step record that deferred them.
     pub(crate) fn settle_fleet_shares(&mut self, shares: &[WindowShare]) {
+        let before = self.trace.elapsed();
+        let (calls, max_prompt) = self.apply_window_shares(shares);
+        let delta = self.trace.elapsed().saturating_sub(before);
+        if let Some(rec) = self.step_records.last_mut() {
+            rec.latency += delta;
+            rec.llm_calls += calls;
+            rec.max_prompt_tokens = rec.max_prompt_tokens.max(max_prompt);
+        }
+    }
+
+    /// Gives every deferred call its amortized share: a `Phase::Batch`
+    /// span (plus a `Phase::Queue` span on the member that led a queued
+    /// batch) and a per-purpose ledger entry at the share's latency.
+    /// Returns the number of calls settled and their largest prompt.
+    fn apply_window_shares(&mut self, shares: &[WindowShare]) -> (u64, u64) {
         let entries = std::mem::take(&mut self.window_entries);
         debug_assert_eq!(shares.len(), entries.len());
-        let before = self.trace.elapsed();
-        let mut calls = 0u64;
-        let mut max_prompt = 0u64;
-        for (entry, share) in entries.into_iter().zip(shares) {
+        let mut max_prompt = 0;
+        for (entry, share) in entries.iter().zip(shares) {
             if !share.queue.is_zero() {
                 self.trace
                     .record(entry.module, Phase::Queue, entry.agent, share.queue);
             }
             self.trace
                 .record(entry.module, Phase::Batch, entry.agent, share.share);
-            let response = entry.response;
-            calls += 1;
+            let response = &entry.response;
             max_prompt = max_prompt.max(response.prompt_tokens);
             self.by_purpose.record(
                 &response.purpose.to_string(),
@@ -485,12 +465,7 @@ impl EmbodiedSystem {
                 response.output_tokens,
             );
         }
-        let delta = self.trace.elapsed().saturating_sub(before);
-        if let Some(rec) = self.step_records.last_mut() {
-            rec.latency += delta;
-            rec.llm_calls += calls;
-            rec.max_prompt_tokens = rec.max_prompt_tokens.max(max_prompt);
-        }
+        (entries.len() as u64, max_prompt)
     }
 
     /// Routes one completed LLM call through the serving layer.

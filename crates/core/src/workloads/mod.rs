@@ -197,7 +197,7 @@ impl WorkloadSpec {
             self.paradigm,
             seed,
             service.clone(),
-            Some(scope),
+            scope,
         )
     }
 }

@@ -1,13 +1,23 @@
-//! Step-scoped scheduling state for the simulated serving stack: the
-//! serving knobs, and per-backend replica fleets whose server slots model
-//! queueing delay under a configurable concurrency limit.
+//! Scheduling state for the simulated serving stack: the serving knobs,
+//! and per-backend replica fleets whose server slots model queueing delay
+//! under a configurable concurrency limit.
 //!
-//! The scheduler deliberately knows nothing about engines or tenants — it
-//! only tracks how much simulated work each server slot of one backend's
-//! replicas has accepted this step, and which replicas are down restarting
-//! after an injected crash. [`crate::InferenceService`] owns one
-//! [`BackendQueue`] per distinct model profile and consults it for every
-//! scheduling decision.
+//! One pipeline serves both serving regimes. Every server slot holds the
+//! instant it is busy until, and every placement measures its wait from
+//! an *origin*:
+//!
+//! * **per-step** (a solo episode): [`BackendQueue::begin_step`] frees
+//!   every slot at the step's barrier instant and placements measure from
+//!   that barrier, so queues never carry over a step boundary;
+//! * **continuous** (fleet mode): nothing resets and placements measure
+//!   from their own arrival instant, so one episode's backlog delays
+//!   another's later arrival on the shared timeline.
+//!
+//! Replica health is checked at the request's own instant in both
+//! regimes, so a crashed replica's restart clock runs on the simulated
+//! timeline. The scheduler knows nothing about engines or tenants:
+//! [`crate::InferenceService`] owns one [`BackendQueue`] per distinct
+//! model profile and consults it for every scheduling decision.
 
 use crate::serving_faults::{ServingFaultInjector, ServingFaultProfile};
 use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, SimInstant, ToJson};
@@ -195,64 +205,62 @@ impl FromJson for ServingConfig {
     }
 }
 
-/// One backend replica: per-step server-slot loads plus the instant until
-/// which it is down cold-restarting after an injected crash.
+/// One backend replica: the instant each server slot is busy until, plus
+/// the instant until which the replica is down cold-restarting after an
+/// injected crash.
 #[derive(Debug, Clone)]
 struct Replica {
-    slots: Vec<SimDuration>,
+    /// Busy-until instant per server slot; empty = unbounded (never
+    /// queues).
+    slots: Vec<SimInstant>,
     down_until: SimInstant,
 }
 
 impl Replica {
-    fn new(concurrency: u32) -> Self {
-        Replica {
-            slots: vec![SimDuration::ZERO; concurrency as usize],
-            down_until: SimInstant::EPOCH,
-        }
-    }
-
     fn healthy(&self, now: SimInstant) -> bool {
         self.down_until <= now
     }
 
-    /// Load on the least-loaded slot — the queueing delay a request
-    /// arriving now would wait. Unbounded (0 slots) never queues.
-    fn delay(&self) -> SimDuration {
+    /// Wait until the least-busy slot frees, measured from `origin`.
+    /// Unbounded (0 slots) never queues.
+    fn delay(&self, origin: SimInstant) -> SimDuration {
         self.slots
             .iter()
-            .copied()
+            .map(|&busy| busy.duration_since(origin))
             .min()
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Places `work` on the least-loaded slot (lowest index on ties),
-    /// returning the queueing delay the request waited first.
-    fn place(&mut self, work: SimDuration) -> SimDuration {
-        self.place_tracked(work).0
-    }
-
-    /// [`Replica::place`], also returning the chosen slot (when bounded) so
-    /// a hedge race can later shrink the loser's reservation.
-    fn place_tracked(&mut self, work: SimDuration) -> (SimDuration, Option<usize>) {
+    /// Books `work` on the least-busy slot (lowest index on ties), starting
+    /// no earlier than `origin`. Returns the wait before service starts
+    /// and, when bounded, the slot with its prior busy-until, so a hedge
+    /// race can cancel the booking.
+    fn book(
+        &mut self,
+        origin: SimInstant,
+        work: SimDuration,
+    ) -> (SimDuration, Option<(usize, SimInstant)>) {
         let Some(idx) = self
             .slots
             .iter()
             .enumerate()
-            .min_by_key(|(_, load)| **load)
+            .min_by_key(|(_, busy)| **busy)
             .map(|(idx, _)| idx)
         else {
             return (SimDuration::ZERO, None);
         };
-        let queued = self.slots[idx];
-        self.slots[idx] += work;
-        (queued, Some(idx))
+        let prev = self.slots[idx];
+        let start = prev.max(origin);
+        self.slots[idx] = start + work;
+        (start.duration_since(origin), Some((idx, prev)))
     }
 
-    /// Returns `by` worth of reservation on `slot` — the hedge loser was
-    /// cancelled before consuming its full booking.
-    fn shrink(&mut self, slot: Option<usize>, by: SimDuration) {
-        if let Some(idx) = slot {
-            self.slots[idx] = self.slots[idx].saturating_sub(by);
+    /// Cancels a booking at instant `at`: the slot keeps only what it
+    /// served before `at`, and reverts to its prior busy-until if the
+    /// booking never started.
+    fn cancel(&mut self, booking: Option<(usize, SimInstant)>, at: SimInstant) {
+        if let Some((idx, prev)) = booking {
+            self.slots[idx] = prev.max(self.slots[idx].min(at));
         }
     }
 }
@@ -260,8 +268,8 @@ impl Replica {
 /// What one scheduling decision on the replica fleet cost and triggered.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct PlacementOutcome {
-    /// Wait before service begins: slot queueing, restart waits, and
-    /// overflow re-dispatch penalties.
+    /// Wait before service begins: slot queueing, restart waits, overflow
+    /// re-dispatch penalties, and the hedge delay on a winning hedge.
     pub(crate) queue: SimDuration,
     /// Extra service time from a brownout (the request still completes).
     pub(crate) slowdown: SimDuration,
@@ -288,14 +296,17 @@ const OVERFLOW_REDISPATCH: SimDuration = SimDuration::from_millis(250);
 /// crashes mid-request (partial prefill lost before the failover).
 const CRASH_WASTE: f64 = 0.3;
 
-/// Per-backend, per-step replica fleet.
+/// Per-backend replica fleet on one timeline of busy-until instants.
 ///
-/// Work placed on the fleet goes to the least-loaded slot of the
-/// least-loaded *healthy* replica (lowest index on ties); the load already
-/// on that slot is the queueing delay the new request waits out first.
-/// Slot loads reset at every step boundary — the paper's step loop is a
-/// synchronization barrier, so queues cannot carry over — but a crashed
-/// replica's restart clock keeps running on the simulated timeline.
+/// Work placed on the fleet goes to the least-busy slot of the least-busy
+/// *healthy* replica (lowest index on ties); the time until that slot
+/// frees, measured from the placement's origin, is the queueing delay the
+/// request waits out first. Per-step mode frees every slot at each step
+/// barrier ([`BackendQueue::begin_step`]) and measures from the barrier —
+/// the paper's step loop is a synchronization barrier, so queues cannot
+/// carry over. Fleet mode never resets and measures from each request's
+/// own arrival. Either way a crashed replica's restart clock keeps running
+/// on the simulated timeline.
 #[derive(Debug, Clone)]
 pub(crate) struct BackendQueue {
     replicas: Vec<Replica>,
@@ -305,52 +316,61 @@ impl BackendQueue {
     /// A fleet of `replicas` (0 treated as 1) with `concurrency` slots
     /// each (0 = unbounded, never queues).
     pub(crate) fn new(concurrency: u32, replicas: u32) -> Self {
+        let replica = Replica {
+            slots: vec![SimInstant::EPOCH; concurrency as usize],
+            down_until: SimInstant::EPOCH,
+        };
         BackendQueue {
-            replicas: (0..replicas.max(1))
-                .map(|_| Replica::new(concurrency))
-                .collect(),
+            replicas: vec![replica; replicas.max(1) as usize],
         }
     }
 
-    /// Clears all slot loads (step boundary). Restart clocks persist: a
-    /// replica still cold-restarting stays down into the next step.
-    pub(crate) fn reset(&mut self) {
+    /// Step barrier at instant `barrier`: every slot frees there. Restart
+    /// clocks persist — a replica still cold-restarting stays down into
+    /// the next step.
+    pub(crate) fn begin_step(&mut self, barrier: SimInstant) {
         for r in &mut self.replicas {
-            for s in &mut r.slots {
-                *s = SimDuration::ZERO;
-            }
+            r.slots.fill(barrier);
         }
     }
 
-    /// Index of the best (least queueing, lowest index on ties) healthy
-    /// replica at `now`, excluding `skip`.
-    fn best_healthy(&self, now: SimInstant, skip: Option<usize>) -> Option<usize> {
+    /// Index of the best (least queueing from `origin`, lowest index on
+    /// ties) replica healthy at `now`, excluding `skip`.
+    fn best_healthy(
+        &self,
+        now: SimInstant,
+        origin: SimInstant,
+        skip: Option<usize>,
+    ) -> Option<usize> {
         self.replicas
             .iter()
             .enumerate()
             .filter(|&(i, r)| Some(i) != skip && r.healthy(now))
-            .min_by_key(|(_, r)| r.delay())
+            .min_by_key(|(_, r)| r.delay(origin))
             .map(|(i, _)| i)
     }
 
-    /// The delay a request arriving at `now` would wait before any slot
-    /// frees, without reserving one — the bill for *dependent* follow-up
-    /// calls that contend for the backend but whose own service time is
-    /// already accounted sequentially. When every replica is down, the
-    /// wait includes the soonest restart.
-    pub(crate) fn delay(&self, now: SimInstant) -> SimDuration {
-        if let Some(idx) = self.best_healthy(now, None) {
-            return self.replicas[idx].delay();
+    /// The delay a request arriving at `now` would wait, measured from
+    /// `origin`, before any slot frees, without booking one — the bill for
+    /// *dependent* follow-up calls that contend for the backend but whose
+    /// own service time is already accounted sequentially. When every
+    /// replica is down, the wait includes the soonest restart.
+    pub(crate) fn delay(&self, now: SimInstant, origin: SimInstant) -> SimDuration {
+        if let Some(idx) = self.best_healthy(now, origin, None) {
+            return self.replicas[idx].delay(origin);
         }
         self.replicas
             .iter()
-            .map(|r| r.down_until.duration_since(now) + r.delay())
+            .map(|r| r.down_until.duration_since(now) + r.delay(origin))
             .min()
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Schedules `work` on the fleet at simulated instant `now`, drawing
-    /// crash/brownout faults from `inj` and optionally hedging.
+    /// Schedules `work` arriving at `now`, its slot wait measured from
+    /// `origin`, drawing crash/brownout faults from `inj` and optionally
+    /// hedging. Returns what the placement cost, its completion instant
+    /// (`origin` + wait + served work), and, when the serving replica
+    /// crashed, `(replica, restart_instant)`.
     ///
     /// Pipeline, in order: pick the least-loaded healthy replica (or wait
     /// out the soonest restart when none is up); charge an overflow
@@ -360,22 +380,25 @@ impl BackendQueue {
     /// finally, if hedging is on and the placement is browned out or would
     /// queue longer than `hedge_after`, issue the request to a second
     /// healthy replica too — first completion wins, the loser is cancelled
-    /// (its reservation shrinks to what it consumed), and the caller bills
-    /// the duplicate tokens. With one fault-free replica and hedging off
-    /// this reduces exactly to the pre-fleet single-backend behavior.
+    /// (its booking keeps only what it consumed), and the caller bills the
+    /// duplicate tokens. Restart, overflow and hedge waits add to the slot
+    /// wait. With one fault-free replica and hedging off this reduces
+    /// exactly to the pre-fleet single-backend behavior.
     pub(crate) fn place_at(
         &mut self,
         now: SimInstant,
+        origin: SimInstant,
         work: SimDuration,
         inj: &mut ServingFaultInjector,
         hedge_after: Option<SimDuration>,
-    ) -> PlacementOutcome {
+    ) -> (PlacementOutcome, SimInstant, Option<(usize, SimInstant)>) {
         let mut out = PlacementOutcome::default();
+        let mut restart = None;
         let profile = *inj.profile();
 
         // 1. Target selection: least-loaded healthy replica, else wait for
         //    the soonest restart.
-        let mut target = match self.best_healthy(now, None) {
+        let mut target = match self.best_healthy(now, origin, None) {
             Some(idx) => idx,
             None => {
                 let idx = self
@@ -393,7 +416,7 @@ impl BackendQueue {
         // 2. Overflow: even the best replica's backlog is past the
         //    threshold — admission rejects and the client re-dispatches.
         if !profile.overflow_queue.is_zero()
-            && self.replicas[target].delay() >= profile.overflow_queue
+            && self.replicas[target].delay(origin) >= profile.overflow_queue
         {
             out.overflowed = true;
             out.queue += OVERFLOW_REDISPATCH;
@@ -406,8 +429,10 @@ impl BackendQueue {
         if inj.crash() {
             out.crashed = true;
             out.failover_penalty = work.mul_f64(CRASH_WASTE);
-            self.replicas[target].down_until = now + profile.restart;
-            match self.best_healthy(now, Some(target)) {
+            let down_until = now + profile.restart;
+            self.replicas[target].down_until = down_until;
+            restart = Some((target, down_until));
+            match self.best_healthy(now, origin, Some(target)) {
                 Some(peer) => {
                     out.failed_over = true;
                     target = peer;
@@ -430,18 +455,18 @@ impl BackendQueue {
         //    on the peer (brownouts are per-replica), so the race is
         //    primary queue + inflated service vs hedge delay + peer queue
         //    + clean service. First completion wins and the loser is
-        //    cancelled: its reservation keeps only the capacity consumed
+        //    cancelled: its booking keeps only the capacity consumed
         //    before the winner returned, but its tokens are billed in
         //    full by the caller (the cancelled side already decoded them).
-        let primary_delay = self.replicas[target].delay();
+        let primary_delay = self.replicas[target].delay(origin);
         let hedge_peer = hedge_after
             .filter(|h| primary_delay > *h || out.slowed)
-            .and_then(|_| self.best_healthy(now, Some(target)));
-        match hedge_peer {
+            .and_then(|_| self.best_healthy(now, origin, Some(target)));
+        let served = match hedge_peer {
             Some(peer) => {
                 let h = hedge_after.expect("hedge peer implies hedge delay");
-                let (d1, primary_slot) = self.replicas[target].place_tracked(effective);
-                let (d2, peer_slot) = self.replicas[peer].place_tracked(work);
+                let (d1, primary) = self.replicas[target].book(origin, effective);
+                let (d2, duplicate) = self.replicas[peer].book(origin, work);
                 let won = h + d2 + work < d1 + effective;
                 out.hedged = Some(won);
                 if won {
@@ -449,257 +474,27 @@ impl BackendQueue {
                     // the hedge path and never suffers the brownout. The
                     // primary is cancelled at the winner's completion
                     // instant, freeing whatever it had not yet served.
-                    let t_win = h + d2 + work;
-                    let unused = (d1 + effective).saturating_sub(t_win).min(effective);
-                    self.replicas[target].shrink(primary_slot, unused);
+                    self.replicas[target].cancel(primary, origin + h + d2 + work);
                     out.queue += h + d2;
                     out.slowdown = SimDuration::ZERO;
+                    work
                 } else {
-                    // The primary finishes first; the duplicate is
-                    // cancelled with its remaining service unconsumed.
-                    let t_win = d1 + effective;
-                    let unused = (h + d2 + work).saturating_sub(t_win).min(work);
-                    self.replicas[peer].shrink(peer_slot, unused);
+                    // The primary finishes first. The duplicate was
+                    // dispatched `h` late, so it is cancelled at the
+                    // primary's completion shifted back by `h`, with its
+                    // remaining service unconsumed.
+                    let at = origin + (d1 + effective).saturating_sub(h);
+                    self.replicas[peer].cancel(duplicate, at);
                     out.queue += d1;
-                }
-            }
-            None => out.queue += self.replicas[target].place(effective),
-        }
-        out
-    }
-}
-
-/// One fleet-mode replica: slot *busy-until instants* on the global
-/// virtual timeline instead of per-step load sums. Nothing ever resets —
-/// a slot that is busy until 14:32 stays busy until 14:32 no matter how
-/// many episode step boundaries pass, which is exactly the cross-episode
-/// queueing the per-step [`Replica`] cannot express.
-#[derive(Debug, Clone)]
-struct FleetReplica {
-    /// Busy-until instant per server slot; empty = unbounded (never
-    /// queues).
-    slots: Vec<SimInstant>,
-    down_until: SimInstant,
-}
-
-impl FleetReplica {
-    fn new(concurrency: u32) -> Self {
-        FleetReplica {
-            slots: vec![SimInstant::EPOCH; concurrency as usize],
-            down_until: SimInstant::EPOCH,
-        }
-    }
-
-    fn healthy(&self, now: SimInstant) -> bool {
-        self.down_until <= now
-    }
-
-    /// Queueing delay a request arriving at `now` would wait before its
-    /// best slot frees.
-    fn delay(&self, now: SimInstant) -> SimDuration {
-        self.slots
-            .iter()
-            .map(|&busy| busy.duration_since(now))
-            .min()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Books `work` on the least-loaded slot (lowest index on ties) for a
-    /// request arriving at `now`. Returns the queueing delay waited, the
-    /// absolute completion instant, the chosen slot, and the slot's prior
-    /// busy-until (so a hedge cancellation can revert an unstarted
-    /// booking).
-    fn place_tracked(
-        &mut self,
-        now: SimInstant,
-        work: SimDuration,
-    ) -> (SimDuration, SimInstant, Option<usize>, SimInstant) {
-        let Some(idx) = self
-            .slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, busy)| **busy)
-            .map(|(idx, _)| idx)
-        else {
-            // Unbounded: service starts immediately and nothing is booked.
-            return (SimDuration::ZERO, now + work, None, SimInstant::EPOCH);
-        };
-        let prev = self.slots[idx];
-        let start = prev.max(now);
-        let completion = start + work;
-        self.slots[idx] = completion;
-        (start.duration_since(now), completion, Some(idx), prev)
-    }
-
-    /// Cancels a booking on `slot` at instant `t_win` (the hedge winner's
-    /// completion): the slot keeps only what it served before `t_win`, and
-    /// reverts fully to `prev` if the booking never started.
-    fn cancel_at(&mut self, slot: Option<usize>, prev: SimInstant, t_win: SimInstant) {
-        if let Some(idx) = slot {
-            self.slots[idx] = prev.max(self.slots[idx].min(t_win));
-        }
-    }
-}
-
-/// Fleet-mode backend queue over the global virtual timeline.
-///
-/// Mirrors the [`BackendQueue`] five-stage pipeline — target selection,
-/// overflow, crash/failover, brownout, hedged placement — but in absolute
-/// time: placements book slot intervals that persist across episode step
-/// boundaries, every placement returns the completion instant for the
-/// fleet's `DecodeFinish` event, and a crash returns the restart instant
-/// for its `ReplicaRestart` event. The fault-draw order is deterministic
-/// per seed but intentionally *not* draw-compatible with the per-step
-/// scheduler: fleet mode is a different serving regime, not a replay of
-/// the old one.
-#[derive(Debug, Clone)]
-pub(crate) struct FleetBackend {
-    replicas: Vec<FleetReplica>,
-}
-
-impl FleetBackend {
-    /// A fleet of `replicas` (0 treated as 1) with `concurrency` slots
-    /// each (0 = unbounded, never queues).
-    pub(crate) fn new(concurrency: u32, replicas: u32) -> Self {
-        FleetBackend {
-            replicas: (0..replicas.max(1))
-                .map(|_| FleetReplica::new(concurrency))
-                .collect(),
-        }
-    }
-
-    fn best_healthy(&self, now: SimInstant, skip: Option<usize>) -> Option<usize> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter(|&(i, r)| Some(i) != skip && r.healthy(now))
-            .min_by_key(|(_, r)| r.delay(now))
-            .map(|(i, _)| i)
-    }
-
-    /// The delay a request arriving at `now` would wait before any slot
-    /// frees, without booking one — the dependent-call contention bill,
-    /// same contract as [`BackendQueue::delay`].
-    pub(crate) fn delay(&self, now: SimInstant) -> SimDuration {
-        if let Some(idx) = self.best_healthy(now, None) {
-            return self.replicas[idx].delay(now);
-        }
-        self.replicas
-            .iter()
-            .map(|r| r.down_until.duration_since(now) + r.delay(r.down_until))
-            .min()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Schedules `work` arriving at global instant `now`; returns what the
-    /// placement cost, the absolute completion instant (the fleet pushes a
-    /// `DecodeFinish` there), and, when the serving replica crashed, the
-    /// `(replica, restart_instant)` for a `ReplicaRestart` event.
-    pub(crate) fn place_at(
-        &mut self,
-        now: SimInstant,
-        work: SimDuration,
-        inj: &mut ServingFaultInjector,
-        hedge_after: Option<SimDuration>,
-    ) -> (PlacementOutcome, SimInstant, Option<(usize, SimInstant)>) {
-        let mut out = PlacementOutcome::default();
-        let mut restart_event = None;
-        let profile = *inj.profile();
-
-        // 1. Target selection. With every replica down the request waits
-        //    out the soonest restart: its effective arrival slides forward.
-        let mut arrive = now;
-        let mut target = match self.best_healthy(now, None) {
-            Some(idx) => idx,
-            None => {
-                let idx = self
-                    .replicas
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, r)| r.down_until)
-                    .map(|(i, _)| i)
-                    .expect("fleet has at least one replica");
-                out.queue += self.replicas[idx].down_until.duration_since(now);
-                arrive = arrive.max(self.replicas[idx].down_until);
-                idx
-            }
-        };
-
-        // 2. Overflow: admission rejects, the client re-dispatches after
-        //    the penalty — its arrival slides by the re-dispatch wait.
-        if !profile.overflow_queue.is_zero()
-            && self.replicas[target].delay(arrive) >= profile.overflow_queue
-        {
-            out.overflowed = true;
-            out.queue += OVERFLOW_REDISPATCH;
-            arrive = arrive + OVERFLOW_REDISPATCH;
-        }
-
-        // 3. Crash: partial service wasted, replica cold-restarts (the
-        //    caller schedules the ReplicaRestart event), request fails
-        //    over to a healthy peer or rides out the restart.
-        if inj.crash() {
-            out.crashed = true;
-            out.failover_penalty = work.mul_f64(CRASH_WASTE);
-            let restart_at = arrive + profile.restart;
-            self.replicas[target].down_until = restart_at;
-            restart_event = Some((target, restart_at));
-            match self.best_healthy(arrive, Some(target)) {
-                Some(peer) => {
-                    out.failed_over = true;
-                    target = peer;
-                }
-                None => {
-                    out.queue += profile.restart;
-                    arrive = restart_at;
-                }
-            }
-        }
-
-        // 4. Brownout: the replica serves, but slower.
-        let mut effective = work;
-        if inj.brownout() {
-            out.slowed = true;
-            effective = work.mul_f64(profile.brownout_factor.max(1.0));
-            out.slowdown = effective.saturating_sub(work);
-        }
-
-        // 5. Placement, hedged exactly as in the per-step pipeline, except
-        //    the race is decided on absolute completion instants: the
-        //    duplicate dispatches `hedge_after` later and serves clean on
-        //    the peer; first completion wins, the loser's booking is
-        //    cancelled at the winner's completion instant.
-        let primary_delay = self.replicas[target].delay(arrive);
-        let hedge_peer = hedge_after
-            .filter(|h| primary_delay > *h || out.slowed)
-            .and_then(|_| self.best_healthy(arrive, Some(target)));
-        let completion = match hedge_peer {
-            Some(peer) => {
-                let h = hedge_after.expect("hedge peer implies hedge delay");
-                let (d1, c1, primary_slot, prev1) =
-                    self.replicas[target].place_tracked(arrive, effective);
-                let (d2, c2, peer_slot, prev2) =
-                    self.replicas[peer].place_tracked(arrive + h, work);
-                let won = c2 < c1;
-                out.hedged = Some(won);
-                if won {
-                    self.replicas[target].cancel_at(primary_slot, prev1, c2);
-                    out.queue += h + d2;
-                    out.slowdown = SimDuration::ZERO;
-                    c2
-                } else {
-                    self.replicas[peer].cancel_at(peer_slot, prev2, c1);
-                    out.queue += d1;
-                    c1
+                    effective
                 }
             }
             None => {
-                let (d, c, _, _) = self.replicas[target].place_tracked(arrive, effective);
-                out.queue += d;
-                c
+                out.queue += self.replicas[target].book(origin, effective).0;
+                effective
             }
         };
-        (out, completion, restart_event)
+        (out, origin + out.queue + served, restart)
     }
 }
 
@@ -718,6 +513,18 @@ mod tests {
 
     fn at(secs: u64) -> SimInstant {
         SimInstant::EPOCH + sec(secs)
+    }
+
+    /// Places `work` in per-step mode with arrival, barrier and origin all
+    /// at the epoch.
+    fn place(
+        q: &mut BackendQueue,
+        work: SimDuration,
+        inj: &mut ServingFaultInjector,
+        hedge_after: Option<SimDuration>,
+    ) -> PlacementOutcome {
+        q.place_at(SimInstant::EPOCH, SimInstant::EPOCH, work, inj, hedge_after)
+            .0
     }
 
     #[test]
@@ -744,26 +551,34 @@ mod tests {
     #[test]
     fn unbounded_queue_never_delays() {
         let mut q = BackendQueue::new(0, 1);
-        let out = q.place_at(SimInstant::EPOCH, sec(100), &mut no_faults(), None);
+        let out = place(&mut q, sec(100), &mut no_faults(), None);
         assert_eq!(out.queue, SimDuration::ZERO);
-        assert_eq!(q.delay(SimInstant::EPOCH), SimDuration::ZERO);
+        assert_eq!(
+            q.delay(SimInstant::EPOCH, SimInstant::EPOCH),
+            SimDuration::ZERO
+        );
     }
 
     #[test]
     fn least_loaded_slot_wins_with_lowest_index_ties() {
         let mut q = BackendQueue::new(2, 1);
         let mut inj = no_faults();
-        let place = |q: &mut BackendQueue, inj: &mut ServingFaultInjector, w| {
-            q.place_at(SimInstant::EPOCH, w, inj, None).queue
-        };
-        assert_eq!(place(&mut q, &mut inj, sec(10)), SimDuration::ZERO); // slot 0
-        assert_eq!(place(&mut q, &mut inj, sec(10)), SimDuration::ZERO); // slot 1
-                                                                         // Tie at 10 s each: slot 0 wins, so the request queues 10 s.
-        assert_eq!(place(&mut q, &mut inj, sec(5)), sec(10));
+        // Slots 0 and 1 take the first two placements.
+        assert_eq!(
+            place(&mut q, sec(10), &mut inj, None).queue,
+            SimDuration::ZERO
+        );
+        assert_eq!(
+            place(&mut q, sec(10), &mut inj, None).queue,
+            SimDuration::ZERO
+        );
+        // Tie at 10 s each: slot 0 wins, so the request queues 10 s.
+        assert_eq!(place(&mut q, sec(5), &mut inj, None).queue, sec(10));
         // Loads now (15, 10): the consume-only delay is the min.
-        assert_eq!(q.delay(SimInstant::EPOCH), sec(10));
-        q.reset();
-        assert_eq!(q.delay(SimInstant::EPOCH), SimDuration::ZERO);
+        assert_eq!(q.delay(SimInstant::EPOCH, SimInstant::EPOCH), sec(10));
+        // The next step barrier frees every slot.
+        q.begin_step(at(1));
+        assert_eq!(q.delay(at(1), at(1)), SimDuration::ZERO);
     }
 
     #[test]
@@ -773,17 +588,14 @@ mod tests {
         let mut q = BackendQueue::new(1, 2);
         let mut inj = no_faults();
         assert_eq!(
-            q.place_at(SimInstant::EPOCH, sec(10), &mut inj, None).queue,
+            place(&mut q, sec(10), &mut inj, None).queue,
             SimDuration::ZERO
         );
         assert_eq!(
-            q.place_at(SimInstant::EPOCH, sec(6), &mut inj, None).queue,
+            place(&mut q, sec(6), &mut inj, None).queue,
             SimDuration::ZERO
         );
-        assert_eq!(
-            q.place_at(SimInstant::EPOCH, sec(5), &mut inj, None).queue,
-            sec(6)
-        );
+        assert_eq!(place(&mut q, sec(5), &mut inj, None).queue, sec(6));
     }
 
     #[test]
@@ -796,14 +608,14 @@ mod tests {
         };
         let mut inj = ServingFaultInjector::new(profile, 1);
         let mut q = BackendQueue::new(1, 2);
-        let out = q.place_at(SimInstant::EPOCH, sec(10), &mut inj, None);
+        let out = place(&mut q, sec(10), &mut inj, None);
         assert!(out.crashed);
         assert!(out.failed_over, "a healthy peer existed");
         assert_eq!(out.failover_penalty, sec(3));
         // Second placement: replica 0 is down, replica 1 takes it, crashes
         // too, and with no healthy peer left the request rides out the
         // restart.
-        let out = q.place_at(SimInstant::EPOCH, sec(10), &mut inj, None);
+        let out = place(&mut q, sec(10), &mut inj, None);
         assert!(out.crashed);
         assert!(!out.failed_over);
         assert!(
@@ -812,21 +624,23 @@ mod tests {
             out.queue
         );
         // After the restart window both replicas serve again.
-        assert!(q.best_healthy(at(25), None).is_some());
-        // reset() clears loads but not restart clocks.
-        q.reset();
-        assert!(q.best_healthy(SimInstant::EPOCH, None).is_none());
+        assert!(q.best_healthy(at(25), SimInstant::EPOCH, None).is_some());
+        // A step barrier frees slots but not restart clocks.
+        q.begin_step(SimInstant::EPOCH);
+        assert!(q
+            .best_healthy(SimInstant::EPOCH, SimInstant::EPOCH, None)
+            .is_none());
     }
 
     #[test]
     fn brownout_inflates_service_time() {
         let mut inj = ServingFaultInjector::new(ServingFaultProfile::brownouts(1.0), 1);
         let mut q = BackendQueue::new(1, 1);
-        let out = q.place_at(SimInstant::EPOCH, sec(10), &mut inj, None);
+        let out = place(&mut q, sec(10), &mut inj, None);
         assert!(out.slowed);
         assert_eq!(out.slowdown, sec(20)); // 3x factor: 30 s total, 20 s extra
                                            // The inflated load is what the next request queues behind.
-        let out = q.place_at(SimInstant::EPOCH, sec(1), &mut inj, None);
+        let out = place(&mut q, sec(1), &mut inj, None);
         assert!(out.queue >= sec(30), "queued {:?}", out.queue);
     }
 
@@ -838,9 +652,9 @@ mod tests {
         };
         let mut inj = ServingFaultInjector::new(profile, 1);
         let mut q = BackendQueue::new(1, 1);
-        let first = q.place_at(SimInstant::EPOCH, sec(10), &mut inj, None);
+        let first = place(&mut q, sec(10), &mut inj, None);
         assert!(!first.overflowed);
-        let spilled = q.place_at(SimInstant::EPOCH, sec(10), &mut inj, None);
+        let spilled = place(&mut q, sec(10), &mut inj, None);
         assert!(spilled.overflowed);
         assert_eq!(spilled.queue, sec(10) + OVERFLOW_REDISPATCH);
     }
@@ -850,13 +664,13 @@ mod tests {
         let mut q = BackendQueue::new(1, 2);
         let mut inj = no_faults();
         // Load replica 0 with 30 s, replica 1 with 8 s.
-        q.replicas[0].place(sec(30));
-        q.replicas[1].place(sec(8));
+        q.replicas[0].book(SimInstant::EPOCH, sec(30));
+        q.replicas[1].book(SimInstant::EPOCH, sec(8));
         // Primary is replica 1 (8 s backlog > 2 s hedge trigger); the hedge
         // goes to replica 0 (30 s backlog) and loses the race — the
         // primary was already the best choice. Queue stays 8 s, but the
         // duplicate's tokens were burned.
-        let out = q.place_at(SimInstant::EPOCH, sec(5), &mut inj, Some(sec(2)));
+        let out = place(&mut q, sec(5), &mut inj, Some(sec(2)));
         assert_eq!(out.hedged, Some(false));
         assert_eq!(out.queue, sec(8));
     }
@@ -868,7 +682,7 @@ mod tests {
         // 30 s inflated. The caller never suffers the slowdown.
         let mut inj = ServingFaultInjector::new(ServingFaultProfile::brownouts(1.0), 1);
         let mut q = BackendQueue::new(1, 2);
-        let out = q.place_at(SimInstant::EPOCH, sec(10), &mut inj, Some(sec(2)));
+        let out = place(&mut q, sec(10), &mut inj, Some(sec(2)));
         assert_eq!(out.hedged, Some(true), "clean duplicate wins the race");
         assert!(out.slowed, "the brownout still happened on the primary");
         assert_eq!(out.slowdown, SimDuration::ZERO, "but is never suffered");
@@ -876,7 +690,7 @@ mod tests {
         // Without hedging the same draw charges the full 20 s slowdown.
         let mut inj = ServingFaultInjector::new(ServingFaultProfile::brownouts(1.0), 1);
         let mut q = BackendQueue::new(1, 2);
-        let out = q.place_at(SimInstant::EPOCH, sec(10), &mut inj, None);
+        let out = place(&mut q, sec(10), &mut inj, None);
         assert_eq!(out.slowdown, sec(20));
     }
 
@@ -887,26 +701,34 @@ mod tests {
         // primary is cancelled with 18 s of its booking unserved.
         let mut inj = ServingFaultInjector::new(ServingFaultProfile::brownouts(1.0), 1);
         let mut q = BackendQueue::new(1, 2);
-        let out = q.place_at(SimInstant::EPOCH, sec(10), &mut inj, Some(sec(2)));
+        let out = place(&mut q, sec(10), &mut inj, Some(sec(2)));
         assert_eq!(out.hedged, Some(true));
         assert_eq!(
-            q.replicas[0].delay(),
+            q.replicas[0].delay(SimInstant::EPOCH),
             sec(12),
             "primary keeps only the consumed part"
         );
-        assert_eq!(q.replicas[1].delay(), sec(10), "winner serves in full");
+        assert_eq!(
+            q.replicas[1].delay(SimInstant::EPOCH),
+            sec(10),
+            "winner serves in full"
+        );
 
         // Losing hedge: the primary finishes at 13 s, before the deeply
         // backlogged duplicate would even start (32 s) — the duplicate is
         // cancelled without consuming any peer capacity.
         let mut q = BackendQueue::new(1, 2);
         let mut inj = no_faults();
-        q.replicas[0].place(sec(30));
-        q.replicas[1].place(sec(8));
-        let out = q.place_at(SimInstant::EPOCH, sec(5), &mut inj, Some(sec(2)));
+        q.replicas[0].book(SimInstant::EPOCH, sec(30));
+        q.replicas[1].book(SimInstant::EPOCH, sec(8));
+        let out = place(&mut q, sec(5), &mut inj, Some(sec(2)));
         assert_eq!(out.hedged, Some(false));
-        assert_eq!(q.replicas[0].delay(), sec(30), "cancelled before starting");
-        assert_eq!(q.replicas[1].delay(), sec(13));
+        assert_eq!(
+            q.replicas[0].delay(SimInstant::EPOCH),
+            sec(30),
+            "cancelled before starting"
+        );
+        assert_eq!(q.replicas[1].delay(SimInstant::EPOCH), sec(13));
     }
 
     #[test]
@@ -914,48 +736,52 @@ mod tests {
         let mut inj = no_faults();
         // No backlog: below the trigger, no hedge.
         let mut q = BackendQueue::new(1, 2);
-        let out = q.place_at(SimInstant::EPOCH, sec(5), &mut inj, Some(sec(2)));
+        let out = place(&mut q, sec(5), &mut inj, Some(sec(2)));
         assert_eq!(out.hedged, None);
         // Single replica: backlog but nowhere to hedge.
         let mut q = BackendQueue::new(1, 1);
-        q.replicas[0].place(sec(30));
-        let out = q.place_at(SimInstant::EPOCH, sec(5), &mut inj, Some(sec(2)));
+        q.replicas[0].book(SimInstant::EPOCH, sec(30));
+        let out = place(&mut q, sec(5), &mut inj, Some(sec(2)));
         assert_eq!(out.hedged, None);
         assert_eq!(out.queue, sec(30));
     }
 
     #[test]
-    fn fleet_backend_queues_across_arrivals_without_reset() {
-        // Two requests 5 s apart on one slot: the second queues behind the
-        // remaining 5 s of the first — state persists, no step boundary
-        // ever clears it.
-        let mut q = FleetBackend::new(1, 1);
+    fn continuous_mode_queues_across_arrivals_without_reset() {
+        // Two requests 5 s apart on one slot, each measured from its own
+        // arrival: the second queues behind the remaining 5 s of the first
+        // — state persists, no step barrier ever clears it.
+        let mut q = BackendQueue::new(1, 1);
         let mut inj = no_faults();
-        let (out, c1, restart) = q.place_at(at(0), sec(10), &mut inj, None);
+        let (out, c1, restart) = q.place_at(at(0), at(0), sec(10), &mut inj, None);
         assert_eq!(out.queue, SimDuration::ZERO);
         assert_eq!(c1, at(10));
         assert!(restart.is_none());
-        let (out, c2, _) = q.place_at(at(5), sec(10), &mut inj, None);
+        let (out, c2, _) = q.place_at(at(5), at(5), sec(10), &mut inj, None);
         assert_eq!(out.queue, sec(5), "waits out the in-flight request");
         assert_eq!(c2, at(20));
         // Once the backlog drains, arrivals start fresh.
-        let (out, c3, _) = q.place_at(at(30), sec(2), &mut inj, None);
+        let (out, c3, _) = q.place_at(at(30), at(30), sec(2), &mut inj, None);
         assert_eq!(out.queue, SimDuration::ZERO);
         assert_eq!(c3, at(32));
-        assert_eq!(q.delay(at(30)), sec(2), "booked by the request itself");
-        assert_eq!(q.delay(at(32)), SimDuration::ZERO);
+        assert_eq!(
+            q.delay(at(30), at(30)),
+            sec(2),
+            "booked by the request itself"
+        );
+        assert_eq!(q.delay(at(32), at(32)), SimDuration::ZERO);
     }
 
     #[test]
-    fn fleet_backend_crash_reports_restart_event() {
+    fn continuous_mode_crash_reports_restart_event() {
         let profile = ServingFaultProfile {
             crash_rate: 1.0,
             restart: sec(20),
             ..ServingFaultProfile::none()
         };
         let mut inj = ServingFaultInjector::new(profile, 1);
-        let mut q = FleetBackend::new(1, 2);
-        let (out, _, restart) = q.place_at(at(0), sec(10), &mut inj, None);
+        let mut q = BackendQueue::new(1, 2);
+        let (out, _, restart) = q.place_at(at(0), at(0), sec(10), &mut inj, None);
         assert!(out.crashed && out.failed_over);
         let (replica, restart_at) = restart.expect("crash schedules a restart");
         assert_eq!(restart_at, at(20));
@@ -966,16 +792,16 @@ mod tests {
     }
 
     #[test]
-    fn fleet_backend_hedge_race_on_completion_instants() {
+    fn continuous_mode_hedge_race_on_completion_instants() {
         // Primary (replica 1) busy until 8 s, peer (replica 0) until 30 s:
-        // the duplicate dispatches at 2 s, starts at 30 s, completes at
-        // 35 s — the primary completes at 13 s and wins; the loser's
+        // the primary completes at 13 s, long before the duplicate could
+        // (2 s hedge delay + 30 s backlog + 5 s), and wins; the loser's
         // booking reverts entirely.
-        let mut q = FleetBackend::new(1, 2);
+        let mut q = BackendQueue::new(1, 2);
         let mut inj = no_faults();
-        q.replicas[0].place_tracked(at(0), sec(30));
-        q.replicas[1].place_tracked(at(0), sec(8));
-        let (out, completion, _) = q.place_at(at(0), sec(5), &mut inj, Some(sec(2)));
+        q.replicas[0].book(at(0), sec(30));
+        q.replicas[1].book(at(0), sec(8));
+        let (out, completion, _) = q.place_at(at(0), at(0), sec(5), &mut inj, Some(sec(2)));
         assert_eq!(out.hedged, Some(false));
         assert_eq!(out.queue, sec(8));
         assert_eq!(completion, at(13));
@@ -985,8 +811,8 @@ mod tests {
         // Browned-out primary: the clean duplicate wins at 2 + 10 = 12 s,
         // and the primary keeps only the 12 s it served before the cancel.
         let mut inj = ServingFaultInjector::new(ServingFaultProfile::brownouts(1.0), 1);
-        let mut q = FleetBackend::new(1, 2);
-        let (out, completion, _) = q.place_at(at(0), sec(10), &mut inj, Some(sec(2)));
+        let mut q = BackendQueue::new(1, 2);
+        let (out, completion, _) = q.place_at(at(0), at(0), sec(10), &mut inj, Some(sec(2)));
         assert_eq!(out.hedged, Some(true));
         assert_eq!(
             out.slowdown,
@@ -1001,40 +827,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fleet_backend_matches_per_step_queueing_at_a_common_instant() {
-        // Same work sequence, same instant, no faults: the absolute-time
-        // pipeline degenerates to the per-step one (delays and queue bills
-        // agree), anchoring fleet mode to the validated scheduler.
-        let works = [7u64, 3, 11, 2, 9];
-        let mut legacy = BackendQueue::new(2, 2);
-        let mut fleet = FleetBackend::new(2, 2);
-        let mut inj_a = no_faults();
-        let mut inj_b = no_faults();
-        for w in works {
-            let a = legacy.place_at(at(0), sec(w), &mut inj_a, None);
-            let (b, completion, _) = fleet.place_at(at(0), sec(w), &mut inj_b, None);
-            assert_eq!(a.queue, b.queue);
-            assert_eq!(completion.duration_since(at(0)), b.queue + sec(w));
-        }
-        assert_eq!(legacy.delay(at(0)), fleet.delay(at(0)));
-    }
-
     /// Total queue delay for `works` placed in order on `c` slots.
     fn total_queue(works: &[u64], c: u32) -> SimDuration {
         let mut q = BackendQueue::new(c, 1);
         let mut inj = no_faults();
         works
             .iter()
-            .map(|&w| {
-                q.place_at(
-                    SimInstant::EPOCH,
-                    SimDuration::from_micros(w.max(1)),
-                    &mut inj,
-                    None,
-                )
-                .queue
-            })
+            .map(|&w| place(&mut q, SimDuration::from_micros(w.max(1)), &mut inj, None).queue)
             .sum()
     }
 
@@ -1075,15 +874,7 @@ mod tests {
                 let mut inj = no_faults();
                 works
                     .iter()
-                    .map(|&w| {
-                        q.place_at(
-                            SimInstant::EPOCH,
-                            SimDuration::from_micros(w),
-                            &mut inj,
-                            None,
-                        )
-                        .queue
-                    })
+                    .map(|&w| place(&mut q, SimDuration::from_micros(w), &mut inj, None).queue)
                     .sum::<SimDuration>()
             };
             prop_assert!(run(replicas) <= run(1));
@@ -1167,9 +958,7 @@ mod tests {
             let mut target = match self.best(now, None) {
                 Some(r) => r,
                 None => {
-                    let r = (0..self.down.len())
-                        .min_by_key(|&r| self.down[r])
-                        .unwrap();
+                    let r = (0..self.down.len()).min_by_key(|&r| self.down[r]).unwrap();
                     out.queue += self.down[r].duration_since(now);
                     r
                 }
@@ -1213,9 +1002,7 @@ mod tests {
                         out.queue += h + d2;
                         out.slowdown = SimDuration::ZERO;
                     } else {
-                        let unused = (h + d2 + work)
-                            .saturating_sub(d1 + effective)
-                            .min(work);
+                        let unused = (h + d2 + work).saturating_sub(d1 + effective).min(work);
                         self.shrink(peer, s2, unused);
                         out.queue += d1;
                     }
@@ -1245,12 +1032,14 @@ mod tests {
 
         /// The scheduler replays the per-step reference exactly —
         /// outcomes, consume-only delays and fault draws — over random
-        /// work, arrival offsets, fleet shapes, fault regimes and hedging.
+        /// work, arrival offsets, fleet shapes, fault regimes and hedging,
+        /// and completes each placement at origin + wait + served work.
         /// Each op is `(kind, work µs, offset µs)`: kind 0 starts a new
         /// step `offset` after the last barrier, kind 1 places `work` at
         /// `barrier + offset`, anything else reads the delay there. In the
-        /// common-instant case every op arrives at the barrier itself and
-        /// no step ever resets.
+        /// common-instant case every op arrives at the barrier and no step
+        /// ever resets, so the origin is the arrival instant itself: fleet
+        /// mode's continuous timeline.
         #[test]
         fn merged_backend_replays_the_per_step_reference(
             shape in (1u32..4, 0u32..4, 0usize..5, 0u64..1_000, 0usize..3),
@@ -1279,13 +1068,17 @@ mod tests {
                     0 if !common => {
                         barrier = now;
                         reference.reset();
-                        queue.reset();
+                        queue.begin_step(barrier);
                     }
-                    1 => prop_assert_eq!(
-                        queue.place_at(now, work, &mut inj, hedge_after),
-                        reference.place(now, work, &mut ref_inj, hedge_after)
-                    ),
-                    _ => prop_assert_eq!(queue.delay(now), reference.delay(now)),
+                    1 => {
+                        let expected = reference.place(now, work, &mut ref_inj, hedge_after);
+                        let (out, completion, restart) =
+                            queue.place_at(now, barrier, work, &mut inj, hedge_after);
+                        prop_assert_eq!(out, expected);
+                        prop_assert_eq!(completion, barrier + out.queue + work + out.slowdown);
+                        prop_assert_eq!(restart.is_some(), out.crashed);
+                    }
+                    _ => prop_assert_eq!(queue.delay(now, barrier), reference.delay(now)),
                 }
             }
         }

@@ -1,7 +1,6 @@
 //! The shared inference service: ownership-inverted engine stacks behind
-//! per-tenant handles, with step-scoped batching, queueing and
-//! prefix-cache accounting (paper Rec. 1: batching, KV-prefix reuse,
-//! shared endpoints).
+//! per-tenant handles, with batching, queueing and prefix-cache accounting
+//! (paper Rec. 1: batching, KV-prefix reuse, shared endpoints).
 //!
 //! Modules no longer own their engines. They hold an [`EngineHandle`]
 //! registered against an [`InferenceService`], which keeps one scheduling
@@ -10,6 +9,16 @@
 //! (built once by [`EngineBuilder`]), so RNG draw order is identical to
 //! the old module-owned layout in every serving mode — scheduling only
 //! re-attributes *time*, never *randomness*.
+//!
+//! Every tenant belongs to an episode *scope*, and every serving counter
+//! ledgers into its scope. A solo episode is scope 0 of a service whose
+//! backends free every slot at each step barrier
+//! ([`InferenceService::begin_step`]); fleet mode
+//! ([`InferenceService::enable_fleet`]) hosts one scope per episode on a
+//! global virtual clock where nothing resets. Both run the same placement
+//! pipeline and the same window close, and differ only in the origin their
+//! slot waits are measured from: the step barrier, or the request's own
+//! arrival.
 
 use crate::clock::VirtualClock;
 use crate::engine::{LlmEngine, LlmError};
@@ -18,9 +27,9 @@ use crate::latency::{amortize_latency, batch_latency, InferenceOpts};
 use crate::profile::ModelProfile;
 use crate::request::{LlmRequest, LlmResponse, Purpose};
 use crate::resilience::{InferenceEndpoint, ResilientEngine, RetryPolicy};
-use crate::scheduler::{BackendQueue, FleetBackend, PlacementOutcome, ServingConfig};
+use crate::scheduler::{BackendQueue, PlacementOutcome, ServingConfig};
 use crate::serving_faults::ServingFaultInjector;
-use crate::sim::{EventQueue, FleetConfig, FleetSummary, ScheduledEvent, SimEvent};
+use crate::sim::{EventQueue, FleetSummary, ScheduledEvent, SimEvent};
 use crate::tokenizer::Tokenizer;
 use embodied_profiler::{
     ResilienceStats, ServingFaultStats, ServingStats, SimDuration, SimInstant, TokenStats,
@@ -86,8 +95,10 @@ pub enum TenantOwner {
 }
 
 /// Per-member outcome of a closed batch window, in submission order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WindowShare {
+    /// Episode scope of the member's tenant (0 for a solo episode).
+    pub scope: usize,
     /// The member's amortized share of its batch's latency bill.
     pub share: SimDuration,
     /// Queueing delay before the batch started; non-zero only on the
@@ -99,17 +110,17 @@ struct Tenant {
     engine: ResilientEngine,
     owner: TenantOwner,
     backend: usize,
-    /// Fleet episode scope the tenant belongs to (always 0 outside fleet
-    /// mode). Owner ids restart at 0 in every episode, so per-owner
-    /// queries must also match on scope when episodes share one service.
+    /// Episode scope the tenant belongs to (0 for a solo episode). Owner
+    /// ids restart at 0 in every episode, so per-owner queries also match
+    /// on scope when episodes share one service.
     scope: usize,
 }
 
 struct Backend {
     profile: ModelProfile,
     queue: BackendQueue,
-    /// Placements accepted this step — the admission-control signal for
-    /// load shedding. Reset at every step boundary.
+    /// Placements accepted this step — the per-step admission-control
+    /// signal for load shedding. Reset at every step barrier.
     depth: u32,
 }
 
@@ -141,33 +152,71 @@ struct Window {
     members: Vec<WindowMember>,
 }
 
-/// Per-episode serving ledger of a fleet: the counters that in
-/// single-episode mode live directly on [`ServiceInner`], split per scope
-/// so each episode's report stays attributable under shared-stack load.
+/// One episode scope's serving ledger — a solo episode has one, a fleet
+/// one per episode — so each report stays attributable under shared-stack
+/// load.
 #[derive(Debug, Clone, Default)]
 struct ScopeLedger {
     stats: ServingStats,
     fault_stats: ServingFaultStats,
+    /// Tokens billed to hedged duplicates — merged into
+    /// [`InferenceService::total_usage`] so the hedge premium shows up in
+    /// every token/$ report.
     hedge_usage: TokenStats,
 }
 
-/// Fleet-mode state: the global virtual clock, the typed event queue, and
-/// the absolute-time backends that replace per-step queues when N
-/// episodes share this service. `None` outside fleet mode — every legacy
-/// code path is untouched then (the byte-identity guarantee).
+impl ScopeLedger {
+    /// Counts one queueing observation.
+    fn note_queue(&mut self, queued: SimDuration) {
+        if !queued.is_zero() {
+            self.stats.queued += 1;
+            self.stats.queue_delay += queued;
+        }
+    }
+
+    /// Counts one placement's fault outcomes.
+    fn note_placement(&mut self, out: &PlacementOutcome) {
+        let fs = &mut self.fault_stats;
+        if out.crashed {
+            fs.crashes += 1;
+        }
+        if out.failed_over {
+            fs.failovers += 1;
+        }
+        if out.overflowed {
+            fs.overflows += 1;
+        }
+        if out.slowed {
+            fs.brownouts += 1;
+            fs.slowdown_delay += out.slowdown;
+        }
+        fs.failover_delay += out.failover_penalty;
+        match out.hedged {
+            Some(true) => fs.hedges_won += 1,
+            Some(false) => fs.hedges_wasted += 1,
+            None => {}
+        }
+    }
+
+    /// Scores one request against the SLO deadline.
+    fn note_slo(&mut self, met: bool) {
+        self.fault_stats.slo_total += 1;
+        if met {
+            self.fault_stats.slo_met += 1;
+        }
+    }
+}
+
+/// Fleet-mode state: the global virtual clock, the typed event queue, each
+/// episode scope's base instant, and the substrate counters behind
+/// [`FleetSummary`]. `None` for a solo episode.
+#[derive(Default)]
 struct FleetState {
-    config: FleetConfig,
     clock: VirtualClock,
     events: EventQueue,
-    /// Scope (episode index) whose tenants are currently executing.
-    scope: usize,
     /// Per-scope global base instant: episode-local trace time `t` maps to
     /// global instant `bases[scope] + t`.
     bases: Vec<SimInstant>,
-    /// One absolute-time queue per backend, parallel to
-    /// `ServiceInner::backends`.
-    backends: Vec<FleetBackend>,
-    scopes: Vec<ScopeLedger>,
     /// Placements currently decoding (incremented at placement,
     /// decremented when the `DecodeFinish` event pops) — the fleet's
     /// admission-control signal, replacing the per-step depth counter.
@@ -178,49 +227,26 @@ struct FleetState {
     restarts: u64,
     cross_episode_batches: u64,
     events_processed: u64,
-    /// Submitting scope per open-window member, parallel to
-    /// `Window::members`.
-    window_scopes: Vec<usize>,
 }
 
 impl FleetState {
-    /// Episode-local instant `now` mapped onto the global fleet timeline.
-    fn globalize(&self, now: SimInstant) -> SimInstant {
-        self.bases[self.scope] + now.duration_since(SimInstant::EPOCH)
-    }
-}
-
-/// Counts one queueing observation into a stats ledger — shared by the
-/// legacy per-step path and every fleet scope so the two modes cannot
-/// drift in what they count.
-fn note_queue_into(stats: &mut ServingStats, queued: SimDuration) {
-    if !queued.is_zero() {
-        stats.queued += 1;
-        stats.queue_delay += queued;
-    }
-}
-
-/// Counts one placement's fault outcomes into a fault ledger — shared by
-/// both serving modes, same reasoning as [`note_queue_into`].
-fn note_placement_into(fault_stats: &mut ServingFaultStats, out: &PlacementOutcome) {
-    if out.crashed {
-        fault_stats.crashes += 1;
-    }
-    if out.failed_over {
-        fault_stats.failovers += 1;
-    }
-    if out.overflowed {
-        fault_stats.overflows += 1;
-    }
-    if out.slowed {
-        fault_stats.brownouts += 1;
-        fault_stats.slowdown_delay += out.slowdown;
-    }
-    fault_stats.failover_delay += out.failover_penalty;
-    match out.hedged {
-        Some(true) => fault_stats.hedges_won += 1,
-        Some(false) => fault_stats.hedges_wasted += 1,
-        None => {}
+    /// Schedules a placement's substrate events — its completion as a
+    /// `DecodeFinish`, a crash's restart as a `ReplicaRestart` — and counts
+    /// it in flight.
+    fn track(
+        &mut self,
+        backend: usize,
+        completion: SimInstant,
+        restart: Option<(usize, SimInstant)>,
+    ) {
+        self.events
+            .push(completion, SimEvent::DecodeFinish { backend });
+        if let Some((replica, at)) = restart {
+            self.events
+                .push(at, SimEvent::ReplicaRestart { backend, replica });
+        }
+        self.in_flight += 1;
+        self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
     }
 }
 
@@ -228,13 +254,14 @@ struct ServiceInner {
     config: ServingConfig,
     tenants: Vec<Tenant>,
     backends: Vec<Backend>,
-    stats: ServingStats,
-    fault_stats: ServingFaultStats,
+    /// One ledger per episode scope; a solo episode is scope 0.
+    scopes: Vec<ScopeLedger>,
+    /// Scope whose tenants are currently registering or executing.
+    scope: usize,
+    /// The current step barrier of a solo episode: the origin its slot
+    /// waits are measured from.
+    barrier: SimInstant,
     injector: ServingFaultInjector,
-    /// Tokens billed to hedged duplicates — merged into
-    /// [`InferenceService::total_usage`] so the hedge premium shows up in
-    /// every token/$ report.
-    hedge_usage: TokenStats,
     tokenizer: Tokenizer,
     window: Option<Window>,
     fleet: Option<FleetState>,
@@ -254,22 +281,58 @@ impl ServiceInner {
             queue: BackendQueue::new(self.config.concurrency, self.config.replicas),
             depth: 0,
         });
-        // Fleet mode keeps an absolute-time twin per backend.
-        if let Some(fleet) = &mut self.fleet {
-            fleet.backends.push(FleetBackend::new(
-                self.config.concurrency,
-                self.config.replicas,
-            ));
-        }
         self.backends.len() - 1
     }
 
-    fn note_queue(&mut self, queued: SimDuration) {
-        note_queue_into(&mut self.stats, queued);
+    /// The current scope's episode-local instant `now` on the service
+    /// timeline: offset by the scope's base in a fleet, unchanged for a
+    /// solo episode.
+    fn globalize(&self, now: SimInstant) -> SimInstant {
+        match &self.fleet {
+            Some(fleet) => fleet.bases[self.scope] + now.duration_since(SimInstant::EPOCH),
+            None => now,
+        }
     }
 
-    fn note_placement(&mut self, out: &PlacementOutcome) {
-        note_placement_into(&mut self.fault_stats, out);
+    /// The origin of a placement at service instant `at`: the current step
+    /// barrier for a solo episode, `at` itself in fleet mode (whose clock
+    /// advances to it).
+    fn origin(&mut self, at: SimInstant) -> SimInstant {
+        match &mut self.fleet {
+            Some(fleet) => {
+                fleet.clock.advance_to(at);
+                at
+            }
+            None => self.barrier,
+        }
+    }
+
+    /// Merged token usage of `scope`'s tenants, narrowed to `owner` when
+    /// given.
+    fn usage(&self, scope: usize, owner: Option<TenantOwner>) -> TokenStats {
+        let mut total = TokenStats::default();
+        for t in self
+            .tenants
+            .iter()
+            .filter(|t| t.scope == scope && owner.is_none_or(|o| t.owner == o))
+        {
+            total.merge(&t.engine.usage());
+        }
+        total
+    }
+
+    /// Merged resilience counters of `scope`'s tenants, narrowed to
+    /// `owner` when given.
+    fn resilience(&self, scope: usize, owner: Option<TenantOwner>) -> ResilienceStats {
+        let mut total = ResilienceStats::default();
+        for t in self
+            .tenants
+            .iter()
+            .filter(|t| t.scope == scope && owner.is_none_or(|o| t.owner == o))
+        {
+            total.merge(&t.engine.stats());
+        }
+        total
     }
 }
 
@@ -316,10 +379,10 @@ impl InferenceService {
                 config,
                 tenants: Vec::new(),
                 backends: Vec::new(),
-                stats: ServingStats::default(),
-                fault_stats: ServingFaultStats::default(),
+                scopes: vec![ScopeLedger::default()],
+                scope: 0,
+                barrier: SimInstant::EPOCH,
                 injector: ServingFaultInjector::new(config.faults, seed),
-                hedge_usage: TokenStats::default(),
                 tokenizer: Tokenizer::default(),
                 window: None,
                 fleet: None,
@@ -328,42 +391,25 @@ impl InferenceService {
     }
 
     /// Switches the service into fleet mode for `episodes` concurrently
-    /// multiplexed episode scopes: backend queues move onto the global
-    /// virtual timeline, completions become `DecodeFinish` events, and
-    /// every counter splits per scope. Must be called before any tenant
+    /// multiplexed episode scopes: slot waits are measured from each
+    /// request's own arrival on one global virtual clock (nothing resets
+    /// at step barriers), completions become `DecodeFinish` events, and
+    /// every counter ledgers per scope. Must be called before any tenant
     /// registers (tenants are stamped with their scope at registration).
     ///
     /// # Panics
     ///
     /// Panics if tenants are already registered.
-    pub fn enable_fleet(&self, config: FleetConfig, episodes: usize) {
+    pub fn enable_fleet(&self, episodes: usize) {
         let mut inner = self.inner.borrow_mut();
         assert!(
             inner.tenants.is_empty(),
             "fleet mode must be enabled before tenants register"
         );
-        let concurrency = inner.config.concurrency;
-        let replicas = inner.config.replicas;
+        inner.scopes = vec![ScopeLedger::default(); episodes];
         inner.fleet = Some(FleetState {
-            config,
-            clock: VirtualClock::new(),
-            events: EventQueue::new(),
-            scope: 0,
             bases: vec![SimInstant::EPOCH; episodes],
-            backends: inner
-                .backends
-                .iter()
-                .map(|_| FleetBackend::new(concurrency, replicas))
-                .collect(),
-            scopes: vec![ScopeLedger::default(); episodes],
-            in_flight: 0,
-            peak_in_flight: 0,
-            sessions: 0,
-            decode_events: 0,
-            restarts: 0,
-            cross_episode_batches: 0,
-            events_processed: 0,
-            window_scopes: Vec::new(),
+            ..FleetState::default()
         });
     }
 
@@ -372,21 +418,13 @@ impl InferenceService {
         self.inner.borrow().fleet.is_some()
     }
 
-    /// The fleet knobs this service was switched into fleet mode with
-    /// (fleet mode only).
-    pub fn fleet_config(&self) -> FleetConfig {
-        let inner = self.inner.borrow();
-        inner.fleet.as_ref().expect("fleet mode not enabled").config
-    }
-
-    /// Sets the episode scope whose tenants are about to execute — the
-    /// fleet runner calls this before stepping an episode and before
-    /// reading its scoped reports.
-    pub fn set_fleet_scope(&self, scope: usize) {
+    /// Sets the episode scope whose tenants are about to register or
+    /// execute — the fleet runner calls this before building or stepping
+    /// an episode. A solo episode stays in scope 0.
+    pub fn set_scope(&self, scope: usize) {
         let mut inner = self.inner.borrow_mut();
-        let fleet = inner.fleet.as_mut().expect("fleet mode not enabled");
-        assert!(scope < fleet.bases.len(), "scope out of range");
-        fleet.scope = scope;
+        assert!(scope < inner.scopes.len(), "scope out of range");
+        inner.scope = scope;
     }
 
     /// Anchors `scope`'s episode-local time zero at global instant `base`
@@ -435,14 +473,14 @@ impl InferenceService {
         self.inner.borrow().config
     }
 
-    /// Registers a fully wrapped engine stack as a new tenant, returning
-    /// the handle its module will hold. Tenants sharing a model profile
-    /// share one scheduling backend.
+    /// Registers a fully wrapped engine stack as a new tenant of the
+    /// current scope, returning the handle its module will hold. Tenants
+    /// sharing a model profile share one scheduling backend.
     pub fn register(&self, engine: ResilientEngine, owner: TenantOwner) -> EngineHandle {
         let profile = engine.profile().clone();
         let mut inner = self.inner.borrow_mut();
         let backend = inner.backend_for(&profile);
-        let scope = inner.fleet.as_ref().map_or(0, |f| f.scope);
+        let scope = inner.scope;
         inner.tenants.push(Tenant {
             engine,
             owner,
@@ -463,29 +501,30 @@ impl InferenceService {
         self.inner.borrow().tenants.len()
     }
 
-    /// Resets all backend queues and admission-control depths — called at
-    /// every step boundary (the step loop is a synchronization barrier;
-    /// queues do not carry over). Replica restart clocks persist: a
-    /// crashed replica stays down until its simulated restart instant.
-    pub fn begin_step(&self) {
+    /// Step barrier of a solo episode at instant `barrier`: every backend
+    /// slot frees there (the step loop is a synchronization barrier;
+    /// queues do not carry over), later placements measure their waits
+    /// from it, and admission-control depths reset. Replica restart clocks
+    /// persist: a crashed replica stays down until its simulated restart
+    /// instant. In fleet mode the timeline is continuous and nothing
+    /// resets.
+    pub fn begin_step(&self, barrier: SimInstant) {
         let mut inner = self.inner.borrow_mut();
         if inner.fleet.is_some() {
-            // The fleet timeline is continuous: episode step boundaries
-            // are local conveniences, not global synchronization barriers,
-            // so nothing resets.
             return;
         }
+        inner.barrier = barrier;
         for b in &mut inner.backends {
-            b.queue.reset();
+            b.queue.begin_step(barrier);
             b.depth = 0;
         }
     }
 
     /// Schedules one independent (cohort) request, reserving a server
     /// slot for its `response.latency` of simulated inference on the
-    /// tenant's replica fleet at simulated instant `now`. Draws serving
-    /// faults, hedges when configured, measures the SLO, and returns what
-    /// the tier charged.
+    /// tenant's replica fleet at the scope's local instant `now`. Draws
+    /// serving faults, hedges when configured, measures the SLO, and
+    /// returns what the tier charged.
     pub fn submit_cohort(
         &self,
         tenant: TenantId,
@@ -494,83 +533,39 @@ impl InferenceService {
     ) -> ServeOutcome {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
-        let backend = inner.tenants[tenant].backend;
-        let scope = inner.tenants[tenant].scope;
-        if let Some(fleet) = &mut inner.fleet {
-            // Fleet path: place on the absolute-time twin at the global
-            // instant, schedule the completion as a DecodeFinish event,
-            // and ledger everything per scope.
-            let gnow = fleet.globalize(now);
-            fleet.clock.advance_to(gnow);
-            let (out, completion, restart) = fleet.backends[backend].place_at(
-                gnow,
-                response.latency,
-                &mut inner.injector,
-                inner.config.hedge_after,
-            );
-            fleet
-                .events
-                .push(completion, SimEvent::DecodeFinish { backend });
-            if let Some((replica, restart_at)) = restart {
-                fleet
-                    .events
-                    .push(restart_at, SimEvent::ReplicaRestart { backend, replica });
-            }
-            fleet.in_flight += 1;
-            fleet.peak_in_flight = fleet.peak_in_flight.max(fleet.in_flight);
-            let ledger = &mut fleet.scopes[scope];
-            ledger.stats.cohort_requests += 1;
-            note_placement_into(&mut ledger.fault_stats, &out);
-            if out.hedged.is_some() {
-                ledger.hedge_usage.record(
-                    response.prompt_tokens,
-                    response.output_tokens,
-                    response.cost_usd,
-                );
-                ledger.fault_stats.hedge_tokens += response.prompt_tokens + response.output_tokens;
-                ledger.fault_stats.hedge_cost_usd += response.cost_usd;
-            }
-            if let Some(deadline) = inner.config.deadline {
-                ledger.fault_stats.slo_total += 1;
-                if out.queue + out.slowdown + response.latency <= deadline {
-                    ledger.fault_stats.slo_met += 1;
-                }
-            }
-            note_queue_into(&mut ledger.stats, out.queue + out.slowdown);
-            return ServeOutcome {
-                queue: out.queue,
-                slowdown: out.slowdown,
-                failover: out.failover_penalty,
-                hedged: out.hedged,
-            };
-        }
-        inner.stats.cohort_requests += 1;
-        inner.backends[backend].depth += 1;
-        let out = inner.backends[backend].queue.place_at(
-            now,
+        let (backend, scope) = (inner.tenants[tenant].backend, inner.tenants[tenant].scope);
+        let at = inner.globalize(now);
+        let origin = inner.origin(at);
+        let b = &mut inner.backends[backend];
+        b.depth += 1;
+        let (out, completion, restart) = b.queue.place_at(
+            at,
+            origin,
             response.latency,
             &mut inner.injector,
             inner.config.hedge_after,
         );
-        inner.note_placement(&out);
+        if let Some(fleet) = &mut inner.fleet {
+            fleet.track(backend, completion, restart);
+        }
+        let ledger = &mut inner.scopes[scope];
+        ledger.stats.cohort_requests += 1;
+        ledger.note_placement(&out);
         if out.hedged.is_some() {
             // First-completion-wins still bills both attempts: the losing
             // duplicate's tokens are the premium hedging pays.
-            inner.hedge_usage.record(
+            ledger.hedge_usage.record(
                 response.prompt_tokens,
                 response.output_tokens,
                 response.cost_usd,
             );
-            inner.fault_stats.hedge_tokens += response.prompt_tokens + response.output_tokens;
-            inner.fault_stats.hedge_cost_usd += response.cost_usd;
+            ledger.fault_stats.hedge_tokens += response.prompt_tokens + response.output_tokens;
+            ledger.fault_stats.hedge_cost_usd += response.cost_usd;
         }
         if let Some(deadline) = inner.config.deadline {
-            inner.fault_stats.slo_total += 1;
-            if out.queue + out.slowdown + response.latency <= deadline {
-                inner.fault_stats.slo_met += 1;
-            }
+            ledger.note_slo(out.queue + out.slowdown + response.latency <= deadline);
         }
-        inner.note_queue(out.queue + out.slowdown);
+        ledger.note_queue(out.queue + out.slowdown);
         ServeOutcome {
             queue: out.queue,
             slowdown: out.slowdown,
@@ -581,25 +576,21 @@ impl InferenceService {
 
     /// Bills one *dependent* follow-up request (action selection,
     /// verification, reflection, guardrail re-prompt) the delay until a
-    /// slot frees at `now`, without reserving one — its own service time
-    /// is already accounted sequentially by the caller. Draws no faults.
+    /// slot frees at the scope's local instant `now`, without reserving
+    /// one — its own service time is already accounted sequentially by
+    /// the caller. Draws no faults.
     pub fn queue_solo(&self, tenant: TenantId, now: SimInstant) -> SimDuration {
-        let mut inner = self.inner.borrow_mut();
-        let backend = inner.tenants[tenant].backend;
-        let scope = inner.tenants[tenant].scope;
-        if let Some(fleet) = &mut inner.fleet {
-            let gnow = fleet.globalize(now);
-            fleet.clock.advance_to(gnow);
-            let queued = fleet.backends[backend].delay(gnow);
-            let ledger = &mut fleet.scopes[scope];
-            ledger.stats.solo_requests += 1;
-            note_queue_into(&mut ledger.stats, queued);
-            return queued;
-        }
-        inner.stats.solo_requests += 1;
-        inner.backends[backend].depth += 1;
-        let queued = inner.backends[backend].queue.delay(now);
-        inner.note_queue(queued);
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let (backend, scope) = (inner.tenants[tenant].backend, inner.tenants[tenant].scope);
+        let at = inner.globalize(now);
+        let origin = inner.origin(at);
+        let b = &mut inner.backends[backend];
+        b.depth += 1;
+        let queued = b.queue.delay(at, origin);
+        let ledger = &mut inner.scopes[scope];
+        ledger.stats.solo_requests += 1;
+        ledger.note_queue(queued);
         queued
     }
 
@@ -640,10 +631,6 @@ impl InferenceService {
     /// Panics if no window is open.
     pub fn window_add(&self, tenant: TenantId, response: &LlmResponse) {
         let mut inner = self.inner.borrow_mut();
-        let scope = inner.tenants[tenant].scope;
-        if let Some(fleet) = &mut inner.fleet {
-            fleet.window_scopes.push(scope);
-        }
         let window = inner.window.as_mut().expect("no serving window open");
         window.members.push(WindowMember {
             tenant,
@@ -661,36 +648,46 @@ impl InferenceService {
             .map_or(0, |w| w.members.len())
     }
 
-    /// Closes the window at simulated instant `now`: groups members by
-    /// backend, applies the prefix-cache model (every member after the
-    /// first on a backend reuses the shared preamble's KV prefix),
-    /// computes each group's shared batch bill, schedules it on the
-    /// replica fleet (drawing serving faults at batch granularity —
-    /// batches are never hedged), and returns every member's amortized
-    /// share in submission order.
+    /// Closes the window at service instant `now` (a solo episode's trace
+    /// time, or the fleet's global instant): groups members by backend,
+    /// applies the prefix-cache model (every member after the first on a
+    /// backend reuses the shared preamble's KV prefix), computes each
+    /// group's shared batch bill, schedules it on the replica fleet
+    /// (drawing serving faults at batch granularity — batches are never
+    /// hedged), and returns every member's scope and amortized share in
+    /// submission order.
     ///
-    /// Batch composition is ordered by tenant id (stable on submission
-    /// order), so co-arrival order cannot leak scheduling
-    /// nondeterminism into the results.
+    /// Batch composition is ordered by scope, then tenant id (stable on
+    /// submission order), so co-arrival order cannot leak scheduling
+    /// nondeterminism into the results. A batch whose members span two or
+    /// more scopes counts as a cross-episode batch. The batch's placement
+    /// and serving-side wait ledger into the lead member's scope; each
+    /// member's own scope counts its membership, prefix hit and SLO.
     pub fn close_window(&self, now: SimInstant) -> Vec<WindowShare> {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         let window = inner.window.take().expect("no serving window open");
-        let mut shares = vec![
-            WindowShare {
-                share: SimDuration::ZERO,
-                queue: SimDuration::ZERO,
-            };
-            window.members.len()
-        ];
+        let origin = inner.origin(now);
+        let scope_of: Vec<usize> = window
+            .members
+            .iter()
+            .map(|m| inner.tenants[m.tenant].scope)
+            .collect();
+        let mut shares = vec![WindowShare::default(); window.members.len()];
         for backend_idx in 0..inner.backends.len() {
-            // Deterministic batch order: tenant id, then submission order.
+            // Deterministic batch order: scope, tenant id, submission order.
             let mut group: Vec<usize> = (0..window.members.len())
                 .filter(|&m| inner.tenants[window.members[m].tenant].backend == backend_idx)
                 .collect();
-            group.sort_by_key(|&m| (window.members[m].tenant, m));
-            if group.is_empty() {
+            group.sort_by_key(|&m| (scope_of[m], window.members[m].tenant, m));
+            let Some(&first) = group.first() else {
                 continue;
+            };
+            let lead = scope_of[first];
+            if let Some(fleet) = &mut inner.fleet {
+                if group.iter().any(|&m| scope_of[m] != lead) {
+                    fleet.cross_episode_batches += 1;
+                }
             }
             let mut sized = Vec::with_capacity(group.len());
             for (j, &m) in group.iter().enumerate() {
@@ -703,36 +700,48 @@ impl InferenceService {
                         .min(member.prompt_tokens.saturating_sub(1))
                 };
                 if reused > 0 {
-                    inner.stats.prefix_hits += 1;
-                    inner.stats.prefix_reused_tokens += reused;
+                    let stats = &mut inner.scopes[scope_of[m]].stats;
+                    stats.prefix_hits += 1;
+                    stats.prefix_reused_tokens += reused;
                 }
                 sized.push((member.prompt_tokens - reused, member.output_tokens));
             }
-            let profile = inner.backends[backend_idx].profile.clone();
-            let total = batch_latency(&profile, &sized, window.opts);
+            let b = &mut inner.backends[backend_idx];
+            let total = batch_latency(&b.profile, &sized, window.opts);
             let weights: Vec<u64> = sized.iter().map(|&(pt, ot)| pt + ot).collect();
             let amortized = amortize_latency(total, &weights);
-            let out =
-                inner.backends[backend_idx]
-                    .queue
-                    .place_at(now, total, &mut inner.injector, None);
-            inner.note_placement(&out);
-            inner.backends[backend_idx].depth += group.len() as u32;
-            inner.stats.batches += 1;
-            inner.stats.batched_requests += group.len() as u64;
+            debug_assert_eq!(
+                amortized.iter().copied().sum::<SimDuration>(),
+                total,
+                "batch shares must sum to the batch bill"
+            );
+            b.depth += group.len() as u32;
+            let (out, completion, restart) =
+                b.queue
+                    .place_at(now, origin, total, &mut inner.injector, None);
+            if let Some(fleet) = &mut inner.fleet {
+                fleet.track(backend_idx, completion, restart);
+            }
             // Serving-side overheads (restart waits, brownout inflation,
             // crash waste) ride the leading member's wait: the whole batch
             // completes together, so one span carries the shared cost.
             let lead_wait = out.queue + out.slowdown + out.failover_penalty;
-            inner.note_queue(lead_wait);
-            if let Some(deadline) = inner.config.deadline {
-                inner.fault_stats.slo_total += group.len() as u64;
-                if lead_wait + total <= deadline {
-                    inner.fault_stats.slo_met += group.len() as u64;
-                }
-            }
+            let ledger = &mut inner.scopes[lead];
+            ledger.note_placement(&out);
+            ledger.stats.batches += 1;
+            ledger.note_queue(lead_wait);
+            let met = inner
+                .config
+                .deadline
+                .map(|deadline| lead_wait + total <= deadline);
             for (j, &m) in group.iter().enumerate() {
+                let ledger = &mut inner.scopes[scope_of[m]];
+                ledger.stats.batched_requests += 1;
+                if let Some(met) = met {
+                    ledger.note_slo(met);
+                }
                 shares[m] = WindowShare {
+                    scope: scope_of[m],
                     share: amortized[j],
                     queue: if j == 0 { lead_wait } else { SimDuration::ZERO },
                 };
@@ -741,245 +750,49 @@ impl InferenceService {
         shares
     }
 
-    /// Fleet-mode window close at global instant `gnow`: same grouping,
-    /// prefix-cache and amortization logic as
-    /// [`InferenceService::close_window`], but placements go on the
-    /// absolute-time backends (completions become `DecodeFinish` events),
-    /// counters ledger into each member's episode scope, and a batch whose
-    /// members span two or more scopes counts as a cross-episode batch —
-    /// the effect the per-episode loop cannot express. Returns
-    /// `(scope, share)` per member in submission order.
-    pub fn close_fleet_window(&self, gnow: SimInstant) -> Vec<(usize, WindowShare)> {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        let fleet = inner.fleet.as_mut().expect("fleet mode not enabled");
-        fleet.clock.advance_to(gnow);
-        let window = inner.window.take().expect("no serving window open");
-        let member_scopes = std::mem::take(&mut fleet.window_scopes);
-        debug_assert_eq!(member_scopes.len(), window.members.len());
-        let mut shares = vec![
-            (
-                0usize,
-                WindowShare {
-                    share: SimDuration::ZERO,
-                    queue: SimDuration::ZERO,
-                },
-            );
-            window.members.len()
-        ];
-        for backend_idx in 0..inner.backends.len() {
-            // Deterministic batch order: scope, then tenant id, then
-            // submission order (tenant ids are globally unique, but the
-            // scope key keeps composition stable if that ever changes).
-            let mut group: Vec<usize> = (0..window.members.len())
-                .filter(|&m| inner.tenants[window.members[m].tenant].backend == backend_idx)
-                .collect();
-            group.sort_by_key(|&m| (member_scopes[m], window.members[m].tenant, m));
-            if group.is_empty() {
-                continue;
-            }
-            let lead_scope = member_scopes[group[0]];
-            if group.iter().any(|&m| member_scopes[m] != lead_scope) {
-                fleet.cross_episode_batches += 1;
-            }
-            let mut sized = Vec::with_capacity(group.len());
-            for (j, &m) in group.iter().enumerate() {
-                let member = &window.members[m];
-                let reused = if j == 0 {
-                    0 // first arrival pays the full prefill, warming the cache
-                } else {
-                    window
-                        .prefix_tokens
-                        .min(member.prompt_tokens.saturating_sub(1))
-                };
-                if reused > 0 {
-                    let ledger = &mut fleet.scopes[member_scopes[m]];
-                    ledger.stats.prefix_hits += 1;
-                    ledger.stats.prefix_reused_tokens += reused;
-                }
-                sized.push((member.prompt_tokens - reused, member.output_tokens));
-            }
-            let profile = inner.backends[backend_idx].profile.clone();
-            let total = batch_latency(&profile, &sized, window.opts);
-            let weights: Vec<u64> = sized.iter().map(|&(pt, ot)| pt + ot).collect();
-            let amortized = amortize_latency(total, &weights);
-            let (out, completion, restart) =
-                fleet.backends[backend_idx].place_at(gnow, total, &mut inner.injector, None);
-            fleet.events.push(
-                completion,
-                SimEvent::DecodeFinish {
-                    backend: backend_idx,
-                },
-            );
-            if let Some((replica, restart_at)) = restart {
-                fleet.events.push(
-                    restart_at,
-                    SimEvent::ReplicaRestart {
-                        backend: backend_idx,
-                        replica,
-                    },
-                );
-            }
-            fleet.in_flight += 1;
-            fleet.peak_in_flight = fleet.peak_in_flight.max(fleet.in_flight);
-            note_placement_into(&mut fleet.scopes[lead_scope].fault_stats, &out);
-            fleet.scopes[lead_scope].stats.batches += 1;
-            for &m in &group {
-                fleet.scopes[member_scopes[m]].stats.batched_requests += 1;
-            }
-            // Serving-side overheads ride the leading member's wait, so
-            // they ledger into the lead's scope — same single-span rule as
-            // the per-step path, now across episodes.
-            let lead_wait = out.queue + out.slowdown + out.failover_penalty;
-            note_queue_into(&mut fleet.scopes[lead_scope].stats, lead_wait);
-            if let Some(deadline) = inner.config.deadline {
-                for &m in &group {
-                    let ledger = &mut fleet.scopes[member_scopes[m]];
-                    ledger.fault_stats.slo_total += 1;
-                    if lead_wait + total <= deadline {
-                        ledger.fault_stats.slo_met += 1;
-                    }
-                }
-            }
-            for (j, &m) in group.iter().enumerate() {
-                shares[m] = (
-                    member_scopes[m],
-                    WindowShare {
-                        share: amortized[j],
-                        queue: if j == 0 { lead_wait } else { SimDuration::ZERO },
-                    },
-                );
-            }
-        }
-        shares
+    /// One episode scope's serving counters (a solo episode is scope 0).
+    pub fn stats(&self, scope: usize) -> ServingStats {
+        self.inner.borrow().scopes[scope].stats
     }
 
-    /// Serving-layer counters accumulated so far. In fleet mode this is
-    /// the merge across every episode scope.
-    pub fn stats(&self) -> ServingStats {
-        let inner = self.inner.borrow();
-        if let Some(fleet) = &inner.fleet {
-            let mut total = ServingStats::default();
-            for ledger in &fleet.scopes {
-                total.merge(&ledger.stats);
-            }
-            return total;
-        }
-        inner.stats
-    }
-
-    /// Merged token usage of every tenant registered to `owner`. In fleet
-    /// mode, owners repeat across episodes (agent ids restart at 0), so
-    /// the query is additionally scoped to the current fleet scope.
-    pub fn usage_for(&self, owner: TenantOwner) -> TokenStats {
-        let inner = self.inner.borrow();
-        let scope = inner.fleet.as_ref().map(|f| f.scope);
-        let mut total = TokenStats::default();
-        for t in inner
-            .tenants
-            .iter()
-            .filter(|t| t.owner == owner && scope.is_none_or(|s| t.scope == s))
-        {
-            total.merge(&t.engine.usage());
-        }
-        total
-    }
-
-    /// Merged resilience counters of every tenant registered to `owner`
-    /// (scoped to the current fleet scope in fleet mode, like
-    /// [`InferenceService::usage_for`]).
-    pub fn resilience_for(&self, owner: TenantOwner) -> ResilienceStats {
-        let inner = self.inner.borrow();
-        let scope = inner.fleet.as_ref().map(|f| f.scope);
-        let mut total = ResilienceStats::default();
-        for t in inner
-            .tenants
-            .iter()
-            .filter(|t| t.owner == owner && scope.is_none_or(|s| t.scope == s))
-        {
-            total.merge(&t.engine.stats());
-        }
-        total
-    }
-
-    /// Merged token usage across every tenant — the system-level ledger
-    /// replacing per-module hand-walks. Includes the tokens billed to
-    /// losing hedge duplicates (the hedge premium).
-    pub fn total_usage(&self) -> TokenStats {
-        let inner = self.inner.borrow();
-        let mut total = TokenStats::default();
-        for t in &inner.tenants {
-            total.merge(&t.engine.usage());
-        }
-        total.merge(&inner.hedge_usage);
-        total
-    }
-
-    /// Serving-fault counters accumulated so far (crashes, failovers,
-    /// hedges, sheds, deadline misses, SLO attainment). In fleet mode this
-    /// is the merge across every episode scope.
-    pub fn fault_stats(&self) -> ServingFaultStats {
-        let inner = self.inner.borrow();
-        if let Some(fleet) = &inner.fleet {
-            let mut total = inner.fault_stats;
-            for ledger in &fleet.scopes {
-                total.merge(&ledger.fault_stats);
-            }
-            return total;
-        }
-        inner.fault_stats
-    }
-
-    /// Merged resilience counters across every tenant.
-    pub fn total_resilience(&self) -> ResilienceStats {
-        let inner = self.inner.borrow();
-        let mut total = ResilienceStats::default();
-        for t in &inner.tenants {
-            total.merge(&t.engine.stats());
-        }
-        total
-    }
-
-    /// One episode scope's serving counters (fleet mode only).
-    pub fn scope_stats(&self, scope: usize) -> ServingStats {
-        let inner = self.inner.borrow();
-        let fleet = inner.fleet.as_ref().expect("fleet mode not enabled");
-        fleet.scopes[scope].stats
-    }
-
-    /// One episode scope's serving-fault counters (fleet mode only).
-    /// Sheds and deadline misses are drawn at the engine boundary where
-    /// the scope is ambient, so they ledger into the *current* scope —
-    /// call with the scope still active.
-    pub fn scope_fault_stats(&self, scope: usize) -> ServingFaultStats {
-        let inner = self.inner.borrow();
-        let fleet = inner.fleet.as_ref().expect("fleet mode not enabled");
-        fleet.scopes[scope].fault_stats
+    /// One episode scope's serving-fault counters (crashes, failovers,
+    /// hedges, sheds, deadline misses, SLO attainment).
+    pub fn fault_stats(&self, scope: usize) -> ServingFaultStats {
+        self.inner.borrow().scopes[scope].fault_stats
     }
 
     /// Merged token usage of one episode scope's tenants plus its hedge
-    /// premium — the fleet-mode analogue of
-    /// [`InferenceService::total_usage`].
-    pub fn total_usage_for_scope(&self, scope: usize) -> TokenStats {
+    /// premium (the tokens billed to hedged duplicates) — the system-level
+    /// ledger replacing per-module hand-walks.
+    pub fn total_usage(&self, scope: usize) -> TokenStats {
         let inner = self.inner.borrow();
-        let fleet = inner.fleet.as_ref().expect("fleet mode not enabled");
-        let mut total = TokenStats::default();
-        for t in inner.tenants.iter().filter(|t| t.scope == scope) {
-            total.merge(&t.engine.usage());
-        }
-        total.merge(&fleet.scopes[scope].hedge_usage);
+        let mut total = inner.usage(scope, None);
+        total.merge(&inner.scopes[scope].hedge_usage);
         total
     }
 
     /// Merged resilience counters of one episode scope's tenants.
-    pub fn total_resilience_for_scope(&self, scope: usize) -> ResilienceStats {
+    pub fn total_resilience(&self, scope: usize) -> ResilienceStats {
+        self.inner.borrow().resilience(scope, None)
+    }
+
+    /// Merged token usage of the current scope's tenants registered to
+    /// `owner` (owner ids repeat across a fleet's episodes).
+    pub fn usage_for(&self, owner: TenantOwner) -> TokenStats {
         let inner = self.inner.borrow();
-        assert!(inner.fleet.is_some(), "fleet mode not enabled");
-        let mut total = ResilienceStats::default();
-        for t in inner.tenants.iter().filter(|t| t.scope == scope) {
-            total.merge(&t.engine.stats());
-        }
-        total
+        inner.usage(inner.scope, Some(owner))
+    }
+
+    /// Merged resilience counters of the current scope's tenants
+    /// registered to `owner`, like [`InferenceService::usage_for`].
+    pub fn resilience_for(&self, owner: TenantOwner) -> ResilienceStats {
+        let inner = self.inner.borrow();
+        inner.resilience(inner.scope, Some(owner))
+    }
+
+    /// Token usage of one tenant.
+    pub fn tenant_usage(&self, tenant: TenantId) -> TokenStats {
+        self.with_engine(tenant, |e| e.usage())
     }
 
     /// Fleet-level counters: what the shared substrate saw across every
@@ -1014,10 +827,11 @@ impl InferenceService {
             let mut inner = self.inner.borrow_mut();
             let shed_depth = inner.config.shed_depth;
             if shed_depth > 0 {
-                // Admission signal: per-step placements in legacy mode; in
-                // fleet mode the live in-flight gauge (placements whose
-                // DecodeFinish has not popped yet) — the continuous-time
-                // analogue of the same backlog.
+                // Admission signal: this step's placements on the tenant's
+                // backend for a solo episode; in fleet mode the live
+                // in-flight gauge (placements whose DecodeFinish has not
+                // popped yet) — the continuous-time analogue of the same
+                // backlog.
                 let depth = match &inner.fleet {
                     Some(fleet) => fleet.in_flight,
                     None => inner.backends[inner.tenants[tenant].backend].depth,
@@ -1030,10 +844,7 @@ impl InferenceService {
                 );
                 if depth >= shed_depth * 2 || (low_priority && depth >= shed_depth) {
                     let scope = inner.tenants[tenant].scope;
-                    match &mut inner.fleet {
-                        Some(fleet) => fleet.scopes[scope].fault_stats.shed += 1,
-                        None => inner.fault_stats.shed += 1,
-                    }
+                    inner.scopes[scope].fault_stats.shed += 1;
                     return Err(LlmError::Shed);
                 }
             }
@@ -1047,10 +858,7 @@ impl InferenceService {
                     // the simulated wall-clock it burned is real: bill it
                     // as stall so the trace stays time-conserving.
                     let scope = inner.tenants[tenant].scope;
-                    match &mut inner.fleet {
-                        Some(fleet) => fleet.scopes[scope].fault_stats.deadline_misses += 1,
-                        None => inner.fault_stats.deadline_misses += 1,
-                    }
+                    inner.scopes[scope].fault_stats.deadline_misses += 1;
                     inner.tenants[tenant].engine.add_stall(resp.latency);
                     return Err(LlmError::DeadlineExceeded);
                 }
@@ -1117,7 +925,7 @@ impl EngineHandle {
 
     /// Merged token usage of this tenant.
     pub fn usage(&self) -> TokenStats {
-        self.service.with_engine(self.tenant, |e| e.usage())
+        self.service.tenant_usage(self.tenant)
     }
 
     /// Resilience counters of this tenant.
@@ -1278,9 +1086,9 @@ mod tests {
         assert_eq!(service.usage_for(TenantOwner::Agent(0)).calls, 2);
         assert_eq!(service.usage_for(TenantOwner::Agent(1)).calls, 1);
         assert_eq!(service.usage_for(TenantOwner::Central).calls, 1);
-        assert_eq!(service.total_usage().calls, 4);
+        assert_eq!(service.total_usage(0).calls, 4);
         assert_eq!(a.usage().calls, 2);
-        assert!(service.total_resilience().is_quiet());
+        assert!(service.total_resilience(0).is_quiet());
         assert_eq!(service.tenant_count(), 3);
     }
 
@@ -1303,15 +1111,15 @@ mod tests {
         // nothing.
         assert_eq!(service.queue_solo(a.tenant(), T0), work * 2);
         assert_eq!(service.queue_solo(a.tenant(), T0), work * 2);
-        let stats = service.stats();
+        let stats = service.stats(0);
         assert_eq!(stats.cohort_requests, 2);
         assert_eq!(stats.solo_requests, 2);
         assert_eq!(stats.queued, 3);
         assert_eq!(stats.queue_delay, work * 5);
         // Fault-free serving keeps the fault plane silent.
-        assert!(service.fault_stats().is_quiet());
-        // Step boundary clears the queues.
-        service.begin_step();
+        assert!(service.fault_stats(0).is_quiet());
+        // Step barrier clears the queues.
+        service.begin_step(T0);
         assert_eq!(service.queue_solo(b.tenant(), T0), SimDuration::ZERO);
     }
 
@@ -1335,7 +1143,7 @@ mod tests {
         let shares = service.close_window(T0);
         assert!(!service.window_is_open());
         assert_eq!(shares.len(), 3);
-        let stats = service.stats();
+        let stats = service.stats(0);
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.batched_requests, 3);
         // Members after the first reuse the shared preamble prefix.
@@ -1409,7 +1217,7 @@ mod tests {
         // member carries the wait.
         assert_eq!(shares[0].queue, prior);
         assert!(shares[1].queue.is_zero());
-        assert_eq!(service.stats().queued, 1);
+        assert_eq!(service.stats(0).queued, 1);
     }
 
     #[test]
@@ -1481,9 +1289,9 @@ mod tests {
             h.infer(req("planning now shed")).unwrap_err(),
             LlmError::Shed
         );
-        assert_eq!(service.fault_stats().shed, 2);
+        assert_eq!(service.fault_stats(0).shed, 2);
         // Step boundary resets the admission signal.
-        service.begin_step();
+        service.begin_step(T0);
         assert!(h
             .infer(LlmRequest::new(Purpose::Reflection, "fresh step", 80))
             .is_ok());
@@ -1501,10 +1309,10 @@ mod tests {
         let err = h.infer(req("too slow to matter")).unwrap_err();
         assert_eq!(err, LlmError::DeadlineExceeded);
         assert!(!err.is_transient());
-        assert_eq!(service.fault_stats().deadline_misses, 1);
+        assert_eq!(service.fault_stats(0).deadline_misses, 1);
         assert!(h.take_stall() > SimDuration::ZERO, "burned time is billed");
-        assert_eq!(service.total_usage().calls, 1, "tokens were still spent");
-        let fs = service.fault_stats();
+        assert_eq!(service.total_usage(0).calls, 1, "tokens were still spent");
+        let fs = service.fault_stats(0);
         assert!(!fs.is_quiet());
         assert_eq!(fs.slo_total, 0, "SLO is measured at placement, not here");
     }
@@ -1526,13 +1334,13 @@ mod tests {
         let out = service.submit_cohort(h.tenant(), T0, &resp(work));
         assert_eq!(out.hedged, Some(false));
         assert_eq!(out.queue, work);
-        let fs = service.fault_stats();
+        let fs = service.fault_stats(0);
         assert_eq!(fs.hedges(), 1);
         assert_eq!(fs.hedges_wasted, 1);
         assert_eq!(fs.hedge_tokens, 150);
         assert!(fs.hedge_cost_usd > 0.0);
         // The duplicate's tokens land in the system ledger — the premium.
-        let usage = service.total_usage();
+        let usage = service.total_usage(0);
         assert_eq!(usage.calls, 1);
         assert_eq!(usage.prompt_tokens, 100);
         assert_eq!(usage.completion_tokens, 50);
@@ -1544,33 +1352,33 @@ mod tests {
         // scope 0's in-flight work — contention no per-episode service
         // can produce — and the completion surfaces as a DecodeFinish.
         let service = InferenceService::new(ServingConfig::limited(1));
-        service.enable_fleet(FleetConfig::default(), 2);
+        service.enable_fleet(2);
         assert!(service.fleet_enabled());
         let a = handle(&service, 1, TenantOwner::Agent(0));
-        service.set_fleet_scope(1);
+        service.set_scope(1);
         let b = handle(&service, 2, TenantOwner::Agent(0));
         service.set_scope_base(0, T0);
         service.set_scope_base(1, T0 + SimDuration::from_secs(2));
         let work = SimDuration::from_secs(10);
-        service.set_fleet_scope(0);
+        service.set_scope(0);
         let out = service.submit_cohort(a.tenant(), T0, &resp(work));
         assert_eq!(out.queue, SimDuration::ZERO);
         // Scope 1 submits at its local T0 = global 2 s: 8 s of scope 0's
         // work is still in flight.
-        service.set_fleet_scope(1);
+        service.set_scope(1);
         let out = service.submit_cohort(b.tenant(), T0, &resp(work));
         assert_eq!(out.queue, SimDuration::from_secs(8));
         // begin_step is a no-op in fleet mode: nothing resets.
-        service.begin_step();
-        service.set_fleet_scope(0);
+        service.begin_step(T0);
+        service.set_scope(0);
         assert!(service.queue_solo(a.tenant(), T0) > SimDuration::ZERO);
         // Per-scope ledgers saw one cohort each; scope 1's cohort queued,
         // and scope 0's solo follow-up above queued too.
-        assert_eq!(service.scope_stats(0).cohort_requests, 1);
-        assert_eq!(service.scope_stats(1).cohort_requests, 1);
-        assert_eq!(service.scope_stats(0).solo_requests, 1);
-        assert_eq!(service.scope_stats(0).queued, 1);
-        assert_eq!(service.scope_stats(1).queued, 1);
+        assert_eq!(service.stats(0).cohort_requests, 1);
+        assert_eq!(service.stats(1).cohort_requests, 1);
+        assert_eq!(service.stats(0).solo_requests, 1);
+        assert_eq!(service.stats(0).queued, 1);
+        assert_eq!(service.stats(1).queued, 1);
         // Draining the queue consumes both DecodeFinish events.
         assert!(service.pop_fleet_event().is_none());
         let summary = service.fleet_summary();
@@ -1585,53 +1393,49 @@ mod tests {
         // Members from two scopes join one window: the close counts a
         // cross-episode batch and attributes shares per scope.
         let service = InferenceService::new(ServingConfig::batched());
-        service.enable_fleet(FleetConfig::default(), 2);
+        service.enable_fleet(2);
         let mut a = handle(&service, 5, TenantOwner::Agent(0));
-        service.set_fleet_scope(1);
+        service.set_scope(1);
         let mut b = handle(&service, 6, TenantOwner::Agent(0));
         service.set_scope_base(0, T0);
         service.set_scope_base(1, T0);
-        service.set_fleet_scope(0);
+        service.set_scope(0);
         service.open_window(InferenceOpts::default(), "shared preamble");
         // A second open from another scope joins instead of panicking.
-        service.set_fleet_scope(1);
+        service.set_scope(1);
         service.open_window(InferenceOpts::default(), "shared preamble");
         assert!(service.window_is_open());
-        service.set_fleet_scope(0);
+        service.set_scope(0);
         let ra = a.infer(req("scope zero plans")).unwrap();
         service.window_add(a.tenant(), &ra);
-        service.set_fleet_scope(1);
+        service.set_scope(1);
         let rb = b.infer(req("scope one plans")).unwrap();
         service.window_add(b.tenant(), &rb);
         assert_eq!(service.window_len(), 2);
-        let shares = service.close_fleet_window(T0 + SimDuration::from_secs(1));
+        let shares = service.close_window(T0 + SimDuration::from_secs(1));
         assert_eq!(shares.len(), 2);
-        assert_eq!(shares[0].0, 0, "submission order preserved");
-        assert_eq!(shares[1].0, 1);
+        assert_eq!(shares[0].scope, 0, "submission order preserved");
+        assert_eq!(shares[1].scope, 1);
         assert!(!service.window_is_open());
         let summary = service.fleet_summary();
         assert_eq!(summary.cross_episode_batches, 1);
         // batches ledger on the lead scope; each member bills its own.
-        assert_eq!(service.scope_stats(0).batches, 1);
-        assert_eq!(service.scope_stats(1).batches, 0);
-        assert_eq!(service.scope_stats(0).batched_requests, 1);
-        assert_eq!(service.scope_stats(1).batched_requests, 1);
-        assert_eq!(
-            service.scope_stats(1).prefix_hits,
-            1,
-            "joiner reuses prefix"
-        );
+        assert_eq!(service.stats(0).batches, 1);
+        assert_eq!(service.stats(1).batches, 0);
+        assert_eq!(service.stats(0).batched_requests, 1);
+        assert_eq!(service.stats(1).batched_requests, 1);
+        assert_eq!(service.stats(1).prefix_hits, 1, "joiner reuses prefix");
         // Scoped usage separates the two agents sharing owner id 0.
-        assert_eq!(service.total_usage_for_scope(0).calls, 1);
-        assert_eq!(service.total_usage_for_scope(1).calls, 1);
-        service.set_fleet_scope(0);
+        assert_eq!(service.total_usage(0).calls, 1);
+        assert_eq!(service.total_usage(1).calls, 1);
+        service.set_scope(0);
         assert_eq!(service.usage_for(TenantOwner::Agent(0)).calls, 1);
     }
 
     #[test]
     fn fleet_events_replay_through_the_service() {
         let service = InferenceService::new(ServingConfig::limited(1));
-        service.enable_fleet(FleetConfig::default(), 1);
+        service.enable_fleet(1);
         let t = |s| T0 + SimDuration::from_secs(s);
         service.push_fleet_event(t(5), SimEvent::AgentStepReady { episode: 0 });
         service.push_fleet_event(t(5), SimEvent::RequestArrival { episode: 0 });
@@ -1669,7 +1473,7 @@ mod tests {
                     None,
                 ));
             }
-            (log, format!("{:?}", service.stats()))
+            (log, format!("{:?}", service.stats(0)))
         };
         let implicit = InferenceService::new(ServingConfig::limited(1));
         let explicit = InferenceService::with_seed(
@@ -1679,7 +1483,7 @@ mod tests {
             0xdead_beef,
         );
         assert_eq!(drive(&implicit), drive(&explicit));
-        assert!(implicit.fault_stats().is_quiet());
-        assert!(explicit.fault_stats().is_quiet());
+        assert!(implicit.fault_stats(0).is_quiet());
+        assert!(explicit.fault_stats(0).is_quiet());
     }
 }

@@ -27,69 +27,42 @@ cargo test -q
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
-echo "== parallel determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test parallel_determinism
-
-echo "== fault determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test fault_determinism
-
-echo "== guardrail determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test guardrail_determinism
-
-echo "== serving determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test serving_determinism
-
-echo "== SLO determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test slo_determinism
-
-echo "== embodied fault determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test embodied_fault_determinism
-
-echo "== fleet determinism (EMBODIED_JOBS=1) =="
-EMBODIED_JOBS=1 cargo test --release -q -p embodied-bench --test fleet_determinism
-
-echo "== fleet determinism (EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test fleet_determinism
+# Determinism suites as `test:EMBODIED_JOBS`; the fleet suite runs at both
+# worker counts.
+for entry in parallel_determinism:4 fault_determinism:4 guardrail_determinism:4 \
+             serving_determinism:4 slo_determinism:4 embodied_fault_determinism:4 \
+             fleet_determinism:1 fleet_determinism:4; do
+  suite="${entry%:*}"
+  jobs="${entry#*:}"
+  echo "== $suite (EMBODIED_JOBS=$jobs) =="
+  EMBODIED_JOBS="$jobs" cargo test --release -q -p embodied-bench --test "$suite"
+done
 
 echo "== resilience integration tests =="
 cargo test --release -q --test resilience --test fault_properties --test guardrail_properties
 
-echo "== resilience_scalability --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin resilience_scalability
+# Smoke runs write into a scratch dir, so canonical results stay untouched.
 repo_root="$(pwd)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-(cd "$smoke_dir" && "$repo_root/target/release/resilience_scalability" --smoke > /dev/null)
-
-echo "== guardrail_sweep --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin guardrail_sweep
-(cd "$smoke_dir" && "$repo_root/target/release/guardrail_sweep" --smoke > /dev/null)
-
-echo "== serving_sweep --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin serving_sweep
-(cd "$smoke_dir" && "$repo_root/target/release/serving_sweep" --smoke > /dev/null)
-
-echo "== slo_sweep --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin slo_sweep
-(cd "$smoke_dir" && "$repo_root/target/release/slo_sweep" --smoke > /dev/null)
-
-echo "== embodied_fault_sweep --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin embodied_fault_sweep
-(cd "$smoke_dir" && "$repo_root/target/release/embodied_fault_sweep" --smoke > /dev/null)
-
-echo "== contention_sweep --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin contention_sweep
-(cd "$smoke_dir" && "$repo_root/target/release/contention_sweep" --smoke > /dev/null)
-
-echo "== scenario_evolve --smoke (scratch dir; canonical results untouched) =="
-cargo build --release -q -p embodied-bench --bin scenario_evolve
-(cd "$smoke_dir" && "$repo_root/target/release/scenario_evolve" --smoke > /dev/null)
+for bin in resilience_scalability guardrail_sweep serving_sweep slo_sweep \
+           embodied_fault_sweep contention_sweep scenario_evolve; do
+  echo "== $bin --smoke (scratch dir; canonical results untouched) =="
+  cargo build --release -q -p embodied-bench --bin "$bin"
+  (cd "$smoke_dir" && "$repo_root/target/release/$bin" --smoke > /dev/null)
+done
 
 echo "== scenario regression fixtures + evolution properties =="
 cargo test --release -q -p embodied-bench --test regression_scenarios --test scenario_evolution
 
 echo "== bench_all --smoke (sequential vs parallel byte-identity) =="
 cargo run --release -q -p embodied-bench --bin bench_all -- --smoke
+
+echo "== perf_bench tests =="
+cargo test --release --offline --locked --manifest-path perf_bench/Cargo.toml
+
+echo "== perf_bench --smoke =="
+cargo run --release -q --offline --locked --manifest-path perf_bench/Cargo.toml -- --smoke > /dev/null
 
 if [ "$run_bench" -eq 1 ]; then
   echo "== bench smoke: criterion step_loop (quick mode) =="
