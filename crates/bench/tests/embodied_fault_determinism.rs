@@ -92,8 +92,14 @@ fn explicit_five_plane_defaults_are_a_strict_pass_through() {
                 format!("{b:?}"),
                 "{name} episode {i}: none/off env plane perturbed the run"
             );
-            assert!(a.env_faults.is_quiet(), "{name}: faults injected at none()");
-            assert!(a.recovery.is_quiet(), "{name}: recovery engaged while off");
+            assert!(
+                a.env_faults == Default::default(),
+                "{name}: faults injected at none()"
+            );
+            assert!(
+                a.recovery == Default::default(),
+                "{name}: recovery engaged while off"
+            );
         }
     }
 }

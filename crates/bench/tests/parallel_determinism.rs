@@ -33,28 +33,6 @@ fn four_workers_bit_identical_to_one_worker_per_paradigm() {
     }
 }
 
-/// The throughput harness (`step_throughput`) drives DEPS/easy with a plain
-/// additive seed schedule; pin that exact workload byte-identical across
-/// worker counts so its episodes/hour numbers always measure the same work.
-#[test]
-fn throughput_workload_bit_identical_across_worker_counts() {
-    use embodied_env::TaskDifficulty;
-    let spec = workloads::find("DEPS").expect("suite member");
-    let overrides = RunOverrides {
-        difficulty: Some(TaskDifficulty::Easy),
-        ..Default::default()
-    };
-    let run = |workers: usize| -> Vec<String> {
-        par_map_with(workers, 8, |i| {
-            format!(
-                "{:?}",
-                run_episode(&spec, &overrides, 0x5eed_0000 + i as u64)
-            )
-        })
-    };
-    assert_eq!(run(1), run(4), "jobs=4 diverged from jobs=1 on DEPS/easy");
-}
-
 #[test]
 fn sweep_plan_matches_hand_rolled_sequential_loop() {
     let spec = workloads::find("DEPS").expect("suite member");

@@ -120,7 +120,7 @@ fn quiet_serving_plane_is_byte_invisible() {
                 "{name} episode {i}: quiet serving plane changed bytes"
             );
             assert!(
-                a.serving_faults.is_quiet(),
+                a.serving_faults == Default::default(),
                 "{name} episode {i}: default run touched the fault plane"
             );
         }

@@ -598,7 +598,7 @@ mod tests {
         for step in 0..50 {
             assert!(state.begin_step(step, true).is_empty());
         }
-        assert!(state.stats.is_quiet());
+        assert!(state.stats == Default::default());
         state.profile = AgentFaultProfile::uniform(0.5);
         let mut fresh = AgentFaultState::new(AgentFaultProfile::uniform(0.5), 7, 4);
         for step in 0..20 {
@@ -618,7 +618,7 @@ mod tests {
             );
             assert!(chan.heartbeat_delivered(0, 1, 4));
         }
-        assert!(chan.stats.is_quiet());
+        assert!(chan.stats == Default::default());
         chan.profile = ChannelProfile::lossy(0.5);
         let mut fresh = ChannelState::new(ChannelProfile::lossy(0.5), 9);
         for step in 0..20 {

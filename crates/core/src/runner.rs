@@ -584,28 +584,28 @@ mod tests {
         };
         let report = run_episode(&spec, &overrides, 9);
         assert!(
-            report.resilience.is_quiet(),
-            "no faults configured, none may appear: {}",
+            report.resilience == Default::default(),
+            "no faults configured, none may appear: {:?}",
             report.resilience
         );
         assert!(
-            report.repairs.is_quiet(),
-            "guardrail off by default, nothing may be validated: {}",
+            report.repairs == Default::default(),
+            "guardrail off by default, nothing may be validated: {:?}",
             report.repairs
         );
         assert!(
-            report.serving_faults.is_quiet(),
-            "serving fault plane off by default, nothing may fire: {}",
+            report.serving_faults == Default::default(),
+            "serving fault plane off by default, nothing may fire: {:?}",
             report.serving_faults
         );
         assert!(
-            report.env_faults.is_quiet(),
-            "embodied fault plane off by default, nothing may fire: {}",
+            report.env_faults == Default::default(),
+            "embodied fault plane off by default, nothing may fire: {:?}",
             report.env_faults
         );
         assert!(
-            report.recovery.is_quiet(),
-            "recovery off by default, nothing may intervene: {}",
+            report.recovery == Default::default(),
+            "recovery off by default, nothing may intervene: {:?}",
             report.recovery
         );
     }
@@ -620,10 +620,10 @@ mod tests {
         };
         let a = run_episode(&spec, &overrides, 7);
         let b = run_episode(&spec, &overrides, 7);
-        assert!(a.env_faults.faults() > 0, "{}", a.env_faults);
+        assert!(a.env_faults.faults() > 0, "{:?}", a.env_faults);
         assert!(
-            a.recovery.is_quiet(),
-            "recovery stays opt-in: {}",
+            a.recovery == Default::default(),
+            "recovery stays opt-in: {:?}",
             a.recovery
         );
         assert_eq!(a.env_faults, b.env_faults);
@@ -647,8 +647,8 @@ mod tests {
         };
         let a = run_episode(&spec, &overrides, 11);
         let b = run_episode(&spec, &overrides, 11);
-        assert!(a.env_faults.faults() > 0, "{}", a.env_faults);
-        assert!(a.recovery.interventions() > 0, "{}", a.recovery);
+        assert!(a.env_faults.faults() > 0, "{:?}", a.env_faults);
+        assert!(a.recovery.interventions() > 0, "{:?}", a.recovery);
         assert!(a.steps > 0);
         // Retries are bounded by the policy budget per failed action.
         let budget = crate::recovery::RecoveryPolicy::standard().act_retries() as u64;
@@ -668,8 +668,8 @@ mod tests {
             ..Default::default()
         };
         let report = run_episode(&spec, &overrides, 13);
-        assert!(report.env_faults.faults() > 0, "{}", report.env_faults);
-        assert!(report.recovery.interventions() > 0, "{}", report.recovery);
+        assert!(report.env_faults.faults() > 0, "{:?}", report.env_faults);
+        assert!(report.recovery.interventions() > 0, "{:?}", report.recovery);
     }
 
     #[test]
@@ -687,7 +687,7 @@ mod tests {
         };
         let a = run_episode(&spec, &overrides, 7);
         let b = run_episode(&spec, &overrides, 7);
-        assert!(a.serving_faults.faults() > 0, "{}", a.serving_faults);
+        assert!(a.serving_faults.faults() > 0, "{:?}", a.serving_faults);
         assert!(a.serving_faults.slo_total > 0, "deadline set: SLO measured");
         assert_eq!(a.serving_faults, b.serving_faults);
         assert_eq!(a.steps, b.steps);
@@ -716,12 +716,12 @@ mod tests {
         assert!(report.steps > 0, "episode survives shed/hedge paths");
         assert!(
             report.serving_faults.hedges() > 0,
-            "brownouts past the hedge trigger: {}",
+            "brownouts past the hedge trigger: {:?}",
             report.serving_faults
         );
         assert!(
             report.serving_faults.shed > 0,
-            "depth-1 threshold must shed on a multi-call step: {}",
+            "depth-1 threshold must shed on a multi-call step: {:?}",
             report.serving_faults
         );
         assert!(
@@ -750,8 +750,8 @@ mod tests {
         };
         let a = run_episode(&spec, &overrides, 7);
         let b = run_episode(&spec, &overrides, 7);
-        assert!(a.repairs.validations > 0, "{}", a.repairs);
-        assert!(a.repairs.rejections() > 0, "{}", a.repairs);
+        assert!(a.repairs.validations > 0, "{:?}", a.repairs);
+        assert!(a.repairs.rejections() > 0, "{:?}", a.repairs);
         assert!(a.repairs.repair_tokens > 0, "re-prompts pay tokens");
         assert_eq!(a.repairs, b.repairs);
         assert_eq!(a.steps, b.steps);
@@ -769,10 +769,10 @@ mod tests {
             ..Default::default()
         };
         let report = run_episode(&spec, &overrides, 13);
-        assert!(report.repairs.validations > 0, "{}", report.repairs);
+        assert!(report.repairs.validations > 0, "{:?}", report.repairs);
         assert!(
             report.repairs.constrained > 0,
-            "central corruption must be constrained: {}",
+            "central corruption must be constrained: {:?}",
             report.repairs
         );
     }
@@ -787,7 +787,7 @@ mod tests {
             ..Default::default()
         };
         let report = run_episode(&spec, &overrides, 7);
-        assert!(report.repairs.skipped_steps > 0, "{}", report.repairs);
+        assert!(report.repairs.skipped_steps > 0, "{:?}", report.repairs);
         assert_eq!(report.repairs.repair_tokens, 0);
         assert_eq!(report.repairs.repair_attempts, 0);
     }
@@ -803,7 +803,7 @@ mod tests {
         };
         let a = run_episode(&spec, &overrides, 7);
         let b = run_episode(&spec, &overrides, 7);
-        assert!(a.resilience.faults() > 0, "{}", a.resilience);
+        assert!(a.resilience.faults() > 0, "{:?}", a.resilience);
         assert_eq!(a.resilience, b.resilience);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.latency, b.latency);
@@ -826,7 +826,7 @@ mod tests {
         assert!(
             b.resilience.backoff + b.resilience.wasted_latency
                 > embodied_profiler::SimDuration::ZERO,
-            "faulted run must bill retry time: {}",
+            "faulted run must bill retry time: {:?}",
             b.resilience
         );
         // Per-step latency must not shrink when a third of calls fault.

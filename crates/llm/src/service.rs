@@ -1088,7 +1088,7 @@ mod tests {
         assert_eq!(service.usage_for(TenantOwner::Central).calls, 1);
         assert_eq!(service.total_usage(0).calls, 4);
         assert_eq!(a.usage().calls, 2);
-        assert!(service.total_resilience(0).is_quiet());
+        assert!(service.total_resilience(0) == Default::default());
         assert_eq!(service.tenant_count(), 3);
     }
 
@@ -1117,7 +1117,7 @@ mod tests {
         assert_eq!(stats.queued, 3);
         assert_eq!(stats.queue_delay, work * 5);
         // Fault-free serving keeps the fault plane silent.
-        assert!(service.fault_stats(0).is_quiet());
+        assert!(service.fault_stats(0) == Default::default());
         // Step barrier clears the queues.
         service.begin_step(T0);
         assert_eq!(service.queue_solo(b.tenant(), T0), SimDuration::ZERO);
@@ -1313,7 +1313,7 @@ mod tests {
         assert!(h.take_stall() > SimDuration::ZERO, "burned time is billed");
         assert_eq!(service.total_usage(0).calls, 1, "tokens were still spent");
         let fs = service.fault_stats(0);
-        assert!(!fs.is_quiet());
+        assert!(fs != Default::default());
         assert_eq!(fs.slo_total, 0, "SLO is measured at placement, not here");
     }
 
@@ -1483,7 +1483,7 @@ mod tests {
             0xdead_beef,
         );
         assert_eq!(drive(&implicit), drive(&explicit));
-        assert!(implicit.fault_stats(0).is_quiet());
-        assert!(explicit.fault_stats(0).is_quiet());
+        assert!(implicit.fault_stats(0) == Default::default());
+        assert!(explicit.fault_stats(0) == Default::default());
     }
 }

@@ -7,6 +7,35 @@ use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Declares a summed counters struct exactly as written and derives its
+/// `merge`: one `self.f += other.f;` per field, in declaration order.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$field_meta:meta])*
+                pub $field:ident: $ty:ty,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $(
+                $(#[$field_meta])*
+                pub $field: $ty,
+            )*
+        }
+
+        impl $name {
+            /// Merges counters from another episode slice.
+            pub fn merge(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
 /// Per-module latency totals for an episode (or any slice of one).
 ///
 /// This is the data behind Fig. 2a: the share of per-step latency each
@@ -92,22 +121,24 @@ impl fmt::Display for LatencyBreakdown {
     }
 }
 
-/// LLM usage counters for an episode.
-///
-/// Drives Fig. 6 (prompt growth) and Fig. 7's call/token scaling analysis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct TokenStats {
-    /// Number of LLM inference runs (API calls or local forward passes).
-    pub calls: u64,
-    /// Total prompt tokens consumed.
-    pub prompt_tokens: u64,
-    /// Total completion tokens produced.
-    pub completion_tokens: u64,
-    /// Accumulated API cost in USD (zero for local models).
-    pub cost_usd: f64,
-    /// Calls whose prompt exceeded the context window and was truncated
-    /// (the Fig. 6 "occasionally exceed LLM's token limit" events).
-    pub overflows: u64,
+counters! {
+    /// LLM usage counters for an episode.
+    ///
+    /// Drives Fig. 6 (prompt growth) and Fig. 7's call/token scaling analysis.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct TokenStats {
+        /// Number of LLM inference runs (API calls or local forward passes).
+        pub calls: u64,
+        /// Total prompt tokens consumed.
+        pub prompt_tokens: u64,
+        /// Total completion tokens produced.
+        pub completion_tokens: u64,
+        /// Accumulated API cost in USD (zero for local models).
+        pub cost_usd: f64,
+        /// Calls whose prompt exceeded the context window and was truncated
+        /// (the Fig. 6 "occasionally exceed LLM's token limit" events).
+        pub overflows: u64,
+    }
 }
 
 impl TokenStats {
@@ -122,15 +153,6 @@ impl TokenStats {
     /// Total tokens in either direction.
     pub fn total_tokens(&self) -> u64 {
         self.prompt_tokens + self.completion_tokens
-    }
-
-    /// Merges counters from another episode slice.
-    pub fn merge(&mut self, other: &TokenStats) {
-        self.calls += other.calls;
-        self.prompt_tokens += other.prompt_tokens;
-        self.completion_tokens += other.completion_tokens;
-        self.cost_usd += other.cost_usd;
-        self.overflows += other.overflows;
     }
 
     /// Mean prompt length per call (0 when no calls were made).
@@ -190,20 +212,12 @@ impl PurposeLedger {
         prompt_tokens: u64,
         completion_tokens: u64,
     ) {
-        let entry = match self.entries.iter_mut().find(|e| e.purpose == purpose) {
-            Some(entry) => entry,
-            None => {
-                self.entries.push(PurposeUsage {
-                    purpose: purpose.to_owned(),
-                    ..Default::default()
-                });
-                self.entries.last_mut().expect("just pushed")
-            }
-        };
-        entry.calls += 1;
-        entry.latency += latency;
-        entry.prompt_tokens += prompt_tokens;
-        entry.completion_tokens += completion_tokens;
+        self.update(purpose, |entry| {
+            entry.calls += 1;
+            entry.latency += latency;
+            entry.prompt_tokens += prompt_tokens;
+            entry.completion_tokens += completion_tokens;
+        });
     }
 
     /// All entries, in first-seen order.
@@ -229,32 +243,42 @@ impl PurposeLedger {
     /// Merges another ledger into this one.
     pub fn merge(&mut self, other: &PurposeLedger) {
         for e in &other.entries {
-            let target = match self.entries.iter_mut().find(|t| t.purpose == e.purpose) {
-                Some(t) => t,
-                None => {
-                    self.entries.push(PurposeUsage {
-                        purpose: e.purpose.clone(),
-                        ..Default::default()
-                    });
-                    self.entries.last_mut().expect("just pushed")
-                }
-            };
-            target.calls += e.calls;
-            target.latency += e.latency;
-            target.prompt_tokens += e.prompt_tokens;
-            target.completion_tokens += e.completion_tokens;
+            self.update(&e.purpose, |target| {
+                target.calls += e.calls;
+                target.latency += e.latency;
+                target.prompt_tokens += e.prompt_tokens;
+                target.completion_tokens += e.completion_tokens;
+            });
         }
+    }
+
+    /// Applies `f` to the entry for `purpose`, appending an empty one on
+    /// first sight.
+    fn update(&mut self, purpose: &str, f: impl FnOnce(&mut PurposeUsage)) {
+        let entry = match self.entries.iter_mut().find(|e| e.purpose == purpose) {
+            Some(entry) => entry,
+            None => {
+                self.entries.push(PurposeUsage {
+                    purpose: purpose.to_owned(),
+                    ..Default::default()
+                });
+                self.entries.last_mut().expect("just pushed")
+            }
+        };
+        f(entry);
     }
 }
 
-/// Communication-utility counters (paper §V-D: only ~20% of CoELA's
-/// pre-generated messages turn out to be useful).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MessageStats {
-    /// Messages generated by communication modules.
-    pub generated: u64,
-    /// Messages that actually altered a recipient's plan or state.
-    pub useful: u64,
+counters! {
+    /// Communication-utility counters (paper §V-D: only ~20% of CoELA's
+    /// pre-generated messages turn out to be useful).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct MessageStats {
+        /// Messages generated by communication modules.
+        pub generated: u64,
+        /// Messages that actually altered a recipient's plan or state.
+        pub useful: u64,
+    }
 }
 
 impl MessageStats {
@@ -266,50 +290,46 @@ impl MessageStats {
             self.useful as f64 / self.generated as f64
         }
     }
-
-    /// Merge counters.
-    pub fn merge(&mut self, other: &MessageStats) {
-        self.generated += other.generated;
-        self.useful += other.useful;
-    }
 }
 
-/// Fault-injection and resilience counters for an episode.
-///
-/// Fault and retry counters come from the LLM substrate (how often the
-/// simulated endpoint misbehaved and what the retry layer paid to hide it);
-/// the degraded-step counters come from the agent layer (how often a module
-/// had to fall back to a cheaper behaviour because retries were exhausted).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ResilienceStats {
-    /// Timeout faults injected by the substrate.
-    pub timeouts: u64,
-    /// Rate-limit faults injected by the substrate.
-    pub rate_limits: u64,
-    /// Server-error faults injected by the substrate.
-    pub server_errors: u64,
-    /// Truncated-output faults injected by the substrate.
-    pub truncated_outputs: u64,
-    /// Latency-spike faults injected (the call succeeded, slowly).
-    pub latency_spikes: u64,
-    /// Retry attempts issued by the resilience layer.
-    pub retries: u64,
-    /// Calls that exhausted their retry budget and surfaced an error.
-    pub gave_up: u64,
-    /// Calls rejected immediately because the circuit breaker was open.
-    pub breaker_fast_fails: u64,
-    /// Total simulated time spent waiting out retry backoffs.
-    pub backoff: SimDuration,
-    /// Total simulated latency burned in attempts that ultimately failed.
-    pub wasted_latency: SimDuration,
-    /// Steps where planning fell back to a cached plan or exploration.
-    pub degraded_planning: u64,
-    /// Steps where a message was dropped instead of sent.
-    pub degraded_communication: u64,
-    /// Steps where reflection was skipped.
-    pub degraded_reflection: u64,
-    /// Steps where LLM micro-control fell back to the scripted controller.
-    pub degraded_execution: u64,
+counters! {
+    /// Fault-injection and resilience counters for an episode.
+    ///
+    /// Fault and retry counters come from the LLM substrate (how often the
+    /// simulated endpoint misbehaved and what the retry layer paid to hide it);
+    /// the degraded-step counters come from the agent layer (how often a module
+    /// had to fall back to a cheaper behaviour because retries were exhausted).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct ResilienceStats {
+        /// Timeout faults injected by the substrate.
+        pub timeouts: u64,
+        /// Rate-limit faults injected by the substrate.
+        pub rate_limits: u64,
+        /// Server-error faults injected by the substrate.
+        pub server_errors: u64,
+        /// Truncated-output faults injected by the substrate.
+        pub truncated_outputs: u64,
+        /// Latency-spike faults injected (the call succeeded, slowly).
+        pub latency_spikes: u64,
+        /// Retry attempts issued by the resilience layer.
+        pub retries: u64,
+        /// Calls that exhausted their retry budget and surfaced an error.
+        pub gave_up: u64,
+        /// Calls rejected immediately because the circuit breaker was open.
+        pub breaker_fast_fails: u64,
+        /// Total simulated time spent waiting out retry backoffs.
+        pub backoff: SimDuration,
+        /// Total simulated latency burned in attempts that ultimately failed.
+        pub wasted_latency: SimDuration,
+        /// Steps where planning fell back to a cached plan or exploration.
+        pub degraded_planning: u64,
+        /// Steps where a message was dropped instead of sent.
+        pub degraded_communication: u64,
+        /// Steps where reflection was skipped.
+        pub degraded_reflection: u64,
+        /// Steps where LLM micro-control fell back to the scripted controller.
+        pub degraded_execution: u64,
+    }
 }
 
 impl ResilienceStats {
@@ -329,67 +349,45 @@ impl ResilienceStats {
             + self.degraded_reflection
             + self.degraded_execution
     }
-
-    /// Whether nothing fault-related happened (the `FaultProfile::none()`
-    /// fast path — reports stay visually identical to pre-fault builds).
-    pub fn is_quiet(&self) -> bool {
-        self.faults() == 0 && self.retries == 0 && self.breaker_fast_fails == 0
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &ResilienceStats) {
-        self.timeouts += other.timeouts;
-        self.rate_limits += other.rate_limits;
-        self.server_errors += other.server_errors;
-        self.truncated_outputs += other.truncated_outputs;
-        self.latency_spikes += other.latency_spikes;
-        self.retries += other.retries;
-        self.gave_up += other.gave_up;
-        self.breaker_fast_fails += other.breaker_fast_fails;
-        self.backoff += other.backoff;
-        self.wasted_latency += other.wasted_latency;
-        self.degraded_planning += other.degraded_planning;
-        self.degraded_communication += other.degraded_communication;
-        self.degraded_reflection += other.degraded_reflection;
-        self.degraded_execution += other.degraded_execution;
-    }
 }
 
-/// Agent-level fault counters for an episode: crashes, stalls, recoveries,
-/// heartbeat-staleness detections, and coordinator failure/failover events.
-///
-/// Where [`ResilienceStats`] accounts faults of the *LLM substrate* (one
-/// call misbehaving), these counters account faults of the *agents
-/// themselves* — a robot process dying mid-episode, a teammate noticing the
-/// silence, a coordinator being re-elected. All zero when the episode ran
-/// with a fault-free agent profile.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AgentFaultStats {
-    /// Agent crash events injected.
-    pub crashes: u64,
-    /// One-step agent stalls injected (the agent froze but did not die).
-    pub stalls: u64,
-    /// Crashed agents that completed their reboot and rejoined.
-    pub recoveries: u64,
-    /// Agent-steps lost while an agent was down.
-    pub downtime_steps: u64,
-    /// Messages that never reached a recipient because it was down.
-    pub missed_messages: u64,
-    /// Heartbeat-staleness events: a teammate began suspecting a silent
-    /// peer and re-planned around it.
-    pub suspected_peers: u64,
-    /// Coordinator-process crash events (centralized/hybrid paradigms).
-    pub coordinator_crashes: u64,
-    /// Steps the system ran headless — coordinator down, no failover yet.
-    pub coordinator_down_steps: u64,
-    /// Failover promotions: a surviving agent took over the coordinator
-    /// role by the deterministic lowest-alive-id rule.
-    pub failovers: u64,
-    /// Tokens spent re-synchronizing state into a promoted coordinator.
-    pub resync_tokens: u64,
-    /// Centralized assignments that never reached their agent (lost or
-    /// late on the instruction channel), forcing a stale-plan fallback.
-    pub lost_assignments: u64,
+counters! {
+    /// Agent-level fault counters for an episode: crashes, stalls, recoveries,
+    /// heartbeat-staleness detections, and coordinator failure/failover events.
+    ///
+    /// Where [`ResilienceStats`] accounts faults of the *LLM substrate* (one
+    /// call misbehaving), these counters account faults of the *agents
+    /// themselves* — a robot process dying mid-episode, a teammate noticing the
+    /// silence, a coordinator being re-elected. All zero when the episode ran
+    /// with a fault-free agent profile.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct AgentFaultStats {
+        /// Agent crash events injected.
+        pub crashes: u64,
+        /// One-step agent stalls injected (the agent froze but did not die).
+        pub stalls: u64,
+        /// Crashed agents that completed their reboot and rejoined.
+        pub recoveries: u64,
+        /// Agent-steps lost while an agent was down.
+        pub downtime_steps: u64,
+        /// Messages that never reached a recipient because it was down.
+        pub missed_messages: u64,
+        /// Heartbeat-staleness events: a teammate began suspecting a silent
+        /// peer and re-planned around it.
+        pub suspected_peers: u64,
+        /// Coordinator-process crash events (centralized/hybrid paradigms).
+        pub coordinator_crashes: u64,
+        /// Steps the system ran headless — coordinator down, no failover yet.
+        pub coordinator_down_steps: u64,
+        /// Failover promotions: a surviving agent took over the coordinator
+        /// role by the deterministic lowest-alive-id rule.
+        pub failovers: u64,
+        /// Tokens spent re-synchronizing state into a promoted coordinator.
+        pub resync_tokens: u64,
+        /// Centralized assignments that never reached their agent (lost or
+        /// late on the instruction channel), forcing a stale-plan fallback.
+        pub lost_assignments: u64,
+    }
 }
 
 impl AgentFaultStats {
@@ -397,72 +395,30 @@ impl AgentFaultStats {
     pub fn faults(&self) -> u64 {
         self.crashes + self.stalls + self.coordinator_crashes
     }
-
-    /// Whether nothing agent-fault-related happened (the fault-free default
-    /// — reports stay identical to pre-fault builds).
-    pub fn is_quiet(&self) -> bool {
-        self.faults() == 0 && self.suspected_peers == 0 && self.lost_assignments == 0
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &AgentFaultStats) {
-        self.crashes += other.crashes;
-        self.stalls += other.stalls;
-        self.recoveries += other.recoveries;
-        self.downtime_steps += other.downtime_steps;
-        self.missed_messages += other.missed_messages;
-        self.suspected_peers += other.suspected_peers;
-        self.coordinator_crashes += other.coordinator_crashes;
-        self.coordinator_down_steps += other.coordinator_down_steps;
-        self.failovers += other.failovers;
-        self.resync_tokens += other.resync_tokens;
-        self.lost_assignments += other.lost_assignments;
-    }
 }
 
-impl fmt::Display for AgentFaultStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "agent faults {} (crash {}, stall {}, coord {}), downtime {} steps, \
-             recovered {}, suspected {}, headless {} steps, failovers {} \
-             ({} resync tok), lost assignments {}, missed msgs {}",
-            self.faults(),
-            self.crashes,
-            self.stalls,
-            self.coordinator_crashes,
-            self.downtime_steps,
-            self.recoveries,
-            self.suspected_peers,
-            self.coordinator_down_steps,
-            self.failovers,
-            self.resync_tokens,
-            self.lost_assignments,
-            self.missed_messages,
-        )
+counters! {
+    /// Message-channel fault counters for an episode: what a lossy network did
+    /// to inter-agent (and agent↔coordinator) traffic.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ChannelStats {
+        /// Messages dropped in flight.
+        pub dropped: u64,
+        /// Extra copies delivered by duplication faults.
+        pub duplicated: u64,
+        /// Messages delivered garbled (text unusable, entities lost).
+        pub corrupted: u64,
+        /// Messages queued for late delivery.
+        pub delayed: u64,
+        /// Network-partition windows that opened.
+        pub partitions: u64,
+        /// Steps during which a partition was active.
+        pub partition_steps: u64,
+        /// Messages blocked at a partition cut.
+        pub partition_blocked: u64,
+        /// Heartbeats lost to drops or partitions (feeds false suspicions).
+        pub heartbeats_lost: u64,
     }
-}
-
-/// Message-channel fault counters for an episode: what a lossy network did
-/// to inter-agent (and agent↔coordinator) traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChannelStats {
-    /// Messages dropped in flight.
-    pub dropped: u64,
-    /// Extra copies delivered by duplication faults.
-    pub duplicated: u64,
-    /// Messages delivered garbled (text unusable, entities lost).
-    pub corrupted: u64,
-    /// Messages queued for late delivery.
-    pub delayed: u64,
-    /// Network-partition windows that opened.
-    pub partitions: u64,
-    /// Steps during which a partition was active.
-    pub partition_steps: u64,
-    /// Messages blocked at a partition cut.
-    pub partition_blocked: u64,
-    /// Heartbeats lost to drops or partitions (feeds false suspicions).
-    pub heartbeats_lost: u64,
 }
 
 impl ChannelStats {
@@ -470,83 +426,49 @@ impl ChannelStats {
     pub fn events(&self) -> u64 {
         self.dropped + self.duplicated + self.corrupted + self.delayed + self.partition_blocked
     }
-
-    /// Whether the channel behaved perfectly (the fault-free default).
-    pub fn is_quiet(&self) -> bool {
-        self.events() == 0 && self.partitions == 0 && self.heartbeats_lost == 0
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &ChannelStats) {
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.corrupted += other.corrupted;
-        self.delayed += other.delayed;
-        self.partitions += other.partitions;
-        self.partition_steps += other.partition_steps;
-        self.partition_blocked += other.partition_blocked;
-        self.heartbeats_lost += other.heartbeats_lost;
-    }
 }
 
-impl fmt::Display for ChannelStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "channel events {} (drop {}, dup {}, corrupt {}, delay {}, \
-             blocked {}), partitions {} ({} steps), heartbeats lost {}",
-            self.events(),
-            self.dropped,
-            self.duplicated,
-            self.corrupted,
-            self.delayed,
-            self.partition_blocked,
-            self.partitions,
-            self.partition_steps,
-            self.heartbeats_lost,
-        )
+counters! {
+    /// Guardrail validation/repair counters for an episode: what the semantic
+    /// fault plane injected and what the repair pipeline paid to contain it.
+    ///
+    /// Where [`ResilienceStats`] accounts *transport* faults (a call failing
+    /// outright) and [`AgentFaultStats`] accounts *process* faults, these
+    /// counters account *content* faults — responses that arrived on time but
+    /// carried malformed, hallucinated, invalid or truncated plans — plus the
+    /// validator/repair work spent before any of them reached actuation.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct RepairStats {
+        /// Plan decisions checked by the validator.
+        pub validations: u64,
+        /// Rejections for malformed / unparseable decision text.
+        pub rejected_malformed: u64,
+        /// Rejections for entities absent from the current observation.
+        pub rejected_hallucinated: u64,
+        /// Rejections for syntactically valid but environment-invalid actions.
+        pub rejected_invalid_action: u64,
+        /// Rejections for plans truncated at the context limit.
+        pub rejected_truncated: u64,
+        /// Re-prompt repair attempts issued (each pays real tokens/latency).
+        pub repair_attempts: u64,
+        /// Rejected plans ultimately repaired to a valid action.
+        pub repaired: u64,
+        /// Rejected plans constrained to the nearest valid action.
+        pub constrained: u64,
+        /// Rejected plans degraded to a skipped step.
+        pub skipped_steps: u64,
+        /// Rejected plans that slipped to actuation anyway (repair exhausted
+        /// or disabled) — the residual invalid-action count.
+        pub residual_invalid: u64,
+        /// Prompt + completion tokens spent on repair re-prompts.
+        pub repair_tokens: u64,
+        /// API cost (USD) of repair re-prompts.
+        pub repair_cost_usd: f64,
+        /// Simulated latency of validation passes.
+        pub validate_latency: SimDuration,
+        /// Simulated latency of repair re-prompts.
+        pub repair_latency: SimDuration,
     }
-}
-
-/// Guardrail validation/repair counters for an episode: what the semantic
-/// fault plane injected and what the repair pipeline paid to contain it.
-///
-/// Where [`ResilienceStats`] accounts *transport* faults (a call failing
-/// outright) and [`AgentFaultStats`] accounts *process* faults, these
-/// counters account *content* faults — responses that arrived on time but
-/// carried malformed, hallucinated, invalid or truncated plans — plus the
-/// validator/repair work spent before any of them reached actuation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct RepairStats {
-    /// Plan decisions checked by the validator.
-    pub validations: u64,
-    /// Rejections for malformed / unparseable decision text.
-    pub rejected_malformed: u64,
-    /// Rejections for entities absent from the current observation.
-    pub rejected_hallucinated: u64,
-    /// Rejections for syntactically valid but environment-invalid actions.
-    pub rejected_invalid_action: u64,
-    /// Rejections for plans truncated at the context limit.
-    pub rejected_truncated: u64,
-    /// Re-prompt repair attempts issued (each pays real tokens/latency).
-    pub repair_attempts: u64,
-    /// Rejected plans ultimately repaired to a valid action.
-    pub repaired: u64,
-    /// Rejected plans constrained to the nearest valid action.
-    pub constrained: u64,
-    /// Rejected plans degraded to a skipped step.
-    pub skipped_steps: u64,
-    /// Rejected plans that slipped to actuation anyway (repair exhausted
-    /// or disabled) — the residual invalid-action count.
-    pub residual_invalid: u64,
-    /// Prompt + completion tokens spent on repair re-prompts.
-    pub repair_tokens: u64,
-    /// API cost (USD) of repair re-prompts.
-    pub repair_cost_usd: f64,
-    /// Simulated latency of validation passes.
-    pub validate_latency: SimDuration,
-    /// Simulated latency of repair re-prompts.
-    pub repair_latency: SimDuration,
 }
 
 impl RepairStats {
@@ -567,96 +489,42 @@ impl RepairStats {
             self.residual_invalid as f64 / self.validations as f64
         }
     }
-
-    /// Whether nothing guardrail-related happened (the
-    /// `SemanticFaultProfile::none()` + repair-off fast path — reports stay
-    /// identical to pre-guardrail builds).
-    pub fn is_quiet(&self) -> bool {
-        self.validations == 0 && self.rejections() == 0 && self.repair_attempts == 0
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &RepairStats) {
-        self.validations += other.validations;
-        self.rejected_malformed += other.rejected_malformed;
-        self.rejected_hallucinated += other.rejected_hallucinated;
-        self.rejected_invalid_action += other.rejected_invalid_action;
-        self.rejected_truncated += other.rejected_truncated;
-        self.repair_attempts += other.repair_attempts;
-        self.repaired += other.repaired;
-        self.constrained += other.constrained;
-        self.skipped_steps += other.skipped_steps;
-        self.residual_invalid += other.residual_invalid;
-        self.repair_tokens += other.repair_tokens;
-        self.repair_cost_usd += other.repair_cost_usd;
-        self.validate_latency += other.validate_latency;
-        self.repair_latency += other.repair_latency;
-    }
 }
 
-impl fmt::Display for RepairStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "validated {}, rejected {} (malformed {}, halluc {}, invalid {}, \
-             trunc {}), repairs {} ({} ok, {} constrained, {} skipped), \
-             residual {}, repair tokens {} (${:.4}), repair latency {}",
-            self.validations,
-            self.rejections(),
-            self.rejected_malformed,
-            self.rejected_hallucinated,
-            self.rejected_invalid_action,
-            self.rejected_truncated,
-            self.repair_attempts,
-            self.repaired,
-            self.constrained,
-            self.skipped_steps,
-            self.residual_invalid,
-            self.repair_tokens,
-            self.repair_cost_usd,
-            self.repair_latency,
-        )
+counters! {
+    /// Serving-layer counters for an episode: what the shared inference
+    /// service scheduled, batched, queued, and saved through prefix reuse.
+    ///
+    /// All zero when the service runs in pass-through mode (the default: no
+    /// batching, unbounded backend concurrency) — reports stay identical to
+    /// pre-serving builds.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ServingStats {
+        /// Independent same-phase requests scheduled under the concurrency
+        /// limit (each may add load to a server slot).
+        pub cohort_requests: u64,
+        /// Dependent follow-up requests (action selection, verification,
+        /// reflection, guardrail re-prompts) that waited for a free slot
+        /// without reserving one.
+        pub solo_requests: u64,
+        /// Batches closed (one shared `infer_batch`-style bill each).
+        pub batches: u64,
+        /// Requests served inside those batches.
+        pub batched_requests: u64,
+        /// Scheduling decisions (requests or whole batches) that found every
+        /// server slot busy and had to wait.
+        pub queued: u64,
+        /// Total simulated time spent waiting for server slots.
+        pub queue_delay: SimDuration,
+        /// Batched requests whose shared system-preamble prefix was already
+        /// resident in the backend's KV cache.
+        pub prefix_hits: u64,
+        /// Prompt tokens not recomputed thanks to those prefix hits.
+        pub prefix_reused_tokens: u64,
     }
-}
-
-/// Serving-layer counters for an episode: what the shared inference
-/// service scheduled, batched, queued, and saved through prefix reuse.
-///
-/// All zero when the service runs in pass-through mode (the default: no
-/// batching, unbounded backend concurrency) — reports stay identical to
-/// pre-serving builds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServingStats {
-    /// Independent same-phase requests scheduled under the concurrency
-    /// limit (each may add load to a server slot).
-    pub cohort_requests: u64,
-    /// Dependent follow-up requests (action selection, verification,
-    /// reflection, guardrail re-prompts) that waited for a free slot
-    /// without reserving one.
-    pub solo_requests: u64,
-    /// Batches closed (one shared `infer_batch`-style bill each).
-    pub batches: u64,
-    /// Requests served inside those batches.
-    pub batched_requests: u64,
-    /// Scheduling decisions (requests or whole batches) that found every
-    /// server slot busy and had to wait.
-    pub queued: u64,
-    /// Total simulated time spent waiting for server slots.
-    pub queue_delay: SimDuration,
-    /// Batched requests whose shared system-preamble prefix was already
-    /// resident in the backend's KV cache.
-    pub prefix_hits: u64,
-    /// Prompt tokens not recomputed thanks to those prefix hits.
-    pub prefix_reused_tokens: u64,
 }
 
 impl ServingStats {
-    /// Whether nothing serving-related happened (the pass-through fast
-    /// path).
-    pub fn is_quiet(&self) -> bool {
-        *self == ServingStats::default()
-    }
-
     /// Mean requests per closed batch (0 when nothing batched).
     pub fn batch_occupancy(&self) -> f64 {
         if self.batches == 0 {
@@ -675,78 +543,49 @@ impl ServingStats {
             self.prefix_hits as f64 / self.batched_requests as f64
         }
     }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &ServingStats) {
-        self.cohort_requests += other.cohort_requests;
-        self.solo_requests += other.solo_requests;
-        self.batches += other.batches;
-        self.batched_requests += other.batched_requests;
-        self.queued += other.queued;
-        self.queue_delay += other.queue_delay;
-        self.prefix_hits += other.prefix_hits;
-        self.prefix_reused_tokens += other.prefix_reused_tokens;
-    }
 }
 
-impl fmt::Display for ServingStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cohort {}, solo {}, batches {} ({} reqs, occupancy {:.1}), \
-             queued {} ({}), prefix hits {} ({} tok reused)",
-            self.cohort_requests,
-            self.solo_requests,
-            self.batches,
-            self.batched_requests,
-            self.batch_occupancy(),
-            self.queued,
-            self.queue_delay,
-            self.prefix_hits,
-            self.prefix_reused_tokens,
-        )
+counters! {
+    /// Serving-plane fault and resilience counters for an episode: what the
+    /// replica fleet broke (crashes, brownouts, overflow spills) and what the
+    /// SLO tier did about it (failovers, hedges, shedding, deadline verdicts).
+    ///
+    /// All zero under `ServingFaultProfile::none()` with replicas ≤ 1 and
+    /// every resilience knob off — reports stay identical to builds without
+    /// the serving fault plane.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct ServingFaultStats {
+        /// Replica crashes drawn while serving a placement.
+        pub crashes: u64,
+        /// Crashed placements re-dispatched to a healthy peer replica.
+        pub failovers: u64,
+        /// Placements that found every healthy replica past the overflow
+        /// threshold and paid a re-dispatch penalty.
+        pub overflows: u64,
+        /// Placements served by a browned-out (slowed) replica.
+        pub brownouts: u64,
+        /// Hedged duplicates that finished before the primary.
+        pub hedges_won: u64,
+        /// Hedged duplicates that lost the race (pure token/$ waste).
+        pub hedges_wasted: u64,
+        /// Requests rejected by admission control before reaching a model.
+        pub shed: u64,
+        /// Calls abandoned because their serving latency blew the deadline.
+        pub deadline_misses: u64,
+        /// Requests measured against the SLO deadline end-to-end.
+        pub slo_total: u64,
+        /// Of those, requests that met the deadline (queue + service).
+        pub slo_met: u64,
+        /// Extra service time paid to browned-out replicas.
+        pub slowdown_delay: SimDuration,
+        /// Partial service wasted on replicas that crashed mid-request.
+        pub failover_delay: SimDuration,
+        /// Prompt + completion tokens billed to losing *and* winning hedge
+        /// duplicates (the premium hedging pays for its p95 win).
+        pub hedge_tokens: u64,
+        /// API cost (USD) of those hedge duplicates.
+        pub hedge_cost_usd: f64,
     }
-}
-
-/// Serving-plane fault and resilience counters for an episode: what the
-/// replica fleet broke (crashes, brownouts, overflow spills) and what the
-/// SLO tier did about it (failovers, hedges, shedding, deadline verdicts).
-///
-/// All zero under `ServingFaultProfile::none()` with replicas ≤ 1 and
-/// every resilience knob off — reports stay identical to builds without
-/// the serving fault plane.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServingFaultStats {
-    /// Replica crashes drawn while serving a placement.
-    pub crashes: u64,
-    /// Crashed placements re-dispatched to a healthy peer replica.
-    pub failovers: u64,
-    /// Placements that found every healthy replica past the overflow
-    /// threshold and paid a re-dispatch penalty.
-    pub overflows: u64,
-    /// Placements served by a browned-out (slowed) replica.
-    pub brownouts: u64,
-    /// Hedged duplicates that finished before the primary.
-    pub hedges_won: u64,
-    /// Hedged duplicates that lost the race (pure token/$ waste).
-    pub hedges_wasted: u64,
-    /// Requests rejected by admission control before reaching a model.
-    pub shed: u64,
-    /// Calls abandoned because their serving latency blew the deadline.
-    pub deadline_misses: u64,
-    /// Requests measured against the SLO deadline end-to-end.
-    pub slo_total: u64,
-    /// Of those, requests that met the deadline (queue + service).
-    pub slo_met: u64,
-    /// Extra service time paid to browned-out replicas.
-    pub slowdown_delay: SimDuration,
-    /// Partial service wasted on replicas that crashed mid-request.
-    pub failover_delay: SimDuration,
-    /// Prompt + completion tokens billed to losing *and* winning hedge
-    /// duplicates (the premium hedging pays for its p95 win).
-    pub hedge_tokens: u64,
-    /// API cost (USD) of those hedge duplicates.
-    pub hedge_cost_usd: f64,
 }
 
 impl ServingFaultStats {
@@ -770,89 +609,40 @@ impl ServingFaultStats {
             self.slo_met as f64 / self.slo_total as f64
         }
     }
-
-    /// Whether nothing serving-fault-related happened (the
-    /// `ServingFaultProfile::none()` + resilience-off fast path).
-    pub fn is_quiet(&self) -> bool {
-        *self == ServingFaultStats::default()
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &ServingFaultStats) {
-        self.crashes += other.crashes;
-        self.failovers += other.failovers;
-        self.overflows += other.overflows;
-        self.brownouts += other.brownouts;
-        self.hedges_won += other.hedges_won;
-        self.hedges_wasted += other.hedges_wasted;
-        self.shed += other.shed;
-        self.deadline_misses += other.deadline_misses;
-        self.slo_total += other.slo_total;
-        self.slo_met += other.slo_met;
-        self.slowdown_delay += other.slowdown_delay;
-        self.failover_delay += other.failover_delay;
-        self.hedge_tokens += other.hedge_tokens;
-        self.hedge_cost_usd += other.hedge_cost_usd;
-    }
 }
 
-impl fmt::Display for ServingFaultStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "serving faults {} (crash {}, brownout {}, overflow {}), \
-             failovers {} ({}), hedges {} ({} won, {} wasted, {} tok, \
-             ${:.4}), shed {}, deadline misses {}, slo {}/{} ({:.0}%)",
-            self.faults(),
-            self.crashes,
-            self.brownouts,
-            self.overflows,
-            self.failovers,
-            self.failover_delay,
-            self.hedges(),
-            self.hedges_won,
-            self.hedges_wasted,
-            self.hedge_tokens,
-            self.hedge_cost_usd,
-            self.shed,
-            self.deadline_misses,
-            self.slo_met,
-            self.slo_total,
-            self.slo_attainment() * 100.0,
-        )
+counters! {
+    /// Environment fault counters for an episode: what the embodied fault
+    /// plane did to the sensor/actuator boundary.
+    ///
+    /// Where [`ResilienceStats`] accounts faults of the LLM transport,
+    /// [`AgentFaultStats`] faults of the agent processes, [`RepairStats`]
+    /// faults of the response *content*, and [`ServingFaultStats`] faults of
+    /// the serving fleet, these counters account faults of the *world
+    /// interface itself* — entities vanishing from observations, phantom
+    /// objects appearing, frozen sensor frames, misread landmarks, and
+    /// actuators silently failing, slipping, or going down. All zero under
+    /// `EnvFaultProfile::none()`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct EnvFaultStats {
+        /// Entities dropped from an agent's observation (perception dropout).
+        pub dropped_entities: u64,
+        /// Phantom entities injected into an agent's observation.
+        pub phantom_entities: u64,
+        /// Observations served from a frozen (stale) sensor frame.
+        pub stale_observations: u64,
+        /// Entities whose names were misread (consistently renamed in the
+        /// degraded view, so plans against them fail at actuation).
+        pub misread_entities: u64,
+        /// Actions that silently did nothing (reported failure, world intact).
+        pub silent_failures: u64,
+        /// Actions whose effect partially slipped (executed, progress lost).
+        pub partial_slips: u64,
+        /// Actuator downtime windows that opened.
+        pub actuator_downtimes: u64,
+        /// Agent-steps during which an actuator was down.
+        pub actuator_down_steps: u64,
     }
-}
-
-/// Environment fault counters for an episode: what the embodied fault
-/// plane did to the sensor/actuator boundary.
-///
-/// Where [`ResilienceStats`] accounts faults of the LLM transport,
-/// [`AgentFaultStats`] faults of the agent processes, [`RepairStats`]
-/// faults of the response *content*, and [`ServingFaultStats`] faults of
-/// the serving fleet, these counters account faults of the *world
-/// interface itself* — entities vanishing from observations, phantom
-/// objects appearing, frozen sensor frames, misread landmarks, and
-/// actuators silently failing, slipping, or going down. All zero under
-/// `EnvFaultProfile::none()`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EnvFaultStats {
-    /// Entities dropped from an agent's observation (perception dropout).
-    pub dropped_entities: u64,
-    /// Phantom entities injected into an agent's observation.
-    pub phantom_entities: u64,
-    /// Observations served from a frozen (stale) sensor frame.
-    pub stale_observations: u64,
-    /// Entities whose names were misread (consistently renamed in the
-    /// degraded view, so plans against them fail at actuation).
-    pub misread_entities: u64,
-    /// Actions that silently did nothing (reported failure, world intact).
-    pub silent_failures: u64,
-    /// Actions whose effect partially slipped (executed, progress lost).
-    pub partial_slips: u64,
-    /// Actuator downtime windows that opened.
-    pub actuator_downtimes: u64,
-    /// Agent-steps during which an actuator was down.
-    pub actuator_down_steps: u64,
 }
 
 impl EnvFaultStats {
@@ -873,77 +663,41 @@ impl EnvFaultStats {
     pub fn faults(&self) -> u64 {
         self.perception_faults() + self.actuation_faults()
     }
-
-    /// Whether nothing env-fault-related happened (the
-    /// `EnvFaultProfile::none()` fast path — reports stay identical to
-    /// builds without the embodied fault plane).
-    pub fn is_quiet(&self) -> bool {
-        *self == EnvFaultStats::default()
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &EnvFaultStats) {
-        self.dropped_entities += other.dropped_entities;
-        self.phantom_entities += other.phantom_entities;
-        self.stale_observations += other.stale_observations;
-        self.misread_entities += other.misread_entities;
-        self.silent_failures += other.silent_failures;
-        self.partial_slips += other.partial_slips;
-        self.actuator_downtimes += other.actuator_downtimes;
-        self.actuator_down_steps += other.actuator_down_steps;
-    }
 }
 
-impl fmt::Display for EnvFaultStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "env faults {} (drop {}, phantom {}, stale {}, misread {}; \
-             silent {}, slip {}, actuator down {} x{} steps)",
-            self.faults(),
-            self.dropped_entities,
-            self.phantom_entities,
-            self.stale_observations,
-            self.misread_entities,
-            self.silent_failures,
-            self.partial_slips,
-            self.actuator_downtimes,
-            self.actuator_down_steps,
-        )
+counters! {
+    /// Closed-loop recovery counters for an episode: what the agent-side
+    /// recovery stack did about environment faults and what it paid.
+    ///
+    /// Mirrors [`RepairStats`] one plane down: where the guardrail repairs
+    /// *plans* before actuation, the recovery stack repairs the agent's
+    /// *grounding* after the world misbehaves — forced re-observations when
+    /// progress stalls, bounded action retries before replanning, and fresh
+    /// observes when validation fails against a phantom entity. All zero under
+    /// `RecoveryPolicy::Off`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct RecoveryStats {
+        /// Forced re-observations issued by the stuck-detection watchdog.
+        pub watchdog_reobserves: u64,
+        /// Fresh observes triggered by validation failing against a phantom
+        /// entity (instead of a doomed re-prompt against the same bad view).
+        pub phantom_regrounds: u64,
+        /// Bounded action retries issued after a failed execution.
+        pub act_retries: u64,
+        /// Retried actions that succeeded on a retry attempt.
+        pub retries_recovered: u64,
+        /// Retry budgets exhausted, escalating the agent to a forced replan.
+        pub replan_escalations: u64,
+        /// Prompt + completion tokens spent on recovery inference (the replan
+        /// calls the escalations force).
+        pub recovery_tokens: u64,
+        /// API cost (USD) of that recovery inference.
+        pub recovery_cost_usd: f64,
+        /// Simulated latency of forced re-observations (encoder passes).
+        pub reobserve_latency: SimDuration,
+        /// Simulated latency of action retries (compute + actuation).
+        pub retry_latency: SimDuration,
     }
-}
-
-/// Closed-loop recovery counters for an episode: what the agent-side
-/// recovery stack did about environment faults and what it paid.
-///
-/// Mirrors [`RepairStats`] one plane down: where the guardrail repairs
-/// *plans* before actuation, the recovery stack repairs the agent's
-/// *grounding* after the world misbehaves — forced re-observations when
-/// progress stalls, bounded action retries before replanning, and fresh
-/// observes when validation fails against a phantom entity. All zero under
-/// `RecoveryPolicy::Off`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryStats {
-    /// Forced re-observations issued by the stuck-detection watchdog.
-    pub watchdog_reobserves: u64,
-    /// Fresh observes triggered by validation failing against a phantom
-    /// entity (instead of a doomed re-prompt against the same bad view).
-    pub phantom_regrounds: u64,
-    /// Bounded action retries issued after a failed execution.
-    pub act_retries: u64,
-    /// Retried actions that succeeded on a retry attempt.
-    pub retries_recovered: u64,
-    /// Retry budgets exhausted, escalating the agent to a forced replan.
-    pub replan_escalations: u64,
-    /// Prompt + completion tokens spent on recovery inference (the replan
-    /// calls the escalations force).
-    pub recovery_tokens: u64,
-    /// API cost (USD) of that recovery inference.
-    pub recovery_cost_usd: f64,
-    /// Simulated latency of forced re-observations (encoder passes).
-    pub reobserve_latency: SimDuration,
-    /// Simulated latency of action retries (compute + actuation).
-    pub retry_latency: SimDuration,
 }
 
 impl RecoveryStats {
@@ -961,67 +715,6 @@ impl RecoveryStats {
             self.retries_recovered as f64 / self.act_retries as f64
         }
     }
-
-    /// Whether nothing recovery-related happened (the `RecoveryPolicy::Off`
-    /// fast path — reports stay identical to pre-recovery builds).
-    pub fn is_quiet(&self) -> bool {
-        *self == RecoveryStats::default()
-    }
-
-    /// Merge counters from another episode slice.
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.watchdog_reobserves += other.watchdog_reobserves;
-        self.phantom_regrounds += other.phantom_regrounds;
-        self.act_retries += other.act_retries;
-        self.retries_recovered += other.retries_recovered;
-        self.replan_escalations += other.replan_escalations;
-        self.recovery_tokens += other.recovery_tokens;
-        self.recovery_cost_usd += other.recovery_cost_usd;
-        self.reobserve_latency += other.reobserve_latency;
-        self.retry_latency += other.retry_latency;
-    }
-}
-
-impl fmt::Display for RecoveryStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "recovery {} (watchdog {}, reground {}, retries {} [{} ok], \
-             replans {}), tokens {} (${:.4}), reobserve {}, retry {}",
-            self.interventions(),
-            self.watchdog_reobserves,
-            self.phantom_regrounds,
-            self.act_retries,
-            self.retries_recovered,
-            self.replan_escalations,
-            self.recovery_tokens,
-            self.recovery_cost_usd,
-            self.reobserve_latency,
-            self.retry_latency,
-        )
-    }
-}
-
-impl fmt::Display for ResilienceStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "faults {} (to {}, rl {}, 5xx {}, trunc {}, spike {}), retries {}, \
-             gave up {}, fast-fails {}, backoff {}, wasted {}, degraded {}",
-            self.faults(),
-            self.timeouts,
-            self.rate_limits,
-            self.server_errors,
-            self.truncated_outputs,
-            self.latency_spikes,
-            self.retries,
-            self.gave_up,
-            self.breaker_fast_fails,
-            self.backoff,
-            self.wasted_latency,
-            self.degraded(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -1033,65 +726,123 @@ mod tests {
         SimDuration::from_secs(n)
     }
 
+    /// Every number in a `Debug` rendering, in field order (no counters
+    /// struct or field name contains a digit).
+    fn numbers(debug: &str) -> Vec<f64> {
+        debug
+            .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+            .filter(|s| !s.is_empty())
+            .map(|s| s.parse().expect("numeric field"))
+            .collect()
+    }
+
+    /// Merging `busy` (every field set) into `Default` twice doubles every
+    /// field.
+    fn assert_merge_doubles<T: Default + fmt::Debug>(busy: T, merge: fn(&mut T, &T)) {
+        let fields = numbers(&format!("{busy:?}"));
+        assert!(fields.iter().all(|&n| n > 0.0), "set every field: {busy:?}");
+        let mut twice = T::default();
+        merge(&mut twice, &busy);
+        merge(&mut twice, &busy);
+        let doubled: Vec<f64> = fields.iter().map(|n| n * 2.0).collect();
+        assert_eq!(numbers(&format!("{twice:?}")), doubled, "{twice:?}");
+    }
+
     #[test]
-    fn agent_fault_stats_quiet_and_merge() {
-        let mut a = AgentFaultStats::default();
-        assert!(a.is_quiet());
-        let b = AgentFaultStats {
+    fn counters_merge_field_wise_and_roll_up() {
+        let tokens = TokenStats {
+            calls: 2,
+            prompt_tokens: 3_000,
+            completion_tokens: 150,
+            cost_usd: 0.09,
+            overflows: 1,
+        };
+        let messages = MessageStats {
+            generated: 10,
+            useful: 2,
+        };
+        let resilience = ResilienceStats {
+            timeouts: 2,
+            rate_limits: 1,
+            server_errors: 1,
+            truncated_outputs: 1,
+            latency_spikes: 1,
+            retries: 3,
+            gave_up: 1,
+            breaker_fast_fails: 1,
+            backoff: sec(4),
+            wasted_latency: sec(2),
+            degraded_planning: 1,
+            degraded_communication: 2,
+            degraded_reflection: 1,
+            degraded_execution: 1,
+        };
+        let agent = AgentFaultStats {
             crashes: 2,
             stalls: 1,
             recoveries: 2,
             downtime_steps: 5,
+            missed_messages: 3,
+            suspected_peers: 1,
             coordinator_crashes: 1,
+            coordinator_down_steps: 2,
             failovers: 1,
             resync_tokens: 120,
-            ..Default::default()
+            lost_assignments: 1,
         };
-        assert!(!b.is_quiet());
-        assert_eq!(b.faults(), 4);
-        a.merge(&b);
-        a.merge(&b);
-        assert_eq!(a.crashes, 4);
-        assert_eq!(a.resync_tokens, 240);
-        let text = a.to_string();
-        assert!(text.contains("failovers"));
-        assert!(text.contains("crash"));
-    }
-
-    #[test]
-    fn channel_stats_quiet_and_merge() {
-        let mut c = ChannelStats::default();
-        assert!(c.is_quiet());
-        let d = ChannelStats {
+        let channel = ChannelStats {
             dropped: 3,
+            duplicated: 1,
             corrupted: 1,
+            delayed: 2,
             partitions: 1,
             partition_steps: 4,
             partition_blocked: 2,
             heartbeats_lost: 2,
-            ..Default::default()
         };
-        assert!(!d.is_quiet());
-        assert_eq!(d.events(), 6);
-        c.merge(&d);
-        assert_eq!(c.dropped, 3);
-        assert_eq!(c.partition_steps, 4);
-        assert!(c.to_string().contains("partitions"));
-        // A suspicious-but-eventless channel is still not quiet: a lost
-        // heartbeat changed teammate beliefs even though no payload moved.
-        let h = ChannelStats {
-            heartbeats_lost: 1,
-            ..Default::default()
+        let repair = RepairStats {
+            validations: 10,
+            rejected_malformed: 1,
+            rejected_hallucinated: 2,
+            rejected_invalid_action: 1,
+            rejected_truncated: 1,
+            repair_attempts: 3,
+            repaired: 2,
+            constrained: 1,
+            skipped_steps: 1,
+            residual_invalid: 2,
+            repair_tokens: 640,
+            repair_cost_usd: 0.02,
+            validate_latency: sec(1),
+            repair_latency: sec(3),
         };
-        assert_eq!(h.events(), 0);
-        assert!(!h.is_quiet());
-    }
-
-    #[test]
-    fn env_fault_stats_quiet_and_merge() {
-        let mut e = EnvFaultStats::default();
-        assert!(e.is_quiet());
-        let busy = EnvFaultStats {
+        let serving = ServingStats {
+            cohort_requests: 8,
+            solo_requests: 3,
+            batches: 2,
+            batched_requests: 8,
+            queued: 1,
+            queue_delay: sec(4),
+            prefix_hits: 6,
+            prefix_reused_tokens: 900,
+        };
+        let serving_faults = ServingFaultStats {
+            crashes: 2,
+            failovers: 1,
+            overflows: 3,
+            brownouts: 4,
+            hedges_won: 2,
+            hedges_wasted: 5,
+            shed: 6,
+            deadline_misses: 1,
+            slo_total: 10,
+            slo_met: 8,
+            slowdown_delay: sec(9),
+            failover_delay: sec(2),
+            hedge_tokens: 700,
+            hedge_cost_usd: 0.05,
+        };
+        let env = EnvFaultStats {
             dropped_entities: 3,
             phantom_entities: 2,
             stale_observations: 1,
@@ -1101,33 +852,7 @@ mod tests {
             actuator_downtimes: 1,
             actuator_down_steps: 4,
         };
-        assert!(!busy.is_quiet());
-        assert_eq!(busy.perception_faults(), 7);
-        assert_eq!(busy.actuation_faults(), 4);
-        assert_eq!(busy.faults(), 11);
-        e.merge(&busy);
-        e.merge(&busy);
-        assert_eq!(e.dropped_entities, 6);
-        assert_eq!(e.actuator_down_steps, 8);
-        let text = e.to_string();
-        assert!(text.contains("phantom"));
-        assert!(text.contains("actuator down"));
-        // A pure-downtime episode (no event fired, but steps were lost) is
-        // still not quiet: the degraded world differed from the bare env.
-        let down = EnvFaultStats {
-            actuator_down_steps: 1,
-            ..Default::default()
-        };
-        assert_eq!(down.faults(), 0);
-        assert!(!down.is_quiet());
-    }
-
-    #[test]
-    fn recovery_stats_quiet_merge_and_rates() {
-        let mut r = RecoveryStats::default();
-        assert!(r.is_quiet());
-        assert_eq!(r.retry_success_rate(), 0.0);
-        let busy = RecoveryStats {
+        let recovery = RecoveryStats {
             watchdog_reobserves: 2,
             phantom_regrounds: 1,
             act_retries: 4,
@@ -1138,18 +863,45 @@ mod tests {
             reobserve_latency: sec(2),
             retry_latency: sec(5),
         };
-        assert!(!busy.is_quiet());
-        assert_eq!(busy.interventions(), 7);
-        assert!((busy.retry_success_rate() - 0.75).abs() < 1e-12);
-        r.merge(&busy);
-        r.merge(&busy);
-        assert_eq!(r.watchdog_reobserves, 4);
-        assert_eq!(r.recovery_tokens, 640);
-        assert_eq!(r.reobserve_latency, sec(4));
-        assert_eq!(r.retry_latency, sec(10));
-        let text = r.to_string();
-        assert!(text.contains("watchdog"));
-        assert!(text.contains("reground"));
+
+        assert_merge_doubles(tokens, TokenStats::merge);
+        assert_merge_doubles(messages, MessageStats::merge);
+        assert_merge_doubles(resilience, ResilienceStats::merge);
+        assert_merge_doubles(agent, AgentFaultStats::merge);
+        assert_merge_doubles(channel, ChannelStats::merge);
+        assert_merge_doubles(repair, RepairStats::merge);
+        assert_merge_doubles(serving, ServingStats::merge);
+        assert_merge_doubles(serving_faults, ServingFaultStats::merge);
+        assert_merge_doubles(env, EnvFaultStats::merge);
+        assert_merge_doubles(recovery, RecoveryStats::merge);
+
+        assert_eq!(resilience.faults(), 6);
+        assert_eq!(resilience.degraded(), 5);
+        assert_eq!(agent.faults(), 4);
+        assert_eq!(channel.events(), 9);
+        assert_eq!(repair.rejections(), 5);
+        assert!((repair.residual_invalid_rate() - 0.2).abs() < 1e-12);
+        assert!((serving.batch_occupancy() - 4.0).abs() < 1e-12);
+        assert!((serving.prefix_hit_rate() - 0.75).abs() < 1e-12);
+        assert_eq!(serving_faults.faults(), 9);
+        assert_eq!(serving_faults.hedges(), 7);
+        assert!((serving_faults.slo_attainment() - 0.8).abs() < 1e-12);
+        assert_eq!(env.perception_faults(), 7);
+        assert_eq!(env.actuation_faults(), 4);
+        assert_eq!(env.faults(), 11);
+        assert_eq!(recovery.interventions(), 7);
+        assert!((recovery.retry_success_rate() - 0.75).abs() < 1e-12);
+
+        // Zero denominators: rates read 0, an unset SLO is vacuously met.
+        assert_eq!(RepairStats::default().residual_invalid_rate(), 0.0);
+        assert_eq!(ServingStats::default().batch_occupancy(), 0.0);
+        assert_eq!(ServingStats::default().prefix_hit_rate(), 0.0);
+        assert_eq!(RecoveryStats::default().retry_success_rate(), 0.0);
+        assert_eq!(
+            ServingFaultStats::default().slo_attainment(),
+            1.0,
+            "unset SLO is vacuously attained"
+        );
     }
 
     #[test]
@@ -1231,144 +983,6 @@ mod tests {
         m.generated = 10;
         m.useful = 2;
         assert!((m.utility() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resilience_stats_merge_and_rollups() {
-        let mut a = ResilienceStats {
-            timeouts: 2,
-            retries: 3,
-            backoff: sec(4),
-            degraded_planning: 1,
-            ..Default::default()
-        };
-        assert!(!a.is_quiet());
-        let b = ResilienceStats {
-            server_errors: 1,
-            gave_up: 1,
-            wasted_latency: sec(2),
-            degraded_communication: 2,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.faults(), 3);
-        assert_eq!(a.degraded(), 3);
-        assert_eq!(a.retries, 3);
-        assert_eq!(a.backoff, sec(4));
-        assert_eq!(a.wasted_latency, sec(2));
-        assert!(ResilienceStats::default().is_quiet());
-    }
-
-    #[test]
-    fn repair_stats_quiet_merge_and_rates() {
-        let mut r = RepairStats::default();
-        assert!(r.is_quiet());
-        assert_eq!(r.residual_invalid_rate(), 0.0);
-        let s = RepairStats {
-            validations: 10,
-            rejected_malformed: 1,
-            rejected_hallucinated: 2,
-            rejected_invalid_action: 1,
-            repair_attempts: 3,
-            repaired: 2,
-            residual_invalid: 2,
-            repair_tokens: 640,
-            repair_cost_usd: 0.02,
-            repair_latency: sec(3),
-            ..Default::default()
-        };
-        assert!(!s.is_quiet());
-        assert_eq!(s.rejections(), 4);
-        assert!((s.residual_invalid_rate() - 0.2).abs() < 1e-12);
-        r.merge(&s);
-        r.merge(&s);
-        assert_eq!(r.validations, 20);
-        assert_eq!(r.repair_tokens, 1_280);
-        assert_eq!(r.repair_latency, sec(6));
-        let text = r.to_string();
-        assert!(text.contains("rejected"));
-        assert!(text.contains("repair tokens"));
-        // Validation alone (no rejections) is still not quiet: the
-        // validator ran, so traces/tables differ from a guardrail-off run.
-        let v = RepairStats {
-            validations: 1,
-            ..Default::default()
-        };
-        assert!(!v.is_quiet());
-    }
-
-    #[test]
-    fn serving_stats_quiet_merge_and_rates() {
-        let mut s = ServingStats::default();
-        assert!(s.is_quiet());
-        assert_eq!(s.batch_occupancy(), 0.0);
-        assert_eq!(s.prefix_hit_rate(), 0.0);
-        let busy = ServingStats {
-            cohort_requests: 8,
-            solo_requests: 3,
-            batches: 2,
-            batched_requests: 8,
-            queued: 1,
-            queue_delay: sec(4),
-            prefix_hits: 6,
-            prefix_reused_tokens: 900,
-        };
-        assert!(!busy.is_quiet());
-        assert!((busy.batch_occupancy() - 4.0).abs() < 1e-12);
-        assert!((busy.prefix_hit_rate() - 0.75).abs() < 1e-12);
-        s.merge(&busy);
-        s.merge(&busy);
-        assert_eq!(s.batches, 4);
-        assert_eq!(s.batched_requests, 16);
-        assert_eq!(s.queue_delay, sec(8));
-        assert_eq!(s.prefix_reused_tokens, 1_800);
-        let text = s.to_string();
-        assert!(text.contains("occupancy"));
-        assert!(text.contains("prefix hits"));
-    }
-
-    #[test]
-    fn serving_fault_stats_quiet_merge_and_slo() {
-        let mut s = ServingFaultStats::default();
-        assert!(s.is_quiet());
-        assert_eq!(s.slo_attainment(), 1.0, "unset SLO is vacuously attained");
-        let busy = ServingFaultStats {
-            crashes: 2,
-            failovers: 1,
-            overflows: 3,
-            brownouts: 4,
-            hedges_won: 2,
-            hedges_wasted: 5,
-            shed: 6,
-            deadline_misses: 1,
-            slo_total: 10,
-            slo_met: 8,
-            slowdown_delay: sec(9),
-            failover_delay: sec(2),
-            hedge_tokens: 700,
-            hedge_cost_usd: 0.05,
-        };
-        assert!(!busy.is_quiet());
-        assert_eq!(busy.faults(), 9);
-        assert_eq!(busy.hedges(), 7);
-        assert!((busy.slo_attainment() - 0.8).abs() < 1e-12);
-        s.merge(&busy);
-        s.merge(&busy);
-        assert_eq!(s.crashes, 4);
-        assert_eq!(s.slo_total, 20);
-        assert_eq!(s.slowdown_delay, sec(18));
-        assert_eq!(s.hedge_tokens, 1_400);
-        let text = s.to_string();
-        assert!(text.contains("hedges"));
-        assert!(text.contains("slo"));
-        // A pure SLO measurement (deadline set, nothing missed) is still
-        // not quiet: the tier ran, so reports differ from a default build.
-        let measured = ServingFaultStats {
-            slo_total: 1,
-            slo_met: 1,
-            ..Default::default()
-        };
-        assert!(!measured.is_quiet());
     }
 
     #[test]

@@ -3,10 +3,8 @@
 # Run before every commit; CI runs the same sequence.
 #
 # Optional flags:
-#   --bench   also run the perf smoke gate: a quick criterion pass over the
-#             step loop plus `step_throughput --smoke`, which fails loudly if
-#             single-worker throughput regresses more than 20% against the
-#             checked-in baseline (crates/bench/baselines/step_throughput.json).
+#   --bench   also run quick criterion passes over the step loop and the
+#             event queue.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,10 +68,6 @@ if [ "$run_bench" -eq 1 ]; then
 
   echo "== bench smoke: criterion event_queue (quick mode) =="
   CRITERION_SHIM_ITERS=5 cargo bench -q -p embodied-bench --bench event_queue
-
-  echo "== bench smoke: step_throughput --smoke (±20% vs checked-in baseline) =="
-  cargo build --release -q -p embodied-bench --bin step_throughput
-  ./target/release/step_throughput --smoke
 fi
 
 echo "== cargo fmt --check =="

@@ -31,7 +31,7 @@ fn crash_schedules_replay_bit_identically() {
             "{name}: faulted episode diverged across replays"
         );
         assert!(
-            !a.agent_faults.is_quiet() || !a.channel.is_quiet(),
+            a.agent_faults != Default::default() || a.channel != Default::default(),
             "{name}: fault load injected nothing — the replay check is vacuous"
         );
     }
