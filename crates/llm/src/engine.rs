@@ -6,7 +6,7 @@ use crate::profile::ModelProfile;
 use crate::quality::QualityModel;
 use crate::request::{LlmRequest, LlmResponse};
 use crate::semantic::{SemanticFaultInjector, SemanticFaultProfile};
-use crate::tokenizer::{PromptTokens, Tokenizer};
+use crate::tokenizer::{common_prefix_len, PromptTokens, Tokenizer};
 use embodied_profiler::{ResilienceStats, SimDuration, TokenStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -321,12 +321,7 @@ impl LlmEngine {
         let mut opts = req.opts;
         if self.kv_reuse {
             if let Some(prev) = &self.last_prompt {
-                let shared_bytes = prev
-                    .as_bytes()
-                    .iter()
-                    .zip(req.prompt.as_bytes())
-                    .take_while(|(a, b)| a == b)
-                    .count();
+                let shared_bytes = common_prefix_len(prev.as_bytes(), req.prompt.as_bytes());
                 // The cache holds `req.prompt` (counted above), so the
                 // prefix count is served from its checkpoints instead of
                 // re-tokenizing the whole shared prefix every call.

@@ -56,27 +56,48 @@ impl Tokenizer {
 
     /// Number of tokens in `text`.
     pub fn count(&self, text: &str) -> u64 {
-        let mut tokens = 0u64;
-        for word in text.split_whitespace() {
-            tokens += self.count_word(word);
-        }
-        tokens
+        self.scan(text, |_, _| {})
     }
 
-    fn count_word(&self, word: &str) -> u64 {
-        // Split off punctuation and digit runs: "kitchen," → "kitchen" + ",".
+    /// The token rule, in one pass over the bytes of `text`: whitespace
+    /// ends a word, each run of alphabetic chars costs
+    /// [`Tokenizer::alpha_tokens`], and every other char (digit,
+    /// punctuation, symbol, mark) is one token of its own, so "kitchen,"
+    /// is "kitchen" + ",". ASCII bytes are classed by table; only bytes
+    /// ≥ 0x80 decode a `char`.
+    ///
+    /// After every whitespace char, calls `seam(end, tokens)` with `end` the
+    /// byte offset just past it and `tokens` the count of `text[..end]`. No
+    /// word straddles such an offset, so counting is additive across it.
+    fn scan(&self, text: &str, mut seam: impl FnMut(usize, u64)) -> u64 {
+        let bytes = text.as_bytes();
         let mut tokens = 0u64;
-        let mut alpha_run = 0usize;
-        for c in word.chars() {
-            if c.is_alphabetic() {
-                alpha_run += 1;
+        let mut run = 0usize;
+        let mut i = 0;
+        while i < bytes.len() {
+            let b = bytes[i];
+            let class = if b < 0x80 {
+                i += 1;
+                ASCII_CLASS[usize::from(b)]
             } else {
-                tokens += self.alpha_tokens(alpha_run);
-                alpha_run = 0;
-                tokens += 1; // each punctuation char / digit is its own token
+                let c = text[i..].chars().next().expect("scan steps whole chars");
+                i += c.len_utf8();
+                Class::of(c)
+            };
+            match class {
+                Class::Letter => run += 1,
+                Class::Other => {
+                    tokens += self.alpha_tokens(run) + 1;
+                    run = 0;
+                }
+                Class::Space => {
+                    tokens += self.alpha_tokens(run);
+                    run = 0;
+                    seam(i, tokens);
+                }
             }
         }
-        tokens + self.alpha_tokens(alpha_run)
+        tokens + self.alpha_tokens(run)
     }
 
     fn alpha_tokens(&self, len: usize) -> u64 {
@@ -98,16 +119,15 @@ impl Tokenizer {
             return text.to_owned();
         }
         // Walk words from the end, accumulating until the budget is spent.
-        let words: Vec<&str> = text.split_whitespace().collect();
         let mut kept = Vec::new();
         let mut budget = max_tokens;
-        for word in words.iter().rev() {
-            let cost = self.count_word(word);
+        for word in text.split_whitespace().rev() {
+            let cost = self.count(word);
             if cost > budget {
                 break;
             }
             budget -= cost;
-            kept.push(*word);
+            kept.push(word);
         }
         kept.reverse();
         kept.join(" ")
@@ -119,11 +139,9 @@ impl Tokenizer {
     }
 
     /// Counts `text`, reusing work from the previous call recorded in
-    /// `cache`. Agent prompts grow by appending (Fig. 6), so consecutive
-    /// prompts share a long stable prefix; this re-tokenizes only the part
-    /// past the last checkpoint inside that shared prefix, making the
-    /// per-step cost proportional to the *appended* text instead of the
-    /// whole prompt. Returns exactly what [`Tokenizer::count`] returns.
+    /// `cache`: only the part past the last checkpoint inside the prefix
+    /// `text` shares with the previous text is re-tokenized. Returns exactly
+    /// what [`Tokenizer::count`] returns.
     pub fn count_incremental(&self, cache: &mut PromptTokens, text: &str) -> u64 {
         let common = common_prefix_len(cache.text.as_bytes(), text.as_bytes());
         // Keep only checkpoints inside the shared prefix. Each checkpoint
@@ -133,51 +151,75 @@ impl Tokenizer {
         // a seam no word straddles — counting is additive across it.
         let keep = cache.checkpoints.partition_point(|&(off, _)| off <= common);
         cache.checkpoints.truncate(keep);
-        let (off, toks) = cache.checkpoints.last().copied().unwrap_or((0, 0));
-        let total = self.count_span(&text[off..], off, toks, &mut cache.checkpoints);
+        let last = cache.checkpoints.last().copied();
+        let (base, start) = last.unwrap_or((0, 0));
+        let mut next_due = last.map_or(0, |(off, _)| off + PromptTokens::STRIDE_BYTES);
+        let checkpoints = &mut cache.checkpoints;
+        let total = start
+            + self.scan(&text[base..], |end, tokens| {
+                let off = base + end;
+                if off >= next_due {
+                    checkpoints.push((off, start + tokens));
+                    next_due = off + PromptTokens::STRIDE_BYTES;
+                }
+            });
         cache.text.clear();
         cache.text.push_str(text);
         cache.total = total;
         total
     }
+}
 
-    /// Counts `span` (= full text from byte `base`, already holding `start`
-    /// tokens), recording new seam checkpoints along the way.
-    fn count_span(
-        &self,
-        span: &str,
-        base: usize,
-        start: u64,
-        checkpoints: &mut Vec<(usize, u64)>,
-    ) -> u64 {
-        let mut tokens = start;
-        let mut word_start: Option<usize> = None;
-        for (i, c) in span.char_indices() {
-            if c.is_whitespace() {
-                if let Some(ws) = word_start.take() {
-                    tokens += self.count_word(&span[ws..i]);
-                    let off = base + i + c.len_utf8();
-                    let due = checkpoints
-                        .last()
-                        .is_none_or(|&(prev, _)| off - prev >= PromptTokens::STRIDE_BYTES);
-                    if due {
-                        checkpoints.push((off, tokens));
-                    }
-                }
-            } else if word_start.is_none() {
-                word_start = Some(i);
-            }
+/// What the token rule does with one char.
+#[derive(Debug, Clone, Copy)]
+enum Class {
+    /// `char::is_whitespace`: ends the word.
+    Space,
+    /// `char::is_alphabetic`: extends the letter run.
+    Letter,
+    /// Anything else: a token of its own.
+    Other,
+}
+
+impl Class {
+    fn of(c: char) -> Class {
+        if c.is_whitespace() {
+            Class::Space
+        } else if c.is_alphabetic() {
+            Class::Letter
+        } else {
+            Class::Other
         }
-        if let Some(ws) = word_start {
-            tokens += self.count_word(&span[ws..]);
-        }
-        tokens
     }
 }
 
-/// Length of the longest common byte prefix of `a` and `b`.
-fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+/// [`Class::of`] for every ASCII char. Whitespace is U+0009–U+000D and the
+/// space (U+001C–U+001F are not whitespace to `char::is_whitespace`).
+const ASCII_CLASS: [Class; 128] = {
+    let mut table = [Class::Other; 128];
+    let mut b = 0;
+    while b < table.len() {
+        table[b] = match b as u8 {
+            b'\t'..=b'\r' | b' ' => Class::Space,
+            b'a'..=b'z' | b'A'..=b'Z' => Class::Letter,
+            _ => Class::Other,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// Length of the longest common byte prefix of `a` and `b`: 16-byte chunks
+/// first, then byte by byte inside the first chunk that differs.
+pub(crate) fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    let (a16, _) = a.as_chunks::<16>();
+    let (b16, _) = b.as_chunks::<16>();
+    let same = 16 * a16.iter().zip(b16).take_while(|(x, y)| x == y).count();
+    same + a[same..]
+        .iter()
+        .zip(&b[same..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Incremental token-count accumulator for one growing prompt stream.
@@ -309,6 +351,20 @@ mod tests {
         let a = "pick up the box";
         let b = "move to room three";
         assert_eq!(tok.count(&format!("{a} {b}")), tok.count(a) + tok.count(b));
+    }
+
+    #[test]
+    fn common_prefix_len_finds_the_first_difference_across_chunks() {
+        let a: Vec<u8> = (0..48).collect();
+        for len in 0..=a.len() {
+            assert_eq!(common_prefix_len(&a, &a[..len]), len);
+            assert_eq!(common_prefix_len(&a[..len], &a), len);
+            for diff in 0..len {
+                let mut b = a[..len].to_vec();
+                b[diff] ^= 0x80;
+                assert_eq!(common_prefix_len(&a, &b), diff, "len {len} diff {diff}");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 # Run before every commit; CI runs the same sequence.
 #
 # Optional flags:
-#   --bench   also run quick criterion passes over the step loop and the
-#             event queue.
+#   --bench   also run quick criterion passes over the step loop, the event
+#             queue and the tokenizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,11 +63,10 @@ echo "== perf_bench --smoke =="
 cargo run --release -q --offline --locked --manifest-path perf_bench/Cargo.toml -- --smoke > /dev/null
 
 if [ "$run_bench" -eq 1 ]; then
-  echo "== bench smoke: criterion step_loop (quick mode) =="
-  CRITERION_SHIM_ITERS=5 cargo bench -q -p embodied-bench --bench step_loop
-
-  echo "== bench smoke: criterion event_queue (quick mode) =="
-  CRITERION_SHIM_ITERS=5 cargo bench -q -p embodied-bench --bench event_queue
+  for bench in step_loop event_queue tokenizer; do
+    echo "== bench smoke: criterion $bench (quick mode) =="
+    CRITERION_SHIM_ITERS=5 cargo bench -q -p embodied-bench --bench "$bench"
+  done
 fi
 
 echo "== cargo fmt --check =="
