@@ -1,14 +1,14 @@
-//! Tokenizer hot-path benchmarks: full recount per step vs. the
-//! incremental accumulator over a growing Fig. 6-shaped prompt and over a
-//! sliding-window planning prompt, and the memoized BPE word counter. On
-//! pure appends, `count_incremental` tracks the appended text while a full
-//! recount per step is quadratic in the conversation length. Real planning
-//! prompts are not append-only: behind a fixed preamble and goal, the
-//! observation changes every step and the memory log slides, so the
-//! incremental path re-tokenizes most of each prompt anyway.
+//! Tokenizer hot-path benchmarks: a full recount of every prompt vs. summed
+//! counts, over a growing Fig. 6-shaped prompt and over a sliding-window
+//! planning prompt, and the memoized BPE word counter. The token rule is
+//! additive across whitespace, so a prompt assembled from newline-ended
+//! pieces costs the sum of their counts. Summing counts each piece once,
+//! where it is made, and scans only the text that changes every step; a
+//! full recount is quadratic in the conversation on pure appends and
+//! re-scans the whole memory window on every sliding-window prompt.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use embodied_llm::{BpeTokenizer, PromptTokens, Tokenizer};
+use embodied_llm::{BpeTokenizer, Tokenizer};
 
 /// One Fig. 6-style dialogue turn: observation, memory recall, plan.
 fn turn(i: usize) -> String {
@@ -41,19 +41,19 @@ fn bench_growing_prompt(c: &mut Criterion) {
             },
         );
 
-        // Incremental: resume from the deepest checkpoint in the shared
-        // prefix; per-step cost tracks the appended turn, not the prompt.
+        // Summed: each turn is counted once, when it is appended, and the
+        // running total adds it; per-step cost tracks the turn.
         group.bench_with_input(
-            BenchmarkId::from_parameter("incremental"),
+            BenchmarkId::from_parameter("summed"),
             &steps,
             |b, &steps| {
                 b.iter(|| {
-                    let mut cache = PromptTokens::new();
                     let mut prompt = String::new();
                     let mut total = 0;
                     for i in 0..steps {
-                        prompt.push_str(&turn(i));
-                        total = tok.count_incremental(&mut cache, black_box(&prompt));
+                        let turn = turn(i);
+                        total += tok.count(black_box(&turn));
+                        prompt.push_str(&turn);
                     }
                     total
                 })
@@ -101,11 +101,10 @@ fn memory_lines(step: usize) -> String {
     )
 }
 
-/// The planning prompt at `step`: fixed head, an observation and action
-/// menu that change every step, and the last [`WINDOW`] steps of memory.
-fn window_prompt(step: usize) -> String {
-    let mut prompt = String::from(PREAMBLE);
-    prompt.push_str(&format!(
+/// The parts of the planning prompt at `step` that change every step: the
+/// observation and the action menu.
+fn step_parts(step: usize) -> (String, String) {
+    let observation = format!(
         "[current observation] step {step}: you are in room_{r} at ({x},{y}); visible: \
          cabinet_{c} (open), table_{r}, cup_{c} on table_{r}, door to room_{n} (open). \
          Inventory: {inv}. Teammates: agent_1 in room_{n}, agent_2 carrying bread_4.\n",
@@ -119,46 +118,70 @@ fn window_prompt(step: usize) -> String {
         } else {
             "plate_2"
         },
-    ));
-    prompt.push_str("[memory]\n");
-    for past in step.saturating_sub(WINDOW)..step {
-        prompt.push_str(&memory_lines(past));
-    }
-    prompt.push_str("[available actions]\n");
+    );
+    let mut menu = String::from("[available actions]\n");
     for k in 0..12 {
         let obj = (step + k) % 11;
-        prompt.push_str(&format!(
+        menu.push_str(&format!(
             "{k}. go to room_{} and pick up cup_{obj} from table_{}\n",
             (step + k) % 7,
             (step + k) % 7
         ));
     }
+    (observation, menu)
+}
+
+/// The memory section's header.
+const MEMORY_HEADER: &str = "[memory]\n";
+
+/// The planning prompt at `step`: fixed head, an observation and action
+/// menu that change every step, and the last [`WINDOW`] steps of memory.
+fn window_prompt(step: usize) -> String {
+    let (observation, menu) = step_parts(step);
+    let mut prompt = String::from(PREAMBLE);
+    prompt.push_str(&observation);
+    prompt.push_str(MEMORY_HEADER);
+    for past in step.saturating_sub(WINDOW)..step {
+        prompt.push_str(&memory_lines(past));
+    }
+    prompt.push_str(&menu);
     prompt
+}
+
+/// Counts every sliding-window prompt the way prompt assembly does: the
+/// head once per episode, each step's memory lines once when they are
+/// stored, and only the observation and the menu per prompt.
+fn summed_window_counts(tok: &Tokenizer, parts: &[(String, String)], logs: &[String]) -> u64 {
+    let head = tok.count(PREAMBLE) + tok.count(MEMORY_HEADER);
+    let mut stored = Vec::with_capacity(logs.len());
+    let mut total = 0;
+    for (step, (observation, menu)) in parts.iter().enumerate() {
+        if step > 0 {
+            stored.push(tok.count(black_box(&logs[step - 1])));
+        }
+        let window: u64 = stored[step.saturating_sub(WINDOW)..].iter().sum();
+        total += head + tok.count(black_box(observation)) + window + tok.count(black_box(menu));
+    }
+    total
 }
 
 fn bench_sliding_window(c: &mut Criterion) {
     let tok = Tokenizer::default();
     for steps in [16usize, 64, 256] {
         let prompts: Vec<String> = (0..steps).map(window_prompt).collect();
+        let parts: Vec<(String, String)> = (0..steps).map(step_parts).collect();
+        let logs: Vec<String> = (0..steps).map(memory_lines).collect();
+        let recount: u64 = prompts.iter().map(|p| tok.count(p)).sum();
+        assert_eq!(summed_window_counts(&tok, &parts, &logs), recount);
         let mut group = c.benchmark_group(format!("sliding_window/{steps}"));
         group.bench_with_input(
-            BenchmarkId::from_parameter("count"),
+            BenchmarkId::from_parameter("full_recount"),
             &prompts,
             |b, prompts| b.iter(|| prompts.iter().map(|p| tok.count(black_box(p))).sum::<u64>()),
         );
-        group.bench_with_input(
-            BenchmarkId::from_parameter("count_incremental"),
-            &prompts,
-            |b, prompts| {
-                b.iter(|| {
-                    let mut cache = PromptTokens::new();
-                    prompts
-                        .iter()
-                        .map(|p| tok.count_incremental(&mut cache, black_box(p)))
-                        .sum::<u64>()
-                })
-            },
-        );
+        group.bench_function("summed", |b| {
+            b.iter(|| summed_window_counts(&tok, &parts, &logs))
+        });
         group.finish();
     }
 }

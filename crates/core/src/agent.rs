@@ -6,7 +6,7 @@ use crate::modules::{
     CommunicationModule, ExecutionModule, MemoryModule, PlanningModule, ReflectionModule,
     SensingModule, WorldMap,
 };
-use crate::prompt::system_preamble;
+use crate::prompt::{system_preamble, Counted};
 use embodied_env::Subgoal;
 use embodied_llm::{EngineBuilder, InferenceService, LlmEngine, TenantOwner};
 use std::collections::{HashMap, HashSet};
@@ -38,8 +38,8 @@ pub struct ModularAgent {
     /// Accumulated spatial world model (paper §II-A sensing: "a map of
     /// spatial layout, moving entities, obstacles, and resource locations").
     pub map: WorldMap,
-    /// System preamble used in this agent's prompts.
-    pub preamble: String,
+    /// System preamble used in this agent's prompts, counted once here.
+    pub preamble: Counted<String>,
     /// Last failed subgoal and its outcome, until reflection clears it —
     /// feeds the planner's perseveration bias and the reflection prompt.
     pub last_failure: Option<(Subgoal, embodied_env::ExecOutcome)>,
@@ -50,8 +50,9 @@ pub struct ModularAgent {
     /// Entity set at the time of this agent's last broadcast (computes the
     /// knowledge delta carried by the next message).
     pub last_broadcast: HashSet<String>,
-    /// Messages received this round, verbatim, for the dialogue section.
-    pub inbox: Vec<String>,
+    /// Messages received this round, verbatim with their token counts, for
+    /// the dialogue section.
+    pub inbox: Vec<Counted<String>>,
     /// Consecutive steps without progress whose failure reflection has not
     /// resolved — drives compounding planner confusion.
     pub failure_streak: usize,
@@ -160,7 +161,7 @@ impl ModularAgent {
             reflection,
             execution,
             map: WorldMap::new(),
-            preamble: system_preamble(workload, "planning"),
+            preamble: Counted::new(system_preamble(workload, "planning")),
             config,
             last_failure: None,
             plan_budget: 0,
@@ -179,16 +180,19 @@ impl ModularAgent {
 
     /// Renders the inbox into [`Self::dialogue_buf`] (newline-joined, same
     /// bytes as `inbox.join("\n")`) reusing the buffer's capacity across
-    /// steps, and returns it.
-    pub fn render_dialogue(&mut self) -> &str {
+    /// steps, and returns its token count: the sum of the messages' counts,
+    /// since the newlines between them are token seams.
+    pub fn render_dialogue(&mut self) -> u64 {
         self.dialogue_buf.clear();
+        let mut tokens = 0;
         for (k, msg) in self.inbox.iter().enumerate() {
             if k > 0 {
                 self.dialogue_buf.push('\n');
             }
-            self.dialogue_buf.push_str(msg);
+            self.dialogue_buf.push_str(msg.text());
+            tokens += msg.tokens();
         }
-        &self.dialogue_buf
+        tokens
     }
 
     /// Everything the agent currently knows about, given this step's

@@ -13,6 +13,7 @@
 //! and a `none()` profile performs **zero** draws, so fault-free runs stay
 //! byte-identical to builds that predate the subsystem.
 
+use crate::prompt::Counted;
 use embodied_llm::check_rate;
 use embodied_profiler::{AgentFaultStats, ChannelStats, FromJson, JsonError, JsonValue, ToJson};
 use rand::rngs::StdRng;
@@ -427,8 +428,9 @@ pub(crate) struct DelayedMessage {
     pub deliver_at: usize,
     /// Recipient agent id.
     pub to: usize,
-    /// Message text (already garbled if the delivery was also corrupted).
-    pub text: String,
+    /// Message text with its token count (already garbled if the delivery
+    /// was also corrupted).
+    pub text: Counted<String>,
     /// Entity payload (empty if corrupted).
     pub entities: Vec<String>,
     /// Copies to deliver (2 if the delivery was also duplicated).
@@ -756,21 +758,21 @@ mod tests {
         chan.delayed.push(DelayedMessage {
             deliver_at: 3,
             to: 1,
-            text: "late".into(),
+            text: Counted::new("late".into()),
             entities: vec![],
             copies: 1,
         });
         chan.delayed.push(DelayedMessage {
             deliver_at: 5,
             to: 0,
-            text: "later".into(),
+            text: Counted::new("later".into()),
             entities: vec![],
             copies: 1,
         });
         assert!(chan.due_messages(2).is_empty());
         let due = chan.due_messages(3);
         assert_eq!(due.len(), 1);
-        assert_eq!(due[0].text, "late");
+        assert_eq!(due[0].text.text(), "late");
         assert_eq!(chan.delayed.len(), 1);
         let due = chan.due_messages(9);
         assert_eq!(due.len(), 1);

@@ -27,7 +27,7 @@
 //! [`Phase::Validate`]: embodied_profiler::Phase::Validate
 //! [`Phase::Repair`]: embodied_profiler::Phase::Repair
 
-use crate::prompt::PromptBuilder;
+use crate::prompt::{Counted, PromptWriter};
 use embodied_env::{AffordanceSet, Subgoal};
 use embodied_llm::{
     floor_char, EngineHandle, InferenceOpts, LlmRequest, LlmResponse, Purpose, SemanticFaultKind,
@@ -393,8 +393,8 @@ pub fn guard_decision(
     intended: &Subgoal,
     flaw: Option<SemanticFlaw>,
     affordances: &AffordanceSet,
-    preamble: &str,
-    goal: &str,
+    preamble: Counted<&str>,
+    goal: Counted<&str>,
     difficulty: f64,
     opts: InferenceOpts,
     stats: &mut RepairStats,
@@ -443,11 +443,13 @@ pub fn guard_decision(
         }
         RepairPolicy::Reprompt { max_attempts } => {
             let mut accepted = None;
+            let mut prompt = String::new();
             for _ in 0..max_attempts {
                 stats.repair_attempts += 1;
-                let prompt = repair_prompt(preamble, goal, &error, affordances);
+                let tokens = write_repair_prompt(&mut prompt, preamble, goal, &error, affordances);
                 let result = engine.infer(
                     LlmRequest::new(Purpose::Planning, &prompt, 40)
+                        .with_prompt_tokens(tokens)
                         .with_difficulty(difficulty)
                         .with_opts(opts),
                 );
@@ -511,24 +513,26 @@ fn note_rejection(stats: &mut RepairStats, error: &ValidationError) {
     }
 }
 
-/// The repair re-prompt: the validator's structured error feedback plus the
-/// full afforded menu, so the model can ground its retry.
-fn repair_prompt(
-    preamble: &str,
-    goal: &str,
+/// Writes the repair re-prompt into `out` — the validator's structured
+/// error feedback plus the full afforded menu, so the model can ground its
+/// retry — and returns its token count.
+fn write_repair_prompt(
+    out: &mut String,
+    preamble: Counted<&str>,
+    goal: Counted<&str>,
     error: &ValidationError,
     affordances: &AffordanceSet,
-) -> String {
-    let mut b = PromptBuilder::new(preamble);
-    b.push("task goal", goal)
+) -> u64 {
+    PromptWriter::new(out, preamble)
+        .push_counted("task goal", goal)
         .push("validator error", &error.feedback())
         .push_candidates(affordances.candidates())
         .push(
             "instruction",
             "Your previous decision was rejected. Re-emit exactly one action \
              chosen from the available actions above.",
-        );
-    b.build()
+        )
+        .tokens()
 }
 
 #[cfg(test)]
@@ -638,8 +642,8 @@ mod tests {
             &intended,
             Some(flaw(SemanticFaultKind::Malformed, 3)),
             &aff,
-            "sys",
-            "goal",
+            Counted::new("sys"),
+            Counted::new("goal"),
             0.5,
             InferenceOpts::default(),
             &mut stats,
@@ -663,8 +667,8 @@ mod tests {
             &intended,
             Some(f),
             &aff,
-            "sys",
-            "goal",
+            Counted::new("sys"),
+            Counted::new("goal"),
             0.5,
             InferenceOpts::default(),
             &mut stats,
@@ -680,8 +684,8 @@ mod tests {
             &intended,
             Some(f),
             &aff,
-            "sys",
-            "goal",
+            Counted::new("sys"),
+            Counted::new("goal"),
             0.5,
             InferenceOpts::default(),
             &mut stats,
@@ -705,8 +709,8 @@ mod tests {
             &intended,
             Some(flaw(SemanticFaultKind::InvalidAction, 5)),
             &aff,
-            "sys",
-            "goal",
+            Counted::new("sys"),
+            Counted::new("goal"),
             0.5,
             InferenceOpts::default(),
             &mut stats,
@@ -743,8 +747,8 @@ mod tests {
             &intended,
             Some(flaw(SemanticFaultKind::Malformed, 9)),
             &aff,
-            "sys",
-            "goal",
+            Counted::new("sys"),
+            Counted::new("goal"),
             0.5,
             InferenceOpts::default(),
             &mut stats,
@@ -769,8 +773,8 @@ mod tests {
             &intended,
             None,
             &aff,
-            "sys",
-            "goal",
+            Counted::new("sys"),
+            Counted::new("goal"),
             0.5,
             InferenceOpts::default(),
             &mut stats,

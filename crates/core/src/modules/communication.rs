@@ -6,7 +6,7 @@
 //! paper's "only 20% of pre-generated messages lead to actual
 //! communication" finding (§V-D).
 
-use crate::prompt::PromptWriter;
+use crate::prompt::{Counted, PromptWriter};
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 
 /// A message produced by one agent for broadcast.
@@ -14,8 +14,9 @@ use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmRespons
 pub struct OutgoingMessage {
     /// Sender agent index.
     pub from: usize,
-    /// Message text (concatenated into receivers' dialogue memory).
-    pub text: String,
+    /// Message text (concatenated into receivers' dialogue memory), counted
+    /// once here and carried with its count to every recipient.
+    pub text: Counted<String>,
     /// Entity knowledge the message carries.
     pub entities: Vec<String>,
     /// The LLM response that generated it.
@@ -65,25 +66,27 @@ impl CommunicationModule {
     pub fn generate(
         &mut self,
         from: usize,
-        preamble: &str,
-        goal: &str,
+        preamble: Counted<&str>,
+        goal: Counted<&str>,
         status: &str,
-        dialogue_so_far: &str,
+        dialogue_so_far: Counted<&str>,
         knowledge_delta: &[String],
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<OutgoingMessage, LlmError> {
-        let mut w = PromptWriter::new(&mut self.prompt_buf, preamble);
-        w.push("task goal", goal)
+        let tokens = PromptWriter::new(&mut self.prompt_buf, preamble)
+            .push_counted("task goal", goal)
             .push("your status", status)
-            .push("dialogue so far", dialogue_so_far)
+            .push_counted("dialogue so far", dialogue_so_far)
             .push(
                 "instruction",
                 "Compose a short message to your teammates sharing anything \
                  they need to coordinate effectively.",
-            );
+            )
+            .tokens();
         let response = self.engine.infer(
             LlmRequest::new(Purpose::Communication, self.prompt_buf.as_str(), 60)
+                .with_prompt_tokens(tokens)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         )?;
@@ -98,7 +101,7 @@ impl CommunicationModule {
         };
         Ok(OutgoingMessage {
             from,
-            text,
+            text: Counted::new(text),
             entities: knowledge_delta.to_vec(),
             response,
         })
@@ -127,16 +130,17 @@ mod tests {
         let msg = m
             .generate(
                 1,
-                "you are a communicator",
-                "deliver objects",
+                Counted::new("you are a communicator"),
+                Counted::new("deliver objects"),
                 "in room_2, hands free",
-                "",
+                Counted::new(""),
                 &["object_3".into()],
                 0.4,
                 InferenceOpts::default(),
             )
             .unwrap();
-        assert!(msg.text.contains("object_3"));
+        assert!(msg.text.text().contains("object_3"));
+        assert_eq!(msg.text, Counted::new(msg.text.text().to_owned()));
         assert_eq!(msg.entities, vec!["object_3".to_owned()]);
         assert_eq!(msg.from, 1);
     }
@@ -147,30 +151,30 @@ mod tests {
         let msg = m
             .generate(
                 0,
-                "you are a communicator",
-                "deliver objects",
+                Counted::new("you are a communicator"),
+                Counted::new("deliver objects"),
                 "in room_0",
-                "agent 1: hello",
+                Counted::new("agent 1: hello"),
                 &[],
                 0.4,
                 InferenceOpts::default(),
             )
             .unwrap();
         assert!(msg.entities.is_empty());
-        assert!(msg.text.contains("current plan"));
+        assert!(msg.text.text().contains("current plan"));
     }
 
     #[test]
     fn generation_costs_latency_and_tokens() {
         let mut m = module();
-        let preamble = crate::prompt::system_preamble("CoELA", "communication");
+        let preamble = Counted::new(crate::prompt::system_preamble("CoELA", "communication"));
         let msg = m
             .generate(
                 0,
-                &preamble,
-                "deliver objects",
+                preamble.as_deref(),
+                Counted::new("deliver objects"),
                 "in room_0",
-                "",
+                Counted::new(""),
                 &[],
                 0.4,
                 InferenceOpts::default(),

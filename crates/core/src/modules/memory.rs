@@ -3,6 +3,7 @@
 //! (Fig. 5), and the dual long/short-term structure of Rec. 5.
 
 use crate::config::MemoryCapacity;
+use crate::prompt::{count_tokens, Counted};
 use embodied_profiler::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -29,6 +30,9 @@ pub struct MemoryRecord {
     pub kind: RecordKind,
     /// Prompt-ready text.
     pub text: String,
+    /// Tokens in `text`, counted where it was made or when it was stored
+    /// (left 0 by a disabled module, which never renders its records).
+    pub tokens: u64,
     /// Entity names this record carries knowledge about.
     pub entities: Vec<String>,
 }
@@ -59,6 +63,10 @@ pub struct RetrievalStats {
     pub inconsistency_penalty: f64,
     /// Records scanned by the lookup.
     pub records_scanned: usize,
+    /// Tokens in the text the lookup wrote: the stored record counts plus
+    /// the `step N: ` prefixes, with only the summary header and the
+    /// long-term line scanned.
+    pub tokens: u64,
 }
 
 /// The memory module.
@@ -150,6 +158,12 @@ fn text_embedding_recalls(entity: &str, step: usize) -> bool {
     !h.is_multiple_of(5)
 }
 
+/// Tokens in a record line's `step N: ` prefix: "step", one per digit of
+/// `N`, and the colon.
+fn step_prefix_tokens(step: usize) -> u64 {
+    2 + u64::from(step.checked_ilog10().unwrap_or(0) + 1)
+}
+
 impl MemoryModule {
     /// Creates a memory module.
     ///
@@ -216,6 +230,24 @@ impl MemoryModule {
     /// storage and retrieval, not the agent's within-context awareness of
     /// the immediately preceding turn.
     pub fn store(&mut self, kind: RecordKind, text: impl Into<String>, entities: Vec<String>) {
+        let text = text.into();
+        let tokens = if self.enabled { count_tokens(&text) } else { 0 };
+        self.push_record(kind, text, tokens, entities);
+    }
+
+    /// [`MemoryModule::store`] for text counted where it was made, such as
+    /// a message its sender counted once for every recipient.
+    pub fn store_counted(
+        &mut self,
+        kind: RecordKind,
+        text: Counted<String>,
+        entities: Vec<String>,
+    ) {
+        let tokens = text.tokens();
+        self.push_record(kind, text.into_text(), tokens, entities);
+    }
+
+    fn push_record(&mut self, kind: RecordKind, text: String, tokens: u64, entities: Vec<String>) {
         debug_assert!(
             self.records
                 .last()
@@ -244,7 +276,8 @@ impl MemoryModule {
         self.records.push(MemoryRecord {
             step: self.current_step,
             kind,
-            text: text.into(),
+            text,
+            tokens,
             entities,
         });
         if !self.enabled {
@@ -366,6 +399,7 @@ impl MemoryModule {
                 latency: SimDuration::ZERO,
                 inconsistency_penalty: 0.0,
                 records_scanned: 0,
+                tokens: 0,
             };
         }
         let retained = self.retained();
@@ -392,13 +426,19 @@ impl MemoryModule {
         } else {
             tail.len()
         };
+        // Lines are joined by newlines, so the text's count is the sum of
+        // the lines' counts: record lines add their stored counts, and only
+        // the header and the long-term line are scanned.
         const KEEP_LAST: usize = 6;
+        let mut tokens = 0;
         let skip = if self.summarize && n_lines > KEEP_LAST {
             let omitted = n_lines - KEEP_LAST;
+            let start = out.len();
             let _ = writeln!(
                 out,
                 "[{omitted} earlier entries summarized: routine progress]"
             );
+            tokens += count_tokens(&out[start..]);
             omitted
         } else {
             0
@@ -407,6 +447,7 @@ impl MemoryModule {
         let mut first = true;
         if self.dual {
             if line_idx >= skip {
+                let start = out.len();
                 out.push_str("long-term: known entities ");
                 for (i, e) in self.long_term_sorted.iter().enumerate() {
                     if i > 0 {
@@ -414,6 +455,7 @@ impl MemoryModule {
                     }
                     out.push_str(e);
                 }
+                tokens += count_tokens(&out[start..]);
                 first = false;
             }
             line_idx += 1;
@@ -425,6 +467,7 @@ impl MemoryModule {
                 }
                 first = false;
                 let _ = write!(out, "step {}: {}", r.step, r.text);
+                tokens += step_prefix_tokens(r.step) + r.tokens;
             }
             line_idx += 1;
         }
@@ -439,6 +482,7 @@ impl MemoryModule {
             latency,
             inconsistency_penalty,
             records_scanned: scanned,
+            tokens,
         }
     }
 
@@ -462,6 +506,7 @@ impl MemoryModule {
 mod tests {
     use super::*;
     use crate::prompt::summarize_history;
+    use embodied_llm::Tokenizer;
 
     fn module(capacity: MemoryCapacity) -> MemoryModule {
         MemoryModule::new(true, capacity, false, false, vec!["room_0".into()])
@@ -573,6 +618,59 @@ mod tests {
                         m.retrieve().text,
                         retrieval_text_by_line_collection(&m),
                         "retrieval text diverged at step {step}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn retrieval_tokens_equal_a_count_of_the_written_text() {
+        // Sparse steps so `step N: ` prefixes carry 1 to 4 digits, and
+        // record texts that start or end in non-ASCII whitespace.
+        let steps = [
+            0, 1, 7, 9, 10, 11, 58, 99, 100, 101, 640, 999, 1000, 1001, 4096, 9999,
+        ];
+        for (enabled, dual, summarize, mode) in [
+            (true, false, false, RetrievalMode::Multimodal),
+            (true, false, true, RetrievalMode::Multimodal),
+            (true, true, false, RetrievalMode::Multimodal),
+            (true, true, true, RetrievalMode::Multimodal),
+            (true, false, true, RetrievalMode::TextEmbedding),
+            (true, true, true, RetrievalMode::TextEmbedding),
+            (false, false, false, RetrievalMode::Multimodal),
+            (false, true, true, RetrievalMode::Multimodal),
+        ] {
+            for capacity in [
+                MemoryCapacity::None,
+                MemoryCapacity::Steps(3),
+                MemoryCapacity::Steps(2000),
+                MemoryCapacity::Full,
+            ] {
+                let mut m =
+                    MemoryModule::new(enabled, capacity, dual, summarize, vec!["room_0".into()])
+                        .with_retrieval_mode(mode);
+                for (k, &step) in steps.iter().enumerate() {
+                    m.begin_step(step);
+                    m.store(
+                        RecordKind::Observation,
+                        format!("saw object_{}\u{3000}at dock Ω{k}", k % 5),
+                        vec![format!("object_{}", k % 5)],
+                    );
+                    m.store_counted(
+                        RecordKind::Dialogue,
+                        Counted::new(format!("\u{85}agent {k}: antidisestablishment ok ")),
+                        Vec::new(),
+                    );
+                    let mut buf = String::from("[map]\nroom_0\n");
+                    let prefix = buf.len();
+                    let stats = m.retrieve_write(&mut buf);
+                    assert_eq!(
+                        stats.tokens,
+                        Tokenizer::default().count(&buf[prefix..]),
+                        "step {step}, enabled {enabled}, dual {dual}, summarize \
+                         {summarize}, {mode:?}, {capacity:?}: {:?}",
+                        &buf[prefix..]
                     );
                 }
             }

@@ -6,24 +6,23 @@
 //! oracle or draws a wrong candidate — so success rates, wasted steps and
 //! replanning loops all flow from the quality model.
 
-use crate::prompt::PromptWriter;
+use crate::prompt::{Counted, PromptWriter};
 use embodied_env::Subgoal;
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
-use std::fmt::Write as _;
 
 /// Everything the planner needs for one decision.
 #[derive(Debug, Clone)]
 pub struct PlanContext<'a> {
     /// Workload system preamble.
-    pub preamble: &'a str,
+    pub preamble: Counted<&'a str>,
     /// Natural-language goal.
-    pub goal: &'a str,
+    pub goal: Counted<&'a str>,
     /// Sensing output text.
     pub percept_text: &'a str,
     /// Retrieved memory text.
-    pub memory_text: &'a str,
+    pub memory: Counted<&'a str>,
     /// Concatenated dialogue history (multi-agent systems).
-    pub dialogue_text: &'a str,
+    pub dialogue: Counted<&'a str>,
     /// Ground-truth useful subgoals, already knowledge-filtered.
     pub oracle: Vec<Subgoal>,
     /// Full candidate menu, already knowledge-filtered.
@@ -89,18 +88,20 @@ impl PlanningModule {
     /// Builds the planning prompt for a context.
     pub fn build_prompt(ctx: &PlanContext<'_>) -> String {
         let mut out = String::new();
-        Self::write_prompt(ctx, &mut out);
+        Self::writer(ctx, &mut out);
         out
     }
 
-    /// Renders the planning prompt into a reusable buffer.
-    fn write_prompt(ctx: &PlanContext<'_>, out: &mut String) {
-        PromptWriter::new(out, ctx.preamble)
-            .push("task goal", ctx.goal)
+    /// Renders the planning prompt into a reusable buffer; the writer
+    /// holds its token count.
+    fn writer<'b>(ctx: &PlanContext<'_>, out: &'b mut String) -> PromptWriter<'b> {
+        let mut w = PromptWriter::new(out, ctx.preamble);
+        w.push_counted("task goal", ctx.goal)
             .push("current observation", ctx.percept_text)
-            .push("memory", ctx.memory_text)
-            .push("dialogue", ctx.dialogue_text)
+            .push_counted("memory", ctx.memory)
+            .push_counted("dialogue", ctx.dialogue)
             .push_candidates(&ctx.candidates);
+        w
     }
 
     /// Makes one planning decision.
@@ -109,10 +110,11 @@ impl PlanningModule {
     ///
     /// Propagates [`LlmError`] from the engine (empty prompt).
     pub fn plan(&mut self, ctx: &PlanContext<'_>) -> Result<PlanDecision, LlmError> {
-        Self::write_prompt(ctx, &mut self.prompt_buf);
+        let tokens = Self::writer(ctx, &mut self.prompt_buf).tokens();
         let expected_output = if ctx.opts.multiple_choice { 8 } else { 190 };
         let response = self.engine.infer(
             LlmRequest::new(Purpose::Planning, self.prompt_buf.as_str(), expected_output)
+                .with_prompt_tokens(tokens)
                 .with_difficulty(ctx.difficulty)
                 .with_opts(ctx.opts),
         )?;
@@ -156,14 +158,15 @@ impl PlanningModule {
         ctx: &PlanContext<'_>,
         decision: PlanDecision,
     ) -> Result<PlanDecision, LlmError> {
-        Self::write_prompt(ctx, &mut self.prompt_buf);
-        let _ = write!(
-            self.prompt_buf,
-            "\n[proposed plan]\n{}\nConfirm or pick the best action.",
-            decision.subgoal
-        );
+        let tokens = Self::writer(ctx, &mut self.prompt_buf)
+            .append(format_args!(
+                "\n[proposed plan]\n{}\nConfirm or pick the best action.",
+                decision.subgoal
+            ))
+            .tokens();
         let response = self.engine.infer(
             LlmRequest::new(Purpose::ActionSelection, self.prompt_buf.as_str(), 24)
+                .with_prompt_tokens(tokens)
                 .with_difficulty(ctx.difficulty)
                 .with_opts(ctx.opts),
         )?;
@@ -219,11 +222,11 @@ mod tests {
 
     fn ctx<'a>(oracle: &'a [Subgoal], candidates: &'a [Subgoal]) -> PlanContext<'a> {
         PlanContext {
-            preamble: "you are a planner",
-            goal: "deliver all objects",
+            preamble: Counted::new("you are a planner"),
+            goal: Counted::new("deliver all objects"),
             percept_text: "you see object_1",
-            memory_text: "",
-            dialogue_text: "",
+            memory: Counted::new(""),
+            dialogue: Counted::new(""),
             oracle: oracle.to_vec(),
             candidates: candidates.to_vec(),
             difficulty: 0.3,
@@ -358,8 +361,8 @@ mod tests {
         let oracle = [goto()];
         let candidates = [goto()];
         let mut c = ctx(&oracle, &candidates);
-        c.memory_text = "step 3: saw object_1";
-        c.dialogue_text = "agent 1: I am exploring room_2";
+        c.memory = Counted::new("step 3: saw object_1");
+        c.dialogue = Counted::new("agent 1: I am exploring room_2");
         let prompt = PlanningModule::build_prompt(&c);
         for needle in [
             "[system]",

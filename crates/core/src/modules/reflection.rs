@@ -2,7 +2,7 @@
 //! catches an error, cleans up the agent's beliefs so planning does not
 //! loop on invalid operations (paper §II-A, Fig. 3).
 
-use crate::prompt::PromptWriter;
+use crate::prompt::{Counted, PromptWriter};
 use embodied_env::{ExecOutcome, Subgoal};
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 
@@ -97,22 +97,24 @@ impl ReflectionModule {
     /// Propagates [`LlmError`] from the engine.
     pub fn reflect(
         &mut self,
-        preamble: &str,
+        preamble: Counted<&str>,
         subgoal: &Subgoal,
         outcome: &ExecOutcome,
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<ReflectionVerdict, LlmError> {
-        let mut w = PromptWriter::new(&mut self.prompt_buf, preamble);
-        w.push_display("attempted action", subgoal)
+        let tokens = PromptWriter::new(&mut self.prompt_buf, preamble)
+            .push_display("attempted action", subgoal)
             .push("observed result", &outcome.note)
             .push(
                 "instruction",
                 "Did the action achieve its intent? If not, diagnose the \
                  error and state what belief must be corrected.",
-            );
+            )
+            .tokens();
         let response = self.engine.infer(
             LlmRequest::new(Purpose::Reflection, self.prompt_buf.as_str(), 70)
+                .with_prompt_tokens(tokens)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         )?;
@@ -150,19 +152,23 @@ impl ReflectionModule {
     /// Propagates [`LlmError`] from the engine.
     pub fn verify_plan(
         &mut self,
-        preamble: &str,
+        preamble: Counted<&str>,
         subgoal: &Subgoal,
         plan_is_wrong: bool,
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<(bool, LlmResponse), LlmError> {
-        let mut w = PromptWriter::new(&mut self.prompt_buf, preamble);
-        w.push_display("proposed plan", subgoal).push(
-            "instruction",
-            "Verify the proposed plan against the current world state and              task goal. Answer whether it should be executed or revised.",
-        );
+        let tokens = PromptWriter::new(&mut self.prompt_buf, preamble)
+            .push_display("proposed plan", subgoal)
+            .push(
+                "instruction",
+                "Verify the proposed plan against the current world state and \
+                 task goal. Answer whether it should be executed or revised.",
+            )
+            .tokens();
         let response = self.engine.infer(
             LlmRequest::new(Purpose::Reflection, self.prompt_buf.as_str(), 18)
+                .with_prompt_tokens(tokens)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         )?;
@@ -175,6 +181,21 @@ impl ReflectionModule {
 mod tests {
     use super::*;
     use embodied_llm::{LlmEngine, ModelProfile};
+
+    #[test]
+    fn verify_prompt_has_no_stray_spaces() {
+        let mut r = ReflectionModule::new(LlmEngine::new(ModelProfile::gpt4_api(), 1));
+        r.verify_plan(
+            Counted::new("you are a reflector"),
+            &Subgoal::Explore,
+            false,
+            0.4,
+            InferenceOpts::default(),
+        )
+        .unwrap();
+        assert!(r.prompt_buf.contains("world state and task goal."));
+        assert!(!r.prompt_buf.contains("  "));
+    }
 
     fn failed_outcome() -> ExecOutcome {
         ExecOutcome::failure("object_1 is not available")
@@ -189,7 +210,7 @@ mod tests {
         let caught = (0..100)
             .filter(|_| {
                 r.reflect(
-                    "you are a reflector",
+                    Counted::new("you are a reflector"),
                     &sg,
                     &failed_outcome(),
                     0.4,
@@ -212,7 +233,7 @@ mod tests {
         loop {
             let v = r
                 .reflect(
-                    "you are a reflector",
+                    Counted::new("you are a reflector"),
                     &sg,
                     &failed_outcome(),
                     0.3,
@@ -235,7 +256,7 @@ mod tests {
         for _ in 0..200 {
             let v = r
                 .reflect(
-                    "you are a reflector",
+                    Counted::new("you are a reflector"),
                     &sg,
                     &failed_outcome(),
                     0.9,
@@ -258,7 +279,7 @@ mod tests {
         let mut r = ReflectionModule::new(LlmEngine::new(ModelProfile::gpt4_api(), 4));
         let v = r
             .reflect(
-                "you are a reflector",
+                Counted::new("you are a reflector"),
                 &Subgoal::Explore,
                 &failed_outcome(),
                 0.4,

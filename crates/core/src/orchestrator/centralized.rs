@@ -8,7 +8,7 @@
 
 use crate::guardrail;
 use crate::modules::{Percept, RecordKind};
-use crate::prompt::PromptBuilder;
+use crate::prompt::{write_joint_plan_prompt, Counted};
 use crate::system::EmbodiedSystem;
 use embodied_env::Subgoal;
 use embodied_llm::{InferenceOpts, LlmRequest, Purpose, SemanticFlaw};
@@ -112,7 +112,7 @@ pub(crate) fn plan_assignments(
     feedback_informed: bool,
 ) -> Vec<Subgoal> {
     let n = sys.agents.len();
-    let goal = sys.env.goal_text();
+    let goal = Counted::new(sys.env.goal_text());
     let base_difficulty = sys.env.difficulty().scalar();
     let joint_difficulty =
         (base_difficulty + JOINT_DIFFICULTY_PER_AGENT * (n as f64 - 1.0)).min(0.98);
@@ -176,23 +176,19 @@ pub(crate) fn plan_assignments(
         .record(ModuleKind::Memory, Phase::Retrieval, 0, retrieval.latency);
 
     // One joint prompt covering every agent: linear token growth with n.
-    let mut b = PromptBuilder::new(&central.preamble);
-    b.push("task goal", &goal)
-        .push("memory", &central.memory_buf);
-    for (i, p) in percepts.iter().enumerate() {
-        b.push(&format!("agent {i} observation"), &p.text);
-        b.push_candidates(&menus[i]);
-    }
-    b.push(
-        "instruction",
-        "Assign the best next action to every agent, resolving conflicts \
-         and interdependencies between their actions.",
+    let tokens = write_joint_plan_prompt(
+        &mut central.prompt_buf,
+        central.preamble.as_deref(),
+        goal.as_deref(),
+        Counted::with_tokens(&central.memory_buf, retrieval.tokens),
+        percepts,
+        &menus,
     );
     let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, sys.agents.len());
     let central_tenant = central.planning.engine().tenant();
-    let prompt = b.build();
     let result = central.planning.engine_mut().infer(
-        LlmRequest::new(Purpose::Planning, &prompt, 60 + 45 * n as u64)
+        LlmRequest::new(Purpose::Planning, &central.prompt_buf, 60 + 45 * n as u64)
+            .with_prompt_tokens(tokens)
             .with_difficulty(joint_difficulty)
             .with_opts(opts),
     );
@@ -284,7 +280,7 @@ fn guard_assignments(
         }
         return;
     }
-    let goal = sys.env.goal_text();
+    let goal = Counted::new(sys.env.goal_text());
     for (i, assigned) in assignments.iter_mut().enumerate() {
         if !sys.agent_faults.is_active(i) {
             continue;
@@ -300,8 +296,8 @@ fn guard_assignments(
             assigned,
             flaw_i,
             &aff,
-            &central.preamble,
-            &goal,
+            central.preamble.as_deref(),
+            goal.as_deref(),
             difficulty,
             opts,
             &mut stats,
@@ -352,7 +348,7 @@ fn guard_assignments(
 /// Per-agent feedback extraction (COHERENT's adjustment loop): one
 /// communication-engine call per agent to parse its proposal feedback.
 pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]) {
-    let goal = sys.env.goal_text();
+    let goal = Counted::new(sys.env.goal_text());
     let difficulty = sys.env.difficulty().scalar();
     let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, sys.agents.len());
     // The per-agent extraction calls are an independent fan-out over one
@@ -365,13 +361,13 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
             .as_ref()
             .is_some_and(|c| c.communication.is_some());
     if windowed {
-        let prefix = sys
+        let prefix_tokens = sys
             .central
             .as_ref()
             .expect("checked above")
             .preamble
-            .clone();
-        sys.open_serving_window(opts, &prefix);
+            .tokens();
+        sys.open_serving_window(opts, prefix_tokens);
     }
     for (i, sg) in assignments.iter().enumerate() {
         // An unresponsive agent has no feedback to extract.
@@ -384,14 +380,13 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
         let Some(comm) = central.communication.as_mut() else {
             return;
         };
-        let preamble = central.preamble.clone();
         let comm_tenant = comm.engine().tenant();
         let result = comm.generate(
             i,
-            &preamble,
-            &goal,
+            central.preamble.as_deref(),
+            goal.as_deref(),
             &format!("extract agent {i}'s feedback on the proposal: {sg}"),
-            "",
+            Counted::default(),
             &[],
             difficulty,
             opts,
@@ -443,7 +438,7 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
 /// call; each instruction counts as a generated message, useful when it
 /// assigns productive (oracle-consistent) work.
 pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Subgoal]) {
-    let goal = sys.env.goal_text();
+    let goal = Counted::new(sys.env.goal_text());
     let difficulty = sys.env.difficulty().scalar();
     let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, sys.agents.len());
     let Some(central) = sys.central.as_mut() else {
@@ -458,13 +453,12 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
         .enumerate()
         .map(|(i, sg)| format!("agent {i}: {sg}"))
         .collect();
-    let preamble = central.preamble.clone();
     let result = comm.generate(
         usize::MAX, // the center itself
-        &preamble,
-        &goal,
+        central.preamble.as_deref(),
+        goal.as_deref(),
         &format!("instructions: {}", instruction_text.join("; ")),
-        "",
+        Counted::default(),
         &[],
         difficulty,
         opts,
@@ -506,7 +500,9 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
         if !sg.is_idle() {
             sys.messages.useful += 1;
         }
-        sys.agents[i].inbox.push(format!("center: your task: {sg}"));
+        sys.agents[i]
+            .inbox
+            .push(Counted::new(format!("center: your task: {sg}")));
         sys.agents[i].memory.store(
             RecordKind::Dialogue,
             format!("center assigned: {sg}"),

@@ -7,6 +7,7 @@
 //! and the "only ~20% of messages are useful" observation.
 
 use crate::modules::CommunicationModule;
+use crate::prompt::Counted;
 use crate::system::EmbodiedSystem;
 use embodied_env::Subgoal;
 use embodied_profiler::{ModuleKind, Phase};
@@ -39,7 +40,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
     let cluster = sys.agents[0].config.opts.cluster_size;
     let batching = sys.agents[0].config.opts.batching;
     // Invariant across the whole step: hoisted out of the per-agent loops.
-    let goal = sys.env.goal_text();
+    let goal = Counted::new(sys.env.goal_text());
     let difficulty = sys.env.difficulty().scalar();
     let mut recipients: Vec<usize> = Vec::with_capacity(n);
     for _round in 0..dialogue_rounds(n) {
@@ -65,15 +66,15 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
                 continue; // Rec. 8: the plan does not need a message
             }
             let opts = EmbodiedSystem::infer_opts_for(&agent.config, n);
-            agent.render_dialogue();
+            let dialogue_tokens = agent.render_dialogue();
             let comm = agent.communication.as_mut().expect("checked above");
             let comm_tenant = comm.engine().tenant();
             let result = comm.generate(
                 i,
-                &agent.preamble,
-                &goal,
+                agent.preamble.as_deref(),
+                goal.as_deref(),
                 &percepts[i].text,
-                &agent.dialogue_buf,
+                Counted::with_tokens(&agent.dialogue_buf, dialogue_tokens),
                 &delta,
                 difficulty,
                 opts,
@@ -118,7 +119,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             } else {
                 recipients.extend(0..n);
             }
-            sys.deliver_message_to(i, &msg.text, &msg.entities, &recipients);
+            sys.deliver_message_to(i, msg.text.as_deref(), &msg.entities, &recipients);
         }
         if batching {
             sys.trace
@@ -134,8 +135,8 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
     // Crashed and stalled agents lose the step either way.
     if sys.serving_batching() && n > 1 {
         let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, n);
-        let prefix = sys.agents[0].preamble.clone();
-        sys.open_serving_window(opts, &prefix);
+        let prefix_tokens = sys.agents[0].preamble.tokens();
+        sys.open_serving_window(opts, prefix_tokens);
         let mut plans: Vec<Option<Subgoal>> = vec![None; n];
         for i in 0..n {
             if !sys.agent_faults.is_active(i) {
@@ -143,9 +144,10 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             }
             // Lend the agent's reusable dialogue buffer across the planning
             // call (which needs `&mut sys`), then hand it back.
-            sys.agents[i].render_dialogue();
+            let tokens = sys.agents[i].render_dialogue();
             let dialogue = std::mem::take(&mut sys.agents[i].dialogue_buf);
-            let (subgoal, _) = sys.plan_phase(i, &percepts[i], &dialogue);
+            let (subgoal, _) =
+                sys.plan_phase(i, &percepts[i], Counted::with_tokens(&dialogue, tokens));
             sys.agents[i].dialogue_buf = dialogue;
             plans[i] = Some(subgoal);
         }
@@ -160,9 +162,10 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             if !sys.agent_faults.is_active(i) {
                 continue;
             }
-            sys.agents[i].render_dialogue();
+            let tokens = sys.agents[i].render_dialogue();
             let dialogue = std::mem::take(&mut sys.agents[i].dialogue_buf);
-            let (subgoal, _) = sys.plan_phase(i, &percepts[i], &dialogue);
+            let (subgoal, _) =
+                sys.plan_phase(i, &percepts[i], Counted::with_tokens(&dialogue, tokens));
             sys.agents[i].dialogue_buf = dialogue;
             sys.execute_with_reflection(i, &subgoal);
         }

@@ -4,6 +4,7 @@
 
 use super::centralized;
 use crate::modules::RecordKind;
+use crate::prompt::Counted;
 use crate::system::EmbodiedSystem;
 use embodied_profiler::ModuleKind;
 
@@ -30,10 +31,10 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
     let windowed = sys.serving_batching() && n > 1;
     if windowed {
         let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, n);
-        let prefix = sys.agents[0].preamble.clone();
-        sys.open_serving_window(opts, &prefix);
+        let prefix_tokens = sys.agents[0].preamble.tokens();
+        sys.open_serving_window(opts, prefix_tokens);
     }
-    let goal = sys.env.goal_text();
+    let goal = Counted::new(sys.env.goal_text());
     let difficulty = sys.env.difficulty().scalar();
     for i in 0..n {
         if sys.agents[i].communication.is_none() || !sys.agent_faults.is_active(i) {
@@ -47,10 +48,10 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
         let comm = agent.communication.as_mut().expect("checked above");
         let result = comm.generate(
             i,
-            &agent.preamble,
-            &goal,
+            agent.preamble.as_deref(),
+            goal.as_deref(),
             &status,
-            "",
+            Counted::default(),
             &delta,
             difficulty,
             opts,
@@ -96,7 +97,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
         }
         central
             .memory
-            .store(RecordKind::Dialogue, msg.text, msg.entities);
+            .store_counted(RecordKind::Dialogue, msg.text, msg.entities);
     }
 
     if windowed {

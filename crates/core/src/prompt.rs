@@ -5,29 +5,156 @@
 //! counts therefore grow exactly the way the paper's Fig. 6 describes —
 //! retrieved context and concatenated multi-agent dialogue inflate the
 //! prompt step after step.
+//!
+//! Text that never changes once made (preambles, memory lines, messages)
+//! carries its token count from where it was made as a [`Counted`], and
+//! [`PromptWriter`] adds those counts up instead of re-scanning the bytes.
+//! The token rule is additive across whitespace, and the writer ends every
+//! section with a newline, so the sum is exactly the count of the text.
 
+use crate::modules::Percept;
 use embodied_env::Subgoal;
-use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
+use embodied_llm::Tokenizer;
+use std::fmt::{self, Display, Write as _};
 
-/// Builder for one module's prompt at one step.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PromptBuilder {
-    sections: Vec<(String, String)>,
+/// Tokens in `text` under the tokenizer every simulated model uses.
+pub fn count_tokens(text: &str) -> u64 {
+    Tokenizer::default().count(text)
 }
 
-impl PromptBuilder {
-    /// Starts a prompt with the workload's system preamble.
-    pub fn new(preamble: &str) -> Self {
-        let mut b = PromptBuilder::default();
-        b.push("system", preamble);
-        b
+/// Prompt text paired with its token count, taken once where the text is
+/// made. `Counted<String>` owns text that never changes (a preamble, a
+/// goal, a message); `Counted<&str>` lends it to prompt assembly.
+///
+/// ```
+/// use embodied_agents::prompt::Counted;
+///
+/// let goal = Counted::new(String::from("deliver the apple"));
+/// assert_eq!(goal.tokens(), 3);
+/// assert_eq!(goal.as_deref().text(), "deliver the apple");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Counted<T> {
+    text: T,
+    tokens: u64,
+}
+
+impl<T: AsRef<str>> Counted<T> {
+    /// Counts `text`.
+    pub fn new(text: T) -> Self {
+        let tokens = count_tokens(text.as_ref());
+        Counted { text, tokens }
     }
 
-    /// Appends a named section (skipped when `body` is empty).
-    pub fn push(&mut self, title: &str, body: &str) -> &mut Self {
-        if !body.trim().is_empty() {
-            self.sections.push((title.to_owned(), body.to_owned()));
+    /// Pairs `text` with a count taken where it was made. Debug builds
+    /// recount it and panic on a mismatch.
+    pub fn with_tokens(text: T, tokens: u64) -> Self {
+        debug_assert_eq!(
+            tokens,
+            count_tokens(text.as_ref()),
+            "count of {:?}",
+            text.as_ref()
+        );
+        Counted { text, tokens }
+    }
+
+    /// The text.
+    pub fn text(&self) -> &str {
+        self.text.as_ref()
+    }
+
+    /// Tokens in the text.
+    pub fn tokens(&self) -> u64 {
+        self.tokens
+    }
+
+    /// Borrows the text with its count.
+    pub fn as_deref(&self) -> Counted<&str> {
+        Counted {
+            text: self.text.as_ref(),
+            tokens: self.tokens,
+        }
+    }
+
+    /// The text, giving up its count.
+    pub fn into_text(self) -> T {
+        self.text
+    }
+}
+
+/// Renders a prompt's sections straight into a caller-owned `String` and
+/// keeps a running token count of what it wrote. Each section is
+/// `[title]\n{body}\n`, skipped when the body is empty or whitespace. The
+/// writer scans only its own headers, bodies that arrive without a count,
+/// and text it renders itself; a [`Counted`] body adds its count unread.
+/// The per-step hot path reuses one buffer across an entire episode, so
+/// assembly performs no allocations once the buffer has grown.
+///
+/// ```
+/// use embodied_agents::prompt::{count_tokens, Counted, PromptWriter};
+///
+/// let mut buf = String::new();
+/// let tokens = PromptWriter::new(&mut buf, Counted::new("be helpful"))
+///     .push("goal", "deliver things")
+///     .push("empty", "  ")
+///     .tokens();
+/// assert_eq!(buf, "[system]\nbe helpful\n[goal]\ndeliver things\n");
+/// assert_eq!(tokens, count_tokens(&buf));
+/// ```
+pub struct PromptWriter<'a> {
+    out: &'a mut String,
+    tokens: u64,
+}
+
+impl<'a> PromptWriter<'a> {
+    /// Clears `out` and starts a prompt with the workload's system preamble.
+    pub fn new(out: &'a mut String, preamble: Counted<&str>) -> Self {
+        out.clear();
+        let mut w = PromptWriter { out, tokens: 0 };
+        w.push_counted("system", preamble);
+        w
+    }
+
+    /// Tokens in everything written so far: exactly
+    /// [`Tokenizer::count`] of the text.
+    pub fn tokens(&self) -> u64 {
+        self.tokens
+    }
+
+    /// Appends a named section, counting `body` here.
+    pub fn push(&mut self, title: impl Display, body: &str) -> &mut Self {
+        self.push_counted(title, Counted::new(body))
+    }
+
+    /// Appends a named section whose body was counted where it was made.
+    pub fn push_counted(&mut self, title: impl Display, body: Counted<&str>) -> &mut Self {
+        // Every char that is not whitespace costs at least one token, so a
+        // zero count is exactly a body that `trim` leaves empty.
+        if body.tokens() > 0 {
+            self.header(title);
+            self.out.push_str(body.text());
+            self.out.push('\n');
+            self.tokens += body.tokens();
+        }
+        self
+    }
+
+    /// Appends a named section whose body is rendered through [`Display`]
+    /// straight into the buffer — no intermediate `to_string`. Produces the
+    /// same bytes as `push(title, &body.to_string())`, including skipping
+    /// the section when the rendered body is empty or whitespace.
+    pub fn push_display(&mut self, title: impl Display, body: &impl Display) -> &mut Self {
+        let (start, tokens) = (self.out.len(), self.tokens);
+        self.header(title);
+        let body_start = self.out.len();
+        let _ = write!(self.out, "{body}");
+        let body_tokens = count_tokens(&self.out[body_start..]);
+        if body_tokens == 0 {
+            self.out.truncate(start);
+            self.tokens = tokens;
+        } else {
+            self.out.push('\n');
+            self.tokens += body_tokens;
         }
         self
     }
@@ -38,96 +165,59 @@ impl PromptBuilder {
         if candidates.is_empty() {
             return self;
         }
-        let mut body = String::new();
-        for (i, sg) in candidates.iter().enumerate() {
-            let _ = writeln!(body, "({i}) {sg}");
-        }
-        self.push("available actions", &body)
-    }
-
-    /// Renders the final prompt text.
-    pub fn build(&self) -> String {
-        let mut out = String::new();
-        self.build_into(&mut out);
-        out
-    }
-
-    /// Renders the prompt into `out`, clearing it first. Callers on the
-    /// per-step hot path hold one buffer across steps so the prompt's
-    /// capacity is allocated once per episode instead of once per call.
-    pub fn build_into(&self, out: &mut String) {
-        out.clear();
-        let needed: usize = self
-            .sections
-            .iter()
-            .map(|(title, body)| title.len() + body.len() + 4)
-            .sum();
-        out.reserve(needed);
-        for (title, body) in &self.sections {
-            let _ = write!(out, "[{title}]\n{body}\n");
-        }
-    }
-}
-
-/// Zero-copy sibling of [`PromptBuilder`]: renders sections straight into a
-/// caller-owned `String` instead of collecting owned `(title, body)` pairs
-/// first. Produces byte-identical text to building a [`PromptBuilder`] with
-/// the same pushes and calling [`PromptBuilder::build`], but performs no
-/// per-section allocations — the per-step hot path reuses one buffer across
-/// an entire episode.
-pub struct PromptWriter<'a> {
-    out: &'a mut String,
-}
-
-impl<'a> PromptWriter<'a> {
-    /// Clears `out` and starts a prompt with the workload's system preamble.
-    pub fn new(out: &'a mut String, preamble: &str) -> Self {
-        out.clear();
-        let mut w = PromptWriter { out };
-        w.push("system", preamble);
-        w
-    }
-
-    /// Appends a named section (skipped when `body` is empty).
-    pub fn push(&mut self, title: &str, body: &str) -> &mut Self {
-        if !body.trim().is_empty() {
-            let _ = write!(self.out, "[{title}]\n{body}\n");
-        }
-        self
-    }
-
-    /// Appends a named section whose body is rendered through [`fmt::Display`]
-    /// straight into the buffer — no intermediate `to_string`. Produces the
-    /// same bytes as `push(title, &body.to_string())`, including skipping
-    /// the section when the rendered body is empty or whitespace.
-    ///
-    /// [`fmt::Display`]: std::fmt::Display
-    pub fn push_display(&mut self, title: &str, body: &impl std::fmt::Display) -> &mut Self {
         let start = self.out.len();
-        let _ = writeln!(self.out, "[{title}]");
-        let body_start = self.out.len();
-        let _ = write!(self.out, "{body}");
-        if self.out[body_start..].trim().is_empty() {
-            self.out.truncate(start);
-        } else {
-            self.out.push('\n');
-        }
-        self
-    }
-
-    /// Appends the candidate-subgoal menu, numbered like
-    /// [`PromptBuilder::push_candidates`].
-    pub fn push_candidates(&mut self, candidates: &[Subgoal]) -> &mut Self {
-        if candidates.is_empty() {
-            return self;
-        }
         self.out.push_str("[available actions]\n");
         for (i, sg) in candidates.iter().enumerate() {
             let _ = writeln!(self.out, "({i}) {sg}");
         }
         self.out.push('\n');
+        self.tokens += count_tokens(&self.out[start..]);
         self
     }
+
+    /// Appends free text after the last section and counts it. Sections
+    /// end in a newline, so the text starts at a token seam.
+    pub fn append(&mut self, text: fmt::Arguments<'_>) -> &mut Self {
+        debug_assert!(self.out.is_empty() || self.out.ends_with('\n'));
+        let start = self.out.len();
+        let _ = self.out.write_fmt(text);
+        self.tokens += count_tokens(&self.out[start..]);
+        self
+    }
+
+    /// Writes `[title]` and its newline, counting the title.
+    fn header(&mut self, title: impl Display) {
+        let start = self.out.len();
+        let _ = write!(self.out, "[{title}]");
+        self.tokens += count_tokens(&self.out[start..]);
+        self.out.push('\n');
+    }
+}
+
+/// Writes the centralized planner's joint prompt into `out` — one prompt
+/// covering every agent, so tokens grow linearly with the team — and
+/// returns its token count.
+pub fn write_joint_plan_prompt(
+    out: &mut String,
+    preamble: Counted<&str>,
+    goal: Counted<&str>,
+    memory: Counted<&str>,
+    percepts: &[Percept],
+    menus: &[Vec<Subgoal>],
+) -> u64 {
+    let mut w = PromptWriter::new(out, preamble);
+    w.push_counted("task goal", goal)
+        .push_counted("memory", memory);
+    for (i, (p, menu)) in percepts.iter().zip(menus).enumerate() {
+        w.push(format_args!("agent {i} observation"), &p.text)
+            .push_candidates(menu);
+    }
+    w.push(
+        "instruction",
+        "Assign the best next action to every agent, resolving conflicts \
+         and interdependencies between their actions.",
+    );
+    w.tokens()
 }
 
 /// Workload-specific flavor appended to the system preamble: each suite
@@ -207,80 +297,90 @@ pub fn summarize_history(lines: &[String], keep_last: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use embodied_llm::Tokenizer;
 
-    #[test]
-    fn sections_render_in_order() {
-        let mut b = PromptBuilder::new("be helpful");
-        b.push("goal", "deliver things")
-            .push("memory", "saw an apple");
-        let text = b.build();
-        let goal_at = text.find("[goal]").unwrap();
-        let mem_at = text.find("[memory]").unwrap();
-        assert!(goal_at < mem_at);
-        assert!(text.starts_with("[system]"));
+    fn write(out: &mut String, candidates: &[Subgoal]) -> u64 {
+        PromptWriter::new(out, Counted::new("be helpful"))
+            .push("goal", "deliver things")
+            .push("empty", " \u{3000}\n")
+            .push_counted("memory", Counted::new("saw an apple"))
+            .push_display("proposed plan", &Subgoal::Explore)
+            .push_display("blank", &"  ")
+            .push_candidates(candidates)
+            .tokens()
     }
 
     #[test]
-    fn build_into_reuses_buffer_and_matches_build() {
-        let mut b = PromptBuilder::new("be helpful");
-        b.push("goal", "deliver things");
-        let mut buf = String::from("stale content from the previous step");
-        b.build_into(&mut buf);
-        assert_eq!(buf, b.build());
-        // A second render into the same buffer is identical too.
-        let before_ptr = buf.as_ptr();
-        b.build_into(&mut buf);
-        assert_eq!(buf, b.build());
-        assert_eq!(before_ptr, buf.as_ptr(), "capacity should be reused");
-    }
-
-    #[test]
-    fn empty_sections_skipped() {
-        let mut b = PromptBuilder::new("x");
-        b.push("empty", " ");
-        assert!(!b.build().contains("[empty]"));
-    }
-
-    #[test]
-    fn writer_matches_builder_byte_for_byte() {
+    fn sections_render_in_order_and_skip_blank_bodies() {
         let candidates = [
             Subgoal::Explore,
             Subgoal::Pick {
                 object: "apple_1".into(),
             },
         ];
-        let mut b = PromptBuilder::new("be helpful");
-        b.push("goal", "deliver things")
-            .push("empty", "  ")
-            .push("memory", "saw an apple")
-            .push_candidates(&candidates);
-        let mut buf = String::from("stale");
-        PromptWriter::new(&mut buf, "be helpful")
-            .push("goal", "deliver things")
-            .push("empty", "  ")
-            .push("memory", "saw an apple")
-            .push_candidates(&candidates);
-        assert_eq!(buf, b.build());
-        // Empty candidate menus are skipped by both paths.
-        let mut b = PromptBuilder::new("x");
-        b.push_candidates(&[]);
-        PromptWriter::new(&mut buf, "x").push_candidates(&[]);
-        assert_eq!(buf, b.build());
+        let mut buf = String::from("stale content from the previous step");
+        let tokens = write(&mut buf, &candidates);
+        assert_eq!(
+            buf,
+            "[system]\nbe helpful\n[goal]\ndeliver things\n[memory]\nsaw an apple\n\
+             [proposed plan]\nexplore the environment\n[available actions]\n\
+             (0) explore the environment\n(1) pick up apple_1\n\n"
+        );
+        assert_eq!(tokens, count_tokens(&buf));
+        // Empty candidate menus are skipped.
+        assert_eq!(write(&mut buf, &[]), count_tokens(&buf));
+        assert!(!buf.contains("[available actions]"));
     }
 
     #[test]
-    fn candidates_are_numbered() {
-        let mut b = PromptBuilder::new("x");
-        b.push_candidates(&[
-            Subgoal::Explore,
-            Subgoal::Pick {
-                object: "apple_1".into(),
-            },
-        ]);
-        let text = b.build();
-        assert!(text.contains("(0) explore"));
-        assert!(text.contains("(1) pick up apple_1"));
+    fn writer_reuses_the_buffer() {
+        let mut buf = String::new();
+        write(&mut buf, &[Subgoal::Explore]);
+        let before_ptr = buf.as_ptr();
+        write(&mut buf, &[Subgoal::Explore]);
+        assert_eq!(before_ptr, buf.as_ptr(), "capacity should be reused");
+    }
+
+    #[test]
+    fn appended_text_is_counted() {
+        let mut buf = String::new();
+        let tokens = PromptWriter::new(&mut buf, Counted::new("x"))
+            .append(format_args!(
+                "\n[proposed plan]\n{}\nConfirm.",
+                Subgoal::Explore
+            ))
+            .tokens();
+        assert!(buf.ends_with("x\n\n[proposed plan]\nexplore the environment\nConfirm."));
+        assert_eq!(tokens, count_tokens(&buf));
+    }
+
+    #[test]
+    fn joint_prompt_count_matches_its_text() {
+        let percepts: Vec<Percept> = (0..3)
+            .map(|i| Percept {
+                entities: Vec::new(),
+                text: format!("agent {i} sees crate_{i} in zone Б"),
+                location: String::new(),
+            })
+            .collect();
+        let menus = vec![vec![Subgoal::Explore]; 3];
+        let mut buf = String::new();
+        let tokens = write_joint_plan_prompt(
+            &mut buf,
+            Counted::new("plan jointly"),
+            Counted::new("relay the crates"),
+            Counted::new("step 2: agent 0: moved"),
+            &percepts,
+            &menus,
+        );
+        assert!(buf.contains("[agent 2 observation]\nagent 2 sees crate_2"));
+        assert_eq!(tokens, count_tokens(&buf));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "count of")]
+    fn a_wrong_supplied_count_panics_in_debug_builds() {
+        let _ = Counted::with_tokens("two words", 3);
     }
 
     #[test]

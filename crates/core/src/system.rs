@@ -9,7 +9,7 @@ use crate::modules::{
     CommunicationModule, MemoryModule, Percept, PlanContext, PlanningModule, RecordKind,
 };
 use crate::orchestrator::{self, Paradigm};
-use crate::prompt::system_preamble;
+use crate::prompt::{count_tokens, system_preamble, Counted};
 use crate::recovery::RecoveryPolicy;
 use embodied_env::{Environment, ExecOutcome, Subgoal};
 use embodied_llm::{
@@ -55,10 +55,12 @@ pub(crate) struct CentralPlanner {
     pub planning: PlanningModule,
     pub communication: Option<CommunicationModule>,
     pub memory: MemoryModule,
-    pub preamble: String,
+    pub preamble: Counted<String>,
     /// Reusable render buffer for the central memory section (same role as
     /// [`ModularAgent::memory_buf`]).
     pub memory_buf: String,
+    /// Reusable render buffer for the joint planning prompt.
+    pub prompt_buf: String,
 }
 
 /// One windowed LLM call awaiting its amortized latency share when the
@@ -213,8 +215,9 @@ impl EmbodiedSystem {
                     config.opts.summarization,
                     landmarks,
                 ),
-                preamble: system_preamble(&workload, "central planning"),
+                preamble: Counted::new(system_preamble(&workload, "central planning")),
                 memory_buf: String::new(),
+                prompt_buf: String::new(),
             }),
             _ => None,
         };
@@ -390,9 +393,9 @@ impl EmbodiedSystem {
     }
 
     /// Opens a batch window over a same-phase fan-out whose prompts all
-    /// start with `shared_prefix` (the workload's system preamble).
-    pub(crate) fn open_serving_window(&mut self, opts: InferenceOpts, shared_prefix: &str) {
-        self.service.open_window(opts, shared_prefix);
+    /// start with the workload's system preamble, `prefix_tokens` long.
+    pub(crate) fn open_serving_window(&mut self, opts: InferenceOpts, prefix_tokens: u64) {
+        self.service.open_window(opts, prefix_tokens);
     }
 
     /// Closes the current window: every deferred call receives its
@@ -621,7 +624,7 @@ impl EmbodiedSystem {
             "{}\n[failover] agent {promoted} is assuming the coordinator role. \
              Re-synchronize: re-ingest the status of all {n} agents and the \
              task goal ({goal}), then resume joint planning.",
-            central.preamble
+            central.preamble.text()
         );
         let result = central.planning.engine_mut().infer(
             LlmRequest::new(Purpose::Planning, &prompt, 40 + 10 * n as u64)
@@ -682,9 +685,11 @@ impl EmbodiedSystem {
             }
             let agent = &mut self.agents[msg.to];
             for _ in 0..msg.copies {
-                agent
-                    .memory
-                    .store(RecordKind::Dialogue, msg.text.clone(), msg.entities.clone());
+                agent.memory.store_counted(
+                    RecordKind::Dialogue,
+                    msg.text.clone(),
+                    msg.entities.clone(),
+                );
                 agent.inbox.push(msg.text.clone());
             }
         }
@@ -790,7 +795,7 @@ impl EmbodiedSystem {
              Diagnose the failure against the task goal ({goal}) and produce \
              a fresh plan that routes around the broken actuator or \
              misperceived object.",
-            agent.preamble
+            agent.preamble.text()
         );
         let result = agent.planning.engine_mut().infer(
             LlmRequest::new(Purpose::Planning, &prompt, 40)
@@ -923,7 +928,13 @@ impl EmbodiedSystem {
         let opts = Self::infer_opts_for(&agent.config, team_size);
         let reflection = agent.reflection.as_mut().expect("checked above");
         let refl_tenant = reflection.engine().tenant();
-        let result = reflection.reflect(&agent.preamble, subgoal, &outcome, difficulty, opts);
+        let result = reflection.reflect(
+            agent.preamble.as_deref(),
+            subgoal,
+            &outcome,
+            difficulty,
+            opts,
+        );
         let stall = reflection.engine_mut().take_stall();
         Self::note_stall(&mut self.trace, ModuleKind::Reflection, i, stall);
         let verdict = match result {
@@ -970,11 +981,11 @@ impl EmbodiedSystem {
         &mut self,
         i: usize,
         percept: &Percept,
-        dialogue_text: &str,
+        dialogue: Counted<&str>,
     ) -> (Subgoal, bool) {
         let team_size = self.agents.len();
         let difficulty = self.env.difficulty().scalar();
-        let goal = self.env.goal_text();
+        let goal = Counted::new(self.env.goal_text());
         let oracle_raw = self.env.oracle_subgoals(i);
         let candidates_raw = self.env.candidate_subgoals(i);
         let step = self.step;
@@ -1014,13 +1025,15 @@ impl EmbodiedSystem {
         // knowledge is part of the context the planner reasons over. Both
         // render into the agent's reusable buffer — same bytes as the old
         // `format!("[map]\n{map_summary}\n{retrieval_text}")` path, no
-        // per-step allocation.
+        // per-step allocation. The map part is counted here; the retrieved
+        // lines bring their counts from the store.
         agent.memory_buf.clear();
         if agent.map.coverage() > 0 {
             agent.memory_buf.push_str("[map]\n");
             agent.map.write_summary(&mut agent.memory_buf, 6);
             agent.memory_buf.push('\n');
         }
+        let map_tokens = count_tokens(&agent.memory_buf);
         let retrieval = agent.memory.retrieve_write(&mut agent.memory_buf);
         self.trace
             .record(ModuleKind::Memory, Phase::Retrieval, i, retrieval.latency);
@@ -1042,11 +1055,11 @@ impl EmbodiedSystem {
             .map(|sg| agent.memory.skill_bonus(sg.pattern()))
             .unwrap_or(0.0);
         let ctx = PlanContext {
-            preamble: &agent.preamble,
-            goal: &goal,
+            preamble: agent.preamble.as_deref(),
+            goal: goal.as_deref(),
             percept_text: &percept.text,
-            memory_text: &agent.memory_buf,
-            dialogue_text,
+            memory: Counted::with_tokens(&agent.memory_buf, map_tokens + retrieval.tokens),
+            dialogue,
             oracle,
             candidates,
             difficulty,
@@ -1124,7 +1137,7 @@ impl EmbodiedSystem {
         if let Some(reflection) = agent.reflection.as_mut() {
             let refl_tenant = reflection.engine().tenant();
             let verified = reflection.verify_plan(
-                &agent.preamble,
+                agent.preamble.as_deref(),
                 &decision.subgoal,
                 !decision.followed_oracle,
                 difficulty,
@@ -1210,8 +1223,8 @@ impl EmbodiedSystem {
                 &subgoal,
                 flaw,
                 &affordances,
-                &agent.preamble,
-                &goal,
+                agent.preamble.as_deref(),
+                goal.as_deref(),
                 difficulty,
                 Self::infer_opts_for(&agent.config, team_size),
                 &mut stats,
@@ -1352,7 +1365,7 @@ impl EmbodiedSystem {
     pub(crate) fn deliver_message_to(
         &mut self,
         from: usize,
-        text: &str,
+        text: Counted<&str>,
         entities: &[String],
         recipients: &[usize],
     ) {
@@ -1379,11 +1392,14 @@ impl EmbodiedSystem {
             };
             let (text, entities) = if corrupt {
                 (
-                    format!("[garbled transmission from agent {from}]"),
+                    Counted::new(format!("[garbled transmission from agent {from}]")),
                     Vec::new(),
                 )
             } else {
-                (text.to_owned(), entities.to_vec())
+                (
+                    Counted::with_tokens(text.text().to_owned(), text.tokens()),
+                    entities.to_vec(),
+                )
             };
             if delay > 0 {
                 self.channel.delayed.push(DelayedMessage {
@@ -1404,7 +1420,7 @@ impl EmbodiedSystem {
             for _ in 0..copies {
                 agent
                     .memory
-                    .store(RecordKind::Dialogue, text.clone(), entities.clone());
+                    .store_counted(RecordKind::Dialogue, text.clone(), entities.clone());
                 agent.inbox.push(text.clone());
             }
         }

@@ -6,8 +6,10 @@
 //!
 //! 1. the reworked planning/memory/comms primitives — streaming memory
 //!    retrieval into a reused buffer, point entity queries, prompt assembly
-//!    via [`PromptWriter`], and inference with a borrowed-prompt request —
-//!    perform **zero** heap allocations at steady state (after warm-up);
+//!    via [`PromptWriter`] with a pre-counted memory body, the centralized
+//!    joint prompt, and inference with a borrowed-prompt request that
+//!    supplies its token count — perform **zero** heap allocations at
+//!    steady state (after warm-up);
 //! 2. a full episode's allocation rate is **flat**: later steps do not
 //!    allocate more than earlier ones, i.e. nothing on the step loop clones
 //!    or re-formats ever-growing history.
@@ -19,10 +21,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use embodied_agents::config::MemoryCapacity;
-use embodied_agents::modules::{MemoryModule, RecordKind};
-use embodied_agents::prompt::PromptWriter;
+use embodied_agents::modules::{MemoryModule, Percept, RecordKind};
+use embodied_agents::prompt::{write_joint_plan_prompt, Counted, PromptWriter};
 use embodied_agents::{workloads, RunOverrides};
-use embodied_env::TaskDifficulty;
+use embodied_env::{Subgoal, TaskDifficulty};
 use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, Purpose};
 
 /// Delegates everything to [`System`], bumping a thread-local counter on
@@ -61,26 +63,49 @@ fn allocs() -> usize {
     ALLOCS.with(|c| c.get())
 }
 
+/// Reused buffers and the fixed inputs of one steady-state planning pass.
+struct Planner {
+    engine: LlmEngine,
+    preamble: Counted<String>,
+    goal: Counted<String>,
+    percepts: Vec<Percept>,
+    menus: Vec<Vec<Subgoal>>,
+    memory_buf: String,
+    prompt_buf: String,
+}
+
 /// The steady-state planning path: retrieval streamed into a reused buffer,
-/// a point `knows` query, prompt assembly into a second reused buffer, and
-/// one inference call lending that buffer to the engine.
-fn plan_once(
-    mem: &MemoryModule,
-    engine: &mut LlmEngine,
-    memory_buf: &mut String,
-    prompt_buf: &mut String,
-) -> f64 {
-    memory_buf.clear();
-    let stats = mem.retrieve_write(memory_buf);
+/// a point `knows` query, prompt assembly into a second reused buffer with
+/// the memory section's count carried from the store, and one inference
+/// call lending that buffer and its count to the engine. Then the
+/// centralized joint prompt over the same memory, written into the same
+/// buffer and served the same way.
+fn plan_once(mem: &MemoryModule, p: &mut Planner) -> f64 {
+    p.memory_buf.clear();
+    let stats = mem.retrieve_write(&mut p.memory_buf);
+    let memory = Counted::with_tokens(p.memory_buf.as_str(), stats.tokens);
     let known = mem.knows("object_3");
-    prompt_buf.clear();
-    PromptWriter::new(prompt_buf, "You are an embodied agent.")
-        .push("goal", "craft an iron pickaxe")
+    let tokens = PromptWriter::new(&mut p.prompt_buf, p.preamble.as_deref())
+        .push_counted("goal", p.goal.as_deref())
         .push("known", if known { "object_3" } else { "nothing" })
-        .push("memory", memory_buf);
-    let req = LlmRequest::new(Purpose::Planning, prompt_buf, 64).with_difficulty(0.4);
-    let resp = engine.infer(req).expect("inference succeeds");
-    resp.quality + stats.inconsistency_penalty
+        .push_counted("memory", memory)
+        .tokens();
+    let req = LlmRequest::new(Purpose::Planning, &p.prompt_buf, 64)
+        .with_prompt_tokens(tokens)
+        .with_difficulty(0.4);
+    let resp = p.engine.infer(req).expect("inference succeeds");
+
+    let tokens = write_joint_plan_prompt(
+        &mut p.prompt_buf,
+        p.preamble.as_deref(),
+        p.goal.as_deref(),
+        memory,
+        &p.percepts,
+        &p.menus,
+    );
+    let req = LlmRequest::new(Purpose::Planning, &p.prompt_buf, 64).with_prompt_tokens(tokens);
+    let joint = p.engine.infer(req).expect("inference succeeds");
+    resp.quality + joint.quality + stats.inconsistency_penalty
 }
 
 #[test]
@@ -101,20 +126,40 @@ fn steady_state_planning_path_is_allocation_free() {
             vec![format!("object_{}", step % 10)],
         );
     }
-    let mut engine = LlmEngine::new(ModelProfile::gpt4_api(), 7);
-    let mut memory_buf = String::new();
-    let mut prompt_buf = String::new();
+    let mut planner = Planner {
+        engine: LlmEngine::new(ModelProfile::gpt4_api(), 7),
+        preamble: Counted::new("You are an embodied agent.".to_owned()),
+        goal: Counted::new("craft an iron pickaxe".to_owned()),
+        percepts: (0..3)
+            .map(|i| Percept {
+                entities: vec![format!("object_{i}")],
+                text: format!("agent {i} sees object_{i} near the forge"),
+                location: "forge".to_owned(),
+            })
+            .collect(),
+        menus: (0..3)
+            .map(|i| {
+                vec![
+                    Subgoal::Explore,
+                    Subgoal::Pick {
+                        object: format!("object_{i}"),
+                    },
+                ]
+            })
+            .collect(),
+        memory_buf: String::new(),
+        prompt_buf: String::new(),
+    };
 
-    // Warm-up: grows the reused buffers and the tokenizer's incremental
-    // cache to their steady-state capacity.
+    // Warm-up: grows the reused buffers to their steady-state capacity.
     let mut acc = 0.0;
     for _ in 0..3 {
-        acc += plan_once(&mem, &mut engine, &mut memory_buf, &mut prompt_buf);
+        acc += plan_once(&mem, &mut planner);
     }
 
     let before = allocs();
     for _ in 0..100 {
-        acc += plan_once(&mem, &mut engine, &mut memory_buf, &mut prompt_buf);
+        acc += plan_once(&mem, &mut planner);
     }
     let after = allocs();
     assert!(acc.is_finite());

@@ -6,7 +6,7 @@ use crate::profile::ModelProfile;
 use crate::quality::QualityModel;
 use crate::request::{LlmRequest, LlmResponse};
 use crate::semantic::{SemanticFaultInjector, SemanticFaultProfile};
-use crate::tokenizer::{common_prefix_len, PromptTokens, Tokenizer};
+use crate::tokenizer::{common_prefix_len, Tokenizer};
 use embodied_profiler::{ResilienceStats, SimDuration, TokenStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,12 +105,6 @@ pub fn floor_char(s: &str, max: usize) -> usize {
 pub struct LlmEngine {
     profile: ModelProfile,
     tokenizer: Tokenizer,
-    /// Incremental counter over this engine's prompt stream. Purely a count
-    /// accelerator: it returns exactly what `tokenizer.count` would, it just
-    /// avoids re-tokenizing the stable prefix of step-over-step prompts.
-    /// (Distinct from `last_prompt`, which carries KV-reuse *semantics*:
-    /// faulted calls update the cache text but never `last_prompt`.)
-    prompt_cache: PromptTokens,
     quality_model: QualityModel,
     rng: StdRng,
     usage: TokenStats,
@@ -130,7 +124,6 @@ impl LlmEngine {
         LlmEngine {
             profile,
             tokenizer: Tokenizer::default(),
-            prompt_cache: PromptTokens::new(),
             quality_model: QualityModel::default(),
             rng: StdRng::seed_from_u64(seed ^ 0x5eed_11a3),
             usage: TokenStats::default(),
@@ -284,9 +277,7 @@ impl LlmEngine {
     /// *original* length — the information was composed for the model but
     /// could not all reach it.
     pub fn infer(&mut self, req: LlmRequest<'_>) -> Result<LlmResponse, LlmError> {
-        let raw_prompt_tokens = self
-            .tokenizer
-            .count_incremental(&mut self.prompt_cache, req.prompt);
+        let raw_prompt_tokens = self.prompt_tokens(&req);
         if raw_prompt_tokens == 0 {
             return Err(LlmError::EmptyPrompt);
         }
@@ -322,12 +313,9 @@ impl LlmEngine {
         if self.kv_reuse {
             if let Some(prev) = &self.last_prompt {
                 let shared_bytes = common_prefix_len(prev.as_bytes(), req.prompt.as_bytes());
-                // The cache holds `req.prompt` (counted above), so the
-                // prefix count is served from its checkpoints instead of
-                // re-tokenizing the whole shared prefix every call.
                 let reused = self
-                    .prompt_cache
-                    .count_prefix(&self.tokenizer, floor_char(req.prompt, shared_bytes));
+                    .tokenizer
+                    .count(&req.prompt[..floor_char(req.prompt, shared_bytes)]);
                 opts.kv_reused_tokens = opts.kv_reused_tokens.max(reused.min(prompt_tokens));
             }
         }
@@ -390,6 +378,24 @@ impl LlmEngine {
         })
     }
 
+    /// Tokens in the request's prompt: the count the caller supplied, or a
+    /// fresh count. Debug builds recount a supplied count and panic on a
+    /// mismatch, so every test that runs a counted prompt checks it.
+    fn prompt_tokens(&self, req: &LlmRequest<'_>) -> u64 {
+        match req.prompt_tokens {
+            Some(tokens) => {
+                debug_assert_eq!(
+                    tokens,
+                    self.tokenizer.count(req.prompt),
+                    "supplied token count of {:?}",
+                    req.prompt
+                );
+                tokens
+            }
+            None => self.tokenizer.count(req.prompt),
+        }
+    }
+
     /// Samples a boolean with the response's quality as the success
     /// probability — the canonical "did the model reason correctly" draw.
     pub fn sample_correct(&mut self, quality: f64) -> bool {
@@ -422,7 +428,7 @@ impl LlmEngine {
         let opts = reqs[0].opts;
         let mut sized = Vec::with_capacity(reqs.len());
         for req in reqs {
-            let pt = self.tokenizer.count(req.prompt);
+            let pt = self.prompt_tokens(req);
             if pt == 0 {
                 return Err(LlmError::EmptyPrompt);
             }
@@ -724,22 +730,39 @@ mod tests {
     }
 
     #[test]
-    fn cached_prompt_counts_match_plain_counts() {
-        // The engine's incremental counter must report exactly what a plain
-        // recount reports, for a growing multi-byte prompt stream with the
-        // KV-reuse path exercised too.
-        let mut e = LlmEngine::new(ModelProfile::gpt4_api(), 17).with_kv_reuse(true);
-        let tok = e.tokenizer().clone();
+    fn supplied_prompt_counts_bill_like_engine_counts() {
+        // A request that carries its count must be served exactly like one
+        // the engine counts itself, for a growing multi-byte prompt stream
+        // with the KV-reuse path exercised too.
+        let tok = Tokenizer::default();
+        let mut counted = LlmEngine::new(ModelProfile::gpt4_api(), 17).with_kv_reuse(true);
+        let mut plain = LlmEngine::new(ModelProfile::gpt4_api(), 17).with_kv_reuse(true);
         let mut prompt = String::from("[system] plan the long-horizon task\n");
         for step in 0..12 {
             prompt.push_str(&format!(
                 "step {step}: observed 物体_{step} 🤖 at (3,{step})\n"
             ));
-            let r = e
-                .infer(LlmRequest::new(Purpose::Planning, prompt.as_str(), 40))
+            let req = LlmRequest::new(Purpose::Planning, prompt.as_str(), 40);
+            let a = counted
+                .infer(req.with_prompt_tokens(tok.count(&prompt)))
                 .unwrap();
-            assert_eq!(r.prompt_tokens, tok.count(&prompt));
+            let b = plain.infer(req).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(a.prompt_tokens, tok.count(&prompt));
         }
+        let batch = [LlmRequest::new(Purpose::Planning, "plan 🦀 now", 20)];
+        let a = counted
+            .infer_batch(&[batch[0].with_prompt_tokens(tok.count("plan 🦀 now"))])
+            .unwrap();
+        assert_eq!(a, plain.infer_batch(&batch).unwrap());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "supplied token count")]
+    fn wrong_supplied_count_panics_in_debug_builds() {
+        let mut e = LlmEngine::new(ModelProfile::gpt4_api(), 17);
+        let _ = e.infer(planning_req("three token prompt").with_prompt_tokens(4));
     }
 
     #[test]

@@ -70,4 +70,4 @@ pub use service::{
 };
 pub use serving_faults::{ServingFaultInjector, ServingFaultProfile};
 pub use sim::{EventQueue, FleetConfig, FleetSummary, ScheduledEvent, SimEvent};
-pub use tokenizer::{PromptTokens, Tokenizer};
+pub use tokenizer::Tokenizer;

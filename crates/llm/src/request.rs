@@ -50,6 +50,10 @@ pub struct LlmRequest<'a> {
     pub purpose: Purpose,
     /// The fully assembled prompt text.
     pub prompt: &'a str,
+    /// Token count of `prompt`, when the caller summed it from pieces
+    /// counted where they were made. `None` makes the engine count the
+    /// prompt itself; either way the engine bills the same tokens.
+    pub prompt_tokens: Option<u64>,
     /// Nominal completion length the caller expects; actual output length is
     /// sampled around this (scaled by model verbosity).
     pub expected_output_tokens: u64,
@@ -65,6 +69,7 @@ impl<'a> LlmRequest<'a> {
         LlmRequest {
             purpose,
             prompt,
+            prompt_tokens: None,
             expected_output_tokens,
             difficulty: 0.5,
             opts: InferenceOpts::default(),
@@ -74,6 +79,13 @@ impl<'a> LlmRequest<'a> {
     /// Sets the difficulty, returning `self` for chaining.
     pub fn with_difficulty(mut self, difficulty: f64) -> Self {
         self.difficulty = difficulty;
+        self
+    }
+
+    /// Supplies the prompt's token count, which must equal
+    /// [`crate::Tokenizer::count`] of the prompt (debug builds check it).
+    pub fn with_prompt_tokens(mut self, tokens: u64) -> Self {
+        self.prompt_tokens = Some(tokens);
         self
     }
 

@@ -30,7 +30,6 @@ use crate::resilience::{InferenceEndpoint, ResilientEngine, RetryPolicy};
 use crate::scheduler::{BackendQueue, PlacementOutcome, ServingConfig};
 use crate::serving_faults::ServingFaultInjector;
 use crate::sim::{EventQueue, FleetSummary, ScheduledEvent, SimEvent};
-use crate::tokenizer::Tokenizer;
 use embodied_profiler::{
     ResilienceStats, ServingFaultStats, ServingStats, SimDuration, SimInstant, TokenStats,
 };
@@ -262,7 +261,6 @@ struct ServiceInner {
     /// waits are measured from.
     barrier: SimInstant,
     injector: ServingFaultInjector,
-    tokenizer: Tokenizer,
     window: Option<Window>,
     fleet: Option<FleetState>,
 }
@@ -383,7 +381,6 @@ impl InferenceService {
                 scope: 0,
                 barrier: SimInstant::EPOCH,
                 injector: ServingFaultInjector::new(config.faults, seed),
-                tokenizer: Tokenizer::default(),
                 window: None,
                 fleet: None,
             })),
@@ -594,8 +591,9 @@ impl InferenceService {
         queued
     }
 
-    /// Opens a batch window for a fan-out of same-phase requests sharing
-    /// `shared_prefix` (the workload's system preamble). Subsequent
+    /// Opens a batch window for a fan-out of same-phase requests whose
+    /// prompts share a prefix of `prefix_tokens` tokens (the workload's
+    /// system preamble, counted once where it was made). Subsequent
     /// [`InferenceService::window_add`] calls join it until
     /// [`InferenceService::close_window`].
     ///
@@ -604,13 +602,12 @@ impl InferenceService {
     /// Panics if a window is already open — windows never nest. Exception:
     /// in fleet mode concurrent episodes *join* the open window (that is
     /// the cross-episode batch), so a second open is a no-op there.
-    pub fn open_window(&self, opts: InferenceOpts, shared_prefix: &str) {
+    pub fn open_window(&self, opts: InferenceOpts, prefix_tokens: u64) {
         let mut inner = self.inner.borrow_mut();
         if inner.fleet.is_some() && inner.window.is_some() {
             return;
         }
         assert!(inner.window.is_none(), "serving windows cannot nest");
-        let prefix_tokens = inner.tokenizer.count(shared_prefix);
         inner.window = Some(Window {
             opts,
             prefix_tokens,
@@ -982,6 +979,7 @@ impl From<LlmEngine> for EngineHandle {
 mod tests {
     use super::*;
     use crate::request::Purpose;
+    use crate::tokenizer::Tokenizer;
 
     fn handle(service: &InferenceService, seed: u64, owner: TenantOwner) -> EngineHandle {
         let builder = EngineBuilder::new(
@@ -1131,7 +1129,8 @@ mod tests {
         let mut handles: Vec<_> = (0..3)
             .map(|i| handle(&service, i as u64 + 10, TenantOwner::Agent(i)))
             .collect();
-        service.open_window(InferenceOpts::default(), preamble);
+        let prefix_tokens = Tokenizer::default().count(preamble);
+        service.open_window(InferenceOpts::default(), prefix_tokens);
         assert!(service.window_is_open());
         let mut responses = Vec::new();
         for h in &mut handles {
@@ -1150,7 +1149,6 @@ mod tests {
         assert_eq!(stats.prefix_hits, 2);
         assert!(stats.prefix_reused_tokens > 0);
         // Shares sum to the recomputed batch bill exactly.
-        let prefix_tokens = Tokenizer::default().count(preamble);
         let sized: Vec<(u64, u64)> = responses
             .iter()
             .enumerate()
@@ -1176,7 +1174,7 @@ mod tests {
             let mut handles: Vec<_> = (0..4)
                 .map(|i| handle(&service, 50 + i as u64, TenantOwner::Agent(i)))
                 .collect();
-            service.open_window(InferenceOpts::default(), "shared system preamble");
+            service.open_window(InferenceOpts::default(), 3);
             let mut per_tenant = vec![SimDuration::ZERO; 4];
             let mut responses = Vec::new();
             for &i in order {
@@ -1207,7 +1205,7 @@ mod tests {
         // Prior cohort work occupies the only slot.
         let prior = SimDuration::from_secs(30);
         service.submit_cohort(a.tenant(), T0, &resp(prior));
-        service.open_window(InferenceOpts::default(), "preamble");
+        service.open_window(InferenceOpts::default(), 1);
         let ra = a.infer(req("agent zero plans")).unwrap();
         service.window_add(a.tenant(), &ra);
         let rb = b.infer(req("agent one plans")).unwrap();
@@ -1400,10 +1398,10 @@ mod tests {
         service.set_scope_base(0, T0);
         service.set_scope_base(1, T0);
         service.set_scope(0);
-        service.open_window(InferenceOpts::default(), "shared preamble");
+        service.open_window(InferenceOpts::default(), 2);
         // A second open from another scope joins instead of panicking.
         service.set_scope(1);
-        service.open_window(InferenceOpts::default(), "shared preamble");
+        service.open_window(InferenceOpts::default(), 2);
         assert!(service.window_is_open());
         service.set_scope(0);
         let ra = a.infer(req("scope zero plans")).unwrap();

@@ -54,22 +54,18 @@ impl Tokenizer {
         }
     }
 
-    /// Number of tokens in `text`.
-    pub fn count(&self, text: &str) -> u64 {
-        self.scan(text, |_, _| {})
-    }
-
-    /// The token rule, in one pass over the bytes of `text`: whitespace
+    /// Number of tokens in `text`, in one pass over its bytes: whitespace
     /// ends a word, each run of alphabetic chars costs
     /// [`Tokenizer::alpha_tokens`], and every other char (digit,
     /// punctuation, symbol, mark) is one token of its own, so "kitchen,"
     /// is "kitchen" + ",". ASCII bytes are classed by table; only bytes
     /// ≥ 0x80 decode a `char`.
     ///
-    /// After every whitespace char, calls `seam(end, tokens)` with `end` the
-    /// byte offset just past it and `tokens` the count of `text[..end]`. No
-    /// word straddles such an offset, so counting is additive across it.
-    fn scan(&self, text: &str, mut seam: impl FnMut(usize, u64)) -> u64 {
+    /// No word straddles a whitespace char, so counting is additive across
+    /// one: `count(a + " " + b) == count(a) + count(b)`. Prompt assembly
+    /// relies on this to sum the counts of pieces counted where they were
+    /// made.
+    pub fn count(&self, text: &str) -> u64 {
         let bytes = text.as_bytes();
         let mut tokens = 0u64;
         let mut run = 0usize;
@@ -80,7 +76,7 @@ impl Tokenizer {
                 i += 1;
                 ASCII_CLASS[usize::from(b)]
             } else {
-                let c = text[i..].chars().next().expect("scan steps whole chars");
+                let c = text[i..].chars().next().expect("count steps whole chars");
                 i += c.len_utf8();
                 Class::of(c)
             };
@@ -93,7 +89,6 @@ impl Tokenizer {
                 Class::Space => {
                     tokens += self.alpha_tokens(run);
                     run = 0;
-                    seam(i, tokens);
                 }
             }
         }
@@ -136,37 +131,6 @@ impl Tokenizer {
     /// Estimated character budget for a token budget (for pre-sizing).
     pub fn chars_for(&self, tokens: u64) -> usize {
         (tokens as usize) * self.subword_len
-    }
-
-    /// Counts `text`, reusing work from the previous call recorded in
-    /// `cache`: only the part past the last checkpoint inside the prefix
-    /// `text` shares with the previous text is re-tokenized. Returns exactly
-    /// what [`Tokenizer::count`] returns.
-    pub fn count_incremental(&self, cache: &mut PromptTokens, text: &str) -> u64 {
-        let common = common_prefix_len(cache.text.as_bytes(), text.as_bytes());
-        // Keep only checkpoints inside the shared prefix. Each checkpoint
-        // offset sits immediately after a whitespace char of the old text;
-        // byte equality up to `common` means the same complete whitespace
-        // char ends at that offset in `text`, so it is a char boundary and
-        // a seam no word straddles — counting is additive across it.
-        let keep = cache.checkpoints.partition_point(|&(off, _)| off <= common);
-        cache.checkpoints.truncate(keep);
-        let last = cache.checkpoints.last().copied();
-        let (base, start) = last.unwrap_or((0, 0));
-        let mut next_due = last.map_or(0, |(off, _)| off + PromptTokens::STRIDE_BYTES);
-        let checkpoints = &mut cache.checkpoints;
-        let total = start
-            + self.scan(&text[base..], |end, tokens| {
-                let off = base + end;
-                if off >= next_due {
-                    checkpoints.push((off, start + tokens));
-                    next_due = off + PromptTokens::STRIDE_BYTES;
-                }
-            });
-        cache.text.clear();
-        cache.text.push_str(text);
-        cache.total = total;
-        total
     }
 }
 
@@ -220,68 +184,6 @@ pub(crate) fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
         .zip(&b[same..])
         .take_while(|(x, y)| x == y)
         .count()
-}
-
-/// Incremental token-count accumulator for one growing prompt stream.
-///
-/// Holds the previously counted text plus `(byte_offset, cumulative_tokens)`
-/// checkpoints at seam-safe positions (each offset sits immediately after a
-/// whitespace char, so no word straddles it). [`Tokenizer::count_incremental`]
-/// resumes from the deepest checkpoint still inside the shared prefix with
-/// the new text; [`PromptTokens::count_prefix`] answers prefix counts (the
-/// KV-reuse accounting path) from the same checkpoints.
-///
-/// ```
-/// use embodied_llm::{PromptTokens, Tokenizer};
-///
-/// let tok = Tokenizer::default();
-/// let mut cache = PromptTokens::new();
-/// let mut prompt = String::from("[system] plan the next step\n");
-/// assert_eq!(tok.count_incremental(&mut cache, &prompt), tok.count(&prompt));
-/// prompt.push_str("[observation] the fridge is open\n");
-/// assert_eq!(tok.count_incremental(&mut cache, &prompt), tok.count(&prompt));
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PromptTokens {
-    text: String,
-    checkpoints: Vec<(usize, u64)>,
-    total: u64,
-}
-
-impl PromptTokens {
-    /// Minimum byte distance between recorded checkpoints: bounds the
-    /// checkpoint list to ~len/64 entries while keeping any recount window
-    /// to at most a stride plus one word.
-    const STRIDE_BYTES: usize = 64;
-
-    /// An empty accumulator (counts everything on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The most recently counted text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// Token count of the most recently counted text.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Exact token count of `self.text()[..upto]` (`upto` must lie on a
-    /// char boundary). Served from the nearest checkpoint at or before
-    /// `upto`, so the cost is bounded by the checkpoint stride rather than
-    /// by `upto` — this is the KV-cache shared-prefix accounting hot path.
-    pub fn count_prefix(&self, tokenizer: &Tokenizer, upto: usize) -> u64 {
-        let at = self.checkpoints.partition_point(|&(off, _)| off <= upto);
-        let (off, toks) = if at == 0 {
-            (0, 0)
-        } else {
-            self.checkpoints[at - 1]
-        };
-        toks + tokenizer.count(&self.text[off..upto])
-    }
 }
 
 #[cfg(test)]
@@ -371,80 +273,5 @@ mod tests {
     #[should_panic(expected = "subword_len")]
     fn zero_subword_rejected() {
         let _ = Tokenizer::new(0, 5);
-    }
-
-    #[test]
-    fn incremental_matches_full_on_append_sequence() {
-        let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        let mut text = String::new();
-        let segments = [
-            "[system] you are the planning module\n",
-            "[goal] transport the boxes to zone three\n",
-            "step 1: agent0 moved to room_2, found nothing.\n",
-            "step 2: 漢字の观察 → the shelf holds 3 apples 🍎🍎🍎\n",
-            "Ideographic\u{3000}space\u{3000}separates\u{3000}these\u{3000}words\n",
-            "a very-long-hyphenated-token antidisestablishmentarianism!!\n",
-        ];
-        // Grow the prompt the way an episode does and re-count at each step.
-        for _ in 0..3 {
-            for seg in segments {
-                text.push_str(seg);
-                assert_eq!(
-                    tok.count_incremental(&mut cache, &text),
-                    tok.count(&text),
-                    "after appending {seg:?}"
-                );
-                assert_eq!(cache.total(), tok.count(&text));
-                assert_eq!(cache.text(), text);
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_handles_rewrites_and_shrinks() {
-        let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        let long: String = "the agent moves the red apple to the table ".repeat(12);
-        assert_eq!(tok.count_incremental(&mut cache, &long), tok.count(&long));
-        // A completely different, shorter text.
-        let other = "replan: fridge door blocked, pick 菠萝 instead";
-        assert_eq!(tok.count_incremental(&mut cache, other), tok.count(other));
-        // A strict prefix of an earlier text (shrinking).
-        let prefix = &long[..long.len() / 2];
-        assert_eq!(tok.count_incremental(&mut cache, prefix), tok.count(prefix));
-        // Divergence in the middle of a multi-byte char's neighborhood.
-        let mutated = format!("{}卍{}", &long[..40], &long[44..]);
-        assert_eq!(
-            tok.count_incremental(&mut cache, &mutated),
-            tok.count(&mutated)
-        );
-    }
-
-    #[test]
-    fn count_prefix_matches_direct_count_at_every_boundary() {
-        let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        let text = "step 12: 机器人 crossed the\u{3000}corridor 🤖, logging \
-                    coordinates (4,7) and re-planning the long-horizon route "
-            .repeat(3);
-        tok.count_incremental(&mut cache, &text);
-        for upto in (0..=text.len()).filter(|&b| text.is_char_boundary(b)) {
-            assert_eq!(
-                cache.count_prefix(&tok, upto),
-                tok.count(&text[..upto]),
-                "prefix of {upto} bytes"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_on_empty_and_whitespace() {
-        let tok = Tokenizer::default();
-        let mut cache = PromptTokens::new();
-        assert_eq!(tok.count_incremental(&mut cache, ""), 0);
-        assert_eq!(tok.count_incremental(&mut cache, "  \n\t "), 0);
-        assert_eq!(cache.count_prefix(&tok, 2), 0);
-        assert_eq!(tok.count_incremental(&mut cache, ""), 0);
     }
 }

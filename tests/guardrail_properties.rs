@@ -4,6 +4,7 @@
 //! for every corruption schedule.
 
 use embodied_agents::guardrail::{guard_decision, materialize, PlanValidator, Proposal};
+use embodied_agents::prompt::Counted;
 use embodied_agents::{run_episode, workloads, RepairPolicy, RunOverrides};
 use embodied_env::{AffordanceSet, Subgoal, TaskDifficulty};
 use embodied_llm::{
@@ -122,8 +123,8 @@ proptest! {
             &intended,
             Some(SemanticFlaw { kind: SemanticFaultKind::ALL[flaw_kind], salt }),
             &aff,
-            "sys",
-            "goal",
+            Counted::new("sys"),
+            Counted::new("goal"),
             0.5,
             InferenceOpts::default(),
             &mut stats,
