@@ -290,12 +290,6 @@ impl SweepResults {
         std::mem::replace(&mut self.reports[idx], Ok(Vec::new()))
     }
 
-    /// [`SweepResults::take_result`], aggregated under `label`.
-    pub fn take_agg_result(&mut self, label: impl Into<String>) -> Result<Aggregate, String> {
-        self.take_result()
-            .map(|reports| Aggregate::from_reports(label, &reports))
-    }
-
     /// Takes the next configuration's reports, advancing the cursor.
     ///
     /// # Panics

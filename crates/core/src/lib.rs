@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod accounts;
 mod agent;
 pub mod config;
 pub mod endtoend;

@@ -27,9 +27,9 @@ pub struct ExecutionReport {
     pub outcome: ExecOutcome,
     /// LLM responses incurred by micro-control (empty in controller mode).
     pub micro_responses: Vec<LlmResponse>,
-    /// Whether a micro-control call ultimately failed and the primitive was
-    /// driven without its guidance (graceful degradation).
-    pub degraded: bool,
+    /// The first micro-control failure, if any: the primitive was driven
+    /// without that call's guidance (graceful degradation).
+    pub failure: Option<LlmError>,
 }
 
 /// The execution module.
@@ -93,14 +93,15 @@ impl ExecutionModule {
     /// In [`ExecMode::LlmMicro`], each subgoal additionally costs
     /// micro-control inference runs on `planner_engine` (any
     /// [`InferenceEndpoint`] — a raw engine or a resilient wrapper), billed
-    /// to the caller via [`ExecutionReport::micro_responses`]. A transient
-    /// micro-call fault that survives the endpoint's own retries degrades
-    /// gracefully: the primitive is driven without that call's guidance and
-    /// the report is flagged [`ExecutionReport::degraded`].
+    /// to the caller via [`ExecutionReport::micro_responses`]. A micro call
+    /// that fails — a fault that survives the endpoint's own retries, a
+    /// shed, a missed deadline — degrades gracefully: the primitive is
+    /// driven without that call's guidance and the report carries the
+    /// [`ExecutionReport::failure`].
     ///
     /// # Errors
     ///
-    /// Propagates non-transient [`LlmError`]s (empty prompt — a caller bug).
+    /// Propagates [`LlmError::EmptyPrompt`] (a caller bug).
     pub fn execute<E: InferenceEndpoint>(
         &mut self,
         env: &mut dyn Environment,
@@ -111,7 +112,7 @@ impl ExecutionModule {
         opts: InferenceOpts,
     ) -> Result<ExecutionReport, LlmError> {
         let mut micro_responses = Vec::new();
-        let mut degraded = false;
+        let mut failure = None;
         if self.mode == ExecMode::LlmMicro {
             for i in 0..MICRO_CALLS {
                 let prompt = format!(
@@ -126,8 +127,10 @@ impl ExecutionModule {
                         .with_opts(opts),
                 ) {
                     Ok(resp) => micro_responses.push(resp),
-                    Err(err) if err.is_transient() => degraded = true,
-                    Err(err) => return Err(err),
+                    Err(LlmError::EmptyPrompt) => return Err(LlmError::EmptyPrompt),
+                    Err(err) => {
+                        failure.get_or_insert(err);
+                    }
                 }
             }
         }
@@ -135,7 +138,7 @@ impl ExecutionModule {
         Ok(ExecutionReport {
             outcome,
             micro_responses,
-            degraded,
+            failure,
         })
     }
 }

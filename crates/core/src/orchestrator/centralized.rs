@@ -172,7 +172,8 @@ pub(crate) fn plan_assignments(
     let central = sys.central.as_mut().expect("centralized system");
     central.memory_buf.clear();
     let retrieval = central.memory.retrieve_write(&mut central.memory_buf);
-    sys.trace
+    sys.accounts
+        .trace
         .record(ModuleKind::Memory, Phase::Retrieval, 0, retrieval.latency);
 
     // One joint prompt covering every agent: linear token growth with n.
@@ -185,39 +186,23 @@ pub(crate) fn plan_assignments(
         &menus,
     );
     let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, sys.agents.len());
-    let central_tenant = central.planning.engine().tenant();
-    let result = central.planning.engine_mut().infer(
+    let engine = central.planning.engine_mut();
+    let result = engine.infer(
         LlmRequest::new(Purpose::Planning, &central.prompt_buf, 60 + 45 * n as u64)
             .with_prompt_tokens(tokens)
             .with_difficulty(joint_difficulty)
             .with_opts(opts),
     );
-    let stall = central.planning.engine_mut().take_stall();
-    EmbodiedSystem::note_stall(&mut sys.trace, ModuleKind::Planning, 0, stall);
-    let response = match result {
-        Ok(r) => r,
-        Err(err) => {
-            // Graceful degradation: the central planner is down this step,
-            // so every agent falls back to exploring on its own.
-            EmbodiedSystem::note_llm_failure(&mut sys.trace, ModuleKind::Planning, 0, &err);
-            sys.degradations.degraded_planning += 1;
-            return vec![Subgoal::Explore; n];
-        }
+    let Some(response) = sys.accounts.settle(engine, ModuleKind::Planning, 0, result) else {
+        // Graceful degradation: the central planner is down this step,
+        // so every agent falls back to exploring on its own.
+        return vec![Subgoal::Explore; n];
     };
     // One joint inference is a cohort request on the shared backend (it
     // reserves a server slot, so follow-up guard/extraction calls queue
     // behind it under a concurrency limit).
-    let batched = EmbodiedSystem::serve_llm_response(
-        &mut sys.trace,
-        &sys.service,
-        sys.serving,
-        &mut sys.window_entries,
-        ModuleKind::Planning,
-        0,
-        central_tenant,
-        &response,
-        true,
-    );
+    sys.accounts
+        .serve(ModuleKind::Planning, 0, engine.tenant(), &response, true);
 
     // Joint-action interdependencies grow combinatorially with the team;
     // a single planner's chance of a coherent joint assignment decays
@@ -231,7 +216,6 @@ pub(crate) fn plan_assignments(
         * (1.0 - retrieval.inconsistency_penalty)
         * coordination)
         .clamp(0.02, 0.99);
-    let engine = central.planning.engine_mut();
     let mut assignments = Vec::with_capacity(n);
     for i in 0..n {
         let correct = engine.sample_correct(quality) && !oracles[i].is_empty();
@@ -242,9 +226,6 @@ pub(crate) fn plan_assignments(
             menu[engine.sample_index(menu.len())].clone()
         };
         assignments.push(subgoal);
-    }
-    if !batched {
-        sys.note_llm(&response);
     }
     guard_assignments(sys, &mut assignments, response.flaw, joint_difficulty, opts);
     assignments
@@ -289,7 +270,6 @@ fn guard_assignments(
         let flaw_i = flaw.filter(|_| victim == Some(i));
         let mut stats = RepairStats::default();
         let central = sys.central.as_mut().expect("centralized system");
-        let central_tenant = central.planning.engine().tenant();
         let verdict = guardrail::guard_decision(
             central.planning.engine_mut(),
             policy,
@@ -302,19 +282,14 @@ fn guard_assignments(
             opts,
             &mut stats,
         );
-        let stall = central.planning.engine_mut().take_stall();
-        EmbodiedSystem::note_stall(&mut sys.trace, ModuleKind::Planning, 0, stall);
-        // Re-prompt repairs went back through the shared backend and pay
-        // real queue time under a concurrency limit.
-        if !sys.serving.is_passthrough() && !verdict.responses.is_empty() {
-            let queue = sys.service.queue_solo(central_tenant, sys.trace.now());
-            if !queue.is_zero() {
-                sys.trace
-                    .record(ModuleKind::Planning, Phase::Queue, 0, queue);
-            }
-        }
+        let engine = central.planning.engine_mut();
+        let accounts = &mut sys.accounts;
+        accounts.stall(engine, ModuleKind::Planning, 0);
+        // Re-prompt repairs are charged their queueing before the
+        // validate/repair spans (the per-agent guard charges it after).
+        accounts.reprompts(ModuleKind::Planning, 0, engine.tenant(), &verdict.responses);
         if verdict.validate_latency != SimDuration::ZERO {
-            sys.trace.record(
+            accounts.trace.record(
                 ModuleKind::Planning,
                 Phase::Validate,
                 0,
@@ -322,15 +297,12 @@ fn guard_assignments(
             );
         }
         if verdict.repair_latency != SimDuration::ZERO {
-            sys.trace.record(
+            accounts.trace.record(
                 ModuleKind::Planning,
                 Phase::Repair,
                 0,
                 verdict.repair_latency,
             );
-        }
-        for r in &verdict.responses {
-            sys.note_llm(r);
         }
         *assigned = verdict.subgoal;
         // Re-ground on phantom: the center's joint plan referenced an
@@ -367,7 +339,7 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
             .expect("checked above")
             .preamble
             .tokens();
-        sys.open_serving_window(opts, prefix_tokens);
+        sys.accounts.service.open_window(opts, prefix_tokens);
     }
     for (i, sg) in assignments.iter().enumerate() {
         // An unresponsive agent has no feedback to extract.
@@ -380,7 +352,6 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
         let Some(comm) = central.communication.as_mut() else {
             return;
         };
-        let comm_tenant = comm.engine().tenant();
         let result = comm.generate(
             i,
             central.preamble.as_deref(),
@@ -391,36 +362,19 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
             difficulty,
             opts,
         );
-        let stall = comm.engine_mut().take_stall();
-        EmbodiedSystem::note_stall(&mut sys.trace, ModuleKind::Communication, i, stall);
-        let msg = match result {
-            Ok(m) => m,
-            Err(err) => {
-                // Degradation: this agent's feedback is lost this step.
-                EmbodiedSystem::note_llm_failure(
-                    &mut sys.trace,
-                    ModuleKind::Communication,
-                    i,
-                    &err,
-                );
-                sys.degradations.degraded_communication += 1;
-                continue;
-            }
+        let engine = comm.engine_mut();
+        let accounts = &mut sys.accounts;
+        let Some(msg) = accounts.settle(engine, ModuleKind::Communication, i, result) else {
+            // Degradation: this agent's feedback is lost this step.
+            continue;
         };
-        let deferred = EmbodiedSystem::serve_llm_response(
-            &mut sys.trace,
-            &sys.service,
-            sys.serving,
-            &mut sys.window_entries,
+        accounts.serve(
             ModuleKind::Communication,
             i,
-            comm_tenant,
+            engine.tenant(),
             &msg.response,
             true,
         );
-        if !deferred {
-            sys.note_llm(&msg.response);
-        }
         sys.messages.generated += 1;
         let central = sys.central.as_mut().expect("checked above");
         central.memory.store(
@@ -430,7 +384,7 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
         );
     }
     if windowed {
-        sys.close_serving_window();
+        sys.accounts.close_window();
     }
 }
 
@@ -447,7 +401,6 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
     let Some(comm) = central.communication.as_mut() else {
         return;
     };
-    let comm_tenant = comm.engine().tenant();
     let instruction_text: Vec<String> = assignments
         .iter()
         .enumerate()
@@ -463,32 +416,20 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
         difficulty,
         opts,
     );
-    let stall = comm.engine_mut().take_stall();
-    EmbodiedSystem::note_stall(&mut sys.trace, ModuleKind::Communication, 0, stall);
-    let msg = match result {
-        Ok(m) => m,
-        Err(err) => {
-            // Degradation: the broadcast is dropped — agents keep their
-            // assignments but never hear them, so no messages are counted.
-            EmbodiedSystem::note_llm_failure(&mut sys.trace, ModuleKind::Communication, 0, &err);
-            sys.degradations.degraded_communication += 1;
-            return;
-        }
+    let engine = comm.engine_mut();
+    let accounts = &mut sys.accounts;
+    let Some(msg) = accounts.settle(engine, ModuleKind::Communication, 0, result) else {
+        // Degradation: the broadcast is dropped — agents keep their
+        // assignments but never hear them, so no messages are counted.
+        return;
     };
-    let deferred = EmbodiedSystem::serve_llm_response(
-        &mut sys.trace,
-        &sys.service,
-        sys.serving,
-        &mut sys.window_entries,
+    accounts.serve(
         ModuleKind::Communication,
         0,
-        comm_tenant,
+        engine.tenant(),
         &msg.response,
         true,
     );
-    if !deferred {
-        sys.note_llm(&msg.response);
-    }
     // Every instruction is a message; productive ones count as useful.
     // Crashed agents miss theirs outright.
     for (i, sg) in assignments.iter().enumerate() {

@@ -68,7 +68,6 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             let opts = EmbodiedSystem::infer_opts_for(&agent.config, n);
             let dialogue_tokens = agent.render_dialogue();
             let comm = agent.communication.as_mut().expect("checked above");
-            let comm_tenant = comm.engine().tenant();
             let result = comm.generate(
                 i,
                 agent.preamble.as_deref(),
@@ -79,39 +78,30 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
                 difficulty,
                 opts,
             );
-            let stall = comm.engine_mut().take_stall();
-            EmbodiedSystem::note_stall(&mut sys.trace, ModuleKind::Communication, i, stall);
-            let msg = match result {
-                Ok(m) => m,
-                Err(err) => {
-                    // Degradation: the message is dropped; the agent keeps
-                    // its knowledge delta for the next broadcast attempt.
-                    EmbodiedSystem::note_llm_failure(
-                        &mut sys.trace,
-                        ModuleKind::Communication,
-                        i,
-                        &err,
-                    );
-                    sys.degradations.degraded_communication += 1;
-                    continue;
-                }
+            let engine = comm.engine_mut();
+            let accounts = &mut sys.accounts;
+            let Some(msg) = accounts.settle(engine, ModuleKind::Communication, i, result) else {
+                // Degradation: the message is dropped; the agent keeps
+                // its knowledge delta for the next broadcast attempt.
+                continue;
             };
             agent.last_broadcast = knowledge;
             if batching {
                 batch.push((i, msg.response.latency));
+                accounts.note(&msg.response);
             } else {
                 // A round's message generations are an independent fan-out:
-                // each reserves a server slot on the shared backend (no
-                // window is open here, so this never defers).
-                sys.serve_response(
-                    ModuleKind::Communication,
-                    i,
-                    comm_tenant,
-                    &msg.response,
-                    true,
-                );
+                // each reserves a server slot on the shared backend. No
+                // window of this episode is open here, but in a fleet
+                // another episode's may be, and a call that joins it is
+                // also noted now — billed twice in the purpose ledger and
+                // step counters. Kept so fleet reports stay unchanged
+                // until that fix lands on its own (ROADMAP).
+                let tenant = engine.tenant();
+                if accounts.serve(ModuleKind::Communication, i, tenant, &msg.response, true) {
+                    accounts.note(&msg.response);
+                }
             }
-            sys.note_llm(&msg.response);
             // Rec. 9: with clustering, messages stay within the cluster.
             recipients.clear();
             if cluster > 0 {
@@ -122,8 +112,11 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             sys.deliver_message_to(i, msg.text.as_deref(), &msg.entities, &recipients);
         }
         if batching {
-            sys.trace
-                .record_parallel(ModuleKind::Communication, Phase::LlmInference, &batch);
+            sys.accounts.trace.record_parallel(
+                ModuleKind::Communication,
+                Phase::LlmInference,
+                &batch,
+            );
         }
     }
 
@@ -136,7 +129,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
     if sys.serving_batching() && n > 1 {
         let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, n);
         let prefix_tokens = sys.agents[0].preamble.tokens();
-        sys.open_serving_window(opts, prefix_tokens);
+        sys.accounts.service.open_window(opts, prefix_tokens);
         let mut plans: Vec<Option<Subgoal>> = vec![None; n];
         for i in 0..n {
             if !sys.agent_faults.is_active(i) {
@@ -151,7 +144,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             sys.agents[i].dialogue_buf = dialogue;
             plans[i] = Some(subgoal);
         }
-        sys.close_serving_window();
+        sys.accounts.close_window();
         for (i, plan) in plans.into_iter().enumerate() {
             if let Some(subgoal) = plan {
                 sys.execute_with_reflection(i, &subgoal);

@@ -32,7 +32,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
     if windowed {
         let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, n);
         let prefix_tokens = sys.agents[0].preamble.tokens();
-        sys.open_serving_window(opts, prefix_tokens);
+        sys.accounts.service.open_window(opts, prefix_tokens);
     }
     let goal = Counted::new(sys.env.goal_text());
     let difficulty = sys.env.difficulty().scalar();
@@ -56,40 +56,21 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             difficulty,
             opts,
         );
-        let stall = comm.engine_mut().take_stall();
-        EmbodiedSystem::note_stall(&mut sys.trace, ModuleKind::Communication, i, stall);
-        let msg = match result {
-            Ok(m) => m,
-            Err(err) => {
-                // Degradation: the center refines without this agent's
-                // feedback this step.
-                EmbodiedSystem::note_llm_failure(
-                    &mut sys.trace,
-                    ModuleKind::Communication,
-                    i,
-                    &err,
-                );
-                sys.degradations.degraded_communication += 1;
-                continue;
-            }
+        let engine = comm.engine_mut();
+        let accounts = &mut sys.accounts;
+        let Some(msg) = accounts.settle(engine, ModuleKind::Communication, i, result) else {
+            // Degradation: the center refines without this agent's
+            // feedback this step.
+            continue;
         };
         agent.last_broadcast = knowledge;
-        let comm_tenant = sys.agents[i]
-            .communication
-            .as_ref()
-            .expect("checked above")
-            .engine()
-            .tenant();
-        let deferred = sys.serve_response(
+        accounts.serve(
             ModuleKind::Communication,
             i,
-            comm_tenant,
+            engine.tenant(),
             &msg.response,
             true,
         );
-        if !deferred {
-            sys.note_llm(&msg.response);
-        }
         sys.messages.generated += 1;
         let central = sys.central.as_mut().expect("hybrid system");
         if msg.entities.iter().any(|e| !central.memory.knows(e)) {
@@ -101,7 +82,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
     }
 
     if windowed {
-        sys.close_serving_window();
+        sys.accounts.close_window();
     }
 
     // Phase 3: the center refines with feedback in context, then agents act

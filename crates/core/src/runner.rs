@@ -740,6 +740,38 @@ mod tests {
     }
 
     #[test]
+    fn shed_and_late_micro_control_calls_degrade_the_primitive() {
+        // With execution off, the planner drives raw primitives through
+        // micro-control calls. A micro call that is shed or misses its
+        // deadline must degrade that primitive like a transient fault does,
+        // not abort the episode.
+        let limited = embodied_llm::ServingConfig::limited(1);
+        let cases = [
+            (
+                "DEPS",
+                None,
+                limited.with_deadline(embodied_profiler::SimDuration::from_secs(1)),
+            ),
+            ("CoELA", Some(4), limited.with_shedding(1)),
+        ];
+        for (system, num_agents, serving) in cases {
+            let overrides = RunOverrides {
+                num_agents,
+                toggles: Some(ModuleToggles::without_execution()),
+                serving: Some(serving),
+                ..Default::default()
+            };
+            let report = run_episode(&find(system).unwrap(), &overrides, 3);
+            assert!(report.steps > 0, "{system}");
+            assert!(
+                report.resilience.degraded_execution > 0,
+                "{system}: failed micro calls degrade primitives: {:?}",
+                report.resilience
+            );
+        }
+    }
+
+    #[test]
     fn semantic_faults_inject_and_replay_deterministically() {
         let spec = find("DEPS").unwrap();
         let overrides = RunOverrides {
@@ -974,7 +1006,7 @@ mod tests {
         check(&service, &fleet.reports);
         let mut solo = overrides.build_system(&spec, 7);
         let report = solo.run();
-        check(&solo.service, std::slice::from_ref(&report));
+        check(&solo.accounts.service, std::slice::from_ref(&report));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The embodied system: an environment plus its agents (and, for
 //! centralized paradigms, a central planner), driven step by step while a
-//! [`Trace`] accounts every module's simulated latency.
+//! [`Accounts`] bills every module's simulated latency.
 
+use crate::accounts::Accounts;
 use crate::agent::ModularAgent;
 use crate::config::AgentConfig;
 use crate::faults::{AgentFaultEvent, AgentFaultState, ChannelState, DelayedMessage, DeliveryFate};
@@ -13,12 +14,12 @@ use crate::prompt::{count_tokens, system_preamble, Counted};
 use crate::recovery::RecoveryPolicy;
 use embodied_env::{Environment, ExecOutcome, Subgoal};
 use embodied_llm::{
-    EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmError, LlmRequest, LlmResponse,
-    Purpose, ServingConfig, TenantId, TenantOwner, WindowShare,
+    EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmRequest, Purpose, TenantOwner,
+    WindowShare,
 };
 use embodied_profiler::{
     EpisodeReport, LatencyBreakdown, MessageStats, ModuleKind, Outcome, Phase, PurposeLedger,
-    RecoveryStats, RepairStats, ResilienceStats, SimDuration, StepRecord, Trace,
+    RecoveryStats, RepairStats, SimDuration, StepRecord, Trace,
 };
 
 /// Nominal watchdog + reboot latency billed when a process crashes.
@@ -27,27 +28,10 @@ const CRASH_REBOOT: SimDuration = SimDuration::from_secs(5);
 /// Latency of the deterministic failover election round.
 const FAILOVER_ELECTION: SimDuration = SimDuration::from_secs(2);
 
-/// Client-side dispatch overhead billed when a hedged duplicate is issued
-/// to a second serving replica.
-const HEDGE_DISPATCH: SimDuration = SimDuration::from_millis(2);
-
-/// Marker span billed when serving admission control fast-fails a request
-/// — the rejection round-trip, not real inference time.
-const SHED_MARKER: SimDuration = SimDuration::from_millis(2);
-
 /// Dispatch overhead billed per closed-loop action retry — the decision to
 /// re-issue the primitive; the retry's real compute/actuation is billed by
 /// the execution phase it re-runs.
 const ACT_RETRY_DISPATCH: SimDuration = SimDuration::from_millis(2);
-
-/// Per-step counters the orchestrators update through [`EmbodiedSystem`]
-/// helpers; they feed the step-record time series (Fig. 6).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct StepCounters {
-    pub llm_calls: u64,
-    pub max_prompt_tokens: u64,
-    pub progressed: bool,
-}
 
 /// Central planner state for centralized/hybrid paradigms.
 #[derive(Debug)]
@@ -63,29 +47,17 @@ pub(crate) struct CentralPlanner {
     pub prompt_buf: String,
 }
 
-/// One windowed LLM call awaiting its amortized latency share when the
-/// serving window closes.
-#[derive(Debug)]
-pub(crate) struct PendingCall {
-    module: ModuleKind,
-    agent: usize,
-    response: LlmResponse,
-}
-
 /// A fully assembled embodied system ready to run one episode.
 pub struct EmbodiedSystem {
     pub(crate) env: Box<dyn Environment>,
     pub(crate) agents: Vec<ModularAgent>,
     pub(crate) central: Option<CentralPlanner>,
     pub(crate) paradigm: Paradigm,
-    pub(crate) trace: Trace,
+    /// Where every LLM call is billed: trace, serving stack, batch window,
+    /// purpose ledger, step and degradation counters.
+    pub(crate) accounts: Accounts,
     pub(crate) messages: MessageStats,
-    pub(crate) counters: StepCounters,
     pub(crate) step: usize,
-    pub(crate) by_purpose: PurposeLedger,
-    /// Graceful-degradation events (per-module counters); engine-level
-    /// fault/retry tallies are collected from the engines at report time.
-    pub(crate) degradations: ResilienceStats,
     /// Agent-process fault state: crash/stall schedules, coordinator
     /// liveness, failover bookkeeping.
     pub(crate) agent_faults: AgentFaultState,
@@ -103,18 +75,9 @@ pub struct EmbodiedSystem {
     /// Last step at which each agent made environment progress — the
     /// stuck-detection watchdog's memory.
     pub(crate) last_progress: Vec<usize>,
-    /// The shared inference service every engine in this system is a
-    /// tenant of — owns the engine stacks, the per-tenant ledger, and the
-    /// per-model scheduling backends.
-    pub(crate) service: InferenceService,
     /// The service scope this system's tenants registered under (0 for a
     /// solo episode); the report reads the service's ledgers by it.
     pub(crate) scope: usize,
-    /// System-level scheduling knobs (cached from the first agent config;
-    /// serving is a property of the shared stack, not of one agent).
-    pub(crate) serving: ServingConfig,
-    /// Calls deferred into the currently open serving window.
-    pub(crate) window_entries: Vec<PendingCall>,
     workload: String,
     step_records: Vec<StepRecord>,
 }
@@ -227,22 +190,16 @@ impl EmbodiedSystem {
             agents,
             central,
             paradigm,
-            trace: Trace::new(),
             messages: MessageStats::default(),
-            counters: StepCounters::default(),
             step: 0,
-            by_purpose: PurposeLedger::default(),
-            degradations: ResilienceStats::default(),
             agent_faults: AgentFaultState::new(config.agent_fault_profile, seed, team),
             channel: ChannelState::new(config.channel_profile, seed),
             repairs: RepairStats::default(),
             recovery_policy: config.recovery_policy,
             recovery_stats: RecoveryStats::default(),
             last_progress: vec![0; team],
-            service,
+            accounts: Accounts::new(service),
             scope,
-            serving: config.serving,
-            window_entries: Vec::new(),
             workload,
             step_records: Vec::new(),
         }
@@ -272,7 +229,7 @@ impl EmbodiedSystem {
         let mut system = Self::new(workload, env, &configs[0], paradigm, seed);
         let landmarks = system.env.landmarks();
         let name = system.workload.clone();
-        let service = system.service.clone();
+        let service = system.accounts.service.clone();
         for (id, config) in configs.iter().enumerate().skip(1) {
             // The replaced agent's tenants stay registered but are never
             // driven again: their ledgers hold zero and stay zero.
@@ -289,7 +246,7 @@ impl EmbodiedSystem {
 
     /// The episode's span timeline (e.g. for [`embodied_profiler::chrome_trace_json`]).
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.accounts.trace
     }
 
     /// Runs the episode to completion or the step budget, returning the
@@ -308,14 +265,15 @@ impl EmbodiedSystem {
         if self.episode_over() {
             return false;
         }
-        self.trace.begin_step(self.step);
-        if self.serving_active() {
+        let accounts = &mut self.accounts;
+        accounts.trace.begin_step(self.step);
+        if !accounts.service.config().is_passthrough() {
             // The step loop is a synchronization barrier: backend
             // queues never carry over into the next step.
-            self.service.begin_step(self.trace.now());
+            accounts.service.begin_step(accounts.trace.now());
         }
-        self.counters = StepCounters::default();
-        let before = self.trace.elapsed();
+        accounts.counters = Default::default();
+        let before = accounts.trace.elapsed();
         self.begin_fault_step();
         match self.paradigm {
             Paradigm::SingleModular => orchestrator::single::step(self),
@@ -323,13 +281,13 @@ impl EmbodiedSystem {
             Paradigm::Decentralized => orchestrator::decentralized::step(self),
             Paradigm::Hybrid => orchestrator::hybrid::step(self),
         }
-        let latency = self.trace.elapsed().saturating_sub(before);
+        let counters = self.accounts.counters;
         self.step_records.push(StepRecord {
             step: self.step,
-            latency,
-            max_prompt_tokens: self.counters.max_prompt_tokens,
-            llm_calls: self.counters.llm_calls,
-            progress: self.counters.progressed,
+            latency: self.accounts.trace.elapsed().saturating_sub(before),
+            max_prompt_tokens: counters.max_prompt_tokens,
+            llm_calls: counters.llm_calls,
+            progress: counters.progressed,
         });
         self.step += 1;
         true
@@ -349,29 +307,36 @@ impl EmbodiedSystem {
         // and central alike — so accounting cannot drift from wiring. Every
         // query reads this episode's scope: a fleet's shared service hosts
         // N episodes' tenants at once.
-        let tokens = self.service.total_usage(self.scope);
+        let Accounts {
+            trace,
+            service,
+            by_purpose,
+            degradations,
+            ..
+        } = &self.accounts;
+        let tokens = service.total_usage(self.scope);
         let mut by_phase = PurposeLedger::default();
-        for span in self.trace.spans() {
+        for span in trace.spans() {
             by_phase.record(&span.phase.to_string(), span.duration, 0, 0);
         }
-        let mut resilience = self.degradations;
-        resilience.merge(&self.service.total_resilience(self.scope));
+        let mut resilience = *degradations;
+        resilience.merge(&service.total_resilience(self.scope));
         EpisodeReport {
             workload: self.workload.clone(),
             outcome,
             steps: self.step,
-            latency: self.trace.elapsed(),
-            breakdown: LatencyBreakdown::from_trace(&self.trace),
+            latency: trace.elapsed(),
+            breakdown: LatencyBreakdown::from_trace(trace),
             tokens,
-            by_purpose: self.by_purpose.clone(),
+            by_purpose: by_purpose.clone(),
             by_phase,
             messages: self.messages,
             resilience,
             agent_faults: self.agent_faults.stats,
             channel: self.channel.stats,
             repairs: self.repairs,
-            serving: self.service.stats(self.scope),
-            serving_faults: self.service.fault_stats(self.scope),
+            serving: service.stats(self.scope),
+            serving_faults: service.fault_stats(self.scope),
             env_faults: self.env.env_fault_stats(),
             recovery: self.recovery_stats,
             step_records: self.step_records.clone(),
@@ -381,37 +346,9 @@ impl EmbodiedSystem {
 
     // ----- shared inference-service scheduling -----
 
-    /// Whether the serving layer schedules anything at all this episode.
-    /// While false (the default), every call takes the legacy path.
-    pub(crate) fn serving_active(&self) -> bool {
-        !self.serving.is_passthrough()
-    }
-
     /// Whether cross-tenant batch windows are enabled.
     pub(crate) fn serving_batching(&self) -> bool {
-        self.serving.batching
-    }
-
-    /// Opens a batch window over a same-phase fan-out whose prompts all
-    /// start with the workload's system preamble, `prefix_tokens` long.
-    pub(crate) fn open_serving_window(&mut self, opts: InferenceOpts, prefix_tokens: u64) {
-        self.service.open_window(opts, prefix_tokens);
-    }
-
-    /// Closes the current window: every deferred call receives its
-    /// amortized share and is only now fed into the step counters. In
-    /// fleet mode the window lives on the shared virtual clock and only
-    /// the runner's `BatchWindowClose` event may close it — possibly
-    /// merging this episode's calls with another's — so the deferred
-    /// entries stay parked until `settle_fleet_shares`.
-    pub(crate) fn close_serving_window(&mut self) {
-        if self.service.fleet_enabled() {
-            return;
-        }
-        let shares = self.service.close_window(self.trace.now());
-        let (calls, max_prompt) = self.apply_window_shares(&shares);
-        self.counters.llm_calls += calls;
-        self.counters.max_prompt_tokens = self.counters.max_prompt_tokens.max(max_prompt);
+        self.accounts.service.config().batching
     }
 
     /// Whether the episode has nothing left to do: the step budget is
@@ -426,7 +363,7 @@ impl EmbodiedSystem {
     /// the episode is waiting on a fleet `BatchWindowClose` before its
     /// next step can be attributed.
     pub(crate) fn pending_window_entries(&self) -> usize {
-        self.window_entries.len()
+        self.accounts.pending()
     }
 
     /// Applies the fleet runner's window shares to this episode after the
@@ -434,127 +371,14 @@ impl EmbodiedSystem {
     /// episode's step, so the re-attributed time and call counts fold into
     /// the step record that deferred them.
     pub(crate) fn settle_fleet_shares(&mut self, shares: &[WindowShare]) {
-        let before = self.trace.elapsed();
-        let (calls, max_prompt) = self.apply_window_shares(shares);
-        let delta = self.trace.elapsed().saturating_sub(before);
+        let before = self.accounts.trace.elapsed();
+        let (calls, max_prompt) = self.accounts.apply_window_shares(shares);
+        let delta = self.accounts.trace.elapsed().saturating_sub(before);
         if let Some(rec) = self.step_records.last_mut() {
             rec.latency += delta;
             rec.llm_calls += calls;
             rec.max_prompt_tokens = rec.max_prompt_tokens.max(max_prompt);
         }
-    }
-
-    /// Gives every deferred call its amortized share: a `Phase::Batch`
-    /// span (plus a `Phase::Queue` span on the member that led a queued
-    /// batch) and a per-purpose ledger entry at the share's latency.
-    /// Returns the number of calls settled and their largest prompt.
-    fn apply_window_shares(&mut self, shares: &[WindowShare]) -> (u64, u64) {
-        let entries = std::mem::take(&mut self.window_entries);
-        debug_assert_eq!(shares.len(), entries.len());
-        let mut max_prompt = 0;
-        for (entry, share) in entries.iter().zip(shares) {
-            if !share.queue.is_zero() {
-                self.trace
-                    .record(entry.module, Phase::Queue, entry.agent, share.queue);
-            }
-            self.trace
-                .record(entry.module, Phase::Batch, entry.agent, share.share);
-            let response = &entry.response;
-            max_prompt = max_prompt.max(response.prompt_tokens);
-            self.by_purpose.record(
-                &response.purpose.to_string(),
-                share.share,
-                response.prompt_tokens,
-                response.output_tokens,
-            );
-        }
-        (entries.len() as u64, max_prompt)
-    }
-
-    /// Routes one completed LLM call through the serving layer.
-    ///
-    /// Pass-through (the default) records the `Phase::LlmInference` span
-    /// exactly where and how the legacy per-module path did. With
-    /// scheduling active, a cohort call joining an open window is
-    /// deferred — its time is re-attributed at [`Self::close_serving_window`]
-    /// and the caller must skip its own `note_llm` (returns `true`) —
-    /// while any other call is first charged its backend's queueing delay
-    /// (`Phase::Queue`): cohort calls reserve a server slot, dependent
-    /// follow-ups only wait for one. Static, taking disjoint field
-    /// borrows, so call sites holding `&mut self.agents[i]` can use it.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve_llm_response(
-        trace: &mut Trace,
-        service: &InferenceService,
-        serving: ServingConfig,
-        window_entries: &mut Vec<PendingCall>,
-        module: ModuleKind,
-        agent: usize,
-        tenant: TenantId,
-        response: &LlmResponse,
-        cohort: bool,
-    ) -> bool {
-        if serving.is_passthrough() {
-            trace.record(module, Phase::LlmInference, agent, response.latency);
-            return false;
-        }
-        if cohort && service.window_is_open() {
-            service.window_add(tenant, response);
-            window_entries.push(PendingCall {
-                module,
-                agent,
-                response: response.clone(),
-            });
-            return true;
-        }
-        let now = trace.now();
-        if cohort {
-            let out = service.submit_cohort(tenant, now, response);
-            if !out.failover.is_zero() {
-                // Partial service wasted on a replica that crashed
-                // mid-request, before the healthy peer took over.
-                trace.record(module, Phase::Failover, agent, out.failover);
-            }
-            if out.hedged.is_some() {
-                trace.record(module, Phase::Hedge, agent, HEDGE_DISPATCH);
-            }
-            // Brownout inflation rides the wait span: the caller observes
-            // it as extra time-to-first-token on a degraded replica.
-            let wait = out.queue + out.slowdown;
-            if !wait.is_zero() {
-                trace.record(module, Phase::Queue, agent, wait);
-            }
-        } else {
-            let queue = service.queue_solo(tenant, now);
-            if !queue.is_zero() {
-                trace.record(module, Phase::Queue, agent, queue);
-            }
-        }
-        trace.record(module, Phase::LlmInference, agent, response.latency);
-        false
-    }
-
-    /// [`Self::serve_llm_response`] for call sites without live agent
-    /// borrows.
-    pub(crate) fn serve_response(
-        &mut self,
-        module: ModuleKind,
-        agent: usize,
-        tenant: TenantId,
-        response: &LlmResponse,
-        cohort: bool,
-    ) -> bool {
-        Self::serve_llm_response(
-            &mut self.trace,
-            &self.service,
-            self.serving,
-            &mut self.window_entries,
-            module,
-            agent,
-            tenant,
-            response,
-            cohort,
-        )
     }
 
     // ----- agent/channel fault plumbing -----
@@ -585,20 +409,28 @@ impl EmbodiedSystem {
                     // messages and the remaining plan budget are gone.
                     self.agents[i].inbox.clear();
                     self.agents[i].plan_budget = 0;
-                    self.trace
-                        .record(ModuleKind::Execution, Phase::Crash, i, CRASH_REBOOT);
+                    self.accounts.trace.record(
+                        ModuleKind::Execution,
+                        Phase::Crash,
+                        i,
+                        CRASH_REBOOT,
+                    );
                 }
                 AgentFaultEvent::Recovered(_) => {}
                 AgentFaultEvent::CoordinatorCrashed => {
                     let host = self.agent_faults.coordinator;
-                    self.trace
-                        .record(ModuleKind::Planning, Phase::Crash, host, CRASH_REBOOT);
+                    self.accounts.trace.record(
+                        ModuleKind::Planning,
+                        Phase::Crash,
+                        host,
+                        CRASH_REBOOT,
+                    );
                 }
             }
         }
         if self.central.is_some() && self.agent_faults.coordinator_down() {
             if let Some(promoted) = self.agent_faults.maybe_failover(step) {
-                self.trace.record(
+                self.accounts.trace.record(
                     ModuleKind::Planning,
                     Phase::Failover,
                     promoted,
@@ -626,31 +458,25 @@ impl EmbodiedSystem {
              task goal ({goal}), then resume joint planning.",
             central.preamble.text()
         );
-        let result = central.planning.engine_mut().infer(
+        let engine = central.planning.engine_mut();
+        let result = engine.infer(
             LlmRequest::new(Purpose::Planning, &prompt, 40 + 10 * n as u64)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         );
-        let stall = central.planning.engine_mut().take_stall();
-        Self::note_stall(&mut self.trace, ModuleKind::Planning, promoted, stall);
-        match result {
-            Ok(response) => {
-                self.trace.record(
-                    ModuleKind::Planning,
-                    Phase::Resync,
-                    promoted,
-                    response.latency,
-                );
-                self.agent_faults.stats.resync_tokens +=
-                    response.prompt_tokens + response.output_tokens;
-                self.note_llm(&response);
-            }
-            Err(err) => {
-                // The re-sync call itself faulted out; the promoted
-                // coordinator starts from whatever the central memory holds.
-                Self::note_llm_failure(&mut self.trace, ModuleKind::Planning, promoted, &err);
-                self.degradations.degraded_planning += 1;
-            }
+        // A faulted re-sync leaves the promoted coordinator to start from
+        // whatever the central memory holds.
+        let accounts = &mut self.accounts;
+        if let Some(response) = accounts.settle(engine, ModuleKind::Planning, promoted, result) {
+            accounts.trace.record(
+                ModuleKind::Planning,
+                Phase::Resync,
+                promoted,
+                response.latency,
+            );
+            self.agent_faults.stats.resync_tokens +=
+                response.prompt_tokens + response.output_tokens;
+            accounts.note(&response);
         }
     }
 
@@ -697,49 +523,6 @@ impl EmbodiedSystem {
 
     // ----- shared phase helpers used by the orchestrators -----
 
-    /// Records a non-zero backoff stall as a `Phase::Backoff` span so retry
-    /// waiting extends episode latency end-to-end. Zero stalls are dropped,
-    /// keeping no-fault traces byte-identical to pre-resilience runs.
-    pub(crate) fn note_stall(
-        trace: &mut Trace,
-        module: ModuleKind,
-        agent: usize,
-        stall: SimDuration,
-    ) {
-        if !stall.is_zero() {
-            trace.record(module, Phase::Backoff, agent, stall);
-        }
-    }
-
-    /// Records the serving tier's fast-fail marker when an inference was
-    /// rejected by admission control. Every other failure kind leaves the
-    /// trace untouched — its cost is already billed (backoff stall,
-    /// deadline stall) or was never incurred.
-    pub(crate) fn note_llm_failure(
-        trace: &mut Trace,
-        module: ModuleKind,
-        agent: usize,
-        err: &LlmError,
-    ) {
-        if matches!(err, LlmError::Shed) {
-            trace.record(module, Phase::Shed, agent, SHED_MARKER);
-        }
-    }
-
-    /// Records an LLM response against the step counters and the
-    /// per-purpose ledger.
-    pub(crate) fn note_llm(&mut self, response: &LlmResponse) {
-        self.counters.llm_calls += 1;
-        self.counters.max_prompt_tokens =
-            self.counters.max_prompt_tokens.max(response.prompt_tokens);
-        self.by_purpose.record(
-            &response.purpose.to_string(),
-            response.latency,
-            response.prompt_tokens,
-            response.output_tokens,
-        );
-    }
-
     /// Inference options shared by every call an agent makes this episode.
     /// `team_size` models local-GPU co-tenancy: a multi-agent team serving
     /// its local model from one box contends for it.
@@ -768,7 +551,8 @@ impl EmbodiedSystem {
         let obs = self.env.observe(i);
         let agent = &mut self.agents[i];
         let (percept, latency) = agent.sensing.sense(&obs);
-        self.trace
+        self.accounts
+            .trace
             .record(ModuleKind::Sensing, Phase::Reobserve, i, latency);
         self.recovery_stats.reobserve_latency += latency;
         agent.memory.store(
@@ -797,29 +581,20 @@ impl EmbodiedSystem {
              misperceived object.",
             agent.preamble.text()
         );
-        let result = agent.planning.engine_mut().infer(
+        let engine = agent.planning.engine_mut();
+        let result = engine.infer(
             LlmRequest::new(Purpose::Planning, &prompt, 40)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         );
-        let stall = agent.planning.engine_mut().take_stall();
-        let plan_tenant = agent.planning.engine().tenant();
         agent.plan_budget = 0;
-        Self::note_stall(&mut self.trace, ModuleKind::Planning, i, stall);
-        match result {
-            Ok(response) => {
-                self.recovery_stats.recovery_tokens +=
-                    response.prompt_tokens + response.output_tokens;
-                self.recovery_stats.recovery_cost_usd += response.cost_usd;
-                self.serve_response(ModuleKind::Planning, i, plan_tenant, &response, false);
-                self.note_llm(&response);
-            }
-            Err(err) => {
-                // The escalation call itself faulted out: the agent replans
-                // cold next step from whatever its memory holds.
-                Self::note_llm_failure(&mut self.trace, ModuleKind::Planning, i, &err);
-                self.degradations.degraded_planning += 1;
-            }
+        // A faulted escalation leaves the agent to replan cold next step
+        // from whatever its memory holds.
+        let accounts = &mut self.accounts;
+        if let Some(response) = accounts.settle(engine, ModuleKind::Planning, i, result) {
+            self.recovery_stats.recovery_tokens += response.prompt_tokens + response.output_tokens;
+            self.recovery_stats.recovery_cost_usd += response.cost_usd;
+            accounts.serve(ModuleKind::Planning, i, engine.tenant(), &response, false);
         }
     }
 
@@ -839,7 +614,8 @@ impl EmbodiedSystem {
         let obs = self.env.observe(i);
         let agent = &mut self.agents[i];
         let (percept, latency) = agent.sensing.sense(&obs);
-        self.trace
+        self.accounts
+            .trace
             .record(ModuleKind::Sensing, Phase::Encoding, i, latency);
         agent.memory.begin_step(self.step);
         agent.memory.store(
@@ -872,7 +648,7 @@ impl EmbodiedSystem {
         }
         for _ in 0..budget {
             self.recovery_stats.act_retries += 1;
-            self.trace.record(
+            self.accounts.trace.record(
                 ModuleKind::Execution,
                 Phase::ActRetry,
                 i,
@@ -927,7 +703,6 @@ impl EmbodiedSystem {
         let agent = &mut self.agents[i];
         let opts = Self::infer_opts_for(&agent.config, team_size);
         let reflection = agent.reflection.as_mut().expect("checked above");
-        let refl_tenant = reflection.engine().tenant();
         let result = reflection.reflect(
             agent.preamble.as_deref(),
             subgoal,
@@ -935,22 +710,19 @@ impl EmbodiedSystem {
             difficulty,
             opts,
         );
-        let stall = reflection.engine_mut().take_stall();
-        Self::note_stall(&mut self.trace, ModuleKind::Reflection, i, stall);
-        let verdict = match result {
-            Ok(v) => v,
-            Err(err) => {
-                // Degrade: the failure stays undiagnosed this step — no
-                // retry, no blacklist, no belief cleanup.
-                Self::note_llm_failure(&mut self.trace, ModuleKind::Reflection, i, &err);
-                self.degradations.degraded_reflection += 1;
-                return outcome;
-            }
+        let engine = reflection.engine_mut();
+        let Some(verdict) = self
+            .accounts
+            .settle(engine, ModuleKind::Reflection, i, result)
+        else {
+            // Degrade: the failure stays undiagnosed this step — no
+            // retry, no blacklist, no belief cleanup.
+            return outcome;
         };
-        self.serve_response(
+        self.accounts.serve(
             ModuleKind::Reflection,
             i,
-            refl_tenant,
+            engine.tenant(),
             &verdict.response,
             false,
         );
@@ -970,8 +742,6 @@ impl EmbodiedSystem {
                 outcome = self.execute_phase(i, subgoal);
             }
         }
-        let response = verdict.response;
-        self.note_llm(&response);
         outcome
     }
 
@@ -1035,7 +805,8 @@ impl EmbodiedSystem {
         }
         let map_tokens = count_tokens(&agent.memory_buf);
         let retrieval = agent.memory.retrieve_write(&mut agent.memory_buf);
-        self.trace
+        self.accounts
+            .trace
             .record(ModuleKind::Memory, Phase::Retrieval, i, retrieval.latency);
 
         // Unexplained failures (reflection absent or it missed the error)
@@ -1070,72 +841,49 @@ impl EmbodiedSystem {
             failure_streak: agent.failure_streak,
         };
         let planned = agent.planning.plan(&ctx);
-        let stall = agent.planning.engine_mut().take_stall();
-        Self::note_stall(&mut self.trace, ModuleKind::Planning, i, stall);
-        let mut decision = match planned {
-            Ok(d) => d,
-            Err(err) => {
-                // Degrade: fall back to the last successfully planned
-                // subgoal (stale but coherent), else explore.
-                Self::note_llm_failure(&mut self.trace, ModuleKind::Planning, i, &err);
-                self.degradations.degraded_planning += 1;
-                let fallback = agent.last_plan.clone().unwrap_or(Subgoal::Explore);
-                return (fallback, false);
-            }
+        let accounts = &mut self.accounts;
+        let Some(mut decision) = accounts.settle(
+            agent.planning.engine_mut(),
+            ModuleKind::Planning,
+            i,
+            planned,
+        ) else {
+            // Degrade: fall back to the last successfully planned
+            // subgoal (stale but coherent), else explore.
+            return (agent.last_plan.clone().unwrap_or(Subgoal::Explore), false);
         };
         let plan_tenant = agent.planning.engine().tenant();
         // The first planning response is an independent (cohort) request:
-        // under an open window it is deferred and re-attributed at close,
-        // in which case it must not re-enter the ledger below.
-        let deferred = Self::serve_llm_response(
-            &mut self.trace,
-            &self.service,
-            self.serving,
-            &mut self.window_entries,
+        // under an open window it is deferred and re-attributed at close.
+        accounts.serve(
             ModuleKind::Planning,
             i,
             plan_tenant,
             &decision.response,
             true,
         );
-        let mut responses = if deferred {
-            Vec::new()
-        } else {
-            vec![decision.response.clone()]
-        };
 
         if agent.config.separate_action_selection {
             let selected = agent.planning.select_action(&ctx, decision.clone());
-            let stall = agent.planning.engine_mut().take_stall();
-            Self::note_stall(&mut self.trace, ModuleKind::Planning, i, stall);
-            match selected {
-                Ok(d) => {
-                    decision = d;
-                    Self::serve_llm_response(
-                        &mut self.trace,
-                        &self.service,
-                        self.serving,
-                        &mut self.window_entries,
-                        ModuleKind::Planning,
-                        i,
-                        plan_tenant,
-                        &decision.response,
-                        false,
-                    );
-                    responses.push(decision.response.clone());
-                }
-                Err(err) => {
-                    // Degrade: skip the selection pass, keep the plan.
-                    Self::note_llm_failure(&mut self.trace, ModuleKind::Planning, i, &err);
-                    self.degradations.degraded_planning += 1;
-                }
+            let engine = agent.planning.engine_mut();
+            // On failure, degrade: skip the selection pass, keep the plan.
+            if let Some(d) = accounts.settle(engine, ModuleKind::Planning, i, selected) {
+                decision = d;
+                accounts.serve(
+                    ModuleKind::Planning,
+                    i,
+                    plan_tenant,
+                    &decision.response,
+                    false,
+                );
             }
         }
         // Pre-execution plan verification: reflective systems check every
         // plan before acting (MP5's patroller, DEPS's CLIP check); a wrong
         // plan that is recognized as wrong triggers one replanning pass.
+        // A failed verification is skipped; a failed replan acts on the
+        // suspect plan rather than stall the step.
         if let Some(reflection) = agent.reflection.as_mut() {
-            let refl_tenant = reflection.engine().tenant();
             let verified = reflection.verify_plan(
                 agent.preamble.as_deref(),
                 &decision.subgoal,
@@ -1143,60 +891,25 @@ impl EmbodiedSystem {
                 difficulty,
                 Self::infer_opts_for(&agent.config, team_size),
             );
-            let stall = reflection.engine_mut().take_stall();
-            Self::note_stall(&mut self.trace, ModuleKind::Reflection, i, stall);
-            match verified {
-                Ok((caught, verify_response)) => {
-                    Self::serve_llm_response(
-                        &mut self.trace,
-                        &self.service,
-                        self.serving,
-                        &mut self.window_entries,
-                        ModuleKind::Reflection,
-                        i,
-                        refl_tenant,
-                        &verify_response,
-                        false,
-                    );
-                    responses.push(verify_response);
-                    if caught {
-                        let replanned = agent.planning.plan(&ctx);
-                        let stall = agent.planning.engine_mut().take_stall();
-                        Self::note_stall(&mut self.trace, ModuleKind::Planning, i, stall);
-                        match replanned {
-                            Ok(d) => {
-                                decision = d;
-                                Self::serve_llm_response(
-                                    &mut self.trace,
-                                    &self.service,
-                                    self.serving,
-                                    &mut self.window_entries,
-                                    ModuleKind::Planning,
-                                    i,
-                                    plan_tenant,
-                                    &decision.response,
-                                    false,
-                                );
-                                responses.push(decision.response.clone());
-                            }
-                            Err(err) => {
-                                // Degrade: act on the suspect plan rather
-                                // than stall the step.
-                                Self::note_llm_failure(
-                                    &mut self.trace,
-                                    ModuleKind::Planning,
-                                    i,
-                                    &err,
-                                );
-                                self.degradations.degraded_planning += 1;
-                            }
-                        }
+            let engine = reflection.engine_mut();
+            if let Some((caught, verify_response)) =
+                accounts.settle(engine, ModuleKind::Reflection, i, verified)
+            {
+                let tenant = engine.tenant();
+                accounts.serve(ModuleKind::Reflection, i, tenant, &verify_response, false);
+                if caught {
+                    let replanned = agent.planning.plan(&ctx);
+                    let engine = agent.planning.engine_mut();
+                    if let Some(d) = accounts.settle(engine, ModuleKind::Planning, i, replanned) {
+                        decision = d;
+                        accounts.serve(
+                            ModuleKind::Planning,
+                            i,
+                            plan_tenant,
+                            &decision.response,
+                            false,
+                        );
                     }
-                }
-                Err(err) => {
-                    // Degrade: skip pre-execution verification.
-                    Self::note_llm_failure(&mut self.trace, ModuleKind::Reflection, i, &err);
-                    self.degradations.degraded_reflection += 1;
                 }
             }
         }
@@ -1229,10 +942,10 @@ impl EmbodiedSystem {
                 Self::infer_opts_for(&agent.config, team_size),
                 &mut stats,
             );
-            let stall = agent.planning.engine_mut().take_stall();
-            Self::note_stall(&mut self.trace, ModuleKind::Planning, i, stall);
+            let accounts = &mut self.accounts;
+            accounts.stall(agent.planning.engine_mut(), ModuleKind::Planning, i);
             if verdict.validate_latency != SimDuration::ZERO {
-                self.trace.record(
+                accounts.trace.record(
                     ModuleKind::Planning,
                     Phase::Validate,
                     i,
@@ -1240,23 +953,14 @@ impl EmbodiedSystem {
                 );
             }
             if verdict.repair_latency != SimDuration::ZERO {
-                self.trace.record(
+                accounts.trace.record(
                     ModuleKind::Planning,
                     Phase::Repair,
                     i,
                     verdict.repair_latency,
                 );
             }
-            // Guardrail re-prompts went back through the shared backend:
-            // under a concurrency limit they pay real queue time too.
-            if !self.serving.is_passthrough() && !verdict.responses.is_empty() {
-                let queue = self.service.queue_solo(plan_tenant, self.trace.now());
-                if !queue.is_zero() {
-                    self.trace
-                        .record(ModuleKind::Planning, Phase::Queue, i, queue);
-                }
-            }
-            responses.extend(verdict.responses);
+            accounts.reprompts(ModuleKind::Planning, i, plan_tenant, &verdict.responses);
             if verdict.subgoal != subgoal {
                 // The decision was rejected and repaired/skipped: whatever
                 // multi-step plan it implied is void.
@@ -1272,9 +976,6 @@ impl EmbodiedSystem {
             self.repairs.merge(&stats);
         }
         agent.last_plan = Some(subgoal.clone());
-        for response in &responses {
-            self.note_llm(response);
-        }
         if reground {
             self.recovery_stats.phantom_regrounds += 1;
             self.forced_reobserve(i);
@@ -1300,25 +1001,30 @@ impl EmbodiedSystem {
                 opts,
             )
             .expect("micro-control prompt is never empty");
-        let stall = agent.planning.engine_mut().take_stall();
-        Self::note_stall(&mut self.trace, ModuleKind::Execution, i, stall);
-        if report.degraded {
-            // A micro-control call faulted out even after retries; the
-            // primitive ran without that guidance.
-            self.degradations.degraded_execution += 1;
-        }
+        // A micro-control call that failed (faulted past its retries, shed,
+        // or past its deadline) degrades the primitive it was guiding.
+        let accounts = &mut self.accounts;
+        let guided = report.failure.map_or(Ok(()), Err);
+        accounts.settle(
+            agent.planning.engine_mut(),
+            ModuleKind::Execution,
+            i,
+            guided,
+        );
         for resp in &report.micro_responses {
-            self.trace
+            accounts
+                .trace
                 .record(ModuleKind::Planning, Phase::LlmInference, i, resp.latency);
+            accounts.note(resp);
         }
         let outcome = report.outcome;
-        self.trace.record(
+        accounts.trace.record(
             ModuleKind::Execution,
             Phase::GeometricPlanning,
             i,
             outcome.compute,
         );
-        self.trace.record(
+        accounts.trace.record(
             ModuleKind::Execution,
             Phase::Actuation,
             i,
@@ -1348,10 +1054,7 @@ impl EmbodiedSystem {
             agent.last_failure = Some((subgoal.clone(), outcome.clone()));
             agent.failure_streak += 1;
         }
-        for resp in report.micro_responses {
-            self.note_llm(&resp);
-        }
-        self.counters.progressed |= outcome.made_progress;
+        self.accounts.counters.progressed |= outcome.made_progress;
         outcome
     }
 

@@ -18,24 +18,20 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct AffordanceSet {
     candidates: Vec<Subgoal>,
-    patterns: BTreeSet<&'static str>,
     entities: BTreeSet<String>,
 }
 
 impl AffordanceSet {
     /// Builds the set from an environment's candidate menu.
     pub fn from_candidates(candidates: Vec<Subgoal>) -> Self {
-        let mut patterns = BTreeSet::new();
         let mut entities = BTreeSet::new();
         for sg in &candidates {
-            patterns.insert(sg.pattern());
             for e in sg.referenced_entities() {
                 entities.insert(e.to_owned());
             }
         }
         AffordanceSet {
             candidates,
-            patterns,
             entities,
         }
     }
@@ -50,11 +46,6 @@ impl AffordanceSet {
     /// them as no-progress filler.
     pub fn permits(&self, subgoal: &Subgoal) -> bool {
         subgoal.is_idle() || self.candidates.contains(subgoal)
-    }
-
-    /// Whether any afforded subgoal uses this skill pattern.
-    pub fn permits_pattern(&self, pattern: &str) -> bool {
-        pattern == "explore" || pattern == "wait" || self.patterns.contains(pattern)
     }
 
     /// Whether the entity name appears anywhere in the afforded menu —

@@ -159,11 +159,6 @@ impl GridWorld {
         world
     }
 
-    /// Grid width.
-    pub fn grid_width(&self) -> i32 {
-        self.width
-    }
-
     /// Grid height.
     pub fn grid_height(&self) -> i32 {
         self.height

@@ -127,11 +127,6 @@ impl Tokenizer {
         kept.reverse();
         kept.join(" ")
     }
-
-    /// Estimated character budget for a token budget (for pre-sizing).
-    pub fn chars_for(&self, tokens: u64) -> usize {
-        (tokens as usize) * self.subword_len
-    }
 }
 
 /// What the token rule does with one char.

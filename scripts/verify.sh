@@ -19,9 +19,6 @@ done
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test =="
-cargo test -q
-
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 

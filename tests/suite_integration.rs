@@ -25,23 +25,81 @@ fn all_fourteen_workloads_run_end_to_end() {
     }
 }
 
+/// perf_bench's `faulted_mix` overrides: all five fault planes with every
+/// mitigation on.
+fn faulted() -> RunOverrides {
+    use embodied_suite::{agents, env, llm};
+    RunOverrides {
+        fault_profile: Some(llm::FaultProfile::uniform(0.1)),
+        retry_policy: Some(llm::RetryPolicy::standard()),
+        agent_faults: Some(AgentFaultProfile::uniform_with_failover(0.05)),
+        channel: Some(ChannelProfile::lossy(0.1)),
+        semantic_faults: Some(llm::SemanticFaultProfile::uniform(0.2)),
+        repair_policy: Some(agents::RepairPolicy::Reprompt { max_attempts: 2 }),
+        serving: Some(
+            llm::ServingConfig::limited(1)
+                .with_replicas(2)
+                .with_hedging(SimDuration::from_secs(2))
+                .with_deadline(SimDuration::from_secs(240)),
+        ),
+        serving_faults: Some(llm::ServingFaultProfile::stressed(0.2)),
+        env_faults: Some(env::EnvFaultProfile::uniform(0.15)),
+        recovery_policy: Some(agents::RecoveryPolicy::standard()),
+        ..Default::default()
+    }
+}
+
 #[test]
 fn reports_are_internally_consistent() {
-    let spec = workloads::find("CoELA").expect("suite member");
-    let report = run_episode(&spec, &easy(), 11);
-    // Breakdown total equals the trace-elapsed episode latency.
-    let breakdown_total = report.breakdown.total();
-    assert_eq!(
-        breakdown_total, report.latency,
-        "all simulated time must be attributed to a module"
-    );
-    // Step records cover every step and sum close to the total.
-    assert_eq!(report.step_records.len(), report.steps);
-    let steps_sum: SimDuration = report.step_records.iter().map(|r| r.latency).sum();
-    assert_eq!(steps_sum, report.latency);
-    // Message utility is a fraction.
-    let util = report.messages.utility();
-    assert!((0.0..=1.0).contains(&util));
+    let batched = RunOverrides {
+        serving: Some(embodied_suite::llm::ServingConfig::batched()),
+        ..Default::default()
+    };
+    // perf_bench's `team_dialogue`: six talking agents on batched serving.
+    let team_dialogue = RunOverrides {
+        num_agents: Some(6),
+        ..batched.clone()
+    };
+    // (spec, overrides, whether the run is free of LLM and serving faults)
+    let mut runs = Vec::new();
+    for spec in workloads::registry() {
+        runs.push((spec.clone(), RunOverrides::default(), true));
+        runs.push((spec, batched.clone(), true));
+    }
+    let coela = workloads::find("CoELA").expect("suite member");
+    runs.push((coela, team_dialogue, true));
+    for name in ["DEPS", "MindAgent", "CoELA", "HMAS"] {
+        let spec = workloads::find(name).expect("suite member");
+        runs.push((spec, faulted(), false));
+    }
+    for (spec, overrides, fault_free) in runs {
+        let report = run_episode(&spec, &overrides, 42);
+        let label = format!("{} {overrides:?}", spec.name);
+        // Breakdown total equals the trace-elapsed episode latency.
+        assert_eq!(
+            report.breakdown.total(),
+            report.latency,
+            "{label}: all simulated time must be attributed to a module"
+        );
+        // Step records cover every step and sum to the total.
+        assert_eq!(report.step_records.len(), report.steps, "{label}");
+        let steps_sum: SimDuration = report.step_records.iter().map(|r| r.latency).sum();
+        assert_eq!(steps_sum, report.latency, "{label}");
+        // Message utility is a fraction.
+        assert!((0.0..=1.0).contains(&report.messages.utility()), "{label}");
+        // Every LLM call is billed exactly once: the purpose ledger and
+        // the step records count the same calls.
+        let ledger = report.by_purpose.entries();
+        let ledger_calls: u64 = ledger.iter().map(|e| e.calls).sum();
+        let step_calls: u64 = report.step_records.iter().map(|r| r.llm_calls).sum();
+        assert_eq!(ledger_calls, step_calls, "{label}");
+        // Without retries or hedges, it also matches the service ledger.
+        if fault_free {
+            let prompt_tokens: u64 = ledger.iter().map(|e| e.prompt_tokens).sum();
+            assert_eq!(ledger_calls, report.tokens.calls, "{label}");
+            assert_eq!(prompt_tokens, report.tokens.prompt_tokens, "{label}");
+        }
+    }
 }
 
 #[test]
