@@ -5,7 +5,9 @@
 //! byte-comparing the `results/<name>.md` artifacts between the two runs
 //! to demonstrate that parallel execution is bit-identical to sequential.
 //! A summary table goes to stdout and machine-readable timings to
-//! `results/bench_timings.json`.
+//! `results/bench_timings.json`. It exits 1 when any experiment
+//! binary is missing, exits non-zero or leaves no artifact, and when any
+//! parallel artifact differs from its sequential one.
 //!
 //! ```text
 //! cargo run --release -p embodied-bench --bin bench_all [-- --smoke] [--jobs N]
@@ -25,8 +27,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
-/// Every experiment target in the suite, in roadmap order.
-const EXPERIMENTS: [&str; 17] = [
+/// Every experiment target in the suite, in roadmap order. `scenario_evolve`
+/// is left out: at about 3.5 s a run it would dominate the smoke gate, and
+/// `crates/bench/tests/scenario_evolution.rs` already checks that its output
+/// does not depend on the worker count.
+const EXPERIMENTS: [&str; 20] = [
     "table1_paradigms",
     "table2_suite",
     "fig1_paradigms",
@@ -44,6 +49,9 @@ const EXPERIMENTS: [&str; 17] = [
     "endtoend_analysis",
     "serving_sweep",
     "slo_sweep",
+    "guardrail_sweep",
+    "embodied_fault_sweep",
+    "contention_sweep",
 ];
 
 struct Timing {
@@ -66,14 +74,15 @@ impl Timing {
 /// Runs one experiment binary with the given worker count inside the
 /// `sandbox` working directory (so timing runs never overwrite the
 /// canonical `results/*.md` artifacts), returning the elapsed wall-clock
-/// seconds and the bytes of the `results/<name>.md` it wrote there.
+/// seconds and the bytes of the `results/<name>.md` it wrote there, or why
+/// the run failed.
 fn run_once(
     bin: &Path,
     name: &str,
     workers: usize,
     smoke: bool,
     sandbox: &Path,
-) -> Option<(f64, Vec<u8>)> {
+) -> Result<(f64, Vec<u8>), String> {
     let mut cmd = Command::new(bin);
     cmd.env("EMBODIED_JOBS", workers.to_string())
         .current_dir(sandbox)
@@ -83,14 +92,17 @@ fn run_once(
         cmd.env("EMBODIED_EPISODES", "1");
     }
     let start = Instant::now();
-    let status = cmd.status().ok()?;
+    let status = cmd
+        .status()
+        .map_err(|err| format!("{name} did not start ({err})"))?;
     let elapsed = start.elapsed().as_secs_f64();
     if !status.success() {
-        eprintln!("bench_all: {name} exited with {status}; skipping");
-        return None;
+        return Err(format!("{name} at {workers} jobs exited with {status}"));
     }
-    let artifact = std::fs::read(sandbox.join(format!("results/{name}.md"))).unwrap_or_default();
-    Some((elapsed, artifact))
+    let artifact = sandbox.join(format!("results/{name}.md"));
+    let bytes = std::fs::read(&artifact)
+        .map_err(|err| format!("{name} wrote no {} ({err})", artifact.display()))?;
+    Ok((elapsed, bytes))
 }
 
 fn write_json(
@@ -196,20 +208,24 @@ fn main() {
     println!();
 
     let mut timings = Vec::new();
+    let mut failures = Vec::new();
     for name in EXPERIMENTS {
         let bin = bin_dir.join(format!("{name}{ext}"));
         if !bin.exists() {
-            eprintln!(
-                "bench_all: {} not found (build with `cargo build --release -p embodied-bench`); skipping",
+            failures.push(format!(
+                "{} not found (build with `cargo build --release -p embodied-bench --bins`)",
                 bin.display()
-            );
+            ));
             continue;
         }
-        let Some((sequential_s, seq_out)) = run_once(&bin, name, 1, smoke, &sandbox) else {
-            continue;
-        };
-        let Some((parallel_s, par_out)) = run_once(&bin, name, par_jobs, smoke, &sandbox) else {
-            continue;
+        let runs = run_once(&bin, name, 1, smoke, &sandbox)
+            .and_then(|seq| run_once(&bin, name, par_jobs, smoke, &sandbox).map(|par| (seq, par)));
+        let ((sequential_s, seq_out), (parallel_s, par_out)) = match runs {
+            Ok(runs) => runs,
+            Err(err) => {
+                failures.push(err);
+                continue;
+            }
         };
         let t = Timing {
             name,
@@ -232,8 +248,15 @@ fn main() {
         timings.push(t);
     }
 
-    if timings.is_empty() {
-        eprintln!("bench_all: no experiment binaries found; nothing to time");
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("bench_all: {failure}");
+        }
+        eprintln!(
+            "bench_all: {} of {} experiments failed",
+            failures.len(),
+            EXPERIMENTS.len()
+        );
         std::process::exit(1);
     }
 

@@ -383,12 +383,6 @@ impl ScenarioGenotype {
         Ok(())
     }
 
-    /// Mutates one to two gene groups in place over the legacy four-plane
-    /// arm set — draw-for-draw identical to every pre-five-plane run.
-    pub fn mutate(&mut self, rng: &mut StdRng) {
-        self.mutate_with(rng, false)
-    }
-
     /// Mutates one to two gene groups in place. All randomness comes from
     /// `rng`; the result always passes [`ScenarioGenotype::validate`].
     /// With `env_plane` set, a ninth mutation arm targets the embodied
@@ -512,14 +506,6 @@ impl ScenarioGenotype {
                 }
             }
         }
-    }
-
-    /// Four-plane crossover — draw-for-draw identical to every
-    /// pre-five-plane run; the child's embodied genes come from `a`
-    /// without a draw (both parents hold the draw-free defaults in a
-    /// legacy search).
-    pub fn crossover(a: &ScenarioGenotype, b: &ScenarioGenotype, rng: &mut StdRng) -> Self {
-        Self::crossover_with(a, b, rng, false)
     }
 
     /// Uniform per-gene crossover: each gene group comes from `a` or `b`
@@ -880,8 +866,8 @@ mod tests {
 
     #[test]
     fn legacy_draw_stream_is_unchanged_by_the_env_plane_code() {
-        // random()/mutate()/crossover() must consume the RNG exactly as
-        // before the fifth plane landed: same seed → same genotype bytes.
+        // random() must consume the RNG exactly as before the fifth plane
+        // landed: same seed → same genotype bytes.
         let mut a = StdRng::seed_from_u64(97);
         let mut b = StdRng::seed_from_u64(97);
         let g1 = ScenarioGenotype::random(Paradigm::Hybrid, &mut a);

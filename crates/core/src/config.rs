@@ -7,13 +7,11 @@ use embodied_llm::{
     EncoderProfile, FaultProfile, ModelProfile, Quantization, RetryPolicy, SemanticFaultProfile,
     ServingConfig,
 };
-use embodied_profiler::{FromJson, JsonError, JsonValue, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// Which building blocks are enabled — the knobs of the module-sensitivity
 /// study (Fig. 3). Sensing and planning are never disabled: an agent that
 /// cannot perceive or decide is not a system, it is a brick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModuleToggles {
     /// Inter-agent communication module.
     pub communication: bool,
@@ -76,31 +74,9 @@ impl ModuleToggles {
     }
 }
 
-impl ToJson for ModuleToggles {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("communication".into(), JsonValue::Bool(self.communication)),
-            ("memory".into(), JsonValue::Bool(self.memory)),
-            ("reflection".into(), JsonValue::Bool(self.reflection)),
-            ("execution".into(), JsonValue::Bool(self.execution)),
-        ])
-    }
-}
-
-impl FromJson for ModuleToggles {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(ModuleToggles {
-            communication: value.bool_field("communication")?,
-            memory: value.bool_field("memory")?,
-            reflection: value.bool_field("reflection")?,
-            execution: value.bool_field("execution")?,
-        })
-    }
-}
-
 /// How much past-step information the memory module retains (Fig. 5's
 /// sweep variable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryCapacity {
     /// Remember nothing beyond the current observation.
     None,
@@ -127,39 +103,9 @@ impl MemoryCapacity {
     }
 }
 
-impl ToJson for MemoryCapacity {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            MemoryCapacity::None => JsonValue::Str("none".into()),
-            MemoryCapacity::Steps(n) => {
-                JsonValue::Object(vec![("steps".into(), JsonValue::Num(*n as f64))])
-            }
-            MemoryCapacity::Full => JsonValue::Str("full".into()),
-        }
-    }
-}
-
-impl FromJson for MemoryCapacity {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        if let Some(s) = value.as_str() {
-            return match s {
-                "none" => Ok(MemoryCapacity::None),
-                "full" => Ok(MemoryCapacity::Full),
-                other => Err(JsonError::msg(format!(
-                    "unknown memory capacity: {other:?}"
-                ))),
-            };
-        }
-        let steps = value.u64_field("steps").map_err(|_| {
-            JsonError::msg("MemoryCapacity: expected \"none\"/\"full\" or {\"steps\": n}")
-        })?;
-        Ok(MemoryCapacity::Steps(steps as usize))
-    }
-}
-
 /// The paper's optimization recommendations as independent switches, used by
 /// the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Optimizations {
     /// Rec. 1: aggregate same-step LLM queries into one batched call.
     pub batching: bool,
@@ -200,56 +146,8 @@ impl Default for Optimizations {
     }
 }
 
-impl ToJson for Optimizations {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("batching".into(), JsonValue::Bool(self.batching)),
-            ("quantization".into(), self.quantization.to_json()),
-            ("kv_cache".into(), JsonValue::Bool(self.kv_cache)),
-            (
-                "multiple_choice".into(),
-                JsonValue::Bool(self.multiple_choice),
-            ),
-            ("dual_memory".into(), JsonValue::Bool(self.dual_memory)),
-            ("summarization".into(), JsonValue::Bool(self.summarization)),
-            (
-                "plan_horizon".into(),
-                JsonValue::Num(self.plan_horizon as f64),
-            ),
-            (
-                "plan_then_communicate".into(),
-                JsonValue::Bool(self.plan_then_communicate),
-            ),
-            (
-                "cluster_size".into(),
-                JsonValue::Num(self.cluster_size as f64),
-            ),
-        ])
-    }
-}
-
-impl FromJson for Optimizations {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let opts = Optimizations {
-            batching: value.bool_field("batching")?,
-            quantization: Quantization::from_json(value.field("quantization")?)?,
-            kv_cache: value.bool_field("kv_cache")?,
-            multiple_choice: value.bool_field("multiple_choice")?,
-            dual_memory: value.bool_field("dual_memory")?,
-            summarization: value.bool_field("summarization")?,
-            plan_horizon: value.u64_field("plan_horizon")? as usize,
-            plan_then_communicate: value.bool_field("plan_then_communicate")?,
-            cluster_size: value.u64_field("cluster_size")? as usize,
-        };
-        if opts.plan_horizon == 0 {
-            return Err(JsonError::msg("Optimizations: plan_horizon must be >= 1"));
-        }
-        Ok(opts)
-    }
-}
-
 /// Full per-agent configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentConfig {
     /// Planning model.
     pub planner: ModelProfile,

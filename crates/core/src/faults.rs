@@ -18,11 +18,10 @@ use embodied_llm::check_rate;
 use embodied_profiler::{AgentFaultStats, ChannelStats, FromJson, JsonError, JsonValue, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Per-step agent-process fault probabilities plus recovery/failover
 /// parameters. The default ([`AgentFaultProfile::none()`]) injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentFaultProfile {
     /// Per-agent per-step probability the agent process crashes.
     pub crash: f64,
@@ -148,7 +147,7 @@ impl FromJson for AgentFaultProfile {
 
 /// Per-delivery message-channel fault probabilities. The default
 /// ([`ChannelProfile::none()`]) is a perfect network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelProfile {
     /// Probability a message is dropped in flight.
     pub drop: f64,
@@ -791,5 +790,48 @@ mod tests {
         };
         assert_eq!(run(21), run(21));
         assert_ne!(run(21).0, run(22).0);
+    }
+
+    #[test]
+    fn profile_json_round_trips_exactly_and_validates() {
+        // Both profiles are scenario-fixture genes: they must replay
+        // byte-for-byte and refuse out-of-range rates at parse time.
+        let agent = AgentFaultProfile {
+            crash: 0.05,
+            crash_downtime: 4,
+            stall: 0.02,
+            coordinator_crash: 0.01,
+            failover: true,
+            failover_after: 2,
+            staleness_after: 3,
+        };
+        let back = AgentFaultProfile::from_json(&agent.to_json()).unwrap();
+        assert_eq!(agent, back);
+        assert_eq!(
+            agent.to_json().render_pretty(),
+            back.to_json().render_pretty()
+        );
+        let channel = ChannelProfile {
+            delay_steps: 5,
+            partition_steps: 4,
+            ..ChannelProfile::lossy(0.07)
+        };
+        let back = ChannelProfile::from_json(&channel.to_json()).unwrap();
+        assert_eq!(channel, back);
+        assert_eq!(
+            channel.to_json().render_pretty(),
+            back.to_json().render_pretty()
+        );
+
+        let bad_agent = AgentFaultProfile {
+            stall: 1.5,
+            ..AgentFaultProfile::none()
+        };
+        assert!(AgentFaultProfile::from_json(&bad_agent.to_json()).is_err());
+        let bad_channel = ChannelProfile {
+            drop: -0.1,
+            ..ChannelProfile::none()
+        };
+        assert!(ChannelProfile::from_json(&bad_channel.to_json()).is_err());
     }
 }

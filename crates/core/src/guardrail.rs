@@ -34,7 +34,6 @@ use embodied_llm::{
     SemanticFlaw,
 };
 use embodied_profiler::{FromJson, JsonError, JsonValue, RepairStats, SimDuration, ToJson};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Simulated wall-clock cost of one schema/affordance validation pass —
@@ -56,7 +55,7 @@ const PHANTOM_ENTITIES: [&str; 4] = [
 ];
 
 /// How the guardrail responds to a rejected plan decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RepairPolicy {
     /// No validation: corrupted decisions execute unguarded (the baseline
     /// the guardrail sweep compares against). The default — the guardrail

@@ -6,13 +6,12 @@
 
 use embodied_env::{Environment, ExecOutcome, LowLevel, Subgoal};
 use embodied_llm::{InferenceEndpoint, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
-use serde::{Deserialize, Serialize};
 
 /// Extra LLM micro-control calls per subgoal when execution is disabled.
 const MICRO_CALLS: usize = 2;
 
 /// How the low-level layer is being driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// A dedicated controller executes primitives (the normal case).
     Controller,

@@ -8,11 +8,10 @@
 //! — the measurable footprint of exploration.
 
 use crate::modules::Percept;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What the agent knows about one location.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocationKnowledge {
     /// Steps at which the agent observed from this location.
     pub visits: u64,
@@ -23,7 +22,7 @@ pub struct LocationKnowledge {
 }
 
 /// An accumulated map of the (partially observed) world.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorldMap {
     locations: BTreeMap<String, LocationKnowledge>,
 }
@@ -53,15 +52,6 @@ impl WorldMap {
     /// Knowledge about a location, if visited.
     pub fn location(&self, name: &str) -> Option<&LocationKnowledge> {
         self.locations.get(name)
-    }
-
-    /// The visited location that has gone longest without observation —
-    /// the natural re-exploration target when the world may have changed.
-    pub fn stalest_location(&self) -> Option<&str> {
-        self.locations
-            .iter()
-            .min_by_key(|(_, k)| k.last_seen_step)
-            .map(|(name, _)| name.as_str())
     }
 
     /// Renders a compact prompt section: one line per location, most
@@ -184,17 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn stalest_location_is_the_reexploration_target() {
-        let mut map = WorldMap::new();
-        map.integrate(&percept("room_0", &[]), 0);
-        map.integrate(&percept("room_1", &[]), 4);
-        map.integrate(&percept("room_2", &[]), 9);
-        assert_eq!(map.stalest_location(), Some("room_0"));
-        map.integrate(&percept("room_0", &[]), 12);
-        assert_eq!(map.stalest_location(), Some("room_1"));
-    }
-
-    #[test]
     fn summary_orders_by_recency_and_caps() {
         let mut map = WorldMap::new();
         for i in 0..6 {
@@ -234,6 +213,5 @@ mod tests {
         map.integrate(&percept("", &["ghost"]), 0);
         assert_eq!(map.coverage(), 0);
         assert!(map.summary(5).is_empty());
-        assert!(map.stalest_location().is_none());
     }
 }

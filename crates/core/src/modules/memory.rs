@@ -5,13 +5,12 @@
 use crate::config::MemoryCapacity;
 use crate::prompt::{count_tokens, Counted};
 use embodied_profiler::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// What kind of information a record holds (paper §II-A: observation,
 /// dialogue and action memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
     /// World-state knowledge from sensing.
     Observation,
@@ -22,7 +21,7 @@ pub enum RecordKind {
 }
 
 /// One memory entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryRecord {
     /// Step the record was written.
     pub step: usize,
@@ -70,7 +69,7 @@ pub struct RetrievalStats {
 }
 
 /// The memory module.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryModule {
     enabled: bool,
     capacity: MemoryCapacity,
@@ -105,7 +104,7 @@ const INCONSISTENCY_ONSET: usize = 60;
 /// How stored records are indexed for retrieval (paper Fig. 5 in-text:
 /// "retrieval based on multimodal states … outperforms approaches that rely
 /// solely on text embeddings").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalMode {
     /// Entity-indexed multimodal retrieval (vision + symbolic + action
     /// history): full recall — the suite default.
@@ -114,35 +113,6 @@ pub enum RetrievalMode {
     /// Text-embedding similarity only: imperfect recall — entities whose
     /// descriptions embed poorly are missed at retrieval time.
     TextEmbedding,
-}
-
-impl embodied_profiler::ToJson for RetrievalMode {
-    fn to_json(&self) -> embodied_profiler::JsonValue {
-        embodied_profiler::JsonValue::Str(
-            match self {
-                RetrievalMode::Multimodal => "multimodal",
-                RetrievalMode::TextEmbedding => "text-embedding",
-            }
-            .into(),
-        )
-    }
-}
-
-impl embodied_profiler::FromJson for RetrievalMode {
-    fn from_json(
-        value: &embodied_profiler::JsonValue,
-    ) -> Result<Self, embodied_profiler::JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| embodied_profiler::JsonError::msg("retrieval mode: expected a string"))?
-        {
-            "multimodal" => Ok(RetrievalMode::Multimodal),
-            "text-embedding" => Ok(RetrievalMode::TextEmbedding),
-            other => Err(embodied_profiler::JsonError::msg(format!(
-                "unknown retrieval mode: {other:?}"
-            ))),
-        }
-    }
 }
 
 /// Deterministic pseudo-embedding recall: a text-only index misses ~1 in 5

@@ -5,10 +5,8 @@ pub(crate) mod decentralized;
 pub(crate) mod hybrid;
 pub(crate) mod single;
 
-use serde::{Deserialize, Serialize};
-
 /// Which cooperation paradigm drives the system's step loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Paradigm {
     /// Single-agent modularized pipeline (Fig. 1b).
     SingleModular,

@@ -27,11 +27,10 @@
 //! [`RecoveryStats`]: embodied_profiler::RecoveryStats
 
 use embodied_profiler::{FromJson, JsonError, JsonValue, ToJson};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How agents respond to environment faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
     /// No recovery: faults land unanswered (the baseline the embodied
     /// fault sweep compares against). The default — recovery is strictly

@@ -8,9 +8,7 @@ use embodied_env::TaskDifficulty;
 use embodied_llm::{
     FleetConfig, FleetSummary, InferenceService, ModelProfile, SimEvent, WindowShare,
 };
-use embodied_profiler::{
-    Aggregate, EpisodeReport, FromJson, JsonError, JsonValue, SimInstant, ToJson,
-};
+use embodied_profiler::{Aggregate, EpisodeReport, SimInstant};
 use std::collections::VecDeque;
 
 /// Per-run overrides layered on a workload's defaults.
@@ -136,85 +134,6 @@ impl RunOverrides {
             }
             None => spec.build_system(&config, difficulty, num_agents, seed),
         }
-    }
-}
-
-impl ToJson for RunOverrides {
-    /// Serializes only the overrides that are actually set, so a fixture
-    /// documents exactly the knobs a scenario turns and nothing else.
-    fn to_json(&self) -> JsonValue {
-        let mut fields: Vec<(String, JsonValue)> = Vec::new();
-        let mut put = |key: &str, v: Option<JsonValue>| {
-            if let Some(v) = v {
-                fields.push((key.into(), v));
-            }
-        };
-        put("difficulty", self.difficulty.map(|v| v.to_json()));
-        put(
-            "num_agents",
-            self.num_agents.map(|v| JsonValue::Num(v as f64)),
-        );
-        put("toggles", self.toggles.map(|v| v.to_json()));
-        put("memory_capacity", self.memory_capacity.map(|v| v.to_json()));
-        put("planner", self.planner.as_ref().map(|v| v.to_json()));
-        put("opts", self.opts.map(|v| v.to_json()));
-        put("env", self.env.map(|v| v.to_json()));
-        put(
-            "trajectory_planner",
-            self.trajectory_planner.map(|v| v.to_json()),
-        );
-        put("retrieval_mode", self.retrieval_mode.map(|v| v.to_json()));
-        put("fault_profile", self.fault_profile.map(|v| v.to_json()));
-        put("retry_policy", self.retry_policy.map(|v| v.to_json()));
-        put("agent_faults", self.agent_faults.map(|v| v.to_json()));
-        put("channel", self.channel.map(|v| v.to_json()));
-        put("semantic_faults", self.semantic_faults.map(|v| v.to_json()));
-        put("repair_policy", self.repair_policy.map(|v| v.to_json()));
-        put("serving", self.serving.map(|v| v.to_json()));
-        put("serving_faults", self.serving_faults.map(|v| v.to_json()));
-        put("env_faults", self.env_faults.map(|v| v.to_json()));
-        put("recovery_policy", self.recovery_policy.map(|v| v.to_json()));
-        JsonValue::Object(fields)
-    }
-}
-
-impl FromJson for RunOverrides {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        fn opt<T: FromJson>(value: &JsonValue, key: &str) -> Result<Option<T>, JsonError> {
-            match value.get(key) {
-                Some(v) => Ok(Some(T::from_json(v)?)),
-                None => Ok(None),
-            }
-        }
-        let num_agents = match value.get("num_agents") {
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| JsonError::msg("num_agents: expected a whole number"))?
-                    as usize,
-            ),
-            None => None,
-        };
-        Ok(RunOverrides {
-            difficulty: opt(value, "difficulty")?,
-            num_agents,
-            toggles: opt(value, "toggles")?,
-            memory_capacity: opt(value, "memory_capacity")?,
-            planner: opt(value, "planner")?,
-            opts: opt(value, "opts")?,
-            env: opt(value, "env")?,
-            trajectory_planner: opt(value, "trajectory_planner")?,
-            retrieval_mode: opt(value, "retrieval_mode")?,
-            fault_profile: opt(value, "fault_profile")?,
-            retry_policy: opt(value, "retry_policy")?,
-            agent_faults: opt(value, "agent_faults")?,
-            channel: opt(value, "channel")?,
-            semantic_faults: opt(value, "semantic_faults")?,
-            repair_policy: opt(value, "repair_policy")?,
-            serving: opt(value, "serving")?,
-            serving_faults: opt(value, "serving_faults")?,
-            env_faults: opt(value, "env_faults")?,
-            recovery_policy: opt(value, "recovery_policy")?,
-        })
     }
 }
 
@@ -1018,71 +937,5 @@ mod tests {
         };
         let config = overrides.apply(&spec);
         assert_eq!(config.planner.name, "Llama-3-8B (local)");
-    }
-
-    #[test]
-    fn overrides_json_round_trip_is_exact() {
-        // Empty overrides serialize to an empty object and back.
-        let empty = RunOverrides::default();
-        let back =
-            RunOverrides::from_json(&JsonValue::parse(&empty.to_json().render_pretty()).unwrap())
-                .unwrap();
-        assert!(format!("{back:?}") == format!("{empty:?}"));
-
-        // A fully-populated override set round-trips every field exactly.
-        let full = RunOverrides {
-            difficulty: Some(TaskDifficulty::Hard),
-            num_agents: Some(4),
-            toggles: Some(ModuleToggles::without_reflection()),
-            memory_capacity: Some(MemoryCapacity::Steps(12)),
-            planner: Some(ModelProfile::llama_70b()),
-            opts: Some(Optimizations {
-                batching: true,
-                quantization: embodied_llm::Quantization::Awq4Bit,
-                plan_horizon: 3,
-                ..Default::default()
-            }),
-            env: Some(crate::workloads::EnvKind::BoxWorld(
-                embodied_env::BoxVariant::BoxLift,
-            )),
-            trajectory_planner: Some(embodied_env::TrajectoryPlanner::RrtConnect),
-            retrieval_mode: Some(crate::modules::RetrievalMode::TextEmbedding),
-            fault_profile: Some(embodied_llm::FaultProfile::uniform(0.15)),
-            retry_policy: Some(embodied_llm::RetryPolicy::standard()),
-            agent_faults: Some(crate::faults::AgentFaultProfile::uniform_with_failover(
-                0.05,
-            )),
-            channel: Some(crate::faults::ChannelProfile::lossy(0.1)),
-            semantic_faults: Some(embodied_llm::SemanticFaultProfile::uniform(0.2)),
-            repair_policy: Some(crate::guardrail::RepairPolicy::Reprompt { max_attempts: 2 }),
-            serving: Some(embodied_llm::ServingConfig::default()),
-            serving_faults: Some(embodied_llm::ServingFaultProfile::stressed(0.3)),
-            env_faults: Some(embodied_env::EnvFaultProfile::uniform(0.12)),
-            recovery_policy: Some(crate::recovery::RecoveryPolicy::Closed {
-                watchdog_window: 5,
-                act_retries: 2,
-            }),
-        };
-        let text = full.to_json().render_pretty();
-        let back = RunOverrides::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-        assert_eq!(format!("{back:?}"), format!("{full:?}"));
-
-        // Invalid rates are rejected at parse time, not at run time.
-        let mut bad = full.clone();
-        bad.channel = Some(crate::faults::ChannelProfile {
-            drop: 1.5,
-            ..crate::faults::ChannelProfile::none()
-        });
-        let text = bad.to_json().render_pretty();
-        assert!(RunOverrides::from_json(&JsonValue::parse(&text).unwrap()).is_err());
-
-        // Same for the embodied plane: out-of-range rates never reach a run.
-        let mut bad_env = full.clone();
-        bad_env.env_faults = Some(embodied_env::EnvFaultProfile {
-            dropout: -0.2,
-            ..embodied_env::EnvFaultProfile::none()
-        });
-        let text = bad_env.to_json().render_pretty();
-        assert!(RunOverrides::from_json(&JsonValue::parse(&text).unwrap()).is_err());
     }
 }

@@ -16,10 +16,9 @@ use embodied_env::{
     KitchenEnv, ManipulationEnv, TaskDifficulty, TransportEnv,
 };
 use embodied_llm::InferenceService;
-use serde::{Deserialize, Serialize};
 
 /// Which task environment a workload runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnvKind {
     /// TDW-MAT-style transport.
     Transport,
@@ -62,50 +61,8 @@ impl EnvKind {
     }
 }
 
-impl embodied_profiler::ToJson for EnvKind {
-    fn to_json(&self) -> embodied_profiler::JsonValue {
-        use embodied_profiler::JsonValue;
-        match self {
-            EnvKind::Transport => JsonValue::Str("transport".into()),
-            EnvKind::Household => JsonValue::Str("household".into()),
-            EnvKind::Cuisine => JsonValue::Str("cuisine".into()),
-            EnvKind::BoxWorld(variant) => {
-                JsonValue::Object(vec![("box_world".into(), variant.to_json())])
-            }
-            EnvKind::Craft => JsonValue::Str("craft".into()),
-            EnvKind::Manipulation => JsonValue::Str("manipulation".into()),
-            EnvKind::Kitchen => JsonValue::Str("kitchen".into()),
-            EnvKind::AlfWorld => JsonValue::Str("alfworld".into()),
-        }
-    }
-}
-
-impl embodied_profiler::FromJson for EnvKind {
-    fn from_json(
-        value: &embodied_profiler::JsonValue,
-    ) -> Result<Self, embodied_profiler::JsonError> {
-        use embodied_profiler::JsonError;
-        if let Some(s) = value.as_str() {
-            return match s {
-                "transport" => Ok(EnvKind::Transport),
-                "household" => Ok(EnvKind::Household),
-                "cuisine" => Ok(EnvKind::Cuisine),
-                "craft" => Ok(EnvKind::Craft),
-                "manipulation" => Ok(EnvKind::Manipulation),
-                "kitchen" => Ok(EnvKind::Kitchen),
-                "alfworld" => Ok(EnvKind::AlfWorld),
-                other => Err(JsonError::msg(format!("unknown environment: {other:?}"))),
-            };
-        }
-        let variant = value.field("box_world").map_err(|_| {
-            JsonError::msg("EnvKind: expected an environment name or {\"box_world\": variant}")
-        })?;
-        Ok(EnvKind::BoxWorld(BoxVariant::from_json(variant)?))
-    }
-}
-
 /// One suite member: everything needed to instantiate and document it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// System name, e.g. `"CoELA"`.
     pub name: &'static str,

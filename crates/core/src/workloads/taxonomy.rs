@@ -2,11 +2,9 @@
 //! the 14 benchmarked suite members), with paradigm, module composition and
 //! embodied action type.
 
-use serde::{Deserialize, Serialize};
-
 /// Paper Table I's four system categories (the end-to-end category is
 /// taxonomized but not benchmarked, exactly as in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaxonomyParadigm {
     /// Single-agent, modularized pipeline.
     SingleModularized,
@@ -32,7 +30,7 @@ impl std::fmt::Display for TaxonomyParadigm {
 
 /// Action type of the embodied system (Table I footnote: V = virtual action,
 /// T = tool usage, E = physical action).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActionType {
     /// Virtual actions in a simulator.
     Virtual,
@@ -54,7 +52,7 @@ impl ActionType {
 }
 
 /// One Table I row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaxonomyEntry {
     /// System name.
     pub name: &'static str,

@@ -3,7 +3,6 @@
 
 use embodied_exec::Cell;
 use embodied_profiler::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A high-level subgoal, the unit of decision for the planning module.
@@ -13,7 +12,7 @@ use std::fmt;
 /// environment-independent. Entity references are stable string names that
 /// also appear in observations, which is how knowledge (memory) gates what
 /// an agent can plan about.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Subgoal {
     /// Navigate to a named location.
     GoTo {
@@ -174,7 +173,7 @@ impl fmt::Display for Subgoal {
 }
 
 /// What executing one subgoal did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecOutcome {
     /// Whether the subgoal completed as intended.
     pub completed: bool,

@@ -9,10 +9,9 @@ use crate::observation::{Observation, SeenEntity};
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which member of the family to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoxVariant {
     /// Random starts, random targets.
     BoxNet1,
@@ -33,31 +32,6 @@ impl std::fmt::Display for BoxVariant {
             BoxVariant::BoxLift => "BoxLift",
         };
         f.write_str(s)
-    }
-}
-
-impl embodied_profiler::ToJson for BoxVariant {
-    fn to_json(&self) -> embodied_profiler::JsonValue {
-        embodied_profiler::JsonValue::Str(self.to_string())
-    }
-}
-
-impl embodied_profiler::FromJson for BoxVariant {
-    fn from_json(
-        value: &embodied_profiler::JsonValue,
-    ) -> Result<Self, embodied_profiler::JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| embodied_profiler::JsonError::msg("box variant: expected a string"))?
-        {
-            "BoxNet1" => Ok(BoxVariant::BoxNet1),
-            "BoxNet2" => Ok(BoxVariant::BoxNet2),
-            "Warehouse" => Ok(BoxVariant::Warehouse),
-            "BoxLift" => Ok(BoxVariant::BoxLift),
-            other => Err(embodied_profiler::JsonError::msg(format!(
-                "unknown box variant: {other:?}"
-            ))),
-        }
     }
 }
 

@@ -34,7 +34,6 @@ use crate::observation::{Observation, SeenEntity};
 use embodied_profiler::{EnvFaultStats, FromJson, JsonError, JsonValue, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Salt for the dedicated env-fault RNG stream, distinct from every other
 /// seeded stream in the suite.
@@ -67,7 +66,7 @@ fn check_rate(field: &'static str, value: f64) -> Result<f64, String> {
 /// Perception/actuation fault probabilities for one wrapped environment.
 /// The default ([`EnvFaultProfile::none()`]) is a perfect world: sensors
 /// report ground truth and every actuation lands as the physics dictates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnvFaultProfile {
     /// Per-agent per-step probability one visible entity drops out of the
     /// observation (and out of the affordance menu with it).

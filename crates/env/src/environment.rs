@@ -8,11 +8,10 @@ use embodied_exec::Actuator;
 use embodied_profiler::{EnvFaultStats, FromJson, JsonError, JsonValue, ToJson};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Task difficulty level (the paper's Fig. 7 sweeps easy/medium/hard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TaskDifficulty {
     /// Few objects, short horizon.
     Easy,
@@ -83,7 +82,7 @@ impl FromJson for TaskDifficulty {
 
 /// Which sampling-based trajectory planner drives arm motion (a design
 /// choice the suite can ablate: RoCo-style quality vs. Connect-style speed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrajectoryPlanner {
     /// Plain single-tree RRT.
     Rrt,
@@ -92,35 +91,6 @@ pub enum TrajectoryPlanner {
     RrtStar,
     /// Bidirectional RRT-Connect (fewest iterations, longer paths).
     RrtConnect,
-}
-
-impl ToJson for TrajectoryPlanner {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                TrajectoryPlanner::Rrt => "rrt",
-                TrajectoryPlanner::RrtStar => "rrt-star",
-                TrajectoryPlanner::RrtConnect => "rrt-connect",
-            }
-            .into(),
-        )
-    }
-}
-
-impl FromJson for TrajectoryPlanner {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| JsonError::msg("trajectory planner: expected a string"))?
-        {
-            "rrt" => Ok(TrajectoryPlanner::Rrt),
-            "rrt-star" => Ok(TrajectoryPlanner::RrtStar),
-            "rrt-connect" => Ok(TrajectoryPlanner::RrtConnect),
-            other => Err(JsonError::msg(format!(
-                "unknown trajectory planner: {other:?}"
-            ))),
-        }
-    }
 }
 
 /// Low-level execution context an agent's execution module lends to the

@@ -1,11 +1,10 @@
 //! Partial egocentric observations — what the sensing module sees each step.
 
 use embodied_exec::Cell;
-use serde::{Deserialize, Serialize};
 
 /// One observed entity: a stable name plus a human-readable description
 /// fragment used when assembling prompts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeenEntity {
     /// Stable name matching subgoal entity references, e.g. `"apple_1"`.
     pub name: String,
@@ -28,7 +27,7 @@ impl SeenEntity {
 /// Observations are intentionally *local* (same room / within reach): the
 /// memory module's value in Fig. 3 and Fig. 5 comes precisely from
 /// accumulating these partial views into persistent knowledge.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Observation {
     /// The observing agent's grid position, if the env is grid-based.
     pub agent_pos: Option<Cell>,

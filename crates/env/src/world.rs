@@ -1,11 +1,10 @@
 //! Shared spatial world model: a room-partitioned occupancy grid.
 
 use embodied_exec::{Cell, NavGrid};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// A rectangular room within the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Room {
     /// Room index (stable identifier used in entity names).
     pub id: usize,
@@ -36,7 +35,7 @@ impl Room {
 ///
 /// Walls separate rooms; each interior wall has one doorway cell, producing
 /// the multi-room navigation structure of TDW-MAT / VirtualHome scenes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridWorld {
     width: i32,
     height: i32,

@@ -6,12 +6,11 @@
 //! a *measured* bottleneck rather than an assumed one.
 
 use crate::grid::{Cell, NavGrid};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// A successful plan: the path and the work expended finding it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridPlan {
     /// Cells from start to goal inclusive.
     pub path: Vec<Cell>,
@@ -27,7 +26,7 @@ impl GridPlan {
 }
 
 /// Why planning failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanError {
     /// Start or goal cell is not passable.
     InvalidEndpoint,

@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A candidate grasp pose with its predicted quality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraspCandidate {
     /// Approach angle in radians.
     pub angle: f64,
@@ -22,7 +21,7 @@ pub struct GraspCandidate {
 }
 
 /// How hard an object is to grasp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraspTarget {
     /// Characteristic object size in meters (affects feasible widths).
     pub size: f64,
@@ -49,7 +48,7 @@ impl GraspTarget {
 }
 
 /// Result of one grasp attempt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraspOutcome {
     /// Whether the object was secured.
     pub success: bool,

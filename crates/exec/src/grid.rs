@@ -1,11 +1,7 @@
 //! Grid abstractions shared by the discrete planners.
 
-use serde::{Deserialize, Serialize};
-
 /// An integer cell coordinate on a navigation grid.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cell {
     /// Column, 0-based.
     pub x: i32,
@@ -62,7 +58,7 @@ pub trait NavGrid {
 
 /// A simple owned grid for tests and standalone use: everything passable
 /// except listed blocked cells.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseGrid {
     width: i32,
     height: i32,

@@ -7,18 +7,17 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A feed-forward policy network with one hidden layer per entry of
 /// `hidden`, tanh activations, and a linear action head.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlpPolicy {
     layers: Vec<Layer>,
     input_dim: usize,
     action_dim: usize,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Layer {
     weights: Vec<Vec<f64>>, // [out][in]
     bias: Vec<f64>,

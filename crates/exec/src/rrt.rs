@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A point in the continuous workspace (meters).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// X coordinate.
     pub x: f64,
@@ -40,7 +39,7 @@ impl Point {
 }
 
 /// A circular obstacle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Circle {
     /// Center.
     pub center: Point,
@@ -49,7 +48,7 @@ pub struct Circle {
 }
 
 /// The planning workspace: an axis-aligned rectangle with circle obstacles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workspace {
     /// Width (meters).
     pub width: f64,
@@ -99,7 +98,7 @@ impl Workspace {
 }
 
 /// RRT tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RrtParams {
     /// Maximum tree-growth iterations before giving up.
     pub max_iterations: usize,
@@ -136,7 +135,7 @@ impl RrtParams {
 }
 
 /// A successful trajectory plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     /// Waypoints from start to (near-)goal.
     pub waypoints: Vec<Point>,
@@ -147,7 +146,7 @@ pub struct Trajectory {
 }
 
 /// Why trajectory planning failed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RrtError {
     /// Start or goal lies inside an obstacle or out of bounds.
     InvalidEndpoint,

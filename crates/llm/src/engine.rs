@@ -1,7 +1,7 @@
 //! The simulated inference engine: deterministic, seeded, and instrumented.
 
 use crate::fault::{FaultInjector, FaultKind, FaultProfile};
-use crate::latency::{batch_latency, inference_cost, inference_latency};
+use crate::latency::{inference_cost, inference_latency};
 use crate::profile::ModelProfile;
 use crate::quality::QualityModel;
 use crate::request::{LlmRequest, LlmResponse};
@@ -43,16 +43,6 @@ pub enum LlmError {
     /// The call completed past its serving SLO deadline; the client
     /// abandoned it. Not retried — the budget is already spent.
     DeadlineExceeded,
-}
-
-impl LlmError {
-    /// Whether retrying the call can plausibly succeed.
-    pub fn is_transient(&self) -> bool {
-        !matches!(
-            self,
-            LlmError::EmptyPrompt | LlmError::Shed | LlmError::DeadlineExceeded
-        )
-    }
 }
 
 impl std::fmt::Display for LlmError {
@@ -184,11 +174,6 @@ impl LlmEngine {
         let mut usage = self.usage;
         usage.overflows = self.overflows;
         usage
-    }
-
-    /// Number of calls whose prompt exceeded the context window.
-    pub fn overflow_count(&self) -> u64 {
-        self.overflows
     }
 
     /// The fault profile in force ([`FaultProfile::none()`] by default).
@@ -411,66 +396,11 @@ impl LlmEngine {
             self.rng.gen_range(0..n)
         }
     }
-
-    /// Runs several requests as one batched call (paper Rec. 1), returning
-    /// per-request responses that each carry an amortized share of the
-    /// batched latency bill, proportional to the request's token weight
-    /// (prompt + output). Shares sum to the batch total exactly, so
-    /// per-module latency breakdowns stay meaningful under batching.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LlmError::EmptyPrompt`] if any prompt is empty.
-    pub fn infer_batch(&mut self, reqs: &[LlmRequest<'_>]) -> Result<Vec<LlmResponse>, LlmError> {
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let opts = reqs[0].opts;
-        let mut sized = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            let pt = self.prompt_tokens(req);
-            if pt == 0 {
-                return Err(LlmError::EmptyPrompt);
-            }
-            let nominal =
-                (req.expected_output_tokens as f64 * self.profile.verbosity).round() as u64;
-            let jitter = self.rng.gen_range(0.6..=1.4);
-            let ot = ((nominal as f64 * jitter).round() as u64).max(1);
-            sized.push((pt.min(self.profile.context_window), ot));
-        }
-        let total_latency = batch_latency(&self.profile, &sized, opts);
-        let weights: Vec<u64> = sized.iter().map(|&(pt, ot)| pt + ot).collect();
-        let shares = crate::latency::amortize_latency(total_latency, &weights);
-
-        let mut responses = Vec::with_capacity(reqs.len());
-        for (i, (req, &(pt, ot))) in reqs.iter().zip(sized.iter()).enumerate() {
-            let cost = inference_cost(&self.profile, pt, ot);
-            let mut quality =
-                self.quality_model
-                    .decision_quality(&self.profile, pt, req.difficulty, req.opts);
-            let noise: f64 = self.rng.gen_range(-0.04..=0.04);
-            quality = (quality + noise).clamp(0.02, 0.99);
-            self.usage.record(pt, ot, cost);
-            let flaw = self.semantic.sample();
-            responses.push(LlmResponse {
-                purpose: req.purpose,
-                prompt_tokens: pt,
-                output_tokens: ot,
-                latency: shares[i],
-                quality,
-                cost_usd: cost,
-                truncated: false,
-                flaw,
-            });
-        }
-        Ok(responses)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::InferenceOpts;
     use crate::request::Purpose;
 
     fn planning_req(prompt: &str) -> LlmRequest<'_> {
@@ -522,7 +452,7 @@ mod tests {
         let resp = e.infer(planning_req(&huge)).unwrap();
         assert!(resp.truncated);
         assert!(resp.prompt_tokens <= e.profile().context_window);
-        assert_eq!(e.overflow_count(), 1);
+        assert_eq!(e.usage().overflows, 1);
 
         // Same engine, short prompt: no overflow, higher quality on average.
         let short = e.infer(planning_req("short plan request")).unwrap();
@@ -536,55 +466,6 @@ mod tests {
         let resp = e.infer(planning_req("plan")).unwrap();
         assert_eq!(resp.cost_usd, 0.0);
         assert_eq!(e.usage().cost_usd, 0.0);
-    }
-
-    #[test]
-    fn batch_shares_latency_bill() {
-        let mut e = LlmEngine::new(ModelProfile::gpt4_api(), 9);
-        let prompts: Vec<String> = (0..4)
-            .map(|i| format!("agent {i} next action from candidates"))
-            .collect();
-        let reqs: Vec<LlmRequest> = prompts.iter().map(|p| planning_req(p)).collect();
-        let resps = e.infer_batch(&reqs).unwrap();
-        assert_eq!(resps.len(), 4);
-        // Every member is billed its amortized, non-zero share.
-        assert!(resps.iter().all(|r| !r.latency.is_zero()));
-        assert_eq!(e.usage().calls, 4);
-    }
-
-    #[test]
-    fn batch_amortization_preserves_total_latency() {
-        // Sum-preservation regression: the per-response shares must add up
-        // to the batch bill exactly, and heavier requests must pay at
-        // least as much as lighter ones.
-        let mut e = LlmEngine::new(ModelProfile::gpt4_api(), 17);
-        let reqs = vec![
-            LlmRequest::new(Purpose::Planning, "plan the kitchen task in detail", 300),
-            LlmRequest::new(Purpose::Communication, "compose a short update", 40),
-            LlmRequest::new(Purpose::Planning, "plan the hallway sweep and handoff", 300),
-        ];
-        let resps = e.infer_batch(&reqs).unwrap();
-        let sized: Vec<(u64, u64)> = resps
-            .iter()
-            .map(|r| (r.prompt_tokens, r.output_tokens))
-            .collect();
-        let total = batch_latency(e.profile(), &sized, InferenceOpts::default());
-        let billed: embodied_profiler::SimDuration = resps.iter().map(|r| r.latency).sum();
-        assert_eq!(billed, total, "amortized shares must sum to the batch bill");
-        let weight = |r: &LlmResponse| r.prompt_tokens + r.output_tokens;
-        for a in &resps {
-            for b in &resps {
-                if weight(a) > weight(b) {
-                    assert!(a.latency >= b.latency, "heavier request paid less");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_batch_ok() {
-        let mut e = LlmEngine::new(ModelProfile::gpt4_api(), 9);
-        assert!(e.infer_batch(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -750,11 +631,6 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(a.prompt_tokens, tok.count(&prompt));
         }
-        let batch = [LlmRequest::new(Purpose::Planning, "plan 🦀 now", 20)];
-        let a = counted
-            .infer_batch(&[batch[0].with_prompt_tokens(tok.count("plan 🦀 now"))])
-            .unwrap();
-        assert_eq!(a, plain.infer_batch(&batch).unwrap());
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Checks one probability field: finite and in `[0, 1]`. Shared by every
@@ -38,7 +37,7 @@ pub fn check_factor(field: &'static str, value: f64) -> Result<f64, String> {
 }
 
 /// One injected failure mode of a simulated LLM call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The call hung past the client deadline and was abandoned.
     Timeout,
@@ -70,7 +69,7 @@ impl fmt::Display for FaultKind {
 /// All probabilities are independent per call and drawn from the injector's
 /// own seeded stream. The default profile is [`FaultProfile::none()`]:
 /// faults are strictly opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Probability a call times out.
     pub timeout: f64,

@@ -3,11 +3,10 @@
 //! reuse).
 
 use crate::profile::{Deployment, ModelProfile};
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
-use serde::{Deserialize, Serialize};
+use embodied_profiler::SimDuration;
 
 /// Post-training quantization applied to a *local* deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Quantization {
     /// Full-precision weights.
     #[default]
@@ -44,33 +43,8 @@ impl Quantization {
     }
 }
 
-impl ToJson for Quantization {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                Quantization::None => "none",
-                Quantization::Awq4Bit => "awq-4bit",
-            }
-            .into(),
-        )
-    }
-}
-
-impl FromJson for Quantization {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| JsonError::msg("quantization: expected a string"))?
-        {
-            "none" => Ok(Quantization::None),
-            "awq-4bit" => Ok(Quantization::Awq4Bit),
-            other => Err(JsonError::msg(format!("unknown quantization: {other:?}"))),
-        }
-    }
-}
-
 /// Per-call latency/quality options.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceOpts {
     /// Quantization in effect (local deployments only).
     pub quantization: Quantization,

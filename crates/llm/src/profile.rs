@@ -10,11 +10,10 @@
 //! the paper's 10–30 s band.
 
 use crate::fault::check_rate;
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
-use serde::{Deserialize, Serialize};
+use embodied_profiler::SimDuration;
 
 /// Where and how a model runs, with its latency constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Deployment {
     /// A hosted API endpoint (the paper's GPT-4 usage).
     Api {
@@ -45,88 +44,8 @@ impl Deployment {
     }
 }
 
-impl ToJson for Deployment {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            Deployment::Api {
-                round_trip,
-                per_prompt_token,
-                per_output_token,
-                prompt_cost_per_1k,
-                completion_cost_per_1k,
-            } => JsonValue::Object(vec![(
-                "api".into(),
-                JsonValue::Object(vec![
-                    ("round_trip".into(), round_trip.to_json()),
-                    ("per_prompt_token".into(), per_prompt_token.to_json()),
-                    ("per_output_token".into(), per_output_token.to_json()),
-                    (
-                        "prompt_cost_per_1k".into(),
-                        JsonValue::Num(*prompt_cost_per_1k),
-                    ),
-                    (
-                        "completion_cost_per_1k".into(),
-                        JsonValue::Num(*completion_cost_per_1k),
-                    ),
-                ]),
-            )]),
-            Deployment::Local {
-                prefill_tok_per_s,
-                decode_tok_per_s,
-            } => JsonValue::Object(vec![(
-                "local".into(),
-                JsonValue::Object(vec![
-                    (
-                        "prefill_tok_per_s".into(),
-                        JsonValue::Num(*prefill_tok_per_s),
-                    ),
-                    ("decode_tok_per_s".into(), JsonValue::Num(*decode_tok_per_s)),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for Deployment {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let positive = |field: &str, v: f64| {
-            if v.is_finite() && v > 0.0 {
-                Ok(v)
-            } else {
-                Err(JsonError::msg(format!(
-                    "Deployment: {field} must be finite and positive, got {v}"
-                )))
-            }
-        };
-        if let Ok(api) = value.field("api") {
-            Ok(Deployment::Api {
-                round_trip: SimDuration::from_json(api.field("round_trip")?)?,
-                per_prompt_token: SimDuration::from_json(api.field("per_prompt_token")?)?,
-                per_output_token: SimDuration::from_json(api.field("per_output_token")?)?,
-                prompt_cost_per_1k: api.f64_field("prompt_cost_per_1k")?,
-                completion_cost_per_1k: api.f64_field("completion_cost_per_1k")?,
-            })
-        } else if let Ok(local) = value.field("local") {
-            Ok(Deployment::Local {
-                prefill_tok_per_s: positive(
-                    "prefill_tok_per_s",
-                    local.f64_field("prefill_tok_per_s")?,
-                )?,
-                decode_tok_per_s: positive(
-                    "decode_tok_per_s",
-                    local.f64_field("decode_tok_per_s")?,
-                )?,
-            })
-        } else {
-            Err(JsonError::msg(
-                "Deployment: expected an object with an \"api\" or \"local\" key",
-            ))
-        }
-    }
-}
-
 /// A complete simulated-LLM profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     /// Human-readable name, e.g. `"GPT-4 (API)"`.
     pub name: String,
@@ -259,7 +178,6 @@ impl ModelProfile {
 
     /// Validated constructor: capability must be a probability, verbosity
     /// and parameter count finite and non-negative, context window nonzero.
-    /// All deserialization paths go through this.
     pub fn validated(self) -> Result<Self, String> {
         check_rate("base_capability", self.base_capability)?;
         if !self.verbosity.is_finite() || self.verbosity <= 0.0 {
@@ -296,47 +214,13 @@ impl ModelProfile {
     }
 }
 
-impl ToJson for ModelProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("name".into(), JsonValue::Str(self.name.clone())),
-            ("params_b".into(), JsonValue::Num(self.params_b)),
-            ("deployment".into(), self.deployment.to_json()),
-            (
-                "context_window".into(),
-                JsonValue::Num(self.context_window as f64),
-            ),
-            (
-                "base_capability".into(),
-                JsonValue::Num(self.base_capability),
-            ),
-            ("verbosity".into(), JsonValue::Num(self.verbosity)),
-        ])
-    }
-}
-
-impl FromJson for ModelProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        ModelProfile {
-            name: value.str_field("name")?.to_string(),
-            params_b: value.f64_field("params_b")?,
-            deployment: Deployment::from_json(value.field("deployment")?)?,
-            context_window: value.u64_field("context_window")?,
-            base_capability: value.f64_field("base_capability")?,
-            verbosity: value.f64_field("verbosity")?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("ModelProfile: {e}")))
-    }
-}
-
 /// A perception front-end (ViT, MineCLIP, DINO, …): fixed forward-pass
 /// latency plus a per-entity recognition cost.
 ///
 /// In the paper these produce symbolic percepts the planner consumes; their
 /// latency is a small, roughly constant slice of each step (Fig. 2a's
 /// "sensing" bars).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncoderProfile {
     /// Encoder name, e.g. `"MineCLIP"`.
     pub name: String,
@@ -475,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn validated_rejects_bad_profiles_and_json_round_trips() {
+    fn validated_rejects_bad_profiles() {
         let mut bad = ModelProfile::gpt4_api();
         bad.base_capability = 1.4;
         assert!(bad.validated().is_err());
@@ -485,17 +369,6 @@ mod tests {
         let mut bad = ModelProfile::llama3_8b();
         bad.context_window = 0;
         assert!(bad.validated().is_err());
-
-        for profile in [
-            ModelProfile::gpt4_api(),
-            ModelProfile::llama3_8b(),
-            ModelProfile::llama_70b(),
-            ModelProfile::llava_7b(),
-        ] {
-            let text = profile.to_json().render_pretty();
-            let back = ModelProfile::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, profile);
-        }
     }
 
     #[test]

@@ -13,10 +13,9 @@
 
 use crate::latency::InferenceOpts;
 use crate::profile::ModelProfile;
-use serde::{Deserialize, Serialize};
 
 /// Tunable constants of the quality model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityModel {
     /// Prompt length (tokens) below which focus is perfect.
     pub context_knee: u64,

@@ -3,7 +3,6 @@
 use crate::latency::InferenceOpts;
 use crate::semantic::SemanticFlaw;
 use embodied_profiler::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What an agent module is asking the model to do.
@@ -11,7 +10,7 @@ use std::fmt;
 /// The paper attributes LLM latency separately to planning, message
 /// generation, reflection and action selection (e.g. CoELA's three runs per
 /// step), so every request is tagged with its purpose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Purpose {
     /// High-level plan / subgoal generation.
     Planning,
@@ -101,7 +100,7 @@ impl<'a> LlmRequest<'a> {
 /// The *content* of the completion is decided by the caller (the planner
 /// consults the environment's oracle with probability `quality`); the engine
 /// reports everything measurable about the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LlmResponse {
     /// What the call was for (drives per-purpose latency attribution).
     pub purpose: Purpose,

@@ -9,8 +9,7 @@
 use crate::engine::{LlmEngine, LlmError};
 use crate::fault::check_rate;
 use crate::request::{LlmRequest, LlmResponse};
-use embodied_profiler::{FromJson, JsonError, JsonValue, ResilienceStats, SimDuration, ToJson};
-use serde::{Deserialize, Serialize};
+use embodied_profiler::{ResilienceStats, SimDuration};
 
 /// Anything a module can run inferences against.
 ///
@@ -41,7 +40,7 @@ impl InferenceEndpoint for LlmEngine {
 /// monotone non-decreasing whenever `multiplier ≥ 1 + jitter` (which all
 /// built-in policies satisfy), because the un-jittered ladder then grows at
 /// least as fast as the worst-case jitter and the cap is applied last.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per logical call (1 = no retries).
     pub max_attempts: u32,
@@ -154,51 +153,6 @@ impl RetryPolicy {
         }
         check_rate("jitter", self.jitter)?;
         Ok(self)
-    }
-}
-
-impl ToJson for RetryPolicy {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "max_attempts".into(),
-                JsonValue::Num(f64::from(self.max_attempts)),
-            ),
-            ("base_backoff".into(), self.base_backoff.to_json()),
-            ("multiplier".into(), JsonValue::Num(self.multiplier)),
-            ("jitter".into(), JsonValue::Num(self.jitter)),
-            ("max_backoff".into(), self.max_backoff.to_json()),
-            ("budget".into(), self.budget.to_json()),
-            (
-                "breaker_threshold".into(),
-                JsonValue::Num(f64::from(self.breaker_threshold)),
-            ),
-            (
-                "breaker_cooldown".into(),
-                JsonValue::Num(f64::from(self.breaker_cooldown)),
-            ),
-        ])
-    }
-}
-
-impl FromJson for RetryPolicy {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let u32_field = |key: &str| -> Result<u32, JsonError> {
-            u32::try_from(value.u64_field(key)?)
-                .map_err(|_| JsonError::msg(format!("field `{key}` exceeds u32")))
-        };
-        RetryPolicy {
-            max_attempts: u32_field("max_attempts")?,
-            base_backoff: SimDuration::from_json(value.field("base_backoff")?)?,
-            multiplier: value.f64_field("multiplier")?,
-            jitter: value.f64_field("jitter")?,
-            max_backoff: SimDuration::from_json(value.field("max_backoff")?)?,
-            budget: SimDuration::from_json(value.field("budget")?)?,
-            breaker_threshold: u32_field("breaker_threshold")?,
-            breaker_cooldown: u32_field("breaker_cooldown")?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("RetryPolicy: {e}")))
     }
 }
 

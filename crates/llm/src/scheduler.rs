@@ -20,12 +20,7 @@
 //! model profile and consults it for every scheduling decision.
 
 use crate::serving_faults::{ServingFaultInjector, ServingFaultProfile};
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, SimInstant, ToJson};
-use serde::{Deserialize, Serialize};
-
-fn default_replicas() -> u32 {
-    1
-}
+use embodied_profiler::{SimDuration, SimInstant};
 
 /// Serving-layer knobs (paper Rec. 1: batching, shared endpoints) plus the
 /// serving fault plane and its SLO-aware resilience tier.
@@ -35,7 +30,7 @@ fn default_replicas() -> u32 {
 /// knob off — under which every call takes exactly the legacy per-module
 /// path and draw order, so reports are byte-identical to builds without
 /// the serving layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingConfig {
     /// Batch co-arriving same-model requests of a step phase into one
     /// shared latency bill with amortized per-request attribution.
@@ -46,25 +41,20 @@ pub struct ServingConfig {
     /// Replicas per backend fleet (0 is treated as 1). Extra replicas add
     /// scheduling choice: placements go to the least-loaded healthy
     /// replica, and failover/hedging need a healthy peer to target.
-    #[serde(default = "default_replicas")]
     pub replicas: u32,
     /// Serving fault plane: replica crashes, brownouts, queue overflow.
-    #[serde(default)]
     pub faults: ServingFaultProfile,
     /// Per-request SLO deadline: a call whose end-to-end serving latency
     /// exceeds it fails with [`crate::LlmError::DeadlineExceeded`].
-    #[serde(default)]
     pub deadline: Option<SimDuration>,
     /// Hedging delay: when a placement would queue longer than this, the
     /// request is re-issued to a second healthy replica after the delay —
     /// first completion wins, both are billed.
-    #[serde(default)]
     pub hedge_after: Option<SimDuration>,
     /// Admission-control threshold: once a backend has accepted this many
     /// placements in the current step, low-priority calls (reflection,
     /// communication, summarization) are shed; at twice the threshold
     /// everything is. 0 disables shedding.
-    #[serde(default)]
     pub shed_depth: u32,
 }
 
@@ -73,7 +63,7 @@ impl Default for ServingConfig {
         ServingConfig {
             batching: false,
             concurrency: 0,
-            replicas: default_replicas(),
+            replicas: 1,
             faults: ServingFaultProfile::none(),
             deadline: None,
             hedge_after: None,
@@ -152,56 +142,6 @@ impl ServingConfig {
     pub fn validated(self) -> Result<Self, String> {
         self.faults.validated()?;
         Ok(self)
-    }
-}
-
-impl ToJson for ServingConfig {
-    fn to_json(&self) -> JsonValue {
-        let opt_duration = |d: Option<SimDuration>| match d {
-            Some(d) => d.to_json(),
-            None => JsonValue::Null,
-        };
-        JsonValue::Object(vec![
-            ("batching".into(), JsonValue::Bool(self.batching)),
-            (
-                "concurrency".into(),
-                JsonValue::Num(f64::from(self.concurrency)),
-            ),
-            ("replicas".into(), JsonValue::Num(f64::from(self.replicas))),
-            ("faults".into(), self.faults.to_json()),
-            ("deadline".into(), opt_duration(self.deadline)),
-            ("hedge_after".into(), opt_duration(self.hedge_after)),
-            (
-                "shed_depth".into(),
-                JsonValue::Num(f64::from(self.shed_depth)),
-            ),
-        ])
-    }
-}
-
-impl FromJson for ServingConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let u32_field = |key: &str| -> Result<u32, JsonError> {
-            u32::try_from(value.u64_field(key)?)
-                .map_err(|_| JsonError::msg(format!("field `{key}` exceeds u32")))
-        };
-        let opt_duration = |key: &str| -> Result<Option<SimDuration>, JsonError> {
-            match value.field(key)? {
-                JsonValue::Null => Ok(None),
-                other => SimDuration::from_json(other).map(Some),
-            }
-        };
-        ServingConfig {
-            batching: value.bool_field("batching")?,
-            concurrency: u32_field("concurrency")?,
-            replicas: u32_field("replicas")?,
-            faults: ServingFaultProfile::from_json(value.field("faults")?)?,
-            deadline: opt_duration("deadline")?,
-            hedge_after: opt_duration("hedge_after")?,
-            shed_depth: u32_field("shed_depth")?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("ServingConfig: {e}")))
     }
 }
 

@@ -19,11 +19,10 @@ use crate::fault::check_rate;
 use embodied_profiler::{FromJson, JsonError, JsonValue, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One injected content-corruption mode of a simulated LLM completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SemanticFaultKind {
     /// The decision text is malformed/unparseable (broken JSON, rambling
     /// prose where an action was expected).
@@ -64,7 +63,7 @@ impl fmt::Display for SemanticFaultKind {
 /// All probabilities are independent per call and drawn from the semantic
 /// injector's own seeded stream. The default profile is
 /// [`SemanticFaultProfile::none()`]: content faults are strictly opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SemanticFaultProfile {
     /// Probability the completion is malformed/unparseable.
     pub malformed: f64,
@@ -170,7 +169,7 @@ impl FromJson for SemanticFaultProfile {
 /// planning layer uses it to materialize the flaw deterministically (which
 /// entity gets hallucinated, which invalid pattern gets emitted) without
 /// consuming any main-stream randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SemanticFlaw {
     /// The corruption mode that fired.
     pub kind: SemanticFaultKind,

@@ -13,14 +13,13 @@ use crate::fault::{check_factor, check_rate};
 use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Per-placement fault probabilities for one backend replica fleet.
 ///
 /// All probabilities are independent per scheduling decision and drawn from
 /// the injector's own seeded stream. The default profile is
 /// [`ServingFaultProfile::none()`]: serving faults are strictly opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingFaultProfile {
     /// Probability the replica chosen for a placement crashes while
     /// serving it (the request fails over; the replica cold-restarts).

@@ -8,7 +8,7 @@
 //! (hash order, thread timing, pointer identity) ever influences pop
 //! order.
 
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, SimInstant, ToJson};
+use embodied_profiler::{SimDuration, SimInstant};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -175,7 +175,7 @@ impl FleetConfig {
 
     /// Validated constructor: both duration knobs must stay under the
     /// 600 s sanity ceiling (the unsigned representation already rules out
-    /// negative or NaN durations; the JSON layer rejects those at parse).
+    /// negative or NaN durations).
     pub fn validated(self) -> Result<Self, String> {
         if self.stagger > MAX_FLEET_DURATION {
             return Err(format!(
@@ -190,33 +190,6 @@ impl FleetConfig {
             ));
         }
         Ok(self)
-    }
-}
-
-impl ToJson for FleetConfig {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("stagger".into(), self.stagger.to_json()),
-            ("batch_window".into(), self.batch_window.to_json()),
-            (
-                "max_sessions".into(),
-                JsonValue::Num(f64::from(self.max_sessions)),
-            ),
-        ])
-    }
-}
-
-impl FromJson for FleetConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let max_sessions = u32::try_from(value.u64_field("max_sessions")?)
-            .map_err(|_| JsonError::msg("field `max_sessions` exceeds u32"))?;
-        FleetConfig {
-            stagger: SimDuration::from_json(value.field("stagger")?)?,
-            batch_window: SimDuration::from_json(value.field("batch_window")?)?,
-            max_sessions,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("FleetConfig: {e}")))
     }
 }
 
@@ -239,45 +212,6 @@ pub struct FleetSummary {
     pub cross_episode_batches: u64,
     /// Final virtual-clock reading: wall-clock of the whole fleet.
     pub makespan: SimDuration,
-}
-
-impl ToJson for FleetSummary {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("sessions".into(), JsonValue::Num(self.sessions as f64)),
-            ("events".into(), JsonValue::Num(self.events as f64)),
-            (
-                "peak_in_flight".into(),
-                JsonValue::Num(f64::from(self.peak_in_flight)),
-            ),
-            (
-                "decode_events".into(),
-                JsonValue::Num(self.decode_events as f64),
-            ),
-            ("restarts".into(), JsonValue::Num(self.restarts as f64)),
-            (
-                "cross_episode_batches".into(),
-                JsonValue::Num(self.cross_episode_batches as f64),
-            ),
-            ("makespan".into(), self.makespan.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FleetSummary {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let peak = u32::try_from(value.u64_field("peak_in_flight")?)
-            .map_err(|_| JsonError::msg("field `peak_in_flight` exceeds u32"))?;
-        Ok(FleetSummary {
-            sessions: value.u64_field("sessions")?,
-            events: value.u64_field("events")?,
-            peak_in_flight: peak,
-            decode_events: value.u64_field("decode_events")?,
-            restarts: value.u64_field("restarts")?,
-            cross_episode_batches: value.u64_field("cross_episode_batches")?,
-            makespan: SimDuration::from_json(value.field("makespan")?)?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -373,49 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn fleet_config_round_trips_exactly() {
-        let config = FleetConfig::default()
-            .with_sessions(4)
-            .with_stagger(SimDuration::from_millis(1500))
-            .with_batch_window(SimDuration::from_secs(12));
-        let text = config.to_json().render_pretty();
-        let back = FleetConfig::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, config);
-    }
-
-    #[test]
     fn fleet_config_rejects_out_of_range_knobs() {
-        // Past the sanity ceiling: rejected at validation and at parse.
+        // Past the sanity ceiling: rejected at validation.
         let big = FleetConfig::default().with_batch_window(SimDuration::from_secs(601));
         assert!(big.validated().is_err());
-        let text = big.to_json().render_pretty();
-        assert!(FleetConfig::from_json(&JsonValue::parse(&text).unwrap()).is_err());
-        // Negative and NaN durations never parse (unsigned micros).
-        let neg = JsonValue::parse("{\"stagger\": -5, \"batch_window\": 100, \"max_sessions\": 0}")
-            .unwrap();
-        assert!(FleetConfig::from_json(&neg).is_err());
-        let frac =
-            JsonValue::parse("{\"stagger\": 1.5, \"batch_window\": 100, \"max_sessions\": 0}")
-                .unwrap();
-        assert!(
-            FleetConfig::from_json(&frac).is_err(),
-            "fractional micros are rejected, not truncated"
-        );
-    }
-
-    #[test]
-    fn fleet_summary_round_trips_exactly() {
-        let summary = FleetSummary {
-            sessions: 8,
-            events: 412,
-            peak_in_flight: 6,
-            decode_events: 130,
-            restarts: 2,
-            cross_episode_batches: 11,
-            makespan: SimDuration::from_secs(912),
-        };
-        let text = summary.to_json().render_pretty();
-        let back = FleetSummary::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, summary);
     }
 }

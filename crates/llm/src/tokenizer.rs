@@ -8,8 +8,6 @@
 //! words are one token, long words split into ~4-character subwords, and
 //! punctuation/digits tokenize separately.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic subword tokenizer used by every simulated model.
 ///
 /// ```
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// // Long words split into subwords, like real BPE vocabularies.
 /// assert!(tok.count("antidisestablishmentarianism") > 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tokenizer {
     /// Maximum characters a single subword token absorbs.
     subword_len: usize,
@@ -103,29 +101,6 @@ impl Tokenizer {
         } else {
             len.div_ceil(self.subword_len) as u64
         }
-    }
-
-    /// Truncates `text` to at most `max_tokens`, keeping the *tail* (the
-    /// convention used when a prompt exceeds the context window: the system
-    /// preamble has already been consumed, and the freshest context matters
-    /// most). Returns the retained suffix.
-    pub fn truncate_to(&self, text: &str, max_tokens: u64) -> String {
-        if self.count(text) <= max_tokens {
-            return text.to_owned();
-        }
-        // Walk words from the end, accumulating until the budget is spent.
-        let mut kept = Vec::new();
-        let mut budget = max_tokens;
-        for word in text.split_whitespace().rev() {
-            let cost = self.count(word);
-            if cost > budget {
-                break;
-            }
-            budget -= cost;
-            kept.push(word);
-        }
-        kept.reverse();
-        kept.join(" ")
     }
 }
 
@@ -225,21 +200,6 @@ mod tests {
             (3.0..7.0).contains(&ratio),
             "chars/token ratio {ratio} outside plausible band"
         );
-    }
-
-    #[test]
-    fn truncate_keeps_tail_within_budget() {
-        let tok = Tokenizer::default();
-        let text = "alpha beta gamma delta epsilon";
-        let cut = tok.truncate_to(text, 2);
-        assert!(tok.count(&cut) <= 2);
-        assert!(cut.ends_with("epsilon"));
-    }
-
-    #[test]
-    fn truncate_noop_when_under_budget() {
-        let tok = Tokenizer::default();
-        assert_eq!(tok.truncate_to("short text", 100), "short text");
     }
 
     #[test]

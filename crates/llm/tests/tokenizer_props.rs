@@ -77,25 +77,6 @@ proptest! {
         );
     }
 
-    /// Tail truncation keeps the same words the reference word costs keep.
-    #[test]
-    fn truncate_keeps_the_reference_tail(text in edge_text(), budget in 0u64..40) {
-        let tok = Tokenizer::default();
-        let mut kept = Vec::new();
-        let mut left = budget;
-        for word in text.split_whitespace().rev() {
-            let cost = reference_count_word(word, 4, 7);
-            if cost > left {
-                break;
-            }
-            left -= cost;
-            kept.push(word);
-        }
-        kept.reverse();
-        let expected = if reference_count(&text, 4, 7) <= budget { text.clone() } else { kept.join(" ") };
-        prop_assert_eq!(tok.truncate_to(&text, budget), expected);
-    }
-
     /// Counting is additive across any whitespace seam: the count of
     /// `a + ws + b` is the count of `a` plus the count of `b`, whatever
     /// `a` and `b` end or start with. Prompt assembly sums the counts of

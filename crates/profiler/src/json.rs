@@ -1,12 +1,11 @@
 //! Minimal JSON tree, parser and writer for checked-in artifacts.
 //!
-//! The workspace pins `serde` to a no-op stand-in (the build container has
-//! no route to crates.io), so types that need *real* serialization — the
-//! evolved-scenario fixtures of the adversarial robustness suite — go
-//! through this module instead: a small [`JsonValue`] tree with a strict
-//! recursive-descent parser and a deterministic writer, plus the
-//! [`ToJson`]/[`FromJson`] traits the suite's config types implement by
-//! hand.
+//! The only artifact the suite writes and reads back is the evolved-scenario
+//! fixture of the adversarial robustness suite. It goes through this
+//! module: a small [`JsonValue`] tree with a strict recursive-descent
+//! parser and a deterministic writer, plus the [`ToJson`]/[`FromJson`]
+//! traits that the fixture's genotype and the profiles, policies and
+//! presets it stores implement by hand.
 //!
 //! Determinism contract: objects preserve insertion order, floats are
 //! rendered with Rust's shortest round-trip formatting, and
@@ -601,6 +600,10 @@ mod tests {
         assert_eq!(back, d);
         assert!(SimDuration::from_json(&JsonValue::Num(-3.0)).is_err());
         assert!(SimDuration::from_json(&JsonValue::Str("3".into())).is_err());
+        assert!(
+            SimDuration::from_json(&JsonValue::Num(1.5)).is_err(),
+            "fractional micros are rejected, not truncated"
+        );
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use crate::module::ModuleKind;
 use crate::span::Trace;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Declares a summed counters struct exactly as written and derives its
@@ -40,7 +39,7 @@ macro_rules! counters {
 ///
 /// This is the data behind Fig. 2a: the share of per-step latency each
 /// building block contributes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyBreakdown {
     totals: [SimDuration; 6],
 }
@@ -125,7 +124,7 @@ counters! {
     /// LLM usage counters for an episode.
     ///
     /// Drives Fig. 6 (prompt growth) and Fig. 7's call/token scaling analysis.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
     pub struct TokenStats {
         /// Number of LLM inference runs (API calls or local forward passes).
         pub calls: u64,
@@ -166,7 +165,7 @@ impl TokenStats {
 }
 
 /// What one environment step looked like, for per-step time series (Fig. 6).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepRecord {
     /// Step index within the episode.
     pub step: usize,
@@ -183,7 +182,7 @@ pub struct StepRecord {
 /// Per-purpose LLM usage: the data behind the paper's in-text splits such
 /// as CoELA's three runs per step (message generation / planning / action
 /// selection).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PurposeUsage {
     /// Purpose label, e.g. `"planning"`.
     pub purpose: String,
@@ -198,7 +197,7 @@ pub struct PurposeUsage {
 }
 
 /// An accumulating per-purpose usage ledger.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PurposeLedger {
     entries: Vec<PurposeUsage>,
 }
@@ -272,7 +271,7 @@ impl PurposeLedger {
 counters! {
     /// Communication-utility counters (paper §V-D: only ~20% of CoELA's
     /// pre-generated messages turn out to be useful).
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct MessageStats {
         /// Messages generated by communication modules.
         pub generated: u64,
@@ -299,7 +298,7 @@ counters! {
     /// simulated endpoint misbehaved and what the retry layer paid to hide it);
     /// the degraded-step counters come from the agent layer (how often a module
     /// had to fall back to a cheaper behaviour because retries were exhausted).
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
     pub struct ResilienceStats {
         /// Timeout faults injected by the substrate.
         pub timeouts: u64,
@@ -360,7 +359,7 @@ counters! {
     /// themselves* — a robot process dying mid-episode, a teammate noticing the
     /// silence, a coordinator being re-elected. All zero when the episode ran
     /// with a fault-free agent profile.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct AgentFaultStats {
         /// Agent crash events injected.
         pub crashes: u64,
@@ -400,7 +399,7 @@ impl AgentFaultStats {
 counters! {
     /// Message-channel fault counters for an episode: what a lossy network did
     /// to inter-agent (and agent↔coordinator) traffic.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ChannelStats {
         /// Messages dropped in flight.
         pub dropped: u64,
@@ -437,7 +436,7 @@ counters! {
     /// counters account *content* faults — responses that arrived on time but
     /// carried malformed, hallucinated, invalid or truncated plans — plus the
     /// validator/repair work spent before any of them reached actuation.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
     pub struct RepairStats {
         /// Plan decisions checked by the validator.
         pub validations: u64,
@@ -498,7 +497,7 @@ counters! {
     /// All zero when the service runs in pass-through mode (the default: no
     /// batching, unbounded backend concurrency) — reports stay identical to
     /// pre-serving builds.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ServingStats {
         /// Independent same-phase requests scheduled under the concurrency
         /// limit (each may add load to a server slot).
@@ -507,7 +506,7 @@ counters! {
         /// reflection, guardrail re-prompts) that waited for a free slot
         /// without reserving one.
         pub solo_requests: u64,
-        /// Batches closed (one shared `infer_batch`-style bill each).
+        /// Serving windows closed (one shared batch latency bill each).
         pub batches: u64,
         /// Requests served inside those batches.
         pub batched_requests: u64,
@@ -553,7 +552,7 @@ counters! {
     /// All zero under `ServingFaultProfile::none()` with replicas ≤ 1 and
     /// every resilience knob off — reports stay identical to builds without
     /// the serving fault plane.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
     pub struct ServingFaultStats {
         /// Replica crashes drawn while serving a placement.
         pub crashes: u64,
@@ -623,7 +622,7 @@ counters! {
     /// objects appearing, frozen sensor frames, misread landmarks, and
     /// actuators silently failing, slipping, or going down. All zero under
     /// `EnvFaultProfile::none()`.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct EnvFaultStats {
         /// Entities dropped from an agent's observation (perception dropout).
         pub dropped_entities: u64,
@@ -675,7 +674,7 @@ counters! {
     /// progress stalls, bounded action retries before replanning, and fresh
     /// observes when validation fails against a phantom entity. All zero under
     /// `RecoveryPolicy::Off`.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
     pub struct RecoveryStats {
         /// Forced re-observations issued by the stuck-detection watchdog.
         pub watchdog_reobserves: u64,

@@ -1,7 +1,6 @@
 //! The six building-block modules of an embodied agent (paper §II-A), plus
 //! the finer-grained phases used when attributing LLM latency.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the six building blocks of an embodied AI agent.
@@ -9,7 +8,7 @@ use std::fmt;
 /// The paper's latency breakdowns (Fig. 2a) and sensitivity study (Fig. 3)
 /// are reported per module, so every span recorded by the suite is tagged
 /// with one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ModuleKind {
     /// Perceives the environment and extracts percepts for reasoning.
     Sensing,
@@ -79,9 +78,7 @@ impl fmt::Display for ModuleKind {
 /// `Fig. 2`'s in-text analysis distinguishes, e.g., CoELA's three LLM runs per
 /// step (message generation 16.1%, planning 36.5%, action selection 10.3%);
 /// phases make those separable in the trace.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Phase {
     /// Undifferentiated module work.
     #[default]

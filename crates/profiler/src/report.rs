@@ -8,11 +8,10 @@ use crate::metrics::{
 };
 use crate::module::ModuleKind;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why an episode ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Outcome {
     /// All goal predicates satisfied before the step limit.
     Success,
@@ -42,7 +41,7 @@ impl fmt::Display for Outcome {
 }
 
 /// Everything measured during a single episode of one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpisodeReport {
     /// Workload that produced the episode (e.g. `"CoELA"`).
     pub workload: String,
@@ -80,20 +79,16 @@ pub struct EpisodeReport {
     pub repairs: RepairStats,
     /// Shared-inference-service counters — batches, queueing, prefix reuse
     /// (all zero when the service runs in pass-through mode).
-    #[serde(default)]
     pub serving: ServingStats,
     /// Serving-plane fault and SLO-tier counters — replica crashes,
     /// failovers, hedges, shedding, deadline verdicts (all zero under
     /// `ServingFaultProfile::none()` with the resilience tier off).
-    #[serde(default)]
     pub serving_faults: ServingFaultStats,
     /// Environment fault counters — perception/actuation faults at the
     /// sensor/actuator boundary (all zero under `EnvFaultProfile::none()`).
-    #[serde(default)]
     pub env_faults: EnvFaultStats,
     /// Closed-loop recovery counters — forced re-observations, action
     /// retries, replan escalations (all zero under `RecoveryPolicy::Off`).
-    #[serde(default)]
     pub recovery: RecoveryStats,
     /// Per-step time series.
     pub step_records: Vec<StepRecord>,
@@ -116,7 +111,7 @@ impl EpisodeReport {
 ///
 /// The paper reports success rate, average steps and average latency per
 /// configuration; [`Aggregate`] computes exactly those (plus spread).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Aggregate {
     /// Configuration label.
     pub label: String,
@@ -155,16 +150,12 @@ pub struct Aggregate {
     /// Merged guardrail validation/repair counters across episodes.
     pub repairs: RepairStats,
     /// Merged shared-inference-service counters across episodes.
-    #[serde(default)]
     pub serving: ServingStats,
     /// Merged serving-plane fault/SLO counters across episodes.
-    #[serde(default)]
     pub serving_faults: ServingFaultStats,
     /// Merged environment fault counters across episodes.
-    #[serde(default)]
     pub env_faults: EnvFaultStats,
     /// Merged closed-loop recovery counters across episodes.
-    #[serde(default)]
     pub recovery: RecoveryStats,
 }
 

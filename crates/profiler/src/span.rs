@@ -2,10 +2,9 @@
 
 use crate::module::{ModuleKind, Phase};
 use crate::time::{SimClock, SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
 
 /// One timed piece of module work on the simulated timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Which building block did the work.
     pub module: ModuleKind,
@@ -47,7 +46,6 @@ pub struct Trace {
     clock: SimClock,
     spans: Vec<Span>,
     step: usize,
-    agent: usize,
 }
 
 impl Trace {
@@ -59,11 +57,6 @@ impl Trace {
     /// Sets the step index attached to subsequently recorded spans.
     pub fn begin_step(&mut self, step: usize) {
         self.step = step;
-    }
-
-    /// Sets the agent index attached to subsequently recorded spans.
-    pub fn set_agent(&mut self, agent: usize) {
-        self.agent = agent;
     }
 
     /// Current step index.
@@ -92,17 +85,6 @@ impl Trace {
         self.clock.advance(duration);
         self.spans.push(span.clone());
         span
-    }
-
-    /// Records a span attributed to the trace's current agent.
-    pub fn record_here(&mut self, module: ModuleKind, phase: Phase, duration: SimDuration) -> Span {
-        self.record(module, phase, self.agent, duration)
-    }
-
-    /// Advances time without attributing it to a module (e.g. environment
-    /// settling time). Rarely used; figure breakdowns ignore it.
-    pub fn advance_untracked(&mut self, duration: SimDuration) {
-        self.clock.advance(duration);
     }
 
     /// Records a set of spans that run *concurrently* (batched API calls,
@@ -225,22 +207,6 @@ mod tests {
         assert_eq!(t.step_spans(1).count(), 2);
         assert_eq!(t.step_spans(0).count(), 1);
         assert_eq!(t.step_spans(7).count(), 0);
-    }
-
-    #[test]
-    fn record_here_uses_current_agent() {
-        let mut t = Trace::new();
-        t.set_agent(3);
-        let span = t.record_here(ModuleKind::Communication, Phase::LlmInference, sec(1));
-        assert_eq!(span.agent, 3);
-    }
-
-    #[test]
-    fn untracked_time_advances_clock_but_not_modules() {
-        let mut t = Trace::new();
-        t.advance_untracked(sec(5));
-        assert_eq!(t.elapsed(), sec(5));
-        assert!(t.spans().is_empty());
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! All latency contributions in the suite are expressed as [`SimDuration`]s
 //! and accumulated on a [`SimClock`], with microsecond resolution.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -19,9 +18,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(step.as_millis(), 12_800);
 /// assert_eq!(format!("{step}"), "12.80s");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -52,11 +49,6 @@ impl SimDuration {
             return SimDuration::ZERO;
         }
         SimDuration((secs * 1e6).round() as u64)
-    }
-
-    /// Creates a duration from fractional milliseconds, saturating at zero.
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1e3)
     }
 
     /// Total whole microseconds.
@@ -176,9 +168,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// A point on the simulated timeline, measured from episode start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimInstant(u64);
 
 impl SimInstant {
@@ -260,7 +250,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2_000));
         assert_eq!(SimDuration::from_millis(5), SimDuration::from_micros(5_000));
         assert_eq!(SimDuration::from_secs_f64(1.5).as_millis(), 1_500);
-        assert_eq!(SimDuration::from_millis_f64(2.5).as_micros(), 2_500);
     }
 
     #[test]

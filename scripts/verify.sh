@@ -37,13 +37,15 @@ echo "== resilience integration tests =="
 cargo test --release -q --test resilience --test fault_properties --test guardrail_properties
 
 # Smoke runs write into a scratch dir, so canonical results stay untouched.
+# One build of every experiment binary also gives bench_all its siblings.
 repo_root="$(pwd)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
+echo "== build experiment binaries =="
+cargo build --release -q -p embodied-bench --bins
 for bin in resilience_scalability guardrail_sweep serving_sweep slo_sweep \
            embodied_fault_sweep contention_sweep scenario_evolve; do
   echo "== $bin --smoke (scratch dir; canonical results untouched) =="
-  cargo build --release -q -p embodied-bench --bin "$bin"
   (cd "$smoke_dir" && "$repo_root/target/release/$bin" --smoke > /dev/null)
 done
 

@@ -1,12 +1,11 @@
 //! Workspace-local stand-in for the `serde` trait surface.
 //!
-//! The suite derives `Serialize`/`Deserialize` on its data types as API
-//! surface for downstream consumers, but contains no serialization call
-//! sites (all rendered output is hand-formatted markdown / Chrome JSON).
-//! Since the build container cannot reach crates.io, the workspace pins
-//! `serde` to this path crate: the traits exist as markers and the derives
-//! expand to nothing. Swapping back to upstream serde is a one-line change
-//! in the workspace manifest.
+//! No code in the suite uses these traits or derives any more: the one
+//! serialized artifact, the scenario fixture, goes through the profiler's
+//! own `ToJson`/`FromJson`. The crate manifests still declare `serde`, and
+//! the workspace pins it to this path crate (the traits exist as markers
+//! and the derives expand to nothing), until the declaration is dropped
+//! together with its lock entries.
 
 #![forbid(unsafe_code)]
 
