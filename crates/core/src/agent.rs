@@ -50,8 +50,8 @@ pub struct ModularAgent {
     /// Entity set at the time of this agent's last broadcast (computes the
     /// knowledge delta carried by the next message).
     pub last_broadcast: HashSet<String>,
-    /// Messages received this round, verbatim with their token counts, for
-    /// the dialogue section.
+    /// Messages received this round, verbatim with their token counts: the
+    /// dialogue section of communication and planning prompts.
     pub inbox: Vec<Counted<String>>,
     /// Consecutive steps without progress whose failure reflection has not
     /// resolved — drives compounding planner confusion.
@@ -68,11 +68,9 @@ pub struct ModularAgent {
     /// them until they are heard again.
     pub suspected: HashSet<usize>,
     /// Reusable render buffer for the planner's memory/map context section:
-    /// allocated once per episode, rewritten in place every step.
+    /// allocated once per episode, rewritten in place every step the
+    /// planning prompt is rendered.
     pub memory_buf: String,
-    /// Reusable render buffer for the newline-joined inbox (the dialogue
-    /// section of communication and planning prompts).
-    pub dialogue_buf: String,
     /// The shared inference service this agent's engines are registered
     /// with (per-tenant ledger for usage/resilience rollups).
     service: InferenceService,
@@ -173,26 +171,8 @@ impl ModularAgent {
             peer_last_heard: Vec::new(),
             suspected: HashSet::new(),
             memory_buf: String::new(),
-            dialogue_buf: String::new(),
             service: service.clone(),
         }
-    }
-
-    /// Renders the inbox into [`Self::dialogue_buf`] (newline-joined, same
-    /// bytes as `inbox.join("\n")`) reusing the buffer's capacity across
-    /// steps, and returns its token count: the sum of the messages' counts,
-    /// since the newlines between them are token seams.
-    pub fn render_dialogue(&mut self) -> u64 {
-        self.dialogue_buf.clear();
-        let mut tokens = 0;
-        for (k, msg) in self.inbox.iter().enumerate() {
-            if k > 0 {
-                self.dialogue_buf.push('\n');
-            }
-            self.dialogue_buf.push_str(msg.text());
-            tokens += msg.tokens();
-        }
-        tokens
     }
 
     /// Everything the agent currently knows about, given this step's

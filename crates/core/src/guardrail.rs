@@ -30,8 +30,8 @@
 use crate::prompt::{Counted, PromptWriter};
 use embodied_env::{AffordanceSet, Subgoal};
 use embodied_llm::{
-    floor_char, EngineHandle, InferenceOpts, LlmRequest, LlmResponse, Purpose, SemanticFaultKind,
-    SemanticFlaw,
+    floor_char, EngineHandle, InferenceOpts, LlmRequest, LlmResponse, Prompt, Purpose,
+    SemanticFaultKind, SemanticFlaw,
 };
 use embodied_profiler::{FromJson, JsonError, JsonValue, RepairStats, SimDuration, ToJson};
 use std::fmt;
@@ -445,10 +445,10 @@ pub fn guard_decision(
             let mut prompt = String::new();
             for _ in 0..max_attempts {
                 stats.repair_attempts += 1;
-                let tokens = write_repair_prompt(&mut prompt, preamble, goal, &error, affordances);
+                let repair =
+                    write_repair_prompt(&mut prompt, engine, preamble, goal, &error, affordances);
                 let result = engine.infer(
-                    LlmRequest::new(Purpose::Planning, &prompt, 40)
-                        .with_prompt_tokens(tokens)
+                    LlmRequest::new(Purpose::Planning, repair, 40)
                         .with_difficulty(difficulty)
                         .with_opts(opts),
                 );
@@ -512,26 +512,27 @@ fn note_rejection(stats: &mut RepairStats, error: &ValidationError) {
     }
 }
 
-/// Writes the repair re-prompt into `out` — the validator's structured
-/// error feedback plus the full afforded menu, so the model can ground its
-/// retry — and returns its token count.
-fn write_repair_prompt(
-    out: &mut String,
+/// Writes the repair re-prompt into `out`, rendered or counted as
+/// `engine` needs: the validator's structured error feedback plus the full
+/// afforded menu, so the model can ground its retry.
+fn write_repair_prompt<'a>(
+    out: &'a mut String,
+    engine: &EngineHandle,
     preamble: Counted<&str>,
     goal: Counted<&str>,
     error: &ValidationError,
     affordances: &AffordanceSet,
-) -> u64 {
-    PromptWriter::new(out, preamble)
-        .push_counted("task goal", goal)
+) -> Prompt<'a> {
+    let mut w = PromptWriter::for_engine(out, preamble, engine);
+    w.push_counted("task goal", goal)
         .push("validator error", &error.feedback())
         .push_candidates(affordances.candidates())
         .push(
             "instruction",
             "Your previous decision was rejected. Re-emit exactly one action \
              chosen from the available actions above.",
-        )
-        .tokens()
+        );
+    w.finish()
 }
 
 #[cfg(test)]

@@ -26,6 +26,8 @@
 mod accounts;
 mod agent;
 pub mod config;
+#[cfg(test)]
+mod differential;
 pub mod endtoend;
 pub mod faults;
 pub mod guardrail;

@@ -69,24 +69,22 @@ impl CommunicationModule {
         preamble: Counted<&str>,
         goal: Counted<&str>,
         status: &str,
-        dialogue_so_far: Counted<&str>,
+        dialogue_so_far: &[Counted<String>],
         knowledge_delta: &[String],
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<OutgoingMessage, LlmError> {
-        let tokens = PromptWriter::new(&mut self.prompt_buf, preamble)
-            .push_counted("task goal", goal)
+        let mut w = PromptWriter::for_engine(&mut self.prompt_buf, preamble, &self.engine);
+        w.push_counted("task goal", goal)
             .push("your status", status)
-            .push_counted("dialogue so far", dialogue_so_far)
+            .push_lines("dialogue so far", dialogue_so_far)
             .push(
                 "instruction",
                 "Compose a short message to your teammates sharing anything \
                  they need to coordinate effectively.",
-            )
-            .tokens();
+            );
         let response = self.engine.infer(
-            LlmRequest::new(Purpose::Communication, self.prompt_buf.as_str(), 60)
-                .with_prompt_tokens(tokens)
+            LlmRequest::new(Purpose::Communication, w.finish(), 60)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         )?;
@@ -133,7 +131,7 @@ mod tests {
                 Counted::new("you are a communicator"),
                 Counted::new("deliver objects"),
                 "in room_2, hands free",
-                Counted::new(""),
+                &[],
                 &["object_3".into()],
                 0.4,
                 InferenceOpts::default(),
@@ -154,7 +152,7 @@ mod tests {
                 Counted::new("you are a communicator"),
                 Counted::new("deliver objects"),
                 "in room_0",
-                Counted::new("agent 1: hello"),
+                &[Counted::new("agent 1: hello".to_owned())],
                 &[],
                 0.4,
                 InferenceOpts::default(),
@@ -174,7 +172,7 @@ mod tests {
                 preamble.as_deref(),
                 Counted::new("deliver objects"),
                 "in room_0",
-                Counted::new(""),
+                &[],
                 &[],
                 0.4,
                 InferenceOpts::default(),

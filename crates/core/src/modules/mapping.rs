@@ -8,7 +8,9 @@
 //! — the measurable footprint of exploration.
 
 use crate::modules::Percept;
+use crate::prompt::{count_tokens, digit_tokens};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// What the agent knows about one location.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -19,6 +21,21 @@ pub struct LocationKnowledge {
     pub entities: Vec<String>,
     /// Step of the most recent visit.
     pub last_seen_step: usize,
+    /// Tokens in this location's summary line, counted from its parts
+    /// when the line's content last changed.
+    line_tokens: u64,
+}
+
+/// Tokens in a summary line, from its parts: the name and its colon, the
+/// entity list (each comma one token) or "nothing notable", and
+/// "(seen step N)". The parts meet at spaces, where counts add up.
+fn line_tokens(name: &str, entities: &[String], step: usize) -> u64 {
+    let body = if entities.is_empty() {
+        count_tokens("nothing notable")
+    } else {
+        entities.iter().map(|e| count_tokens(e)).sum::<u64>() + entities.len() as u64 - 1
+    };
+    count_tokens(name) + 1 + body + count_tokens("(seen step)") + digit_tokens(step)
 }
 
 /// An accumulated map of the (partially observed) world.
@@ -42,6 +59,7 @@ impl WorldMap {
         entry.visits += 1;
         entry.last_seen_step = step;
         entry.entities = percept.entities.clone();
+        entry.line_tokens = line_tokens(&percept.location, &entry.entities, step);
     }
 
     /// Number of distinct locations visited.
@@ -76,20 +94,73 @@ impl WorldMap {
             .join("\n")
     }
 
-    /// Streams the same text as [`Self::summary`] into `out` (appending),
-    /// without allocating: the top-`max_locations` selection runs on a
-    /// stack scratchpad and each line is written straight into the buffer.
-    /// Ties on `last_seen_step` keep map (alphabetical) order, matching
-    /// the stable sort in [`Self::summary`].
-    pub fn write_summary(&self, out: &mut String, max_locations: usize) {
-        use std::fmt::Write as _;
-        const STACK: usize = 16;
-        if max_locations == 0 || self.locations.is_empty() {
-            return;
+    /// Appends the map's prompt context to `out` — a `[map]` header, the
+    /// [`Self::summary`] of the `max_locations` most recent locations, and
+    /// a newline; nothing while no location is mapped — and returns its
+    /// token count, summed from the lines' stored counts. Allocation-free
+    /// for `max_locations` up to 16.
+    pub fn write_context(&self, out: &mut String, max_locations: usize) -> u64 {
+        self.context_into(Some(out), max_locations)
+    }
+
+    /// The token count [`Self::write_context`] returns, without the text.
+    pub fn context_tokens(&self, max_locations: usize) -> u64 {
+        self.context_into(None, max_locations)
+    }
+
+    fn context_into(&self, mut out: Option<&mut String>, max_locations: usize) -> u64 {
+        if self.locations.is_empty() {
+            return 0;
         }
+        if let Some(out) = out.as_deref_mut() {
+            out.push_str("[map]\n");
+        }
+        let mut tokens = count_tokens("[map]");
+        let mut first = true;
+        self.for_each_recent(max_locations, |name, k| {
+            tokens += k.line_tokens;
+            let Some(out) = out.as_deref_mut() else {
+                return;
+            };
+            if !std::mem::take(&mut first) {
+                out.push('\n');
+            }
+            if k.entities.is_empty() {
+                let _ = write!(
+                    out,
+                    "{name}: nothing notable (seen step {})",
+                    k.last_seen_step
+                );
+            } else {
+                let _ = write!(out, "{name}: ");
+                for (j, e) in k.entities.iter().enumerate() {
+                    if j > 0 {
+                        out.push_str(", ");
+                    }
+                    out.push_str(e);
+                }
+                let _ = write!(out, " (seen step {})", k.last_seen_step);
+            }
+        });
+        if let Some(out) = out {
+            out.push('\n');
+        }
+        tokens
+    }
+
+    /// Visits the `max_locations` most recently seen locations, newest
+    /// first, in [`Self::summary`]'s order: ties on `last_seen_step` keep
+    /// map (alphabetical) order, as its stable sort does. Up to 16, the
+    /// selection runs on a stack scratchpad.
+    fn for_each_recent(&self, max_locations: usize, mut f: impl FnMut(&str, &LocationKnowledge)) {
+        const STACK: usize = 16;
         if max_locations > STACK {
             // Cold path for oversized requests; prompt callers cap at 6.
-            out.push_str(&self.summary(max_locations));
+            let mut locs: Vec<_> = self.locations.iter().collect();
+            locs.sort_by_key(|(_, k)| std::cmp::Reverse(k.last_seen_step));
+            for (name, k) in locs.into_iter().take(max_locations) {
+                f(name, k);
+            }
             return;
         }
         let mut top: [Option<(&String, &LocationKnowledge)>; STACK] = [None; STACK];
@@ -113,27 +184,9 @@ impl WorldMap {
             top[pos] = Some(entry);
             len = new_len;
         }
-        for (idx, slot) in top[..len].iter().enumerate() {
+        for slot in &top[..len] {
             let (name, k) = slot.expect("filled prefix");
-            if idx > 0 {
-                out.push('\n');
-            }
-            if k.entities.is_empty() {
-                let _ = write!(
-                    out,
-                    "{name}: nothing notable (seen step {})",
-                    k.last_seen_step
-                );
-            } else {
-                let _ = write!(out, "{name}: ");
-                for (j, e) in k.entities.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(e);
-                }
-                let _ = write!(out, " (seen step {})", k.last_seen_step);
-            }
+            f(name, k);
         }
     }
 }
@@ -186,24 +239,32 @@ mod tests {
     }
 
     #[test]
-    fn write_summary_matches_summary_byte_for_byte() {
+    fn context_is_the_summary_and_its_count_matches_the_text() {
         let mut map = WorldMap::new();
-        // Distinct steps, a revisit, an entity-less room, and a tie on
-        // last_seen_step (rooms 7 and 8) to pin the stable-sort order.
+        // Distinct steps, a revisit, an entity-less room, a tie on
+        // last_seen_step (rooms 7 and 8) to pin the stable-sort order, and
+        // entity names with spaces, punctuation and non-ASCII letters.
         for i in 0..7 {
             map.integrate(&percept(&format!("room_{i}"), &["x", "y"]), i);
         }
         map.integrate(&percept("room_2", &[]), 9);
         map.integrate(&percept("room_8", &["z"]), 10);
         map.integrate(&percept("room_7", &["w"]), 10);
-        for cap in [0, 1, 3, 6, 12, 40] {
-            let mut buf = String::from("prefix|");
-            map.write_summary(&mut buf, cap);
-            assert_eq!(buf, format!("prefix|{}", map.summary(cap)), "cap {cap}");
+        map.integrate(&percept("dock Ω", &["", " crate,9 ", "物体"]), 1234);
+        for cap in [0, 1, 3, 6, 12, 16, 17, 40] {
+            let mut buf = String::from("prefix|\n");
+            let tokens = map.write_context(&mut buf, cap);
+            assert_eq!(
+                buf,
+                format!("prefix|\n[map]\n{}\n", map.summary(cap)),
+                "cap {cap}"
+            );
+            assert_eq!(tokens, count_tokens(&buf["prefix|\n".len()..]), "cap {cap}");
+            assert_eq!(map.context_tokens(cap), tokens, "cap {cap}");
         }
         let empty = WorldMap::new();
         let mut buf = String::new();
-        empty.write_summary(&mut buf, 6);
+        assert_eq!(empty.write_context(&mut buf, 6), 0);
         assert!(buf.is_empty());
     }
 

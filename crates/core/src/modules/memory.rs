@@ -3,7 +3,7 @@
 //! (Fig. 5), and the dual long/short-term structure of Rec. 5.
 
 use crate::config::MemoryCapacity;
-use crate::prompt::{count_tokens, Counted};
+use crate::prompt::{count_tokens, digit_tokens, Counted};
 use embodied_profiler::SimDuration;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -84,6 +84,9 @@ pub struct MemoryModule {
     /// on every call. Insertions only happen for *new* entities, so the
     /// steady state never touches it.
     long_term_sorted: Vec<String>,
+    /// Tokens in the long-term store joined by `", "`: each name's count
+    /// plus one per comma, summed as names enter the store.
+    long_term_tokens: u64,
     /// Latest step at which each entity appeared in a stored record —
     /// the incremental index behind [`MemoryModule::knows`] /
     /// [`MemoryModule::known_entities`]. Records enter step-monotonically,
@@ -131,7 +134,16 @@ fn text_embedding_recalls(entity: &str, step: usize) -> bool {
 /// Tokens in a record line's `step N: ` prefix: "step", one per digit of
 /// `N`, and the colon.
 fn step_prefix_tokens(step: usize) -> u64 {
-    2 + u64::from(step.checked_ilog10().unwrap_or(0) + 1)
+    2 + digit_tokens(step)
+}
+
+/// Lines the summarized view keeps verbatim behind its header.
+const KEEP_LAST: usize = 6;
+
+/// Tokens in the summarized view's `[N earlier entries summarized: …]`
+/// header: the bracket, one per digit of `N`, and the fixed words.
+fn summary_header_tokens(omitted: usize) -> u64 {
+    1 + digit_tokens(omitted) + count_tokens(" earlier entries summarized: routine progress]")
 }
 
 impl MemoryModule {
@@ -158,6 +170,7 @@ impl MemoryModule {
             records: Vec::new(),
             long_term: HashSet::new(),
             long_term_sorted: Vec::new(),
+            long_term_tokens: 0,
             last_seen: HashMap::new(),
             stale: HashSet::new(),
             skills: std::collections::HashMap::new(),
@@ -227,6 +240,9 @@ impl MemoryModule {
         if self.dual && self.enabled {
             for e in &entities {
                 if !self.long_term.contains(e) {
+                    // A comma is one token; names join at its space.
+                    let comma = u64::from(!self.long_term.is_empty());
+                    self.long_term_tokens += count_tokens(e) + comma;
                     self.long_term.insert(e.clone());
                     let pos = self
                         .long_term_sorted
@@ -364,6 +380,20 @@ impl MemoryModule {
     /// renders only the lines it keeps, and the dual-memory long-term line
     /// walks the pre-sorted store.
     pub fn retrieve_write(&self, out: &mut String) -> RetrievalStats {
+        self.retrieve_into(Some(out))
+    }
+
+    /// The stats [`MemoryModule::retrieve_write`] returns, token count
+    /// included, without writing a line: for prompts assembled as counts.
+    pub fn retrieve_count(&self) -> RetrievalStats {
+        self.retrieve_into(None)
+    }
+
+    /// Retrieval, rendering into `out` when there is one. The token count
+    /// never reads the rendered text, so both forms count alike: record
+    /// lines add their stored counts, and the header and the long-term line
+    /// are counted from their parts.
+    fn retrieve_into(&self, mut out: Option<&mut String>) -> RetrievalStats {
         if !self.enabled {
             return RetrievalStats {
                 latency: SimDuration::ZERO,
@@ -397,18 +427,17 @@ impl MemoryModule {
             tail.len()
         };
         // Lines are joined by newlines, so the text's count is the sum of
-        // the lines' counts: record lines add their stored counts, and only
-        // the header and the long-term line are scanned.
-        const KEEP_LAST: usize = 6;
+        // the lines' counts.
         let mut tokens = 0;
         let skip = if self.summarize && n_lines > KEEP_LAST {
             let omitted = n_lines - KEEP_LAST;
-            let start = out.len();
-            let _ = writeln!(
-                out,
-                "[{omitted} earlier entries summarized: routine progress]"
-            );
-            tokens += count_tokens(&out[start..]);
+            if let Some(out) = out.as_deref_mut() {
+                let _ = writeln!(
+                    out,
+                    "[{omitted} earlier entries summarized: routine progress]"
+                );
+            }
+            tokens += summary_header_tokens(omitted);
             omitted
         } else {
             0
@@ -417,26 +446,29 @@ impl MemoryModule {
         let mut first = true;
         if self.dual {
             if line_idx >= skip {
-                let start = out.len();
-                out.push_str("long-term: known entities ");
-                for (i, e) in self.long_term_sorted.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
+                if let Some(out) = out.as_deref_mut() {
+                    out.push_str("long-term: known entities ");
+                    for (i, e) in self.long_term_sorted.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(", ");
+                        }
+                        out.push_str(e);
                     }
-                    out.push_str(e);
                 }
-                tokens += count_tokens(&out[start..]);
+                tokens += count_tokens("long-term: known entities") + self.long_term_tokens;
                 first = false;
             }
             line_idx += 1;
         }
         for r in tail {
             if line_idx >= skip {
-                if !first {
-                    out.push('\n');
+                if let Some(out) = out.as_deref_mut() {
+                    if !first {
+                        out.push('\n');
+                    }
+                    let _ = write!(out, "step {}: {}", r.step, r.text);
                 }
                 first = false;
-                let _ = write!(out, "step {}: {}", r.step, r.text);
                 tokens += step_prefix_tokens(r.step) + r.tokens;
             }
             line_idx += 1;
@@ -630,7 +662,7 @@ mod tests {
                     m.store_counted(
                         RecordKind::Dialogue,
                         Counted::new(format!("\u{85}agent {k}: antidisestablishment ok ")),
-                        Vec::new(),
+                        vec![format!(" ω crate,{}", k % 3)],
                     );
                     let mut buf = String::from("[map]\nroom_0\n");
                     let prefix = buf.len();
@@ -642,6 +674,7 @@ mod tests {
                          {summarize}, {mode:?}, {capacity:?}: {:?}",
                         &buf[prefix..]
                     );
+                    assert_eq!(m.retrieve_count(), stats);
                 }
             }
         }

@@ -6,7 +6,7 @@
 //! oracle or draws a wrong candidate — so success rates, wasted steps and
 //! replanning loops all flow from the quality model.
 
-use crate::prompt::{Counted, PromptWriter};
+use crate::prompt::{Body, Counted, PromptWriter};
 use embodied_env::Subgoal;
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 
@@ -19,10 +19,11 @@ pub struct PlanContext<'a> {
     pub goal: Counted<&'a str>,
     /// Sensing output text.
     pub percept_text: &'a str,
-    /// Retrieved memory text.
-    pub memory: Counted<&'a str>,
-    /// Concatenated dialogue history (multi-agent systems).
-    pub dialogue: Counted<&'a str>,
+    /// Retrieved memory.
+    pub memory: Body<'a>,
+    /// Dialogue history (multi-agent systems): the messages received,
+    /// concatenated one per line.
+    pub dialogue: &'a [Counted<String>],
     /// Ground-truth useful subgoals, already knowledge-filtered.
     pub oracle: Vec<Subgoal>,
     /// Full candidate menu, already knowledge-filtered.
@@ -85,21 +86,18 @@ impl PlanningModule {
         &mut self.engine
     }
 
-    /// Builds the planning prompt for a context.
-    pub fn build_prompt(ctx: &PlanContext<'_>) -> String {
-        let mut out = String::new();
-        Self::writer(ctx, &mut out);
-        out
-    }
-
-    /// Renders the planning prompt into a reusable buffer; the writer
-    /// holds its token count.
-    fn writer<'b>(ctx: &PlanContext<'_>, out: &'b mut String) -> PromptWriter<'b> {
-        let mut w = PromptWriter::new(out, ctx.preamble);
+    /// Starts the planning prompt in a reusable buffer: rendered or
+    /// counted as the engine needs.
+    fn writer<'b>(
+        ctx: &PlanContext<'_>,
+        out: &'b mut String,
+        engine: &EngineHandle,
+    ) -> PromptWriter<'b> {
+        let mut w = PromptWriter::for_engine(out, ctx.preamble, engine);
         w.push_counted("task goal", ctx.goal)
             .push("current observation", ctx.percept_text)
             .push_counted("memory", ctx.memory)
-            .push_counted("dialogue", ctx.dialogue)
+            .push_lines("dialogue", ctx.dialogue)
             .push_candidates(&ctx.candidates);
         w
     }
@@ -110,11 +108,10 @@ impl PlanningModule {
     ///
     /// Propagates [`LlmError`] from the engine (empty prompt).
     pub fn plan(&mut self, ctx: &PlanContext<'_>) -> Result<PlanDecision, LlmError> {
-        let tokens = Self::writer(ctx, &mut self.prompt_buf).tokens();
+        let prompt = Self::writer(ctx, &mut self.prompt_buf, &self.engine).finish();
         let expected_output = if ctx.opts.multiple_choice { 8 } else { 190 };
         let response = self.engine.infer(
-            LlmRequest::new(Purpose::Planning, self.prompt_buf.as_str(), expected_output)
-                .with_prompt_tokens(tokens)
+            LlmRequest::new(Purpose::Planning, prompt, expected_output)
                 .with_difficulty(ctx.difficulty)
                 .with_opts(ctx.opts),
         )?;
@@ -158,15 +155,13 @@ impl PlanningModule {
         ctx: &PlanContext<'_>,
         decision: PlanDecision,
     ) -> Result<PlanDecision, LlmError> {
-        let tokens = Self::writer(ctx, &mut self.prompt_buf)
-            .append(format_args!(
-                "\n[proposed plan]\n{}\nConfirm or pick the best action.",
-                decision.subgoal
-            ))
-            .tokens();
+        let mut w = Self::writer(ctx, &mut self.prompt_buf, &self.engine);
+        w.append(format_args!(
+            "\n[proposed plan]\n{}\nConfirm or pick the best action.",
+            decision.subgoal
+        ));
         let response = self.engine.infer(
-            LlmRequest::new(Purpose::ActionSelection, self.prompt_buf.as_str(), 24)
-                .with_prompt_tokens(tokens)
+            LlmRequest::new(Purpose::ActionSelection, w.finish(), 24)
                 .with_difficulty(ctx.difficulty)
                 .with_opts(ctx.opts),
         )?;
@@ -225,8 +220,8 @@ mod tests {
             preamble: Counted::new("you are a planner"),
             goal: Counted::new("deliver all objects"),
             percept_text: "you see object_1",
-            memory: Counted::new(""),
-            dialogue: Counted::new(""),
+            memory: Body::Count(0),
+            dialogue: &[],
             oracle: oracle.to_vec(),
             candidates: candidates.to_vec(),
             difficulty: 0.3,
@@ -361,9 +356,13 @@ mod tests {
         let oracle = [goto()];
         let candidates = [goto()];
         let mut c = ctx(&oracle, &candidates);
-        c.memory = Counted::new("step 3: saw object_1");
-        c.dialogue = Counted::new("agent 1: I am exploring room_2");
-        let prompt = PlanningModule::build_prompt(&c);
+        c.memory = Counted::new("step 3: saw object_1").into();
+        let dialogue = [Counted::new("agent 1: I am exploring room_2".to_owned())];
+        c.dialogue = &dialogue;
+        let p = PlanningModule::new(LlmEngine::new(ModelProfile::gpt4_api(), 1));
+        crate::prompt::set_render_by_default(true);
+        let mut prompt = String::new();
+        PlanningModule::writer(&c, &mut prompt, p.engine());
         for needle in [
             "[system]",
             "[task goal]",

@@ -103,18 +103,16 @@ impl ReflectionModule {
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<ReflectionVerdict, LlmError> {
-        let tokens = PromptWriter::new(&mut self.prompt_buf, preamble)
-            .push_display("attempted action", subgoal)
+        let mut w = PromptWriter::for_engine(&mut self.prompt_buf, preamble, &self.engine);
+        w.push_display("attempted action", subgoal)
             .push("observed result", &outcome.note)
             .push(
                 "instruction",
                 "Did the action achieve its intent? If not, diagnose the \
                  error and state what belief must be corrected.",
-            )
-            .tokens();
+            );
         let response = self.engine.infer(
-            LlmRequest::new(Purpose::Reflection, self.prompt_buf.as_str(), 70)
-                .with_prompt_tokens(tokens)
+            LlmRequest::new(Purpose::Reflection, w.finish(), 70)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         )?;
@@ -158,17 +156,14 @@ impl ReflectionModule {
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<(bool, LlmResponse), LlmError> {
-        let tokens = PromptWriter::new(&mut self.prompt_buf, preamble)
-            .push_display("proposed plan", subgoal)
-            .push(
-                "instruction",
-                "Verify the proposed plan against the current world state and \
-                 task goal. Answer whether it should be executed or revised.",
-            )
-            .tokens();
+        let mut w = PromptWriter::for_engine(&mut self.prompt_buf, preamble, &self.engine);
+        w.push_display("proposed plan", subgoal).push(
+            "instruction",
+            "Verify the proposed plan against the current world state and \
+             task goal. Answer whether it should be executed or revised.",
+        );
         let response = self.engine.infer(
-            LlmRequest::new(Purpose::Reflection, self.prompt_buf.as_str(), 18)
-                .with_prompt_tokens(tokens)
+            LlmRequest::new(Purpose::Reflection, w.finish(), 18)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         )?;
@@ -185,6 +180,7 @@ mod tests {
     #[test]
     fn verify_prompt_has_no_stray_spaces() {
         let mut r = ReflectionModule::new(LlmEngine::new(ModelProfile::gpt4_api(), 1));
+        crate::prompt::set_render_by_default(true);
         r.verify_plan(
             Counted::new("you are a reflector"),
             &Subgoal::Explore,

@@ -8,7 +8,7 @@
 
 use crate::guardrail;
 use crate::modules::{Percept, RecordKind};
-use crate::prompt::{write_joint_plan_prompt, Counted};
+use crate::prompt::{renders_for, write_joint_plan_prompt, Body, Counted, PromptWriter};
 use crate::system::EmbodiedSystem;
 use embodied_env::Subgoal;
 use embodied_llm::{InferenceOpts, LlmRequest, Purpose, SemanticFlaw};
@@ -112,7 +112,6 @@ pub(crate) fn plan_assignments(
     feedback_informed: bool,
 ) -> Vec<Subgoal> {
     let n = sys.agents.len();
-    let goal = Counted::new(sys.env.goal_text());
     let base_difficulty = sys.env.difficulty().scalar();
     let joint_difficulty =
         (base_difficulty + JOINT_DIFFICULTY_PER_AGENT * (n as f64 - 1.0)).min(0.98);
@@ -170,26 +169,31 @@ pub(crate) fn plan_assignments(
     }
 
     let central = sys.central.as_mut().expect("centralized system");
-    central.memory_buf.clear();
-    let retrieval = central.memory.retrieve_write(&mut central.memory_buf);
+    let render = renders_for(central.planning.engine());
+    let retrieval = if render {
+        central.memory_buf.clear();
+        central.memory.retrieve_write(&mut central.memory_buf)
+    } else {
+        central.memory.retrieve_count()
+    };
     sys.accounts
         .trace
         .record(ModuleKind::Memory, Phase::Retrieval, 0, retrieval.latency);
 
     // One joint prompt covering every agent: linear token growth with n.
-    let tokens = write_joint_plan_prompt(
-        &mut central.prompt_buf,
-        central.preamble.as_deref(),
-        goal.as_deref(),
-        Counted::with_tokens(&central.memory_buf, retrieval.tokens),
+    let engine = central.planning.engine_mut();
+    let mut w =
+        PromptWriter::for_engine(&mut central.prompt_buf, central.preamble.as_deref(), engine);
+    write_joint_plan_prompt(
+        &mut w,
+        sys.goal.as_deref(),
+        Body::new(render, &central.memory_buf, retrieval.tokens),
         percepts,
         &menus,
     );
     let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, sys.agents.len());
-    let engine = central.planning.engine_mut();
     let result = engine.infer(
-        LlmRequest::new(Purpose::Planning, &central.prompt_buf, 60 + 45 * n as u64)
-            .with_prompt_tokens(tokens)
+        LlmRequest::new(Purpose::Planning, w.finish(), 60 + 45 * n as u64)
             .with_difficulty(joint_difficulty)
             .with_opts(opts),
     );
@@ -261,7 +265,6 @@ fn guard_assignments(
         }
         return;
     }
-    let goal = Counted::new(sys.env.goal_text());
     for (i, assigned) in assignments.iter_mut().enumerate() {
         if !sys.agent_faults.is_active(i) {
             continue;
@@ -277,7 +280,7 @@ fn guard_assignments(
             flaw_i,
             &aff,
             central.preamble.as_deref(),
-            goal.as_deref(),
+            sys.goal.as_deref(),
             difficulty,
             opts,
             &mut stats,
@@ -320,7 +323,6 @@ fn guard_assignments(
 /// Per-agent feedback extraction (COHERENT's adjustment loop): one
 /// communication-engine call per agent to parse its proposal feedback.
 pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]) {
-    let goal = Counted::new(sys.env.goal_text());
     let difficulty = sys.env.difficulty().scalar();
     let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, sys.agents.len());
     // The per-agent extraction calls are an independent fan-out over one
@@ -355,9 +357,9 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
         let result = comm.generate(
             i,
             central.preamble.as_deref(),
-            goal.as_deref(),
+            sys.goal.as_deref(),
             &format!("extract agent {i}'s feedback on the proposal: {sg}"),
-            Counted::default(),
+            &[],
             &[],
             difficulty,
             opts,
@@ -392,7 +394,6 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
 /// call; each instruction counts as a generated message, useful when it
 /// assigns productive (oracle-consistent) work.
 pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Subgoal]) {
-    let goal = Counted::new(sys.env.goal_text());
     let difficulty = sys.env.difficulty().scalar();
     let opts = EmbodiedSystem::infer_opts_for(&sys.agents[0].config, sys.agents.len());
     let Some(central) = sys.central.as_mut() else {
@@ -409,9 +410,9 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
     let result = comm.generate(
         usize::MAX, // the center itself
         central.preamble.as_deref(),
-        goal.as_deref(),
+        sys.goal.as_deref(),
         &format!("instructions: {}", instruction_text.join("; ")),
-        Counted::default(),
+        &[],
         &[],
         difficulty,
         opts,

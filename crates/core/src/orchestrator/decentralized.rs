@@ -7,7 +7,6 @@
 //! and the "only ~20% of messages are useful" observation.
 
 use crate::modules::CommunicationModule;
-use crate::prompt::Counted;
 use crate::system::EmbodiedSystem;
 use embodied_env::Subgoal;
 use embodied_profiler::{ModuleKind, Phase};
@@ -40,7 +39,6 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
     let cluster = sys.agents[0].config.opts.cluster_size;
     let batching = sys.agents[0].config.opts.batching;
     // Invariant across the whole step: hoisted out of the per-agent loops.
-    let goal = Counted::new(sys.env.goal_text());
     let difficulty = sys.env.difficulty().scalar();
     let mut recipients: Vec<usize> = Vec::with_capacity(n);
     for _round in 0..dialogue_rounds(n) {
@@ -66,14 +64,13 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
                 continue; // Rec. 8: the plan does not need a message
             }
             let opts = EmbodiedSystem::infer_opts_for(&agent.config, n);
-            let dialogue_tokens = agent.render_dialogue();
             let comm = agent.communication.as_mut().expect("checked above");
             let result = comm.generate(
                 i,
                 agent.preamble.as_deref(),
-                goal.as_deref(),
+                sys.goal.as_deref(),
                 &percepts[i].text,
-                Counted::with_tokens(&agent.dialogue_buf, dialogue_tokens),
+                &agent.inbox,
                 &delta,
                 difficulty,
                 opts,
@@ -135,13 +132,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             if !sys.agent_faults.is_active(i) {
                 continue;
             }
-            // Lend the agent's reusable dialogue buffer across the planning
-            // call (which needs `&mut sys`), then hand it back.
-            let tokens = sys.agents[i].render_dialogue();
-            let dialogue = std::mem::take(&mut sys.agents[i].dialogue_buf);
-            let (subgoal, _) =
-                sys.plan_phase(i, &percepts[i], Counted::with_tokens(&dialogue, tokens));
-            sys.agents[i].dialogue_buf = dialogue;
+            let (subgoal, _) = sys.plan_phase(i, &percepts[i]);
             plans[i] = Some(subgoal);
         }
         sys.accounts.close_window();
@@ -155,11 +146,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             if !sys.agent_faults.is_active(i) {
                 continue;
             }
-            let tokens = sys.agents[i].render_dialogue();
-            let dialogue = std::mem::take(&mut sys.agents[i].dialogue_buf);
-            let (subgoal, _) =
-                sys.plan_phase(i, &percepts[i], Counted::with_tokens(&dialogue, tokens));
-            sys.agents[i].dialogue_buf = dialogue;
+            let (subgoal, _) = sys.plan_phase(i, &percepts[i]);
             sys.execute_with_reflection(i, &subgoal);
         }
     }

@@ -4,7 +4,6 @@
 
 use super::centralized;
 use crate::modules::RecordKind;
-use crate::prompt::Counted;
 use crate::system::EmbodiedSystem;
 use embodied_profiler::ModuleKind;
 
@@ -34,7 +33,6 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
         let prefix_tokens = sys.agents[0].preamble.tokens();
         sys.accounts.service.open_window(opts, prefix_tokens);
     }
-    let goal = Counted::new(sys.env.goal_text());
     let difficulty = sys.env.difficulty().scalar();
     for i in 0..n {
         if sys.agents[i].communication.is_none() || !sys.agent_faults.is_active(i) {
@@ -49,9 +47,9 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
         let result = comm.generate(
             i,
             agent.preamble.as_deref(),
-            goal.as_deref(),
+            sys.goal.as_deref(),
             &status,
-            Counted::default(),
+            &[],
             &delta,
             difficulty,
             opts,

@@ -1,7 +1,6 @@
 //! Single-agent modularized step loop (Fig. 1b): sense → memory →
 //! reflection → plan → execute, every phase billed to its module.
 
-use crate::prompt::Counted;
 use crate::system::EmbodiedSystem;
 
 /// Runs one environment step for a single-agent system.
@@ -12,6 +11,6 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
         return;
     }
     let percept = sys.sense_phase(0);
-    let (subgoal, _followed) = sys.plan_phase(0, &percept, Counted::default());
+    let (subgoal, _followed) = sys.plan_phase(0, &percept);
     sys.execute_with_reflection(0, &subgoal);
 }

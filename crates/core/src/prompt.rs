@@ -1,10 +1,15 @@
 //! Prompt assembly.
 //!
-//! Prompts are *real strings*: system preamble, goal, current percept,
-//! retrieved memory, dialogue history, and the candidate action menu. Token
-//! counts therefore grow exactly the way the paper's Fig. 6 describes —
-//! retrieved context and concatenated multi-agent dialogue inflate the
-//! prompt step after step.
+//! Prompts are *counts*. Every section — system preamble, goal, current
+//! percept, retrieved memory, dialogue history, the candidate action menu —
+//! adds its tokens, so prompt size grows exactly the way the paper's Fig. 6
+//! describes: retrieved context and concatenated multi-agent dialogue
+//! inflate the prompt step after step. The simulated model bills, times and
+//! scores a call by that count alone. The bytes are rendered only where
+//! something reads them: for an engine with KV-prefix reuse, which compares
+//! consecutive prompts, and in every debug build, where the engine recounts
+//! each rendered prompt against the count assembly summed (see
+//! [`PromptWriter::for_engine`]).
 //!
 //! Text that never changes once made (preambles, memory lines, messages)
 //! carries its token count from where it was made as a [`Counted`], and
@@ -14,12 +19,48 @@
 
 use crate::modules::Percept;
 use embodied_env::Subgoal;
-use embodied_llm::Tokenizer;
+use embodied_llm::{EngineHandle, Prompt, Tokenizer};
 use std::fmt::{self, Display, Write as _};
 
 /// Tokens in `text` under the tokenizer every simulated model uses.
 pub fn count_tokens(text: &str) -> u64 {
     Tokenizer::default().count(text)
+}
+
+/// Tokens in the decimal digits of `n`: every digit is a token of its own.
+pub(crate) fn digit_tokens(n: usize) -> u64 {
+    u64::from(n.checked_ilog10().unwrap_or(0) + 1)
+}
+
+/// Whether prompts for `engine` are rendered as text: when the engine reads
+/// it (KV-prefix reuse), and in debug builds, so the engine recounts every
+/// rendered prompt against its summed count. Otherwise assembly only sums
+/// counts.
+pub(crate) fn renders_for(engine: &EngineHandle) -> bool {
+    engine.reads_prompt_text() || render_by_default()
+}
+
+#[cfg(not(test))]
+fn render_by_default() -> bool {
+    cfg!(debug_assertions)
+}
+
+#[cfg(test)]
+thread_local! {
+    static RENDER_BY_DEFAULT: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(cfg!(debug_assertions)) };
+}
+
+#[cfg(test)]
+fn render_by_default() -> bool {
+    RENDER_BY_DEFAULT.with(std::cell::Cell::get)
+}
+
+/// Makes this test thread render every prompt (`true`) or only those an
+/// engine reads (`false`), whatever the build profile.
+#[cfg(test)]
+pub(crate) fn set_render_by_default(render: bool) {
+    RENDER_BY_DEFAULT.with(|r| r.set(render));
 }
 
 /// Prompt text paired with its token count, taken once where the text is
@@ -82,13 +123,56 @@ impl<T: AsRef<str>> Counted<T> {
     }
 }
 
-/// Renders a prompt's sections straight into a caller-owned `String` and
-/// keeps a running token count of what it wrote. Each section is
-/// `[title]\n{body}\n`, skipped when the body is empty or whitespace. The
+/// A section body made elsewhere and counted there: its text with the
+/// count, or the count alone when the prompt is assembled without text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Body<'a> {
+    /// The text and its count.
+    Text(Counted<&'a str>),
+    /// The count alone; a rendering [`PromptWriter`] accepts only a zero
+    /// count, an empty body it skips.
+    Count(u64),
+}
+
+impl<'a> Body<'a> {
+    /// The text in `buf` with its count when `rendered`, else the count
+    /// alone (`buf` is then not read).
+    pub fn new(rendered: bool, buf: &'a str, tokens: u64) -> Self {
+        if rendered {
+            Body::Text(Counted::with_tokens(buf, tokens))
+        } else {
+            Body::Count(tokens)
+        }
+    }
+
+    /// Tokens in the body.
+    pub fn tokens(&self) -> u64 {
+        match self {
+            Body::Text(text) => text.tokens(),
+            Body::Count(tokens) => *tokens,
+        }
+    }
+}
+
+impl<'a> From<Counted<&'a str>> for Body<'a> {
+    fn from(text: Counted<&'a str>) -> Self {
+        Body::Text(text)
+    }
+}
+
+/// Assembles a prompt's sections into a caller-owned `String` and keeps a
+/// running token count. Each section is `[title]\n{body}\n`, skipped when
+/// the body is empty or whitespace.
+///
+/// A writer has two forms. [`PromptWriter::new`] renders the text and sums
+/// its count. [`PromptWriter::counting`] only sums the count: a counted
+/// body adds its count and copies nothing, while headers and uncounted
+/// bodies are written, counted exactly as the rendering form counts them,
+/// and dropped again, so the two forms always agree on the count. The
 /// writer scans only its own headers, bodies that arrive without a count,
-/// and text it renders itself; a [`Counted`] body adds its count unread.
-/// The per-step hot path reuses one buffer across an entire episode, so
-/// assembly performs no allocations once the buffer has grown.
+/// and text it renders itself. The per-step hot path reuses one buffer
+/// across an entire episode, so assembly performs no allocations once the
+/// buffer has grown.
 ///
 /// ```
 /// use embodied_agents::prompt::{count_tokens, Counted, PromptWriter};
@@ -100,25 +184,64 @@ impl<T: AsRef<str>> Counted<T> {
 ///     .tokens();
 /// assert_eq!(buf, "[system]\nbe helpful\n[goal]\ndeliver things\n");
 /// assert_eq!(tokens, count_tokens(&buf));
+///
+/// let mut scratch = String::new();
+/// let counted = PromptWriter::counting(&mut scratch, Counted::new("be helpful"))
+///     .push("goal", "deliver things")
+///     .tokens();
+/// assert_eq!((counted, scratch.as_str()), (tokens, ""));
 /// ```
 pub struct PromptWriter<'a> {
     out: &'a mut String,
+    render: bool,
     tokens: u64,
 }
 
 impl<'a> PromptWriter<'a> {
-    /// Clears `out` and starts a prompt with the workload's system preamble.
+    /// Clears `out` and starts rendering a prompt with the workload's
+    /// system preamble.
     pub fn new(out: &'a mut String, preamble: Counted<&str>) -> Self {
+        Self::start(out, preamble, true)
+    }
+
+    /// Starts counting a prompt without rendering it. `scratch` is cleared
+    /// and holds each header or uncounted body only while it is counted.
+    pub fn counting(scratch: &'a mut String, preamble: Counted<&str>) -> Self {
+        Self::start(scratch, preamble, false)
+    }
+
+    /// Starts a prompt for `engine`: rendered when the engine reads text or
+    /// the build is a debug build, else only counted.
+    pub fn for_engine(out: &'a mut String, preamble: Counted<&str>, engine: &EngineHandle) -> Self {
+        Self::start(out, preamble, renders_for(engine))
+    }
+
+    fn start(out: &'a mut String, preamble: Counted<&str>, render: bool) -> Self {
         out.clear();
-        let mut w = PromptWriter { out, tokens: 0 };
+        let mut w = PromptWriter {
+            out,
+            render,
+            tokens: 0,
+        };
         w.push_counted("system", preamble);
         w
     }
 
     /// Tokens in everything written so far: exactly
-    /// [`Tokenizer::count`] of the text.
+    /// [`Tokenizer::count`] of the text the rendering form writes.
     pub fn tokens(&self) -> u64 {
         self.tokens
+    }
+
+    /// The finished prompt for a request: the text with its count, or the
+    /// count alone.
+    pub fn finish(self) -> Prompt<'a> {
+        let out: &'a String = self.out;
+        if self.render {
+            Prompt::Counted(out, self.tokens)
+        } else {
+            Prompt::Tokens(self.tokens)
+        }
     }
 
     /// Appends a named section, counting `body` here.
@@ -127,14 +250,53 @@ impl<'a> PromptWriter<'a> {
     }
 
     /// Appends a named section whose body was counted where it was made.
-    pub fn push_counted(&mut self, title: impl Display, body: Counted<&str>) -> &mut Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rendering writer gets a nonempty [`Body::Count`].
+    pub fn push_counted<'b>(
+        &mut self,
+        title: impl Display,
+        body: impl Into<Body<'b>>,
+    ) -> &mut Self {
+        let body = body.into();
         // Every char that is not whitespace costs at least one token, so a
         // zero count is exactly a body that `trim` leaves empty.
         if body.tokens() > 0 {
             self.header(title);
-            self.out.push_str(body.text());
-            self.out.push('\n');
+            if self.render {
+                let Body::Text(text) = body else {
+                    panic!("a rendered prompt needs the text of every section");
+                };
+                self.out.push_str(text.text());
+                self.out.push('\n');
+            }
             self.tokens += body.tokens();
+        }
+        self
+    }
+
+    /// Appends a named section whose body is `lines` joined by newlines,
+    /// each counted where it was made: the newlines are token seams, so the
+    /// body's count is the sum of theirs.
+    pub fn push_lines<T: AsRef<str>>(
+        &mut self,
+        title: impl Display,
+        lines: &[Counted<T>],
+    ) -> &mut Self {
+        let tokens = lines.iter().map(Counted::tokens).sum::<u64>();
+        if tokens > 0 {
+            self.header(title);
+            if self.render {
+                for (k, line) in lines.iter().enumerate() {
+                    if k > 0 {
+                        self.out.push('\n');
+                    }
+                    self.out.push_str(line.text());
+                }
+                self.out.push('\n');
+            }
+            self.tokens += tokens;
         }
         self
     }
@@ -144,17 +306,16 @@ impl<'a> PromptWriter<'a> {
     /// same bytes as `push(title, &body.to_string())`, including skipping
     /// the section when the rendered body is empty or whitespace.
     pub fn push_display(&mut self, title: impl Display, body: &impl Display) -> &mut Self {
-        let (start, tokens) = (self.out.len(), self.tokens);
-        self.header(title);
+        let start = self.out.len();
+        let _ = writeln!(self.out, "[{title}]");
         let body_start = self.out.len();
-        let _ = write!(self.out, "{body}");
+        let _ = writeln!(self.out, "{body}");
         let body_tokens = count_tokens(&self.out[body_start..]);
         if body_tokens == 0 {
             self.out.truncate(start);
-            self.tokens = tokens;
         } else {
-            self.out.push('\n');
-            self.tokens += body_tokens;
+            let header_tokens = count_tokens(&self.out[start..body_start]);
+            self.settle(start, header_tokens + body_tokens);
         }
         self
     }
@@ -171,7 +332,7 @@ impl<'a> PromptWriter<'a> {
             let _ = writeln!(self.out, "({i}) {sg}");
         }
         self.out.push('\n');
-        self.tokens += count_tokens(&self.out[start..]);
+        self.settle(start, count_tokens(&self.out[start..]));
         self
     }
 
@@ -181,31 +342,36 @@ impl<'a> PromptWriter<'a> {
         debug_assert!(self.out.is_empty() || self.out.ends_with('\n'));
         let start = self.out.len();
         let _ = self.out.write_fmt(text);
-        self.tokens += count_tokens(&self.out[start..]);
+        self.settle(start, count_tokens(&self.out[start..]));
         self
     }
 
     /// Writes `[title]` and its newline, counting the title.
     fn header(&mut self, title: impl Display) {
         let start = self.out.len();
-        let _ = write!(self.out, "[{title}]");
-        self.tokens += count_tokens(&self.out[start..]);
-        self.out.push('\n');
+        let _ = writeln!(self.out, "[{title}]");
+        self.settle(start, count_tokens(&self.out[start..]));
+    }
+
+    /// Adds the count of the text written from `start`, and drops that text
+    /// again when only counting.
+    fn settle(&mut self, start: usize, tokens: u64) {
+        self.tokens += tokens;
+        if !self.render {
+            self.out.truncate(start);
+        }
     }
 }
 
-/// Writes the centralized planner's joint prompt into `out` — one prompt
-/// covering every agent, so tokens grow linearly with the team — and
-/// returns its token count.
-pub fn write_joint_plan_prompt(
-    out: &mut String,
-    preamble: Counted<&str>,
+/// Writes the centralized planner's joint prompt after `w`'s preamble — one
+/// prompt covering every agent, so tokens grow linearly with the team.
+pub fn write_joint_plan_prompt<'b>(
+    w: &mut PromptWriter<'_>,
     goal: Counted<&str>,
-    memory: Counted<&str>,
+    memory: impl Into<Body<'b>>,
     percepts: &[Percept],
     menus: &[Vec<Subgoal>],
-) -> u64 {
-    let mut w = PromptWriter::new(out, preamble);
+) {
     w.push_counted("task goal", goal)
         .push_counted("memory", memory);
     for (i, (p, menu)) in percepts.iter().zip(menus).enumerate() {
@@ -217,7 +383,6 @@ pub fn write_joint_plan_prompt(
         "Assign the best next action to every agent, resolving conflicts \
          and interdependencies between their actions.",
     );
-    w.tokens()
 }
 
 /// Workload-specific flavor appended to the system preamble: each suite
@@ -298,15 +463,54 @@ pub fn summarize_history(lines: &[String], keep_last: usize) -> String {
 mod tests {
     use super::*;
 
-    fn write(out: &mut String, candidates: &[Subgoal]) -> u64 {
-        PromptWriter::new(out, Counted::new("be helpful"))
-            .push("goal", "deliver things")
+    fn sections(w: &mut PromptWriter<'_>, candidates: &[Subgoal]) {
+        w.push("goal", "deliver things")
             .push("empty", " \u{3000}\n")
             .push_counted("memory", Counted::new("saw an apple"))
+            .push_counted("no dialogue", Body::Count(0))
+            .push_lines(
+                "dialogue",
+                &[
+                    Counted::new("agent 1: hi"),
+                    Counted::new(" "),
+                    Counted::new("ok"),
+                ],
+            )
+            .push_lines::<&str>("no lines", &[])
             .push_display("proposed plan", &Subgoal::Explore)
             .push_display("blank", &"  ")
-            .push_candidates(candidates)
-            .tokens()
+            .push_candidates(candidates);
+    }
+
+    fn write(out: &mut String, candidates: &[Subgoal]) -> u64 {
+        let mut w = PromptWriter::new(out, Counted::new("be helpful"));
+        sections(&mut w, candidates);
+        w.tokens()
+    }
+
+    #[test]
+    fn counting_agrees_with_rendering_and_copies_nothing() {
+        let candidates = [Subgoal::Explore, Subgoal::Wait];
+        let mut buf = String::new();
+        let rendered = write(&mut buf, &candidates);
+        let mut scratch = String::from("stale");
+        let mut w = PromptWriter::counting(&mut scratch, Counted::new("be helpful"));
+        sections(&mut w, &candidates);
+        w.push_counted("memory", Body::Count(7))
+            .append(format_args!("Confirm."));
+        assert_eq!(w.tokens(), rendered + 3 + 7 + 2);
+        assert_eq!(w.finish(), Prompt::Tokens(rendered + 12));
+        assert!(scratch.is_empty());
+
+        let w = PromptWriter::new(&mut buf, Counted::new("x"));
+        assert_eq!(w.finish(), Prompt::Counted("[system]\nx\n", 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the text of every section")]
+    fn a_rendering_writer_rejects_a_bare_count() {
+        let mut buf = String::new();
+        PromptWriter::new(&mut buf, Counted::new("x")).push_counted("memory", Body::Count(3));
     }
 
     #[test]
@@ -322,7 +526,7 @@ mod tests {
         assert_eq!(
             buf,
             "[system]\nbe helpful\n[goal]\ndeliver things\n[memory]\nsaw an apple\n\
-             [proposed plan]\nexplore the environment\n[available actions]\n\
+             [dialogue]\nagent 1: hi\n \nok\n[proposed plan]\nexplore the environment\n[available actions]\n\
              (0) explore the environment\n(1) pick up apple_1\n\n"
         );
         assert_eq!(tokens, count_tokens(&buf));
@@ -363,17 +567,26 @@ mod tests {
             })
             .collect();
         let menus = vec![vec![Subgoal::Explore]; 3];
+        let joint = |w: &mut PromptWriter<'_>| {
+            write_joint_plan_prompt(
+                w,
+                Counted::new("relay the crates"),
+                Counted::new("step 2: agent 0: moved"),
+                &percepts,
+                &menus,
+            );
+            w.tokens()
+        };
         let mut buf = String::new();
-        let tokens = write_joint_plan_prompt(
+        let tokens = joint(&mut PromptWriter::new(
             &mut buf,
             Counted::new("plan jointly"),
-            Counted::new("relay the crates"),
-            Counted::new("step 2: agent 0: moved"),
-            &percepts,
-            &menus,
-        );
+        ));
         assert!(buf.contains("[agent 2 observation]\nagent 2 sees crate_2"));
         assert_eq!(tokens, count_tokens(&buf));
+        let mut scratch = String::new();
+        let mut w = PromptWriter::counting(&mut scratch, Counted::new("plan jointly"));
+        assert_eq!(joint(&mut w), tokens);
     }
 
     #[test]

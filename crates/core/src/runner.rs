@@ -122,7 +122,7 @@ impl RunOverrides {
 
     /// Resolves overrides against `spec` into the concrete system to run:
     /// the shared setup of [`run_episode`] and [`run_episode_traced`].
-    fn build_system(&self, spec: &WorkloadSpec, seed: u64) -> crate::system::EmbodiedSystem {
+    pub(crate) fn build_system(&self, spec: &WorkloadSpec, seed: u64) -> EmbodiedSystem {
         let config = self.apply(spec);
         let difficulty = self.difficulty.unwrap_or_default();
         let num_agents = self.num_agents.unwrap_or(spec.default_agents);
@@ -926,6 +926,53 @@ mod tests {
         let mut solo = overrides.build_system(&spec, 7);
         let report = solo.run();
         check(&solo.accounts.service, std::slice::from_ref(&report));
+    }
+
+    #[test]
+    fn goal_text_is_fixed_for_the_episode() {
+        use crate::workloads::{registry, EnvKind};
+        use embodied_env::{BoxVariant, EnvFaultProfile};
+        // The system counts the goal once at construction; every
+        // environment's goal must still read the same after a full episode.
+        let kinds = [
+            EnvKind::Transport,
+            EnvKind::Household,
+            EnvKind::Cuisine,
+            EnvKind::BoxWorld(BoxVariant::BoxNet1),
+            EnvKind::BoxWorld(BoxVariant::BoxNet2),
+            EnvKind::BoxWorld(BoxVariant::Warehouse),
+            EnvKind::BoxWorld(BoxVariant::BoxLift),
+            EnvKind::Craft,
+            EnvKind::Manipulation,
+            EnvKind::Kitchen,
+            EnvKind::AlfWorld,
+        ];
+        for kind in kinds {
+            // A suite member on this environment's family, else DEPS.
+            let family = std::mem::discriminant(&kind);
+            let spec = registry()
+                .into_iter()
+                .find(|s| std::mem::discriminant(&s.env) == family)
+                .unwrap_or_else(|| find("DEPS").unwrap());
+            for env_faults in [EnvFaultProfile::none(), EnvFaultProfile::uniform(0.15)] {
+                let overrides = RunOverrides {
+                    env: Some(kind),
+                    env_faults: Some(env_faults),
+                    ..Default::default()
+                };
+                let mut sys = overrides.build_system(&spec, 11);
+                assert_eq!(sys.goal.text(), sys.env.goal_text());
+                let report = sys.run();
+                assert!(report.steps > 0);
+                assert_eq!(
+                    sys.goal.text(),
+                    sys.env.goal_text(),
+                    "{kind:?} ({} steps, {:?})",
+                    report.steps,
+                    report.outcome
+                );
+            }
+        }
     }
 
     #[test]

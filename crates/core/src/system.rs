@@ -10,7 +10,7 @@ use crate::modules::{
     CommunicationModule, MemoryModule, Percept, PlanContext, PlanningModule, RecordKind,
 };
 use crate::orchestrator::{self, Paradigm};
-use crate::prompt::{count_tokens, system_preamble, Counted};
+use crate::prompt::{renders_for, system_preamble, Body, Counted};
 use crate::recovery::RecoveryPolicy;
 use embodied_env::{Environment, ExecOutcome, Subgoal};
 use embodied_llm::{
@@ -78,6 +78,9 @@ pub struct EmbodiedSystem {
     /// The service scope this system's tenants registered under (0 for a
     /// solo episode); the report reads the service's ledgers by it.
     pub(crate) scope: usize,
+    /// The environment's goal text, counted once: it depends only on the
+    /// task spec, which is fixed for the episode.
+    pub(crate) goal: Counted<String>,
     workload: String,
     step_records: Vec<StepRecord>,
 }
@@ -186,6 +189,7 @@ impl EmbodiedSystem {
         };
         let team = agents.len();
         EmbodiedSystem {
+            goal: Counted::new(env.goal_text()),
             env,
             agents,
             central,
@@ -446,7 +450,6 @@ impl EmbodiedSystem {
     /// a `Phase::Resync` span.
     fn resync_coordinator(&mut self, promoted: usize) {
         let difficulty = self.env.difficulty().scalar();
-        let goal = self.env.goal_text();
         let n = self.agents.len();
         let opts = Self::infer_opts_for(&self.agents[0].config, n);
         let Some(central) = self.central.as_mut() else {
@@ -455,8 +458,9 @@ impl EmbodiedSystem {
         let prompt = format!(
             "{}\n[failover] agent {promoted} is assuming the coordinator role. \
              Re-synchronize: re-ingest the status of all {n} agents and the \
-             task goal ({goal}), then resume joint planning.",
-            central.preamble.text()
+             task goal ({}), then resume joint planning.",
+            central.preamble.text(),
+            self.goal.text()
         );
         let engine = central.planning.engine_mut();
         let result = engine.infer(
@@ -569,17 +573,17 @@ impl EmbodiedSystem {
     /// tokens and dollars and voiding any multi-step plan budget.
     fn escalate_replan(&mut self, i: usize, subgoal: &Subgoal) {
         let difficulty = self.env.difficulty().scalar();
-        let goal = self.env.goal_text();
         let team_size = self.agents.len();
         self.recovery_stats.replan_escalations += 1;
         let agent = &mut self.agents[i];
         let opts = Self::infer_opts_for(&agent.config, team_size);
         let prompt = format!(
             "{}\n[recovery] action {subgoal} keeps failing despite retries. \
-             Diagnose the failure against the task goal ({goal}) and produce \
+             Diagnose the failure against the task goal ({}) and produce \
              a fresh plan that routes around the broken actuator or \
              misperceived object.",
-            agent.preamble.text()
+            agent.preamble.text(),
+            self.goal.text()
         );
         let engine = agent.planning.engine_mut();
         let result = engine.infer(
@@ -746,16 +750,12 @@ impl EmbodiedSystem {
     }
 
     /// Planning phase for one agent: knowledge-filter the menus, run the
-    /// LLM (or consume the multi-step plan budget), return the decision.
-    pub(crate) fn plan_phase(
-        &mut self,
-        i: usize,
-        percept: &Percept,
-        dialogue: Counted<&str>,
-    ) -> (Subgoal, bool) {
+    /// LLM (or consume the multi-step plan budget) over the agent's memory
+    /// and inbox, return the decision.
+    pub(crate) fn plan_phase(&mut self, i: usize, percept: &Percept) -> (Subgoal, bool) {
         let team_size = self.agents.len();
         let difficulty = self.env.difficulty().scalar();
-        let goal = Counted::new(self.env.goal_text());
+        let goal = self.goal.as_deref();
         let oracle_raw = self.env.oracle_subgoals(i);
         let candidates_raw = self.env.candidate_subgoals(i);
         let step = self.step;
@@ -793,18 +793,20 @@ impl EmbodiedSystem {
 
         // The map summary rides with the retrieved memory: spatial
         // knowledge is part of the context the planner reasons over. Both
-        // render into the agent's reusable buffer — same bytes as the old
-        // `format!("[map]\n{map_summary}\n{retrieval_text}")` path, no
-        // per-step allocation. The map part is counted here; the retrieved
-        // lines bring their counts from the store.
-        agent.memory_buf.clear();
-        if agent.map.coverage() > 0 {
-            agent.memory_buf.push_str("[map]\n");
-            agent.map.write_summary(&mut agent.memory_buf, 6);
-            agent.memory_buf.push('\n');
-        }
-        let map_tokens = count_tokens(&agent.memory_buf);
-        let retrieval = agent.memory.retrieve_write(&mut agent.memory_buf);
+        // bring their counts from where their lines were made; when the
+        // prompt is rendered they write into the agent's reusable buffer,
+        // with no per-step allocation.
+        let render = renders_for(agent.planning.engine());
+        let (map_tokens, retrieval) = if render {
+            agent.memory_buf.clear();
+            let map_tokens = agent.map.write_context(&mut agent.memory_buf, 6);
+            (
+                map_tokens,
+                agent.memory.retrieve_write(&mut agent.memory_buf),
+            )
+        } else {
+            (agent.map.context_tokens(6), agent.memory.retrieve_count())
+        };
         self.accounts
             .trace
             .record(ModuleKind::Memory, Phase::Retrieval, i, retrieval.latency);
@@ -827,10 +829,10 @@ impl EmbodiedSystem {
             .unwrap_or(0.0);
         let ctx = PlanContext {
             preamble: agent.preamble.as_deref(),
-            goal: goal.as_deref(),
+            goal,
             percept_text: &percept.text,
-            memory: Counted::with_tokens(&agent.memory_buf, map_tokens + retrieval.tokens),
-            dialogue,
+            memory: Body::new(render, &agent.memory_buf, map_tokens + retrieval.tokens),
+            dialogue: &agent.inbox,
             oracle,
             candidates,
             difficulty,
@@ -937,7 +939,7 @@ impl EmbodiedSystem {
                 flaw,
                 &affordances,
                 agent.preamble.as_deref(),
-                goal.as_deref(),
+                goal,
                 difficulty,
                 Self::infer_opts_for(&agent.config, team_size),
                 &mut stats,

@@ -5,11 +5,12 @@
 //! the hot path:
 //!
 //! 1. the reworked planning/memory/comms primitives — streaming memory
-//!    retrieval into a reused buffer, point entity queries, prompt assembly
-//!    via [`PromptWriter`] with a pre-counted memory body, the centralized
-//!    joint prompt, and inference with a borrowed-prompt request that
-//!    supplies its token count — perform **zero** heap allocations at
-//!    steady state (after warm-up);
+//!    and map retrieval into a reused buffer, point entity queries, prompt
+//!    assembly via [`PromptWriter`] with a pre-counted memory body, the
+//!    centralized joint prompt, and inference with a borrowed-prompt
+//!    request that supplies its token count — perform **zero** heap
+//!    allocations at steady state (after warm-up), both when the prompt is
+//!    rendered and when it is assembled as a count alone;
 //! 2. a full episode's allocation rate is **flat**: later steps do not
 //!    allocate more than earlier ones, i.e. nothing on the step loop clones
 //!    or re-formats ever-growing history.
@@ -21,8 +22,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use embodied_agents::config::MemoryCapacity;
-use embodied_agents::modules::{MemoryModule, Percept, RecordKind};
-use embodied_agents::prompt::{write_joint_plan_prompt, Counted, PromptWriter};
+use embodied_agents::modules::{MemoryModule, Percept, RecordKind, WorldMap};
+use embodied_agents::prompt::{write_joint_plan_prompt, Body, Counted, PromptWriter};
 use embodied_agents::{workloads, RunOverrides};
 use embodied_env::{Subgoal, TaskDifficulty};
 use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, Purpose};
@@ -68,51 +69,59 @@ struct Planner {
     engine: LlmEngine,
     preamble: Counted<String>,
     goal: Counted<String>,
+    map: WorldMap,
     percepts: Vec<Percept>,
     menus: Vec<Vec<Subgoal>>,
     memory_buf: String,
     prompt_buf: String,
 }
 
-/// The steady-state planning path: retrieval streamed into a reused buffer,
-/// a point `knows` query, prompt assembly into a second reused buffer with
-/// the memory section's count carried from the store, and one inference
-/// call lending that buffer and its count to the engine. Then the
-/// centralized joint prompt over the same memory, written into the same
-/// buffer and served the same way.
-fn plan_once(mem: &MemoryModule, p: &mut Planner) -> f64 {
-    p.memory_buf.clear();
-    let stats = mem.retrieve_write(&mut p.memory_buf);
-    let memory = Counted::with_tokens(p.memory_buf.as_str(), stats.tokens);
+/// A writer that renders the prompt, or only counts it.
+fn writer<'a>(out: &'a mut String, preamble: Counted<&str>, render: bool) -> PromptWriter<'a> {
+    if render {
+        PromptWriter::new(out, preamble)
+    } else {
+        PromptWriter::counting(out, preamble)
+    }
+}
+
+/// The steady-state planning path: the map context and retrieval streamed
+/// into a reused buffer (or only counted), a point `knows` query, prompt
+/// assembly into a second reused buffer with the memory section's count
+/// carried from the store, and one inference call lending that buffer and
+/// its count (or the count alone) to the engine. Then the centralized joint
+/// prompt over the same memory, written into the same buffer and served
+/// the same way.
+fn plan_once(mem: &MemoryModule, p: &mut Planner, render: bool) -> f64 {
+    let (map_tokens, stats) = if render {
+        p.memory_buf.clear();
+        let map_tokens = p.map.write_context(&mut p.memory_buf, 6);
+        (map_tokens, mem.retrieve_write(&mut p.memory_buf))
+    } else {
+        (p.map.context_tokens(6), mem.retrieve_count())
+    };
+    let memory = Body::new(render, &p.memory_buf, map_tokens + stats.tokens);
     let known = mem.knows("object_3");
-    let tokens = PromptWriter::new(&mut p.prompt_buf, p.preamble.as_deref())
-        .push_counted("goal", p.goal.as_deref())
+    let mut w = writer(&mut p.prompt_buf, p.preamble.as_deref(), render);
+    w.push_counted("goal", p.goal.as_deref())
         .push("known", if known { "object_3" } else { "nothing" })
-        .push_counted("memory", memory)
-        .tokens();
-    let req = LlmRequest::new(Purpose::Planning, &p.prompt_buf, 64)
-        .with_prompt_tokens(tokens)
-        .with_difficulty(0.4);
+        .push_counted("memory", memory);
+    let req = LlmRequest::new(Purpose::Planning, w.finish(), 64).with_difficulty(0.4);
     let resp = p.engine.infer(req).expect("inference succeeds");
 
-    let tokens = write_joint_plan_prompt(
-        &mut p.prompt_buf,
-        p.preamble.as_deref(),
-        p.goal.as_deref(),
-        memory,
-        &p.percepts,
-        &p.menus,
-    );
-    let req = LlmRequest::new(Purpose::Planning, &p.prompt_buf, 64).with_prompt_tokens(tokens);
+    let mut w = writer(&mut p.prompt_buf, p.preamble.as_deref(), render);
+    write_joint_plan_prompt(&mut w, p.goal.as_deref(), memory, &p.percepts, &p.menus);
+    let req = LlmRequest::new(Purpose::Planning, w.finish(), 64);
     let joint = p.engine.infer(req).expect("inference succeeds");
     resp.quality + joint.quality + stats.inconsistency_penalty
 }
 
-#[test]
-fn steady_state_planning_path_is_allocation_free() {
+/// Allocations over 100 steady-state planning passes, after a warm-up.
+fn steady_state_allocations(render: bool) -> usize {
     // A memory with real history: 64 records over 32 steps, sliding window.
     let landmarks = vec!["kitchen".to_string(), "forge".to_string()];
     let mut mem = MemoryModule::new(true, MemoryCapacity::Steps(8), true, true, landmarks);
+    let mut map = WorldMap::new();
     for step in 0..32 {
         mem.begin_step(step);
         mem.store(
@@ -125,11 +134,20 @@ fn steady_state_planning_path_is_allocation_free() {
             format!("moved toward object_{}", step % 10),
             vec![format!("object_{}", step % 10)],
         );
+        map.integrate(
+            &Percept {
+                entities: vec![format!("object_{}", step % 10)],
+                text: String::new(),
+                location: format!("room_{}", step % 9),
+            },
+            step,
+        );
     }
     let mut planner = Planner {
         engine: LlmEngine::new(ModelProfile::gpt4_api(), 7),
         preamble: Counted::new("You are an embodied agent.".to_owned()),
         goal: Counted::new("craft an iron pickaxe".to_owned()),
+        map,
         percepts: (0..3)
             .map(|i| Percept {
                 entities: vec![format!("object_{i}")],
@@ -154,20 +172,33 @@ fn steady_state_planning_path_is_allocation_free() {
     // Warm-up: grows the reused buffers to their steady-state capacity.
     let mut acc = 0.0;
     for _ in 0..3 {
-        acc += plan_once(&mem, &mut planner);
+        acc += plan_once(&mem, &mut planner, render);
     }
 
     let before = allocs();
     for _ in 0..100 {
-        acc += plan_once(&mem, &mut planner);
+        acc += plan_once(&mem, &mut planner, render);
     }
     let after = allocs();
     assert!(acc.is_finite());
+    after - before
+}
+
+#[test]
+fn steady_state_planning_path_is_allocation_free() {
+    let n = steady_state_allocations(true);
     assert_eq!(
-        after - before,
-        0,
-        "steady-state planning path allocated {} times over 100 iterations",
-        after - before
+        n, 0,
+        "steady-state planning path allocated {n} times over 100 iterations"
+    );
+}
+
+#[test]
+fn steady_state_count_only_planning_path_is_allocation_free() {
+    let n = steady_state_allocations(false);
+    assert_eq!(
+        n, 0,
+        "count-only planning path allocated {n} times over 100 iterations"
     );
 }
 

@@ -4,7 +4,7 @@ use crate::fault::{FaultInjector, FaultKind, FaultProfile};
 use crate::latency::{inference_cost, inference_latency};
 use crate::profile::ModelProfile;
 use crate::quality::QualityModel;
-use crate::request::{LlmRequest, LlmResponse};
+use crate::request::{LlmRequest, LlmResponse, Prompt};
 use crate::semantic::{SemanticFaultInjector, SemanticFaultProfile};
 use crate::tokenizer::{common_prefix_len, Tokenizer};
 use embodied_profiler::{ResilienceStats, SimDuration, TokenStats};
@@ -153,6 +153,12 @@ impl LlmEngine {
         self
     }
 
+    /// Whether KV-prefix reuse is on: the one thing that reads a prompt's
+    /// text rather than its token count.
+    pub fn kv_reuse(&self) -> bool {
+        self.kv_reuse
+    }
+
     /// Replaces the quality model (for sensitivity experiments).
     pub fn with_quality_model(mut self, model: QualityModel) -> Self {
         self.quality_model = model;
@@ -295,14 +301,17 @@ impl LlmEngine {
 
         // KV prefix reuse: measure the shared prefix with the previous call.
         let mut opts = req.opts;
-        if self.kv_reuse {
-            if let Some(prev) = &self.last_prompt {
-                let shared_bytes = common_prefix_len(prev.as_bytes(), req.prompt.as_bytes());
-                let reused = self
-                    .tokenizer
-                    .count(&req.prompt[..floor_char(req.prompt, shared_bytes)]);
-                opts.kv_reused_tokens = opts.kv_reused_tokens.max(reused.min(prompt_tokens));
-            }
+        let reuse_text = self.kv_reuse.then(|| {
+            req.prompt
+                .text()
+                .expect("KV-prefix reuse compares prompt text; a count-only prompt has none")
+        });
+        if let (Some(text), Some(prev)) = (reuse_text, &self.last_prompt) {
+            let shared_bytes = common_prefix_len(prev.as_bytes(), text.as_bytes());
+            let reused = self
+                .tokenizer
+                .count(&text[..floor_char(text, shared_bytes)]);
+            opts.kv_reused_tokens = opts.kv_reused_tokens.max(reused.min(prompt_tokens));
         }
 
         // Output length jitters ±40% around the verbosity-scaled nominal.
@@ -335,15 +344,15 @@ impl LlmEngine {
 
         self.usage.record(prompt_tokens, output_tokens, cost);
         self.last_prompt_tokens = prompt_tokens;
-        if self.kv_reuse {
+        if let Some(text) = reuse_text {
             // Reuse the previous prompt's buffer instead of allocating a
             // fresh copy every call.
             match &mut self.last_prompt {
                 Some(buf) => {
                     buf.clear();
-                    buf.push_str(req.prompt);
+                    buf.push_str(text);
                 }
-                None => self.last_prompt = Some(req.prompt.to_owned()),
+                None => self.last_prompt = Some(text.to_owned()),
             }
         }
 
@@ -364,20 +373,21 @@ impl LlmEngine {
     }
 
     /// Tokens in the request's prompt: the count the caller supplied, or a
-    /// fresh count. Debug builds recount a supplied count and panic on a
-    /// mismatch, so every test that runs a counted prompt checks it.
+    /// fresh count of its text. Debug builds recount a supplied count that
+    /// comes with its text and panic on a mismatch, so every test that
+    /// runs a rendered prompt checks it.
     fn prompt_tokens(&self, req: &LlmRequest<'_>) -> u64 {
-        match req.prompt_tokens {
-            Some(tokens) => {
+        match req.prompt {
+            Prompt::Text(text) => self.tokenizer.count(text),
+            Prompt::Counted(text, tokens) => {
                 debug_assert_eq!(
                     tokens,
-                    self.tokenizer.count(req.prompt),
-                    "supplied token count of {:?}",
-                    req.prompt
+                    self.tokenizer.count(text),
+                    "supplied token count of {text:?}"
                 );
                 tokens
             }
-            None => self.tokenizer.count(req.prompt),
+            Prompt::Tokens(tokens) => tokens,
         }
     }
 
@@ -623,14 +633,39 @@ mod tests {
             prompt.push_str(&format!(
                 "step {step}: observed 物体_{step} 🤖 at (3,{step})\n"
             ));
-            let req = LlmRequest::new(Purpose::Planning, prompt.as_str(), 40);
+            let supplied = Prompt::Counted(prompt.as_str(), tok.count(&prompt));
             let a = counted
-                .infer(req.with_prompt_tokens(tok.count(&prompt)))
+                .infer(LlmRequest::new(Purpose::Planning, supplied, 40))
                 .unwrap();
-            let b = plain.infer(req).unwrap();
+            let b = plain
+                .infer(LlmRequest::new(Purpose::Planning, prompt.as_str(), 40))
+                .unwrap();
             assert_eq!(a, b);
             assert_eq!(a.prompt_tokens, tok.count(&prompt));
         }
+    }
+
+    #[test]
+    fn count_only_prompts_bill_like_their_text() {
+        let tok = Tokenizer::default();
+        let mut text = LlmEngine::new(ModelProfile::gpt4_api(), 5);
+        let mut count = LlmEngine::new(ModelProfile::gpt4_api(), 5);
+        for step in 0..8 {
+            let prompt = format!("[system] plan\n[memory]\nstep {step}: saw 物体_{step}\n");
+            let req = LlmRequest::new(Purpose::Planning, Prompt::Tokens(tok.count(&prompt)), 40);
+            assert_eq!(
+                text.infer(LlmRequest::new(Purpose::Planning, &prompt, 40)),
+                count.infer(req)
+            );
+        }
+        assert_eq!(text.usage(), count.usage());
+    }
+
+    #[test]
+    #[should_panic(expected = "KV-prefix reuse compares prompt text")]
+    fn kv_reuse_rejects_count_only_prompts() {
+        let mut e = LlmEngine::new(ModelProfile::gpt4_api(), 5).with_kv_reuse(true);
+        let _ = e.infer(LlmRequest::new(Purpose::Planning, Prompt::Tokens(12), 40));
     }
 
     #[test]
@@ -638,7 +673,8 @@ mod tests {
     #[should_panic(expected = "supplied token count")]
     fn wrong_supplied_count_panics_in_debug_builds() {
         let mut e = LlmEngine::new(ModelProfile::gpt4_api(), 17);
-        let _ = e.infer(planning_req("three token prompt").with_prompt_tokens(4));
+        let prompt = Prompt::Counted("three token prompt", 4);
+        let _ = e.infer(LlmRequest::new(Purpose::Planning, prompt, 150));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! reasoning is under context dilution and task difficulty. This crate makes
 //! both explicit and deterministic:
 //!
-//! * [`Tokenizer`] — deterministic subword token counting over *real* prompt
-//!   strings;
+//! * [`Tokenizer`] — deterministic subword token counting of prompt text;
 //! * [`ModelProfile`] / [`EncoderProfile`] — the model zoo of Table II
 //!   (GPT-4 API, Llama family, LLaVA, ViT/MineCLIP/DINO/… encoders);
 //! * [`inference_latency`] / [`batch_latency`] / [`Quantization`] — the
@@ -61,7 +60,7 @@ pub use latency::{
 };
 pub use profile::{Deployment, EncoderProfile, ModelProfile};
 pub use quality::QualityModel;
-pub use request::{LlmRequest, LlmResponse, Purpose};
+pub use request::{LlmRequest, LlmResponse, Prompt, Purpose};
 pub use resilience::{InferenceEndpoint, ResilientEngine, RetryPolicy};
 pub use scheduler::ServingConfig;
 pub use semantic::{SemanticFaultInjector, SemanticFaultKind, SemanticFaultProfile, SemanticFlaw};

@@ -37,22 +37,59 @@ impl fmt::Display for Purpose {
     }
 }
 
-/// One inference request carrying a *real* prompt string.
+/// A request's prompt: its text, its token count, or both.
+///
+/// The simulated model bills, times and scores a call by the prompt's token
+/// count. Only KV-prefix reuse reads the bytes, so a caller that summed the
+/// count while assembling the prompt may leave the text unrendered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Prompt<'a> {
+    /// Text the engine counts itself.
+    Text(&'a str),
+    /// Text with its token count, summed where the prompt was assembled.
+    /// It must equal [`crate::Tokenizer::count`] of the text; debug builds
+    /// recount it.
+    Counted(&'a str, u64),
+    /// The token count alone: nothing renders the text. An engine with
+    /// KV-prefix reuse on rejects it, since reuse compares the bytes.
+    Tokens(u64),
+}
+
+impl<'a> Prompt<'a> {
+    /// The prompt text, unless the prompt is a count alone.
+    pub fn text(&self) -> Option<&'a str> {
+        match *self {
+            Prompt::Text(text) | Prompt::Counted(text, _) => Some(text),
+            Prompt::Tokens(_) => None,
+        }
+    }
+}
+
+impl<'a> From<&'a str> for Prompt<'a> {
+    fn from(text: &'a str) -> Self {
+        Prompt::Text(text)
+    }
+}
+
+impl<'a> From<&'a String> for Prompt<'a> {
+    fn from(text: &'a String) -> Self {
+        Prompt::Text(text)
+    }
+}
+
+/// One inference request.
 ///
 /// The prompt is borrowed, not owned: every module renders into a reusable
-/// buffer and lends it to the engine for the duration of the call, so the
-/// request itself is `Copy` and the hot path never copies prompt bytes.
-/// Retry layers re-submit by copying the (pointer-sized) request value.
+/// buffer and lends it to the engine for the duration of the call (or
+/// sends only its token count, see [`Prompt`]), so the request itself is
+/// `Copy` and the hot path never copies prompt bytes. Retry layers
+/// re-submit by copying the (pointer-sized) request value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LlmRequest<'a> {
     /// What the caller wants.
     pub purpose: Purpose,
-    /// The fully assembled prompt text.
-    pub prompt: &'a str,
-    /// Token count of `prompt`, when the caller summed it from pieces
-    /// counted where they were made. `None` makes the engine count the
-    /// prompt itself; either way the engine bills the same tokens.
-    pub prompt_tokens: Option<u64>,
+    /// The assembled prompt: text, count, or both.
+    pub prompt: Prompt<'a>,
     /// Nominal completion length the caller expects; actual output length is
     /// sampled around this (scaled by model verbosity).
     pub expected_output_tokens: u64,
@@ -64,11 +101,14 @@ pub struct LlmRequest<'a> {
 
 impl<'a> LlmRequest<'a> {
     /// Convenience constructor with default options.
-    pub fn new(purpose: Purpose, prompt: &'a str, expected_output_tokens: u64) -> Self {
+    pub fn new(
+        purpose: Purpose,
+        prompt: impl Into<Prompt<'a>>,
+        expected_output_tokens: u64,
+    ) -> Self {
         LlmRequest {
             purpose,
-            prompt,
-            prompt_tokens: None,
+            prompt: prompt.into(),
             expected_output_tokens,
             difficulty: 0.5,
             opts: InferenceOpts::default(),
@@ -78,13 +118,6 @@ impl<'a> LlmRequest<'a> {
     /// Sets the difficulty, returning `self` for chaining.
     pub fn with_difficulty(mut self, difficulty: f64) -> Self {
         self.difficulty = difficulty;
-        self
-    }
-
-    /// Supplies the prompt's token count, which must equal
-    /// [`crate::Tokenizer::count`] of the prompt (debug builds check it).
-    pub fn with_prompt_tokens(mut self, tokens: u64) -> Self {
-        self.prompt_tokens = Some(tokens);
         self
     }
 
@@ -138,7 +171,9 @@ mod tests {
             });
         assert_eq!(req.difficulty, 0.8);
         assert!(req.opts.multiple_choice);
-        assert_eq!(req.prompt, "plan this");
+        assert_eq!(req.prompt, Prompt::Text("plan this"));
+        assert_eq!(req.prompt.text(), Some("plan this"));
+        assert_eq!(Prompt::Tokens(3).text(), None);
     }
 
     #[test]

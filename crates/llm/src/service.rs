@@ -475,6 +475,7 @@ impl InferenceService {
     /// sharing a model profile share one scheduling backend.
     pub fn register(&self, engine: ResilientEngine, owner: TenantOwner) -> EngineHandle {
         let profile = engine.profile().clone();
+        let reads_prompt_text = engine.engine().kv_reuse();
         let mut inner = self.inner.borrow_mut();
         let backend = inner.backend_for(&profile);
         let scope = inner.scope;
@@ -490,6 +491,7 @@ impl InferenceService {
             service: self.clone(),
             tenant,
             profile,
+            reads_prompt_text,
         }
     }
 
@@ -867,6 +869,7 @@ pub struct EngineHandle {
     service: InferenceService,
     tenant: TenantId,
     profile: ModelProfile,
+    reads_prompt_text: bool,
 }
 
 impl fmt::Debug for EngineHandle {
@@ -894,6 +897,13 @@ impl EngineHandle {
     /// The tenant's model profile (cached at registration).
     pub fn profile(&self) -> &ModelProfile {
         &self.profile
+    }
+
+    /// Whether the tenant's engine reads prompt text (KV-prefix reuse);
+    /// otherwise a prompt's token count is all it uses (cached at
+    /// registration).
+    pub fn reads_prompt_text(&self) -> bool {
+        self.reads_prompt_text
     }
 
     /// Runs one inference through the serving tier and the tenant's

@@ -1,9 +1,9 @@
 //! A deterministic subword tokenizer.
 //!
-//! The suite builds *real* prompt strings (system preambles, retrieved
-//! memories, dialogue history), so prompt-length phenomena — Fig. 6's token
-//! growth, context-window overflows, context-dilution quality loss — emerge
-//! from actual text rather than synthetic counters. The tokenizer maps text
+//! Every prompt section (system preambles, retrieved memories, dialogue
+//! history) is counted from its actual text, so prompt-length phenomena —
+//! Fig. 6's token growth, context-window overflows, context-dilution
+//! quality loss — emerge from real text rather than synthetic counters. The tokenizer maps text
 //! to token counts the way BPE vocabularies do in aggregate: whole short
 //! words are one token, long words split into ~4-character subwords, and
 //! punctuation/digits tokenize separately.

@@ -36,6 +36,10 @@ done
 echo "== resilience integration tests =="
 cargo test --release -q --test resilience --test fault_properties --test guardrail_properties
 
+# Release builds assemble prompts as counts; debug builds render them.
+echo "== rendered vs count-only prompt differential (release) =="
+cargo test --release -q -p embodied-agents --lib differential
+
 # Smoke runs write into a scratch dir, so canonical results stay untouched.
 # One build of every experiment binary also gives bench_all its siblings.
 repo_root="$(pwd)"
