@@ -306,14 +306,7 @@ impl Environment for HouseholdEnv {
         match subgoal {
             Subgoal::GoTo { cell, .. } => {
                 let from = self.agents[agent].pos;
-                let goal = if self.world.passable(*cell) {
-                    *cell
-                } else {
-                    cell.neighbors4()
-                        .into_iter()
-                        .find(|c| self.world.passable(*c))
-                        .unwrap_or(from)
-                };
+                let goal = self.world.nav_goal(*cell, from);
                 match astar(&self.world, from, goal) {
                     Ok(plan) => {
                         let full = plan.length();

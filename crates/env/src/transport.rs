@@ -106,16 +106,7 @@ impl TransportEnv {
 
     fn navigate(&mut self, agent: usize, target: Cell, low: &mut LowLevel) -> ExecOutcome {
         let from = self.agents[agent].pos;
-        // Aim at the nearest passable cell to the target.
-        let goal = if self.world.passable(target) {
-            target
-        } else {
-            target
-                .neighbors4()
-                .into_iter()
-                .find(|c| self.world.passable(*c))
-                .unwrap_or(from)
-        };
+        let goal = self.world.nav_goal(target, from);
         match astar(&self.world, from, goal) {
             Ok(plan) => {
                 let compute = latency::astar_compute(plan.nodes_expanded);

@@ -1,7 +1,6 @@
 //! Shared spatial world model: a room-partitioned occupancy grid.
 
-use embodied_exec::{Cell, NavGrid};
-use std::collections::HashSet;
+use embodied_exec::{Cell, DenseGrid, NavGrid};
 
 /// A rectangular room within the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,13 +34,22 @@ impl Room {
 ///
 /// Walls separate rooms; each interior wall has one doorway cell, producing
 /// the multi-room navigation structure of TDW-MAT / VirtualHome scenes.
+///
+/// Walls are a row-major bitmap and every cell carries the index of its
+/// room, painted once at construction, so [`NavGrid::passable`],
+/// [`GridWorld::room_of`] and [`GridWorld::same_room`] are a bounds check
+/// and an index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridWorld {
-    width: i32,
-    height: i32,
-    walls: HashSet<Cell>,
+    walls: DenseGrid,
     rooms: Vec<Room>,
+    /// Each cell's position in `rooms`, indexed like `walls`; [`NO_ROOM`] on
+    /// walls and doorways.
+    room_index: Vec<u32>,
 }
+
+/// The `room_index` of a cell in no room.
+const NO_ROOM: u32 = u32::MAX;
 
 impl GridWorld {
     /// An open (single-room) world.
@@ -50,17 +58,7 @@ impl GridWorld {
     ///
     /// Panics if either dimension is < 3.
     pub fn open(width: i32, height: i32) -> Self {
-        assert!(width >= 3 && height >= 3, "world too small");
-        GridWorld {
-            width,
-            height,
-            walls: HashSet::new(),
-            rooms: vec![Room {
-                id: 0,
-                min: Cell::new(0, 0),
-                max: Cell::new(width - 1, height - 1),
-            }],
-        }
+        Layout::open(width, height).build()
     }
 
     /// A world split into `cols` rooms side-by-side, each wall pierced by a
@@ -70,6 +68,97 @@ impl GridWorld {
     ///
     /// Panics if the requested rooms don't fit (each needs ≥ 3 columns).
     pub fn rooms_in_row(width: i32, height: i32, cols: usize) -> Self {
+        Layout::rooms_in_row(width, height, cols).build()
+    }
+
+    /// A world partitioned into a `cols` × `rows` lattice of rooms, each
+    /// `room_w` × `room_h` cells, with a doorway in every shared wall —
+    /// the floor-plan family used for custom household/transport scenes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any dimension is < 1 or a room side is < 3.
+    pub fn room_grid(cols: usize, rows: usize, room_w: i32, room_h: i32) -> Self {
+        Layout::room_grid(cols, rows, room_w, room_h).build()
+    }
+
+    /// Grid height.
+    pub fn grid_height(&self) -> i32 {
+        self.walls.height()
+    }
+
+    /// The rooms of this world.
+    pub fn rooms(&self) -> &[Room] {
+        &self.rooms
+    }
+
+    /// The room containing `cell`, if any (wall cells belong to no room).
+    pub fn room_of(&self, cell: Cell) -> Option<&Room> {
+        let slot = self.room_index[self.walls.index(cell)?];
+        (slot != NO_ROOM).then(|| &self.rooms[slot as usize])
+    }
+
+    /// Whether two cells are in the same room (false if either is a wall).
+    pub fn same_room(&self, a: Cell, b: Cell) -> bool {
+        match (self.room_of(a), self.room_of(b)) {
+            (Some(ra), Some(rb)) => ra.id == rb.id,
+            _ => false,
+        }
+    }
+
+    /// Where navigation toward `target` aims: `target` itself when it is
+    /// passable, else its first passable [`Cell::neighbors4`] cell, else
+    /// `from`, staying put.
+    pub fn nav_goal(&self, target: Cell, from: Cell) -> Cell {
+        if self.passable(target) {
+            return target;
+        }
+        target
+            .neighbors4()
+            .into_iter()
+            .find(|&c| self.passable(c))
+            .unwrap_or(from)
+    }
+}
+
+impl NavGrid for GridWorld {
+    fn width(&self) -> i32 {
+        self.walls.width()
+    }
+    fn height(&self) -> i32 {
+        self.walls.height()
+    }
+    fn passable(&self, cell: Cell) -> bool {
+        self.walls.passable(cell)
+    }
+}
+
+/// A world's geometry as its constructors lay it out, before
+/// [`Layout::build`] makes it dense.
+#[derive(Debug, Clone)]
+struct Layout {
+    width: i32,
+    height: i32,
+    rooms: Vec<Room>,
+    walls: Vec<Cell>,
+}
+
+impl Layout {
+    fn open(width: i32, height: i32) -> Self {
+        assert!(width >= 3 && height >= 3, "world too small");
+        Layout {
+            width,
+            height,
+            rooms: vec![Room {
+                id: 0,
+                min: Cell::new(0, 0),
+                max: Cell::new(width - 1, height - 1),
+            }],
+            walls: Vec::new(),
+        }
+    }
+
+    fn rooms_in_row(width: i32, height: i32, cols: usize) -> Self {
         assert!(cols >= 1, "need at least one room");
         assert!(
             width >= (cols as i32) * 3 + (cols as i32 - 1),
@@ -98,7 +187,7 @@ impl GridWorld {
                 let door_y = height / 2;
                 for y in 0..height {
                     if y != door_y {
-                        world.walls.insert(Cell::new(wall_x, y));
+                        world.walls.push(Cell::new(wall_x, y));
                     }
                 }
                 start_x = wall_x + 1;
@@ -108,14 +197,7 @@ impl GridWorld {
         world
     }
 
-    /// A world partitioned into a `cols` × `rows` lattice of rooms, each
-    /// `room_w` × `room_h` cells, with a doorway in every shared wall —
-    /// the floor-plan family used for custom household/transport scenes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is < 1 or a room side is < 3.
-    pub fn room_grid(cols: usize, rows: usize, room_w: i32, room_h: i32) -> Self {
+    fn room_grid(cols: usize, rows: usize, room_w: i32, room_h: i32) -> Self {
         assert!(cols >= 1 && rows >= 1, "need at least one room");
         assert!(room_w >= 3 && room_h >= 3, "rooms must be at least 3×3");
         // +1 cell of wall between adjacent rooms.
@@ -135,7 +217,7 @@ impl GridWorld {
                     let door_y = min.y + room_h / 2;
                     for y in min.y..=max.y {
                         if y != door_y {
-                            world.walls.insert(Cell::new(wall_x, y));
+                            world.walls.push(Cell::new(wall_x, y));
                         }
                     }
                 }
@@ -145,12 +227,12 @@ impl GridWorld {
                     let door_x = min.x + room_w / 2;
                     for x in min.x..=max.x {
                         if x != door_x {
-                            world.walls.insert(Cell::new(x, wall_y));
+                            world.walls.push(Cell::new(x, wall_y));
                         }
                     }
                     // Seal the wall intersection corner.
                     if rx + 1 < cols {
-                        world.walls.insert(Cell::new(max.x + 1, wall_y));
+                        world.walls.push(Cell::new(max.x + 1, wall_y));
                     }
                 }
             }
@@ -158,42 +240,31 @@ impl GridWorld {
         world
     }
 
-    /// Grid height.
-    pub fn grid_height(&self) -> i32 {
-        self.height
-    }
-
-    /// The rooms of this world.
-    pub fn rooms(&self) -> &[Room] {
-        &self.rooms
-    }
-
-    /// The room containing `cell`, if any (wall cells belong to no room).
-    pub fn room_of(&self, cell: Cell) -> Option<&Room> {
-        if self.walls.contains(&cell) {
-            return None;
+    /// Paints each room's rectangle, row by row, into the room index, then
+    /// blocks every wall cell and clears it from the index: O(cells).
+    fn build(self) -> GridWorld {
+        let mut walls = DenseGrid::open(self.width, self.height);
+        let mut room_index = vec![NO_ROOM; self.width as usize * self.height as usize];
+        for (slot, room) in self.rooms.iter().enumerate() {
+            let span = (room.max.x - room.min.x) as usize;
+            for y in room.min.y..=room.max.y {
+                let row = walls
+                    .index(Cell::new(room.min.x, y))
+                    .expect("rooms lie inside the grid");
+                room_index[row..=row + span].fill(slot as u32);
+            }
         }
-        self.rooms.iter().find(|r| r.contains(cell))
-    }
-
-    /// Whether two cells are in the same room (false if either is a wall).
-    pub fn same_room(&self, a: Cell, b: Cell) -> bool {
-        match (self.room_of(a), self.room_of(b)) {
-            (Some(ra), Some(rb)) => ra.id == rb.id,
-            _ => false,
+        for &cell in &self.walls {
+            walls.block(cell);
+            if let Some(i) = walls.index(cell) {
+                room_index[i] = NO_ROOM;
+            }
         }
-    }
-}
-
-impl NavGrid for GridWorld {
-    fn width(&self) -> i32 {
-        self.width
-    }
-    fn height(&self) -> i32 {
-        self.height
-    }
-    fn passable(&self, cell: Cell) -> bool {
-        self.in_bounds(cell) && !self.walls.contains(&cell)
+        GridWorld {
+            walls,
+            rooms: self.rooms,
+            room_index,
+        }
     }
 }
 
@@ -289,6 +360,58 @@ mod tests {
     #[should_panic(expected = "too small")]
     fn too_many_rooms_rejected() {
         let _ = GridWorld::rooms_in_row(8, 8, 4);
+    }
+
+    /// `room_of` and `passable` agree with a linear scan of the rooms and
+    /// the wall list on every cell and on a one-cell ring outside the grid.
+    #[test]
+    fn dense_index_matches_a_linear_scan() {
+        let mut layouts = vec![Layout::open(3, 3), Layout::open(10, 8)];
+        layouts.extend((1..=5).map(|cols| Layout::rooms_in_row(28, 10, cols)));
+        layouts.extend(
+            [
+                (1, 1, 3, 3),
+                (2, 2, 4, 4),
+                (3, 2, 5, 4),
+                (1, 4, 3, 5),
+                (4, 1, 6, 3),
+                (3, 3, 4, 7),
+            ]
+            .map(|(cols, rows, w, h)| Layout::room_grid(cols, rows, w, h)),
+        );
+        for layout in layouts {
+            let world = layout.clone().build();
+            for y in -1..=layout.height {
+                for x in -1..=layout.width {
+                    let cell = Cell::new(x, y);
+                    let wall = layout.walls.contains(&cell);
+                    let in_bounds =
+                        (0..layout.width).contains(&x) && (0..layout.height).contains(&y);
+                    assert_eq!(
+                        world.passable(cell),
+                        in_bounds && !wall,
+                        "{cell} in {layout:?}"
+                    );
+                    let room = if wall {
+                        None
+                    } else {
+                        layout.rooms.iter().find(|r| r.contains(cell))
+                    };
+                    assert_eq!(world.room_of(cell), room, "{cell} in {layout:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nav_goal_snaps_to_the_first_passable_neighbour() {
+        let w = GridWorld::rooms_in_row(20, 10, 2);
+        let from = w.rooms()[0].center();
+        let door_row = Cell::new(w.rooms()[0].max.x + 1, 5);
+        assert_eq!(w.nav_goal(door_row, from), door_row);
+        let wall = Cell::new(door_row.x, 0);
+        assert_eq!(w.nav_goal(wall, from), Cell::new(wall.x + 1, 0));
+        assert_eq!(w.nav_goal(Cell::new(-5, -5), from), from);
     }
 
     #[test]

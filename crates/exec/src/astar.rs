@@ -7,7 +7,7 @@
 
 use crate::grid::{Cell, NavGrid};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// A successful plan: the path and the work expended finding it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,8 +54,13 @@ impl std::error::Error for PlanError {}
 ///
 /// # Errors
 ///
-/// * [`PlanError::InvalidEndpoint`] if either endpoint is impassable;
+/// * [`PlanError::InvalidEndpoint`] if either endpoint is impassable or out
+///   of bounds;
 /// * [`PlanError::NoPath`] if the goal is unreachable.
+///
+/// # Panics
+///
+/// Panics if the grid has `u32::MAX` cells or more.
 ///
 /// ```
 /// use embodied_exec::{astar, Cell, DenseGrid};
@@ -68,7 +73,12 @@ impl std::error::Error for PlanError {}
 /// assert!(plan.length() > 9); // forced around the wall
 /// ```
 pub fn astar(grid: &dyn NavGrid, start: Cell, goal: Cell) -> Result<GridPlan, PlanError> {
-    if !grid.passable(start) || !grid.passable(goal) {
+    let (width, height) = (grid.width(), grid.height());
+    // Out-of-bounds cells are impassable before anything indexes them, even
+    // on a grid whose `passable` says otherwise.
+    let open_at =
+        |c: Cell| (0..width).contains(&c.x) && (0..height).contains(&c.y) && grid.passable(c);
+    if !open_at(start) || !open_at(goal) {
         return Err(PlanError::InvalidEndpoint);
     }
     if start == goal {
@@ -78,27 +88,39 @@ pub fn astar(grid: &dyn NavGrid, start: Cell, goal: Cell) -> Result<GridPlan, Pl
         });
     }
 
+    // Per-cell state in flat row-major arrays; `UNSET` marks a cell the
+    // search has not reached (or, in `came_from`, the start).
+    let w = width as usize;
+    let index = |c: Cell| c.y as usize * w + c.x as usize;
+    let cell_at = |i: u32| Cell::new((i as usize % w) as i32, (i as usize / w) as i32);
+    let cells = w * height as usize;
+    assert!(
+        cells < UNSET as usize,
+        "grid too large for u32 cell indices"
+    );
+    let mut g_score = vec![UNSET; cells];
+    let mut came_from = vec![UNSET; cells];
+
     // Open list keyed by (f, g) with deterministic tie-breaking on the cell.
     let mut open: BinaryHeap<Reverse<(u32, u32, i32, i32)>> = BinaryHeap::new();
-    let mut g_score: HashMap<Cell, u32> = HashMap::new();
-    let mut came_from: HashMap<Cell, Cell> = HashMap::new();
     let mut expanded = 0usize;
 
-    g_score.insert(start, 0);
+    g_score[index(start)] = 0;
     open.push(Reverse((start.manhattan(goal), 0, start.x, start.y)));
 
     while let Some(Reverse((_, g, x, y))) = open.pop() {
         let current = Cell::new(x, y);
-        if g_score.get(&current).copied() != Some(g) {
+        let at = index(current);
+        if g_score[at] != g {
             continue; // stale entry
         }
         expanded += 1;
         if current == goal {
             let mut path = vec![current];
-            let mut cur = current;
-            while let Some(&prev) = came_from.get(&cur) {
-                path.push(prev);
-                cur = prev;
+            let mut prev = came_from[at];
+            while prev != UNSET {
+                path.push(cell_at(prev));
+                prev = came_from[prev as usize];
             }
             path.reverse();
             return Ok(GridPlan {
@@ -107,13 +129,14 @@ pub fn astar(grid: &dyn NavGrid, start: Cell, goal: Cell) -> Result<GridPlan, Pl
             });
         }
         for next in current.neighbors4() {
-            if !grid.passable(next) {
+            if !open_at(next) {
                 continue;
             }
             let tentative = g + 1;
-            if g_score.get(&next).is_none_or(|&old| tentative < old) {
-                g_score.insert(next, tentative);
-                came_from.insert(next, current);
+            let to = index(next);
+            if tentative < g_score[to] {
+                g_score[to] = tentative;
+                came_from[to] = at as u32;
                 open.push(Reverse((
                     tentative + next.manhattan(goal),
                     tentative,
@@ -127,6 +150,10 @@ pub fn astar(grid: &dyn NavGrid, start: Cell, goal: Cell) -> Result<GridPlan, Pl
         nodes_expanded: expanded,
     })
 }
+
+/// Marks an unreached cell in `g_score` and a start (no predecessor) in
+/// `came_from`.
+const UNSET: u32 = u32::MAX;
 
 #[cfg(test)]
 mod tests {
@@ -192,6 +219,48 @@ mod tests {
             astar(&grid, Cell::new(0, 0), Cell::new(4, 4)).unwrap_err(),
             PlanError::InvalidEndpoint
         );
+    }
+
+    /// A grid that breaks the [`NavGrid`] contract: every cell, in bounds
+    /// or not, claims to be passable.
+    struct Boundless;
+
+    impl NavGrid for Boundless {
+        fn width(&self) -> i32 {
+            5
+        }
+        fn height(&self) -> i32 {
+            4
+        }
+        fn passable(&self, _: Cell) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn out_of_bounds_is_impassable_whatever_the_grid_says() {
+        let plan = astar(&Boundless, Cell::new(0, 0), Cell::new(4, 3)).unwrap();
+        assert_eq!(plan.length(), 7);
+        assert!(plan.path.iter().all(|&c| Boundless.in_bounds(c)));
+        // Down the left edge: unchecked, each (-1, y) would alias onto
+        // (4, y - 1) at the end of the row above.
+        let edge = astar(&Boundless, Cell::new(0, 3), Cell::new(0, 0)).unwrap();
+        assert_eq!(
+            edge.path,
+            (0..4).rev().map(|y| Cell::new(0, y)).collect::<Vec<_>>()
+        );
+        for (start, goal) in [
+            (Cell::new(0, 0), Cell::new(5, 0)),
+            (Cell::new(-1, 2), Cell::new(2, 2)),
+            (Cell::new(0, 0), Cell::new(0, 4)),
+            (Cell::new(2, 2), Cell::new(2, -1)),
+        ] {
+            assert_eq!(
+                astar(&Boundless, start, goal).unwrap_err(),
+                PlanError::InvalidEndpoint,
+                "{start} -> {goal}"
+            );
+        }
     }
 
     #[test]

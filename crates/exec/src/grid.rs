@@ -42,12 +42,17 @@ impl std::fmt::Display for Cell {
 ///
 /// Environments implement this so the A* planner stays independent of any
 /// particular world representation.
+///
+/// Contract: `passable(c)` implies `in_bounds(c)`. Planners index per-cell
+/// state by `y * width + x`, so they treat every out-of-bounds cell as
+/// impassable whatever `passable` says.
 pub trait NavGrid {
     /// Grid width in cells.
     fn width(&self) -> i32;
     /// Grid height in cells.
     fn height(&self) -> i32;
-    /// Whether an agent may occupy `cell`.
+    /// Whether an agent may occupy `cell`; false for every cell out of
+    /// bounds.
     fn passable(&self, cell: Cell) -> bool;
 
     /// Whether `cell` lies within bounds.
@@ -57,12 +62,12 @@ pub trait NavGrid {
 }
 
 /// A simple owned grid for tests and standalone use: everything passable
-/// except listed blocked cells.
+/// except blocked cells, kept as a row-major bitmap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseGrid {
     width: i32,
     height: i32,
-    blocked: std::collections::HashSet<Cell>,
+    blocked: Vec<bool>,
 }
 
 impl DenseGrid {
@@ -76,27 +81,37 @@ impl DenseGrid {
         DenseGrid {
             width,
             height,
-            blocked: Default::default(),
+            blocked: vec![false; width as usize * height as usize],
         }
     }
 
-    /// Marks a cell impassable.
+    /// The row-major index `y * width + x` of `cell`, or `None` out of
+    /// bounds.
+    pub fn index(&self, cell: Cell) -> Option<usize> {
+        self.in_bounds(cell)
+            .then(|| cell.y as usize * self.width as usize + cell.x as usize)
+    }
+
+    /// Marks a cell impassable. Cells out of bounds are impassable already
+    /// and are ignored.
     pub fn block(&mut self, cell: Cell) -> &mut Self {
-        self.blocked.insert(cell);
+        if let Some(i) = self.index(cell) {
+            self.blocked[i] = true;
+        }
         self
     }
 
     /// Marks a vertical wall segment `x, y0..=y1` impassable.
     pub fn block_vwall(&mut self, x: i32, y0: i32, y1: i32) -> &mut Self {
         for y in y0..=y1 {
-            self.blocked.insert(Cell::new(x, y));
+            self.block(Cell::new(x, y));
         }
         self
     }
 
     /// Number of blocked cells.
     pub fn blocked_count(&self) -> usize {
-        self.blocked.len()
+        self.blocked.iter().filter(|&&b| b).count()
     }
 }
 
@@ -108,7 +123,7 @@ impl NavGrid for DenseGrid {
         self.height
     }
     fn passable(&self, cell: Cell) -> bool {
-        self.in_bounds(cell) && !self.blocked.contains(&cell)
+        self.index(cell).is_some_and(|i| !self.blocked[i])
     }
 }
 
@@ -138,8 +153,22 @@ mod tests {
         assert!(!g.passable(Cell::new(10, 0)));
         assert!(!g.passable(Cell::new(-1, 3)));
         g.block(Cell::new(2, 2));
+        g.block(Cell::new(2, 2));
         assert!(!g.passable(Cell::new(2, 2)));
         assert_eq!(g.blocked_count(), 1);
+        g.block(Cell::new(10, 0));
+        assert_eq!(g.blocked_count(), 1, "out-of-bounds blocks are ignored");
+    }
+
+    #[test]
+    fn index_is_row_major_and_bounded() {
+        let g = DenseGrid::open(4, 3);
+        assert_eq!(g.index(Cell::new(0, 0)), Some(0));
+        assert_eq!(g.index(Cell::new(3, 0)), Some(3));
+        assert_eq!(g.index(Cell::new(1, 2)), Some(9));
+        assert_eq!(g.index(Cell::new(4, 0)), None);
+        assert_eq!(g.index(Cell::new(0, -1)), None);
+        assert_eq!(g.index(Cell::new(0, 3)), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 #
 # Optional flags:
 #   --bench   also run quick criterion passes over the step loop, the event
-#             queue and the tokenizer.
+#             queue, the tokenizer and the execution substrates (A* et al.).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,7 +66,7 @@ echo "== perf_bench --smoke =="
 cargo run --release -q --offline --locked --manifest-path perf_bench/Cargo.toml -- --smoke > /dev/null
 
 if [ "$run_bench" -eq 1 ]; then
-  for bench in step_loop event_queue tokenizer; do
+  for bench in step_loop event_queue tokenizer substrates; do
     echo "== bench smoke: criterion $bench (quick mode) =="
     CRITERION_SHIM_ITERS=5 cargo bench -q -p embodied-bench --bench "$bench"
   done

@@ -1,12 +1,34 @@
 //! Property-based tests over the substrates' core invariants.
 
-use embodied_suite::exec::{astar, Cell, DenseGrid, MlpPolicy, Point, Workspace};
+use embodied_suite::exec::{
+    astar, Cell, DenseGrid, MlpPolicy, NavGrid, PlanError, Point, Workspace,
+};
 use embodied_suite::llm::{
     inference_latency, InferenceOpts, LlmEngine, LlmRequest, ModelProfile, Purpose, QualityModel,
     Tokenizer,
 };
 use embodied_suite::profiler::{LatencyBreakdown, ModuleKind, SimDuration};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng, StdRng};
+use std::collections::{HashSet, VecDeque};
+
+/// Moves on a shortest 4-connected path from `start` to `goal`, by plain
+/// breadth-first search; `None` when the goal is unreachable.
+fn bfs_distance(grid: &DenseGrid, start: Cell, goal: Cell) -> Option<usize> {
+    let mut seen = HashSet::from([start]);
+    let mut frontier = VecDeque::from([(start, 0)]);
+    while let Some((cell, distance)) = frontier.pop_front() {
+        if cell == goal {
+            return Some(distance);
+        }
+        for next in cell.neighbors4() {
+            if grid.passable(next) && seen.insert(next) {
+                frontier.push_back((next, distance + 1));
+            }
+        }
+    }
+    None
+}
 
 proptest! {
     /// Token counts are additive over whitespace concatenation and zero only
@@ -73,25 +95,42 @@ proptest! {
         prop_assert!(q_harder <= q + 1e-12);
     }
 
-    /// A* paths, when they exist, are connected, passable, start/end
-    /// correctly, and are no longer than the 2·(w+h) trivial bound on an
-    /// open grid.
+    /// On walled grids, A* finds a path exactly when one exists; the path
+    /// is connected, passable, starts and ends correctly, and is as short
+    /// as a breadth-first search says.
     #[test]
     fn astar_path_invariants(
         w in 5i32..20, h in 5i32..20,
-        sx in 0i32..5, sy in 0i32..5,
+        density in 0.0f64..0.4,
+        seed in 0u64..u64::MAX,
     ) {
-        let grid = DenseGrid::open(w, h);
-        let start = Cell::new(sx.min(w - 1), sy.min(h - 1));
-        let goal = Cell::new(w - 1, h - 1);
-        let plan = astar(&grid, start, goal).expect("open grid is connected");
-        prop_assert_eq!(*plan.path.first().unwrap(), start);
-        prop_assert_eq!(*plan.path.last().unwrap(), goal);
-        for pair in plan.path.windows(2) {
-            prop_assert_eq!(pair[0].manhattan(pair[1]), 1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut grid = DenseGrid::open(w, h);
+        let start = Cell::new(rng.gen_range(0..w), rng.gen_range(0..h));
+        let goal = Cell::new(rng.gen_range(0..w), rng.gen_range(0..h));
+        for y in 0..h {
+            for x in 0..w {
+                let cell = Cell::new(x, y);
+                if cell != start && cell != goal && rng.gen_bool(density) {
+                    grid.block(cell);
+                }
+            }
         }
-        // On an open grid A* is exactly Manhattan-optimal.
-        prop_assert_eq!(plan.length() as u32, start.manhattan(goal));
+        match (astar(&grid, start, goal), bfs_distance(&grid, start, goal)) {
+            (Ok(plan), Some(distance)) => {
+                prop_assert_eq!(*plan.path.first().unwrap(), start);
+                prop_assert_eq!(*plan.path.last().unwrap(), goal);
+                for pair in plan.path.windows(2) {
+                    prop_assert_eq!(pair[0].manhattan(pair[1]), 1);
+                }
+                prop_assert!(plan.path.iter().all(|&c| grid.passable(c)));
+                prop_assert_eq!(plan.length(), distance);
+            }
+            (Err(PlanError::NoPath { .. }), None) => {}
+            (plan, distance) => {
+                prop_assert!(false, "astar {:?} but BFS distance {:?}", plan, distance);
+            }
+        }
     }
 
     /// Workspace freeness is consistent with segment checks: a segment
