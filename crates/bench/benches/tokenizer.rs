@@ -1,14 +1,14 @@
 //! Tokenizer hot-path benchmarks: a full recount of every prompt vs. summed
 //! counts, over a growing Fig. 6-shaped prompt and over a sliding-window
-//! planning prompt, and the memoized BPE word counter. The token rule is
-//! additive across whitespace, so a prompt assembled from newline-ended
-//! pieces costs the sum of their counts. Summing counts each piece once,
-//! where it is made, and scans only the text that changes every step; a
-//! full recount is quadratic in the conversation on pure appends and
-//! re-scans the whole memory window on every sliding-window prompt.
+//! planning prompt. The token rule is additive across whitespace, so a
+//! prompt assembled from newline-ended pieces costs the sum of their
+//! counts. Summing counts each piece once, where it is made, and scans only
+//! the text that changes every step; a full recount is quadratic in the
+//! conversation on pure appends and re-scans the whole memory window on
+//! every sliding-window prompt.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use embodied_llm::{BpeTokenizer, Tokenizer};
+use embodied_llm::Tokenizer;
 
 /// One Fig. 6-style dialogue turn: observation, memory recall, plan.
 fn turn(i: usize) -> String {
@@ -186,26 +186,5 @@ fn bench_sliding_window(c: &mut Criterion) {
     }
 }
 
-fn bench_bpe_memo(c: &mut Criterion) {
-    let text: String = (0..32).map(turn).collect();
-    let mut group = c.benchmark_group("bpe_count");
-    let warm = BpeTokenizer::new(400);
-    warm.count(&text); // populate the per-word memo
-    group.bench_function("memoized", |b| b.iter(|| warm.count(black_box(&text))));
-    group.bench_function("unmemoized_encode", |b| {
-        b.iter(|| {
-            text.split_whitespace()
-                .map(|w| warm.encode_word(black_box(w)).len() as u64)
-                .sum::<u64>()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_growing_prompt,
-    bench_sliding_window,
-    bench_bpe_memo
-);
+criterion_group!(benches, bench_growing_prompt, bench_sliding_window);
 criterion_main!(benches);

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod bpe;
 mod clock;
 mod engine;
 mod fault;
@@ -51,7 +50,6 @@ mod serving_faults;
 mod sim;
 mod tokenizer;
 
-pub use bpe::BpeTokenizer;
 pub use clock::VirtualClock;
 pub use engine::{floor_char, LlmEngine, LlmError};
 pub use fault::{check_factor, check_rate, FaultInjector, FaultKind, FaultProfile};

@@ -9,7 +9,6 @@
 //! numbers circa the paper's timeframe so simulated step latency lands in
 //! the paper's 10–30 s band.
 
-use crate::fault::check_rate;
 use embodied_profiler::SimDuration;
 
 /// Where and how a model runs, with its latency constants.
@@ -176,28 +175,6 @@ impl ModelProfile {
         }
     }
 
-    /// Validated constructor: capability must be a probability, verbosity
-    /// and parameter count finite and non-negative, context window nonzero.
-    pub fn validated(self) -> Result<Self, String> {
-        check_rate("base_capability", self.base_capability)?;
-        if !self.verbosity.is_finite() || self.verbosity <= 0.0 {
-            return Err(format!(
-                "verbosity must be finite and positive, got {}",
-                self.verbosity
-            ));
-        }
-        if !self.params_b.is_finite() || self.params_b < 0.0 {
-            return Err(format!(
-                "params_b must be finite and non-negative, got {}",
-                self.params_b
-            ));
-        }
-        if self.context_window == 0 {
-            return Err("context_window must be nonzero".into());
-        }
-        Ok(self)
-    }
-
     /// LLaVA-8B reflection model (DaDu-E's reflector).
     pub fn llava_8b() -> Self {
         ModelProfile {
@@ -356,19 +333,6 @@ mod tests {
         };
         assert!(ds > db);
         assert!(big.base_capability > small.base_capability);
-    }
-
-    #[test]
-    fn validated_rejects_bad_profiles() {
-        let mut bad = ModelProfile::gpt4_api();
-        bad.base_capability = 1.4;
-        assert!(bad.validated().is_err());
-        let mut bad = ModelProfile::llama3_8b();
-        bad.verbosity = f64::NAN;
-        assert!(bad.validated().is_err());
-        let mut bad = ModelProfile::llama3_8b();
-        bad.context_window = 0;
-        assert!(bad.validated().is_err());
     }
 
     #[test]

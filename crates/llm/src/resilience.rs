@@ -7,7 +7,6 @@
 //! latency end-to-end.
 
 use crate::engine::{LlmEngine, LlmError};
-use crate::fault::check_rate;
 use crate::request::{LlmRequest, LlmResponse};
 use embodied_profiler::{ResilienceStats, SimDuration};
 
@@ -140,19 +139,6 @@ impl RetryPolicy {
             waits.push(wait);
         }
         waits
-    }
-
-    /// Validated constructor: at least one attempt, a finite multiplier
-    /// `>= 1`, and jitter a probability-shaped fraction in `[0, 1]`.
-    pub fn validated(self) -> Result<Self, String> {
-        if self.max_attempts == 0 {
-            return Err("max_attempts must be at least 1".into());
-        }
-        if !self.multiplier.is_finite() || self.multiplier < 1.0 {
-            return Err(format!("multiplier = {} must be >= 1", self.multiplier));
-        }
-        check_rate("jitter", self.jitter)?;
-        Ok(self)
     }
 }
 

@@ -135,14 +135,6 @@ impl ServingConfig {
             && self.hedge_after.is_none()
             && self.shed_depth == 0
     }
-
-    /// Validated constructor: delegates the fault plane to
-    /// [`ServingFaultProfile::validated`] (the scheduling knobs themselves
-    /// are unsigned and cannot go out of range).
-    pub fn validated(self) -> Result<Self, String> {
-        self.faults.validated()?;
-        Ok(self)
-    }
 }
 
 /// One backend replica: the instant each server slot is busy until, plus

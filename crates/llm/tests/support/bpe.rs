@@ -1,10 +1,9 @@
 //! A small byte-pair-encoding tokenizer, trained deterministically at
 //! construction on an embedded embodied-domain corpus.
 //!
-//! The default [`crate::Tokenizer`] is a fast heuristic; [`BpeTokenizer`]
-//! is the reference implementation for when closer-to-real token counts
-//! matter (e.g. validating the heuristic's calibration — see the tests,
-//! which hold the two within a band on domain text).
+//! The suite counts tokens with the fast heuristic `embodied_llm::Tokenizer`;
+//! [`BpeTokenizer`] is the reference it is calibrated against (see
+//! `tokenizer_props.rs`, which holds the two within a band on domain text).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -151,110 +150,5 @@ impl BpeTokenizer {
                 }
             })
             .sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tokenizer::Tokenizer;
-
-    fn tok() -> BpeTokenizer {
-        BpeTokenizer::new(400)
-    }
-
-    #[test]
-    fn training_is_deterministic() {
-        let a = BpeTokenizer::new(200);
-        let b = BpeTokenizer::new(200);
-        assert_eq!(a.encode_word("transport"), b.encode_word("transport"));
-        assert_eq!(a.merge_count(), b.merge_count());
-    }
-
-    #[test]
-    fn common_domain_words_compress_to_few_tokens() {
-        let t = tok();
-        // Frequent corpus words should encode compactly.
-        for word in ["the", "agent", "planning", "room"] {
-            let tokens = t.encode_word(word);
-            assert!(
-                tokens.len() <= 3,
-                "{word} encoded as {tokens:?} ({} tokens)",
-                tokens.len()
-            );
-        }
-    }
-
-    #[test]
-    fn rare_words_fall_back_to_subwords() {
-        let t = tok();
-        let tokens = t.encode_word("xylophonic");
-        assert!(tokens.len() >= 3, "unseen word should split: {tokens:?}");
-    }
-
-    #[test]
-    fn encoding_round_trips_characters() {
-        let t = tok();
-        for word in ["exploration", "pickaxe", "zz"] {
-            let joined: String = t.encode_word(word).concat();
-            assert_eq!(joined.trim_end_matches('·'), word);
-        }
-    }
-
-    #[test]
-    fn heuristic_tokenizer_is_calibrated_against_bpe() {
-        // The fast heuristic should track the reference BPE within ±40% on
-        // domain prose — close enough that latency/quality conclusions are
-        // insensitive to the tokenizer choice.
-        let bpe = tok();
-        let heuristic = Tokenizer::default();
-        let text = "the agent transports the red apple from the kitchen \
-                    counter to the dining table then reports progress to \
-                    its teammates and updates the shared memory of object \
-                    locations before planning the next exploration step";
-        let b = bpe.count(text) as f64;
-        let h = heuristic.count(text) as f64;
-        let ratio = h / b;
-        assert!(
-            (0.6..1.4).contains(&ratio),
-            "heuristic {h} vs bpe {b} (ratio {ratio:.2})"
-        );
-    }
-
-    #[test]
-    fn zero_merge_tokenizer_is_character_level() {
-        let t = BpeTokenizer::new(0);
-        assert_eq!(t.count("abc de"), 5);
-        assert_eq!(t.merge_count(), 0);
-    }
-
-    #[test]
-    fn memoized_count_matches_uncached_encoding() {
-        let warm = tok();
-        let text = "the agent transports the red apple to the kitchen \
-                    counter the agent transports another apple";
-        // First call populates the memo, second is served from it.
-        let first = warm.count(text);
-        let second = warm.count(text);
-        // A fresh tokenizer has a cold memo.
-        let cold = tok().count(text);
-        assert_eq!(first, second);
-        assert_eq!(first, cold);
-        // And both equal per-word greedy encoding, the uncached reference.
-        let fresh = tok();
-        let reference: u64 = text
-            .split_whitespace()
-            .map(|w| fresh.encode_word(w).len() as u64)
-            .sum();
-        assert_eq!(first, reference);
-    }
-
-    #[test]
-    fn count_is_additive_over_words() {
-        let t = tok();
-        assert_eq!(
-            t.count("open the fridge"),
-            t.count("open") + t.count("the") + t.count("fridge")
-        );
     }
 }

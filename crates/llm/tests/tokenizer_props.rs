@@ -1,13 +1,17 @@
 //! Property tests for the tokenizer: the one-pass byte-class kernel must
 //! count exactly what the two-pass reference below counts, counts must add
-//! up across whitespace seams, and the memoized BPE counter must equal a
+//! up across whitespace seams, the heuristic must stay calibrated against
+//! the reference BPE tokenizer, and the memoized BPE counter must equal a
 //! fresh one on arbitrary multi-byte text.
 
+#[path = "support/bpe.rs"]
+mod bpe;
 #[path = "support/edge_text.rs"]
 mod edge_text;
 
+use bpe::BpeTokenizer;
 use edge_text::{alphabet, blank_text, edge_text};
-use embodied_llm::{BpeTokenizer, Tokenizer};
+use embodied_llm::Tokenizer;
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -92,6 +96,105 @@ proptest! {
         let whole = format!("{a}{seam}{b}");
         prop_assert_eq!(tok.count(&whole), tok.count(&a) + tok.count(&b), "{:?}", whole);
     }
+}
+
+fn tok() -> BpeTokenizer {
+    BpeTokenizer::new(400)
+}
+
+#[test]
+fn training_is_deterministic() {
+    let a = BpeTokenizer::new(200);
+    let b = BpeTokenizer::new(200);
+    assert_eq!(a.encode_word("transport"), b.encode_word("transport"));
+    assert_eq!(a.merge_count(), b.merge_count());
+}
+
+#[test]
+fn common_domain_words_compress_to_few_tokens() {
+    let t = tok();
+    // Frequent corpus words should encode compactly.
+    for word in ["the", "agent", "planning", "room"] {
+        let tokens = t.encode_word(word);
+        assert!(
+            tokens.len() <= 3,
+            "{word} encoded as {tokens:?} ({} tokens)",
+            tokens.len()
+        );
+    }
+}
+
+#[test]
+fn rare_words_fall_back_to_subwords() {
+    let t = tok();
+    let tokens = t.encode_word("xylophonic");
+    assert!(tokens.len() >= 3, "unseen word should split: {tokens:?}");
+}
+
+#[test]
+fn encoding_round_trips_characters() {
+    let t = tok();
+    for word in ["exploration", "pickaxe", "zz"] {
+        let joined: String = t.encode_word(word).concat();
+        assert_eq!(joined.trim_end_matches('·'), word);
+    }
+}
+
+#[test]
+fn heuristic_tokenizer_is_calibrated_against_bpe() {
+    // The fast heuristic should track the reference BPE within ±40% on
+    // domain prose — close enough that latency/quality conclusions are
+    // insensitive to the tokenizer choice.
+    let bpe = tok();
+    let heuristic = Tokenizer::default();
+    let text = "the agent transports the red apple from the kitchen \
+                counter to the dining table then reports progress to \
+                its teammates and updates the shared memory of object \
+                locations before planning the next exploration step";
+    let b = bpe.count(text) as f64;
+    let h = heuristic.count(text) as f64;
+    let ratio = h / b;
+    assert!(
+        (0.6..1.4).contains(&ratio),
+        "heuristic {h} vs bpe {b} (ratio {ratio:.2})"
+    );
+}
+
+#[test]
+fn zero_merge_tokenizer_is_character_level() {
+    let t = BpeTokenizer::new(0);
+    assert_eq!(t.count("abc de"), 5);
+    assert_eq!(t.merge_count(), 0);
+}
+
+#[test]
+fn memoized_count_matches_uncached_encoding() {
+    let warm = tok();
+    let text = "the agent transports the red apple to the kitchen \
+                counter the agent transports another apple";
+    // First call populates the memo, second is served from it.
+    let first = warm.count(text);
+    let second = warm.count(text);
+    // A fresh tokenizer has a cold memo.
+    let cold = tok().count(text);
+    assert_eq!(first, second);
+    assert_eq!(first, cold);
+    // And both equal per-word greedy encoding, the uncached reference.
+    let fresh = tok();
+    let reference: u64 = text
+        .split_whitespace()
+        .map(|w| fresh.encode_word(w).len() as u64)
+        .sum();
+    assert_eq!(first, reference);
+}
+
+#[test]
+fn count_is_additive_over_words() {
+    let t = tok();
+    assert_eq!(
+        t.count("open the fridge"),
+        t.count("open") + t.count("the") + t.count("fridge")
+    );
 }
 
 /// Prompt fragments mixing ASCII, CJK, emoji, exotic whitespace (U+3000
