@@ -158,7 +158,7 @@ impl Evaluator {
             new_genotypes.push((key, g.clone()));
         }
         for (system, difficulty, num_agents) in &new_baselines {
-            plan.add_seeded(
+            plan.add(
                 &spec_for(system),
                 &baseline_overrides(*difficulty, *num_agents),
                 self.eval_episodes,
@@ -166,7 +166,7 @@ impl Evaluator {
             );
         }
         for (_, g) in &new_genotypes {
-            plan.add_seeded(
+            plan.add(
                 &spec_for(&g.system),
                 &g.overrides(),
                 self.eval_episodes,

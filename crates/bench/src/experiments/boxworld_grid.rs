@@ -6,11 +6,11 @@
 //! its latency.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin boxworld_grid
+//! cargo run --release -p embodied-bench --bin experiments -- boxworld_grid
 //! ```
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, EnvKind, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_env::BoxVariant;
 use embodied_profiler::{pct, Table};
 
@@ -22,10 +22,9 @@ const VARIANTS: [BoxVariant; 4] = [
     BoxVariant::BoxLift,
 ];
 
-fn main() {
-    let mut out = ExperimentOutput::new("boxworld_grid");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Box-World Dataset Grid",
         "CMAS / DMAS / HMAS across BoxNet1, BoxNet2, Warehouse and BoxLift",
     );
@@ -39,10 +38,10 @@ fn main() {
                 env: Some(EnvKind::BoxWorld(variant)),
                 ..Default::default()
             };
-            plan.add(&spec, &overrides, episodes());
+            plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
         }
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
     for variant in VARIANTS {
         out.section(&variant.to_string());
@@ -74,4 +73,5 @@ fn main() {
          coordination; the hybrid (HMAS) recovers coordination quality on \
          BoxLift's synchronized lifts at an intermediate cost.",
     );
+    out.finish()
 }

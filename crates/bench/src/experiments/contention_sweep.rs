@@ -17,17 +17,15 @@
 //!   fleet makespan.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin contention_sweep [-- --smoke]
+//! cargo run --release -p embodied-bench --bin experiments -- contention_sweep
 //! ```
 //!
-//! `--smoke` shrinks the grid for a fast correctness pass (CI /
-//! `scripts/verify.sh`); the full run regenerates
-//! `results/contention_sweep.md`. Grid cells run across `EMBODIED_JOBS`
-//! workers; each cell's fleet is single-threaded and deterministic, so the
+//! Grid cells run across the worker pool; each cell's fleet is
+//! single-threaded and deterministic, so the
 //! output is bit-identical at any worker count.
 
+use crate::{par_map_with, Ctx, Markdown};
 use embodied_agents::{run_fleet, workloads, FleetConfig, FleetReport, RunOverrides};
-use embodied_bench::{base_seed, par_map, ExperimentOutput};
 use embodied_env::TaskDifficulty;
 use embodied_llm::ServingConfig;
 use embodied_profiler::{pct, Aggregate, SimDuration, Table};
@@ -36,21 +34,13 @@ use embodied_profiler::{pct, Aggregate, SimDuration, Table};
 /// shared window real cross-episode material to batch.
 const SYSTEM: &str = "CoELA";
 
-fn configs(smoke: bool) -> Vec<(&'static str, ServingConfig)> {
-    if smoke {
-        vec![
-            ("off", ServingConfig::disabled()),
-            ("C=1", ServingConfig::limited(1)),
-            ("batched", ServingConfig::batched()),
-        ]
-    } else {
-        vec![
-            ("off", ServingConfig::disabled()),
-            ("C=1", ServingConfig::limited(1)),
-            ("C=2", ServingConfig::limited(2)),
-            ("batched", ServingConfig::batched()),
-        ]
-    }
+fn configs() -> [(&'static str, ServingConfig); 4] {
+    [
+        ("off", ServingConfig::disabled()),
+        ("C=1", ServingConfig::limited(1)),
+        ("C=2", ServingConfig::limited(2)),
+        ("batched", ServingConfig::batched()),
+    ]
 }
 
 /// One grid cell: a whole fleet run.
@@ -61,14 +51,14 @@ struct Cell {
     episodes: usize,
 }
 
-fn run_cell(cell: &Cell) -> (Aggregate, FleetReport) {
+fn run_cell(cell: &Cell, seed: u64) -> (Aggregate, FleetReport) {
     let spec = workloads::find(SYSTEM).expect("suite member");
     let overrides = RunOverrides {
         difficulty: Some(TaskDifficulty::Easy),
         serving: Some(cell.serving),
         ..Default::default()
     };
-    let out = run_fleet(&spec, &overrides, cell.episodes, base_seed(), cell.fleet);
+    let out = run_fleet(&spec, &overrides, cell.episodes, seed, cell.fleet);
     let agg = Aggregate::from_reports(cell.serving_label, &out.reports);
     (agg, out)
 }
@@ -94,14 +84,11 @@ fn row(table: &mut Table, in_flight: usize, label: &str, agg: &Aggregate, out: &
     ]);
 }
 
-fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let fleets: &[usize] = if smoke { &[2, 4] } else { &[2, 4, 8] };
-    let configs = configs(smoke);
+pub(super) fn run(ctx: &Ctx) -> String {
     let stagger = SimDuration::from_millis(500);
     let window = SimDuration::from_secs(60);
 
-    let mut out = ExperimentOutput::new("contention_sweep");
+    let mut out = Markdown::default();
     out.line("# Contention sweep");
     out.blank();
     // Fleet size *is* the episode count per cell, so the standard
@@ -109,13 +96,13 @@ fn main() {
     out.line(format!(
         "Episodes-in-flight x concurrency x batching on one shared serving \
          stack (virtual-time fleet), seed {}",
-        base_seed()
+        ctx.seed
     ));
 
     // Section 1: in-flight episodes × serving policy, unbounded admission.
     let mut cells = Vec::new();
-    for &n in fleets {
-        for &(label, serving) in &configs {
+    for n in [2, 4, 8] {
+        for (label, serving) in configs() {
             cells.push(Cell {
                 serving_label: label,
                 serving,
@@ -126,7 +113,7 @@ fn main() {
             });
         }
     }
-    let results = par_map(cells.len(), |i| run_cell(&cells[i]));
+    let results = par_map_with(ctx.jobs, cells.len(), |i| run_cell(&cells[i], ctx.seed));
 
     out.section(&format!("{SYSTEM}: fleet size x serving policy"));
     let mut table = Table::new([
@@ -148,11 +135,10 @@ fn main() {
 
     // Section 2: admission control at a fixed fleet — the cap trades queue
     // delay inside admitted episodes against total fleet makespan.
-    let cap_fleet = if smoke { 4 } else { 8 };
-    let caps: &[u32] = if smoke { &[0, 1] } else { &[0, 2, 1] };
-    let cap_cells: Vec<Cell> = caps
-        .iter()
-        .map(|&cap| Cell {
+    let cap_fleet = 8;
+    let cap_cells: Vec<Cell> = [0, 2, 1]
+        .into_iter()
+        .map(|cap| Cell {
             serving_label: "C=1",
             serving: ServingConfig::limited(1),
             fleet: FleetConfig::default()
@@ -162,7 +148,9 @@ fn main() {
             episodes: cap_fleet,
         })
         .collect();
-    let cap_results = par_map(cap_cells.len(), |i| run_cell(&cap_cells[i]));
+    let cap_results = par_map_with(ctx.jobs, cap_cells.len(), |i| {
+        run_cell(&cap_cells[i], ctx.seed)
+    });
 
     out.section(&format!(
         "{SYSTEM}: admission cap at {cap_fleet} arrivals, C=1"
@@ -224,4 +212,5 @@ fn main() {
          latency and throughput, reproduced end-to-end through embodied \
          episodes.",
     );
+    out.finish()
 }

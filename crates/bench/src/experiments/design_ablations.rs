@@ -9,32 +9,32 @@
 //! * dialogue-round growth with team size.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin design_ablations
+//! cargo run --release -p embodied-bench --bin experiments -- design_ablations
 //! ```
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, AgentConfig, RunOverrides};
-use embodied_bench::{banner, episodes, grid_agg, ExperimentOutput, SweepPlan};
 use embodied_env::TrajectoryPlanner;
 use embodied_llm::{EncoderProfile, InferenceOpts, ModelProfile, QualityModel};
 use embodied_profiler::{pct, ModuleKind, Table};
 
-fn main() {
-    let mut out = ExperimentOutput::new("design_ablations");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Design-Choice Ablations",
         "Reproduction design knobs and their effect on the measured figures",
     );
-    trajectory_planner(&mut out);
-    perception_frontend(&mut out);
+    trajectory_planner(ctx, &mut out);
+    perception_frontend(ctx, &mut out);
     context_knee(&mut out);
-    failure_injection(&mut out);
+    failure_injection(ctx, &mut out);
+    out.finish()
 }
 
 /// Failure injection: degrade per-attempt actuation reliability (worn
 /// grippers, slippery objects) and watch the reflection loop absorb it —
 /// the paper's "sensitivity to self-correction and execution".
-fn failure_injection(out: &mut ExperimentOutput) {
+fn failure_injection(ctx: &Ctx, out: &mut Markdown) {
     out.section("Failure injection — actuation reliability under JARVIS-1");
     let spec = workloads::find("JARVIS-1").expect("suite member");
     let mut table = Table::new([
@@ -51,10 +51,10 @@ fn failure_injection(out: &mut ExperimentOutput) {
             config.toggles.reflection = reflection;
             let mut swapped = spec.clone();
             swapped.config = config;
-            plan.add(&swapped, &RunOverrides::default(), episodes());
+            plan.add(&swapped, &RunOverrides::default(), ctx.episodes, ctx.seed);
         }
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
     for reliability in reliabilities {
         let mut cells = vec![format!("{:.0}%", reliability * 100.0)];
         for _reflection in [true, false] {
@@ -73,7 +73,7 @@ fn failure_injection(out: &mut ExperimentOutput) {
     );
 }
 
-fn trajectory_planner(out: &mut ExperimentOutput) {
+fn trajectory_planner(ctx: &Ctx, out: &mut Markdown) {
     out.section("Trajectory planner under RoCo (manipulation)");
     let spec = workloads::find("RoCo").expect("suite member");
     let mut table = Table::new([
@@ -83,7 +83,7 @@ fn trajectory_planner(out: &mut ExperimentOutput) {
         "end-to-end",
         "execution share",
     ]);
-    let aggs = grid_agg(
+    let aggs = ctx.grid_agg(
         &spec,
         [
             ("RRT", TrajectoryPlanner::Rrt),
@@ -99,7 +99,6 @@ fn trajectory_planner(out: &mut ExperimentOutput) {
                 },
             )
         }),
-        episodes(),
     );
     for agg in aggs {
         table.row([
@@ -117,7 +116,7 @@ fn trajectory_planner(out: &mut ExperimentOutput) {
     );
 }
 
-fn perception_frontend(out: &mut ExperimentOutput) {
+fn perception_frontend(ctx: &Ctx, out: &mut Markdown) {
     out.section("Perception front-end under COMBO (cuisine)");
     let spec = workloads::find("COMBO").expect("suite member");
     let mut table = Table::new(["encoder", "success", "end-to-end", "sensing share"]);
@@ -136,9 +135,9 @@ fn perception_frontend(out: &mut ExperimentOutput) {
         config.encoder = Some(encoder.clone());
         let mut swapped = spec.clone();
         swapped.config = config;
-        plan.add(&swapped, &RunOverrides::default(), episodes());
+        plan.add(&swapped, &RunOverrides::default(), ctx.episodes, ctx.seed);
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
     for (label, _) in encoders {
         let agg = results.take_agg(label);
         table.row([
@@ -151,7 +150,7 @@ fn perception_frontend(out: &mut ExperimentOutput) {
     out.line(table.render());
 }
 
-fn context_knee(out: &mut ExperimentOutput) {
+fn context_knee(out: &mut Markdown) {
     out.section("Quality-model context knee (where dilution starts)");
     let mut table = Table::new([
         "prompt tokens",

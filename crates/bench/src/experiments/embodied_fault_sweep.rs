@@ -13,15 +13,11 @@
 //! stack.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin embodied_fault_sweep [-- --smoke]
+//! cargo run --release -p embodied-bench --bin experiments -- embodied_fault_sweep
 //! ```
-//!
-//! `--smoke` shrinks the grid and episode count for a fast correctness
-//! pass (CI / `scripts/verify.sh`); the full run regenerates
-//! `results/embodied_fault_sweep.md`.
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, RecoveryPolicy, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_env::{EnvFaultProfile, TaskDifficulty};
 use embodied_profiler::{pct, Aggregate, Table};
 
@@ -67,24 +63,9 @@ fn overrides(p: f64, a: f64, recovery: RecoveryPolicy) -> RunOverrides {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let systems: &[&str] = if smoke { &["DEPS"] } else { &SYSTEMS };
-    let perception: &[f64] = if smoke {
-        &[0.0, 0.15]
-    } else {
-        &PERCEPTION_RATES
-    };
-    let actuation: &[f64] = if smoke {
-        &[0.0, 0.15]
-    } else {
-        &ACTUATION_RATES
-    };
-    let n = if smoke { 2 } else { episodes() };
-
-    let mut out = ExperimentOutput::new("embodied_fault_sweep");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Embodied fault sweep",
         "Perception/actuation (env-plane) fault rate x closed-loop recovery, \
          one workload per paradigm",
@@ -93,24 +74,24 @@ fn main() {
     // Plan pass: the full system × policy × perception × actuation grid in
     // one deterministic fan-out.
     let mut plan = SweepPlan::new();
-    for name in systems {
+    for name in &SYSTEMS {
         let spec = workloads::find(name).expect("suite member");
         for (_, policy) in POLICIES {
-            for &p in perception {
-                for &a in actuation {
-                    plan.add(&spec, &overrides(p, a, policy), n);
+            for p in PERCEPTION_RATES {
+                for a in ACTUATION_RATES {
+                    plan.add(&spec, &overrides(p, a, policy), ctx.episodes, ctx.seed);
                 }
             }
         }
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
     // Render pass: same order. Keep every aggregate so the dividend
     // section can pair recovery-off and recovery-on cells.
-    let cell_list = cells_of(perception, actuation);
+    let cell_list = cells();
     let cells = cell_list.len();
     let mut by_system: Vec<Vec<Aggregate>> = Vec::new();
-    for name in systems {
+    for name in &SYSTEMS {
         let mut aggs = Vec::with_capacity(POLICIES.len() * cells);
         for _ in 0..POLICIES.len() * cells {
             aggs.push(results.take_agg(*name));
@@ -118,7 +99,7 @@ fn main() {
         by_system.push(aggs);
     }
 
-    for (si, name) in systems.iter().enumerate() {
+    for (si, name) in SYSTEMS.iter().enumerate() {
         let spec = workloads::find(name).expect("suite member");
         out.section(&format!("{name} ({})", spec.paradigm));
         let mut table = Table::new([
@@ -180,7 +161,7 @@ fn main() {
     let mut cells_lost = 0usize;
     let mut ties_faster = 0usize;
     let mut cells_faulted = 0usize;
-    for (si, name) in systems.iter().enumerate() {
+    for (si, name) in SYSTEMS.iter().enumerate() {
         let aggs = &by_system[si];
         for (ci, &(p, a)) in cell_list.iter().enumerate() {
             if p == 0.0 && a == 0.0 {
@@ -240,13 +221,14 @@ fn main() {
          whole plane is pay-for-use: a none() profile draws zero RNG and \
          leaves episodes byte-identical to the unwrapped environment.",
     );
+    out.finish()
 }
 
 /// The perception × actuation cell list in plan order.
-fn cells_of(perception: &[f64], actuation: &[f64]) -> Vec<(f64, f64)> {
-    let mut cells = Vec::with_capacity(perception.len() * actuation.len());
-    for &p in perception {
-        for &a in actuation {
+fn cells() -> Vec<(f64, f64)> {
+    let mut cells = Vec::with_capacity(PERCEPTION_RATES.len() * ACTUATION_RATES.len());
+    for p in PERCEPTION_RATES {
+        for a in ACTUATION_RATES {
             cells.push((p, a));
         }
     }

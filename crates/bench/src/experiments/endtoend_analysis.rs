@@ -4,27 +4,25 @@
 //! experiment makes that claim measurable on the suite's environments.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin endtoend_analysis
+//! cargo run --release -p embodied-bench --bin experiments -- endtoend_analysis
 //! ```
 
+use crate::{par_map_with, Ctx, Markdown};
 use embodied_agents::endtoend::run_vla_episode;
 use embodied_agents::{episode_seed, workloads, EnvKind, RunOverrides};
-use embodied_bench::{banner, base_seed, episodes, par_map, sweep_agg, ExperimentOutput};
 use embodied_env::TaskDifficulty;
 use embodied_profiler::{pct, Aggregate, Table};
 
-fn vla_agg(env: EnvKind, difficulty: TaskDifficulty, label: &str) -> Aggregate {
-    let seed = base_seed();
-    let reports = par_map(episodes(), |i| {
-        run_vla_episode(env, difficulty, episode_seed(seed, i))
+fn vla_agg(ctx: &Ctx, env: EnvKind, difficulty: TaskDifficulty, label: &str) -> Aggregate {
+    let reports = par_map_with(ctx.jobs, ctx.episodes, |i| {
+        run_vla_episode(env, difficulty, episode_seed(ctx.seed, i))
     });
     Aggregate::from_reports(label, &reports)
 }
 
-fn main() {
-    let mut out = ExperimentOutput::new("endtoend_analysis");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "End-to-End vs. Modularized Paradigm",
         "RT-2-style VLA against modular systems on short vs. long horizons",
     );
@@ -38,14 +36,13 @@ fn main() {
         "latency/step",
         "end-to-end",
     ]);
-    let vla = vla_agg(EnvKind::Kitchen, TaskDifficulty::Easy, "VLA");
-    let egpt = sweep_agg(
+    let vla = vla_agg(ctx, EnvKind::Kitchen, TaskDifficulty::Easy, "VLA");
+    let egpt = ctx.sweep_agg(
         &workloads::find("EmbodiedGPT").expect("suite member"),
         &RunOverrides {
             difficulty: Some(TaskDifficulty::Easy),
             ..Default::default()
         },
-        episodes(),
         "EmbodiedGPT",
     );
     for (name, paradigm, agg) in [
@@ -72,14 +69,13 @@ fn main() {
         "latency/step",
         "end-to-end",
     ]);
-    let vla = vla_agg(EnvKind::Craft, TaskDifficulty::Hard, "VLA");
-    let jarvis = sweep_agg(
+    let vla = vla_agg(ctx, EnvKind::Craft, TaskDifficulty::Hard, "VLA");
+    let jarvis = ctx.sweep_agg(
         &workloads::find("JARVIS-1").expect("suite member"),
         &RunOverrides {
             difficulty: Some(TaskDifficulty::Hard),
             ..Default::default()
         },
-        episodes(),
         "JARVIS-1",
     );
     for (name, paradigm, agg) in [
@@ -103,4 +99,5 @@ fn main() {
          decomposition / memory / reflection it collapses on deep task \
          chains where the modularized pipeline still succeeds.",
     );
+    out.finish()
 }

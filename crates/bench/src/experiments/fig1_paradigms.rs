@@ -4,18 +4,17 @@
 //! orchestrator, illustrated with a one-step trace of a real workload).
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin fig1_paradigms
+//! cargo run --release -p embodied-bench --bin experiments -- fig1_paradigms
 //! ```
 
+use crate::{par_map_with, Ctx, Markdown};
 use embodied_agents::{workloads, RunOverrides};
-use embodied_bench::{banner, ExperimentOutput};
 use embodied_env::TaskDifficulty;
 use embodied_profiler::{ModuleKind, Table};
 
-fn main() {
-    let mut out = ExperimentOutput::new("fig1_paradigms");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Fig. 1: Embodied AI Agents Paradigm",
         "Building blocks and per-paradigm pipelines, from the implementation",
     );
@@ -64,7 +63,7 @@ fn main() {
     ];
     // Run the four illustrative episodes across the worker pool; workers
     // return data (report + step-0 span line) and the main thread renders.
-    let traced = embodied_bench::par_map(pipelines.len(), |i| {
+    let traced = par_map_with(ctx.jobs, pipelines.len(), |i| {
         let (_, workload, _) = pipelines[i];
         let spec = workloads::find(workload).expect("suite member");
         let overrides = RunOverrides {
@@ -97,4 +96,5 @@ fn main() {
         ));
         out.line(format!("step 0   : {first_step}"));
     }
+    out.finish()
 }

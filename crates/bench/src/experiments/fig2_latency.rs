@@ -6,17 +6,16 @@
 //! CoELA three-LLM-runs-per-step split, and the message-utility fraction.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin fig2_latency
+//! cargo run --release -p embodied-bench --bin experiments -- fig2_latency
 //! ```
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_profiler::{ascii_bar, pct, ModuleKind, Table};
 
-fn main() {
-    let mut out = ExperimentOutput::new("fig2_latency");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Fig. 2: Runtime Latency Analysis",
         "Per-module latency breakdown and end-to-end task latency, all 14 workloads",
     );
@@ -26,9 +25,9 @@ fn main() {
     let registry = workloads::registry();
     let mut plan = SweepPlan::new();
     for spec in &registry {
-        plan.add(spec, &overrides, episodes());
+        plan.add(spec, &overrides, ctx.episodes, ctx.seed);
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
     let aggs: Vec<_> = registry
         .iter()
         .map(|spec| results.take_agg(spec.name))
@@ -185,4 +184,5 @@ fn main() {
         task_minutes.iter().cloned().fold(f64::INFINITY, f64::min),
         task_minutes.iter().cloned().fold(0.0, f64::max),
     ));
+    out.finish()
 }

@@ -8,19 +8,18 @@
 //! * communication off → no significant success change.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin fig3_sensitivity
+//! cargo run --release -p embodied-bench --bin experiments -- fig3_sensitivity
 //! ```
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, ModuleToggles, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_profiler::{pct, welch_t_test, Aggregate, Sample, Table};
 
 const SYSTEMS: [&str; 6] = ["JARVIS-1", "DaDu-E", "OLA", "COHERENT", "CoELA", "HMAS"];
 
-fn main() {
-    let mut out = ExperimentOutput::new("fig3_sensitivity");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Fig. 3: Module Sensitivity Analysis",
         "Success rate and steps with one module disabled, six systems",
     );
@@ -47,10 +46,10 @@ fn main() {
                 toggles: Some(*toggles),
                 ..Default::default()
             };
-            plan.add(&spec, &overrides, episodes());
+            plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
         }
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
     for name in SYSTEMS {
         out.section(name);
@@ -128,4 +127,5 @@ fn main() {
         ]);
     }
     out.line(table.render());
+    out.finish()
 }

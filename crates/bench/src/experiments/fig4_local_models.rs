@@ -5,20 +5,19 @@
 //! degrades success and lengthens *end-to-end* runtime through wasted steps.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin fig4_local_models
+//! cargo run --release -p embodied-bench --bin experiments -- fig4_local_models
 //! ```
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_llm::{inference_latency, InferenceOpts, ModelProfile};
 use embodied_profiler::{pct, Table};
 
 const SYSTEMS: [&str; 3] = ["JARVIS-1", "DEPS", "OLA"];
 
-fn main() {
-    let mut out = ExperimentOutput::new("fig4_local_models");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Fig. 4: Local Model Analysis",
         "GPT-4 API vs. Llama-3-8B local planning on three GPT-4 workloads",
     );
@@ -69,9 +68,9 @@ fn main() {
             planner,
             ..Default::default()
         };
-        plan.add(&spec, &overrides, episodes());
+        plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
     for (name, label, _) in grid() {
         let agg = results.take_agg(label);
@@ -90,4 +89,5 @@ fn main() {
          end-to-end runtime despite faster per-inference times, because \
          suboptimal plans force extra steps.",
     );
+    out.finish()
 }

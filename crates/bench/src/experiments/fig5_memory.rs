@@ -3,12 +3,12 @@
 //! retrieval latency and the full-history inconsistency regime.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin fig5_memory
+//! cargo run --release -p embodied-bench --bin experiments -- fig5_memory
 //! ```
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::modules::RetrievalMode;
 use embodied_agents::{workloads, MemoryCapacity, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_profiler::{pct, Aggregate, ModuleKind, SimDuration, Table};
 
 const SYSTEMS: [&str; 3] = ["JARVIS-1", "DaDu-E", "CoELA"];
@@ -22,10 +22,9 @@ fn capacities() -> Vec<(String, MemoryCapacity)> {
     v
 }
 
-fn main() {
-    let mut out = ExperimentOutput::new("fig5_memory");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Fig. 5: Memory Module Capacity Analysis",
         "Success/steps/retrieval-latency vs. stored past-step window, three systems",
     );
@@ -44,7 +43,7 @@ fn main() {
                 memory_capacity: Some(capacity),
                 ..Default::default()
             };
-            plan.add(&spec, &overrides, episodes());
+            plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
         }
     }
     let dadu = workloads::find("DaDu-E").expect("suite member");
@@ -53,9 +52,9 @@ fn main() {
             retrieval_mode: Some(mode),
             ..Default::default()
         };
-        plan.add(&dadu, &overrides, episodes());
+        plan.add(&dadu, &overrides, ctx.episodes, ctx.seed);
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
     for name in SYSTEMS {
         out.section(name);
@@ -108,4 +107,5 @@ fn main() {
          regime loses a little success again (memory inconsistency); and \
          multimodal-state retrieval outperforms text-embedding-only.",
     );
+    out.finish()
 }

@@ -3,19 +3,18 @@
 //! concatenated multi-agent dialogue.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin fig6_tokens
+//! cargo run --release -p embodied-bench --bin experiments -- fig6_tokens
 //! ```
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, MemoryCapacity, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_profiler::{ascii_bar, Table};
 
 const SYSTEMS: [&str; 3] = ["CoELA", "MindAgent", "JARVIS-1"];
 
-fn main() {
-    let mut out = ExperimentOutput::new("fig6_tokens");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Fig. 6: Prompt Token Length Analysis",
         "Max prompt tokens per step over task time, three systems (full memory)",
     );
@@ -28,9 +27,9 @@ fn main() {
     let mut plan = SweepPlan::new();
     for name in SYSTEMS {
         let spec = workloads::find(name).expect("suite member");
-        plan.add(&spec, &overrides, episodes());
+        plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
     for name in SYSTEMS {
         let reports = results.take();
@@ -86,4 +85,5 @@ fn main() {
          multi-agent systems grow fastest because teammates' dialogue is \
          concatenated into every prompt.",
     );
+    out.finish()
 }

@@ -4,21 +4,20 @@
 //! paper attributes to each paradigm (linear vs. quadratic).
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin fig7_scalability
+//! cargo run --release -p embodied-bench --bin experiments -- fig7_scalability
 //! ```
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_env::TaskDifficulty;
 use embodied_profiler::{pct, Table};
 
 const SYSTEMS: [&str; 3] = ["MindAgent", "CoELA", "COMBO"];
 const TEAM_SIZES: [usize; 5] = [1, 2, 4, 6, 8];
 
-fn main() {
-    let mut out = ExperimentOutput::new("fig7_scalability");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Fig. 7: Multi-Agent System Scalability Analysis",
         "Success and latency vs. team size and difficulty; call/token scaling",
     );
@@ -35,7 +34,7 @@ fn main() {
                     num_agents: Some(agents),
                     ..Default::default()
                 };
-                plan.add(&spec, &overrides, episodes());
+                plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
             }
         }
     }
@@ -46,10 +45,10 @@ fn main() {
                 num_agents: Some(agents),
                 ..Default::default()
             };
-            plan.add(&spec, &overrides, episodes());
+            plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
         }
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
     for name in SYSTEMS {
         let spec = workloads::find(name).expect("suite member");
@@ -105,4 +104,5 @@ fn main() {
          then falls, and its communication rounds make calls/tokens scale \
          ~quadratically, exploding latency.",
     );
+    out.finish()
 }

@@ -7,20 +7,17 @@
 //! and what it costs: repair re-prompt tokens, dollars, and latency.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin guardrail_sweep [-- --smoke]
+//! cargo run --release -p embodied-bench --bin experiments -- guardrail_sweep
 //! ```
-//!
-//! `--smoke` shrinks the grid and episode count for a fast correctness
-//! pass (CI / `scripts/verify.sh`); the full run regenerates
-//! `results/guardrail_sweep.md`.
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, RepairPolicy, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_env::TaskDifficulty;
 use embodied_llm::SemanticFaultProfile;
 use embodied_profiler::{pct, Table};
 
 const SYSTEMS: [&str; 3] = ["DEPS", "MindAgent", "CoELA"];
+const RATES: [f64; 4] = [0.0, 0.1, 0.2, 0.4];
 const POLICIES: [RepairPolicy; 4] = [
     RepairPolicy::Off,
     RepairPolicy::Skip,
@@ -28,50 +25,31 @@ const POLICIES: [RepairPolicy; 4] = [
     RepairPolicy::Reprompt { max_attempts: 2 },
 ];
 
-fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let systems: &[&str] = if smoke { &["DEPS"] } else { &SYSTEMS };
-    let rates: &[f64] = if smoke {
-        &[0.0, 0.3]
-    } else {
-        &[0.0, 0.1, 0.2, 0.4]
-    };
-    let policies: &[RepairPolicy] = if smoke {
-        &[
-            RepairPolicy::Off,
-            RepairPolicy::Skip,
-            RepairPolicy::Reprompt { max_attempts: 2 },
-        ]
-    } else {
-        &POLICIES
-    };
-    let n = if smoke { 2 } else { episodes() };
-
-    let mut out = ExperimentOutput::new("guardrail_sweep");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Guardrail sweep",
         "Semantic (content-plane) fault rate x repair policy, one workload per paradigm",
     );
 
     let mut plan = SweepPlan::new();
-    for name in systems {
+    for name in SYSTEMS {
         let spec = workloads::find(name).expect("suite member");
-        for policy in policies {
-            for &rate in rates {
+        for policy in POLICIES {
+            for rate in RATES {
                 let overrides = RunOverrides {
                     difficulty: Some(TaskDifficulty::Medium),
                     semantic_faults: Some(SemanticFaultProfile::uniform(rate)),
-                    repair_policy: Some(*policy),
+                    repair_policy: Some(policy),
                     ..Default::default()
                 };
-                plan.add(&spec, &overrides, n);
+                plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
             }
         }
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
-    for name in systems {
+    for name in SYSTEMS {
         let spec = workloads::find(name).expect("suite member");
         out.section(&format!("{name} ({})", spec.paradigm));
         let mut table = Table::new([
@@ -86,10 +64,10 @@ fn main() {
             "repair $/ep",
             "residual rate",
         ]);
-        for policy in policies {
+        for policy in POLICIES {
             let mut clean_success = None;
-            for &rate in rates {
-                let agg = results.take_agg(*name);
+            for rate in RATES {
+                let agg = results.take_agg(name);
                 let baseline = *clean_success.get_or_insert(agg.success_rate);
                 table.row([
                     policy.to_string(),
@@ -122,4 +100,5 @@ fn main() {
          the policy off the system is byte-identical to the pre-guardrail \
          code.",
     );
+    out.finish()
 }

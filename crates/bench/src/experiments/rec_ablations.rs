@@ -10,38 +10,38 @@
 //! * Rec. 9 — hierarchical agent clustering.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin rec_ablations
+//! cargo run --release -p embodied-bench --bin experiments -- rec_ablations
 //! ```
 
+use crate::{Ctx, Markdown};
 use embodied_agents::{workloads, MemoryCapacity, Optimizations, RunOverrides};
-use embodied_bench::{banner, episodes, grid_agg, ExperimentOutput};
 use embodied_llm::{batch_latency, inference_latency, InferenceOpts, ModelProfile, Quantization};
 use embodied_profiler::{pct, SimDuration, Table};
 
-fn main() {
-    let mut out = ExperimentOutput::new("rec_ablations");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Recommendation Ablations",
         "Each paper recommendation vs. its unoptimized baseline",
     );
 
     rec1_batching(&mut out);
-    rec1_quantization(&mut out);
-    rec1_kv_cache(&mut out);
-    rec1_batched_comm(&mut out);
-    rec4_multiple_choice(&mut out);
-    rec5_dual_memory(&mut out);
-    rec6_summarization(&mut out);
-    rec7_multi_step(&mut out);
-    rec8_plan_then_communicate(&mut out);
-    rec9_clustering(&mut out);
-    optimized_stack(&mut out);
+    rec1_quantization(ctx, &mut out);
+    rec1_kv_cache(ctx, &mut out);
+    rec1_batched_comm(ctx, &mut out);
+    rec4_multiple_choice(ctx, &mut out);
+    rec5_dual_memory(ctx, &mut out);
+    rec6_summarization(ctx, &mut out);
+    rec7_multi_step(ctx, &mut out);
+    rec8_plan_then_communicate(ctx, &mut out);
+    rec9_clustering(ctx, &mut out);
+    optimized_stack(ctx, &mut out);
+    out.finish()
 }
 
 /// The paper's Discussion (§VIII): intra- and inter-module optimizations
 /// composed — every applicable recommendation on at once.
-fn optimized_stack(out: &mut ExperimentOutput) {
+fn optimized_stack(ctx: &Ctx, out: &mut Markdown) {
     out.section("Discussion §VIII — the full optimized stack (CoELA)");
     let spec = workloads::find("CoELA").expect("suite member");
     let all_on = Optimizations {
@@ -63,7 +63,7 @@ fn optimized_stack(out: &mut ExperimentOutput) {
         "LLM calls/ep",
         "tokens/ep",
     ]);
-    let aggs = grid_agg(
+    let aggs = ctx.grid_agg(
         &spec,
         [
             ("baseline", Optimizations::default()),
@@ -78,7 +78,6 @@ fn optimized_stack(out: &mut ExperimentOutput) {
                 },
             )
         }),
-        episodes(),
     );
     for agg in aggs {
         table.row([
@@ -93,7 +92,7 @@ fn optimized_stack(out: &mut ExperimentOutput) {
     out.line(table.render());
 }
 
-fn rec1_batching(out: &mut ExperimentOutput) {
+fn rec1_batching(out: &mut Markdown) {
     out.section("Rec. 1a — batching same-step queries (engine-level)");
     let profile = ModelProfile::gpt4_api();
     let reqs: Vec<(u64, u64)> = (0..4).map(|_| (1_800u64, 200u64)).collect();
@@ -112,11 +111,11 @@ fn rec1_batching(out: &mut ExperimentOutput) {
     ));
 }
 
-fn rec1_quantization(out: &mut ExperimentOutput) {
+fn rec1_quantization(ctx: &Ctx, out: &mut Markdown) {
     out.section("Rec. 1b — AWQ 4-bit quantization (COMBO, local LLaVA-7B)");
     let spec = workloads::find("COMBO").expect("suite member");
     let mut table = Table::new(["quantization", "success", "steps", "end-to-end"]);
-    let aggs = grid_agg(
+    let aggs = ctx.grid_agg(
         &spec,
         [
             ("fp16", Quantization::None),
@@ -134,7 +133,6 @@ fn rec1_quantization(out: &mut ExperimentOutput) {
                 },
             )
         }),
-        episodes(),
     );
     for agg in aggs {
         table.row([
@@ -147,11 +145,11 @@ fn rec1_quantization(out: &mut ExperimentOutput) {
     out.line(table.render());
 }
 
-fn rec1_kv_cache(out: &mut ExperimentOutput) {
+fn rec1_kv_cache(ctx: &Ctx, out: &mut Markdown) {
     out.section("Rec. 1c — KV-cache prefix reuse (COMBO, local LLaVA-7B)");
     let spec = workloads::find("COMBO").expect("suite member");
     let mut table = Table::new(["kv cache", "success", "steps", "end-to-end"]);
-    let aggs = grid_agg(
+    let aggs = ctx.grid_agg(
         &spec,
         [("cold prefill", false), ("prefix reuse", true)].map(|(label, kv)| {
             (
@@ -165,7 +163,6 @@ fn rec1_kv_cache(out: &mut ExperimentOutput) {
                 },
             )
         }),
-        episodes(),
     );
     for agg in aggs {
         table.row([
@@ -178,11 +175,11 @@ fn rec1_kv_cache(out: &mut ExperimentOutput) {
     out.line(table.render());
 }
 
-fn rec1_batched_comm(out: &mut ExperimentOutput) {
+fn rec1_batched_comm(ctx: &Ctx, out: &mut Markdown) {
     out.section("Rec. 1d — batched dialogue rounds (CoELA @4 agents)");
     let spec = workloads::find("CoELA").expect("suite member");
     let mut table = Table::new(["round execution", "success", "end-to-end"]);
-    let aggs = grid_agg(
+    let aggs = ctx.grid_agg(
         &spec,
         [("sequential calls", false), ("one batch per round", true)].map(|(label, batching)| {
             (
@@ -197,7 +194,6 @@ fn rec1_batched_comm(out: &mut ExperimentOutput) {
                 },
             )
         }),
-        episodes(),
     );
     for agg in aggs {
         table.row([
@@ -209,7 +205,7 @@ fn rec1_batched_comm(out: &mut ExperimentOutput) {
     out.line(table.render());
 }
 
-fn rec4_multiple_choice(out: &mut ExperimentOutput) {
+fn rec4_multiple_choice(ctx: &Ctx, out: &mut Markdown) {
     out.section(
         "Rec. 4 — multiple-choice decisions for small local models (JARVIS-1 + Llama-3-8B)",
     );
@@ -238,7 +234,7 @@ fn rec4_multiple_choice(out: &mut ExperimentOutput) {
             })
         })
         .collect();
-    let mut aggs = grid_agg(&spec, configs, episodes()).into_iter();
+    let mut aggs = ctx.grid_agg(&spec, configs).into_iter();
     for (planner_label, _) in &planners {
         for (mode, _) in modes {
             let agg = aggs.next().expect("one aggregate per grid cell");
@@ -258,11 +254,11 @@ fn rec4_multiple_choice(out: &mut ExperimentOutput) {
     );
 }
 
-fn rec5_dual_memory(out: &mut ExperimentOutput) {
+fn rec5_dual_memory(ctx: &Ctx, out: &mut Markdown) {
     out.section("Rec. 5 — dual long/short-term memory under full history (CoELA)");
     let spec = workloads::find("CoELA").expect("suite member");
     let mut table = Table::new(["memory structure", "success", "steps", "end-to-end"]);
-    let aggs = grid_agg(
+    let aggs = ctx.grid_agg(
         &spec,
         [("flat full history", false), ("dual memory", true)].map(|(label, dual)| {
             (
@@ -277,7 +273,6 @@ fn rec5_dual_memory(out: &mut ExperimentOutput) {
                 },
             )
         }),
-        episodes(),
     );
     for agg in aggs {
         table.row([
@@ -290,11 +285,11 @@ fn rec5_dual_memory(out: &mut ExperimentOutput) {
     out.line(table.render());
 }
 
-fn rec6_summarization(out: &mut ExperimentOutput) {
+fn rec6_summarization(ctx: &Ctx, out: &mut Markdown) {
     out.section("Rec. 6 — context summarization (CoELA, full history)");
     let spec = workloads::find("CoELA").expect("suite member");
     let mut table = Table::new(["context", "success", "mean prompt tokens", "end-to-end"]);
-    let aggs = grid_agg(
+    let aggs = ctx.grid_agg(
         &spec,
         [("concatenated", false), ("summarized", true)].map(|(label, summarize)| {
             (
@@ -309,7 +304,6 @@ fn rec6_summarization(out: &mut ExperimentOutput) {
                 },
             )
         }),
-        episodes(),
     );
     for agg in aggs {
         table.row([
@@ -322,7 +316,7 @@ fn rec6_summarization(out: &mut ExperimentOutput) {
     out.line(table.render());
 }
 
-fn rec7_multi_step(out: &mut ExperimentOutput) {
+fn rec7_multi_step(ctx: &Ctx, out: &mut Markdown) {
     out.section("Rec. 7 — planning-guided multi-step execution (JARVIS-1)");
     let spec = workloads::find("JARVIS-1").expect("suite member");
     let mut table = Table::new([
@@ -333,7 +327,7 @@ fn rec7_multi_step(out: &mut ExperimentOutput) {
         "end-to-end",
     ]);
     let horizons = [1usize, 2, 4];
-    let aggs = grid_agg(
+    let aggs = ctx.grid_agg(
         &spec,
         horizons.map(|horizon| {
             (
@@ -347,7 +341,6 @@ fn rec7_multi_step(out: &mut ExperimentOutput) {
                 },
             )
         }),
-        episodes(),
     );
     for (horizon, agg) in horizons.iter().zip(aggs) {
         table.row([
@@ -361,7 +354,7 @@ fn rec7_multi_step(out: &mut ExperimentOutput) {
     out.line(table.render());
 }
 
-fn rec8_plan_then_communicate(out: &mut ExperimentOutput) {
+fn rec8_plan_then_communicate(ctx: &Ctx, out: &mut Markdown) {
     out.section("Rec. 8 — planning-then-communication (CoELA)");
     let spec = workloads::find("CoELA").expect("suite member");
     let mut table = Table::new([
@@ -371,7 +364,7 @@ fn rec8_plan_then_communicate(out: &mut ExperimentOutput) {
         "msg utility",
         "end-to-end",
     ]);
-    let aggs = grid_agg(
+    let aggs = ctx.grid_agg(
         &spec,
         [
             ("message every step", false),
@@ -389,7 +382,6 @@ fn rec8_plan_then_communicate(out: &mut ExperimentOutput) {
                 },
             )
         }),
-        episodes(),
     );
     for agg in aggs {
         table.row([
@@ -403,7 +395,7 @@ fn rec8_plan_then_communicate(out: &mut ExperimentOutput) {
     out.line(table.render());
 }
 
-fn rec9_clustering(out: &mut ExperimentOutput) {
+fn rec9_clustering(ctx: &Ctx, out: &mut Markdown) {
     out.section("Rec. 9 — hierarchical clustering at 6 agents (CoELA)");
     let spec = workloads::find("CoELA").expect("suite member");
     let mut table = Table::new([
@@ -413,7 +405,7 @@ fn rec9_clustering(out: &mut ExperimentOutput) {
         "tokens/ep",
         "end-to-end",
     ]);
-    let aggs = grid_agg(
+    let aggs = ctx.grid_agg(
         &spec,
         [
             ("flat broadcast", 0usize),
@@ -433,7 +425,6 @@ fn rec9_clustering(out: &mut ExperimentOutput) {
                 },
             )
         }),
-        episodes(),
     );
     for agg in aggs {
         table.row([

@@ -10,19 +10,19 @@
 //! coordinator dies — failover buys that cliff back for a resync cost.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin resilience_scalability [-- --smoke]
+//! cargo run --release -p embodied-bench --bin experiments -- resilience_scalability
 //! ```
-//!
-//! `--smoke` shrinks the grid and episode count for a fast correctness
-//! pass (used by `scripts/verify.sh` from a scratch directory so the
-//! canonical `results/resilience_scalability.md` is not clobbered).
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, AgentFaultProfile, ChannelProfile, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_env::TaskDifficulty;
 use embodied_profiler::{pct, Table};
 
 type FaultCtor = fn(f64) -> AgentFaultProfile;
+
+const TEAM_SIZES: [usize; 3] = [2, 4, 6];
+const FAULT_RATES: [f64; 4] = [0.0, 0.02, 0.05, 0.10];
+const DROP_RATES: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
 
 /// workload, row label, agent-fault profile constructor.
 const VARIANTS: [(&str, &str, FaultCtor); 3] = [
@@ -39,24 +39,9 @@ const VARIANTS: [(&str, &str, FaultCtor); 3] = [
     ),
 ];
 
-fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let team_sizes: &[usize] = if smoke { &[4] } else { &[2, 4, 6] };
-    let fault_rates: &[f64] = if smoke {
-        &[0.0, 0.05]
-    } else {
-        &[0.0, 0.02, 0.05, 0.10]
-    };
-    let drop_rates: &[f64] = if smoke {
-        &[0.10]
-    } else {
-        &[0.0, 0.05, 0.10, 0.20]
-    };
-    let n = if smoke { 2 } else { episodes() };
-
-    let mut out = ExperimentOutput::new("resilience_scalability");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Resilience scalability: agent faults across paradigms",
         "Team size x agent-fault rate x paradigm, plus channel loss",
     );
@@ -65,31 +50,31 @@ fn main() {
     let mut plan = SweepPlan::new();
     for (name, _, fault) in VARIANTS {
         let spec = workloads::find(name).expect("suite member");
-        for &agents in team_sizes {
-            for &rate in fault_rates {
+        for agents in TEAM_SIZES {
+            for rate in FAULT_RATES {
                 let overrides = RunOverrides {
                     difficulty: Some(TaskDifficulty::Medium),
                     num_agents: Some(agents),
                     agent_faults: Some(fault(rate)),
                     ..Default::default()
                 };
-                plan.add(&spec, &overrides, n);
+                plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
             }
         }
     }
     for (name, _, _) in VARIANTS {
         let spec = workloads::find(name).expect("suite member");
-        for &rate in drop_rates {
+        for rate in DROP_RATES {
             let overrides = RunOverrides {
                 difficulty: Some(TaskDifficulty::Medium),
                 num_agents: Some(4),
                 channel: Some(ChannelProfile::lossy(rate)),
                 ..Default::default()
             };
-            plan.add(&spec, &overrides, n);
+            plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
         }
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
     for (name, label, _) in VARIANTS {
         out.section(&format!("{name} ({label})"));
@@ -106,9 +91,9 @@ fn main() {
             "failovers",
             "resync tok",
         ]);
-        for &agents in team_sizes {
+        for agents in TEAM_SIZES {
             let mut clean_success = None;
-            for &rate in fault_rates {
+            for rate in FAULT_RATES {
                 let agg = results.take_agg(name);
                 let baseline = *clean_success.get_or_insert(agg.success_rate);
                 let eps = agg.episodes.max(1) as f64;
@@ -144,7 +129,7 @@ fn main() {
         "suspected peers",
     ]);
     for (name, label, _) in VARIANTS {
-        for &rate in drop_rates {
+        for rate in DROP_RATES {
             let agg = results.take_agg(name);
             table.row([
                 format!("{name} ({label})"),
@@ -169,4 +154,5 @@ fn main() {
          most of the lost success. At rate 0 every row matches the fault-free \
          baseline — the fault layer is pay-for-use.",
     );
+    out.finish()
 }

@@ -1,6 +1,6 @@
 //! Adversarial scenario evolution — auto-discovering the failure frontier.
 //!
-//! Runs a deterministic evolutionary search ([`embodied_bench::evolve`])
+//! Runs a deterministic evolutionary search ([`crate::evolve`])
 //! per cooperation paradigm over the fault planes (LLM transport,
 //! agent/channel, semantic, serving, and — with `--env-plane` — embodied
 //! perception/actuation) plus the mitigation policies, looking
@@ -10,14 +10,13 @@
 //! grid at equal fault budget.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin scenario_evolve \
-//!     [-- --smoke | --population N --generations N --episodes N \
-//!         --seed N --write-fixtures --env-plane]
+//! cargo run --release -p embodied-bench --bin experiments -- scenario_evolve \
+//!     [--write-fixtures] [--env-plane]
 //! ```
 //!
-//! * `--smoke` shrinks the search (population 6, 2 generations, 2
-//!   episodes/eval) and writes to `results/scenario_evolve_smoke.md` so CI
-//!   never clobbers the committed full report;
+//! The search evaluates each genotype over `EMBODIED_EPISODES` episodes
+//! (default 4) from `EMBODIED_SEED`.
+//!
 //! * `--write-fixtures` re-evaluates the top two scenarios per paradigm
 //!   and pins them (genotype + outcome envelope) as JSON fixtures under
 //!   `crates/bench/fixtures/scenarios/`, replayed by the
@@ -25,14 +24,12 @@
 //!
 //! Same seed ⇒ byte-identical report and fixtures at any worker count.
 
+use crate::{evolve, Ctx, EvolveParams, Markdown, ScenarioGenotype, SweepPlan};
 use embodied_agents::{workloads, Paradigm, RunOverrides};
-use embodied_bench::{
-    base_seed, evolve, jobs, EvolveParams, ExperimentOutput, ScenarioGenotype, SweepPlan,
-};
 use embodied_env::TaskDifficulty;
 use embodied_llm::{FaultProfile, RetryPolicy};
 use embodied_profiler::{pct, Aggregate, JsonValue, Table, ToJson};
-use std::path::PathBuf;
+use std::path::Path;
 
 const PARADIGMS: [Paradigm; 4] = [
     Paradigm::SingleModular,
@@ -55,62 +52,18 @@ fn grid_system(paradigm: Paradigm) -> &'static str {
 /// Non-zero LLM fault rates of the fixed `fault_sweep` grid.
 const GRID_RATES: [f64; 4] = [0.02, 0.05, 0.10, 0.20];
 
-struct Cli {
-    population: usize,
-    generations: usize,
-    eval_episodes: usize,
-    seed: u64,
-    smoke: bool,
-    write_fixtures: bool,
-    env_plane: bool,
-}
-
-fn parse_cli() -> Cli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cli = Cli {
-        population: 12,
-        generations: 6,
-        eval_episodes: 4,
-        seed: base_seed(),
-        smoke: false,
-        write_fixtures: false,
-        env_plane: false,
-    };
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i)
-            .unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
-            .clone()
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => cli.smoke = true,
-            "--write-fixtures" => cli.write_fixtures = true,
-            "--env-plane" => cli.env_plane = true,
-            "--population" => cli.population = value(&mut i).parse().expect("population"),
-            "--generations" => cli.generations = value(&mut i).parse().expect("generations"),
-            "--episodes" => cli.eval_episodes = value(&mut i).parse().expect("episodes"),
-            "--seed" => cli.seed = value(&mut i).parse().expect("seed"),
-            other => panic!("unknown flag {other:?}"),
-        }
-        i += 1;
-    }
-    if cli.smoke {
-        cli.population = 6;
-        cli.generations = 2;
-        cli.eval_episodes = 2;
-    }
-    cli
-}
+/// Genotypes per generation.
+const POPULATION: usize = 12;
+/// Generations of the search.
+const GENERATIONS: usize = 6;
 
 /// Runs one genotype for `episodes` episodes and aggregates — the exact
 /// evaluation the fixture replay test repeats.
-fn replay(genotype: &ScenarioGenotype, episodes: usize, seed: u64) -> Aggregate {
+fn replay(genotype: &ScenarioGenotype, ctx: &Ctx) -> Aggregate {
     let spec = workloads::find(&genotype.system).expect("fixture system in registry");
     let mut plan = SweepPlan::new();
-    plan.add_seeded(&spec, &genotype.overrides(), episodes, seed);
-    let mut results = plan.run_with(jobs());
+    plan.add(&spec, &genotype.overrides(), ctx.episodes, ctx.seed);
+    let mut results = plan.run_with(ctx.jobs);
     results
         .take_result()
         .map(|reports| Aggregate::from_reports("fixture", &reports))
@@ -118,8 +71,8 @@ fn replay(genotype: &ScenarioGenotype, episodes: usize, seed: u64) -> Aggregate 
 }
 
 /// Pins one scenario as a JSON fixture: genotype + outcome envelope.
-fn write_fixture(dir: &PathBuf, paradigm: Paradigm, rank: usize, g: &ScenarioGenotype, cli: &Cli) {
-    let agg = replay(g, cli.eval_episodes, cli.seed);
+fn write_fixture(dir: &Path, paradigm: Paradigm, rank: usize, g: &ScenarioGenotype, ctx: &Ctx) {
+    let agg = replay(g, ctx);
     let envelope = JsonValue::Object(vec![
         ("success_rate".into(), JsonValue::Num(agg.success_rate)),
         (
@@ -155,8 +108,8 @@ fn write_fixture(dir: &PathBuf, paradigm: Paradigm, rank: usize, g: &ScenarioGen
         (
             "eval".into(),
             JsonValue::Object(vec![
-                ("episodes".into(), JsonValue::Num(cli.eval_episodes as f64)),
-                ("base_seed".into(), JsonValue::Num(cli.seed as f64)),
+                ("episodes".into(), JsonValue::Num(ctx.episodes as f64)),
+                ("base_seed".into(), JsonValue::Num(ctx.seed as f64)),
             ]),
         ),
         ("genotype".into(), g.to_json()),
@@ -165,22 +118,16 @@ fn write_fixture(dir: &PathBuf, paradigm: Paradigm, rank: usize, g: &ScenarioGen
     std::fs::create_dir_all(dir).expect("create fixtures dir");
     let path = dir.join(format!("{paradigm}-{rank}.json"));
     std::fs::write(&path, fixture.render_pretty()).expect("write fixture");
-    println!("pinned {}", path.display());
+    eprintln!("pinned {}", path.display());
 }
 
-fn main() {
-    let cli = parse_cli();
-    let name = if cli.smoke {
-        "scenario_evolve_smoke"
-    } else {
-        "scenario_evolve"
-    };
-    let mut out = ExperimentOutput::new(name);
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::default();
     out.line("# Adversarial scenario evolution");
     out.blank();
     // The default wording stays exactly as before --env-plane existed so
     // the committed report regenerates byte-identically.
-    let planes = if cli.env_plane {
+    let planes = if ctx.env_plane {
         "all five fault planes"
     } else {
         "all four fault planes"
@@ -190,21 +137,21 @@ fn main() {
          unit fault budget across {planes} (population {}, \
          {} generations, {} episodes/eval, seed {}). Deterministic: the \
          same seed replays byte-identically at any worker count.",
-        cli.population, cli.generations, cli.eval_episodes, cli.seed
+        POPULATION, GENERATIONS, ctx.episodes, ctx.seed
     ));
 
-    let fixtures_dir = PathBuf::from("crates/bench/fixtures/scenarios");
+    let fixtures_dir = Path::new("crates/bench/fixtures/scenarios");
     let mut frontier_verdicts = Vec::new();
 
     for paradigm in PARADIGMS {
         let params = EvolveParams {
             paradigm,
-            population: cli.population,
-            generations: cli.generations,
-            eval_episodes: cli.eval_episodes,
-            seed: cli.seed,
-            workers: jobs(),
-            env_plane: cli.env_plane,
+            population: POPULATION,
+            generations: GENERATIONS,
+            eval_episodes: ctx.episodes,
+            seed: ctx.seed,
+            workers: ctx.jobs,
+            env_plane: ctx.env_plane,
         };
         let outcome = evolve(&params);
 
@@ -273,9 +220,9 @@ fn main() {
                 retry_policy: Some(RetryPolicy::standard()),
                 ..Default::default()
             };
-            plan.add_seeded(&spec, &overrides, cli.eval_episodes, cli.seed);
+            plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
         }
-        let mut results = plan.run_with(jobs());
+        let mut results = plan.run_with(ctx.jobs);
         let grid_base = results.take_agg(system);
         out.blank();
         out.line(format!(
@@ -303,7 +250,7 @@ fn main() {
         out.line(grid_table.render());
 
         let best = &outcome.ranked[0];
-        let evolved_ratio = best.success_drop / best.budget.max(embodied_bench::evolve::MIN_BUDGET);
+        let evolved_ratio = best.success_drop / best.budget.max(crate::evolve::MIN_BUDGET);
         let verdict = if evolved_ratio > grid_best {
             "BEYOND the fixed grid"
         } else {
@@ -317,9 +264,9 @@ fn main() {
         ));
         frontier_verdicts.push((paradigm, evolved_ratio, grid_best));
 
-        if cli.write_fixtures {
+        if ctx.write_fixtures {
             for (rank, s) in outcome.ranked.iter().take(2).enumerate() {
-                write_fixture(&fixtures_dir, paradigm, rank + 1, &s.genotype, &cli);
+                write_fixture(fixtures_dir, paradigm, rank + 1, &s.genotype, ctx);
             }
         }
     }
@@ -346,4 +293,5 @@ fn main() {
          strictly harder (per unit budget) than every fixed-grid cell.",
         PARADIGMS.len()
     ));
+    out.finish()
 }

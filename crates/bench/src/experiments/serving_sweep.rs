@@ -11,15 +11,11 @@
 //!   queueing delay appear in the step critical path.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin serving_sweep [-- --smoke]
+//! cargo run --release -p embodied-bench --bin experiments -- serving_sweep
 //! ```
-//!
-//! `--smoke` shrinks the grid and episode count for a fast correctness
-//! pass (CI / `scripts/verify.sh`); the full run regenerates
-//! `results/serving_sweep.md`.
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_env::TaskDifficulty;
 use embodied_llm::ServingConfig;
 use embodied_profiler::{pct, ModuleKind, Table};
@@ -29,32 +25,20 @@ use embodied_profiler::{pct, ModuleKind, Table};
 /// step loops with genuine same-phase fan-outs for the service to batch.
 const SYSTEMS: [&str; 2] = ["CoELA", "COHERENT"];
 
-fn configs(smoke: bool) -> Vec<(&'static str, ServingConfig)> {
-    if smoke {
-        vec![
-            ("off", ServingConfig::disabled()),
-            ("C=1", ServingConfig::limited(1)),
-            ("batched", ServingConfig::batched()),
-        ]
-    } else {
-        vec![
-            ("off", ServingConfig::disabled()),
-            ("C=1", ServingConfig::limited(1)),
-            ("C=2", ServingConfig::limited(2)),
-            ("batched", ServingConfig::batched()),
-        ]
-    }
+const TEAMS: [usize; 3] = [2, 4, 8];
+
+fn configs() -> [(&'static str, ServingConfig); 4] {
+    [
+        ("off", ServingConfig::disabled()),
+        ("C=1", ServingConfig::limited(1)),
+        ("C=2", ServingConfig::limited(2)),
+        ("batched", ServingConfig::batched()),
+    ]
 }
 
-fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let teams: &[usize] = if smoke { &[2, 4] } else { &[2, 4, 8] };
-    let configs = configs(smoke);
-    let n = if smoke { 2 } else { episodes() };
-
-    let mut out = ExperimentOutput::new("serving_sweep");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Serving sweep",
         "Shared inference service (batching, concurrency limits, prefix cache) x team size",
     );
@@ -62,19 +46,19 @@ fn main() {
     let mut plan = SweepPlan::new();
     for name in SYSTEMS {
         let spec = workloads::find(name).expect("suite member");
-        for &team in teams {
-            for (_, serving) in &configs {
+        for team in TEAMS {
+            for (_, serving) in configs() {
                 let overrides = RunOverrides {
                     difficulty: Some(TaskDifficulty::Medium),
                     num_agents: Some(team),
-                    serving: Some(*serving),
+                    serving: Some(serving),
                     ..Default::default()
                 };
-                plan.add(&spec, &overrides, n);
+                plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
             }
         }
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
     for name in SYSTEMS {
         let spec = workloads::find(name).expect("suite member");
@@ -93,9 +77,9 @@ fn main() {
             "occupancy",
             "prefix hits",
         ]);
-        for &team in teams {
+        for team in TEAMS {
             let mut baseline = None;
-            for (label, _) in &configs {
+            for (label, _) in configs() {
                 let agg = results.take_agg(name);
                 let total_steps = (agg.mean_steps * agg.episodes as f64).max(1.0);
                 let plan_per_step =
@@ -116,7 +100,7 @@ fn main() {
                 };
                 table.row([
                     team.to_string(),
-                    (*label).to_string(),
+                    label.to_string(),
                     pct(agg.success_rate),
                     format!("{:.1}", agg.mean_steps),
                     format!("{plan_per_step:.1}s"),
@@ -155,4 +139,5 @@ fn main() {
          Centralized extraction has no such coupling, so COHERENT keeps \
          identical decisions in every column.",
     );
+    out.finish()
 }

@@ -14,15 +14,11 @@
 //!   degraded decisions and success rate.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin slo_sweep [-- --smoke]
+//! cargo run --release -p embodied-bench --bin experiments -- slo_sweep
 //! ```
-//!
-//! `--smoke` shrinks the grid and episode count for a fast correctness
-//! pass (CI / `scripts/verify.sh`); the full run regenerates
-//! `results/slo_sweep.md`.
 
+use crate::{Ctx, Markdown, SweepPlan};
 use embodied_agents::{workloads, RunOverrides};
-use embodied_bench::{banner, episodes, ExperimentOutput, SweepPlan};
 use embodied_env::TaskDifficulty;
 use embodied_llm::{ServingConfig, ServingFaultProfile};
 use embodied_profiler::{pct, Aggregate, EpisodeReport, SimDuration, Table};
@@ -42,17 +38,13 @@ const DEADLINE: SimDuration = SimDuration::from_secs(30);
 const HEDGE_AFTER: SimDuration = SimDuration::from_secs(2);
 
 /// Fault scenario: label × injected profile × replica count.
-fn scenarios(smoke: bool) -> Vec<(&'static str, ServingFaultProfile, u32)> {
-    if smoke {
-        vec![("brownout 0.6 ×3", ServingFaultProfile::brownouts(0.6), 3)]
-    } else {
-        vec![
-            ("brownout 0.3 ×3", ServingFaultProfile::brownouts(0.3), 3),
-            ("brownout 0.6 ×3", ServingFaultProfile::brownouts(0.6), 3),
-            ("brownout 0.6 ×2", ServingFaultProfile::brownouts(0.6), 2),
-            ("stressed 0.6 ×3", ServingFaultProfile::stressed(0.6), 3),
-        ]
-    }
+fn scenarios() -> Vec<(&'static str, ServingFaultProfile, u32)> {
+    vec![
+        ("brownout 0.3 ×3", ServingFaultProfile::brownouts(0.3), 3),
+        ("brownout 0.6 ×3", ServingFaultProfile::brownouts(0.6), 3),
+        ("brownout 0.6 ×2", ServingFaultProfile::brownouts(0.6), 2),
+        ("stressed 0.6 ×3", ServingFaultProfile::stressed(0.6), 3),
+    ]
 }
 
 /// Resilience policy: label × serving configuration (replica count filled
@@ -90,15 +82,12 @@ fn p95_step_secs(reports: &[EpisodeReport]) -> f64 {
     lat[idx.clamp(1, lat.len()) - 1]
 }
 
-fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let scenarios = scenarios(smoke);
+pub(super) fn run(ctx: &Ctx) -> String {
+    let scenarios = scenarios();
     let team = 4;
-    let n = if smoke { 2 } else { episodes() };
 
-    let mut out = ExperimentOutput::new("slo_sweep");
-    banner(
-        &mut out,
+    let mut out = Markdown::banner(
+        ctx,
         "SLO sweep",
         "Serving fault plane (replica crashes, brownouts) x hedging/shedding policy",
     );
@@ -115,11 +104,11 @@ fn main() {
                     serving_faults: Some(*faults),
                     ..Default::default()
                 };
-                plan.add(&spec, &overrides, n);
+                plan.add(&spec, &overrides, ctx.episodes, ctx.seed);
             }
         }
     }
-    let mut results = plan.run();
+    let mut results = plan.run_with(ctx.jobs);
 
     for name in SYSTEMS {
         let spec = workloads::find(name).expect("suite member");
@@ -197,4 +186,5 @@ fn main() {
          hedging also covers the failover path since the duplicate lands \
          on a live replica.",
     );
+    out.finish()
 }

@@ -2,11 +2,11 @@
 //! paradigms with their computing-module compositions.
 //!
 //! ```text
-//! cargo run -p embodied-bench --bin table1_paradigms
+//! cargo run --release -p embodied-bench --bin experiments -- table1_paradigms
 //! ```
 
+use crate::{Ctx, Markdown};
 use embodied_agents::workloads::{self, TaxonomyParadigm};
-use embodied_bench::{banner, ExperimentOutput};
 use embodied_profiler::Table;
 
 fn mark(present: bool) -> &'static str {
@@ -17,10 +17,9 @@ fn mark(present: bool) -> &'static str {
     }
 }
 
-fn main() {
-    let mut out = ExperimentOutput::new("table1_paradigms");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Table I: Embodied AI Agent Systems",
         "Categorization of recent embodied AI agent systems into four paradigms with their computing-module compositions; ★ marks the 14 systems implemented and measured by this suite",
     );
@@ -68,4 +67,5 @@ fn main() {
         }
         out.line(table.render());
     }
+    out.finish()
 }

@@ -2,17 +2,16 @@
 //! application, datasets, and paradigm for each of the 14 members.
 //!
 //! ```text
-//! cargo run -p embodied-bench --bin table2_suite
+//! cargo run --release -p embodied-bench --bin experiments -- table2_suite
 //! ```
 
+use crate::{Ctx, Markdown};
 use embodied_agents::{workloads, Paradigm};
-use embodied_bench::{banner, ExperimentOutput};
 use embodied_profiler::Table;
 
-fn main() {
-    let mut out = ExperimentOutput::new("table2_suite");
-    banner(
-        &mut out,
+pub(super) fn run(ctx: &Ctx) -> String {
+    let mut out = Markdown::banner(
+        ctx,
         "Table II: Embodied Agent Systems Workload Suite",
         "Models per building block plus metadata for each suite member",
     );
@@ -69,4 +68,5 @@ fn main() {
         ]);
     }
     out.line(table.render());
+    out.finish()
 }

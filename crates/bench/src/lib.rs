@@ -1,44 +1,34 @@
 //! # embodied-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper.
-//! Each `src/bin/*` target reproduces one table or figure; shared episode
-//! sweeping, environment-variable knobs and rendering helpers live here.
+//! [`EXPERIMENTS`] registers one row per table, figure or sweep; the one
+//! `experiments` binary runs rows and writes, prints or checks their
+//! `results/<name>.md`:
+//!
+//! ```text
+//! cargo run --release -p embodied-bench --bin experiments -- [--check] [--jobs N] (all | NAME...)
+//! ```
 //!
 //! Knobs (environment variables):
-//! * `EMBODIED_EPISODES` — episodes per configuration (default 8);
+//! * `EMBODIED_EPISODES` — episodes per configuration (default: each row's
+//!   own, listed by the `experiments` usage message);
 //! * `EMBODIED_SEED` — base seed (default 42);
-//! * `EMBODIED_JOBS` — worker threads for episode sweeps (default: available
-//!   hardware parallelism; results are bit-identical at any value).
-//!
-//! Every binary prints a paper-style table to stdout and appends the same
-//! text to `results/<target>.md` for EXPERIMENTS.md bookkeeping.
+//! * `EMBODIED_JOBS` — worker threads when `--jobs` is not given (default:
+//!   available hardware parallelism; results are bit-identical at any value).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod evolve;
+pub mod experiments;
 pub mod genotype;
 pub mod parallel;
 
 pub use evolve::{evolve, EvolveOutcome, EvolveParams, GenerationSummary, ScoredScenario};
+pub(crate) use experiments::Markdown;
+pub use experiments::{Ctx, Experiment, Invocation, EXPERIMENTS};
 pub use genotype::{systems_of, RetryPreset, ScenarioGenotype, ServingPreset};
-pub use parallel::{
-    jobs, par_map, par_map_with, try_par_map, try_par_map_with, SweepPlan, SweepResults,
-};
-
-use embodied_agents::{episode_seed, run_episode, RunOverrides, WorkloadSpec};
-use embodied_profiler::{Aggregate, EpisodeReport};
-use std::io::Write as _;
-use std::path::PathBuf;
-
-/// Episodes per configuration (`EMBODIED_EPISODES`, default 8).
-pub fn episodes() -> usize {
-    std::env::var("EMBODIED_EPISODES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(8)
-}
+pub use parallel::{jobs, par_map_with, try_par_map_with, SweepPlan, SweepResults};
 
 /// Base seed (`EMBODIED_SEED`, default 42).
 pub fn base_seed() -> u64 {
@@ -46,103 +36,4 @@ pub fn base_seed() -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(42)
-}
-
-/// Runs `n` episodes of a configuration across the worker pool
-/// ([`parallel::jobs`] threads) and returns the raw reports in seed order —
-/// bit-identical to a sequential loop at any worker count.
-pub fn sweep(spec: &WorkloadSpec, overrides: &RunOverrides, n: usize) -> Vec<EpisodeReport> {
-    let seed = base_seed();
-    par_map(n, |i| run_episode(spec, overrides, episode_seed(seed, i)))
-}
-
-/// Runs a labelled grid of override settings for one workload across the
-/// worker pool and returns the per-setting aggregates in submission order —
-/// the common shape of small ablation sections.
-pub fn grid_agg(
-    spec: &WorkloadSpec,
-    configs: impl IntoIterator<Item = (String, RunOverrides)>,
-    n: usize,
-) -> Vec<Aggregate> {
-    let configs: Vec<(String, RunOverrides)> = configs.into_iter().collect();
-    let mut plan = SweepPlan::new();
-    for (_, overrides) in &configs {
-        plan.add(spec, overrides, n);
-    }
-    let mut results = plan.run();
-    configs
-        .into_iter()
-        .map(|(label, _)| results.take_agg(label))
-        .collect()
-}
-
-/// Runs `n` episodes and aggregates under `label`.
-pub fn sweep_agg(
-    spec: &WorkloadSpec,
-    overrides: &RunOverrides,
-    n: usize,
-    label: impl Into<String>,
-) -> Aggregate {
-    Aggregate::from_reports(label, &sweep(spec, overrides, n))
-}
-
-/// A sink that tees experiment output to stdout and `results/<name>.md`.
-pub struct ExperimentOutput {
-    file: Option<std::fs::File>,
-}
-
-impl ExperimentOutput {
-    /// Creates the sink, truncating any previous result file. If `results/`
-    /// cannot be created or the file cannot be opened, output still goes to
-    /// stdout and a warning is printed to stderr (once per process) instead
-    /// of silently dropping the artifact.
-    pub fn new(name: &str) -> Self {
-        let dir = PathBuf::from("results");
-        let path = dir.join(format!("{name}.md"));
-        let file = std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::File::create(&path))
-            .map_err(|err| {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: cannot write {} ({err}); results go to stdout only",
-                        path.display()
-                    );
-                });
-            })
-            .ok();
-        ExperimentOutput { file }
-    }
-
-    /// Writes a line to stdout and the result file.
-    pub fn line(&mut self, text: impl AsRef<str>) {
-        let text = text.as_ref();
-        println!("{text}");
-        if let Some(f) = self.file.as_mut() {
-            let _ = writeln!(f, "{text}");
-        }
-    }
-
-    /// Writes a blank line.
-    pub fn blank(&mut self) {
-        self.line("");
-    }
-
-    /// Writes a section header.
-    pub fn section(&mut self, title: &str) {
-        self.blank();
-        self.line(format!("## {title}"));
-        self.blank();
-    }
-}
-
-/// Standard experiment banner.
-pub fn banner(out: &mut ExperimentOutput, id: &str, description: &str) {
-    out.line(format!("# {id}"));
-    out.blank();
-    out.line(format!(
-        "{description} ({} episodes/config, seed {})",
-        episodes(),
-        base_seed()
-    ));
 }

@@ -9,11 +9,10 @@
 //! slow episode on one thread never blocks the others, and results are
 //! reassembled in job-index order before anyone looks at them.
 //!
-//! Worker count comes from `EMBODIED_JOBS` (default: available hardware
-//! parallelism). `EMBODIED_JOBS=1` degenerates to a plain sequential loop on
-//! the calling thread.
+//! Callers pass the worker count explicitly; [`jobs`] supplies the default
+//! from `EMBODIED_JOBS`. One worker degenerates to a plain sequential loop
+//! on the calling thread.
 
-use crate::base_seed;
 use embodied_agents::{episode_seed, run_episode, RunOverrides, WorkloadSpec};
 use embodied_profiler::{Aggregate, EpisodeReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,20 +44,9 @@ pub fn jobs() -> usize {
         })
 }
 
-/// Runs `f(0), f(1), …, f(n-1)` across [`jobs()`] scoped worker threads and
+/// Runs `f(0), f(1), …, f(n-1)` across `workers` scoped threads and
 /// returns the results **in index order**, exactly as the sequential loop
-/// `(0..n).map(f).collect()` would.
-pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_with(jobs(), n, f)
-}
-
-/// [`par_map`] with an explicit worker count (tests pin this instead of
-/// mutating the process environment, which would race with the parallel
-/// test harness).
+/// `(0..n).map(f).collect()` would. A panicking job panics the caller.
 pub fn par_map_with<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -71,19 +59,10 @@ where
         .collect()
 }
 
-/// [`par_map`] with per-job panic isolation: each job runs under
+/// [`par_map_with`] with per-job panic isolation: each job runs under
 /// `catch_unwind`, so one poisoned input yields an `Err` in its own slot
 /// while every other job still completes and returns `Ok`. The returned
-/// vector is in index order, like [`par_map`].
-pub fn try_par_map<T, F>(n: usize, f: F) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    try_par_map_with(jobs(), n, f)
-}
-
-/// [`try_par_map`] with an explicit worker count.
+/// vector is in index order, like [`par_map_with`].
 pub fn try_par_map_with<T, F>(workers: usize, n: usize, f: F) -> Vec<Result<T, String>>
 where
     T: Send,
@@ -141,21 +120,21 @@ struct SweepConfig {
 /// A whole experiment's sweep grid, submitted up front and executed across
 /// the worker pool in one fan-out.
 ///
-/// Binaries queue every configuration first (the *plan* pass), call
-/// [`SweepPlan::run`], then render results **in submission order** (the
-/// *render* pass) — so all episode work parallelizes across the entire grid
-/// while stdout/`results/*.md` writes stay on the main thread in a
+/// Experiments queue every configuration first (the *plan* pass), call
+/// [`SweepPlan::run_with`], then render results **in submission order**
+/// (the *render* pass) — so all episode work parallelizes across the entire
+/// grid while the report is assembled on the calling thread in a
 /// deterministic order.
 ///
 /// ```no_run
-/// use embodied_bench::{episodes, SweepPlan};
+/// use embodied_bench::SweepPlan;
 /// use embodied_agents::{workloads, RunOverrides};
 ///
 /// let mut plan = SweepPlan::new();
 /// for spec in workloads::registry() {
-///     plan.add(&spec, &RunOverrides::default(), episodes());
+///     plan.add(&spec, &RunOverrides::default(), 8, 42);
 /// }
-/// let mut results = plan.run();
+/// let mut results = plan.run_with(4);
 /// for spec in workloads::registry() {
 ///     let agg = results.take_agg(spec.name);
 ///     println!("{}: {:.1} steps", spec.name, agg.mean_steps);
@@ -172,14 +151,9 @@ impl SweepPlan {
         Self::default()
     }
 
-    /// Queues `n` episodes of `spec` under `overrides` at the harness base
-    /// seed; returns the configuration's index (submission order).
-    pub fn add(&mut self, spec: &WorkloadSpec, overrides: &RunOverrides, n: usize) -> usize {
-        self.add_seeded(spec, overrides, n, base_seed())
-    }
-
-    /// [`SweepPlan::add`] with an explicit base seed.
-    pub fn add_seeded(
+    /// Queues `n` episodes of `spec` under `overrides`, seeded from
+    /// `base_seed`; returns the configuration's index (submission order).
+    pub fn add(
         &mut self,
         spec: &WorkloadSpec,
         overrides: &RunOverrides,
@@ -195,23 +169,8 @@ impl SweepPlan {
         self.configs.len() - 1
     }
 
-    /// Number of queued configurations.
-    pub fn len(&self) -> usize {
-        self.configs.len()
-    }
-
-    /// Whether no configuration has been queued.
-    pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
-    }
-
-    /// Executes every queued episode across the worker pool and returns the
-    /// per-configuration reports, grouped back in submission order.
-    pub fn run(self) -> SweepResults {
-        self.run_with(jobs())
-    }
-
-    /// [`SweepPlan::run`] with an explicit worker count.
+    /// Executes every queued episode across `workers` threads and returns
+    /// the per-configuration reports, grouped back in submission order.
     pub fn run_with(self, workers: usize) -> SweepResults {
         self.run_with_runner(workers, run_episode)
     }
@@ -268,18 +227,6 @@ pub struct SweepResults {
 }
 
 impl SweepResults {
-    /// The reports of configuration `idx` (submission order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an episode of that configuration panicked.
-    pub fn reports(&self, idx: usize) -> &[EpisodeReport] {
-        match &self.reports[idx] {
-            Ok(group) => group,
-            Err(msg) => panic!("sweep configuration {idx} failed: {msg}"),
-        }
-    }
-
     /// Takes the next configuration's reports, advancing the cursor — the
     /// render pass mirrors the plan pass by calling this in the same order
     /// it called [`SweepPlan::add`]. `Err` carries the panic message of the
@@ -295,7 +242,7 @@ impl SweepResults {
     /// # Panics
     ///
     /// Panics if more configurations are taken than were submitted, or if
-    /// an episode of this configuration panicked — binaries that want one
+    /// an episode of this configuration panicked — experiments that want one
     /// bad grid cell to spare the rest use [`SweepResults::take_result`].
     pub fn take(&mut self) -> Vec<EpisodeReport> {
         let idx = self.cursor;
@@ -307,16 +254,6 @@ impl SweepResults {
     pub fn take_agg(&mut self, label: impl Into<String>) -> Aggregate {
         let reports = self.take();
         Aggregate::from_reports(label, &reports)
-    }
-
-    /// Number of submitted configurations.
-    pub fn len(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// Whether the plan held no configurations.
-    pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
     }
 }
 
@@ -345,10 +282,9 @@ mod tests {
             ..Default::default()
         };
         let mut plan = SweepPlan::new();
-        plan.add_seeded(&spec, &overrides, 2, 42);
-        plan.add_seeded(&spec, &overrides, 3, 1000);
+        plan.add(&spec, &overrides, 2, 42);
+        plan.add(&spec, &overrides, 3, 1000);
         let mut results = plan.run_with(3);
-        assert_eq!(results.len(), 2);
 
         let first = results.take();
         let second = results.take();
@@ -399,9 +335,9 @@ mod tests {
         let poisoned_seed = episode_seed(1000, 1);
         for workers in [1, 4] {
             let mut plan = SweepPlan::new();
-            plan.add_seeded(&spec, &overrides, 2, 42);
-            plan.add_seeded(&spec, &overrides, 3, 1000);
-            plan.add_seeded(&spec, &overrides, 2, 7);
+            plan.add(&spec, &overrides, 2, 42);
+            plan.add(&spec, &overrides, 3, 1000);
+            plan.add(&spec, &overrides, 2, 7);
             let mut results = plan.run_with_runner(workers, |spec, overrides, seed| {
                 if seed == poisoned_seed {
                     panic!("injected episode failure at seed {seed}");

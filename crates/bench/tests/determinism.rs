@@ -8,7 +8,7 @@ use embodied_agents::{
     episode_seed, run_episode, run_fleet, workloads, AgentFaultProfile, ChannelProfile,
     FleetConfig, RecoveryPolicy, RepairPolicy, RunOverrides, WorkloadSpec,
 };
-use embodied_bench::{par_map_with, SweepPlan};
+use embodied_bench::{par_map_with, Ctx, SweepPlan};
 use embodied_env::{EnvFaultProfile, TaskDifficulty};
 use embodied_llm::{SemanticFaultProfile, ServingConfig, ServingFaultProfile};
 use embodied_profiler::{EpisodeReport, SimDuration};
@@ -249,8 +249,8 @@ impl Row {
                     ),
                     Plan => {
                         let mut plan = SweepPlan::new();
-                        plan.add_seeded(&s, &overrides, EPISODES, OTHER_SEED);
-                        plan.add_seeded(&s, &overrides, EPISODES, BASE_SEED);
+                        plan.add(&s, &overrides, EPISODES, OTHER_SEED);
+                        plan.add(&s, &overrides, EPISODES, BASE_SEED);
                         let mut results = plan.run_with(4);
                         same(&results.take(), &sequential(&s, &overrides, OTHER_SEED))
                             && same(&results.take(), &reference)
@@ -298,16 +298,21 @@ fn queue_delay_monotone_in_scarcity() {
     assert!(unbounded.iter().all(|r| r.serving.queue_delay.is_zero()));
 }
 
-/// The env-driven path (`embodied_bench::sweep` reading `EMBODIED_JOBS`)
-/// agrees with a sequential loop. Under `EMBODIED_JOBS=4`, as
-/// scripts/verify.sh runs it, this exercises the pool; under the default it
-/// still checks the seed schedule.
+/// The env-driven path (`Ctx::sweep` at the `EMBODIED_JOBS` worker count
+/// and `EMBODIED_SEED` seed) agrees with a sequential loop. Under
+/// `EMBODIED_JOBS=4`, as scripts/verify.sh runs it, this exercises the pool;
+/// under the default it still checks the seed schedule.
 #[test]
 fn env_driven_sweep_matches_sequential_reference() {
     let spec = spec("MindAgent");
     let overrides = RunOverrides::default();
-    let reports = embodied_bench::sweep(&spec, &overrides, EPISODES);
-    let expected = sequential(&spec, &overrides, embodied_bench::base_seed());
+    let ctx = Ctx::new(
+        EPISODES,
+        embodied_bench::base_seed(),
+        embodied_bench::jobs(),
+    );
+    let reports = ctx.sweep(&spec, &overrides);
+    let expected = sequential(&spec, &overrides, ctx.seed);
     assert!(same(&expected, &reports));
 }
 

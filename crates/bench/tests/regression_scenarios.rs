@@ -45,7 +45,7 @@ fn load_fixtures() -> Vec<(String, JsonValue)> {
 fn replay(genotype: &ScenarioGenotype, episodes: usize, seed: u64) -> Aggregate {
     let spec = workloads::find(&genotype.system).expect("fixture system in registry");
     let mut plan = SweepPlan::new();
-    plan.add_seeded(&spec, &genotype.overrides(), episodes, seed);
+    plan.add(&spec, &genotype.overrides(), episodes, seed);
     plan.run_with(jobs())
         .take_result()
         .map(|reports| Aggregate::from_reports("fixture", &reports))

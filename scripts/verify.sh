@@ -35,24 +35,17 @@ cargo test --release -q --test resilience --test fault_properties --test guardra
 echo "== rendered vs count-only prompt differential (release) =="
 cargo test --release -q -p embodied-agents --lib differential
 
-# Smoke runs write into a scratch dir, so canonical results stay untouched.
-# One build of every experiment binary also gives bench_all its siblings.
-repo_root="$(pwd)"
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
-echo "== build experiment binaries =="
-cargo build --release -q -p embodied-bench --bins
-for bin in resilience_scalability guardrail_sweep serving_sweep slo_sweep \
-           embodied_fault_sweep contention_sweep scenario_evolve; do
-  echo "== $bin --smoke (scratch dir; canonical results untouched) =="
-  (cd "$smoke_dir" && "$repo_root/target/release/$bin" --smoke > /dev/null)
-done
+# Every committed results/*.md must regenerate byte for byte, at one worker
+# and at four. --check writes nothing; it names any differing, missing or
+# orphan file and exits 1. The two passes run side by side.
+echo "== experiments --check all (--jobs 1 and --jobs 4) =="
+cargo build --release -q -p embodied-bench --bin experiments
+./target/release/experiments --check --jobs 1 all &
+./target/release/experiments --check --jobs 4 all
+wait $!
 
 echo "== scenario regression fixtures + evolution properties =="
 cargo test --release -q -p embodied-bench --test regression_scenarios --test scenario_evolution
-
-echo "== bench_all --smoke (sequential vs parallel byte-identity) =="
-cargo run --release -q -p embodied-bench --bin bench_all -- --smoke
 
 echo "== perf_bench tests =="
 cargo test --release --offline --locked --manifest-path perf_bench/Cargo.toml
