@@ -2,8 +2,8 @@
 //!
 //! Each row's `run` renders its Markdown report from a [`Ctx`] and returns
 //! it. Only the `experiments` binary touches `results/<name>.md`: it writes
-//! the report there ([`write`]), or byte-compares it against the committed
-//! file ([`check`]).
+//! the report there ([`write()`]), or byte-compares it against the committed
+//! file ([`check()`]).
 
 mod boxworld_grid;
 mod contention_sweep;

@@ -1,5 +1,5 @@
 //! Scenario genotypes: the heritable encoding of one adversarial fault
-//! scenario for the evolutionary search in [`crate::evolve`].
+//! scenario for the evolutionary search in [`mod@crate::evolve`].
 //!
 //! A genotype fixes everything an episode's robustness depends on — which
 //! suite member runs (within one cooperation paradigm), team size and task

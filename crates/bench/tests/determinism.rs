@@ -10,7 +10,9 @@ use embodied_agents::{
 };
 use embodied_bench::{par_map_with, Ctx, SweepPlan};
 use embodied_env::{EnvFaultProfile, TaskDifficulty};
-use embodied_llm::{SemanticFaultProfile, ServingConfig, ServingFaultProfile};
+use embodied_llm::{
+    FaultProfile, RetryPolicy, SemanticFaultProfile, ServingConfig, ServingFaultProfile,
+};
 use embodied_profiler::{EpisodeReport, SimDuration};
 
 const EPISODES: usize = 4;
@@ -36,6 +38,8 @@ enum Check {
     Replay,
     /// These overrides reproduce the reference: the row is a pass-through.
     Matches(fn() -> RunOverrides),
+    /// A one-episode `run_fleet` at each seed reproduces the reference.
+    FleetOfOne,
     /// The named counter is nonzero on some episode: the mechanism fires.
     Fires(&'static str, fn(&EpisodeReport) -> u64),
     /// The named property holds on every episode.
@@ -51,6 +55,7 @@ impl Check {
             Plan => "sweep plan",
             Replay => "replay",
             Matches(_) => "pass-through",
+            FleetOfOne => "fleet of one",
             Fires(name, _) | Every(name, _) => name,
         }
     }
@@ -64,7 +69,23 @@ const ROWS: &[Row] = &[
         name: "default",
         workloads: PARADIGMS,
         overrides: RunOverrides::default,
-        checks: &[Jobs, Plan],
+        checks: &[Jobs, Plan, FleetOfOne],
+    },
+    Row {
+        name: "llm_faults",
+        workloads: PARADIGMS,
+        overrides: || RunOverrides {
+            fault_profile: Some(FaultProfile::uniform(0.2)),
+            retry_policy: Some(RetryPolicy::standard()),
+            ..Default::default()
+        },
+        checks: &[
+            Jobs,
+            Plan,
+            Fires("faults", |r| r.resilience.faults()),
+            Fires("retries", |r| r.resilience.retries),
+            FleetOfOne,
+        ],
     },
     Row {
         name: "agent_and_channel_faults",
@@ -108,7 +129,15 @@ const ROWS: &[Row] = &[
         name: "serving_disabled",
         workloads: &["DEPS", "MindAgent", "CoELA", "HMAS", "COHERENT"],
         overrides: || serving(ServingConfig::disabled()),
-        checks: &[Jobs, Matches(RunOverrides::default)],
+        checks: &[Jobs, Matches(RunOverrides::default), FleetOfOne],
+    },
+    // Not `limited(1)` alone: there a solo episode measures a dependent
+    // call's wait from the step barrier, and a fleet from its arrival.
+    Row {
+        name: "serving_uncontended",
+        workloads: &["DEPS", "MindAgent"],
+        overrides: || serving(ServingConfig::limited(1).with_replicas(2)),
+        checks: &[Jobs, FleetOfOne],
     },
     Row {
         name: "serving_limited",
@@ -162,6 +191,7 @@ const ROWS: &[Row] = &[
         checks: &[
             Matches(RunOverrides::default),
             Every("quiet", |r| r.serving_faults == Default::default()),
+            FleetOfOne,
         ],
     },
     Row {
@@ -257,6 +287,15 @@ impl Row {
                     }
                     Replay => same(&reference, &sequential(&s, &overrides, BASE_SEED)),
                     Matches(base) => same(&reference, &sequential(&s, &base(), BASE_SEED)),
+                    FleetOfOne => same(
+                        &reference,
+                        &(0..EPISODES)
+                            .flat_map(|i| {
+                                let seed = episode_seed(BASE_SEED, i);
+                                run_fleet(&s, &overrides, 1, seed, FleetConfig::default()).reports
+                            })
+                            .collect::<Vec<_>>(),
+                    ),
                     Fires(_, count) => reference.iter().any(|r| count(r) > 0),
                     Every(_, holds) => reference.iter().all(holds),
                 };

@@ -40,7 +40,7 @@ struct PendingCall {
 pub(crate) struct Accounts {
     pub trace: Trace,
     /// The shared inference service every engine in the system is a tenant
-    /// of — owns the engine stacks, the per-tenant ledger, and the
+    /// of — owns the engine stacks, the per-scope ledgers, and the
     /// per-model scheduling backends.
     pub service: InferenceService,
     pub by_purpose: PurposeLedger,

@@ -8,15 +8,13 @@ use crate::modules::{
 };
 use crate::prompt::{system_preamble, Counted};
 use embodied_env::Subgoal;
-use embodied_llm::{EngineBuilder, InferenceService, LlmEngine, TenantOwner};
+use embodied_llm::{EngineBuilder, InferenceService, LlmEngine};
 use std::collections::{HashMap, HashSet};
 
 /// One embodied agent assembled from its configured modules.
 ///
 /// Every LLM-backed module holds an [`embodied_llm::EngineHandle`] onto
-/// the system's shared [`InferenceService`] rather than a private engine;
-/// the service keeps the per-tenant usage ledger this agent's accounting
-/// rolls up from.
+/// the system's shared [`InferenceService`] rather than a private engine.
 #[derive(Debug)]
 pub struct ModularAgent {
     /// Agent index within the system.
@@ -71,13 +69,11 @@ pub struct ModularAgent {
     /// allocated once per episode, rewritten in place every step the
     /// planning prompt is rendered.
     pub memory_buf: String,
-    /// The shared inference service this agent's engines are registered
-    /// with (per-tenant ledger for usage/resilience rollups).
-    service: InferenceService,
 }
 
 impl ModularAgent {
-    /// Assembles an agent for a workload.
+    /// Assembles an agent for a workload, registering its engines as
+    /// tenants of `service` in episode scope `scope`.
     ///
     /// Engines are seeded per agent and per module so episodes replay
     /// deterministically while modules do not share randomness.
@@ -88,6 +84,7 @@ impl ModularAgent {
         landmarks: Vec<String>,
         seed: u64,
         service: &InferenceService,
+        scope: usize,
     ) -> Self {
         let agent_seed = seed ^ ((id as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         // Each engine draws faults from its own stream (^ 0xfa0_) and
@@ -99,7 +96,6 @@ impl ModularAgent {
             agent_seed ^ 0xfa00,
             agent_seed ^ 0xb000,
         );
-        let owner = TenantOwner::Agent(id);
         // The planner additionally draws content corruptions from its own
         // semantic stream (^ 0x5e__) — a none() profile draws nothing.
         let planner_engine = service.register(
@@ -109,7 +105,7 @@ impl ModularAgent {
                     .with_semantic_faults(config.semantic_fault_profile, agent_seed ^ 0x5e01),
                 0x01,
             ),
-            owner,
+            scope,
         );
         let communication = config
             .communicator
@@ -118,7 +114,7 @@ impl ModularAgent {
             .map(|profile| {
                 CommunicationModule::new(service.register(
                     builder.wrap(LlmEngine::new(profile.clone(), agent_seed ^ 0x02), 0x02),
-                    owner,
+                    scope,
                 ))
             });
         let reflection = config
@@ -128,7 +124,7 @@ impl ModularAgent {
             .map(|profile| {
                 ReflectionModule::new(service.register(
                     builder.wrap(LlmEngine::new(profile.clone(), agent_seed ^ 0x03), 0x03),
-                    owner,
+                    scope,
                 ))
             });
         let execution = if config.toggles.execution {
@@ -171,7 +167,6 @@ impl ModularAgent {
             peer_last_heard: Vec::new(),
             suspected: HashSet::new(),
             memory_buf: String::new(),
-            service: service.clone(),
         }
     }
 
@@ -232,19 +227,6 @@ impl ModularAgent {
         delta.sort_unstable();
         delta
     }
-
-    /// Total LLM usage across this agent's engines, read from the shared
-    /// service's per-tenant ledger — registering a new engine enrolls it
-    /// automatically, so accounting cannot silently drop a module.
-    pub fn total_usage(&self) -> embodied_profiler::TokenStats {
-        self.service.usage_for(TenantOwner::Agent(self.id))
-    }
-
-    /// Total fault/retry accounting across this agent's engines, read
-    /// from the shared service's per-tenant ledger.
-    pub fn total_resilience(&self) -> embodied_profiler::ResilienceStats {
-        self.service.resilience_for(TenantOwner::Agent(self.id))
-    }
 }
 
 #[cfg(test)]
@@ -264,6 +246,7 @@ mod tests {
             vec!["room_0".into()],
             42,
             &InferenceService::default(),
+            0,
         )
     }
 
@@ -323,11 +306,5 @@ mod tests {
         assert_eq!(agent.knowledge_delta(&known).len(), 2);
         agent.last_broadcast = known.clone();
         assert!(agent.knowledge_delta(&known).is_empty());
-    }
-
-    #[test]
-    fn usage_covers_all_engines() {
-        let agent = agent_with(ModuleToggles::all_on());
-        assert_eq!(agent.total_usage().calls, 0);
     }
 }

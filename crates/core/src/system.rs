@@ -14,8 +14,7 @@ use crate::prompt::{renders_for, system_preamble, Body, Counted};
 use crate::recovery::RecoveryPolicy;
 use embodied_env::{Environment, ExecOutcome, Subgoal};
 use embodied_llm::{
-    EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmRequest, Purpose, TenantOwner,
-    WindowShare,
+    EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmRequest, Purpose, WindowShare,
 };
 use embodied_profiler::{
     EpisodeReport, LatencyBreakdown, MessageStats, ModuleKind, Outcome, Phase, PurposeLedger,
@@ -109,14 +108,14 @@ impl EmbodiedSystem {
         // The serving fault plane draws from its own salted stream derived
         // from the episode seed — independent of every engine stream.
         let service = InferenceService::with_seed(config.serving, seed);
-        Self::with_shared_service(workload, env, config, paradigm, seed, service, 0)
+        Self::with_service(workload, env, config, paradigm, seed, service, 0)
     }
 
     /// Assembles a system whose engines register as tenants of `service`
-    /// under episode scope `scope` — the fleet path, where N episodes
-    /// share one serving stack. The single-episode [`EmbodiedSystem::new`]
-    /// passes a private service and scope 0.
-    pub(crate) fn with_shared_service(
+    /// in episode scope `scope`: scope 0 of its own service for a solo
+    /// episode ([`EmbodiedSystem::new`]), one scope of a shared service per
+    /// fleet episode.
+    pub(crate) fn with_service(
         workload: impl Into<String>,
         env: Box<dyn Environment>,
         config: &AgentConfig,
@@ -127,8 +126,6 @@ impl EmbodiedSystem {
     ) -> Self {
         let workload = workload.into();
         let landmarks = env.landmarks();
-        // Tenants registered below must carry this episode's scope.
-        service.set_scope(scope);
         let agents: Vec<ModularAgent> = (0..env.num_agents())
             .map(|id| {
                 ModularAgent::new(
@@ -138,6 +135,7 @@ impl EmbodiedSystem {
                     landmarks.clone(),
                     seed,
                     &service,
+                    scope,
                 )
             })
             .collect();
@@ -161,7 +159,7 @@ impl EmbodiedSystem {
                                 ),
                             0x01,
                         ),
-                        TenantOwner::Central,
+                        scope,
                     ),
                 ),
                 communication: config
@@ -171,7 +169,7 @@ impl EmbodiedSystem {
                     .map(|p| {
                         CommunicationModule::new(service.register(
                             builder.wrap(LlmEngine::new(p.clone(), seed ^ 0xcc02), 0x02),
-                            TenantOwner::Central,
+                            scope,
                         ))
                     }),
                 memory: MemoryModule::new(
@@ -237,8 +235,15 @@ impl EmbodiedSystem {
         for (id, config) in configs.iter().enumerate().skip(1) {
             // The replaced agent's tenants stay registered but are never
             // driven again: their ledgers hold zero and stay zero.
-            system.agents[id] =
-                ModularAgent::new(id, &name, config.clone(), landmarks.clone(), seed, &service);
+            system.agents[id] = ModularAgent::new(
+                id,
+                &name,
+                config.clone(),
+                landmarks.clone(),
+                seed,
+                &service,
+                system.scope,
+            );
         }
         system
     }

@@ -103,11 +103,11 @@ impl WorkloadSpec {
         self.env.build(difficulty, agents, seed)
     }
 
-    /// Assembles a ready-to-run system for this workload. A non-`none()`
-    /// embodied fault profile wraps the environment in
-    /// [`embodied_env::FaultyEnv`]; the default leaves the bare environment
-    /// unwrapped, so fault-free runs are byte-identical to the
-    /// pre-fault-plane system.
+    /// Assembles a ready-to-run system for this workload on its own
+    /// serving service. A non-`none()` embodied fault profile wraps the
+    /// environment in [`embodied_env::FaultyEnv`]; the default leaves the
+    /// bare environment unwrapped, so fault-free runs are byte-identical to
+    /// the pre-fault-plane system.
     pub fn build_system(
         &self,
         config: &AgentConfig,
@@ -115,22 +115,14 @@ impl WorkloadSpec {
         num_agents: usize,
         seed: u64,
     ) -> EmbodiedSystem {
-        let mut env = self.build_env(difficulty, num_agents, seed);
-        if !config.env_fault_profile.is_none() {
-            env = Box::new(embodied_env::FaultyEnv::new(
-                env,
-                config.env_fault_profile,
-                seed,
-            ));
-        }
-        EmbodiedSystem::new(self.name, env, config, self.paradigm, seed)
+        let service = InferenceService::with_seed(config.serving, seed);
+        self.build_system_on(config, difficulty, num_agents, seed, &service, 0)
     }
 
-    /// [`Self::build_system`], but registering the episode's engines as
-    /// tenants of an existing shared service under fleet scope `scope` —
-    /// the fleet-runner path, where N concurrent episodes contend for one
-    /// serving stack on a single virtual clock.
-    pub(crate) fn build_system_in_fleet(
+    /// [`Self::build_system`] with the episode's engines registered into
+    /// scope `scope` of `service`: its own service for a solo episode, the
+    /// fleet's shared one for fleet episode `scope`.
+    pub(crate) fn build_system_on(
         &self,
         config: &AgentConfig,
         difficulty: TaskDifficulty,
@@ -147,7 +139,7 @@ impl WorkloadSpec {
                 seed,
             ));
         }
-        EmbodiedSystem::with_shared_service(
+        EmbodiedSystem::with_service(
             self.name,
             env,
             config,

@@ -63,7 +63,7 @@ pub use resilience::{InferenceEndpoint, ResilientEngine, RetryPolicy};
 pub use scheduler::ServingConfig;
 pub use semantic::{SemanticFaultInjector, SemanticFaultKind, SemanticFaultProfile, SemanticFlaw};
 pub use service::{
-    EngineBuilder, EngineHandle, InferenceService, ServeOutcome, TenantId, TenantOwner, WindowShare,
+    EngineBuilder, EngineHandle, InferenceService, ServeOutcome, TenantId, WindowShare,
 };
 pub use serving_faults::{ServingFaultInjector, ServingFaultProfile};
 pub use sim::{EventQueue, FleetConfig, FleetSummary, ScheduledEvent, SimEvent};

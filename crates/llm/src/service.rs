@@ -10,15 +10,26 @@
 //! the old module-owned layout in every serving mode — scheduling only
 //! re-attributes *time*, never *randomness*.
 //!
-//! Every tenant belongs to an episode *scope*, and every serving counter
-//! ledgers into its scope. A solo episode is scope 0 of a service whose
-//! backends free every slot at each step barrier
+//! Every tenant is registered into an episode *scope*, and every serving
+//! counter ledgers into its tenant's scope. A solo episode is scope 0 of a
+//! private service whose backends free every slot at each step barrier
 //! ([`InferenceService::begin_step`]); fleet mode
 //! ([`InferenceService::enable_fleet`]) hosts one scope per episode on a
 //! global virtual clock where nothing resets. Both run the same placement
-//! pipeline and the same window close, and differ only in the origin their
-//! slot waits are measured from: the step barrier, or the request's own
-//! arrival.
+//! pipeline and the same batch bill, but they are two serving models, and
+//! they differ in three places:
+//!
+//! - a slot wait is measured from the step barrier (solo) or from the
+//!   request's own arrival (fleet), so a lone solo agent's dependent call
+//!   can queue behind its own finished call;
+//! - a solo batch window closes inside its step, a fleet window at a later
+//!   `BatchWindowClose` event that other episodes' calls may join;
+//! - shedding reads this step's placements on the backend (solo) or the
+//!   fleet's in-flight gauge.
+//!
+//! So a one-episode fleet reproduces a solo episode only where none of the
+//! three binds (pass-through serving, or spare replicas without serving
+//! faults).
 
 use crate::clock::VirtualClock;
 use crate::engine::{LlmEngine, LlmError};
@@ -84,15 +95,6 @@ impl EngineBuilder {
 /// Index of one registered tenant of an [`InferenceService`].
 pub type TenantId = usize;
 
-/// Who a tenant's accounting rolls up to in the per-owner ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TenantOwner {
-    /// A per-agent module engine (agent index).
-    Agent(usize),
-    /// A central-planner engine (centralized/hybrid paradigms).
-    Central,
-}
-
 /// Per-member outcome of a closed batch window, in submission order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WindowShare {
@@ -107,11 +109,9 @@ pub struct WindowShare {
 
 struct Tenant {
     engine: ResilientEngine,
-    owner: TenantOwner,
     backend: usize,
-    /// Episode scope the tenant belongs to (0 for a solo episode). Owner
-    /// ids restart at 0 in every episode, so per-owner queries also match
-    /// on scope when episodes share one service.
+    /// Episode scope the tenant was registered into (0 for a solo
+    /// episode): its requests run on that scope's timeline and ledger there.
     scope: usize,
 }
 
@@ -255,8 +255,6 @@ struct ServiceInner {
     backends: Vec<Backend>,
     /// One ledger per episode scope; a solo episode is scope 0.
     scopes: Vec<ScopeLedger>,
-    /// Scope whose tenants are currently registering or executing.
-    scope: usize,
     /// The current step barrier of a solo episode: the origin its slot
     /// waits are measured from.
     barrier: SimInstant,
@@ -282,12 +280,11 @@ impl ServiceInner {
         self.backends.len() - 1
     }
 
-    /// The current scope's episode-local instant `now` on the service
-    /// timeline: offset by the scope's base in a fleet, unchanged for a
-    /// solo episode.
-    fn globalize(&self, now: SimInstant) -> SimInstant {
+    /// `scope`'s episode-local instant `now` on the service timeline:
+    /// offset by the scope's base in a fleet, unchanged for a solo episode.
+    fn globalize(&self, scope: usize, now: SimInstant) -> SimInstant {
         match &self.fleet {
-            Some(fleet) => fleet.bases[self.scope] + now.duration_since(SimInstant::EPOCH),
+            Some(fleet) => fleet.bases[scope] + now.duration_since(SimInstant::EPOCH),
             None => now,
         }
     }
@@ -305,32 +302,12 @@ impl ServiceInner {
         }
     }
 
-    /// Merged token usage of `scope`'s tenants, narrowed to `owner` when
-    /// given.
-    fn usage(&self, scope: usize, owner: Option<TenantOwner>) -> TokenStats {
-        let mut total = TokenStats::default();
-        for t in self
-            .tenants
+    /// The engine stacks registered into `scope`.
+    fn engines(&self, scope: usize) -> impl Iterator<Item = &ResilientEngine> {
+        self.tenants
             .iter()
-            .filter(|t| t.scope == scope && owner.is_none_or(|o| t.owner == o))
-        {
-            total.merge(&t.engine.usage());
-        }
-        total
-    }
-
-    /// Merged resilience counters of `scope`'s tenants, narrowed to
-    /// `owner` when given.
-    fn resilience(&self, scope: usize, owner: Option<TenantOwner>) -> ResilienceStats {
-        let mut total = ResilienceStats::default();
-        for t in self
-            .tenants
-            .iter()
-            .filter(|t| t.scope == scope && owner.is_none_or(|o| t.owner == o))
-        {
-            total.merge(&t.engine.stats());
-        }
-        total
+            .filter(move |t| t.scope == scope)
+            .map(|t| &t.engine)
     }
 }
 
@@ -378,7 +355,6 @@ impl InferenceService {
                 tenants: Vec::new(),
                 backends: Vec::new(),
                 scopes: vec![ScopeLedger::default()],
-                scope: 0,
                 barrier: SimInstant::EPOCH,
                 injector: ServingFaultInjector::new(config.faults, seed),
                 window: None,
@@ -392,7 +368,7 @@ impl InferenceService {
     /// request's own arrival on one global virtual clock (nothing resets
     /// at step barriers), completions become `DecodeFinish` events, and
     /// every counter ledgers per scope. Must be called before any tenant
-    /// registers (tenants are stamped with their scope at registration).
+    /// registers (registration checks each tenant's scope against it).
     ///
     /// # Panics
     ///
@@ -413,15 +389,6 @@ impl InferenceService {
     /// Whether this service multiplexes episode scopes on one timeline.
     pub fn fleet_enabled(&self) -> bool {
         self.inner.borrow().fleet.is_some()
-    }
-
-    /// Sets the episode scope whose tenants are about to register or
-    /// execute — the fleet runner calls this before building or stepping
-    /// an episode. A solo episode stays in scope 0.
-    pub fn set_scope(&self, scope: usize) {
-        let mut inner = self.inner.borrow_mut();
-        assert!(scope < inner.scopes.len(), "scope out of range");
-        inner.scope = scope;
     }
 
     /// Anchors `scope`'s episode-local time zero at global instant `base`
@@ -470,18 +437,22 @@ impl InferenceService {
         self.inner.borrow().config
     }
 
-    /// Registers a fully wrapped engine stack as a new tenant of the
-    /// current scope, returning the handle its module will hold. Tenants
-    /// sharing a model profile share one scheduling backend.
-    pub fn register(&self, engine: ResilientEngine, owner: TenantOwner) -> EngineHandle {
+    /// Registers a fully wrapped engine stack as a new tenant of episode
+    /// scope `scope` (0 for a solo episode), returning the handle its
+    /// module will hold. Tenants sharing a model profile share one
+    /// scheduling backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scope` is not one of the service's scopes.
+    pub fn register(&self, engine: ResilientEngine, scope: usize) -> EngineHandle {
         let profile = engine.profile().clone();
         let reads_prompt_text = engine.engine().kv_reuse();
         let mut inner = self.inner.borrow_mut();
+        assert!(scope < inner.scopes.len(), "scope out of range");
         let backend = inner.backend_for(&profile);
-        let scope = inner.scope;
         inner.tenants.push(Tenant {
             engine,
-            owner,
             backend,
             scope,
         });
@@ -521,7 +492,7 @@ impl InferenceService {
 
     /// Schedules one independent (cohort) request, reserving a server
     /// slot for its `response.latency` of simulated inference on the
-    /// tenant's replica fleet at the scope's local instant `now`. Draws
+    /// tenant's replica fleet at its scope's local instant `now`. Draws
     /// serving faults, hedges when configured, measures the SLO, and
     /// returns what the tier charged.
     pub fn submit_cohort(
@@ -533,7 +504,7 @@ impl InferenceService {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         let (backend, scope) = (inner.tenants[tenant].backend, inner.tenants[tenant].scope);
-        let at = inner.globalize(now);
+        let at = inner.globalize(scope, now);
         let origin = inner.origin(at);
         let b = &mut inner.backends[backend];
         b.depth += 1;
@@ -575,14 +546,14 @@ impl InferenceService {
 
     /// Bills one *dependent* follow-up request (action selection,
     /// verification, reflection, guardrail re-prompt) the delay until a
-    /// slot frees at the scope's local instant `now`, without reserving
+    /// slot frees at its scope's local instant `now`, without reserving
     /// one — its own service time is already accounted sequentially by
     /// the caller. Draws no faults.
     pub fn queue_solo(&self, tenant: TenantId, now: SimInstant) -> SimDuration {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         let (backend, scope) = (inner.tenants[tenant].backend, inner.tenants[tenant].scope);
-        let at = inner.globalize(now);
+        let at = inner.globalize(scope, now);
         let origin = inner.origin(at);
         let b = &mut inner.backends[backend];
         b.depth += 1;
@@ -756,28 +727,21 @@ impl InferenceService {
     /// ledger replacing per-module hand-walks.
     pub fn total_usage(&self, scope: usize) -> TokenStats {
         let inner = self.inner.borrow();
-        let mut total = inner.usage(scope, None);
+        let mut total = TokenStats::default();
+        for engine in inner.engines(scope) {
+            total.merge(&engine.usage());
+        }
         total.merge(&inner.scopes[scope].hedge_usage);
         total
     }
 
     /// Merged resilience counters of one episode scope's tenants.
     pub fn total_resilience(&self, scope: usize) -> ResilienceStats {
-        self.inner.borrow().resilience(scope, None)
-    }
-
-    /// Merged token usage of the current scope's tenants registered to
-    /// `owner` (owner ids repeat across a fleet's episodes).
-    pub fn usage_for(&self, owner: TenantOwner) -> TokenStats {
-        let inner = self.inner.borrow();
-        inner.usage(inner.scope, Some(owner))
-    }
-
-    /// Merged resilience counters of the current scope's tenants
-    /// registered to `owner`, like [`InferenceService::usage_for`].
-    pub fn resilience_for(&self, owner: TenantOwner) -> ResilienceStats {
-        let inner = self.inner.borrow();
-        inner.resilience(inner.scope, Some(owner))
+        let mut total = ResilienceStats::default();
+        for engine in self.inner.borrow().engines(scope) {
+            total.merge(&engine.stats());
+        }
+        total
     }
 
     /// Token usage of one tenant.
@@ -964,7 +928,7 @@ impl From<ResilientEngine> for EngineHandle {
     /// pass-through service — the compatibility path for module-level
     /// tests and ad-hoc callers that never touch an orchestrator.
     fn from(engine: ResilientEngine) -> Self {
-        InferenceService::default().register(engine, TenantOwner::Agent(0))
+        InferenceService::default().register(engine, 0)
     }
 }
 
@@ -982,7 +946,7 @@ mod tests {
     use crate::request::Purpose;
     use crate::tokenizer::Tokenizer;
 
-    fn handle(service: &InferenceService, seed: u64, owner: TenantOwner) -> EngineHandle {
+    fn handle(service: &InferenceService, seed: u64, scope: usize) -> EngineHandle {
         let builder = EngineBuilder::new(
             FaultProfile::none(),
             RetryPolicy::standard(),
@@ -991,7 +955,7 @@ mod tests {
         );
         service.register(
             builder.wrap(LlmEngine::new(ModelProfile::gpt4_api(), seed), 0x01),
-            owner,
+            scope,
         )
     }
 
@@ -1064,7 +1028,7 @@ mod tests {
             ServingConfig::limited(1),
         ] {
             let service = InferenceService::new(config);
-            let mut h = handle(&service, 7, TenantOwner::Agent(0));
+            let mut h = handle(&service, 7, 0);
             let via_handle: Vec<_> = (0..6)
                 .map(|i| h.infer(req(&format!("plan step {i}"))).unwrap())
                 .collect();
@@ -1073,18 +1037,15 @@ mod tests {
     }
 
     #[test]
-    fn per_owner_ledger_partitions_usage() {
+    fn scope_usage_sums_its_tenants() {
         let service = InferenceService::default();
-        let mut a = handle(&service, 1, TenantOwner::Agent(0));
-        let mut b = handle(&service, 2, TenantOwner::Agent(1));
-        let mut c = handle(&service, 3, TenantOwner::Central);
+        let mut a = handle(&service, 1, 0);
+        let mut b = handle(&service, 2, 0);
+        let mut c = handle(&service, 3, 0);
         a.infer(req("agent zero plans")).unwrap();
         a.infer(req("agent zero plans again")).unwrap();
         b.infer(req("agent one plans")).unwrap();
         c.infer(req("the center plans")).unwrap();
-        assert_eq!(service.usage_for(TenantOwner::Agent(0)).calls, 2);
-        assert_eq!(service.usage_for(TenantOwner::Agent(1)).calls, 1);
-        assert_eq!(service.usage_for(TenantOwner::Central).calls, 1);
         assert_eq!(service.total_usage(0).calls, 4);
         assert_eq!(a.usage().calls, 2);
         assert!(service.total_resilience(0) == Default::default());
@@ -1094,8 +1055,8 @@ mod tests {
     #[test]
     fn same_profile_tenants_share_a_backend_queue() {
         let service = InferenceService::new(ServingConfig::limited(1));
-        let a = handle(&service, 1, TenantOwner::Agent(0));
-        let b = handle(&service, 2, TenantOwner::Agent(1));
+        let a = handle(&service, 1, 0);
+        let b = handle(&service, 2, 0);
         let work = SimDuration::from_secs(10);
         assert_eq!(
             service.submit_cohort(a.tenant(), T0, &resp(work)).queue,
@@ -1127,9 +1088,7 @@ mod tests {
         let service = InferenceService::new(ServingConfig::batched());
         let preamble = "You are an embodied agent in a simulated household. \
                         Coordinate with your teammates to finish the task.";
-        let mut handles: Vec<_> = (0..3)
-            .map(|i| handle(&service, i as u64 + 10, TenantOwner::Agent(i)))
-            .collect();
+        let mut handles: Vec<_> = (0..3).map(|i| handle(&service, i as u64 + 10, 0)).collect();
         let prefix_tokens = Tokenizer::default().count(preamble);
         service.open_window(InferenceOpts::default(), prefix_tokens);
         assert!(service.window_is_open());
@@ -1172,9 +1131,7 @@ mod tests {
         // is keyed on tenant id, not co-arrival order.
         let run = |order: &[usize]| {
             let service = InferenceService::new(ServingConfig::batched());
-            let mut handles: Vec<_> = (0..4)
-                .map(|i| handle(&service, 50 + i as u64, TenantOwner::Agent(i)))
-                .collect();
+            let mut handles: Vec<_> = (0..4).map(|i| handle(&service, 50 + i as u64, 0)).collect();
             service.open_window(InferenceOpts::default(), 3);
             let mut per_tenant = vec![SimDuration::ZERO; 4];
             let mut responses = Vec::new();
@@ -1201,8 +1158,8 @@ mod tests {
             concurrency: 1,
             ..Default::default()
         });
-        let mut a = handle(&service, 5, TenantOwner::Agent(0));
-        let mut b = handle(&service, 6, TenantOwner::Agent(1));
+        let mut a = handle(&service, 5, 0);
+        let mut b = handle(&service, 6, 0);
         // Prior cohort work occupies the only slot.
         let prior = SimDuration::from_secs(30);
         service.submit_cohort(a.tenant(), T0, &resp(prior));
@@ -1247,7 +1204,7 @@ mod tests {
         let builder = EngineBuilder::new(profile, policy, 1 ^ 0xfa00, 1 ^ 0xb000);
         let mut h = service.register(
             builder.wrap(LlmEngine::new(ModelProfile::gpt4_api(), 1), 0x01),
-            TenantOwner::Agent(0),
+            0,
         );
         assert!(!h.breaker_open());
         for _ in 0..3 {
@@ -1268,7 +1225,7 @@ mod tests {
     #[test]
     fn admission_control_sheds_low_priority_first() {
         let service = InferenceService::new(ServingConfig::limited(1).with_shedding(1));
-        let mut h = handle(&service, 4, TenantOwner::Agent(0));
+        let mut h = handle(&service, 4, 0);
         // Depth 0: everything is admitted, no engine call is shed.
         assert!(h
             .infer(LlmRequest::new(Purpose::Reflection, "reflect early", 80))
@@ -1304,7 +1261,7 @@ mod tests {
         let service = InferenceService::new(
             ServingConfig::disabled().with_deadline(SimDuration::from_millis(1)),
         );
-        let mut h = handle(&service, 8, TenantOwner::Agent(0));
+        let mut h = handle(&service, 8, 0);
         let err = h.infer(req("too slow to matter")).unwrap_err();
         assert_eq!(err, LlmError::DeadlineExceeded);
         assert_eq!(h.stats().retries, 0, "a missed deadline is not retried");
@@ -1323,7 +1280,7 @@ mod tests {
                 .with_replicas(2)
                 .with_hedging(SimDuration::from_secs(2)),
         );
-        let h = handle(&service, 9, TenantOwner::Agent(0));
+        let h = handle(&service, 9, 0);
         let work = SimDuration::from_secs(10);
         // Two placements fill both replicas; the third hedges (primary
         // backlog 10 s > 2 s trigger) and the duplicate loses the race
@@ -1353,23 +1310,19 @@ mod tests {
         let service = InferenceService::new(ServingConfig::limited(1));
         service.enable_fleet(2);
         assert!(service.fleet_enabled());
-        let a = handle(&service, 1, TenantOwner::Agent(0));
-        service.set_scope(1);
-        let b = handle(&service, 2, TenantOwner::Agent(0));
+        let a = handle(&service, 1, 0);
+        let b = handle(&service, 2, 1);
         service.set_scope_base(0, T0);
         service.set_scope_base(1, T0 + SimDuration::from_secs(2));
         let work = SimDuration::from_secs(10);
-        service.set_scope(0);
         let out = service.submit_cohort(a.tenant(), T0, &resp(work));
         assert_eq!(out.queue, SimDuration::ZERO);
         // Scope 1 submits at its local T0 = global 2 s: 8 s of scope 0's
         // work is still in flight.
-        service.set_scope(1);
         let out = service.submit_cohort(b.tenant(), T0, &resp(work));
         assert_eq!(out.queue, SimDuration::from_secs(8));
         // begin_step is a no-op in fleet mode: nothing resets.
         service.begin_step(T0);
-        service.set_scope(0);
         assert!(service.queue_solo(a.tenant(), T0) > SimDuration::ZERO);
         // Per-scope ledgers saw one cohort each; scope 1's cohort queued,
         // and scope 0's solo follow-up above queued too.
@@ -1393,21 +1346,16 @@ mod tests {
         // cross-episode batch and attributes shares per scope.
         let service = InferenceService::new(ServingConfig::batched());
         service.enable_fleet(2);
-        let mut a = handle(&service, 5, TenantOwner::Agent(0));
-        service.set_scope(1);
-        let mut b = handle(&service, 6, TenantOwner::Agent(0));
+        let mut a = handle(&service, 5, 0);
+        let mut b = handle(&service, 6, 1);
         service.set_scope_base(0, T0);
         service.set_scope_base(1, T0);
-        service.set_scope(0);
         service.open_window(InferenceOpts::default(), 2);
         // A second open from another scope joins instead of panicking.
-        service.set_scope(1);
         service.open_window(InferenceOpts::default(), 2);
         assert!(service.window_is_open());
-        service.set_scope(0);
         let ra = a.infer(req("scope zero plans")).unwrap();
         service.window_add(a.tenant(), &ra);
-        service.set_scope(1);
         let rb = b.infer(req("scope one plans")).unwrap();
         service.window_add(b.tenant(), &rb);
         let shares = service.close_window(T0 + SimDuration::from_secs(1));
@@ -1423,11 +1371,9 @@ mod tests {
         assert_eq!(service.stats(0).batched_requests, 1);
         assert_eq!(service.stats(1).batched_requests, 1);
         assert_eq!(service.stats(1).prefix_hits, 1, "joiner reuses prefix");
-        // Scoped usage separates the two agents sharing owner id 0.
+        // Scoped usage separates the two episodes' tenants.
         assert_eq!(service.total_usage(0).calls, 1);
         assert_eq!(service.total_usage(1).calls, 1);
-        service.set_scope(0);
-        assert_eq!(service.usage_for(TenantOwner::Agent(0)).calls, 1);
     }
 
     #[test]
@@ -1458,7 +1404,7 @@ mod tests {
         // byte-for-byte: the none() profile draws zero RNG, so the seed
         // cannot leak into scheduling.
         let drive = |service: &InferenceService| {
-            let h = handle(service, 21, TenantOwner::Agent(0));
+            let h = handle(service, 21, 0);
             let mut log = Vec::new();
             for i in 0..5 {
                 let work = SimDuration::from_secs(3 + i);

@@ -53,11 +53,11 @@ impl Tokenizer {
     }
 
     /// Number of tokens in `text`, in one pass over its bytes: whitespace
-    /// ends a word, each run of alphabetic chars costs
-    /// [`Tokenizer::alpha_tokens`], and every other char (digit,
-    /// punctuation, symbol, mark) is one token of its own, so "kitchen,"
-    /// is "kitchen" + ",". ASCII bytes are classed by table; only bytes
-    /// ≥ 0x80 decode a `char`.
+    /// ends a word, a run of alphabetic chars up to the whole-word length
+    /// is one token and a longer run one per subword-length chunk; every
+    /// other char (digit, punctuation, symbol, mark) is one token of its
+    /// own, so "kitchen," is "kitchen" + ",". ASCII bytes are classed by
+    /// table; only bytes ≥ 0x80 decode a `char`.
     ///
     /// No word straddles a whitespace char, so counting is additive across
     /// one: `count(a + " " + b) == count(a) + count(b)`. Prompt assembly

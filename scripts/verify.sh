@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification gate: build, tests, formatting, lints.
+# Full verification gate: build, tests, formatting, lints, rustdoc.
 # Run before every commit; CI runs the same sequence.
 #
 # Optional flags:
@@ -65,5 +65,9 @@ cargo fmt --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Broken or ambiguous intra-doc links (e.g. to a deleted item) fail here.
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
 echo "verify: all gates passed"

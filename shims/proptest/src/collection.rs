@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRunner;
 use rand::Rng;
 
-/// Sizes accepted by [`vec`]: an exact length or a half-open range.
+/// Sizes accepted by [`vec()`]: an exact length or a half-open range.
 pub trait IntoSizeRange {
     /// Inclusive lower and exclusive upper length bound.
     fn bounds(self) -> (usize, usize);
@@ -40,7 +40,7 @@ pub fn vec<S: Strategy>(element: S, size: impl IntoSizeRange) -> VecStrategy<S> 
     }
 }
 
-/// Output of [`vec`].
+/// Output of [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,
