@@ -3,7 +3,7 @@
 //! episode, and an 8-agent decentralized episode with the serving layer on.
 //!
 //! These are the paths the data-oriented rework targets; `scripts/verify.sh
-//! --bench` replays them in quick mode against a checked-in baseline.
+//! --bench` replays them in quick mode, as a smoke run with no baseline.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use embodied_agents::modules::{MemoryModule, RecordKind};

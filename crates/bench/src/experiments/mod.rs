@@ -267,6 +267,9 @@ impl Invocation {
                 .filter(|e| names.iter().any(|n| n == e.name))
                 .collect();
         }
+        if inv.check && inv.write_fixtures {
+            return Err("--check writes nothing, so it cannot take --write-fixtures".into());
+        }
         let lone_evolve = matches!(inv.selected[..], [e] if e.name == "scenario_evolve");
         if (inv.write_fixtures || inv.env_plane) && !lone_evolve {
             return Err("--write-fixtures and --env-plane need scenario_evolve alone".into());
@@ -448,6 +451,10 @@ mod tests {
             ("all --jobs 0", "positive integer"),
             ("all --jobs four", "positive integer"),
             ("all fig2_latency", "name no others"),
+            (
+                "--check --write-fixtures scenario_evolve",
+                "cannot take --write-fixtures",
+            ),
         ] {
             let err = parse_err(args);
             assert!(err.contains(reason), "{args:?}: {err}");

@@ -24,19 +24,13 @@
 //!
 //! Same seed ⇒ byte-identical report and fixtures at any worker count.
 
-use crate::{evolve, Ctx, EvolveParams, Markdown, ScenarioGenotype, SweepPlan};
+use crate::fixture::{replay, Envelope, Fixture};
+use crate::{evolve, Ctx, EvolveParams, Markdown, SweepPlan};
 use embodied_agents::{workloads, Paradigm, RunOverrides};
 use embodied_env::TaskDifficulty;
 use embodied_llm::{FaultProfile, RetryPolicy};
-use embodied_profiler::{pct, Aggregate, JsonValue, Table, ToJson};
+use embodied_profiler::{pct, Table};
 use std::path::Path;
-
-const PARADIGMS: [Paradigm; 4] = [
-    Paradigm::SingleModular,
-    Paradigm::Centralized,
-    Paradigm::Decentralized,
-    Paradigm::Hybrid,
-];
 
 /// Canonical fixed-grid workload per paradigm (matches `fault_sweep`,
 /// plus HMAS for the hybrid paradigm which the fixed grid omits).
@@ -56,70 +50,6 @@ const GRID_RATES: [f64; 4] = [0.02, 0.05, 0.10, 0.20];
 const POPULATION: usize = 12;
 /// Generations of the search.
 const GENERATIONS: usize = 6;
-
-/// Runs one genotype for `episodes` episodes and aggregates — the exact
-/// evaluation the fixture replay test repeats.
-fn replay(genotype: &ScenarioGenotype, ctx: &Ctx) -> Aggregate {
-    let spec = workloads::find(&genotype.system).expect("fixture system in registry");
-    let mut plan = SweepPlan::new();
-    plan.add(&spec, &genotype.overrides(), ctx.episodes, ctx.seed);
-    let mut results = plan.run_with(ctx.jobs);
-    results
-        .take_result()
-        .map(|reports| Aggregate::from_reports("fixture", &reports))
-        .unwrap_or_else(|msg| panic!("fixture replay panicked: {msg}"))
-}
-
-/// Pins one scenario as a JSON fixture: genotype + outcome envelope.
-fn write_fixture(dir: &Path, paradigm: Paradigm, rank: usize, g: &ScenarioGenotype, ctx: &Ctx) {
-    let agg = replay(g, ctx);
-    let envelope = JsonValue::Object(vec![
-        ("success_rate".into(), JsonValue::Num(agg.success_rate)),
-        (
-            "gave_up".into(),
-            JsonValue::Num(agg.resilience.gave_up as f64),
-        ),
-        (
-            "shed".into(),
-            JsonValue::Num(agg.serving_faults.shed as f64),
-        ),
-        (
-            "serving_failovers".into(),
-            JsonValue::Num(agg.serving_faults.failovers as f64),
-        ),
-        (
-            "agent_crashes".into(),
-            JsonValue::Num(agg.agent_faults.crashes as f64),
-        ),
-        (
-            "repair_attempts".into(),
-            JsonValue::Num(agg.repairs.repair_attempts as f64),
-        ),
-        ("mean_steps".into(), JsonValue::Num(agg.mean_steps)),
-        ("cost_usd".into(), JsonValue::Num(agg.tokens.cost_usd)),
-    ]);
-    let fixture = JsonValue::Object(vec![
-        (
-            "format".into(),
-            JsonValue::Str("scenario-fixture-v1".into()),
-        ),
-        ("paradigm".into(), JsonValue::Str(paradigm.to_string())),
-        ("rank".into(), JsonValue::Num(rank as f64)),
-        (
-            "eval".into(),
-            JsonValue::Object(vec![
-                ("episodes".into(), JsonValue::Num(ctx.episodes as f64)),
-                ("base_seed".into(), JsonValue::Num(ctx.seed as f64)),
-            ]),
-        ),
-        ("genotype".into(), g.to_json()),
-        ("envelope".into(), envelope),
-    ]);
-    std::fs::create_dir_all(dir).expect("create fixtures dir");
-    let path = dir.join(format!("{paradigm}-{rank}.json"));
-    std::fs::write(&path, fixture.render_pretty()).expect("write fixture");
-    eprintln!("pinned {}", path.display());
-}
 
 pub(super) fn run(ctx: &Ctx) -> String {
     let mut out = Markdown::default();
@@ -143,7 +73,7 @@ pub(super) fn run(ctx: &Ctx) -> String {
     let fixtures_dir = Path::new("crates/bench/fixtures/scenarios");
     let mut frontier_verdicts = Vec::new();
 
-    for paradigm in PARADIGMS {
+    for paradigm in Paradigm::ALL {
         let params = EvolveParams {
             paradigm,
             population: POPULATION,
@@ -266,7 +196,17 @@ pub(super) fn run(ctx: &Ctx) -> String {
 
         if ctx.write_fixtures {
             for (rank, s) in outcome.ranked.iter().take(2).enumerate() {
-                write_fixture(fixtures_dir, paradigm, rank + 1, &s.genotype, ctx);
+                let agg = replay(&s.genotype, ctx.episodes, ctx.seed, ctx.jobs);
+                let fixture = Fixture {
+                    paradigm,
+                    rank: rank + 1,
+                    episodes: ctx.episodes,
+                    base_seed: ctx.seed,
+                    genotype: s.genotype.clone(),
+                    envelope: Envelope::of(&agg),
+                };
+                let path = fixture.write(fixtures_dir).expect("write fixture");
+                eprintln!("pinned {}", path.display());
             }
         }
     }
@@ -291,7 +231,7 @@ pub(super) fn run(ctx: &Ctx) -> String {
     out.line(format!(
         "Frontier summary: {beyond}/{} paradigms have an evolved scenario \
          strictly harder (per unit budget) than every fixed-grid cell.",
-        PARADIGMS.len()
+        Paradigm::ALL.len()
     ));
     out.finish()
 }

@@ -29,7 +29,7 @@ use embodied_env::{EnvFaultProfile, TaskDifficulty};
 use embodied_llm::{
     FaultProfile, RetryPolicy, SemanticFaultProfile, ServingConfig, ServingFaultProfile,
 };
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
+use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt;
@@ -55,6 +55,10 @@ const MAX_SERVING: f64 = 0.15;
 const MAX_ENV: f64 = 0.10;
 /// Largest multi-agent team the search may request.
 const MAX_TEAM: usize = 4;
+
+/// Short names of the fault planes in [`ScenarioGenotype::summary`]: LLM
+/// transport, agent, channel, semantic, serving and embodied.
+const PLANES: [&str; 6] = ["llm", "agent", "chan", "sem", "srv", "env"];
 
 /// Quantizes a rate to 3 decimals so genotype JSON is byte-stable and the
 /// fault budget is exact decimal arithmetic.
@@ -108,26 +112,6 @@ impl fmt::Display for RetryPreset {
             RetryPreset::Standard => "standard",
             RetryPreset::Aggressive => "aggressive",
         })
-    }
-}
-
-impl ToJson for RetryPreset {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
-    }
-}
-
-impl FromJson for RetryPreset {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| JsonError::msg("retry preset: expected a string"))?
-        {
-            "none" => Ok(RetryPreset::None),
-            "standard" => Ok(RetryPreset::Standard),
-            "aggressive" => Ok(RetryPreset::Aggressive),
-            other => Err(JsonError::msg(format!("unknown retry preset: {other:?}"))),
-        }
     }
 }
 
@@ -186,27 +170,6 @@ impl fmt::Display for ServingPreset {
             ServingPreset::TightSlo => "tight-slo",
             ServingPreset::Guarded => "guarded",
         })
-    }
-}
-
-impl ToJson for ServingPreset {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
-    }
-}
-
-impl FromJson for ServingPreset {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| JsonError::msg("serving preset: expected a string"))?
-        {
-            "passthrough" => Ok(ServingPreset::Passthrough),
-            "replicated" => Ok(ServingPreset::Replicated),
-            "tight-slo" => Ok(ServingPreset::TightSlo),
-            "guarded" => Ok(ServingPreset::Guarded),
-            other => Err(JsonError::msg(format!("unknown serving preset: {other:?}"))),
-        }
     }
 }
 
@@ -305,22 +268,28 @@ impl ScenarioGenotype {
             .paradigm
     }
 
-    /// Total injected-fault probability mass across all four planes — the
+    /// Injected-fault probability mass per plane, in [`PLANES`] order.
+    fn plane_masses(&self) -> [f64; 6] {
+        [
+            self.llm.error_rate() + self.llm.latency_spike,
+            self.agent.crash + self.agent.stall + self.agent.coordinator_crash,
+            self.channel.drop
+                + self.channel.duplicate
+                + self.channel.corrupt
+                + self.channel.delay
+                + self.channel.partition,
+            self.semantic.error_rate(),
+            self.serving_faults.crash_rate + self.serving_faults.brownout_rate,
+            self.env.perception_mass() + self.env.actuation_mass(),
+        ]
+    }
+
+    /// Total injected-fault probability mass across all planes — the
     /// denominator of the damage-per-budget fitness. Zero budget means
     /// every plane's `is_none()` fast path is taken and episodes perform
     /// zero fault-stream draws.
     pub fn fault_budget(&self) -> f64 {
-        let llm = self.llm.error_rate() + self.llm.latency_spike;
-        let agent = self.agent.crash + self.agent.stall + self.agent.coordinator_crash;
-        let channel = self.channel.drop
-            + self.channel.duplicate
-            + self.channel.corrupt
-            + self.channel.delay
-            + self.channel.partition;
-        let semantic = self.semantic.error_rate();
-        let serving = self.serving_faults.crash_rate + self.serving_faults.brownout_rate;
-        let env = self.env.perception_mass() + self.env.actuation_mass();
-        llm + agent + channel + semantic + serving + env
+        self.plane_masses().iter().sum()
     }
 
     /// The phenotype: plain run overrides replaying this scenario through
@@ -552,33 +521,15 @@ impl ScenarioGenotype {
     /// their probability mass.
     pub fn summary(&self) -> String {
         let mut parts = Vec::new();
-        let llm = self.llm.error_rate() + self.llm.latency_spike;
-        if llm > 0.0 {
-            parts.push(format!("llm {llm:.3}"));
-        }
-        let agent = self.agent.crash + self.agent.stall + self.agent.coordinator_crash;
-        if agent > 0.0 {
-            let failover = if self.agent.failover { "+fo" } else { "-fo" };
-            parts.push(format!("agent {agent:.3}{failover}"));
-        }
-        let channel = self.channel.drop
-            + self.channel.duplicate
-            + self.channel.corrupt
-            + self.channel.delay
-            + self.channel.partition;
-        if channel > 0.0 {
-            parts.push(format!("chan {channel:.3}"));
-        }
-        if self.semantic.error_rate() > 0.0 {
-            parts.push(format!("sem {:.3}", self.semantic.error_rate()));
-        }
-        let serving = self.serving_faults.crash_rate + self.serving_faults.brownout_rate;
-        if serving > 0.0 {
-            parts.push(format!("srv {serving:.3}"));
-        }
-        let env = self.env.perception_mass() + self.env.actuation_mass();
-        if env > 0.0 {
-            parts.push(format!("env {env:.3}"));
+        for (plane, mass) in PLANES.into_iter().zip(self.plane_masses()) {
+            if mass > 0.0 {
+                let failover = match plane {
+                    "agent" if self.agent.failover => "+fo",
+                    "agent" => "-fo",
+                    _ => "",
+                };
+                parts.push(format!("{plane} {mass:.3}{failover}"));
+            }
         }
         if parts.is_empty() {
             parts.push("no faults".into());
@@ -600,9 +551,10 @@ impl ScenarioGenotype {
         )
     }
 
-    /// Canonical byte-stable identity used for deduplication and caching.
+    /// Canonical byte-stable identity used for deduplication and caching:
+    /// the genotype as a scenario fixture stores it.
     pub fn key(&self) -> String {
-        self.to_json().render_pretty()
+        crate::fixture::genotype_json(self)
     }
 }
 
@@ -724,79 +676,15 @@ fn draw_serving_faults(rng: &mut StdRng) -> ServingFaultProfile {
     p
 }
 
-impl ToJson for ScenarioGenotype {
-    /// The embodied-plane genes serialize only when set, so every legacy
-    /// four-plane genotype keeps its exact canonical bytes (and therefore
-    /// its dedup/cache [`ScenarioGenotype::key`]).
-    fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("system".into(), JsonValue::Str(self.system.clone())),
-            ("difficulty".into(), self.difficulty.to_json()),
-            ("num_agents".into(), JsonValue::Num(self.num_agents as f64)),
-            ("llm".into(), self.llm.to_json()),
-            ("retry".into(), self.retry.to_json()),
-            ("agent".into(), self.agent.to_json()),
-            ("channel".into(), self.channel.to_json()),
-            ("semantic".into(), self.semantic.to_json()),
-            ("repair".into(), self.repair.to_json()),
-            ("serving".into(), self.serving.to_json()),
-            ("serving_faults".into(), self.serving_faults.to_json()),
-        ];
-        if !self.env.is_none() {
-            fields.push(("env".into(), self.env.to_json()));
-        }
-        if !self.recovery.is_off() {
-            fields.push(("recovery".into(), self.recovery.to_json()));
-        }
-        JsonValue::Object(fields)
-    }
-}
-
-impl FromJson for ScenarioGenotype {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let genotype = ScenarioGenotype {
-            system: value.str_field("system")?.to_string(),
-            difficulty: TaskDifficulty::from_json(value.field("difficulty")?)?,
-            num_agents: value.u64_field("num_agents")? as usize,
-            llm: FaultProfile::from_json(value.field("llm")?)?,
-            retry: RetryPreset::from_json(value.field("retry")?)?,
-            agent: AgentFaultProfile::from_json(value.field("agent")?)?,
-            channel: ChannelProfile::from_json(value.field("channel")?)?,
-            semantic: SemanticFaultProfile::from_json(value.field("semantic")?)?,
-            repair: RepairPolicy::from_json(value.field("repair")?)?,
-            serving: ServingPreset::from_json(value.field("serving")?)?,
-            serving_faults: ServingFaultProfile::from_json(value.field("serving_faults")?)?,
-            // Absent in every pre-five-plane fixture: default draw-free.
-            env: match value.get("env") {
-                Some(v) => EnvFaultProfile::from_json(v)?,
-                None => EnvFaultProfile::none(),
-            },
-            recovery: match value.get("recovery") {
-                Some(v) => RecoveryPolicy::from_json(v)?,
-                None => RecoveryPolicy::Off,
-            },
-        };
-        genotype
-            .validate()
-            .map_err(|e| JsonError::msg(format!("ScenarioGenotype: {e}")))?;
-        Ok(genotype)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
 
     #[test]
-    fn random_genotypes_are_valid_and_round_trip() {
+    fn random_genotypes_are_valid() {
         let mut rng = StdRng::seed_from_u64(7);
-        for paradigm in [
-            Paradigm::SingleModular,
-            Paradigm::Centralized,
-            Paradigm::Decentralized,
-            Paradigm::Hybrid,
-        ] {
+        for paradigm in Paradigm::ALL {
             for env_plane in [false, true] {
                 for _ in 0..20 {
                     let g = ScenarioGenotype::random_with(paradigm, &mut rng, env_plane);
@@ -806,28 +694,9 @@ mod tests {
                         assert!(g.env.is_none(), "legacy genotypes carry no env plane");
                         assert!(g.recovery.is_off());
                     }
-                    let text = g.key();
-                    let back =
-                        ScenarioGenotype::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-                    assert_eq!(back, g);
-                    assert_eq!(back.key(), text);
                 }
             }
         }
-    }
-
-    #[test]
-    fn legacy_json_without_env_keys_parses_to_defaults() {
-        // Pre-five-plane fixtures have no "env"/"recovery" keys; they must
-        // keep parsing, and their canonical bytes must not grow the keys.
-        let mut rng = StdRng::seed_from_u64(21);
-        let g = ScenarioGenotype::random(Paradigm::Centralized, &mut rng);
-        let text = g.key();
-        assert!(!text.contains("\"env\""));
-        assert!(!text.contains("\"recovery\""));
-        let back = ScenarioGenotype::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-        assert!(back.env.is_none());
-        assert!(back.recovery.is_off());
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 pub mod evolve;
 pub mod experiments;
+pub mod fixture;
 pub mod genotype;
 pub mod parallel;
 

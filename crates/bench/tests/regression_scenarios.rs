@@ -10,46 +10,18 @@
 //! tolerance — fails here and must either fix the regression or
 //! consciously re-pin the frontier.
 
-use embodied_agents::workloads;
-use embodied_bench::{jobs, ScenarioGenotype, SweepPlan};
-use embodied_profiler::{Aggregate, FromJson, JsonValue};
+use embodied_agents::Paradigm;
+use embodied_bench::fixture::{load_dir, replay, Envelope, Fixture};
+use embodied_bench::jobs;
 use std::path::PathBuf;
 
 /// Relative cost tolerance: cost aggregates many f64 contributions, so it
 /// gets a band instead of exact equality; every count stays exact.
 const COST_TOLERANCE: f64 = 0.05;
 
-fn fixtures_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/scenarios")
-}
-
-fn load_fixtures() -> Vec<(String, JsonValue)> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(fixtures_dir())
-        .expect("fixtures/scenarios exists")
-        .map(|entry| entry.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    paths.sort();
-    paths
-        .into_iter()
-        .map(|p| {
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
-            let text = std::fs::read_to_string(&p).expect("readable fixture");
-            let json =
-                JsonValue::parse(&text).unwrap_or_else(|err| panic!("{name}: invalid JSON: {err}"));
-            (name, json)
-        })
-        .collect()
-}
-
-fn replay(genotype: &ScenarioGenotype, episodes: usize, seed: u64) -> Aggregate {
-    let spec = workloads::find(&genotype.system).expect("fixture system in registry");
-    let mut plan = SweepPlan::new();
-    plan.add(&spec, &genotype.overrides(), episodes, seed);
-    plan.run_with(jobs())
-        .take_result()
-        .map(|reports| Aggregate::from_reports("fixture", &reports))
-        .unwrap_or_else(|msg| panic!("fixture replay panicked: {msg}"))
+fn load_fixtures() -> Vec<(String, Fixture)> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/scenarios");
+    load_dir(&dir).unwrap_or_else(|err| panic!("{err}"))
 }
 
 #[test]
@@ -61,62 +33,31 @@ fn the_frontier_is_pinned() {
         fixtures.len()
     );
 
-    for (name, json) in fixtures {
-        let ctx = |err| format!("{name}: {err}");
-        assert_eq!(
-            json.str_field("format").map_err(&ctx).unwrap(),
-            "scenario-fixture-v1",
-            "{name}: unknown fixture format"
+    for (name, fixture) in fixtures {
+        let pinned = fixture.envelope;
+        let agg = replay(
+            &fixture.genotype,
+            fixture.episodes,
+            fixture.base_seed,
+            jobs(),
         );
-        let genotype = ScenarioGenotype::from_json(json.field("genotype").map_err(&ctx).unwrap())
-            .map_err(&ctx)
-            .unwrap();
-        genotype
-            .validate()
-            .map_err(|e| format!("{name}: {e}"))
-            .unwrap();
-
-        let eval = json.field("eval").map_err(&ctx).unwrap();
-        let episodes = eval.u64_field("episodes").map_err(&ctx).unwrap() as usize;
-        let seed = eval.u64_field("base_seed").map_err(&ctx).unwrap();
-        let agg = replay(&genotype, episodes, seed);
-
-        let envelope = json.field("envelope").map_err(&ctx).unwrap();
-        let f = |key: &str| envelope.f64_field(key).map_err(&ctx).unwrap();
-        let n = |key: &str| envelope.u64_field(key).map_err(&ctx).unwrap();
+        let got = Envelope::of(&agg);
+        // Success rate, steps and every count match exactly.
         assert_eq!(
-            agg.success_rate,
-            f("success_rate"),
-            "{name}: success rate moved"
+            Envelope {
+                cost_usd: pinned.cost_usd,
+                ..got
+            },
+            pinned,
+            "{name}: envelope moved"
         );
-        assert_eq!(
-            agg.resilience.gave_up,
-            n("gave_up"),
-            "{name}: gave_up moved"
-        );
-        assert_eq!(agg.serving_faults.shed, n("shed"), "{name}: shed moved");
-        assert_eq!(
-            agg.serving_faults.failovers,
-            n("serving_failovers"),
-            "{name}: serving failovers moved"
-        );
-        assert_eq!(
-            agg.agent_faults.crashes,
-            n("agent_crashes"),
-            "{name}: agent crashes moved"
-        );
-        assert_eq!(
-            agg.repairs.repair_attempts,
-            n("repair_attempts"),
-            "{name}: repair attempts moved"
-        );
-        assert_eq!(agg.mean_steps, f("mean_steps"), "{name}: steps moved");
-        let pinned_cost = f("cost_usd");
-        let band = pinned_cost.abs().max(1e-9) * COST_TOLERANCE;
+        let band = pinned.cost_usd.abs().max(1e-9) * COST_TOLERANCE;
         assert!(
-            (agg.tokens.cost_usd - pinned_cost).abs() <= band,
-            "{name}: cost {} strayed more than {COST_TOLERANCE:.0}% from pinned {pinned_cost}",
-            agg.tokens.cost_usd
+            (got.cost_usd - pinned.cost_usd).abs() <= band,
+            "{name}: cost {} strayed more than {}% from pinned {}",
+            got.cost_usd,
+            COST_TOLERANCE * 100.0,
+            pinned.cost_usd
         );
     }
 }
@@ -124,11 +65,9 @@ fn the_frontier_is_pinned() {
 #[test]
 fn every_paradigm_is_represented() {
     let fixtures = load_fixtures();
-    for paradigm in ["single-modular", "centralized", "decentralized", "hybrid"] {
+    for paradigm in Paradigm::ALL {
         assert!(
-            fixtures
-                .iter()
-                .any(|(_, json)| json.str_field("paradigm").unwrap() == paradigm),
+            fixtures.iter().any(|(_, f)| f.paradigm == paradigm),
             "no pinned scenario for the {paradigm} paradigm"
         );
     }

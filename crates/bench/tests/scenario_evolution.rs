@@ -10,17 +10,10 @@ use embodied_llm::{FaultProfile, SemanticFaultProfile, ServingFaultProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const PARADIGMS: [Paradigm; 4] = [
-    Paradigm::SingleModular,
-    Paradigm::Centralized,
-    Paradigm::Decentralized,
-    Paradigm::Hybrid,
-];
-
 #[test]
 fn mutation_never_breaks_validity() {
     for env_plane in [false, true] {
-        for paradigm in PARADIGMS {
+        for paradigm in Paradigm::ALL {
             for seed in 0..8u64 {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut g = ScenarioGenotype::random_with(paradigm, &mut rng, env_plane);
@@ -43,7 +36,7 @@ fn mutation_never_breaks_validity() {
 #[test]
 fn crossover_never_breaks_validity() {
     for env_plane in [false, true] {
-        for paradigm in PARADIGMS {
+        for paradigm in Paradigm::ALL {
             for seed in 0..8u64 {
                 let mut rng = StdRng::seed_from_u64(1000 + seed);
                 let a = ScenarioGenotype::random_with(paradigm, &mut rng, env_plane);
@@ -69,7 +62,7 @@ fn crossover_never_breaks_validity() {
 #[test]
 fn zero_budget_genotypes_change_nothing() {
     let mut rng = StdRng::seed_from_u64(99);
-    for paradigm in PARADIGMS {
+    for paradigm in Paradigm::ALL {
         let mut g = ScenarioGenotype::random(paradigm, &mut rng);
         g.llm = FaultProfile::none();
         g.agent = AgentFaultProfile::none();

@@ -14,8 +14,7 @@
 //! byte-identical to builds that predate the subsystem.
 
 use crate::prompt::Counted;
-use embodied_llm::check_rate;
-use embodied_profiler::{AgentFaultStats, ChannelStats, FromJson, JsonError, JsonValue, ToJson};
+use embodied_profiler::{check_rate, AgentFaultStats, ChannelStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,48 +102,6 @@ impl AgentFaultProfile {
     }
 }
 
-impl ToJson for AgentFaultProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("crash".into(), JsonValue::Num(self.crash)),
-            (
-                "crash_downtime".into(),
-                JsonValue::Num(self.crash_downtime as f64),
-            ),
-            ("stall".into(), JsonValue::Num(self.stall)),
-            (
-                "coordinator_crash".into(),
-                JsonValue::Num(self.coordinator_crash),
-            ),
-            ("failover".into(), JsonValue::Bool(self.failover)),
-            (
-                "failover_after".into(),
-                JsonValue::Num(self.failover_after as f64),
-            ),
-            (
-                "staleness_after".into(),
-                JsonValue::Num(self.staleness_after as f64),
-            ),
-        ])
-    }
-}
-
-impl FromJson for AgentFaultProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        AgentFaultProfile {
-            crash: value.f64_field("crash")?,
-            crash_downtime: value.u64_field("crash_downtime")? as usize,
-            stall: value.f64_field("stall")?,
-            coordinator_crash: value.f64_field("coordinator_crash")?,
-            failover: value.bool_field("failover")?,
-            failover_after: value.u64_field("failover_after")? as usize,
-            staleness_after: value.u64_field("staleness_after")? as usize,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("AgentFaultProfile: {e}")))
-    }
-}
-
 /// Per-delivery message-channel fault probabilities. The default
 /// ([`ChannelProfile::none()`]) is a perfect network.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -223,42 +180,6 @@ impl ChannelProfile {
         check_rate("delay", self.delay)?;
         check_rate("partition", self.partition)?;
         Ok(self)
-    }
-}
-
-impl ToJson for ChannelProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("drop".into(), JsonValue::Num(self.drop)),
-            ("duplicate".into(), JsonValue::Num(self.duplicate)),
-            ("corrupt".into(), JsonValue::Num(self.corrupt)),
-            ("delay".into(), JsonValue::Num(self.delay)),
-            (
-                "delay_steps".into(),
-                JsonValue::Num(self.delay_steps as f64),
-            ),
-            ("partition".into(), JsonValue::Num(self.partition)),
-            (
-                "partition_steps".into(),
-                JsonValue::Num(self.partition_steps as f64),
-            ),
-        ])
-    }
-}
-
-impl FromJson for ChannelProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        ChannelProfile {
-            drop: value.f64_field("drop")?,
-            duplicate: value.f64_field("duplicate")?,
-            corrupt: value.f64_field("corrupt")?,
-            delay: value.f64_field("delay")?,
-            delay_steps: value.u64_field("delay_steps")? as usize,
-            partition: value.f64_field("partition")?,
-            partition_steps: value.u64_field("partition_steps")? as usize,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("ChannelProfile: {e}")))
     }
 }
 
@@ -793,45 +714,16 @@ mod tests {
     }
 
     #[test]
-    fn profile_json_round_trips_exactly_and_validates() {
-        // Both profiles are scenario-fixture genes: they must replay
-        // byte-for-byte and refuse out-of-range rates at parse time.
-        let agent = AgentFaultProfile {
-            crash: 0.05,
-            crash_downtime: 4,
-            stall: 0.02,
-            coordinator_crash: 0.01,
-            failover: true,
-            failover_after: 2,
-            staleness_after: 3,
-        };
-        let back = AgentFaultProfile::from_json(&agent.to_json()).unwrap();
-        assert_eq!(agent, back);
-        assert_eq!(
-            agent.to_json().render_pretty(),
-            back.to_json().render_pretty()
-        );
-        let channel = ChannelProfile {
-            delay_steps: 5,
-            partition_steps: 4,
-            ..ChannelProfile::lossy(0.07)
-        };
-        let back = ChannelProfile::from_json(&channel.to_json()).unwrap();
-        assert_eq!(channel, back);
-        assert_eq!(
-            channel.to_json().render_pretty(),
-            back.to_json().render_pretty()
-        );
-
+    fn validated_rejects_out_of_range_rates() {
         let bad_agent = AgentFaultProfile {
             stall: 1.5,
             ..AgentFaultProfile::none()
         };
-        assert!(AgentFaultProfile::from_json(&bad_agent.to_json()).is_err());
+        assert!(bad_agent.validated().is_err());
         let bad_channel = ChannelProfile {
             drop: -0.1,
             ..ChannelProfile::none()
         };
-        assert!(ChannelProfile::from_json(&bad_channel.to_json()).is_err());
+        assert!(bad_channel.validated().is_err());
     }
 }

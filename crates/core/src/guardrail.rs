@@ -33,7 +33,7 @@ use embodied_llm::{
     floor_char, EngineHandle, InferenceOpts, LlmRequest, LlmResponse, Prompt, Purpose,
     SemanticFaultKind, SemanticFlaw,
 };
-use embodied_profiler::{FromJson, JsonError, JsonValue, RepairStats, SimDuration, ToJson};
+use embodied_profiler::{RepairStats, SimDuration};
 use std::fmt;
 
 /// Simulated wall-clock cost of one schema/affordance validation pass —
@@ -92,47 +92,6 @@ impl fmt::Display for RepairPolicy {
             RepairPolicy::Constrain => f.write_str("constrain"),
             RepairPolicy::Skip => f.write_str("skip"),
         }
-    }
-}
-
-impl ToJson for RepairPolicy {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            RepairPolicy::Off => JsonValue::Str("off".into()),
-            RepairPolicy::Reprompt { max_attempts } => JsonValue::Object(vec![(
-                "reprompt".into(),
-                JsonValue::Num(*max_attempts as f64),
-            )]),
-            RepairPolicy::Constrain => JsonValue::Str("constrain".into()),
-            RepairPolicy::Skip => JsonValue::Str("skip".into()),
-        }
-    }
-}
-
-impl FromJson for RepairPolicy {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        if let Some(s) = value.as_str() {
-            return match s {
-                "off" => Ok(RepairPolicy::Off),
-                "constrain" => Ok(RepairPolicy::Constrain),
-                "skip" => Ok(RepairPolicy::Skip),
-                other => Err(JsonError::msg(format!("unknown repair policy: {other:?}"))),
-            };
-        }
-        let attempts = value.u64_field("reprompt").map_err(|_| {
-            JsonError::msg(
-                "RepairPolicy: expected \"off\"/\"constrain\"/\"skip\" or {\"reprompt\": n}",
-            )
-        })?;
-        let max_attempts = u32::try_from(attempts).map_err(|_| {
-            JsonError::msg(format!(
-                "RepairPolicy: reprompt budget too large: {attempts}"
-            ))
-        })?;
-        if max_attempts == 0 {
-            return Err(JsonError::msg("RepairPolicy: reprompt budget must be >= 1"));
-        }
-        Ok(RepairPolicy::Reprompt { max_attempts })
     }
 }
 

@@ -21,6 +21,16 @@ pub enum Paradigm {
     Hybrid,
 }
 
+impl Paradigm {
+    /// All paradigms, in the paper's order.
+    pub const ALL: [Paradigm; 4] = [
+        Paradigm::SingleModular,
+        Paradigm::Centralized,
+        Paradigm::Decentralized,
+        Paradigm::Hybrid,
+    ];
+}
+
 impl std::fmt::Display for Paradigm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
@@ -39,14 +49,8 @@ mod tests {
 
     #[test]
     fn display_names_are_distinct() {
-        let all = [
-            Paradigm::SingleModular,
-            Paradigm::Centralized,
-            Paradigm::Decentralized,
-            Paradigm::Hybrid,
-        ];
         let mut seen = std::collections::HashSet::new();
-        for p in all {
+        for p in Paradigm::ALL {
             assert!(seen.insert(p.to_string()));
         }
     }

@@ -26,7 +26,6 @@
 //! [`Phase::ActRetry`]: embodied_profiler::Phase::ActRetry
 //! [`RecoveryStats`]: embodied_profiler::RecoveryStats
 
-use embodied_profiler::{FromJson, JsonError, JsonValue, ToJson};
 use std::fmt;
 
 /// How agents respond to environment faults.
@@ -113,55 +112,6 @@ impl fmt::Display for RecoveryPolicy {
     }
 }
 
-impl ToJson for RecoveryPolicy {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            RecoveryPolicy::Off => JsonValue::Str("off".into()),
-            RecoveryPolicy::Closed {
-                watchdog_window,
-                act_retries,
-            } => JsonValue::Object(vec![
-                (
-                    "watchdog_window".into(),
-                    JsonValue::Num(*watchdog_window as f64),
-                ),
-                ("act_retries".into(), JsonValue::Num(*act_retries as f64)),
-            ]),
-        }
-    }
-}
-
-impl FromJson for RecoveryPolicy {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        if let Some(s) = value.as_str() {
-            return match s {
-                "off" => Ok(RecoveryPolicy::Off),
-                other => Err(JsonError::msg(format!(
-                    "unknown recovery policy: {other:?}"
-                ))),
-            };
-        }
-        let watchdog_window = value.u64_field("watchdog_window").map_err(|_| {
-            JsonError::msg(
-                "RecoveryPolicy: expected \"off\" or \
-                 {\"watchdog_window\": n, \"act_retries\": n}",
-            )
-        })? as usize;
-        let act_retries = value.u64_field("act_retries")?;
-        let act_retries = u32::try_from(act_retries).map_err(|_| {
-            JsonError::msg(format!(
-                "RecoveryPolicy: retry budget too large: {act_retries}"
-            ))
-        })?;
-        RecoveryPolicy::Closed {
-            watchdog_window,
-            act_retries,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("RecoveryPolicy: {e}")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,35 +126,12 @@ mod tests {
     }
 
     #[test]
-    fn standard_policy_round_trips_exactly() {
-        for p in [
-            RecoveryPolicy::Off,
-            RecoveryPolicy::standard(),
-            RecoveryPolicy::Closed {
-                watchdog_window: 9,
-                act_retries: 0,
-            },
-        ] {
-            let json = p.to_json();
-            let back = RecoveryPolicy::from_json(&json).expect("round trip");
-            assert_eq!(back, p);
-            // And the JSON itself is stable across a second encode.
-            assert_eq!(back.to_json().to_string(), json.to_string());
-        }
-    }
-
-    #[test]
     fn validation_rejects_zero_watchdog_window() {
         let bad = RecoveryPolicy::Closed {
             watchdog_window: 0,
             act_retries: 2,
         };
         assert!(bad.validated().is_err());
-        let json = JsonValue::Object(vec![
-            ("watchdog_window".into(), JsonValue::Num(0.0)),
-            ("act_retries".into(), JsonValue::Num(2.0)),
-        ]);
-        assert!(RecoveryPolicy::from_json(&json).is_err());
-        assert!(RecoveryPolicy::from_json(&JsonValue::Str("sideways".into())).is_err());
+        assert!(RecoveryPolicy::standard().validated().is_ok());
     }
 }

@@ -31,7 +31,7 @@
 use crate::action::{ExecOutcome, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
-use embodied_profiler::{EnvFaultStats, FromJson, JsonError, JsonValue, ToJson};
+use embodied_profiler::{check_rate, EnvFaultStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,16 +52,6 @@ const PHANTOMS: [&str; 4] = [
 /// Wrong names a landmark misread substitutes — synthetic so they cannot
 /// collide with a real entity in any environment.
 const MISREAD_ALIASES: [&str; 4] = ["misty_crate", "dusty_lever", "worn_panel", "dim_door"];
-
-fn check_rate(field: &'static str, value: f64) -> Result<f64, String> {
-    if value.is_nan() {
-        return Err(format!("{field} is NaN"));
-    }
-    if !(0.0..=1.0).contains(&value) {
-        return Err(format!("{field} = {value} is outside [0, 1]"));
-    }
-    Ok(value)
-}
 
 /// Perception/actuation fault probabilities for one wrapped environment.
 /// The default ([`EnvFaultProfile::none()`]) is a perfect world: sensors
@@ -195,43 +185,6 @@ impl EnvFaultProfile {
             return Err("down_steps must be >= 1 when actuator_down > 0".into());
         }
         Ok(self)
-    }
-}
-
-impl ToJson for EnvFaultProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("dropout".into(), JsonValue::Num(self.dropout)),
-            ("phantom".into(), JsonValue::Num(self.phantom)),
-            ("stale".into(), JsonValue::Num(self.stale)),
-            (
-                "stale_steps".into(),
-                JsonValue::Num(self.stale_steps as f64),
-            ),
-            ("misread".into(), JsonValue::Num(self.misread)),
-            ("silent_fail".into(), JsonValue::Num(self.silent_fail)),
-            ("slip".into(), JsonValue::Num(self.slip)),
-            ("actuator_down".into(), JsonValue::Num(self.actuator_down)),
-            ("down_steps".into(), JsonValue::Num(self.down_steps as f64)),
-        ])
-    }
-}
-
-impl FromJson for EnvFaultProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        EnvFaultProfile {
-            dropout: value.f64_field("dropout")?,
-            phantom: value.f64_field("phantom")?,
-            stale: value.f64_field("stale")?,
-            stale_steps: value.u64_field("stale_steps")? as usize,
-            misread: value.f64_field("misread")?,
-            silent_fail: value.f64_field("silent_fail")?,
-            slip: value.f64_field("slip")?,
-            actuator_down: value.f64_field("actuator_down")?,
-            down_steps: value.u64_field("down_steps")? as usize,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("EnvFaultProfile: {e}")))
     }
 }
 
@@ -766,22 +719,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_json_round_trips_exactly_and_validates() {
-        let p = EnvFaultProfile {
-            dropout: 0.05,
-            phantom: 0.02,
-            stale: 0.04,
-            stale_steps: 3,
-            misread: 0.03,
-            silent_fail: 0.06,
-            slip: 0.01,
-            actuator_down: 0.02,
-            down_steps: 4,
-        };
-        let back = EnvFaultProfile::from_json(&p.to_json()).unwrap();
-        assert_eq!(p, back);
-        assert_eq!(p.to_json().render_pretty(), back.to_json().render_pretty());
-
+    fn validated_rejects_bad_rates_and_windows() {
         assert!(EnvFaultProfile::none().validated().is_ok());
         assert!(EnvFaultProfile::none().is_none());
         assert!(!EnvFaultProfile::uniform(0.1).is_none());
@@ -799,7 +737,7 @@ mod tests {
             phantom: 1.5,
             ..EnvFaultProfile::none()
         };
-        assert!(EnvFaultProfile::from_json(&big.to_json()).is_err());
+        assert!(big.validated().is_err());
         let no_window = EnvFaultProfile {
             stale: 0.2,
             stale_steps: 0,

@@ -5,7 +5,7 @@ use crate::action::{ExecOutcome, Subgoal};
 use crate::affordance::AffordanceSet;
 use crate::observation::Observation;
 use embodied_exec::Actuator;
-use embodied_profiler::{EnvFaultStats, FromJson, JsonError, JsonValue, ToJson};
+use embodied_profiler::EnvFaultStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -57,26 +57,6 @@ impl fmt::Display for TaskDifficulty {
             TaskDifficulty::Hard => "hard",
         };
         f.write_str(s)
-    }
-}
-
-impl ToJson for TaskDifficulty {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
-    }
-}
-
-impl FromJson for TaskDifficulty {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value
-            .as_str()
-            .ok_or_else(|| JsonError::msg("difficulty: expected a string"))?
-        {
-            "easy" => Ok(TaskDifficulty::Easy),
-            "medium" => Ok(TaskDifficulty::Medium),
-            "hard" => Ok(TaskDifficulty::Hard),
-            other => Err(JsonError::msg(format!("unknown difficulty: {other:?}"))),
-        }
     }
 }
 

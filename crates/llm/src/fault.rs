@@ -7,22 +7,10 @@
 //! engine performs zero fault draws and replays byte-identically to an
 //! engine built without fault injection at all.
 
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
+use embodied_profiler::{check_rate, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-
-/// Checks one probability field: finite and in `[0, 1]`. Shared by every
-/// fault-profile `validated()` constructor in this crate.
-pub fn check_rate(field: &'static str, value: f64) -> Result<f64, String> {
-    if value.is_nan() {
-        return Err(format!("{field} is NaN"));
-    }
-    if !(0.0..=1.0).contains(&value) {
-        return Err(format!("{field} = {value} is outside [0, 1]"));
-    }
-    Ok(value)
-}
 
 /// Checks one multiplicative factor field: finite and `>= 1` (a slowdown
 /// multiplier below 1 would turn a fault into a speedup).
@@ -154,39 +142,6 @@ impl FaultProfile {
     }
 }
 
-impl ToJson for FaultProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("timeout".into(), JsonValue::Num(self.timeout)),
-            ("rate_limit".into(), JsonValue::Num(self.rate_limit)),
-            ("server_error".into(), JsonValue::Num(self.server_error)),
-            (
-                "truncated_output".into(),
-                JsonValue::Num(self.truncated_output),
-            ),
-            ("latency_spike".into(), JsonValue::Num(self.latency_spike)),
-            ("spike_factor".into(), JsonValue::Num(self.spike_factor)),
-            ("retry_after".into(), self.retry_after.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FaultProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        FaultProfile {
-            timeout: value.f64_field("timeout")?,
-            rate_limit: value.f64_field("rate_limit")?,
-            server_error: value.f64_field("server_error")?,
-            truncated_output: value.f64_field("truncated_output")?,
-            latency_spike: value.f64_field("latency_spike")?,
-            spike_factor: value.f64_field("spike_factor")?,
-            retry_after: SimDuration::from_json(value.field("retry_after")?)?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("FaultProfile: {e}")))
-    }
-}
-
 /// Draws faults for one engine from a dedicated seeded stream.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
@@ -312,25 +267,6 @@ mod tests {
             ..FaultProfile::none()
         };
         assert!(shrink_factor.validated().is_err());
-    }
-
-    #[test]
-    fn json_round_trip_is_exact() {
-        for profile in [
-            FaultProfile::none(),
-            FaultProfile::uniform(0.15),
-            FaultProfile::uniform(0.999),
-        ] {
-            let text = profile.to_json().render_pretty();
-            let back =
-                FaultProfile::from_json(&JsonValue::parse(&text).unwrap()).expect("round trip");
-            assert_eq!(back, profile);
-        }
-        // Deserialization funnels through validation.
-        let bad = r#"{"timeout": 2.0, "rate_limit": 0, "server_error": 0,
-                      "truncated_output": 0, "latency_spike": 0,
-                      "spike_factor": 1, "retry_after": 0}"#;
-        assert!(FaultProfile::from_json(&JsonValue::parse(bad).unwrap()).is_err());
     }
 
     #[test]

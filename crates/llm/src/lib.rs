@@ -52,7 +52,7 @@ mod tokenizer;
 
 pub use clock::VirtualClock;
 pub use engine::{floor_char, LlmEngine, LlmError};
-pub use fault::{check_factor, check_rate, FaultInjector, FaultKind, FaultProfile};
+pub use fault::{check_factor, FaultInjector, FaultKind, FaultProfile};
 pub use latency::{
     amortize_latency, batch_latency, inference_cost, inference_latency, InferenceOpts, Quantization,
 };

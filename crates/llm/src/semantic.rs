@@ -15,8 +15,7 @@
 //! [`SemanticFaultProfile::none()`], so fault-free runs replay
 //! byte-identically to builds without content faults at all.
 
-use crate::fault::check_rate;
-use embodied_profiler::{FromJson, JsonError, JsonValue, ToJson};
+use embodied_profiler::check_rate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -133,36 +132,6 @@ impl SemanticFaultProfile {
     }
 }
 
-impl ToJson for SemanticFaultProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("malformed".into(), JsonValue::Num(self.malformed)),
-            (
-                "hallucinated_entity".into(),
-                JsonValue::Num(self.hallucinated_entity),
-            ),
-            ("invalid_action".into(), JsonValue::Num(self.invalid_action)),
-            (
-                "context_truncation".into(),
-                JsonValue::Num(self.context_truncation),
-            ),
-        ])
-    }
-}
-
-impl FromJson for SemanticFaultProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        SemanticFaultProfile {
-            malformed: value.f64_field("malformed")?,
-            hallucinated_entity: value.f64_field("hallucinated_entity")?,
-            invalid_action: value.f64_field("invalid_action")?,
-            context_truncation: value.f64_field("context_truncation")?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("SemanticFaultProfile: {e}")))
-    }
-}
-
 /// A content corruption stamped onto an otherwise successful response.
 ///
 /// `salt` is drawn from the semantic stream only when a fault fires; the
@@ -232,7 +201,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn validated_rejects_bad_rates_and_json_round_trips() {
+    fn validated_rejects_bad_rates() {
         assert!(SemanticFaultProfile::uniform(0.8).validated().is_ok());
         let nan = SemanticFaultProfile {
             malformed: f64::NAN,
@@ -250,15 +219,6 @@ mod tests {
             ..SemanticFaultProfile::none()
         };
         assert!(oversum.validated().is_err());
-
-        for profile in [
-            SemanticFaultProfile::none(),
-            SemanticFaultProfile::uniform(0.35),
-        ] {
-            let text = profile.to_json().render_pretty();
-            let back = SemanticFaultProfile::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, profile);
-        }
     }
 
     #[test]

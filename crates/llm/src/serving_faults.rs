@@ -9,8 +9,8 @@
 //! performs zero draws and replays byte-identically to a build without the
 //! serving fault plane at all.
 
-use crate::fault::{check_factor, check_rate};
-use embodied_profiler::{FromJson, JsonError, JsonValue, SimDuration, ToJson};
+use crate::fault::check_factor;
+use embodied_profiler::{check_rate, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,35 +118,6 @@ impl ServingFaultProfile {
     }
 }
 
-impl ToJson for ServingFaultProfile {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("crash_rate".into(), JsonValue::Num(self.crash_rate)),
-            ("restart".into(), self.restart.to_json()),
-            ("brownout_rate".into(), JsonValue::Num(self.brownout_rate)),
-            (
-                "brownout_factor".into(),
-                JsonValue::Num(self.brownout_factor),
-            ),
-            ("overflow_queue".into(), self.overflow_queue.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ServingFaultProfile {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        ServingFaultProfile {
-            crash_rate: value.f64_field("crash_rate")?,
-            restart: SimDuration::from_json(value.field("restart")?)?,
-            brownout_rate: value.f64_field("brownout_rate")?,
-            brownout_factor: value.f64_field("brownout_factor")?,
-            overflow_queue: SimDuration::from_json(value.field("overflow_queue")?)?,
-        }
-        .validated()
-        .map_err(|e| JsonError::msg(format!("ServingFaultProfile: {e}")))
-    }
-}
-
 /// Draws serving faults for one backend fleet from a dedicated seeded
 /// stream, independent of every engine's main and fault streams.
 #[derive(Debug, Clone)]
@@ -221,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn validated_rejects_bad_rates_and_json_round_trips() {
+    fn validated_rejects_bad_rates() {
         assert!(ServingFaultProfile::stressed(1.0).validated().is_ok());
         let nan = ServingFaultProfile {
             brownout_rate: f64::NAN,
@@ -243,16 +214,6 @@ mod tests {
             ..ServingFaultProfile::none()
         };
         assert!(shrink.validated().is_err());
-
-        for profile in [
-            ServingFaultProfile::none(),
-            ServingFaultProfile::brownouts(0.4),
-            ServingFaultProfile::stressed(0.25),
-        ] {
-            let text = profile.to_json().render_pretty();
-            let back = ServingFaultProfile::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, profile);
-        }
     }
 
     #[test]

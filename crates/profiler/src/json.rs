@@ -1,11 +1,9 @@
 //! Minimal JSON tree, parser and writer for checked-in artifacts.
 //!
-//! The only artifact the suite writes and reads back is the evolved-scenario
-//! fixture of the adversarial robustness suite. It goes through this
-//! module: a small [`JsonValue`] tree with a strict recursive-descent
-//! parser and a deterministic writer, plus the [`ToJson`]/[`FromJson`]
-//! traits that the fixture's genotype and the profiles, policies and
-//! presets it stores implement by hand.
+//! A small [`JsonValue`] tree with a strict recursive-descent parser and a
+//! deterministic writer. Two artifacts use it: the scenario fixtures,
+//! whose format `embodied-bench` owns, and the summaries `perf_bench`
+//! writes and reads back.
 //!
 //! Determinism contract: objects preserve insertion order, floats are
 //! rendered with Rust's shortest round-trip formatting, and
@@ -32,13 +30,13 @@ pub enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
-/// Error produced by [`JsonValue::parse`] or a [`FromJson`] conversion.
+/// Error produced by [`JsonValue::parse`] or a narrowing accessor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError(String);
 
 impl JsonError {
     /// Builds an error with the given message.
-    pub fn msg(message: impl Into<String>) -> Self {
+    fn msg(message: impl Into<String>) -> Self {
         JsonError(message.into())
     }
 }
@@ -51,20 +49,6 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Types that render themselves into a [`JsonValue`] tree.
-pub trait ToJson {
-    /// The JSON representation of `self`.
-    fn to_json(&self) -> JsonValue;
-}
-
-/// Types that reconstruct themselves from a [`JsonValue`] tree, validating
-/// as they go (out-of-range rates, unknown tags and missing fields are all
-/// hard errors — a fixture that does not validate must not run).
-pub trait FromJson: Sized {
-    /// Parses `value` into `Self`.
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError>;
-}
-
 impl JsonValue {
     /// Looks up `key` in an object.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
@@ -75,7 +59,7 @@ impl JsonValue {
     }
 
     /// Looks up `key` in an object, erroring with the field name when
-    /// absent — the common accessor of [`FromJson`] impls.
+    /// absent.
     pub fn field(&self, key: &str) -> Result<&JsonValue, JsonError> {
         self.get(key)
             .ok_or_else(|| JsonError::msg(format!("missing field `{key}`")))
@@ -233,7 +217,7 @@ fn push_indent(out: &mut String, levels: usize) {
 
 /// Rust's `{}` float formatting is the shortest string that parses back to
 /// the same `f64`, which is exactly the round-trip guarantee fixtures need;
-/// integral values get an explicit `.0` so re-parsing stays type-stable.
+/// integral values below 2^53 print as plain integers.
 fn write_number(out: &mut String, n: f64) {
     debug_assert!(n.is_finite(), "non-finite numbers never reach the writer");
     if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
@@ -489,25 +473,9 @@ impl fmt::Display for JsonValue {
     }
 }
 
-impl ToJson for crate::SimDuration {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Num(self.as_micros() as f64)
-    }
-}
-
-impl FromJson for crate::SimDuration {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let micros = value
-            .as_u64()
-            .ok_or_else(|| JsonError::msg("duration must be whole non-negative microseconds"))?;
-        Ok(crate::SimDuration::from_micros(micros))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimDuration;
 
     fn obj(fields: &[(&str, JsonValue)]) -> JsonValue {
         JsonValue::Object(
@@ -591,19 +559,6 @@ mod tests {
         assert!(v.field("missing").is_err());
         assert!(v.u64_field("f").is_err(), "0.5 is not an integer");
         assert_eq!(JsonValue::Num(-1.0).as_u64(), None);
-    }
-
-    #[test]
-    fn sim_duration_round_trips_via_micros() {
-        let d = SimDuration::from_millis(12_345);
-        let back = SimDuration::from_json(&d.to_json()).unwrap();
-        assert_eq!(back, d);
-        assert!(SimDuration::from_json(&JsonValue::Num(-3.0)).is_err());
-        assert!(SimDuration::from_json(&JsonValue::Str("3".into())).is_err());
-        assert!(
-            SimDuration::from_json(&JsonValue::Num(1.5)).is_err(),
-            "fractional micros are rejected, not truncated"
-        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod time;
 
 pub use chrome::chrome_trace_json;
 pub use gantt::render_step_gantt;
-pub use json::{FromJson, JsonError, JsonValue, ToJson};
+pub use json::{JsonError, JsonValue};
 pub use metrics::{
     AgentFaultStats, ChannelStats, EnvFaultStats, LatencyBreakdown, MessageStats, PurposeLedger,
     PurposeUsage, RecoveryStats, RepairStats, ResilienceStats, ServingFaultStats, ServingStats,
@@ -57,3 +57,15 @@ pub use span::{Span, Trace};
 pub use stats::{std_normal_cdf, welch_t_test, Sample, WelchTest};
 pub use table::{ascii_bar, pct, Table};
 pub use time::{SimClock, SimDuration, SimInstant};
+
+/// Checks one probability field: not NaN and in `[0, 1]`. Shared by every
+/// fault profile's `validated()` constructor.
+pub fn check_rate(field: &'static str, value: f64) -> Result<f64, String> {
+    if value.is_nan() {
+        return Err(format!("{field} is NaN"));
+    }
+    if !(0.0..=1.0).contains(&value) {
+        return Err(format!("{field} = {value} is outside [0, 1]"));
+    }
+    Ok(value)
+}
