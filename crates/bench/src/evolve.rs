@@ -19,6 +19,7 @@
 //! A panicking episode poisons only its own genotype (its fitness pins to
 //! the bottom of the ranking) — the search continues around it.
 
+use crate::fixture::Envelope;
 use crate::genotype::{systems_of, ScenarioGenotype};
 use crate::SweepPlan;
 use embodied_agents::{workloads, Paradigm, RunOverrides, WorkloadSpec};
@@ -55,10 +56,6 @@ pub struct EvolveParams {
     pub seed: u64,
     /// Episode worker threads (results are identical at any value).
     pub workers: usize,
-    /// Opt-in fifth fault plane: when set, the search also draws embodied
-    /// perception/actuation faults and recovery policies. Off by default so
-    /// legacy four-plane runs replay byte-identically.
-    pub env_plane: bool,
 }
 
 /// One evaluated scenario: genotype plus its fitness decomposition.
@@ -74,14 +71,14 @@ pub struct ScoredScenario {
     pub budget: f64,
     /// Success rate of the clean baseline.
     pub baseline_success: f64,
-    /// Success rate under the scenario.
-    pub success_rate: f64,
     /// Retry + guardrail-repair attempts per episode.
     pub mitigation_per_episode: f64,
     /// Extra USD spent per episode vs. the clean baseline.
     pub extra_cost_usd: f64,
-    /// Panic message when any evaluation episode died.
-    pub error: Option<String>,
+    /// The evaluation's envelope, the one [`crate::fixture::replay`] gives
+    /// at the same episodes and seed, or the panic message when any
+    /// evaluation episode died.
+    pub outcome: Result<Envelope, String>,
 }
 
 /// Per-generation progress record.
@@ -198,10 +195,9 @@ impl Evaluator {
                         success_drop: 0.0,
                         budget,
                         baseline_success: base.success_rate,
-                        success_rate: 0.0,
                         mitigation_per_episode: 0.0,
                         extra_cost_usd: 0.0,
-                        error: Some(msg),
+                        outcome: Err(msg),
                     }
                 }
                 Ok(reports) => {
@@ -223,10 +219,9 @@ impl Evaluator {
                         success_drop: drop,
                         budget,
                         baseline_success: base.success_rate,
-                        success_rate: agg.success_rate,
                         mitigation_per_episode: mitigation,
                         extra_cost_usd: extra_cost,
-                        error: None,
+                        outcome: Ok(Envelope::of(&agg)),
                     }
                 }
             };
@@ -284,7 +279,7 @@ pub fn evolve(params: &EvolveParams) -> EvolveOutcome {
     };
 
     let mut pop: Vec<ScenarioGenotype> = (0..params.population)
-        .map(|_| ScenarioGenotype::random_with(params.paradigm, &mut rng, params.env_plane))
+        .map(|_| ScenarioGenotype::random(params.paradigm, &mut rng))
         .collect();
     let mut history = Vec::with_capacity(params.generations + 1);
     let mut scored = Vec::new();
@@ -313,13 +308,8 @@ pub fn evolve(params: &EvolveParams) -> EvolveOutcome {
         while next.len() < params.population {
             let a = select(&scored, &mut rng);
             let b = select(&scored, &mut rng);
-            let mut child = ScenarioGenotype::crossover_with(
-                &a.genotype,
-                &b.genotype,
-                &mut rng,
-                params.env_plane,
-            );
-            child.mutate_with(&mut rng, params.env_plane);
+            let mut child = ScenarioGenotype::crossover(&a.genotype, &b.genotype, &mut rng);
+            child.mutate(&mut rng);
             debug_assert!(child.validate().is_ok(), "bred genotype must stay valid");
             next.push(child);
         }

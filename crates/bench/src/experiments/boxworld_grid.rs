@@ -9,7 +9,7 @@
 //! cargo run --release -p embodied-bench --bin experiments -- boxworld_grid
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, EnvKind, RunOverrides};
 use embodied_env::BoxVariant;
 use embodied_profiler::{pct, Table};
@@ -22,7 +22,7 @@ const VARIANTS: [BoxVariant; 4] = [
     BoxVariant::BoxLift,
 ];
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Box-World Dataset Grid",

@@ -24,7 +24,7 @@
 //! single-threaded and deterministic, so the
 //! output is bit-identical at any worker count.
 
-use crate::{par_map_with, Ctx, Markdown};
+use crate::{par_map_with, Ctx, Markdown, Output};
 use embodied_agents::{run_fleet, workloads, FleetConfig, FleetReport, RunOverrides};
 use embodied_env::TaskDifficulty;
 use embodied_llm::ServingConfig;
@@ -84,7 +84,7 @@ fn row(table: &mut Table, in_flight: usize, label: &str, agg: &Aggregate, out: &
     ]);
 }
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let stagger = SimDuration::from_millis(500);
     let window = SimDuration::from_secs(60);
 

@@ -12,13 +12,13 @@
 //! cargo run --release -p embodied-bench --bin experiments -- design_ablations
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, AgentConfig, RunOverrides};
 use embodied_env::TrajectoryPlanner;
 use embodied_llm::{EncoderProfile, InferenceOpts, ModelProfile, QualityModel};
 use embodied_profiler::{pct, ModuleKind, Table};
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Design-Choice Ablations",

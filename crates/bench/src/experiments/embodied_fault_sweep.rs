@@ -16,7 +16,7 @@
 //! cargo run --release -p embodied-bench --bin experiments -- embodied_fault_sweep
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, RecoveryPolicy, RunOverrides};
 use embodied_env::{EnvFaultProfile, TaskDifficulty};
 use embodied_profiler::{pct, Aggregate, Table};
@@ -63,7 +63,7 @@ fn overrides(p: f64, a: f64, recovery: RecoveryPolicy) -> RunOverrides {
     }
 }
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Embodied fault sweep",

@@ -7,7 +7,7 @@
 //! cargo run --release -p embodied-bench --bin experiments -- endtoend_analysis
 //! ```
 
-use crate::{par_map_with, Ctx, Markdown};
+use crate::{par_map_with, Ctx, Markdown, Output};
 use embodied_agents::endtoend::run_vla_episode;
 use embodied_agents::{episode_seed, workloads, EnvKind, RunOverrides};
 use embodied_env::TaskDifficulty;
@@ -20,7 +20,7 @@ fn vla_agg(ctx: &Ctx, env: EnvKind, difficulty: TaskDifficulty, label: &str) -> 
     Aggregate::from_reports(label, &reports)
 }
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "End-to-End vs. Modularized Paradigm",

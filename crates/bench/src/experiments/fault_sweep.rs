@@ -22,7 +22,7 @@
 //! mitigation policies (standard retries, reprompt(2) guardrail,
 //! coordinator failover, 2 replicas, closed-loop recovery).
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{
     workloads, AgentFaultProfile, ChannelProfile, RecoveryPolicy, RepairPolicy, RunOverrides,
 };
@@ -122,7 +122,7 @@ fn all_planes_overrides(cell: (bool, bool, bool, bool, bool)) -> RunOverrides {
     }
 }
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Fault & resilience sweep",
@@ -199,7 +199,7 @@ pub(super) fn run(ctx: &Ctx) -> String {
 }
 
 /// The fault-plane compositions: LLM x agent, three planes, all five.
-pub(super) fn run_compose(ctx: &Ctx) -> String {
+pub(super) fn run_compose(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Fault-plane composition sweep",

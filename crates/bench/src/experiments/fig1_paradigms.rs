@@ -7,12 +7,12 @@
 //! cargo run --release -p embodied-bench --bin experiments -- fig1_paradigms
 //! ```
 
-use crate::{par_map_with, Ctx, Markdown};
-use embodied_agents::{workloads, RunOverrides};
+use crate::{par_map_with, Ctx, Markdown, Output};
+use embodied_agents::workloads;
 use embodied_env::TaskDifficulty;
 use embodied_profiler::{ModuleKind, Table};
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Fig. 1: Embodied AI Agents Paradigm",
@@ -66,19 +66,10 @@ pub(super) fn run(ctx: &Ctx) -> String {
     let traced = par_map_with(ctx.jobs, pipelines.len(), |i| {
         let (_, workload, _) = pipelines[i];
         let spec = workloads::find(workload).expect("suite member");
-        let overrides = RunOverrides {
-            difficulty: Some(TaskDifficulty::Easy),
-            ..Default::default()
-        };
-        let (report, _) = embodied_agents::run_episode_traced(&spec, &overrides, 7);
-        // The first step's actual span sequence from a fresh trace.
-        let mut system = spec.build_system(
-            &overrides.apply(&spec),
-            TaskDifficulty::Easy,
-            spec.default_agents,
-            7,
-        );
-        let _ = system.run();
+        let mut system =
+            spec.build_system(&spec.config, TaskDifficulty::Easy, spec.default_agents, 7);
+        let report = system.run();
+        // The first step's actual span sequence, from the same run.
         let first_step: Vec<String> = system
             .trace()
             .step_spans(0)

@@ -9,11 +9,11 @@
 //! cargo run --release -p embodied-bench --bin experiments -- fig2_latency
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, RunOverrides};
 use embodied_profiler::{ascii_bar, pct, ModuleKind, Table};
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Fig. 2: Runtime Latency Analysis",

@@ -11,13 +11,13 @@
 //! cargo run --release -p embodied-bench --bin experiments -- fig3_sensitivity
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, ModuleToggles, RunOverrides};
 use embodied_profiler::{pct, welch_t_test, Aggregate, Sample, Table};
 
 const SYSTEMS: [&str; 6] = ["JARVIS-1", "DaDu-E", "OLA", "COHERENT", "CoELA", "HMAS"];
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Fig. 3: Module Sensitivity Analysis",

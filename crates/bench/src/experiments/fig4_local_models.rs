@@ -8,14 +8,14 @@
 //! cargo run --release -p embodied-bench --bin experiments -- fig4_local_models
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, RunOverrides};
 use embodied_llm::{inference_latency, InferenceOpts, ModelProfile};
 use embodied_profiler::{pct, Table};
 
 const SYSTEMS: [&str; 3] = ["JARVIS-1", "DEPS", "OLA"];
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Fig. 4: Local Model Analysis",

@@ -6,7 +6,7 @@
 //! cargo run --release -p embodied-bench --bin experiments -- fig5_memory
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::modules::RetrievalMode;
 use embodied_agents::{workloads, MemoryCapacity, RunOverrides};
 use embodied_profiler::{pct, Aggregate, ModuleKind, SimDuration, Table};
@@ -22,7 +22,7 @@ fn capacities() -> Vec<(String, MemoryCapacity)> {
     v
 }
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Fig. 5: Memory Module Capacity Analysis",

@@ -6,13 +6,13 @@
 //! cargo run --release -p embodied-bench --bin experiments -- fig6_tokens
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, MemoryCapacity, RunOverrides};
 use embodied_profiler::{ascii_bar, Table};
 
 const SYSTEMS: [&str; 3] = ["CoELA", "MindAgent", "JARVIS-1"];
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Fig. 6: Prompt Token Length Analysis",

@@ -7,7 +7,7 @@
 //! cargo run --release -p embodied-bench --bin experiments -- fig7_scalability
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, RunOverrides};
 use embodied_env::TaskDifficulty;
 use embodied_profiler::{pct, Table};
@@ -15,7 +15,7 @@ use embodied_profiler::{pct, Table};
 const SYSTEMS: [&str; 3] = ["MindAgent", "CoELA", "COMBO"];
 const TEAM_SIZES: [usize; 5] = [1, 2, 4, 6, 8];
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Fig. 7: Multi-Agent System Scalability Analysis",

@@ -10,7 +10,7 @@
 //! cargo run --release -p embodied-bench --bin experiments -- guardrail_sweep
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, RepairPolicy, RunOverrides};
 use embodied_env::TaskDifficulty;
 use embodied_llm::SemanticFaultProfile;
@@ -25,7 +25,7 @@ const POLICIES: [RepairPolicy; 4] = [
     RepairPolicy::Reprompt { max_attempts: 2 },
 ];
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Guardrail sweep",

@@ -1,9 +1,11 @@
 //! The experiment registry: one row per table, figure or sweep.
 //!
-//! Each row's `run` renders its Markdown report from a [`Ctx`] and returns
-//! it. Only the `experiments` binary touches `results/<name>.md`: it writes
-//! the report there ([`write()`]), or byte-compares it against the committed
-//! file ([`check()`]).
+//! Each row's `run` renders its Markdown report from a [`Ctx`], plus any
+//! files it pins beside it, and returns them as an [`Output`].
+//! [`Experiment::files`] lists every file a row owns by its path under the
+//! repository root: `results/<name>.md` first. Only the `experiments` binary
+//! touches those files: it writes each one ([`write()`]), or byte-compares
+//! each against the committed copy ([`check()`]).
 
 mod boxworld_grid;
 mod contention_sweep;
@@ -30,6 +32,7 @@ mod table2_suite;
 use crate::{base_seed, par_map_with, SweepPlan};
 use embodied_agents::{episode_seed, run_episode, RunOverrides, WorkloadSpec};
 use embodied_profiler::{Aggregate, EpisodeReport};
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 
 /// What one experiment run may depend on besides its code.
@@ -41,21 +44,16 @@ pub struct Ctx {
     pub seed: u64,
     /// Worker threads for episode sweeps (results are identical at any value).
     pub jobs: usize,
-    /// `scenario_evolve` only: pin its frontier as regression fixtures.
-    pub write_fixtures: bool,
-    /// `scenario_evolve` only: add the embodied fault plane to the search.
-    pub env_plane: bool,
 }
 
 impl Ctx {
-    /// A context with the scenario-evolution switches off.
+    /// A context for `episodes` episodes per configuration from `seed` on
+    /// `jobs` workers.
     pub fn new(episodes: usize, seed: u64, jobs: usize) -> Self {
         Ctx {
             episodes,
             seed,
             jobs,
-            write_fixtures: false,
-            env_plane: false,
         }
     }
 
@@ -133,13 +131,24 @@ impl Markdown {
         self.blank();
     }
 
-    /// The finished report.
-    pub(crate) fn finish(self) -> String {
-        self.0
+    /// The finished report, pinning nothing beside it.
+    pub(crate) fn finish(self) -> Output {
+        Output {
+            report: self.0,
+            pinned: Vec::new(),
+        }
     }
 }
 
-/// One registry row: an experiment and the file it regenerates.
+/// What one row regenerates.
+pub struct Output {
+    /// The Markdown report, `results/<name>.md`.
+    pub report: String,
+    /// Further files the row owns, by path under the repository root.
+    pub pinned: Vec<(PathBuf, String)>,
+}
+
+/// One registry row: an experiment and the files it regenerates.
 pub struct Experiment {
     /// Registry key, and the stem of `results/<name>.md`.
     pub name: &'static str,
@@ -147,15 +156,26 @@ pub struct Experiment {
     pub figure: &'static str,
     /// Episodes per configuration unless `EMBODIED_EPISODES` overrides it.
     pub default_episodes: usize,
-    /// Renders the report.
-    pub run: fn(&Ctx) -> String,
+    /// Renders the report and anything pinned beside it.
+    pub run: fn(&Ctx) -> Output,
+}
+
+impl Experiment {
+    /// Runs the row: every file it owns, by path under the repository root,
+    /// with its bytes; `results/<name>.md` first.
+    pub fn files(&self, ctx: &Ctx) -> Vec<(PathBuf, String)> {
+        let Output { report, pinned } = (self.run)(ctx);
+        std::iter::once((report_path(self.name), report))
+            .chain(pinned)
+            .collect()
+    }
 }
 
 const fn row(
     name: &'static str,
     figure: &'static str,
     episodes: usize,
-    run: fn(&Ctx) -> String,
+    run: fn(&Ctx) -> Output,
 ) -> Experiment {
     Experiment {
         name,
@@ -207,14 +227,10 @@ fn episodes_override() -> Option<usize> {
 
 /// A parsed `experiments` command line.
 pub struct Invocation {
-    /// Compare against `results/` instead of writing it.
+    /// Compare every file against its committed copy instead of writing it.
     pub check: bool,
     /// `--jobs N`, or [`crate::jobs`] without the flag.
     pub jobs: usize,
-    /// `--write-fixtures` (lone `scenario_evolve` only).
-    pub(crate) write_fixtures: bool,
-    /// `--env-plane` (lone `scenario_evolve` only).
-    pub(crate) env_plane: bool,
     /// The rows to run, in registry order.
     pub selected: Vec<&'static Experiment>,
 }
@@ -226,8 +242,6 @@ impl Invocation {
         let mut inv = Invocation {
             check: false,
             jobs: crate::jobs(),
-            write_fixtures: false,
-            env_plane: false,
             selected: Vec::new(),
         };
         let mut names = Vec::new();
@@ -235,8 +249,6 @@ impl Invocation {
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--check" => inv.check = true,
-                "--write-fixtures" => inv.write_fixtures = true,
-                "--env-plane" => inv.env_plane = true,
                 "--jobs" => {
                     let value = args.next().ok_or("--jobs needs a value")?;
                     let n = value
@@ -267,26 +279,17 @@ impl Invocation {
                 .filter(|e| names.iter().any(|n| n == e.name))
                 .collect();
         }
-        if inv.check && inv.write_fixtures {
-            return Err("--check writes nothing, so it cannot take --write-fixtures".into());
-        }
-        let lone_evolve = matches!(inv.selected[..], [e] if e.name == "scenario_evolve");
-        if (inv.write_fixtures || inv.env_plane) && !lone_evolve {
-            return Err("--write-fixtures and --env-plane need scenario_evolve alone".into());
-        }
         Ok(inv)
     }
 
     /// The context `exp` runs under: `EMBODIED_EPISODES` or the row's
     /// default, `EMBODIED_SEED`, and the worker count.
     pub fn ctx(&self, exp: &Experiment) -> Ctx {
-        Ctx {
-            episodes: episodes_override().unwrap_or(exp.default_episodes),
-            seed: base_seed(),
-            jobs: self.jobs,
-            write_fixtures: self.write_fixtures,
-            env_plane: self.env_plane,
-        }
+        Ctx::new(
+            episodes_override().unwrap_or(exp.default_episodes),
+            base_seed(),
+            self.jobs,
+        )
     }
 }
 
@@ -294,9 +297,9 @@ impl Invocation {
 pub fn usage() -> String {
     let mut text = String::from(
         "usage: experiments [--check] [--jobs N] (all | NAME...)\n\
-         \x20      experiments [--jobs N] [--write-fixtures] [--env-plane] scenario_evolve\n\
          \n\
-         Writes results/<NAME>.md, or with --check compares it byte for byte.\n\
+         Writes results/<NAME>.md and any files the row pins beside it, or with\n\
+         --check compares each byte for byte.\n\
          Env: EMBODIED_EPISODES (episodes/config), EMBODIED_SEED (default 42),\n\
          EMBODIED_JOBS (default for --jobs).\n\
          \n\
@@ -311,19 +314,19 @@ pub fn usage() -> String {
     text
 }
 
-/// `dir/<name>.md`.
-fn result_path(dir: &Path, name: &str) -> PathBuf {
-    dir.join(format!("{name}.md"))
+/// `results/<name>.md`.
+fn report_path(name: &str) -> PathBuf {
+    Path::new("results").join(format!("{name}.md"))
 }
 
-/// Writes a report to `dir/<name>.md`, creating `dir` if needed; `Err`
+/// Writes `text` to `root/path`, creating its directory if needed; `Err`
 /// names the path that could not be written.
-pub fn write(dir: &Path, name: &str, text: &str) -> Result<PathBuf, String> {
-    let path = result_path(dir, name);
-    std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&path, text))
-        .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
-    Ok(path)
+pub fn write(root: &Path, path: &Path, text: &str) -> Result<(), String> {
+    let full = root.join(path);
+    full.parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(&full, text))
+        .map_err(|err| format!("cannot write {}: {err}", path.display()))
 }
 
 /// The `n`-th line (1-based) of `text`, or a marker past its end.
@@ -333,15 +336,16 @@ fn nth_line(text: &str, n: usize) -> String {
         .map_or_else(|| "<end of file>".to_owned(), str::to_owned)
 }
 
-/// Byte-compares generated reports against `dir/<name>.md` and returns one
-/// message per differing or missing file, and per `dir/*.md` that no
-/// registry row produces; each names the file and its first differing
-/// line. An empty result means the check passed.
-pub fn check(dir: &Path, outputs: &[(&str, String)]) -> Vec<String> {
+/// Byte-compares generated files against their committed copies under
+/// `root` and returns one message per differing or missing file, and per
+/// orphan: a file in a directory the outputs land in, with the extension of
+/// an output there, that no output names and that is not another row's
+/// report. Each message names the file and its first differing line. An
+/// empty result means the check passed.
+pub fn check(root: &Path, outputs: &[(PathBuf, String)]) -> Vec<String> {
     let mut failures = Vec::new();
-    for (name, generated) in outputs {
-        let path = result_path(dir, name);
-        let Ok(bytes) = std::fs::read(&path) else {
+    for (path, generated) in outputs {
+        let Ok(bytes) = std::fs::read(root.join(path)) else {
             let first = nth_line(generated, 1);
             failures.push(format!(
                 "{}: missing; generated line 1: {first}",
@@ -365,22 +369,31 @@ pub fn check(dir: &Path, outputs: &[(&str, String)]) -> Vec<String> {
             ));
         }
     }
-    let mut orphans: Vec<PathBuf> = std::fs::read_dir(dir)
+    let mut kinds: Vec<(&Path, &OsStr)> = outputs
+        .iter()
+        .filter_map(|(path, _)| Some((path.parent()?, path.extension()?)))
+        .collect();
+    kinds.sort();
+    kinds.dedup();
+    let owned = |path: &PathBuf| {
+        outputs.iter().any(|(p, _)| p == path)
+            || EXPERIMENTS.iter().any(|e| report_path(e.name) == *path)
+    };
+    let mut orphans: Vec<PathBuf> = kinds
         .into_iter()
-        .flatten()
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "md"))
-        .filter(|p| {
-            p.file_stem()
-                .and_then(|s| s.to_str())
-                .is_none_or(|stem| find(stem).is_none())
+        .flat_map(|(dir, ext)| {
+            std::fs::read_dir(root.join(dir))
+                .into_iter()
+                .flatten()
+                .filter_map(|entry| Some(dir.join(entry.ok()?.file_name())))
+                .filter(move |p| p.extension() == Some(ext))
         })
+        .filter(|p| !owned(p))
         .collect();
     orphans.sort();
     for path in orphans {
-        let committed =
-            String::from_utf8_lossy(&std::fs::read(&path).unwrap_or_default()).into_owned();
-        let first = nth_line(&committed, 1);
+        let committed = std::fs::read(root.join(&path)).unwrap_or_default();
+        let first = nth_line(&String::from_utf8_lossy(&committed), 1);
         failures.push(format!(
             "{}: no experiment produces it; line 1: {first}",
             path.display()
@@ -447,34 +460,18 @@ mod tests {
                 "--population 3 scenario_evolve",
                 "unknown flag --population",
             ),
+            (
+                "--write-fixtures scenario_evolve",
+                "unknown flag --write-fixtures",
+            ),
+            ("--env-plane scenario_evolve", "unknown flag --env-plane"),
             ("all --jobs", "--jobs needs a value"),
             ("all --jobs 0", "positive integer"),
             ("all --jobs four", "positive integer"),
             ("all fig2_latency", "name no others"),
-            (
-                "--check --write-fixtures scenario_evolve",
-                "cannot take --write-fixtures",
-            ),
         ] {
             let err = parse_err(args);
             assert!(err.contains(reason), "{args:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn evolve_switches_need_a_lone_scenario_evolve() {
-        let inv = parse("--write-fixtures --env-plane scenario_evolve")
-            .ok()
-            .unwrap();
-        assert!(inv.write_fixtures && inv.env_plane);
-        assert_eq!(names(&inv), ["scenario_evolve"]);
-        for args in [
-            "--write-fixtures all",
-            "--env-plane fault_sweep",
-            "--write-fixtures scenario_evolve fig2_latency",
-        ] {
-            let err = parse_err(args);
-            assert!(err.contains("scenario_evolve alone"), "{args:?}: {err}");
         }
     }
 
@@ -484,34 +481,39 @@ mod tests {
         assert!(EXPERIMENTS.iter().all(|e| text.contains(e.name)));
     }
 
-    /// A temporary copy of the committed `results/*.md`.
-    fn results_copy(tag: &str) -> PathBuf {
-        let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        let dir =
-            std::env::temp_dir().join(format!("embodied-results-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        for entry in std::fs::read_dir(committed).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_some_and(|ext| ext == "md") {
-                std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    /// A temporary root holding a copy of the committed `dir/*.ext` files,
+    /// and their paths under the root.
+    fn committed_copy(tag: &str, dir: &str, ext: &str) -> (PathBuf, Vec<PathBuf>) {
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root =
+            std::env::temp_dir().join(format!("embodied-check-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(root.join(dir)).unwrap();
+        let mut paths = Vec::new();
+        for entry in std::fs::read_dir(repo.join(dir)).unwrap() {
+            let path = Path::new(dir).join(entry.unwrap().file_name());
+            if path.extension().is_some_and(|e| e == ext) {
+                std::fs::copy(repo.join(&path), root.join(&path)).unwrap();
+                paths.push(path);
             }
         }
-        dir
+        paths.sort();
+        (root, paths)
     }
 
-    #[test]
-    fn check_names_a_flipped_missing_or_orphan_file() {
-        let dir = results_copy("check");
-        let ctx = Ctx::new(8, 42, 1);
-        let outputs: Vec<(&str, String)> = ["table1_paradigms", "table2_suite"]
-            .into_iter()
-            .map(|name| (name, (find(name).unwrap().run)(&ctx)))
-            .collect();
-        assert_eq!(check(&dir, &outputs), Vec::<String>::new());
+    /// Checks `outputs` against `root` after flipping one byte on line 3 of
+    /// `flipped`, deleting `missing` and adding an orphan `stale` beside
+    /// them; each failure must name its file.
+    fn assert_check_names_each_fault(
+        root: &Path,
+        outputs: &[(PathBuf, String)],
+        flipped: &str,
+        missing: &str,
+        stale: &str,
+    ) {
+        assert_eq!(check(root, outputs), Vec::<String>::new());
 
-        // Flip one byte on line 3 of the committed Table I.
-        let flipped = dir.join("table1_paradigms.md");
-        let mut bytes = std::fs::read(&flipped).unwrap();
+        let path = root.join(flipped);
+        let mut bytes = std::fs::read(&path).unwrap();
         let at = bytes
             .iter()
             .enumerate()
@@ -521,27 +523,66 @@ mod tests {
             .0
             + 1;
         bytes[at] ^= 0x01;
-        std::fs::write(&flipped, bytes).unwrap();
-        let failures = check(&dir, &outputs);
+        std::fs::write(&path, bytes).unwrap();
+        let failures = check(root, outputs);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("table1_paradigms.md: differs at line 3"));
+        assert!(failures[0].starts_with(&format!("{flipped}: differs at line 3")));
 
-        std::fs::remove_file(dir.join("table2_suite.md")).unwrap();
-        std::fs::write(dir.join("stale.md"), "# stale\n").unwrap();
-        let text = check(&dir, &outputs);
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(root.join(missing)).unwrap();
+        std::fs::write(root.join(stale), "stale\n").unwrap();
+        let text = check(root, outputs);
+        std::fs::remove_dir_all(root).unwrap();
         assert_eq!(text.len(), 3, "{text:?}");
-        assert!(text[0].contains("table1_paradigms.md: differs at line 3"));
-        assert!(text[1].contains("table2_suite.md: missing"));
-        assert!(text[2].contains("stale.md: no experiment produces it"));
+        let (first, second) = if flipped < missing { (0, 1) } else { (1, 0) };
+        assert!(text[first].starts_with(&format!("{flipped}: differs at line 3")));
+        assert!(text[second].starts_with(&format!("{missing}: missing")));
+        assert!(text[2].starts_with(&format!("{stale}: no experiment produces it")));
+    }
+
+    #[test]
+    fn check_names_a_flipped_missing_or_orphan_report() {
+        let (root, _) = committed_copy("results", "results", "md");
+        let ctx = Ctx::new(8, 42, 1);
+        let outputs: Vec<(PathBuf, String)> = ["table1_paradigms", "table2_suite"]
+            .into_iter()
+            .flat_map(|name| find(name).unwrap().files(&ctx))
+            .collect();
+        assert_check_names_each_fault(
+            &root,
+            &outputs,
+            "results/table1_paradigms.md",
+            "results/table2_suite.md",
+            "results/stale.md",
+        );
+    }
+
+    #[test]
+    fn check_names_a_flipped_missing_or_orphan_fixture() {
+        let (root, paths) = committed_copy("fixtures", crate::fixture::DIR, "json");
+        assert_eq!(paths.len(), 8, "{paths:?}");
+        let outputs: Vec<(PathBuf, String)> = paths
+            .into_iter()
+            .map(|path| {
+                let text = std::fs::read_to_string(root.join(&path)).unwrap();
+                (path, text)
+            })
+            .collect();
+        let dir = crate::fixture::DIR;
+        assert_check_names_each_fault(
+            &root,
+            &outputs,
+            &format!("{dir}/hybrid-1.json"),
+            &format!("{dir}/centralized-2.json"),
+            &format!("{dir}/stale-1.json"),
+        );
     }
 
     #[test]
     fn write_names_an_unwritable_path() {
         let file = std::env::temp_dir().join(format!("embodied-not-a-dir-{}", std::process::id()));
         std::fs::write(&file, "").unwrap();
-        let err = write(&file, "fig2_latency", "x").unwrap_err();
+        let err = write(&file, &report_path("fig2_latency"), "x").unwrap_err();
         std::fs::remove_file(&file).unwrap();
-        assert!(err.contains("fig2_latency.md"), "{err}");
+        assert!(err.contains("results/fig2_latency.md"), "{err}");
     }
 }

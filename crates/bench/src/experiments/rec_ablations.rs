@@ -13,12 +13,12 @@
 //! cargo run --release -p embodied-bench --bin experiments -- rec_ablations
 //! ```
 
-use crate::{Ctx, Markdown};
+use crate::{Ctx, Markdown, Output};
 use embodied_agents::{workloads, MemoryCapacity, Optimizations, RunOverrides};
 use embodied_llm::{batch_latency, inference_latency, InferenceOpts, ModelProfile, Quantization};
 use embodied_profiler::{pct, SimDuration, Table};
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Recommendation Ablations",

@@ -13,7 +13,7 @@
 //! cargo run --release -p embodied-bench --bin experiments -- resilience_scalability
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, AgentFaultProfile, ChannelProfile, RunOverrides};
 use embodied_env::TaskDifficulty;
 use embodied_profiler::{pct, Table};
@@ -39,7 +39,7 @@ const VARIANTS: [(&str, &str, FaultCtor); 3] = [
     ),
 ];
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Resilience scalability: agent faults across paradigms",

@@ -1,36 +1,35 @@
 //! Adversarial scenario evolution — auto-discovering the failure frontier.
 //!
 //! Runs a deterministic evolutionary search ([`crate::evolve`])
-//! per cooperation paradigm over the fault planes (LLM transport,
-//! agent/channel, semantic, serving, and — with `--env-plane` — embodied
-//! perception/actuation) plus the mitigation policies, looking
+//! per cooperation paradigm over the five fault planes (LLM transport,
+//! agent/channel, semantic, serving, embodied perception/actuation) plus
+//! the mitigation policies, looking
 //! for the scenario that does the most damage *per unit of injected fault
 //! probability*. Reports the per-generation progress, the hardest
 //! scenarios found, and how they compare against the fixed `fault_sweep`
 //! grid at equal fault budget.
 //!
 //! ```text
-//! cargo run --release -p embodied-bench --bin experiments -- scenario_evolve \
-//!     [--write-fixtures] [--env-plane]
+//! cargo run --release -p embodied-bench --bin experiments -- scenario_evolve
 //! ```
 //!
 //! The search evaluates each genotype over `EMBODIED_EPISODES` episodes
 //! (default 4) from `EMBODIED_SEED`.
 //!
-//! * `--write-fixtures` re-evaluates the top two scenarios per paradigm
-//!   and pins them (genotype + outcome envelope) as JSON fixtures under
-//!   `crates/bench/fixtures/scenarios/`, replayed by the
-//!   `regression_scenarios` test.
+//! Besides its report the row pins the top two scenarios per paradigm
+//! (genotype + the outcome envelope of the evaluation the search ran) as
+//! JSON fixtures under `crates/bench/fixtures/scenarios/`. The
+//! `experiments` binary writes and `--check`s them with the report, and the
+//! `regression_scenarios` test replays them.
 //!
 //! Same seed ⇒ byte-identical report and fixtures at any worker count.
 
-use crate::fixture::{replay, Envelope, Fixture};
-use crate::{evolve, Ctx, EvolveParams, Markdown, SweepPlan};
+use crate::fixture::Fixture;
+use crate::{evolve, Ctx, EvolveParams, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, Paradigm, RunOverrides};
 use embodied_env::TaskDifficulty;
 use embodied_llm::{FaultProfile, RetryPolicy};
 use embodied_profiler::{pct, Table};
-use std::path::Path;
 
 /// Canonical fixed-grid workload per paradigm (matches `fault_sweep`,
 /// plus HMAS for the hybrid paradigm which the fixed grid omits).
@@ -51,26 +50,19 @@ const POPULATION: usize = 12;
 /// Generations of the search.
 const GENERATIONS: usize = 6;
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::default();
     out.line("# Adversarial scenario evolution");
     out.blank();
-    // The default wording stays exactly as before --env-plane existed so
-    // the committed report regenerates byte-identically.
-    let planes = if ctx.env_plane {
-        "all five fault planes"
-    } else {
-        "all four fault planes"
-    };
     out.line(format!(
         "Seeded evolutionary search for the failure frontier: damage per \
-         unit fault budget across {planes} (population {}, \
+         unit fault budget across all five fault planes (population {}, \
          {} generations, {} episodes/eval, seed {}). Deterministic: the \
          same seed replays byte-identically at any worker count.",
         POPULATION, GENERATIONS, ctx.episodes, ctx.seed
     ));
 
-    let fixtures_dir = Path::new("crates/bench/fixtures/scenarios");
+    let mut pinned = Vec::new();
     let mut frontier_verdicts = Vec::new();
 
     for paradigm in Paradigm::ALL {
@@ -81,7 +73,6 @@ pub(super) fn run(ctx: &Ctx) -> String {
             eval_episodes: ctx.episodes,
             seed: ctx.seed,
             workers: ctx.jobs,
-            env_plane: ctx.env_plane,
         };
         let outcome = evolve(&params);
 
@@ -129,7 +120,7 @@ pub(super) fn run(ctx: &Ctx) -> String {
                 pct(s.success_drop),
                 format!("{:.3}", s.budget),
                 pct(s.baseline_success),
-                pct(s.success_rate),
+                pct(s.outcome.as_ref().map_or(0.0, |e| e.success_rate)),
                 format!("{:.1}", s.mitigation_per_episode),
                 format!("{:.4}", s.extra_cost_usd),
                 s.genotype.summary(),
@@ -194,20 +185,22 @@ pub(super) fn run(ctx: &Ctx) -> String {
         ));
         frontier_verdicts.push((paradigm, evolved_ratio, grid_best));
 
-        if ctx.write_fixtures {
-            for (rank, s) in outcome.ranked.iter().take(2).enumerate() {
-                let agg = replay(&s.genotype, ctx.episodes, ctx.seed, ctx.jobs);
-                let fixture = Fixture {
-                    paradigm,
-                    rank: rank + 1,
-                    episodes: ctx.episodes,
-                    base_seed: ctx.seed,
-                    genotype: s.genotype.clone(),
-                    envelope: Envelope::of(&agg),
-                };
-                let path = fixture.write(fixtures_dir).expect("write fixture");
-                eprintln!("pinned {}", path.display());
-            }
+        // Pin the two hardest scenarios that ran clean, with the envelope
+        // their evaluation already produced.
+        let clean = outcome
+            .ranked
+            .iter()
+            .filter_map(|s| Some((s, s.outcome.clone().ok()?)));
+        for (rank, (s, envelope)) in clean.take(2).enumerate() {
+            let fixture = Fixture {
+                paradigm,
+                rank: rank + 1,
+                episodes: ctx.episodes,
+                base_seed: ctx.seed,
+                genotype: s.genotype.clone(),
+                envelope,
+            };
+            pinned.push((fixture.path(), fixture.render()));
         }
     }
 
@@ -233,5 +226,8 @@ pub(super) fn run(ctx: &Ctx) -> String {
          strictly harder (per unit budget) than every fixed-grid cell.",
         Paradigm::ALL.len()
     ));
-    out.finish()
+    Output {
+        pinned,
+        ..out.finish()
+    }
 }

@@ -14,7 +14,7 @@
 //! cargo run --release -p embodied-bench --bin experiments -- serving_sweep
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, RunOverrides};
 use embodied_env::TaskDifficulty;
 use embodied_llm::ServingConfig;
@@ -36,7 +36,7 @@ fn configs() -> [(&'static str, ServingConfig); 4] {
     ]
 }
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Serving sweep",

@@ -17,7 +17,7 @@
 //! cargo run --release -p embodied-bench --bin experiments -- slo_sweep
 //! ```
 
-use crate::{Ctx, Markdown, SweepPlan};
+use crate::{Ctx, Markdown, Output, SweepPlan};
 use embodied_agents::{workloads, RunOverrides};
 use embodied_env::TaskDifficulty;
 use embodied_llm::{ServingConfig, ServingFaultProfile};
@@ -82,7 +82,7 @@ fn p95_step_secs(reports: &[EpisodeReport]) -> f64 {
     lat[idx.clamp(1, lat.len()) - 1]
 }
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let scenarios = scenarios();
     let team = 4;
 

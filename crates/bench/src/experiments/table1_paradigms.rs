@@ -5,7 +5,7 @@
 //! cargo run --release -p embodied-bench --bin experiments -- table1_paradigms
 //! ```
 
-use crate::{Ctx, Markdown};
+use crate::{Ctx, Markdown, Output};
 use embodied_agents::workloads::{self, TaxonomyParadigm};
 use embodied_profiler::Table;
 
@@ -17,7 +17,7 @@ fn mark(present: bool) -> &'static str {
     }
 }
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Table I: Embodied AI Agent Systems",

@@ -5,11 +5,11 @@
 //! cargo run --release -p embodied-bench --bin experiments -- table2_suite
 //! ```
 
-use crate::{Ctx, Markdown};
+use crate::{Ctx, Markdown, Output};
 use embodied_agents::{workloads, Paradigm};
 use embodied_profiler::Table;
 
-pub(super) fn run(ctx: &Ctx) -> String {
+pub(super) fn run(ctx: &Ctx) -> Output {
     let mut out = Markdown::banner(
         ctx,
         "Table II: Embodied Agent Systems Workload Suite",

@@ -1,11 +1,13 @@
 //! The scenario-fixture format, `scenario-fixture-v1`.
 //!
-//! `scenario_evolve --write-fixtures` pins the hardest genotypes of each
-//! paradigm as JSON files under `crates/bench/fixtures/scenarios/`, and the
+//! The `scenario_evolve` experiment pins the two hardest genotypes of each
+//! paradigm as JSON files under [`DIR`], which the `experiments` binary
+//! writes and `--check`s like every `results/*.md`, and the
 //! `regression_scenarios` test replays them. This module is the only code
 //! that knows their layout: a [`Fixture`] has one writer
-//! ([`Fixture::render`]) and one reader ([`Fixture::parse`]), both sides
-//! evaluate with [`replay`] and summarise with [`Envelope::of`].
+//! ([`Fixture::render`]) and one reader ([`Fixture::parse`]). The search
+//! pins the [`Envelope::of`] of the evaluation it already ran; the test
+//! re-runs that evaluation with [`replay`] and compares envelopes.
 //!
 //! Each stored type lists its keys once, in a `record!` or `named!` line
 //! below that generates both directions. Every read ends in the type's
@@ -27,6 +29,9 @@ use std::path::{Path, PathBuf};
 /// The `format` tag of every fixture.
 const FORMAT: &str = "scenario-fixture-v1";
 
+/// The fixture directory, under the repository root.
+pub const DIR: &str = "crates/bench/fixtures/scenarios";
+
 /// One pinned scenario: the genotype, how it was evaluated, and what the
 /// evaluation produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +46,8 @@ pub struct Fixture {
     pub base_seed: u64,
     /// The scenario.
     pub genotype: ScenarioGenotype,
-    /// The outcome [`replay`] produced when the fixture was pinned.
+    /// The outcome of the evaluation that pinned the fixture, which
+    /// [`replay`] reproduces.
     pub envelope: Envelope,
 }
 
@@ -133,12 +139,10 @@ impl Fixture {
         })
     }
 
-    /// Writes the fixture to `dir/<paradigm>-<rank>.json`, creating `dir`.
-    pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}-{}.json", self.paradigm, self.rank));
-        std::fs::write(&path, self.render())?;
-        Ok(path)
+    /// Where the fixture lives under the repository root:
+    /// `DIR/<paradigm>-<rank>.json`.
+    pub fn path(&self) -> PathBuf {
+        Path::new(DIR).join(format!("{}-{}.json", self.paradigm, self.rank))
     }
 }
 
@@ -261,29 +265,16 @@ macro_rules! named {
 named!(Paradigm, TaskDifficulty, RetryPreset, ServingPreset);
 
 /// Structs stored as one object key per listed field, in list order, and
-/// read back through `$check`. Fields after `;` are written only when they
-/// differ from the type's default and read as the default when absent, so
-/// adding one keeps every older fixture's bytes.
+/// read back through `$check`.
 macro_rules! record {
-    ($ty:ident { $($key:ident),+ $(; $($opt:ident),+)? } $check:expr) => {
+    ($ty:ident { $($key:ident),+ } $check:expr) => {
         impl Stored for $ty {
             fn to_json(&self) -> JsonValue {
-                #[allow(unused_mut)]
-                let mut fields = vec![$((stringify!($key).to_owned(), self.$key.to_json())),+];
-                $($(
-                    if self.$opt != Default::default() {
-                        fields.push((stringify!($opt).to_owned(), self.$opt.to_json()));
-                    }
-                )+)?
-                JsonValue::Object(fields)
+                JsonValue::Object(vec![$((stringify!($key).to_owned(), self.$key.to_json())),+])
             }
             fn from_json(value: &JsonValue) -> Result<Self, String> {
                 $check($ty {
                     $($key: get(value, stringify!($key))?,)+
-                    $($($opt: match value.get(stringify!($opt)) {
-                        Some(_) => get(value, stringify!($opt))?,
-                        None => Default::default(),
-                    },)+)?
                 })
             }
         }
@@ -308,11 +299,9 @@ record!(ServingFaultProfile {
 record!(EnvFaultProfile {
     dropout, phantom, stale, stale_steps, misread, silent_fail, slip, actuator_down, down_steps
 } EnvFaultProfile::validated);
-// The embodied-plane genes are optional: four-plane genotypes keep the
-// bytes, and so the `key()`, they had before the fifth plane existed.
 record!(ScenarioGenotype {
     system, difficulty, num_agents, llm, retry, agent, channel, semantic, repair, serving,
-    serving_faults; env, recovery
+    serving_faults, env, recovery
 } |g: ScenarioGenotype| g.validate().map(|()| g));
 record!(Envelope {
     success_rate, gave_up, shed, serving_failovers, agent_crashes, repair_attempts, mean_steps,
@@ -380,10 +369,9 @@ mod tests {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/scenarios")
     }
 
-    /// A five-plane fixture, so the optional keys are written too.
     fn sample() -> Fixture {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut genotype = ScenarioGenotype::random_with(Paradigm::Hybrid, &mut rng, true);
+        let mut genotype = ScenarioGenotype::random(Paradigm::Hybrid, &mut rng);
         genotype.env = EnvFaultProfile::uniform(0.03);
         genotype.recovery = RecoveryPolicy::standard();
         genotype.repair = RepairPolicy::Reprompt { max_attempts: 2 };
@@ -408,11 +396,11 @@ mod tests {
 
     #[test]
     fn the_loader_reads_back_what_the_writer_wrote() {
-        let dir = std::env::temp_dir().join(format!("embodied-fixtures-{}", std::process::id()));
+        let root = std::env::temp_dir().join(format!("embodied-fixtures-{}", std::process::id()));
         let fixture = sample();
-        fixture.write(&dir).unwrap();
-        let loaded = load_dir(&dir);
-        std::fs::remove_dir_all(&dir).unwrap();
+        crate::experiments::write(&root, &fixture.path(), &fixture.render()).unwrap();
+        let loaded = load_dir(&root.join(DIR));
+        std::fs::remove_dir_all(&root).unwrap();
         assert_eq!(loaded, Ok(vec![("hybrid-1.json".to_owned(), fixture)]));
     }
 
@@ -469,29 +457,13 @@ mod tests {
     fn random_genotypes_round_trip_through_their_key() {
         let mut rng = StdRng::seed_from_u64(7);
         for paradigm in Paradigm::ALL {
-            for env_plane in [false, true] {
-                for _ in 0..20 {
-                    let g = ScenarioGenotype::random_with(paradigm, &mut rng, env_plane);
-                    let text = g.key();
-                    let back = ScenarioGenotype::from_json(&JsonValue::parse(&text).unwrap());
-                    assert_eq!(back.as_ref(), Ok(&g));
-                    assert_eq!(back.unwrap().key(), text);
-                }
+            for _ in 0..40 {
+                let g = ScenarioGenotype::random(paradigm, &mut rng);
+                let text = g.key();
+                let back = ScenarioGenotype::from_json(&JsonValue::parse(&text).unwrap());
+                assert_eq!(back.as_ref(), Ok(&g));
+                assert_eq!(back.unwrap().key(), text);
             }
         }
-    }
-
-    #[test]
-    fn four_plane_genotypes_have_no_env_keys() {
-        // Four-plane fixtures have no "env"/"recovery" keys; they must keep
-        // parsing, and their canonical bytes must not grow the keys.
-        let mut rng = StdRng::seed_from_u64(21);
-        let g = ScenarioGenotype::random(Paradigm::Centralized, &mut rng);
-        let text = g.key();
-        assert!(!text.contains("\"env\""));
-        assert!(!text.contains("\"recovery\""));
-        let back = ScenarioGenotype::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-        assert!(back.env.is_none());
-        assert!(back.recovery.is_off());
     }
 }

@@ -3,13 +3,13 @@
 //!
 //! A genotype fixes everything an episode's robustness depends on — which
 //! suite member runs (within one cooperation paradigm), team size and task
-//! difficulty, all **four** fault planes (LLM transport, agent/channel,
-//! semantic content, serving infrastructure), and the mitigation policies
-//! layered on top (retry preset, guardrail repair policy, serving
-//! resilience preset). Its phenotype is a plain [`RunOverrides`], so an
-//! evolved scenario replays through the exact same orchestrator stack as
-//! every hand-written sweep — there is no separate "evolution" code path in
-//! the episode engine.
+//! difficulty, all **five** fault planes (LLM transport, agent/channel,
+//! semantic content, serving infrastructure, embodied perception/actuation),
+//! and the mitigation policies layered on top (retry preset, guardrail
+//! repair policy, serving resilience preset, closed-loop recovery). Its
+//! phenotype is a plain [`RunOverrides`], so an evolved scenario replays
+//! through the exact same orchestrator stack as every hand-written sweep —
+//! there is no separate "evolution" code path in the episode engine.
 //!
 //! Determinism contract: all mutation/crossover randomness comes from the
 //! caller's [`StdRng`] (the evolution loop keeps that RNG on the main
@@ -173,7 +173,7 @@ impl fmt::Display for ServingPreset {
     }
 }
 
-/// One heritable fault scenario: workload + shape + all four fault planes +
+/// One heritable fault scenario: workload + shape + all five fault planes +
 /// mitigation policies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioGenotype {
@@ -199,10 +199,7 @@ pub struct ScenarioGenotype {
     pub serving: ServingPreset,
     /// Fault plane 4: serving-infrastructure faults.
     pub serving_faults: ServingFaultProfile,
-    /// Fault plane 5: embodied perception/actuation faults. Stays
-    /// [`EnvFaultProfile::none()`] unless the search opts into the plane
-    /// ([`crate::evolve::EvolveParams::env_plane`]), so legacy runs replay
-    /// with an identical draw stream.
+    /// Fault plane 5: embodied perception/actuation faults.
     pub env: EnvFaultProfile,
     /// Closed-loop recovery mitigation for the embodied plane.
     pub recovery: RecoveryPolicy,
@@ -218,18 +215,9 @@ pub fn systems_of(paradigm: Paradigm) -> Vec<WorkloadSpec> {
 }
 
 impl ScenarioGenotype {
-    /// Draws a random scenario for `paradigm` from `rng` with the embodied
-    /// plane left out — the legacy four-plane search, draw-for-draw
-    /// identical to every pre-five-plane run.
+    /// Draws a random scenario for `paradigm` from `rng`, every plane and
+    /// mitigation included.
     pub fn random(paradigm: Paradigm, rng: &mut StdRng) -> Self {
-        Self::random_with(paradigm, rng, false)
-    }
-
-    /// Draws a random scenario. With `env_plane` set, the embodied
-    /// perception/actuation genes are drawn too (strictly *after* every
-    /// legacy gene, so the four-plane prefix of the stream is unchanged);
-    /// without it they stay at their draw-free defaults.
-    pub fn random_with(paradigm: Paradigm, rng: &mut StdRng, env_plane: bool) -> Self {
         let systems = systems_of(paradigm);
         assert!(!systems.is_empty(), "paradigm {paradigm} has no systems");
         let spec = &systems[rng.gen_range(0..systems.len())];
@@ -239,7 +227,7 @@ impl ScenarioGenotype {
             1
         };
         let difficulty = TaskDifficulty::ALL[rng.gen_range(0..TaskDifficulty::ALL.len())];
-        let mut g = ScenarioGenotype {
+        ScenarioGenotype {
             system: spec.name.to_string(),
             difficulty,
             num_agents,
@@ -251,14 +239,9 @@ impl ScenarioGenotype {
             repair: draw_repair(rng),
             serving: ServingPreset::ALL[rng.gen_range(0..ServingPreset::ALL.len())],
             serving_faults: draw_serving_faults(rng),
-            env: EnvFaultProfile::none(),
-            recovery: RecoveryPolicy::Off,
-        };
-        if env_plane {
-            g.env = draw_env(rng);
-            g.recovery = draw_recovery(rng);
+            env: draw_env(rng),
+            recovery: draw_recovery(rng),
         }
-        g
     }
 
     /// The paradigm this genotype's system belongs to.
@@ -354,14 +337,10 @@ impl ScenarioGenotype {
 
     /// Mutates one to two gene groups in place. All randomness comes from
     /// `rng`; the result always passes [`ScenarioGenotype::validate`].
-    /// With `env_plane` set, a ninth mutation arm targets the embodied
-    /// fault genes and the recovery policy; without it the arm selector
-    /// keeps the legacy `0..8` range and its exact draw stream.
-    pub fn mutate_with(&mut self, rng: &mut StdRng, env_plane: bool) {
-        let arms = if env_plane { 9 } else { 8 };
+    pub fn mutate(&mut self, rng: &mut StdRng) {
         let ops = 1 + rng.gen_range(0..2);
         for _ in 0..ops {
-            match rng.gen_range(0..arms) {
+            match rng.gen_range(0..9) {
                 0 => self.mutate_shape(rng),
                 1 => {
                     for rate in [
@@ -480,18 +459,11 @@ impl ScenarioGenotype {
     /// Uniform per-gene crossover: each gene group comes from `a` or `b`
     /// with equal probability. `a` donates the workload-shape genes
     /// (system/difficulty/team) as one linked block so the child never
-    /// pairs a team size with the wrong paradigm. The embodied/recovery
-    /// genes draw their picks only when `env_plane` is set, keeping the
-    /// legacy stream exact otherwise.
-    pub fn crossover_with(
-        a: &ScenarioGenotype,
-        b: &ScenarioGenotype,
-        rng: &mut StdRng,
-        env_plane: bool,
-    ) -> Self {
+    /// pairs a team size with the wrong paradigm.
+    pub fn crossover(a: &ScenarioGenotype, b: &ScenarioGenotype, rng: &mut StdRng) -> Self {
         let shape = if rng.gen_bool(0.5) { a } else { b };
         let pick = |rng: &mut StdRng| rng.gen_bool(0.5);
-        let mut child = ScenarioGenotype {
+        ScenarioGenotype {
             system: shape.system.clone(),
             difficulty: shape.difficulty,
             num_agents: shape.num_agents,
@@ -507,14 +479,9 @@ impl ScenarioGenotype {
             } else {
                 b.serving_faults
             },
-            env: a.env,
-            recovery: a.recovery,
-        };
-        if env_plane {
-            child.env = if pick(rng) { a.env } else { b.env };
-            child.recovery = if pick(rng) { a.recovery } else { b.recovery };
+            env: if pick(rng) { a.env } else { b.env },
+            recovery: if pick(rng) { a.recovery } else { b.recovery },
         }
-        child
     }
 
     /// One-line plane summary for reports: only the non-zero planes, with
@@ -534,8 +501,6 @@ impl ScenarioGenotype {
         if parts.is_empty() {
             parts.push("no faults".into());
         }
-        // The recovery clause only appears once the embodied plane exists,
-        // so legacy four-plane summaries keep their exact bytes.
         let recovery = if self.recovery.is_off() {
             String::new()
         } else {
@@ -685,16 +650,10 @@ mod tests {
     fn random_genotypes_are_valid() {
         let mut rng = StdRng::seed_from_u64(7);
         for paradigm in Paradigm::ALL {
-            for env_plane in [false, true] {
-                for _ in 0..20 {
-                    let g = ScenarioGenotype::random_with(paradigm, &mut rng, env_plane);
-                    g.validate().expect("random genotype valid");
-                    assert_eq!(g.paradigm(), paradigm);
-                    if !env_plane {
-                        assert!(g.env.is_none(), "legacy genotypes carry no env plane");
-                        assert!(g.recovery.is_off());
-                    }
-                }
+            for _ in 0..40 {
+                let g = ScenarioGenotype::random(paradigm, &mut rng);
+                g.validate().expect("random genotype valid");
+                assert_eq!(g.paradigm(), paradigm);
             }
         }
     }
@@ -722,6 +681,8 @@ mod tests {
         g.channel = ChannelProfile::none();
         g.semantic = SemanticFaultProfile::none();
         g.serving_faults = ServingFaultProfile::none();
+        g.env = EnvFaultProfile::none();
+        g.recovery = RecoveryPolicy::Off;
         assert_eq!(g.fault_budget(), 0.0);
         let o = g.overrides();
         assert!(o.fault_profile.unwrap().is_none());
@@ -731,19 +692,5 @@ mod tests {
         assert!(o.serving_faults.unwrap().is_none());
         assert!(o.env_faults.unwrap().is_none());
         assert!(o.recovery_policy.unwrap().is_off());
-    }
-
-    #[test]
-    fn legacy_draw_stream_is_unchanged_by_the_env_plane_code() {
-        // random() must consume the RNG exactly as before the fifth plane
-        // landed: same seed → same genotype bytes.
-        let mut a = StdRng::seed_from_u64(97);
-        let mut b = StdRng::seed_from_u64(97);
-        let g1 = ScenarioGenotype::random(Paradigm::Hybrid, &mut a);
-        let g2 = ScenarioGenotype::random_with(Paradigm::Hybrid, &mut b, false);
-        assert_eq!(g1, g2);
-        // After the draws above, both streams must still be in lockstep.
-        use rand::Rng;
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 }

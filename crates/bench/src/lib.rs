@@ -2,8 +2,9 @@
 //!
 //! Experiment harness regenerating every table and figure of the paper.
 //! [`EXPERIMENTS`] registers one row per table, figure or sweep; the one
-//! `experiments` binary runs rows and writes, prints or checks their
-//! `results/<name>.md`:
+//! `experiments` binary runs rows and writes, prints or checks every file
+//! they own: each `results/<name>.md`, and the scenario fixtures
+//! `scenario_evolve` pins:
 //!
 //! ```text
 //! cargo run --release -p embodied-bench --bin experiments -- [--check] [--jobs N] (all | NAME...)
@@ -27,7 +28,7 @@ pub mod parallel;
 
 pub use evolve::{evolve, EvolveOutcome, EvolveParams, GenerationSummary, ScoredScenario};
 pub(crate) use experiments::Markdown;
-pub use experiments::{Ctx, Experiment, Invocation, EXPERIMENTS};
+pub use experiments::{Ctx, Experiment, Invocation, Output, EXPERIMENTS};
 pub use genotype::{systems_of, RetryPreset, ScenarioGenotype, ServingPreset};
 pub use parallel::{jobs, par_map_with, try_par_map_with, SweepPlan, SweepResults};
 

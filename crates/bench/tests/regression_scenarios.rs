@@ -2,8 +2,8 @@
 //! orchestrator stack and asserts its outcome envelope.
 //!
 //! The fixtures under `fixtures/scenarios/` are the hardest genotypes the
-//! evolutionary search found per paradigm (`scenario_evolve
-//! --write-fixtures`). Each stores the genotype, the evaluation shape
+//! evolutionary search found per paradigm, pinned by the `scenario_evolve`
+//! experiment. Each stores the genotype, the evaluation shape
 //! (episodes + base seed), and the outcome envelope observed when it was
 //! pinned. This test is the regression suite: any change that shifts an
 //! envelope — success rate, fault/mitigation counts, or cost beyond

@@ -5,6 +5,7 @@
 use embodied_agents::{
     run_episode, workloads, AgentFaultProfile, ChannelProfile, Paradigm, RunOverrides,
 };
+use embodied_bench::fixture::{replay, Envelope};
 use embodied_bench::{evolve, EvolveParams, ScenarioGenotype};
 use embodied_llm::{FaultProfile, SemanticFaultProfile, ServingFaultProfile};
 use rand::rngs::StdRng;
@@ -12,22 +13,16 @@ use rand::SeedableRng;
 
 #[test]
 fn mutation_never_breaks_validity() {
-    for env_plane in [false, true] {
-        for paradigm in Paradigm::ALL {
-            for seed in 0..8u64 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut g = ScenarioGenotype::random_with(paradigm, &mut rng, env_plane);
-                for step in 0..50 {
-                    g.mutate_with(&mut rng, env_plane);
-                    g.validate().unwrap_or_else(|err| {
-                        panic!("{paradigm} seed {seed} mutation step {step}: {err}")
-                    });
-                    assert_eq!(g.paradigm(), paradigm, "mutation left the paradigm");
-                    if !env_plane {
-                        assert!(g.env.is_none(), "legacy mutation grew an env plane");
-                        assert!(g.recovery.is_off(), "legacy mutation grew a recovery");
-                    }
-                }
+    for paradigm in Paradigm::ALL {
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut g = ScenarioGenotype::random(paradigm, &mut rng);
+            for step in 0..50 {
+                g.mutate(&mut rng);
+                g.validate().unwrap_or_else(|err| {
+                    panic!("{paradigm} seed {seed} mutation step {step}: {err}")
+                });
+                assert_eq!(g.paradigm(), paradigm, "mutation left the paradigm");
             }
         }
     }
@@ -35,19 +30,17 @@ fn mutation_never_breaks_validity() {
 
 #[test]
 fn crossover_never_breaks_validity() {
-    for env_plane in [false, true] {
-        for paradigm in Paradigm::ALL {
-            for seed in 0..8u64 {
-                let mut rng = StdRng::seed_from_u64(1000 + seed);
-                let a = ScenarioGenotype::random_with(paradigm, &mut rng, env_plane);
-                let b = ScenarioGenotype::random_with(paradigm, &mut rng, env_plane);
-                for round in 0..20 {
-                    let child = ScenarioGenotype::crossover_with(&a, &b, &mut rng, env_plane);
-                    child.validate().unwrap_or_else(|err| {
-                        panic!("{paradigm} seed {seed} crossover round {round}: {err}")
-                    });
-                    assert_eq!(child.paradigm(), paradigm, "crossover left the paradigm");
-                }
+    for paradigm in Paradigm::ALL {
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(1000 + seed);
+            let a = ScenarioGenotype::random(paradigm, &mut rng);
+            let b = ScenarioGenotype::random(paradigm, &mut rng);
+            for round in 0..20 {
+                let child = ScenarioGenotype::crossover(&a, &b, &mut rng);
+                child.validate().unwrap_or_else(|err| {
+                    panic!("{paradigm} seed {seed} crossover round {round}: {err}")
+                });
+                assert_eq!(child.paradigm(), paradigm, "crossover left the paradigm");
             }
         }
     }
@@ -97,55 +90,36 @@ fn zero_budget_genotypes_change_nothing() {
 
 /// The full evolutionary search is bit-identical at any worker count:
 /// selection/mutation RNG lives on the main thread and episode evaluation
-/// is order-independent.
+/// is order-independent. The search draws genes on all five planes, and
+/// each scenario's envelope is the one a fixture replay of it gives.
 #[test]
 fn evolution_is_identical_at_any_worker_count() {
-    for paradigm in [Paradigm::SingleModular, Paradigm::Centralized] {
+    for (paradigm, seed) in [(Paradigm::SingleModular, 7), (Paradigm::Centralized, 11)] {
         let params = |workers| EvolveParams {
             paradigm,
             population: 4,
             generations: 1,
             eval_episodes: 1,
-            seed: 7,
+            seed,
             workers,
-            env_plane: false,
         };
         let sequential = evolve(&params(1));
         let parallel = evolve(&params(4));
+        assert!(
+            sequential
+                .ranked
+                .iter()
+                .any(|s| !s.genotype.env.is_none() || !s.genotype.recovery.is_off()),
+            "{paradigm}: the search never drew an embodied gene"
+        );
         assert_eq!(
             format!("{sequential:?}"),
             format!("{parallel:?}"),
             "{paradigm}: evolution diverged across worker counts"
         );
+        for s in &sequential.ranked {
+            let replayed = Envelope::of(&replay(&s.genotype, 1, seed, 1));
+            assert_eq!(s.outcome, Ok(replayed), "{paradigm}: {}", s.genotype.key());
+        }
     }
-}
-
-/// The five-plane search is just as deterministic: with the embodied
-/// plane enabled, the evolution still replays bit-identically at any
-/// worker count.
-#[test]
-fn five_plane_evolution_is_identical_at_any_worker_count() {
-    let params = |workers| EvolveParams {
-        paradigm: Paradigm::SingleModular,
-        population: 4,
-        generations: 1,
-        eval_episodes: 1,
-        seed: 11,
-        workers,
-        env_plane: true,
-    };
-    let sequential = evolve(&params(1));
-    let parallel = evolve(&params(4));
-    assert!(
-        sequential
-            .ranked
-            .iter()
-            .any(|s| !s.genotype.env.is_none() || !s.genotype.recovery.is_off()),
-        "env-plane search never drew an embodied gene"
-    );
-    assert_eq!(
-        format!("{sequential:?}"),
-        format!("{parallel:?}"),
-        "five-plane evolution diverged across worker counts"
-    );
 }

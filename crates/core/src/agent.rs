@@ -178,22 +178,12 @@ impl ModularAgent {
         known
     }
 
-    /// Filters subgoals to those the agent can meaningfully plan
-    /// (referenced entities known, not blacklisted).
-    pub fn filter_subgoals(
-        &self,
-        subgoals: Vec<Subgoal>,
-        knowledge: &HashSet<String>,
-        step: usize,
-    ) -> Vec<Subgoal> {
-        self.filter_subgoals_with(subgoals, |e| knowledge.contains(e), step)
-    }
-
-    /// Like [`Self::filter_subgoals`], but against a point-query predicate
-    /// instead of a materialized knowledge set. The per-step hot path asks
-    /// [`crate::modules::MemoryModule::knows`] per referenced entity rather
-    /// than cloning every known entity into a fresh `HashSet` first; the
-    /// blacklist key is only rendered while a blacklist is actually live.
+    /// Filters subgoals to those the agent can meaningfully plan: every
+    /// referenced entity passes `knows`, and the subgoal is not blacklisted.
+    /// The per-step hot path asks [`crate::modules::MemoryModule::knows`]
+    /// per referenced entity rather than cloning every known entity into a
+    /// fresh `HashSet` first; the blacklist key is only rendered while a
+    /// blacklist is actually live.
     pub fn filter_subgoals_with(
         &self,
         subgoals: Vec<Subgoal>,
@@ -285,17 +275,18 @@ mod tests {
         let pick_ghost = Subgoal::Pick {
             object: "ghost_9".into(),
         };
-        let filtered = agent.filter_subgoals(
+        let knows = |e: &str| known.contains(e);
+        let filtered = agent.filter_subgoals_with(
             vec![pick_apple.clone(), pick_ghost, Subgoal::Explore],
-            &known,
+            knows,
             5,
         );
         assert_eq!(filtered.len(), 2); // apple + explore
 
         agent.blacklist_subgoal(&pick_apple, 5, 4);
-        let filtered = agent.filter_subgoals(vec![pick_apple.clone()], &known, 6);
+        let filtered = agent.filter_subgoals_with(vec![pick_apple.clone()], knows, 6);
         assert!(filtered.is_empty(), "blacklisted until step 9");
-        let filtered = agent.filter_subgoals(vec![pick_apple], &known, 9);
+        let filtered = agent.filter_subgoals_with(vec![pick_apple], knows, 9);
         assert_eq!(filtered.len(), 1, "blacklist expired");
     }
 

@@ -9,7 +9,8 @@
 use crate::modules::CommunicationModule;
 use crate::system::EmbodiedSystem;
 use embodied_env::Subgoal;
-use embodied_profiler::{ModuleKind, Phase};
+use embodied_llm::{amortize_latency, LlmResponse};
+use embodied_profiler::{ModuleKind, Phase, SimDuration};
 
 /// Dialogue rounds per step for a team of `n` (paper §VI: rounds per
 /// planning step grow with the number of agents).
@@ -44,7 +45,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
     for _round in 0..dialogue_rounds(n) {
         // Rec. 1: with batching, the round's message generations are issued
         // as one concurrent batch — wall-clock pays only the slowest.
-        let mut batch: Vec<(usize, embodied_profiler::SimDuration)> = Vec::new();
+        let mut batch: Vec<(usize, LlmResponse)> = Vec::new();
         for i in 0..n {
             if sys.agents[i].communication.is_none() || !sys.agent_faults.is_active(i) {
                 continue;
@@ -84,8 +85,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             };
             agent.last_broadcast = knowledge;
             if batching {
-                batch.push((i, msg.response.latency));
-                accounts.note(&msg.response);
+                batch.push((i, msg.response));
             } else {
                 // A round's message generations are an independent fan-out:
                 // each reserves a server slot on the shared backend. No
@@ -109,11 +109,23 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             sys.deliver_message_to(i, msg.text.as_deref(), &msg.entities, &recipients);
         }
         if batching {
-            sys.accounts.trace.record_parallel(
-                ModuleKind::Communication,
-                Phase::LlmInference,
-                &batch,
-            );
+            // Each member is billed its token-weighted share of the slowest
+            // call, in the trace and the purpose ledger, as a serving
+            // window's members are.
+            let longest = batch.iter().map(|(_, r)| r.latency).max();
+            let weights: Vec<u64> = batch
+                .iter()
+                .map(|(_, r)| r.prompt_tokens + r.output_tokens)
+                .collect();
+            let shares = amortize_latency(longest.unwrap_or(SimDuration::ZERO), &weights);
+            for ((agent, mut response), share) in batch.into_iter().zip(shares) {
+                response.latency = share;
+                let accounts = &mut sys.accounts;
+                accounts
+                    .trace
+                    .record(ModuleKind::Communication, Phase::LlmInference, agent, share);
+                accounts.note(&response);
+            }
         }
     }
 

@@ -119,25 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spans_share_columns() {
-        let mut t = Trace::new();
-        t.record_parallel(
-            ModuleKind::Communication,
-            Phase::LlmInference,
-            &[
-                (0, SimDuration::from_secs(4)),
-                (1, SimDuration::from_secs(4)),
-            ],
-        );
-        let chart = render_step_gantt(&t, 0, 16);
-        let full_rows = chart
-            .lines()
-            .filter(|l| l.matches('█').count() >= 15)
-            .count();
-        assert_eq!(full_rows, 2, "both agents fill the window:\n{chart}");
-    }
-
-    #[test]
     fn empty_step_renders_nothing() {
         let t = Trace::new();
         assert!(render_step_gantt(&t, 0, 30).is_empty());

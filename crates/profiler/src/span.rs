@@ -87,32 +87,6 @@ impl Trace {
         span
     }
 
-    /// Records a set of spans that run *concurrently* (batched API calls,
-    /// parallel perception): each span starts now and is attributed its own
-    /// duration, but the clock advances only by the longest one — the
-    /// wall-clock benefit the paper's Rec. 1 batching buys.
-    pub fn record_parallel(
-        &mut self,
-        module: ModuleKind,
-        phase: Phase,
-        items: &[(usize, SimDuration)],
-    ) {
-        let start = self.clock.now();
-        let mut longest = SimDuration::ZERO;
-        for &(agent, duration) in items {
-            self.spans.push(Span {
-                module,
-                phase,
-                agent,
-                step: self.step,
-                start,
-                duration,
-            });
-            longest = longest.max(duration);
-        }
-        self.clock.advance(longest);
-    }
-
     /// All recorded spans in timeline order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -156,10 +130,9 @@ impl Trace {
     ///
     /// Recording stamps every span at the clock's current instant and
     /// only ever advances the clock, so this holds by construction for a
-    /// trace driven through [`Trace::record`]; concurrent batches from
-    /// [`Trace::record_parallel`] share one start (equal is fine,
-    /// backwards is not). The fleet runner asserts it on every finished
-    /// episode, pinning the virtual-time refactor to the same invariant.
+    /// trace driven through [`Trace::record`]. The fleet runner asserts it
+    /// on every finished episode, pinning the virtual-time refactor to the
+    /// same invariant.
     pub fn is_start_monotone(&self) -> bool {
         self.spans.windows(2).all(|w| w[0].start <= w[1].start)
     }
@@ -210,42 +183,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spans_advance_clock_by_longest() {
-        let mut t = Trace::new();
-        t.record_parallel(
-            ModuleKind::Communication,
-            Phase::LlmInference,
-            &[(0, sec(2)), (1, sec(5)), (2, sec(3))],
-        );
-        assert_eq!(t.elapsed(), sec(5), "wall clock is the longest branch");
-        // Module accounting still attributes every branch's own duration.
-        assert_eq!(t.module_total(ModuleKind::Communication), sec(10));
-        assert_eq!(t.spans().len(), 3);
-        assert!(t.spans().iter().all(|s| s.start.as_micros() == 0));
-    }
-
-    #[test]
-    fn empty_parallel_batch_is_noop() {
-        let mut t = Trace::new();
-        t.record_parallel(ModuleKind::Planning, Phase::LlmInference, &[]);
-        assert_eq!(t.elapsed(), SimDuration::ZERO);
-    }
-
-    #[test]
     fn start_monotonicity_holds_and_detects_violations() {
         let mut t = Trace::new();
         assert!(t.is_start_monotone(), "empty trace is trivially monotone");
         t.record(ModuleKind::Sensing, Phase::Encoding, 0, sec(1));
-        t.record_parallel(
+        t.record(
             ModuleKind::Planning,
             Phase::LlmInference,
-            &[(0, sec(4)), (1, sec(2))],
+            1,
+            SimDuration::ZERO,
         );
         t.record(ModuleKind::Execution, Phase::Actuation, 0, sec(1));
-        assert!(
-            t.is_start_monotone(),
-            "sequential and parallel recording never rewind the clock"
-        );
+        assert!(t.is_start_monotone(), "recording never rewinds the clock");
         // A hand-built regression: an out-of-order span must be caught.
         let mut broken = t.clone();
         broken.spans.push(Span {

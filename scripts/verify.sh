@@ -35,14 +35,22 @@ cargo test --release -q --test resilience --test fault_properties --test guardra
 echo "== rendered vs count-only prompt differential (release) =="
 cargo test --release -q -p embodied-agents --lib differential
 
-# Every committed results/*.md must regenerate byte for byte, at one worker
-# and at four. --check writes nothing; it names any differing, missing or
-# orphan file and exits 1. The two passes run side by side.
+# Every committed results/*.md and scenario fixture must regenerate byte for
+# byte, at one worker and at four. --check writes nothing; it names any
+# differing, missing or orphan file and exits 1. The two passes run side by
+# side; both are waited for and reported before either failure stops the gate.
 echo "== experiments --check all (--jobs 1 and --jobs 4) =="
 cargo build --release -q -p embodied-bench --bin experiments
 ./target/release/experiments --check --jobs 1 all &
-./target/release/experiments --check --jobs 4 all
-wait $!
+jobs1=$!
+status4=0
+./target/release/experiments --check --jobs 4 all || status4=$?
+status1=0
+wait "$jobs1" || status1=$?
+echo "experiments --check all: exit $status1 at --jobs 1, $status4 at --jobs 4"
+if [ "$status1" -ne 0 ] || [ "$status4" -ne 0 ]; then
+  exit 1
+fi
 
 echo "== scenario regression fixtures + evolution properties =="
 cargo test --release -q -p embodied-bench --test regression_scenarios --test scenario_evolution

@@ -66,8 +66,18 @@ fn reports_are_internally_consistent() {
         runs.push((spec.clone(), RunOverrides::default(), true));
         runs.push((spec, batched.clone(), true));
     }
+    // Rec. 1d: each dialogue round is one batched call (CoELA @4 agents).
+    let batched_dialogue = RunOverrides {
+        num_agents: Some(4),
+        opts: Some(Optimizations {
+            batching: true,
+            ..Default::default()
+        }),
+        ..Default::default()
+    };
     let coela = workloads::find("CoELA").expect("suite member");
-    runs.push((coela, team_dialogue, true));
+    runs.push((coela.clone(), team_dialogue, true));
+    runs.push((coela, batched_dialogue, true));
     for name in ["DEPS", "MindAgent", "CoELA", "HMAS"] {
         let spec = workloads::find(name).expect("suite member");
         runs.push((spec, faulted(), false));
