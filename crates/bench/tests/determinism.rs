@@ -441,3 +441,35 @@ fn contended_fleet_queues_across_episodes() {
     );
     assert!(contended.summary.peak_in_flight >= 2);
 }
+
+/// Fleet reports bill each LLM call exactly once, on perf_bench's
+/// `fleet_shared` configuration: a dialogue call that joins another
+/// episode's open serving window is billed when that window closes, not
+/// also when it is made.
+#[test]
+fn fleet_reports_bill_each_call_once() {
+    let overrides = RunOverrides {
+        serving: Some(ServingConfig {
+            batching: true,
+            ..ServingConfig::limited(2).with_replicas(2)
+        }),
+        ..Default::default()
+    };
+    let fleet = FleetConfig::default()
+        .with_stagger(SimDuration::from_millis(500))
+        .with_batch_window(SimDuration::from_secs(60));
+    let out = run_fleet(&spec("CoELA"), &overrides, 8, BASE_SEED, fleet);
+    assert!(
+        out.summary.cross_episode_batches > 0,
+        "the fleet must batch"
+    );
+    for (i, r) in out.reports.iter().enumerate() {
+        let ledger: u64 = r.by_purpose.entries().iter().map(|e| e.calls).sum();
+        let steps: u64 = r.step_records.iter().map(|s| s.llm_calls).sum();
+        assert_eq!(ledger, steps, "episode {i}: purpose ledger vs step records");
+        assert_eq!(
+            ledger, r.tokens.calls,
+            "episode {i}: purpose ledger vs service"
+        );
+    }
+}

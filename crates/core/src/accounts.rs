@@ -1,13 +1,19 @@
-//! The one place an LLM call is billed.
+//! Where an LLM call is scheduled and settled.
 //!
 //! Every call an orchestrator makes goes through [`Accounts::settle`]
 //! (retry stall, shed marker, degradation counter) and, when it succeeded,
-//! [`Accounts::serve`] (serving spans, batch-window deferral, ledger
-//! entry). The fields they write live together so a call site holding
-//! `&mut sys.agents[i]` can still borrow `sys.accounts`.
+//! [`Accounts::serve`] (serving-tier placement, batch-window deferral).
+//! Neither keeps a ledger: the call is billed by the trace span that
+//! carries it ([`Trace::record_call`]), and the trace is the only writer of
+//! the episode's per-purpose, per-phase and per-step figures. The fields
+//! live together so a call site holding `&mut sys.agents[i]` can still
+//! borrow `sys.accounts`.
 
-use embodied_llm::{EngineHandle, InferenceService, LlmError, LlmResponse, TenantId, WindowShare};
-use embodied_profiler::{ModuleKind, Phase, PurposeLedger, ResilienceStats, SimDuration, Trace};
+use crate::guardrail::GuardrailVerdict;
+use embodied_llm::{
+    amortize_latency, EngineHandle, InferenceService, LlmError, LlmResponse, TenantId, WindowShare,
+};
+use embodied_profiler::{LlmCall, ModuleKind, Phase, ResilienceStats, SimDuration, Trace};
 
 /// Client-side dispatch overhead billed when a hedged duplicate is issued
 /// to a second serving replica.
@@ -16,14 +22,6 @@ const HEDGE_DISPATCH: SimDuration = SimDuration::from_millis(2);
 /// Marker span billed when serving admission control fast-fails a request
 /// — the rejection round-trip, not real inference time.
 const SHED_MARKER: SimDuration = SimDuration::from_millis(2);
-
-/// Per-step counters that feed the step-record time series (Fig. 6).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct StepCounters {
-    pub llm_calls: u64,
-    pub max_prompt_tokens: u64,
-    pub progressed: bool,
-}
 
 /// One windowed LLM call awaiting its amortized latency share when the
 /// serving window closes.
@@ -35,7 +33,7 @@ struct PendingCall {
 }
 
 /// The episode's billing state: span timeline, serving stack, open batch
-/// window, per-purpose ledger, step counters and degradation counters.
+/// window and degradation counters.
 #[derive(Debug)]
 pub(crate) struct Accounts {
     pub trace: Trace,
@@ -43,8 +41,6 @@ pub(crate) struct Accounts {
     /// of — owns the engine stacks, the per-scope ledgers, and the
     /// per-model scheduling backends.
     pub service: InferenceService,
-    pub by_purpose: PurposeLedger,
-    pub counters: StepCounters,
     /// Graceful-degradation events (per-module counters); engine-level
     /// fault/retry tallies are collected from the engines at report time.
     pub degradations: ResilienceStats,
@@ -57,8 +53,6 @@ impl Accounts {
         Accounts {
             trace: Trace::new(),
             service,
-            by_purpose: PurposeLedger::default(),
-            counters: StepCounters::default(),
             degradations: ResilienceStats::default(),
             window_entries: Vec::new(),
         }
@@ -108,13 +102,12 @@ impl Accounts {
 
     /// Bills one completed call through the serving layer.
     ///
-    /// Pass-through (the default) records the `Phase::LlmInference` span
-    /// and the ledger entry. With scheduling active, a `cohort` call
-    /// joining an open window is deferred: its time and ledger entry wait
-    /// for the window to close. Any other call is first charged its
-    /// backend's queueing delay — cohort calls reserve a server slot (and
-    /// may fail over or hedge), dependent follow-ups only wait for one.
-    /// Returns whether the call was deferred.
+    /// Pass-through (the default) records the call's `Phase::LlmInference`
+    /// span. With scheduling active, a `cohort` call joining an open window
+    /// is deferred: its span waits for the window to close. Any other call
+    /// is first charged its backend's queueing delay — cohort calls reserve
+    /// a server slot (and may fail over or hedge), dependent follow-ups
+    /// only wait for one.
     pub fn serve(
         &mut self,
         module: ModuleKind,
@@ -122,7 +115,7 @@ impl Accounts {
         tenant: TenantId,
         response: &LlmResponse,
         cohort: bool,
-    ) -> bool {
+    ) {
         if !self.service.config().is_passthrough() {
             if cohort && self.service.window_is_open() {
                 self.service.window_add(tenant, response);
@@ -131,57 +124,122 @@ impl Accounts {
                     agent,
                     response: response.clone(),
                 });
-                return true;
+                return;
             }
             if cohort {
-                let out = self
-                    .service
-                    .submit_cohort(tenant, self.trace.now(), response);
-                if !out.failover.is_zero() {
-                    // Partial service wasted on a replica that crashed
-                    // mid-request, before the healthy peer took over.
-                    self.trace
-                        .record(module, Phase::Failover, agent, out.failover);
-                }
-                if out.hedged.is_some() {
-                    self.trace
-                        .record(module, Phase::Hedge, agent, HEDGE_DISPATCH);
-                }
-                // Brownout inflation rides the wait span: the caller
-                // observes it as extra time-to-first-token on a degraded
-                // replica.
-                let wait = out.queue + out.slowdown;
-                if !wait.is_zero() {
-                    self.trace.record(module, Phase::Queue, agent, wait);
-                }
+                self.place_cohort(module, agent, tenant, response);
             } else {
                 self.queue(module, agent, tenant);
             }
         }
-        self.trace
-            .record(module, Phase::LlmInference, agent, response.latency);
-        self.note(response);
-        false
+        self.trace.record_call(
+            module,
+            Phase::LlmInference,
+            agent,
+            response.latency,
+            &[response.call()],
+        );
     }
 
-    /// Bills guardrail re-prompts: under active scheduling they went back
-    /// through the shared backend and pay its queueing delay; each enters
-    /// the ledger. Their time is the caller's `Validate`/`Repair` spans.
-    pub fn reprompts(
+    /// Bills one batched round of concurrent calls (Rec. 1): the round
+    /// lasts as long as its slowest call, and each member's span carries
+    /// its token-weighted share of that. With scheduling active the round
+    /// is first placed on the serving tier as one cohort request of that
+    /// length, led by the first member.
+    pub fn serve_round(
+        &mut self,
+        module: ModuleKind,
+        tenant: TenantId,
+        round: &[(usize, LlmResponse)],
+    ) {
+        let Some(slowest) = round.iter().map(|(_, r)| r).max_by_key(|r| r.latency) else {
+            return;
+        };
+        if !self.service.config().is_passthrough() {
+            // The tier bills the round's tokens and cost as one request's
+            // (a hedged duplicate re-issues all of them).
+            let mut request = slowest.clone();
+            request.prompt_tokens = round.iter().map(|(_, r)| r.prompt_tokens).sum();
+            request.output_tokens = round.iter().map(|(_, r)| r.output_tokens).sum();
+            request.cost_usd = round.iter().map(|(_, r)| r.cost_usd).sum();
+            self.place_cohort(module, round[0].0, tenant, &request);
+        }
+        let weights: Vec<u64> = round
+            .iter()
+            .map(|(_, r)| r.prompt_tokens + r.output_tokens)
+            .collect();
+        let shares = amortize_latency(slowest.latency, &weights);
+        for ((agent, response), share) in round.iter().zip(shares) {
+            self.trace.record_call(
+                module,
+                Phase::LlmInference,
+                *agent,
+                share,
+                &[response.call()],
+            );
+        }
+    }
+
+    /// Reserves a server slot for one cohort request and bills what the
+    /// tier charged before it: failover waste, hedge dispatch, queueing.
+    fn place_cohort(
         &mut self,
         module: ModuleKind,
         agent: usize,
         tenant: TenantId,
-        responses: &[LlmResponse],
+        request: &LlmResponse,
     ) {
-        if responses.is_empty() {
-            return;
+        let out = self
+            .service
+            .submit_cohort(tenant, self.trace.now(), request);
+        if !out.failover.is_zero() {
+            // Partial service wasted on a replica that crashed
+            // mid-request, before the healthy peer took over.
+            self.trace
+                .record(module, Phase::Failover, agent, out.failover);
         }
-        if !self.service.config().is_passthrough() {
-            self.queue(module, agent, tenant);
+        if out.hedged.is_some() {
+            self.trace
+                .record(module, Phase::Hedge, agent, HEDGE_DISPATCH);
         }
-        for response in responses {
-            self.note(response);
+        // Brownout inflation rides the wait span: the caller observes it
+        // as extra time-to-first-token on a degraded replica.
+        let wait = out.queue + out.slowdown;
+        if !wait.is_zero() {
+            self.trace.record(module, Phase::Queue, agent, wait);
+        }
+    }
+
+    /// Charges guardrail re-prompts their backend's queueing delay: under
+    /// active scheduling they went back through the shared backend. The
+    /// calls themselves are billed by [`Self::guardrail`]'s `Repair` span.
+    pub fn queue_reprompts(&mut self, agent: usize, tenant: TenantId, verdict: &GuardrailVerdict) {
+        if !verdict.responses.is_empty() && !self.service.config().is_passthrough() {
+            self.queue(ModuleKind::Planning, agent, tenant);
+        }
+    }
+
+    /// Bills one guardrail pass: its validation time as a `Phase::Validate`
+    /// span, and its repair re-prompts as one `Phase::Repair` span that
+    /// carries every re-prompt call (all of them planning calls).
+    pub fn guardrail(&mut self, agent: usize, verdict: &GuardrailVerdict) {
+        if !verdict.validate_latency.is_zero() {
+            self.trace.record(
+                ModuleKind::Planning,
+                Phase::Validate,
+                agent,
+                verdict.validate_latency,
+            );
+        }
+        if !verdict.responses.is_empty() {
+            let calls: Vec<LlmCall> = verdict.responses.iter().map(LlmResponse::call).collect();
+            self.trace.record_call(
+                ModuleKind::Planning,
+                Phase::Repair,
+                agent,
+                verdict.repair_latency,
+                &calls,
+            );
         }
     }
 
@@ -193,65 +251,42 @@ impl Accounts {
         }
     }
 
-    /// Records a response against the step counters and the per-purpose
-    /// ledger, for calls whose time the caller bills with its own span.
-    pub fn note(&mut self, response: &LlmResponse) {
-        self.counters.llm_calls += 1;
-        self.counters.max_prompt_tokens =
-            self.counters.max_prompt_tokens.max(response.prompt_tokens);
-        self.by_purpose.record(
-            &response.purpose.to_string(),
-            response.latency,
-            response.prompt_tokens,
-            response.output_tokens,
-        );
-    }
-
     /// Number of calls parked in the open serving window.
     pub fn pending(&self) -> usize {
         self.window_entries.len()
     }
 
     /// Closes the current window: every deferred call receives its
-    /// amortized share and is only now fed into the step counters. In
-    /// fleet mode the window lives on the shared virtual clock and only
-    /// the runner's `BatchWindowClose` event may close it — possibly
-    /// merging this episode's calls with another's — so the deferred
-    /// entries stay parked until [`Self::apply_window_shares`].
+    /// amortized share. In fleet mode the window lives on the shared
+    /// timeline and only the runner's `BatchWindowClose` event may close
+    /// it — possibly merging this episode's calls with another's — so the
+    /// deferred entries stay parked until [`Self::apply_window_shares`].
     pub fn close_window(&mut self) {
         if self.service.fleet_enabled() {
             return;
         }
         let shares = self.service.close_window(self.trace.now());
-        let (calls, max_prompt) = self.apply_window_shares(&shares);
-        self.counters.llm_calls += calls;
-        self.counters.max_prompt_tokens = self.counters.max_prompt_tokens.max(max_prompt);
+        self.apply_window_shares(&shares);
     }
 
     /// Gives every deferred call its amortized share: a `Phase::Batch`
-    /// span (plus a `Phase::Queue` span on the member that led a queued
-    /// batch) and a per-purpose ledger entry at the share's latency.
-    /// Returns the number of calls settled and their largest prompt.
-    pub fn apply_window_shares(&mut self, shares: &[WindowShare]) -> (u64, u64) {
+    /// span that bills the call (plus a `Phase::Queue` span on the member
+    /// that led a queued batch).
+    pub fn apply_window_shares(&mut self, shares: &[WindowShare]) {
         let entries = std::mem::take(&mut self.window_entries);
         debug_assert_eq!(shares.len(), entries.len());
-        let mut max_prompt = 0;
         for (entry, share) in entries.iter().zip(shares) {
             if !share.queue.is_zero() {
                 self.trace
                     .record(entry.module, Phase::Queue, entry.agent, share.queue);
             }
-            self.trace
-                .record(entry.module, Phase::Batch, entry.agent, share.share);
-            let response = &entry.response;
-            max_prompt = max_prompt.max(response.prompt_tokens);
-            self.by_purpose.record(
-                &response.purpose.to_string(),
+            self.trace.record_call(
+                entry.module,
+                Phase::Batch,
+                entry.agent,
                 share.share,
-                response.prompt_tokens,
-                response.output_tokens,
+                &[entry.response.call()],
             );
         }
-        (entries.len() as u64, max_prompt)
     }
 }

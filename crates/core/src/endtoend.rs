@@ -13,10 +13,7 @@
 use crate::orchestrator::Paradigm;
 use embodied_env::{Environment, LowLevel, Subgoal, TaskDifficulty};
 use embodied_llm::{Deployment, LlmEngine, LlmRequest, ModelProfile, Purpose, QualityModel};
-use embodied_profiler::{
-    EpisodeReport, LatencyBreakdown, MessageStats, ModuleKind, Outcome, Phase, PurposeLedger,
-    StepRecord, Trace,
-};
+use embodied_profiler::{EpisodeReport, ModuleKind, Outcome, Phase, Trace};
 
 /// An RT-2-style vision-language-action profile: fast, compact action
 /// decoding; competent on short horizons, brittle on long ones.
@@ -51,7 +48,6 @@ pub struct EndToEndSystem {
     engine: LlmEngine,
     low: LowLevel,
     trace: Trace,
-    step_records: Vec<StepRecord>,
     step: usize,
     /// Last failed action and the length of the failure streak: with no
     /// reflection module, a VLA has nothing to break perseveration loops.
@@ -77,7 +73,6 @@ impl EndToEndSystem {
                 .with_quality_model(vla_quality_model()),
             low: LowLevel::controller(seed ^ 0xe2f),
             trace: Trace::new(),
-            step_records: Vec::new(),
             step: 0,
             last_failure: None,
             failure_streak: 0,
@@ -88,10 +83,8 @@ impl EndToEndSystem {
     /// an action.
     pub fn run(&mut self) -> EpisodeReport {
         let max_steps = self.env.max_steps();
-        let mut by_purpose = PurposeLedger::default();
         while self.step < max_steps && !self.env.is_complete() {
             self.trace.begin_step(self.step);
-            let before = self.trace.elapsed();
 
             // The whole pipeline is one model: the observation is the
             // prompt, the action tokens are the completion.
@@ -111,17 +104,12 @@ impl EndToEndSystem {
             // The forward pass is sensing+planning+execution fused; bill it
             // to planning (the closest single bucket, as the paper's Fig. 1c
             // collapses the pipeline into the model).
-            self.trace.record(
+            self.trace.record_call(
                 ModuleKind::Planning,
                 Phase::LlmInference,
                 0,
                 response.latency,
-            );
-            by_purpose.record(
-                &response.purpose.to_string(),
-                response.latency,
-                response.prompt_tokens,
-                response.output_tokens,
+                &[response.call()],
             );
 
             let oracle = self.env.oracle_subgoals(0);
@@ -162,49 +150,19 @@ impl EndToEndSystem {
                 0,
                 outcome.total_time(),
             );
-
-            self.step_records.push(StepRecord {
-                step: self.step,
-                latency: self.trace.elapsed().saturating_sub(before),
-                max_prompt_tokens: response.prompt_tokens,
-                llm_calls: 1,
-                progress: outcome.made_progress,
-            });
+            if outcome.made_progress {
+                self.trace.mark_progress();
+            }
             self.step += 1;
         }
 
-        let outcome = if self.env.is_complete() {
-            Outcome::Success
-        } else if self.env.progress() == 0.0 {
-            Outcome::Stuck
-        } else {
-            Outcome::StepLimit
-        };
-        let mut by_phase = PurposeLedger::default();
-        for span in self.trace.spans() {
-            by_phase.record(&span.phase.to_string(), span.duration, 0, 0);
-        }
-        EpisodeReport {
-            workload: format!("VLA on {}", self.env.name()),
-            outcome,
-            steps: self.step,
-            latency: self.trace.elapsed(),
-            breakdown: LatencyBreakdown::from_trace(&self.trace),
-            tokens: self.engine.usage(),
-            by_purpose,
-            by_phase,
-            messages: MessageStats::default(),
-            resilience: embodied_profiler::ResilienceStats::default(),
-            agent_faults: embodied_profiler::AgentFaultStats::default(),
-            channel: embodied_profiler::ChannelStats::default(),
-            repairs: embodied_profiler::RepairStats::default(),
-            serving: embodied_profiler::ServingStats::default(),
-            serving_faults: embodied_profiler::ServingFaultStats::default(),
-            env_faults: embodied_profiler::EnvFaultStats::default(),
-            recovery: embodied_profiler::RecoveryStats::default(),
-            step_records: self.step_records.clone(),
-            agents: 1,
-        }
+        EpisodeReport::from_trace(
+            format!("VLA on {}", self.env.name()),
+            Outcome::judge(self.env.is_complete(), self.env.progress()),
+            &self.trace,
+            self.engine.usage(),
+            1,
+        )
     }
 }
 

@@ -326,8 +326,8 @@ fn invalid_action(salt: u64, intended: &Subgoal, affordances: &AffordanceSet) ->
 pub struct GuardrailVerdict {
     /// The subgoal to actually execute this step.
     pub subgoal: Subgoal,
-    /// Responses paid for during repair re-prompts (the caller feeds them
-    /// into its usage/ledger accounting).
+    /// Responses paid for during repair re-prompts (the caller's `Repair`
+    /// span bills them).
     pub responses: Vec<LlmResponse>,
     /// Total validation time this pass (→ `Phase::Validate` span).
     pub validate_latency: SimDuration,

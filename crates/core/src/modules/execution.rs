@@ -41,13 +41,7 @@ pub struct ExecutionModule {
 impl ExecutionModule {
     /// A controller-backed execution module.
     pub fn controller(seed: u64) -> Self {
-        Self::controller_scaled(seed, 1.0)
-    }
-
-    /// A controller whose low-level planning compute is scaled (joint-space
-    /// planners bill more work per trajectory).
-    pub fn controller_scaled(seed: u64, compute_scale: f64) -> Self {
-        Self::controller_configured(seed, compute_scale, 0.97)
+        Self::controller_configured(seed, 1.0, 0.97)
     }
 
     /// Full controller configuration: compute scale plus per-attempt

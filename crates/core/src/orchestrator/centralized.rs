@@ -12,7 +12,7 @@ use crate::prompt::{renders_for, write_joint_plan_prompt, Body, Counted, PromptW
 use crate::system::EmbodiedSystem;
 use embodied_env::Subgoal;
 use embodied_llm::{InferenceOpts, LlmRequest, Purpose, SemanticFlaw};
-use embodied_profiler::{ModuleKind, Phase, RepairStats, SimDuration};
+use embodied_profiler::{ModuleKind, Phase, RepairStats};
 
 /// Difficulty inflation per extra agent the central planner must reason
 /// jointly about (action interdependencies grow combinatorially).
@@ -290,23 +290,8 @@ fn guard_assignments(
         accounts.stall(engine, ModuleKind::Planning, 0);
         // Re-prompt repairs are charged their queueing before the
         // validate/repair spans (the per-agent guard charges it after).
-        accounts.reprompts(ModuleKind::Planning, 0, engine.tenant(), &verdict.responses);
-        if verdict.validate_latency != SimDuration::ZERO {
-            accounts.trace.record(
-                ModuleKind::Planning,
-                Phase::Validate,
-                0,
-                verdict.validate_latency,
-            );
-        }
-        if verdict.repair_latency != SimDuration::ZERO {
-            accounts.trace.record(
-                ModuleKind::Planning,
-                Phase::Repair,
-                0,
-                verdict.repair_latency,
-            );
-        }
+        accounts.queue_reprompts(0, engine.tenant(), &verdict);
+        accounts.guardrail(0, &verdict);
         *assigned = verdict.subgoal;
         // Re-ground on phantom: the center's joint plan referenced an
         // entity this agent's affordances do not contain. Under closed-loop

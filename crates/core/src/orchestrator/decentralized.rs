@@ -9,8 +9,8 @@
 use crate::modules::CommunicationModule;
 use crate::system::EmbodiedSystem;
 use embodied_env::Subgoal;
-use embodied_llm::{amortize_latency, LlmResponse};
-use embodied_profiler::{ModuleKind, Phase, SimDuration};
+use embodied_llm::LlmResponse;
+use embodied_profiler::ModuleKind;
 
 /// Dialogue rounds per step for a team of `n` (paper §VI: rounds per
 /// planning step grow with the number of agents).
@@ -46,6 +46,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
         // Rec. 1: with batching, the round's message generations are issued
         // as one concurrent batch — wall-clock pays only the slowest.
         let mut batch: Vec<(usize, LlmResponse)> = Vec::new();
+        let mut lead_tenant = None;
         for i in 0..n {
             if sys.agents[i].communication.is_none() || !sys.agent_faults.is_active(i) {
                 continue;
@@ -85,19 +86,16 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             };
             agent.last_broadcast = knowledge;
             if batching {
+                lead_tenant.get_or_insert(engine.tenant());
                 batch.push((i, msg.response));
             } else {
                 // A round's message generations are an independent fan-out:
                 // each reserves a server slot on the shared backend. No
                 // window of this episode is open here, but in a fleet
-                // another episode's may be, and a call that joins it is
-                // also noted now — billed twice in the purpose ledger and
-                // step counters. Kept so fleet reports stay unchanged
-                // until that fix lands on its own (ROADMAP).
+                // another episode's may be; a call that joins it is billed
+                // when that window closes.
                 let tenant = engine.tenant();
-                if accounts.serve(ModuleKind::Communication, i, tenant, &msg.response, true) {
-                    accounts.note(&msg.response);
-                }
+                accounts.serve(ModuleKind::Communication, i, tenant, &msg.response, true);
             }
             // Rec. 9: with clustering, messages stay within the cluster.
             recipients.clear();
@@ -108,24 +106,12 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             }
             sys.deliver_message_to(i, msg.text.as_deref(), &msg.entities, &recipients);
         }
-        if batching {
+        if let Some(tenant) = lead_tenant {
             // Each member is billed its token-weighted share of the slowest
-            // call, in the trace and the purpose ledger, as a serving
-            // window's members are.
-            let longest = batch.iter().map(|(_, r)| r.latency).max();
-            let weights: Vec<u64> = batch
-                .iter()
-                .map(|(_, r)| r.prompt_tokens + r.output_tokens)
-                .collect();
-            let shares = amortize_latency(longest.unwrap_or(SimDuration::ZERO), &weights);
-            for ((agent, mut response), share) in batch.into_iter().zip(shares) {
-                response.latency = share;
-                let accounts = &mut sys.accounts;
-                accounts
-                    .trace
-                    .record(ModuleKind::Communication, Phase::LlmInference, agent, share);
-                accounts.note(&response);
-            }
+            // call, as a serving window's members are; the round reaches
+            // the serving tier as one request.
+            sys.accounts
+                .serve_round(ModuleKind::Communication, tenant, &batch);
         }
     }
 

@@ -317,7 +317,7 @@ fn run_fleet_on(
                     .as_mut()
                     .expect("step-ready for an unadmitted episode");
                 if slot.system.step_once() {
-                    if slot.system.pending_window_entries() > 0 {
+                    if slot.system.accounts.pending() > 0 {
                         // Parked on an open serving window; the close event
                         // settles the shares and reschedules this episode.
                         if !close_scheduled {
@@ -362,7 +362,9 @@ fn run_fleet_on(
                     let slot = slots[scope]
                         .as_mut()
                         .expect("window share for a retired episode");
-                    slot.system.settle_fleet_shares(&scope_shares);
+                    // No later step of the episode has begun, so its trace
+                    // folds the shares into the step that deferred them.
+                    slot.system.accounts.apply_window_shares(&scope_shares);
                     let gnow = slot.base + slot.system.trace().elapsed();
                     service.push_fleet_event(gnow, SimEvent::AgentStepReady { episode: scope });
                 }
@@ -829,6 +831,37 @@ mod tests {
                 report.serving
             );
         }
+    }
+
+    #[test]
+    fn batched_dialogue_rounds_reach_the_serving_tier() {
+        // Rec. 1 on a one-slot scheduling tier: each batched dialogue round
+        // is placed once, as one cohort request, so it queues like one.
+        let spec = find("CoELA").unwrap();
+        let overrides = RunOverrides {
+            num_agents: Some(4),
+            serving: Some(embodied_llm::ServingConfig::limited(1)),
+            opts: Some(crate::config::Optimizations {
+                batching: true,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let report = run_episode(&spec, &overrides, 42);
+        // All four agents talk in the one round of every step.
+        assert_eq!(report.messages.generated, 4 * report.steps as u64);
+        // Every planning call here is an independent first plan.
+        let planning = report
+            .by_purpose
+            .entries()
+            .iter()
+            .find(|e| e.purpose == "planning")
+            .map_or(0, |e| e.calls);
+        assert_eq!(
+            report.serving.cohort_requests,
+            planning + report.steps as u64,
+            "one cohort request per first plan and per dialogue round"
+        );
     }
 
     #[test]

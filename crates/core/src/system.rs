@@ -1,6 +1,7 @@
 //! The embodied system: an environment plus its agents (and, for
-//! centralized paradigms, a central planner), driven step by step while a
-//! [`Accounts`] bills every module's simulated latency.
+//! centralized paradigms, a central planner), driven step by step while
+//! [`Accounts`] schedules every LLM call and its trace bills every
+//! module's simulated latency.
 
 use crate::accounts::Accounts;
 use crate::agent::ModularAgent;
@@ -14,11 +15,11 @@ use crate::prompt::{renders_for, system_preamble, Body, Counted};
 use crate::recovery::RecoveryPolicy;
 use embodied_env::{Environment, ExecOutcome, Subgoal};
 use embodied_llm::{
-    EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmRequest, Purpose, WindowShare,
+    EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmRequest, Purpose,
 };
 use embodied_profiler::{
-    EpisodeReport, LatencyBreakdown, MessageStats, ModuleKind, Outcome, Phase, PurposeLedger,
-    RecoveryStats, RepairStats, SimDuration, StepRecord, Trace,
+    EpisodeReport, MessageStats, ModuleKind, Outcome, Phase, RecoveryStats, RepairStats,
+    SimDuration, Trace,
 };
 
 /// Nominal watchdog + reboot latency billed when a process crashes.
@@ -52,8 +53,9 @@ pub struct EmbodiedSystem {
     pub(crate) agents: Vec<ModularAgent>,
     pub(crate) central: Option<CentralPlanner>,
     pub(crate) paradigm: Paradigm,
-    /// Where every LLM call is billed: trace, serving stack, batch window,
-    /// purpose ledger, step and degradation counters.
+    /// Where every LLM call is scheduled and billed: the trace (the
+    /// episode's only time and call ledger), serving stack, batch window
+    /// and degradation counters.
     pub(crate) accounts: Accounts,
     pub(crate) messages: MessageStats,
     pub(crate) step: usize,
@@ -81,7 +83,6 @@ pub struct EmbodiedSystem {
     /// task spec, which is fixed for the episode.
     pub(crate) goal: Counted<String>,
     workload: String,
-    step_records: Vec<StepRecord>,
 }
 
 impl std::fmt::Debug for EmbodiedSystem {
@@ -203,7 +204,6 @@ impl EmbodiedSystem {
             accounts: Accounts::new(service),
             scope,
             workload,
-            step_records: Vec::new(),
         }
     }
 
@@ -281,8 +281,6 @@ impl EmbodiedSystem {
             // queues never carry over into the next step.
             accounts.service.begin_step(accounts.trace.now());
         }
-        accounts.counters = Default::default();
-        let before = accounts.trace.elapsed();
         self.begin_fault_step();
         match self.paradigm {
             Paradigm::SingleModular => orchestrator::single::step(self),
@@ -290,14 +288,6 @@ impl EmbodiedSystem {
             Paradigm::Decentralized => orchestrator::decentralized::step(self),
             Paradigm::Hybrid => orchestrator::hybrid::step(self),
         }
-        let counters = self.accounts.counters;
-        self.step_records.push(StepRecord {
-            step: self.step,
-            latency: self.accounts.trace.elapsed().saturating_sub(before),
-            max_prompt_tokens: counters.max_prompt_tokens,
-            llm_calls: counters.llm_calls,
-            progress: counters.progressed,
-        });
         self.step += 1;
         true
     }
@@ -305,13 +295,6 @@ impl EmbodiedSystem {
     /// The episode report as of the current step (final when the episode
     /// has ended).
     pub fn report(&self) -> EpisodeReport {
-        let outcome = if self.env.is_complete() {
-            Outcome::Success
-        } else if self.env.progress() == 0.0 {
-            Outcome::Stuck
-        } else {
-            Outcome::StepLimit
-        };
         // The service ledger covers every engine in the system — agents
         // and central alike — so accounting cannot drift from wiring. Every
         // query reads this episode's scope: a fleet's shared service hosts
@@ -319,26 +302,13 @@ impl EmbodiedSystem {
         let Accounts {
             trace,
             service,
-            by_purpose,
             degradations,
             ..
         } = &self.accounts;
-        let tokens = service.total_usage(self.scope);
-        let mut by_phase = PurposeLedger::default();
-        for span in trace.spans() {
-            by_phase.record(&span.phase.to_string(), span.duration, 0, 0);
-        }
         let mut resilience = *degradations;
         resilience.merge(&service.total_resilience(self.scope));
+        let outcome = Outcome::judge(self.env.is_complete(), self.env.progress());
         EpisodeReport {
-            workload: self.workload.clone(),
-            outcome,
-            steps: self.step,
-            latency: trace.elapsed(),
-            breakdown: LatencyBreakdown::from_trace(trace),
-            tokens,
-            by_purpose: by_purpose.clone(),
-            by_phase,
             messages: self.messages,
             resilience,
             agent_faults: self.agent_faults.stats,
@@ -348,8 +318,13 @@ impl EmbodiedSystem {
             serving_faults: service.fault_stats(self.scope),
             env_faults: self.env.env_fault_stats(),
             recovery: self.recovery_stats,
-            step_records: self.step_records.clone(),
-            agents: self.agents.len(),
+            ..EpisodeReport::from_trace(
+                self.workload.clone(),
+                outcome,
+                trace,
+                service.total_usage(self.scope),
+                self.agents.len(),
+            )
         }
     }
 
@@ -366,28 +341,6 @@ impl EmbodiedSystem {
     /// episode from a finished one.
     pub(crate) fn episode_over(&self) -> bool {
         self.step >= self.env.max_steps() || self.env.is_complete()
-    }
-
-    /// Number of calls parked in the open serving window — nonzero means
-    /// the episode is waiting on a fleet `BatchWindowClose` before its
-    /// next step can be attributed.
-    pub(crate) fn pending_window_entries(&self) -> usize {
-        self.accounts.pending()
-    }
-
-    /// Applies the fleet runner's window shares to this episode after the
-    /// fact: the window closed on the shared virtual clock, outside this
-    /// episode's step, so the re-attributed time and call counts fold into
-    /// the step record that deferred them.
-    pub(crate) fn settle_fleet_shares(&mut self, shares: &[WindowShare]) {
-        let before = self.accounts.trace.elapsed();
-        let (calls, max_prompt) = self.accounts.apply_window_shares(shares);
-        let delta = self.accounts.trace.elapsed().saturating_sub(before);
-        if let Some(rec) = self.step_records.last_mut() {
-            rec.latency += delta;
-            rec.llm_calls += calls;
-            rec.max_prompt_tokens = rec.max_prompt_tokens.max(max_prompt);
-        }
     }
 
     // ----- agent/channel fault plumbing -----
@@ -477,15 +430,15 @@ impl EmbodiedSystem {
         // whatever the central memory holds.
         let accounts = &mut self.accounts;
         if let Some(response) = accounts.settle(engine, ModuleKind::Planning, promoted, result) {
-            accounts.trace.record(
+            accounts.trace.record_call(
                 ModuleKind::Planning,
                 Phase::Resync,
                 promoted,
                 response.latency,
+                &[response.call()],
             );
             self.agent_faults.stats.resync_tokens +=
                 response.prompt_tokens + response.output_tokens;
-            accounts.note(&response);
         }
     }
 
@@ -951,23 +904,8 @@ impl EmbodiedSystem {
             );
             let accounts = &mut self.accounts;
             accounts.stall(agent.planning.engine_mut(), ModuleKind::Planning, i);
-            if verdict.validate_latency != SimDuration::ZERO {
-                accounts.trace.record(
-                    ModuleKind::Planning,
-                    Phase::Validate,
-                    i,
-                    verdict.validate_latency,
-                );
-            }
-            if verdict.repair_latency != SimDuration::ZERO {
-                accounts.trace.record(
-                    ModuleKind::Planning,
-                    Phase::Repair,
-                    i,
-                    verdict.repair_latency,
-                );
-            }
-            accounts.reprompts(ModuleKind::Planning, i, plan_tenant, &verdict.responses);
+            accounts.guardrail(i, &verdict);
+            accounts.queue_reprompts(i, plan_tenant, &verdict);
             if verdict.subgoal != subgoal {
                 // The decision was rejected and repaired/skipped: whatever
                 // multi-step plan it implied is void.
@@ -1019,10 +957,13 @@ impl EmbodiedSystem {
             guided,
         );
         for resp in &report.micro_responses {
-            accounts
-                .trace
-                .record(ModuleKind::Planning, Phase::LlmInference, i, resp.latency);
-            accounts.note(resp);
+            accounts.trace.record_call(
+                ModuleKind::Planning,
+                Phase::LlmInference,
+                i,
+                resp.latency,
+                &[resp.call()],
+            );
         }
         let outcome = report.outcome;
         accounts.trace.record(
@@ -1061,7 +1002,9 @@ impl EmbodiedSystem {
             agent.last_failure = Some((subgoal.clone(), outcome.clone()));
             agent.failure_streak += 1;
         }
-        self.accounts.counters.progressed |= outcome.made_progress;
+        if outcome.made_progress {
+            self.accounts.trace.mark_progress();
+        }
         outcome
     }
 

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod clock;
 mod engine;
 mod fault;
 mod latency;
@@ -50,7 +49,6 @@ mod serving_faults;
 mod sim;
 mod tokenizer;
 
-pub use clock::VirtualClock;
 pub use engine::{floor_char, LlmEngine, LlmError};
 pub use fault::{check_factor, FaultInjector, FaultKind, FaultProfile};
 pub use latency::{

@@ -2,8 +2,7 @@
 
 use crate::latency::InferenceOpts;
 use crate::semantic::SemanticFlaw;
-use embodied_profiler::SimDuration;
-use std::fmt;
+use embodied_profiler::{LlmCall, SimDuration};
 
 /// What an agent module is asking the model to do.
 ///
@@ -24,16 +23,16 @@ pub enum Purpose {
     Summarization,
 }
 
-impl fmt::Display for Purpose {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Purpose {
+    /// Lowercase label, as keyed in the per-purpose ledger.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
             Purpose::Planning => "planning",
             Purpose::Communication => "communication",
             Purpose::Reflection => "reflection",
             Purpose::ActionSelection => "action-selection",
             Purpose::Summarization => "summarization",
-        };
-        f.write_str(s)
+        }
     }
 }
 
@@ -157,6 +156,17 @@ pub struct LlmResponse {
     pub flaw: Option<SemanticFlaw>,
 }
 
+impl LlmResponse {
+    /// The call as a trace span bills it.
+    pub fn call(&self) -> LlmCall {
+        LlmCall {
+            purpose: self.purpose.label(),
+            prompt_tokens: self.prompt_tokens,
+            completion_tokens: self.output_tokens,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn purposes_display_distinctly() {
+    fn purpose_labels_are_distinct() {
         let all = [
             Purpose::Planning,
             Purpose::Communication,
@@ -187,7 +197,7 @@ mod tests {
         ];
         let mut seen = std::collections::HashSet::new();
         for p in all {
-            assert!(seen.insert(p.to_string()));
+            assert!(seen.insert(p.label()));
         }
     }
 }

@@ -31,7 +31,6 @@
 //! three binds (pass-through serving, or spare replicas without serving
 //! faults).
 
-use crate::clock::VirtualClock;
 use crate::engine::{LlmEngine, LlmError};
 use crate::fault::FaultProfile;
 use crate::latency::{amortize_latency, batch_latency, InferenceOpts};
@@ -206,12 +205,15 @@ impl ScopeLedger {
     }
 }
 
-/// Fleet-mode state: the global virtual clock, the typed event queue, each
-/// episode scope's base instant, and the substrate counters behind
-/// [`FleetSummary`]. `None` for a solo episode.
+/// Fleet-mode state: the furthest instant the fleet has reached, the typed
+/// event queue, each episode scope's base instant, and the substrate
+/// counters behind [`FleetSummary`]. `None` for a solo episode.
 #[derive(Default)]
 struct FleetState {
-    clock: VirtualClock,
+    /// High-water mark of the global timeline: event pops and placements
+    /// only ever raise it. Episodes execute their steps atomically at pop
+    /// time, so an earlier-stamped placement may arrive after a later one.
+    now: SimInstant,
     events: EventQueue,
     /// Per-scope global base instant: episode-local trace time `t` maps to
     /// global instant `bases[scope] + t`.
@@ -290,12 +292,12 @@ impl ServiceInner {
     }
 
     /// The origin of a placement at service instant `at`: the current step
-    /// barrier for a solo episode, `at` itself in fleet mode (whose clock
-    /// advances to it).
+    /// barrier for a solo episode, `at` itself in fleet mode (whose
+    /// high-water mark rises to it).
     fn origin(&mut self, at: SimInstant) -> SimInstant {
         match &mut self.fleet {
             Some(fleet) => {
-                fleet.clock.advance_to(at);
+                fleet.now = fleet.now.max(at);
                 at
             }
             None => self.barrier,
@@ -408,8 +410,8 @@ impl InferenceService {
         fleet.events.push(at, event)
     }
 
-    /// Pops fleet events in `(virtual-time, sequence-id)` order, advancing
-    /// the global clock to each. Substrate bookkeeping events —
+    /// Pops fleet events in `(virtual-time, sequence-id)` order, raising
+    /// the fleet's high-water mark to each. Substrate bookkeeping events —
     /// `DecodeFinish` (in-flight gauge down) and `ReplicaRestart` — are
     /// consumed internally; the first orchestration event (arrival, step
     /// ready, window close) is returned to the runner. `None` when the
@@ -418,7 +420,7 @@ impl InferenceService {
         let mut inner = self.inner.borrow_mut();
         let fleet = inner.fleet.as_mut().expect("fleet mode not enabled");
         while let Some(ev) = fleet.events.pop() {
-            fleet.clock.advance_to(ev.at);
+            fleet.now = fleet.now.max(ev.at);
             fleet.events_processed += 1;
             match ev.event {
                 SimEvent::DecodeFinish { .. } => {
@@ -761,7 +763,7 @@ impl InferenceService {
             decode_events: fleet.decode_events,
             restarts: fleet.restarts,
             cross_episode_batches: fleet.cross_episode_batches,
-            makespan: fleet.clock.elapsed(),
+            makespan: fleet.now.duration_since(SimInstant::EPOCH),
         }
     }
 

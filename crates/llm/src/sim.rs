@@ -210,7 +210,8 @@ pub struct FleetSummary {
     /// Batches whose members spanned two or more episodes — the effect a
     /// per-episode loop cannot express.
     pub cross_episode_batches: u64,
-    /// Final virtual-clock reading: wall-clock of the whole fleet.
+    /// The furthest instant the fleet reached: wall-clock of the whole
+    /// fleet.
     pub makespan: SimDuration,
 }
 

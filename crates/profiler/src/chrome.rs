@@ -32,7 +32,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             "\n  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \
              \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {}, \
              \"args\": {{\"step\": {}}}}}",
-            span.phase,
+            span.phase.label(),
             span.module,
             span.start.as_micros(),
             span.duration.as_micros(),

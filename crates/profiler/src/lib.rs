@@ -11,7 +11,8 @@
 //!   time, so 40-minute episodes simulate in milliseconds;
 //! * [`ModuleKind`] / [`Phase`] — the six agent building blocks every span
 //!   is attributed to;
-//! * [`Trace`] / [`Span`] — the per-episode event log;
+//! * [`Trace`] / [`Span`] / [`LlmCall`] — the per-episode event log, which
+//!   also keeps the episode's per-purpose, per-phase and per-step ledgers;
 //! * [`LatencyBreakdown`], [`TokenStats`], [`MessageStats`], [`StepRecord`]
 //!   — derived metrics;
 //! * [`EpisodeReport`] / [`Aggregate`] — what experiment binaries print;
@@ -53,7 +54,7 @@ pub use metrics::{
 };
 pub use module::{ModuleKind, Phase};
 pub use report::{Aggregate, EpisodeReport, Outcome};
-pub use span::{Span, Trace};
+pub use span::{LlmCall, Span, Trace};
 pub use stats::{std_normal_cdf, welch_t_test, Sample, WelchTest};
 pub use table::{ascii_bar, pct, Table};
 pub use time::{SimClock, SimDuration, SimInstant};

@@ -185,7 +185,7 @@ pub struct StepRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PurposeUsage {
     /// Purpose label, e.g. `"planning"`.
-    pub purpose: String,
+    pub purpose: &'static str,
     /// Inference runs with this purpose.
     pub calls: u64,
     /// Total latency of those runs.
@@ -196,27 +196,38 @@ pub struct PurposeUsage {
     pub completion_tokens: u64,
 }
 
-/// An accumulating per-purpose usage ledger.
+/// An accumulating per-label usage ledger. A [`Trace`] keeps two, by LLM
+/// purpose and by span phase, and folds every span into them as it is
+/// recorded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PurposeLedger {
     entries: Vec<PurposeUsage>,
 }
 
 impl PurposeLedger {
-    /// Records one run under `purpose`.
-    pub fn record(
+    /// Adds `calls` runs under `purpose` that took `latency` together.
+    pub(crate) fn record(
         &mut self,
-        purpose: &str,
+        purpose: &'static str,
+        calls: u64,
         latency: SimDuration,
         prompt_tokens: u64,
         completion_tokens: u64,
     ) {
-        self.update(purpose, |entry| {
-            entry.calls += 1;
-            entry.latency += latency;
-            entry.prompt_tokens += prompt_tokens;
-            entry.completion_tokens += completion_tokens;
-        });
+        let entry = match self.entries.iter_mut().position(|e| e.purpose == purpose) {
+            Some(i) => &mut self.entries[i],
+            None => {
+                self.entries.push(PurposeUsage {
+                    purpose,
+                    ..Default::default()
+                });
+                self.entries.last_mut().expect("just pushed")
+            }
+        };
+        entry.calls += calls;
+        entry.latency += latency;
+        entry.prompt_tokens += prompt_tokens;
+        entry.completion_tokens += completion_tokens;
     }
 
     /// All entries, in first-seen order.
@@ -224,47 +235,17 @@ impl PurposeLedger {
         &self.entries
     }
 
-    /// Total latency across purposes.
-    pub fn total_latency(&self) -> SimDuration {
-        self.entries.iter().map(|e| e.latency).sum()
-    }
-
-    /// Latency fraction of one purpose over the ledger total.
-    pub fn fraction(&self, purpose: &str) -> f64 {
-        let total = self.total_latency();
-        self.entries
-            .iter()
-            .find(|e| e.purpose == purpose)
-            .map(|e| e.latency.fraction_of(total))
-            .unwrap_or(0.0)
-    }
-
     /// Merges another ledger into this one.
     pub fn merge(&mut self, other: &PurposeLedger) {
         for e in &other.entries {
-            self.update(&e.purpose, |target| {
-                target.calls += e.calls;
-                target.latency += e.latency;
-                target.prompt_tokens += e.prompt_tokens;
-                target.completion_tokens += e.completion_tokens;
-            });
+            self.record(
+                e.purpose,
+                e.calls,
+                e.latency,
+                e.prompt_tokens,
+                e.completion_tokens,
+            );
         }
-    }
-
-    /// Applies `f` to the entry for `purpose`, appending an empty one on
-    /// first sight.
-    fn update(&mut self, purpose: &str, f: impl FnOnce(&mut PurposeUsage)) {
-        let entry = match self.entries.iter_mut().find(|e| e.purpose == purpose) {
-            Some(entry) => entry,
-            None => {
-                self.entries.push(PurposeUsage {
-                    purpose: purpose.to_owned(),
-                    ..Default::default()
-                });
-                self.entries.last_mut().expect("just pushed")
-            }
-        };
-        f(entry);
     }
 }
 
@@ -961,18 +942,23 @@ mod tests {
     }
 
     #[test]
-    fn purpose_ledger_accumulates_and_fractions() {
+    fn purpose_ledger_accumulates_and_merges() {
         let mut ledger = PurposeLedger::default();
-        ledger.record("planning", sec(6), 1_000, 100);
-        ledger.record("communication", sec(3), 400, 40);
-        ledger.record("planning", sec(3), 900, 80);
-        assert_eq!(ledger.entries().len(), 2);
-        assert!((ledger.fraction("planning") - 0.75).abs() < 1e-9);
-        assert_eq!(ledger.fraction("unknown"), 0.0);
+        ledger.record("planning", 1, sec(6), 1_000, 100);
+        ledger.record("communication", 1, sec(3), 400, 40);
+        ledger.record("planning", 2, sec(3), 900, 80);
         let mut other = PurposeLedger::default();
-        other.record("planning", sec(3), 100, 10);
+        other.record("planning", 1, sec(3), 100, 10);
         ledger.merge(&other);
-        assert!((ledger.fraction("planning") - 0.8).abs() < 1e-9);
+        let planning = &ledger.entries()[0];
+        assert_eq!(
+            ledger.entries().len(),
+            2,
+            "one entry per label, first-seen order"
+        );
+        assert_eq!((planning.purpose, planning.calls), ("planning", 4));
+        assert_eq!((planning.latency, planning.prompt_tokens), (sec(12), 2_000));
+        assert_eq!(planning.completion_tokens, 190);
     }
 
     #[test]

@@ -125,9 +125,11 @@ pub enum Phase {
     ActRetry,
 }
 
-impl fmt::Display for Phase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+impl Phase {
+    /// Lowercase label, as keyed in the per-phase ledger and named in
+    /// Chrome traces.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
             Phase::Work => "work",
             Phase::LlmInference => "llm-inference",
             Phase::Retrieval => "retrieval",
@@ -146,8 +148,7 @@ impl fmt::Display for Phase {
             Phase::Shed => "shed",
             Phase::Reobserve => "reobserve",
             Phase::ActRetry => "act-retry",
-        };
-        f.write_str(name)
+        }
     }
 }
 

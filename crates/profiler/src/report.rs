@@ -7,6 +7,7 @@ use crate::metrics::{
     TokenStats,
 };
 use crate::module::ModuleKind;
+use crate::span::Trace;
 use crate::time::SimDuration;
 use std::fmt;
 
@@ -23,6 +24,18 @@ pub enum Outcome {
 }
 
 impl Outcome {
+    /// How an episode that stopped ended: success when its goal is
+    /// `complete`, stuck when it made no `progress` at all.
+    pub fn judge(complete: bool, progress: f64) -> Self {
+        if complete {
+            Outcome::Success
+        } else if progress == 0.0 {
+            Outcome::Stuck
+        } else {
+            Outcome::StepLimit
+        }
+    }
+
     /// Whether this outcome counts toward the success-rate metric.
     pub fn is_success(self) -> bool {
         matches!(self, Outcome::Success)
@@ -97,6 +110,40 @@ pub struct EpisodeReport {
 }
 
 impl EpisodeReport {
+    /// A report whose time and LLM-call figures are read from `trace`, the
+    /// episode's only ledger of them: one step per step record, the
+    /// elapsed time as latency. Every counter the trace does not keep is
+    /// zero.
+    pub fn from_trace(
+        workload: String,
+        outcome: Outcome,
+        trace: &Trace,
+        tokens: TokenStats,
+        agents: usize,
+    ) -> Self {
+        EpisodeReport {
+            workload,
+            outcome,
+            steps: trace.step_records().len(),
+            latency: trace.elapsed(),
+            breakdown: LatencyBreakdown::from_trace(trace),
+            tokens,
+            by_purpose: trace.by_purpose().clone(),
+            by_phase: trace.by_phase().clone(),
+            messages: MessageStats::default(),
+            resilience: ResilienceStats::default(),
+            agent_faults: AgentFaultStats::default(),
+            channel: ChannelStats::default(),
+            repairs: RepairStats::default(),
+            serving: ServingStats::default(),
+            serving_faults: ServingFaultStats::default(),
+            env_faults: EnvFaultStats::default(),
+            recovery: RecoveryStats::default(),
+            step_records: trace.step_records().to_vec(),
+            agents,
+        }
+    }
+
     /// Mean simulated latency per step (zero when no steps ran).
     pub fn latency_per_step(&self) -> SimDuration {
         if self.steps == 0 {
@@ -402,31 +449,16 @@ impl fmt::Display for Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::Phase;
 
     fn report(outcome: Outcome, steps: usize, latency_secs: u64) -> EpisodeReport {
-        let mut breakdown = LatencyBreakdown::new();
-        breakdown.add(ModuleKind::Planning, SimDuration::from_secs(latency_secs));
-        EpisodeReport {
-            workload: "Test".into(),
-            outcome,
-            steps,
-            latency: SimDuration::from_secs(latency_secs),
-            breakdown,
-            tokens: TokenStats::default(),
-            by_purpose: PurposeLedger::default(),
-            by_phase: PurposeLedger::default(),
-            messages: MessageStats::default(),
-            resilience: ResilienceStats::default(),
-            agent_faults: AgentFaultStats::default(),
-            channel: ChannelStats::default(),
-            repairs: RepairStats::default(),
-            serving: ServingStats::default(),
-            serving_faults: ServingFaultStats::default(),
-            env_faults: EnvFaultStats::default(),
-            recovery: RecoveryStats::default(),
-            step_records: Vec::new(),
-            agents: 1,
+        let mut trace = Trace::new();
+        for step in 0..steps {
+            trace.begin_step(step);
         }
+        let latency = SimDuration::from_secs(latency_secs);
+        trace.record(ModuleKind::Planning, Phase::LlmInference, 0, latency);
+        EpisodeReport::from_trace("Test".into(), outcome, &trace, TokenStats::default(), 1)
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Spans and traces: the raw material of every latency figure in the paper.
 
+use crate::metrics::{PurposeLedger, StepRecord};
 use crate::module::{ModuleKind, Phase};
 use crate::time::{SimClock, SimDuration, SimInstant};
 
@@ -27,25 +28,47 @@ impl Span {
     }
 }
 
+/// One LLM call a span bills: what it was for and the tokens it moved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LlmCall {
+    /// Purpose label, e.g. `"planning"`.
+    pub purpose: &'static str,
+    /// Prompt tokens consumed.
+    pub prompt_tokens: u64,
+    /// Completion tokens produced.
+    pub completion_tokens: u64,
+}
+
 /// An append-only log of spans for one episode, tied to a [`SimClock`].
 ///
 /// The trace *is* the clock driver: recording a span advances simulated time,
 /// which keeps the timeline and the accounting consistent by construction.
+/// It is also the only ledger of an episode's time and LLM calls: each
+/// recorded span is folded, as it lands, into the per-phase ledger, the
+/// per-purpose ledger (for the calls it bills) and the record of the step
+/// opened last by [`Trace::begin_step`].
 ///
 /// ```
-/// use embodied_profiler::{ModuleKind, Phase, SimDuration, Trace};
+/// use embodied_profiler::{LlmCall, ModuleKind, Phase, SimDuration, Trace};
 ///
 /// let mut trace = Trace::new();
-/// trace.record(ModuleKind::Planning, Phase::LlmInference, 0, SimDuration::from_secs(8));
+/// trace.begin_step(0);
+/// let call = LlmCall { purpose: "planning", prompt_tokens: 900, completion_tokens: 40 };
+/// trace.record_call(ModuleKind::Planning, Phase::LlmInference, 0, SimDuration::from_secs(8), &[call]);
 /// trace.record(ModuleKind::Execution, Phase::Actuation, 0, SimDuration::from_secs(2));
 /// assert_eq!(trace.elapsed(), SimDuration::from_secs(10));
 /// assert_eq!(trace.spans().len(), 2);
+/// assert_eq!(trace.step_records()[0].llm_calls, 1);
+/// assert_eq!(trace.by_purpose().entries()[0].prompt_tokens, 900);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     clock: SimClock,
     spans: Vec<Span>,
     step: usize,
+    by_purpose: PurposeLedger,
+    by_phase: PurposeLedger,
+    step_records: Vec<StepRecord>,
 }
 
 impl Trace {
@@ -54,42 +77,89 @@ impl Trace {
         Self::default()
     }
 
-    /// Sets the step index attached to subsequently recorded spans.
+    /// Opens the record of step `step`: subsequently recorded spans carry
+    /// its index and fold into it.
     pub fn begin_step(&mut self, step: usize) {
         self.step = step;
+        self.step_records.push(StepRecord {
+            step,
+            ..StepRecord::default()
+        });
     }
 
-    /// Current step index.
-    pub fn step(&self) -> usize {
-        self.step
-    }
-
-    /// Records a span for `module`, advancing the simulated clock.
-    ///
-    /// Returns the completed span (also retained internally).
+    /// Records a span for `module` that bills no LLM call, advancing the
+    /// simulated clock.
     pub fn record(
         &mut self,
         module: ModuleKind,
         phase: Phase,
         agent: usize,
         duration: SimDuration,
-    ) -> Span {
-        let span = Span {
+    ) {
+        self.record_call(module, phase, agent, duration, &[]);
+    }
+
+    /// Records a span for `module` together with the LLM calls it bills,
+    /// advancing the simulated clock. The span's duration is billed once,
+    /// to its first call's purpose.
+    pub fn record_call(
+        &mut self,
+        module: ModuleKind,
+        phase: Phase,
+        agent: usize,
+        duration: SimDuration,
+        calls: &[LlmCall],
+    ) {
+        self.spans.push(Span {
             module,
             phase,
             agent,
             step: self.step,
             start: self.clock.now(),
             duration,
-        };
+        });
         self.clock.advance(duration);
-        self.spans.push(span.clone());
-        span
+        self.by_phase.record(phase.label(), 1, duration, 0, 0);
+        let mut latency = duration;
+        for call in calls {
+            let (prompt, completion) = (call.prompt_tokens, call.completion_tokens);
+            self.by_purpose
+                .record(call.purpose, 1, latency, prompt, completion);
+            latency = SimDuration::ZERO;
+        }
+        if let Some(rec) = self.step_records.last_mut() {
+            rec.latency += duration;
+            rec.llm_calls += calls.len() as u64;
+            let prompts = calls.iter().map(|c| c.prompt_tokens);
+            rec.max_prompt_tokens = prompts.fold(rec.max_prompt_tokens, u64::max);
+        }
+    }
+
+    /// Marks the open step as one in which some agent made goal progress.
+    pub fn mark_progress(&mut self) {
+        if let Some(rec) = self.step_records.last_mut() {
+            rec.progress = true;
+        }
     }
 
     /// All recorded spans in timeline order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
+    }
+
+    /// LLM usage by purpose, over every call the recorded spans billed.
+    pub fn by_purpose(&self) -> &PurposeLedger {
+        &self.by_purpose
+    }
+
+    /// Span count and time by phase.
+    pub fn by_phase(&self) -> &PurposeLedger {
+        &self.by_phase
+    }
+
+    /// One record per [`Trace::begin_step`], in step order.
+    pub fn step_records(&self) -> &[StepRecord] {
+        &self.step_records
     }
 
     /// Total simulated time elapsed.
@@ -100,24 +170,6 @@ impl Trace {
     /// Current simulated instant.
     pub fn now(&self) -> SimInstant {
         self.clock.now()
-    }
-
-    /// Sum of span durations for one module.
-    pub fn module_total(&self, module: ModuleKind) -> SimDuration {
-        self.spans
-            .iter()
-            .filter(|s| s.module == module)
-            .map(|s| s.duration)
-            .sum()
-    }
-
-    /// Sum of span durations for one phase.
-    pub fn phase_total(&self, phase: Phase) -> SimDuration {
-        self.spans
-            .iter()
-            .filter(|s| s.phase == phase)
-            .map(|s| s.duration)
-            .sum()
     }
 
     /// Spans belonging to a given step.
@@ -157,16 +209,52 @@ mod tests {
     }
 
     #[test]
-    fn module_totals_aggregate_across_steps() {
+    fn ledgers_fold_every_span_and_call() {
+        let call = |prompt_tokens| LlmCall {
+            purpose: "planning",
+            prompt_tokens,
+            completion_tokens: 10,
+        };
         let mut t = Trace::new();
-        for step in 0..3 {
-            t.begin_step(step);
-            t.record(ModuleKind::Planning, Phase::LlmInference, 0, sec(4));
-            t.record(ModuleKind::Execution, Phase::Actuation, 0, sec(1));
-        }
-        assert_eq!(t.module_total(ModuleKind::Planning), sec(12));
-        assert_eq!(t.module_total(ModuleKind::Execution), sec(3));
-        assert_eq!(t.module_total(ModuleKind::Memory), SimDuration::ZERO);
+        t.begin_step(0);
+        t.record(ModuleKind::Sensing, Phase::Encoding, 0, sec(1));
+        t.record_call(
+            ModuleKind::Planning,
+            Phase::LlmInference,
+            0,
+            sec(4),
+            &[call(100)],
+        );
+        t.begin_step(1);
+        // One span carrying two calls (a guardrail's repair re-prompts).
+        let (plan, repair) = (ModuleKind::Planning, Phase::Repair);
+        t.record_call(plan, repair, 0, sec(3), &[call(50), call(300)]);
+        t.mark_progress();
+
+        let steps = t.step_records();
+        assert_eq!((steps[0].latency, steps[0].llm_calls), (sec(5), 1));
+        assert_eq!(
+            (steps[0].max_prompt_tokens, steps[0].progress),
+            (100, false)
+        );
+        assert_eq!((steps[1].latency, steps[1].llm_calls), (sec(3), 2));
+        assert_eq!((steps[1].max_prompt_tokens, steps[1].progress), (300, true));
+        let planning = &t.by_purpose().entries()[0];
+        assert_eq!((planning.calls, planning.latency), (3, sec(7)));
+        assert_eq!(
+            (planning.prompt_tokens, planning.completion_tokens),
+            (450, 30)
+        );
+        let phases: Vec<_> = t
+            .by_phase()
+            .entries()
+            .iter()
+            .map(|e| (e.purpose, e.calls))
+            .collect();
+        assert_eq!(
+            phases,
+            [("encoding", 1), ("llm-inference", 1), ("repair", 1)]
+        );
     }
 
     #[test]
@@ -206,15 +294,5 @@ mod tests {
             duration: sec(1),
         });
         assert!(!broken.is_start_monotone());
-    }
-
-    #[test]
-    fn phase_totals() {
-        let mut t = Trace::new();
-        t.record(ModuleKind::Planning, Phase::LlmInference, 0, sec(3));
-        t.record(ModuleKind::Communication, Phase::LlmInference, 0, sec(2));
-        t.record(ModuleKind::Execution, Phase::GeometricPlanning, 0, sec(1));
-        assert_eq!(t.phase_total(Phase::LlmInference), sec(5));
-        assert_eq!(t.phase_total(Phase::GeometricPlanning), sec(1));
     }
 }

@@ -28,8 +28,13 @@ cargo test -q --workspace
 echo "== determinism suite (release, EMBODIED_JOBS=4) =="
 EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test determinism
 
-echo "== resilience integration tests =="
-cargo test --release -q --test resilience --test fault_properties --test guardrail_properties
+# suite_integration's reports_are_internally_consistent checks, on the
+# count-only prompt path that experiments and perf_bench take, that every
+# report's breakdown and step latencies sum to its latency and that each LLM
+# call is billed once.
+echo "== resilience + integration tests (release) =="
+cargo test --release -q --test resilience --test fault_properties --test guardrail_properties \
+  --test suite_integration
 
 # Release builds assemble prompts as counts; debug builds render them.
 echo "== rendered vs count-only prompt differential (release) =="
