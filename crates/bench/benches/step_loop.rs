@@ -1,5 +1,5 @@
 //! Criterion benchmarks of the per-step hot path: memory summarization at
-//! growing record counts, known-entity assembly, a steady-state single-agent
+//! growing record counts, a point knowledge query, a steady-state single-agent
 //! episode, and an 8-agent decentralized episode with the serving layer on.
 //!
 //! These are the paths the data-oriented rework targets; `scripts/verify.sh
@@ -38,8 +38,8 @@ fn bench_memory_summarize(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_known_entities(c: &mut Criterion) {
-    let mut group = c.benchmark_group("known_entities");
+fn bench_knows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("knows");
     for n in [10usize, 1000] {
         let mem = filled_memory(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
@@ -84,7 +84,7 @@ fn bench_decentralized_serving_episode(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_memory_summarize,
-    bench_known_entities,
+    bench_knows,
     bench_single_agent_episode,
     bench_decentralized_serving_episode
 );

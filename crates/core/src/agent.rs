@@ -3,13 +3,14 @@
 
 use crate::config::AgentConfig;
 use crate::modules::{
-    CommunicationModule, ExecutionModule, MemoryModule, PlanningModule, ReflectionModule,
-    SensingModule, WorldMap,
+    CommunicationModule, EntitySet, ExecutionModule, MemoryModule, PlanningModule,
+    ReflectionModule, SensingModule, WorldMap,
 };
 use crate::prompt::{system_preamble, Counted};
 use embodied_env::Subgoal;
 use embodied_llm::{EngineBuilder, InferenceService, LlmEngine};
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 /// One embodied agent assembled from its configured modules.
 ///
@@ -45,12 +46,14 @@ pub struct ModularAgent {
     pub plan_budget: usize,
     /// Subgoals reflection has blacklisted, mapped to expiry step.
     pub blacklist: HashMap<String, usize>,
-    /// Entity set at the time of this agent's last broadcast (computes the
-    /// knowledge delta carried by the next message).
-    pub last_broadcast: HashSet<String>,
-    /// Messages received this round, verbatim with their token counts: the
-    /// dialogue section of communication and planning prompts.
-    pub inbox: Vec<Counted<String>>,
+    /// What the agent knew at its last broadcast, over its memory's ids:
+    /// the next message carries what it knows now and did not then. Each
+    /// broadcast replaces it rather than adding to it, so an entity
+    /// forgotten since and seen again is news again.
+    pub last_broadcast: EntitySet,
+    /// Messages received this round, shared with their senders and token
+    /// counts: the dialogue section of communication and planning prompts.
+    pub inbox: Vec<Counted<Rc<str>>>,
     /// Consecutive steps without progress whose failure reflection has not
     /// resolved — drives compounding planner confusion.
     pub failure_streak: usize,
@@ -160,7 +163,7 @@ impl ModularAgent {
             last_failure: None,
             plan_budget: 0,
             blacklist: HashMap::new(),
-            last_broadcast: HashSet::new(),
+            last_broadcast: EntitySet::default(),
             inbox: Vec::new(),
             failure_streak: 0,
             last_plan: None,
@@ -168,14 +171,6 @@ impl ModularAgent {
             suspected: HashSet::new(),
             memory_buf: String::new(),
         }
-    }
-
-    /// Everything the agent currently knows about, given this step's
-    /// freshly perceived entities.
-    pub fn knowledge(&self, percept_entities: &[String]) -> HashSet<String> {
-        let mut known = self.memory.known_entities();
-        known.extend(percept_entities.iter().cloned());
-        known
     }
 
     /// Filters subgoals to those the agent can meaningfully plan: every
@@ -208,27 +203,33 @@ impl ModularAgent {
         self.blacklist.insert(subgoal.to_string(), step + duration);
     }
 
-    /// Knowledge the agent has gained since its last broadcast.
-    pub fn knowledge_delta(&self, knowledge: &HashSet<String>) -> Vec<String> {
-        let mut delta: Vec<String> = knowledge
-            .difference(&self.last_broadcast)
-            .cloned()
-            .collect();
-        delta.sort_unstable();
-        delta
+    /// Everything the agent knows now (memory plus this step's freshly
+    /// perceived entities) and, name-sorted, what of it the agent has not
+    /// broadcast: the and-not of the knowledge and
+    /// [`ModularAgent::last_broadcast`]. Once the message carrying the
+    /// delta is sent, the caller stores the knowledge as the new
+    /// `last_broadcast`.
+    pub fn knowledge_delta(&mut self, percept_entities: &[String]) -> (EntitySet, Rc<[String]>) {
+        let knowledge = self
+            .memory
+            .knowledge(percept_entities.iter().map(String::as_str));
+        let delta = self.memory.names_not_in(&knowledge, &self.last_broadcast);
+        (knowledge, delta)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModuleToggles;
+    use crate::config::{MemoryCapacity, ModuleToggles};
+    use crate::modules::RecordKind;
     use embodied_llm::ModelProfile;
 
     fn agent_with(toggles: ModuleToggles) -> ModularAgent {
         let mut config = AgentConfig::gpt4_modular();
         config.communicator = Some(ModelProfile::gpt4_api());
         config.toggles = toggles;
+        config.memory_capacity = MemoryCapacity::Steps(3);
         ModularAgent::new(
             0,
             "TestSystem",
@@ -259,10 +260,11 @@ mod tests {
 
     #[test]
     fn knowledge_merges_memory_and_percept() {
-        let agent = agent_with(ModuleToggles::all_on());
-        let known = agent.knowledge(&["apple_1".into()]);
-        assert!(known.contains("room_0")); // landmark
-        assert!(known.contains("apple_1")); // fresh percept
+        let mut agent = agent_with(ModuleToggles::all_on());
+        let (known, _) = agent.knowledge_delta(&["apple_1".into()]);
+        assert!(agent.memory.set_contains(&known, "room_0")); // landmark
+        assert!(agent.memory.set_contains(&known, "apple_1")); // fresh percept
+        assert!(!agent.memory.set_contains(&known, "box_2"));
     }
 
     #[test]
@@ -290,12 +292,66 @@ mod tests {
         assert_eq!(filtered.len(), 1, "blacklist expired");
     }
 
+    /// One dialogue round's bookkeeping: the delta it would carry, with
+    /// the knowledge recorded as broadcast.
+    fn broadcast(agent: &mut ModularAgent, percept: &[&str]) -> Vec<String> {
+        let percept: Vec<String> = percept.iter().map(|e| (*e).to_owned()).collect();
+        let (knowledge, delta) = agent.knowledge_delta(&percept);
+        agent.last_broadcast = knowledge;
+        delta.to_vec()
+    }
+
     #[test]
     fn knowledge_delta_tracks_broadcasts() {
         let mut agent = agent_with(ModuleToggles::all_on());
-        let known: HashSet<String> = ["apple_1".to_owned(), "box_2".to_owned()].into();
-        assert_eq!(agent.knowledge_delta(&known).len(), 2);
-        agent.last_broadcast = known.clone();
-        assert!(agent.knowledge_delta(&known).is_empty());
+        assert_eq!(
+            broadcast(&mut agent, &["apple_1", "box_2"]),
+            ["apple_1", "box_2", "room_0"]
+        );
+        assert!(broadcast(&mut agent, &["apple_1", "box_2"]).is_empty());
+    }
+
+    #[test]
+    fn forgotten_entities_seen_again_reappear_in_the_delta() {
+        let mut agent = agent_with(ModuleToggles::all_on());
+        agent.memory.begin_step(1);
+        agent.memory.store(
+            RecordKind::Observation,
+            "saw apple_1 and box_2",
+            vec!["apple_1".to_owned(), "box_2".to_owned()],
+        );
+        assert_eq!(broadcast(&mut agent, &[]), ["apple_1", "box_2", "room_0"]);
+
+        // Window expiry: both leave the 3-step window; the broadcast that
+        // follows replaces the baseline with the smaller knowledge.
+        agent.memory.begin_step(9);
+        assert!(broadcast(&mut agent, &[]).is_empty());
+        agent.memory.store(
+            RecordKind::Observation,
+            "saw apple_1",
+            vec!["apple_1".to_owned()],
+        );
+        assert_eq!(broadcast(&mut agent, &[]), ["apple_1"]);
+
+        // A stale marker: apple_1 drops out, then a fresh percept of it
+        // makes it news again.
+        agent.memory.mark_stale("apple_1");
+        assert!(broadcast(&mut agent, &[]).is_empty());
+        assert_eq!(broadcast(&mut agent, &["apple_1"]), ["apple_1"]);
+    }
+
+    #[test]
+    fn delta_names_are_name_sorted_whatever_the_interning_order() {
+        let mut agent = agent_with(ModuleToggles::all_on());
+        agent.memory.begin_step(1);
+        for name in ["zeta_9", "mug_4", "alpha_1"] {
+            agent
+                .memory
+                .store(RecordKind::Observation, name, vec![name.to_owned()]);
+        }
+        assert_eq!(
+            broadcast(&mut agent, &["crate_3", "beta_2"]),
+            ["alpha_1", "beta_2", "crate_3", "mug_4", "room_0", "zeta_9"]
+        );
     }
 }

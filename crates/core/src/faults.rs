@@ -17,6 +17,7 @@ use crate::prompt::Counted;
 use embodied_profiler::{check_rate, AgentFaultStats, ChannelStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::rc::Rc;
 
 /// Per-step agent-process fault probabilities plus recovery/failover
 /// parameters. The default ([`AgentFaultProfile::none()`]) injects nothing.
@@ -349,10 +350,10 @@ pub(crate) struct DelayedMessage {
     /// Recipient agent id.
     pub to: usize,
     /// Message text with its token count (already garbled if the delivery
-    /// was also corrupted).
-    pub text: Counted<String>,
-    /// Entity payload (empty if corrupted).
-    pub entities: Vec<String>,
+    /// was also corrupted), shared with the sender.
+    pub text: Counted<Rc<str>>,
+    /// Entity payload (empty if corrupted), shared with the sender.
+    pub entities: Rc<[String]>,
     /// Copies to deliver (2 if the delivery was also duplicated).
     pub copies: usize,
 }
@@ -679,14 +680,14 @@ mod tests {
             deliver_at: 3,
             to: 1,
             text: Counted::new("late".into()),
-            entities: vec![],
+            entities: Rc::from([]),
             copies: 1,
         });
         chan.delayed.push(DelayedMessage {
             deliver_at: 5,
             to: 0,
             text: Counted::new("later".into()),
-            entities: vec![],
+            entities: Rc::from([]),
             copies: 1,
         });
         assert!(chan.due_messages(2).is_empty());

@@ -8,6 +8,8 @@
 
 use crate::prompt::{Counted, PromptWriter};
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
+use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// A message produced by one agent for broadcast.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,10 +17,10 @@ pub struct OutgoingMessage {
     /// Sender agent index.
     pub from: usize,
     /// Message text (concatenated into receivers' dialogue memory), counted
-    /// once here and carried with its count to every recipient.
-    pub text: Counted<String>,
-    /// Entity knowledge the message carries.
-    pub entities: Vec<String>,
+    /// once here and shared with its count by every recipient.
+    pub text: Counted<Rc<str>>,
+    /// Entity knowledge the message carries, shared by every recipient.
+    pub entities: Rc<[String]>,
     /// The LLM response that generated it.
     pub response: LlmResponse,
 }
@@ -28,7 +30,8 @@ pub struct OutgoingMessage {
 #[derive(Debug, Clone)]
 pub struct CommunicationModule {
     engine: EngineHandle,
-    /// Reusable prompt buffer: rendered fresh each call, allocated once.
+    /// Reusable buffer, allocated once: each call renders its prompt here,
+    /// then assembles the message text.
     prompt_buf: String,
 }
 
@@ -57,7 +60,7 @@ impl CommunicationModule {
     ///
     /// `status` is the sender's own state line; `knowledge_delta` is what
     /// the sender has learned since it last broadcast (possibly empty — the
-    /// redundant-message case).
+    /// redundant-message case), which the message carries.
     ///
     /// # Errors
     ///
@@ -69,8 +72,8 @@ impl CommunicationModule {
         preamble: Counted<&str>,
         goal: Counted<&str>,
         status: &str,
-        dialogue_so_far: &[Counted<String>],
-        knowledge_delta: &[String],
+        dialogue_so_far: &[Counted<Rc<str>>],
+        knowledge_delta: Rc<[String]>,
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<OutgoingMessage, LlmError> {
@@ -89,18 +92,25 @@ impl CommunicationModule {
                 .with_opts(opts),
         )?;
 
-        let text = if knowledge_delta.is_empty() {
-            format!("agent {from}: {status}. Proceeding with my current plan.")
+        let text = &mut self.prompt_buf;
+        text.clear();
+        let _ = write!(text, "agent {from}: {status}. ");
+        if knowledge_delta.is_empty() {
+            text.push_str("Proceeding with my current plan.");
         } else {
-            format!(
-                "agent {from}: {status}. I have located {}.",
-                knowledge_delta.join(", ")
-            )
-        };
+            text.push_str("I have located ");
+            for (k, e) in knowledge_delta.iter().enumerate() {
+                if k > 0 {
+                    text.push_str(", ");
+                }
+                text.push_str(e);
+            }
+            text.push('.');
+        }
         Ok(OutgoingMessage {
             from,
-            text: Counted::new(text),
-            entities: knowledge_delta.to_vec(),
+            text: Counted::new(Rc::from(text.as_str())),
+            entities: knowledge_delta,
             response,
         })
     }
@@ -132,14 +142,14 @@ mod tests {
                 Counted::new("deliver objects"),
                 "in room_2, hands free",
                 &[],
-                &["object_3".into()],
+                vec!["object_3".to_owned()].into(),
                 0.4,
                 InferenceOpts::default(),
             )
             .unwrap();
         assert!(msg.text.text().contains("object_3"));
-        assert_eq!(msg.text, Counted::new(msg.text.text().to_owned()));
-        assert_eq!(msg.entities, vec!["object_3".to_owned()]);
+        assert_eq!(msg.text, Counted::new(Rc::from(msg.text.text())));
+        assert_eq!(*msg.entities, ["object_3".to_owned()]);
         assert_eq!(msg.from, 1);
     }
 
@@ -152,8 +162,8 @@ mod tests {
                 Counted::new("you are a communicator"),
                 Counted::new("deliver objects"),
                 "in room_0",
-                &[Counted::new("agent 1: hello".to_owned())],
-                &[],
+                &[Counted::new(Rc::from("agent 1: hello"))],
+                crate::modules::no_entities(),
                 0.4,
                 InferenceOpts::default(),
             )
@@ -173,7 +183,7 @@ mod tests {
                 Counted::new("deliver objects"),
                 "in room_0",
                 &[],
-                &[],
+                crate::modules::no_entities(),
                 0.4,
                 InferenceOpts::default(),
             )

@@ -11,14 +11,16 @@ use crate::modules::Percept;
 use crate::prompt::{count_tokens, digit_tokens};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// What the agent knows about one location.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocationKnowledge {
     /// Steps at which the agent observed from this location.
     pub visits: u64,
-    /// Entities last seen here (most recent observation wins).
-    pub entities: Vec<String>,
+    /// Entities last seen here (most recent observation wins), shared with
+    /// the percept that saw them.
+    pub entities: Rc<[String]>,
     /// Step of the most recent visit.
     pub last_seen_step: usize,
     /// Tokens in this location's summary line, counted from its parts
@@ -198,7 +200,7 @@ mod tests {
     fn percept(location: &str, entities: &[&str]) -> Percept {
         Percept {
             entities: entities.iter().map(|e| (*e).to_owned()).collect(),
-            text: String::new(),
+            text: Rc::from(""),
             location: location.to_owned(),
         }
     }
@@ -220,8 +222,8 @@ mod tests {
         map.integrate(&percept("room_1", &["object_1", "object_2"]), 1);
         map.integrate(&percept("room_1", &["object_2"]), 5);
         assert_eq!(
-            map.location("room_1").unwrap().entities,
-            vec!["object_2".to_owned()],
+            *map.location("room_1").unwrap().entities,
+            ["object_2".to_owned()],
             "a later look supersedes the old entity list"
         );
     }

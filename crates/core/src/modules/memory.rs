@@ -5,8 +5,19 @@
 use crate::config::MemoryCapacity;
 use crate::prompt::{count_tokens, digit_tokens, Counted};
 use embodied_profiler::SimDuration;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::rc::Rc;
+
+thread_local! {
+    static NO_ENTITIES: Rc<[String]> = Rc::from([]);
+}
+
+/// An empty entity list: a reference-count bump on one shared empty slice,
+/// where `Rc::from(Vec::new())` would allocate a header per record.
+pub fn no_entities() -> Rc<[String]> {
+    NO_ENTITIES.with(Rc::clone)
+}
 
 /// What kind of information a record holds (paper §II-A: observation,
 /// dialogue and action memory).
@@ -20,7 +31,8 @@ pub enum RecordKind {
     Dialogue,
 }
 
-/// One memory entry.
+/// One memory entry. Its text and entity names are shared with the percept
+/// or message they came from, and with every other recipient of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryRecord {
     /// Step the record was written.
@@ -28,12 +40,12 @@ pub struct MemoryRecord {
     /// Record category.
     pub kind: RecordKind,
     /// Prompt-ready text.
-    pub text: String,
+    pub text: Rc<str>,
     /// Tokens in `text`, counted where it was made or when it was stored
     /// (left 0 by a disabled module, which never renders its records).
     pub tokens: u64,
     /// Entity names this record carries knowledge about.
-    pub entities: Vec<String>,
+    pub entities: Rc<[String]>,
 }
 
 /// Result of a retrieval pass.
@@ -68,6 +80,102 @@ pub struct RetrievalStats {
     pub tokens: u64,
 }
 
+/// An entity's index in one memory module's name table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EntityId(u32);
+
+impl EntityId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    fn word(self) -> usize {
+        self.index() / 64
+    }
+
+    fn bit(self) -> u64 {
+        1 << (self.0 % 64)
+    }
+}
+
+/// A set of entities known to one [`MemoryModule`]: one bit per name in
+/// that module's table. Only the module that made a set can name its
+/// members ([`MemoryModule::names_not_in`], [`MemoryModule::set_contains`]);
+/// a set from another agent's memory means nothing to it.
+#[derive(Debug, Clone, Default)]
+pub struct EntitySet {
+    words: Vec<u64>,
+}
+
+impl EntitySet {
+    fn contains(&self, id: EntityId) -> bool {
+        self.words.get(id.word()).is_some_and(|w| w & id.bit() != 0)
+    }
+
+    fn insert(&mut self, id: EntityId) {
+        if self.words.len() <= id.word() {
+            self.words.resize(id.word() + 1, 0);
+        }
+        self.words[id.word()] |= id.bit();
+    }
+
+    fn union_with(&mut self, other: &EntitySet) {
+        if self.words.len() < other.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
+    /// Members of `self` that are not in `other`, in id order.
+    fn ids_not_in<'a>(&'a self, other: &'a EntitySet) -> impl Iterator<Item = EntityId> + 'a {
+        self.words.iter().enumerate().flat_map(move |(k, &w)| {
+            let mut rest = w & !other.words.get(k).copied().unwrap_or(0);
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    EntityId(k as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
+/// The module's name table: each entity name it has met, once, under the
+/// id its indexes use.
+#[derive(Debug, Clone, Default)]
+struct EntityNames {
+    ids: HashMap<Rc<str>, EntityId>,
+    names: Vec<Rc<str>>,
+}
+
+impl EntityNames {
+    fn get(&self, name: &str) -> Option<EntityId> {
+        self.ids.get(name).copied()
+    }
+
+    fn intern(&mut self, name: &str) -> EntityId {
+        if let Some(id) = self.get(name) {
+            return id;
+        }
+        let id = EntityId(u32::try_from(self.names.len()).expect("fewer than 2^32 entities"));
+        let name: Rc<str> = Rc::from(name);
+        self.names.push(Rc::clone(&name));
+        self.ids.insert(name, id);
+        id
+    }
+
+    fn name(&self, id: EntityId) -> &str {
+        &self.names[id.index()]
+    }
+
+    fn len(&self) -> usize {
+        self.names.len()
+    }
+}
+
 /// The memory module.
 #[derive(Debug, Clone)]
 pub struct MemoryModule {
@@ -76,28 +184,30 @@ pub struct MemoryModule {
     dual: bool,
     summarize: bool,
     retrieval_mode: RetrievalMode,
-    landmarks: HashSet<String>,
+    /// Every entity name the indexes below refer to, by id.
+    names: EntityNames,
+    landmarks: EntitySet,
     records: Vec<MemoryRecord>,
-    long_term: HashSet<String>,
-    /// The long-term store again, kept sorted so retrieval renders the
-    /// deterministic "known entities" line without collecting and sorting
-    /// on every call. Insertions only happen for *new* entities, so the
-    /// steady state never touches it.
-    long_term_sorted: Vec<String>,
+    long_term: EntitySet,
+    /// The long-term store again, kept in name order so retrieval renders
+    /// the deterministic "known entities" line without collecting and
+    /// sorting on every call. Insertions only happen for *new* entities, so
+    /// the steady state never touches it.
+    long_term_sorted: Vec<EntityId>,
     /// Tokens in the long-term store joined by `", "`: each name's count
     /// plus one per comma, summed as names enter the store.
     long_term_tokens: u64,
-    /// Latest step at which each entity appeared in a stored record —
-    /// the incremental index behind [`MemoryModule::knows`] /
-    /// [`MemoryModule::known_entities`]. Records enter step-monotonically,
-    /// so an entity is inside the retained window iff its latest sighting
-    /// is at or past the window cutoff.
-    last_seen: HashMap<String, usize>,
-    stale: HashSet<String>,
+    /// Latest step at which each entity (by id) appeared in a stored
+    /// record — the incremental index behind [`MemoryModule::knows`] and
+    /// [`MemoryModule::knowledge`]. Records enter step-monotonically, so an
+    /// entity is inside the retained window iff its latest sighting is at
+    /// or past the window cutoff.
+    last_seen: Vec<Option<usize>>,
+    stale: EntitySet,
     /// Action memory (paper §II-A): per-skill success counts — "knowledge
     /// on how to execute specific high-level plans", the JARVIS-1/VOYAGER
     /// skill library.
-    skills: std::collections::HashMap<String, u32>,
+    skills: HashMap<String, u32>,
     current_step: usize,
 }
 
@@ -160,20 +270,26 @@ impl MemoryModule {
         summarize: bool,
         landmarks: Vec<String>,
     ) -> Self {
+        let mut names = EntityNames::default();
+        let mut landmark_set = EntitySet::default();
+        for name in &landmarks {
+            landmark_set.insert(names.intern(name));
+        }
         MemoryModule {
             enabled,
             capacity,
             dual,
             summarize,
             retrieval_mode: RetrievalMode::default(),
-            landmarks: landmarks.into_iter().collect(),
+            last_seen: vec![None; names.len()],
+            names,
+            landmarks: landmark_set,
             records: Vec::new(),
-            long_term: HashSet::new(),
+            long_term: EntitySet::default(),
             long_term_sorted: Vec::new(),
             long_term_tokens: 0,
-            last_seen: HashMap::new(),
-            stale: HashSet::new(),
-            skills: std::collections::HashMap::new(),
+            stale: EntitySet::default(),
+            skills: HashMap::new(),
             current_step: 0,
         }
     }
@@ -204,7 +320,7 @@ impl MemoryModule {
         self.current_step = step;
         // Stale markers persist only briefly; the world may change back.
         if step.is_multiple_of(6) {
-            self.stale.clear();
+            self.stale.words.clear();
         }
     }
 
@@ -212,10 +328,18 @@ impl MemoryModule {
     /// a 1-step working buffer — disabling the memory *module* removes
     /// storage and retrieval, not the agent's within-context awareness of
     /// the immediately preceding turn.
-    pub fn store(&mut self, kind: RecordKind, text: impl Into<String>, entities: Vec<String>) {
+    ///
+    /// A shared `Rc<str>` or `Rc<[String]>` is stored as is; a `&str` is
+    /// copied once, where a `String` would be copied again into its `Rc`.
+    pub fn store(
+        &mut self,
+        kind: RecordKind,
+        text: impl Into<Rc<str>>,
+        entities: impl Into<Rc<[String]>>,
+    ) {
         let text = text.into();
         let tokens = if self.enabled { count_tokens(&text) } else { 0 };
-        self.push_record(kind, text, tokens, entities);
+        self.push_record(kind, text, tokens, entities.into());
     }
 
     /// [`MemoryModule::store`] for text counted where it was made, such as
@@ -223,40 +347,40 @@ impl MemoryModule {
     pub fn store_counted(
         &mut self,
         kind: RecordKind,
-        text: Counted<String>,
-        entities: Vec<String>,
+        text: Counted<Rc<str>>,
+        entities: Rc<[String]>,
     ) {
         let tokens = text.tokens();
         self.push_record(kind, text.into_text(), tokens, entities);
     }
 
-    fn push_record(&mut self, kind: RecordKind, text: String, tokens: u64, entities: Vec<String>) {
+    fn push_record(
+        &mut self,
+        kind: RecordKind,
+        text: Rc<str>,
+        tokens: u64,
+        entities: Rc<[String]>,
+    ) {
         debug_assert!(
             self.records
                 .last()
                 .is_none_or(|r| r.step <= self.current_step),
             "records must be stored in step order"
         );
-        if self.dual && self.enabled {
-            for e in &entities {
-                if !self.long_term.contains(e) {
-                    // A comma is one token; names join at its space.
-                    let comma = u64::from(!self.long_term.is_empty());
-                    self.long_term_tokens += count_tokens(e) + comma;
-                    self.long_term.insert(e.clone());
-                    let pos = self
-                        .long_term_sorted
-                        .binary_search(e)
-                        .unwrap_or_else(|pos| pos);
-                    self.long_term_sorted.insert(pos, e.clone());
-                }
-            }
-        }
-        for e in &entities {
-            if let Some(seen) = self.last_seen.get_mut(e) {
-                *seen = (*seen).max(self.current_step);
-            } else {
-                self.last_seen.insert(e.clone(), self.current_step);
+        for e in entities.iter() {
+            let id = self.intern(e);
+            self.last_seen[id.index()] = Some(self.current_step);
+            if self.dual && self.enabled && !self.long_term.contains(id) {
+                // A comma is one token; names join at its space.
+                let comma = u64::from(!self.long_term_sorted.is_empty());
+                self.long_term_tokens += count_tokens(e) + comma;
+                self.long_term.insert(id);
+                let names = &self.names;
+                let pos = self
+                    .long_term_sorted
+                    .binary_search_by(|&other| names.name(other).cmp(e))
+                    .unwrap_or_else(|pos| pos);
+                self.long_term_sorted.insert(pos, id);
             }
         }
         self.records.push(MemoryRecord {
@@ -300,7 +424,18 @@ impl MemoryModule {
     /// world no longer matches memory); it is excluded from knowledge until
     /// re-observed or the marker expires.
     pub fn mark_stale(&mut self, entity: &str) {
-        self.stale.insert(entity.to_owned());
+        let id = self.intern(entity);
+        self.stale.insert(id);
+    }
+
+    /// The id of `name`, entering it into the name table (and the
+    /// last-seen index, as never seen) on first sight.
+    fn intern(&mut self, name: &str) -> EntityId {
+        let id = self.names.intern(name);
+        if self.last_seen.len() < self.names.len() {
+            self.last_seen.resize(self.names.len(), None);
+        }
+        id
     }
 
     /// First step inside the retained window.
@@ -326,52 +461,76 @@ impl MemoryModule {
         &self.records[start..]
     }
 
-    /// Whether one entity is currently known, without materializing the
-    /// full known set: a point query against landmarks, the incremental
-    /// last-seen index, and the long-term store.
+    /// Whether one entity is currently known: a point query against
+    /// landmarks, the incremental last-seen index and the long-term store.
     pub fn knows(&self, entity: &str) -> bool {
-        if self.stale.contains(entity) {
+        let Some(id) = self.names.get(entity) else {
             return false;
-        }
-        if self.landmarks.contains(entity)
-            || (self.enabled && self.dual && self.long_term.contains(entity))
-        {
-            return true;
-        }
-        match self.last_seen.get(entity) {
-            Some(&seen) => {
-                seen >= self.window_cutoff()
-                    && (self.retrieval_mode == RetrievalMode::Multimodal
-                        || text_embedding_recalls(entity, self.current_step))
-            }
-            None => false,
-        }
+        };
+        !self.stale.contains(id)
+            && (self.landmarks.contains(id)
+                || (self.enabled && self.dual && self.long_term.contains(id))
+                || self.in_window(id, self.window_cutoff()))
     }
 
-    /// Entity names the agent currently *knows about*: landmarks, entities
-    /// in the retained window, and (with dual memory) the long-term store —
-    /// minus anything marked stale.
-    pub fn known_entities(&self) -> HashSet<String> {
-        let mut known = self.landmarks.clone();
-        // The last-seen index collapses the per-record scan: an entity is
-        // in the retained window (which is the 1-step working buffer when
-        // the module is disabled) iff its latest sighting is.
-        let cutoff = self.window_cutoff();
-        for (e, &seen) in &self.last_seen {
-            if seen >= cutoff
+    /// Whether the entity's latest sighting is at or past `cutoff`, the
+    /// retained window's first step (the 1-step working buffer when the
+    /// module is disabled), and the retrieval index recalls it.
+    fn in_window(&self, id: EntityId, cutoff: usize) -> bool {
+        self.last_seen[id.index()].is_some_and(|seen| {
+            seen >= cutoff
                 && (self.retrieval_mode == RetrievalMode::Multimodal
-                    || text_embedding_recalls(e, self.current_step))
-            {
-                known.insert(e.clone());
+                    || text_embedding_recalls(self.names.name(id), self.current_step))
+        })
+    }
+
+    /// Everything the agent knows about: landmarks, entities in the
+    /// retained window and (with dual memory) the long-term store, minus
+    /// anything marked stale — plus `fresh`, this step's percept, which
+    /// wins over a stale marker. Membership equals [`MemoryModule::knows`]
+    /// for every name outside `fresh`.
+    pub fn knowledge<'a>(&mut self, fresh: impl IntoIterator<Item = &'a str>) -> EntitySet {
+        let mut known = EntitySet {
+            words: Vec::with_capacity(self.names.len().div_ceil(64)),
+        };
+        let cutoff = self.window_cutoff();
+        for k in 0..self.names.len() {
+            let id = EntityId(k as u32);
+            if self.in_window(id, cutoff) {
+                known.insert(id);
             }
         }
+        known.union_with(&self.landmarks);
         if self.enabled && self.dual {
-            known.extend(self.long_term.iter().cloned());
+            known.union_with(&self.long_term);
         }
-        for s in &self.stale {
-            known.remove(s);
+        for (w, stale) in known.words.iter_mut().zip(&self.stale.words) {
+            *w &= !stale;
+        }
+        for name in fresh {
+            let id = self.intern(name);
+            known.insert(id);
         }
         known
+    }
+
+    /// Whether `name` is a member of `set`, a set this module made.
+    pub fn set_contains(&self, set: &EntitySet, name: &str) -> bool {
+        self.names.get(name).is_some_and(|id| set.contains(id))
+    }
+
+    /// The names in `set` but not in `base` (both made by this module),
+    /// name-sorted: the knowledge a message carries.
+    pub fn names_not_in(&self, set: &EntitySet, base: &EntitySet) -> Rc<[String]> {
+        let mut names: Vec<String> = set
+            .ids_not_in(base)
+            .map(|id| self.names.name(id).to_owned())
+            .collect();
+        if names.is_empty() {
+            return no_entities();
+        }
+        names.sort_unstable();
+        names.into()
     }
 
     /// Streams retrieval context into `out` (appending), returning the
@@ -448,11 +607,11 @@ impl MemoryModule {
             if line_idx >= skip {
                 if let Some(out) = out.as_deref_mut() {
                     out.push_str("long-term: known entities ");
-                    for (i, e) in self.long_term_sorted.iter().enumerate() {
+                    for (i, &id) in self.long_term_sorted.iter().enumerate() {
                         if i > 0 {
                             out.push_str(", ");
                         }
-                        out.push_str(e);
+                        out.push_str(self.names.name(id));
                     }
                 }
                 tokens += count_tokens("long-term: known entities") + self.long_term_tokens;
@@ -510,18 +669,33 @@ mod tests {
     use crate::prompt::summarize_history;
     use embodied_llm::Tokenizer;
 
+    use std::collections::HashSet;
+
     fn module(capacity: MemoryCapacity) -> MemoryModule {
         MemoryModule::new(true, capacity, false, false, vec!["room_0".into()])
     }
 
-    /// The pre-rework algorithms, verbatim: `known_entities` cloned the
-    /// landmark set and re-scanned every retained record; `retrieve`
-    /// collected every line into a `Vec<String>` before joining. The
-    /// incremental index and the streaming writer must match both exactly.
+    /// The names of `set`'s members.
+    fn names(m: &MemoryModule, set: &EntitySet) -> HashSet<String> {
+        set.ids_not_in(&EntitySet::default())
+            .map(|id| m.names.name(id).to_owned())
+            .collect()
+    }
+
+    /// The names the module knows, through the id index.
+    fn known_entities(m: &mut MemoryModule) -> HashSet<String> {
+        let known = m.knowledge([]);
+        names(m, &known)
+    }
+
+    /// The pre-rework algorithms: the known set from the landmarks plus a
+    /// scan of every retained record's entity names; `retrieve` collected
+    /// every line into a `Vec<String>` before joining. The incremental
+    /// index and the streaming writer must match both exactly.
     fn known_entities_by_record_scan(m: &MemoryModule) -> HashSet<String> {
-        let mut known = m.landmarks.clone();
+        let mut known = names(m, &m.landmarks);
         for r in m.retained() {
-            for e in &r.entities {
+            for e in r.entities.iter() {
                 if m.retrieval_mode == RetrievalMode::Multimodal
                     || text_embedding_recalls(e, m.current_step)
                 {
@@ -530,10 +704,10 @@ mod tests {
             }
         }
         if m.enabled && m.dual {
-            known.extend(m.long_term.iter().cloned());
+            known.extend(names(m, &m.long_term));
         }
-        for s in &m.stale {
-            known.remove(s);
+        for s in names(m, &m.stale) {
+            known.remove(&s);
         }
         known
     }
@@ -544,7 +718,7 @@ mod tests {
         }
         let retained: Vec<&MemoryRecord> = m.retained().iter().collect();
         let lines: Vec<String> = if m.dual {
-            let mut items: Vec<&str> = m.long_term.iter().map(String::as_str).collect();
+            let mut items: Vec<String> = names(m, &m.long_term).into_iter().collect();
             items.sort_unstable();
             let mut lines = vec![format!("long-term: known entities {}", items.join(", "))];
             lines.extend(
@@ -604,7 +778,11 @@ mod tests {
                         m.mark_stale(&format!("object_{}", step % 5));
                     }
                     let expect = known_entities_by_record_scan(&m);
-                    assert_eq!(m.known_entities(), expect, "known set diverged at {step}");
+                    assert_eq!(
+                        known_entities(&mut m),
+                        expect,
+                        "known set diverged at {step}"
+                    );
                     for e in &expect {
                         assert!(m.knows(e), "knows() must accept {e} at step {step}");
                     }
@@ -661,8 +839,8 @@ mod tests {
                     );
                     m.store_counted(
                         RecordKind::Dialogue,
-                        Counted::new(format!("\u{85}agent {k}: antidisestablishment ok ")),
-                        vec![format!(" ω crate,{}", k % 3)],
+                        Counted::new(format!("\u{85}agent {k}: antidisestablishment ok ").into()),
+                        vec![format!(" ω crate,{}", k % 3)].into(),
                     );
                     let mut buf = String::from("[map]\nroom_0\n");
                     let prefix = buf.len();
@@ -705,11 +883,11 @@ mod tests {
         m.begin_step(1);
         m.store(RecordKind::Observation, "saw apple", vec!["apple_1".into()]);
         // The immediately preceding turn is still in working context…
-        assert!(m.known_entities().contains("apple_1"));
+        assert!(known_entities(&mut m).contains("apple_1"));
         assert_eq!(m.retrieve().latency, SimDuration::ZERO);
         // …but two steps later it is gone, and landmarks remain.
         m.begin_step(3);
-        let known = m.known_entities();
+        let known = known_entities(&mut m);
         assert!(known.contains("room_0"));
         assert!(!known.contains("apple_1"));
     }
@@ -719,10 +897,10 @@ mod tests {
         let mut m = module(MemoryCapacity::Steps(3));
         m.begin_step(1);
         m.store(RecordKind::Observation, "saw apple", vec!["apple_1".into()]);
-        assert!(m.known_entities().contains("apple_1"));
+        assert!(known_entities(&mut m).contains("apple_1"));
         m.begin_step(10);
         assert!(
-            !m.known_entities().contains("apple_1"),
+            !known_entities(&mut m).contains("apple_1"),
             "entity outside the window must be forgotten"
         );
     }
@@ -733,7 +911,7 @@ mod tests {
         m.begin_step(1);
         m.store(RecordKind::Observation, "saw apple", vec!["apple_1".into()]);
         m.begin_step(500);
-        assert!(m.known_entities().contains("apple_1"));
+        assert!(known_entities(&mut m).contains("apple_1"));
     }
 
     #[test]
@@ -780,7 +958,7 @@ mod tests {
         let r = m.retrieve();
         assert_eq!(r.inconsistency_penalty, 0.0);
         // Long-term store retains everything…
-        assert!(m.known_entities().contains("entity_0"));
+        assert!(known_entities(&mut m).contains("entity_0"));
         // …while retrieval stays cheap.
         assert!(r.latency < SimDuration::from_millis(200));
     }
@@ -791,10 +969,10 @@ mod tests {
         m.begin_step(1);
         m.store(RecordKind::Observation, "saw apple", vec!["apple_1".into()]);
         m.mark_stale("apple_1");
-        assert!(!m.known_entities().contains("apple_1"));
+        assert!(!known_entities(&mut m).contains("apple_1"));
         // Markers expire on a step divisible by 6.
         m.begin_step(6);
-        assert!(m.known_entities().contains("apple_1"));
+        assert!(known_entities(&mut m).contains("apple_1"));
     }
 
     #[test]
@@ -807,19 +985,19 @@ mod tests {
             m.begin_step(1);
             m.store(RecordKind::Observation, "saw things", entities.clone());
         }
-        let full = multi.known_entities().len();
-        let partial = text.known_entities().len();
+        let full = known_entities(&mut multi).len();
+        let partial = known_entities(&mut text).len();
         assert!(partial < full, "text-only recall must miss entities");
         assert!(
             partial as f64 > full as f64 * 0.6,
             "but it should still recall most ({partial}/{full})"
         );
         // Deterministic at a given step…
-        assert_eq!(text.known_entities(), text.known_entities());
+        assert_eq!(known_entities(&mut text), known_entities(&mut text));
         // …but the missed set shifts as the query context moves on.
-        let before = text.known_entities();
+        let before = known_entities(&mut text);
         text.begin_step(9);
-        assert_ne!(before, text.known_entities());
+        assert_ne!(before, known_entities(&mut text));
     }
 
     #[test]

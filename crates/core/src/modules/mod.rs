@@ -12,7 +12,8 @@ pub use communication::{CommunicationModule, OutgoingMessage};
 pub use execution::{ExecMode, ExecutionModule, ExecutionReport};
 pub use mapping::{LocationKnowledge, WorldMap};
 pub use memory::{
-    MemoryModule, MemoryRecord, RecordKind, Retrieval, RetrievalMode, RetrievalStats,
+    no_entities, EntitySet, MemoryModule, MemoryRecord, RecordKind, Retrieval, RetrievalMode,
+    RetrievalStats,
 };
 pub use planning::{PlanContext, PlanDecision, PlanningModule};
 pub use reflection::{ReflectionModule, ReflectionVerdict};

@@ -9,6 +9,7 @@
 use crate::prompt::{Body, Counted, PromptWriter};
 use embodied_env::Subgoal;
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
+use std::rc::Rc;
 
 /// Everything the planner needs for one decision.
 #[derive(Debug, Clone)]
@@ -23,7 +24,7 @@ pub struct PlanContext<'a> {
     pub memory: Body<'a>,
     /// Dialogue history (multi-agent systems): the messages received,
     /// concatenated one per line.
-    pub dialogue: &'a [Counted<String>],
+    pub dialogue: &'a [Counted<Rc<str>>],
     /// Ground-truth useful subgoals, already knowledge-filtered.
     pub oracle: Vec<Subgoal>,
     /// Full candidate menu, already knowledge-filtered.
@@ -357,7 +358,7 @@ mod tests {
         let candidates = [goto()];
         let mut c = ctx(&oracle, &candidates);
         c.memory = Counted::new("step 3: saw object_1").into();
-        let dialogue = [Counted::new("agent 1: I am exploring room_2".to_owned())];
+        let dialogue = [Counted::new(Rc::from("agent 1: I am exploring room_2"))];
         c.dialogue = &dialogue;
         let p = PlanningModule::new(LlmEngine::new(ModelProfile::gpt4_api(), 1));
         crate::prompt::set_render_by_default(true);

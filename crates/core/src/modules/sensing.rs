@@ -1,19 +1,23 @@
 //! Sensing module: runs the perception front-end over the environment's
 //! observation and produces a percept (recognized entities + prompt text).
 
+use crate::modules::no_entities;
 use embodied_env::Observation;
 use embodied_llm::EncoderProfile;
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
+use std::rc::Rc;
 
-/// What sensing hands to the rest of the pipeline.
+/// What sensing hands to the rest of the pipeline. Its text and entity
+/// names are shared with the memory record and map entry made from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Percept {
     /// Names of entities the encoder recognized this step.
-    pub entities: Vec<String>,
+    pub entities: Rc<[String]>,
     /// Prompt-ready description of the (recognized part of the) scene.
-    pub text: String,
+    pub text: Rc<str>,
     /// Current location label.
     pub location: String,
 }
@@ -23,6 +27,10 @@ pub struct Percept {
 pub struct SensingModule {
     encoder: Option<EncoderProfile>,
     rng: StdRng,
+    /// Reusable buffers the percept's text and entity list are assembled
+    /// in before each is copied once into its shared allocation.
+    text_buf: String,
+    entity_buf: Vec<String>,
 }
 
 impl SensingModule {
@@ -32,6 +40,8 @@ impl SensingModule {
         SensingModule {
             encoder,
             rng: StdRng::seed_from_u64(seed ^ 0x5e4e),
+            text_buf: String::new(),
+            entity_buf: Vec::new(),
         }
     }
 
@@ -47,30 +57,39 @@ impl SensingModule {
             Some(enc) => (enc.frame_latency(obs.entity_count()), enc.recognition_rate),
             None => (SimDuration::from_millis(4), 1.0),
         };
-        let mut entities = Vec::new();
-        let mut described = Vec::new();
-        for seen in &obs.visible {
-            if self.rng.gen_bool(recognition.clamp(0.0, 1.0)) {
-                entities.push(seen.name.clone());
-                described.push(seen.description.clone());
-            }
-        }
-        let mut text = String::new();
+        let text = &mut self.text_buf;
+        text.clear();
         if !obs.location.is_empty() {
-            text.push_str(&format!("Location: {}. ", obs.location));
+            let _ = write!(text, "Location: {}. ", obs.location);
         }
         if !obs.status.is_empty() {
-            text.push_str(&format!("{}. ", obs.status));
+            let _ = write!(text, "{}. ", obs.status);
         }
-        if described.is_empty() {
+        for seen in &obs.visible {
+            if self.rng.gen_bool(recognition.clamp(0.0, 1.0)) {
+                text.push_str(if self.entity_buf.is_empty() {
+                    "Detected: "
+                } else {
+                    "; "
+                });
+                text.push_str(&seen.description);
+                self.entity_buf.push(seen.name.clone());
+            }
+        }
+        if self.entity_buf.is_empty() {
             text.push_str("Nothing notable detected.");
         } else {
-            text.push_str(&format!("Detected: {}.", described.join("; ")));
+            text.push('.');
         }
+        let entities = if self.entity_buf.is_empty() {
+            no_entities()
+        } else {
+            self.entity_buf.drain(..).collect()
+        };
         (
             Percept {
                 entities,
-                text,
+                text: Rc::from(text.as_str()),
                 location: obs.location.clone(),
             },
             latency,

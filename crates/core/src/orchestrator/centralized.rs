@@ -7,12 +7,13 @@
 //! joint action space, which is what collapses its success rate (Fig. 7a).
 
 use crate::guardrail;
-use crate::modules::{Percept, RecordKind};
+use crate::modules::{no_entities, Percept, RecordKind};
 use crate::prompt::{renders_for, write_joint_plan_prompt, Body, Counted, PromptWriter};
 use crate::system::EmbodiedSystem;
 use embodied_env::Subgoal;
 use embodied_llm::{InferenceOpts, LlmRequest, Purpose, SemanticFlaw};
 use embodied_profiler::{ModuleKind, Phase, RepairStats};
+use std::rc::Rc;
 
 /// Difficulty inflation per extra agent the central planner must reason
 /// jointly about (action interdependencies grow combinatorially).
@@ -71,7 +72,7 @@ pub(crate) fn execute_assignments(sys: &mut EmbodiedSystem, assignments: &[Subgo
             central.memory.store(
                 RecordKind::Action,
                 format!("agent {i}: {}", outcome.note),
-                Vec::new(),
+                no_entities(),
             );
         }
     }
@@ -117,28 +118,25 @@ pub(crate) fn plan_assignments(
         (base_difficulty + JOINT_DIFFICULTY_PER_AGENT * (n as f64 - 1.0)).min(0.98);
     let step = sys.step;
 
-    // Per-agent menus, knowledge-filtered against the central store: a
-    // point query per referenced entity (fresh percepts win over stale
-    // markers, as the old materialized union did).
-    {
+    // Per-agent menus, knowledge-filtered against the central store's
+    // knowledge, in which this step's percepts win over stale markers.
+    let knowledge = {
         let central = sys.central.as_mut().expect("centralized system");
         central.memory.begin_step(step);
         for (i, p) in percepts.iter().enumerate() {
             central.memory.store(
                 RecordKind::Observation,
                 format!("agent {i}: {}", p.text),
-                p.entities.clone(),
+                Rc::clone(&p.entities),
             );
         }
-    }
+        let fresh = percepts.iter().flat_map(|p| p.entities.iter());
+        central.memory.knowledge(fresh.map(String::as_str))
+    };
     let central_knows = {
         let central = sys.central.as_ref().expect("centralized system");
-        move |e: &str| {
-            central.memory.knows(e)
-                || percepts
-                    .iter()
-                    .any(|p| p.entities.iter().any(|known| known == e))
-        }
+        let knowledge = &knowledge;
+        move |e: &str| central.memory.set_contains(knowledge, e)
     };
     let mut oracles = Vec::with_capacity(n);
     let mut menus = Vec::with_capacity(n);
@@ -345,7 +343,7 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
             sys.goal.as_deref(),
             &format!("extract agent {i}'s feedback on the proposal: {sg}"),
             &[],
-            &[],
+            no_entities(),
             difficulty,
             opts,
         );
@@ -367,7 +365,7 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
         central.memory.store(
             RecordKind::Dialogue,
             format!("agent {i} feedback on {sg}"),
-            Vec::new(),
+            no_entities(),
         );
     }
     if windowed {
@@ -398,7 +396,7 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
         sys.goal.as_deref(),
         &format!("instructions: {}", instruction_text.join("; ")),
         &[],
-        &[],
+        no_entities(),
         difficulty,
         opts,
     );
@@ -429,11 +427,11 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
         }
         sys.agents[i]
             .inbox
-            .push(Counted::new(format!("center: your task: {sg}")));
+            .push(Counted::new(format!("center: your task: {sg}").into()));
         sys.agents[i].memory.store(
             RecordKind::Dialogue,
             format!("center assigned: {sg}"),
-            Vec::new(),
+            no_entities(),
         );
     }
 }

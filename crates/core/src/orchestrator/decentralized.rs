@@ -51,19 +51,18 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             if sys.agents[i].communication.is_none() || !sys.agent_faults.is_active(i) {
                 continue;
             }
-            // Coordination need: a pending joint action (e.g. BoxLift).
-            let needs_coordination = sys
-                .env
-                .oracle_subgoals(i)
-                .iter()
-                .any(|sg| matches!(sg, Subgoal::LiftTogether { .. }));
             let agent = &mut sys.agents[i];
-            let knowledge = agent.knowledge(&percepts[i].entities);
-            let delta = agent.knowledge_delta(&knowledge);
-            if agent.config.opts.plan_then_communicate
-                && !CommunicationModule::worth_sending(&delta, needs_coordination)
-            {
-                continue; // Rec. 8: the plan does not need a message
+            let (knowledge, delta) = agent.knowledge_delta(&percepts[i].entities);
+            if agent.config.opts.plan_then_communicate {
+                // Coordination need: a pending joint action (e.g. BoxLift).
+                let needs_coordination = sys
+                    .env
+                    .oracle_subgoals(i)
+                    .iter()
+                    .any(|sg| matches!(sg, Subgoal::LiftTogether { .. }));
+                if !CommunicationModule::worth_sending(&delta, needs_coordination) {
+                    continue; // Rec. 8: the plan does not need a message
+                }
             }
             let opts = EmbodiedSystem::infer_opts_for(&agent.config, n);
             let comm = agent.communication.as_mut().expect("checked above");
@@ -73,7 +72,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
                 sys.goal.as_deref(),
                 &percepts[i].text,
                 &agent.inbox,
-                &delta,
+                delta,
                 difficulty,
                 opts,
             );
@@ -104,7 +103,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             } else {
                 recipients.extend(0..n);
             }
-            sys.deliver_message_to(i, msg.text.as_deref(), &msg.entities, &recipients);
+            sys.deliver_message_to(i, &msg.text, &msg.entities, &recipients);
         }
         if let Some(tenant) = lead_tenant {
             // Each member is billed its token-weighted share of the slowest

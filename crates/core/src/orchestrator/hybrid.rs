@@ -39,8 +39,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             continue;
         }
         let agent = &mut sys.agents[i];
-        let knowledge = agent.knowledge(&percepts[i].entities);
-        let delta = agent.knowledge_delta(&knowledge);
+        let (knowledge, delta) = agent.knowledge_delta(&percepts[i].entities);
         let opts = EmbodiedSystem::infer_opts_for(&agent.config, n);
         let status = format!("{} | primed task: {}", percepts[i].text, primer[i]);
         let comm = agent.communication.as_mut().expect("checked above");
@@ -50,7 +49,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
             sys.goal.as_deref(),
             &status,
             &[],
-            &delta,
+            delta,
             difficulty,
             opts,
         );

@@ -65,7 +65,8 @@ pub(crate) fn set_render_by_default(render: bool) {
 
 /// Prompt text paired with its token count, taken once where the text is
 /// made. `Counted<String>` owns text that never changes (a preamble, a
-/// goal, a message); `Counted<&str>` lends it to prompt assembly.
+/// goal); `Counted<Rc<str>>` shares it (a message, held by every
+/// recipient); `Counted<&str>` lends it to prompt assembly.
 ///
 /// ```
 /// use embodied_agents::prompt::Counted;
@@ -561,8 +562,8 @@ mod tests {
     fn joint_prompt_count_matches_its_text() {
         let percepts: Vec<Percept> = (0..3)
             .map(|i| Percept {
-                entities: Vec::new(),
-                text: format!("agent {i} sees crate_{i} in zone Б"),
+                entities: crate::modules::no_entities(),
+                text: format!("agent {i} sees crate_{i} in zone Б").into(),
                 location: String::new(),
             })
             .collect();

@@ -8,7 +8,8 @@ use crate::agent::ModularAgent;
 use crate::config::AgentConfig;
 use crate::faults::{AgentFaultEvent, AgentFaultState, ChannelState, DelayedMessage, DeliveryFate};
 use crate::modules::{
-    CommunicationModule, MemoryModule, Percept, PlanContext, PlanningModule, RecordKind,
+    no_entities, CommunicationModule, MemoryModule, Percept, PlanContext, PlanningModule,
+    RecordKind,
 };
 use crate::orchestrator::{self, Paradigm};
 use crate::prompt::{renders_for, system_preamble, Body, Counted};
@@ -21,6 +22,7 @@ use embodied_profiler::{
     EpisodeReport, MessageStats, ModuleKind, Outcome, Phase, RecoveryStats, RepairStats,
     SimDuration, Trace,
 };
+use std::rc::Rc;
 
 /// Nominal watchdog + reboot latency billed when a process crashes.
 const CRASH_REBOOT: SimDuration = SimDuration::from_secs(5);
@@ -450,8 +452,8 @@ impl EmbodiedSystem {
             self.sense_phase(i)
         } else {
             Percept {
-                entities: Vec::new(),
-                text: format!("agent {i} unresponsive (no report this step)"),
+                entities: no_entities(),
+                text: format!("agent {i} unresponsive (no report this step)").into(),
                 location: String::new(),
             }
         }
@@ -476,7 +478,7 @@ impl EmbodiedSystem {
                 agent.memory.store_counted(
                     RecordKind::Dialogue,
                     msg.text.clone(),
-                    msg.entities.clone(),
+                    Rc::clone(&msg.entities),
                 );
                 agent.inbox.push(msg.text.clone());
             }
@@ -519,8 +521,8 @@ impl EmbodiedSystem {
         self.recovery_stats.reobserve_latency += latency;
         agent.memory.store(
             RecordKind::Observation,
-            percept.text.clone(),
-            percept.entities.clone(),
+            Rc::clone(&percept.text),
+            Rc::clone(&percept.entities),
         );
         agent.map.integrate(&percept, self.step);
     }
@@ -582,8 +584,8 @@ impl EmbodiedSystem {
         agent.memory.begin_step(self.step);
         agent.memory.store(
             RecordKind::Observation,
-            percept.text.clone(),
-            percept.entities.clone(),
+            Rc::clone(&percept.text),
+            Rc::clone(&percept.entities),
         );
         agent.map.integrate(&percept, self.step);
         percept
@@ -982,7 +984,7 @@ impl EmbodiedSystem {
         let agent = &mut self.agents[i];
         agent
             .memory
-            .store(RecordKind::Action, outcome.note.clone(), Vec::new());
+            .store(RecordKind::Action, outcome.note.as_str(), no_entities());
         if outcome.completed {
             agent.memory.record_skill(subgoal.pattern());
         }
@@ -1018,8 +1020,8 @@ impl EmbodiedSystem {
     pub(crate) fn deliver_message_to(
         &mut self,
         from: usize,
-        text: Counted<&str>,
-        entities: &[String],
+        text: &Counted<Rc<str>>,
+        entities: &Rc<[String]>,
         recipients: &[usize],
     ) {
         self.messages.generated += 1;
@@ -1045,14 +1047,11 @@ impl EmbodiedSystem {
             };
             let (text, entities) = if corrupt {
                 (
-                    Counted::new(format!("[garbled transmission from agent {from}]")),
-                    Vec::new(),
+                    Counted::new(format!("[garbled transmission from agent {from}]").into()),
+                    no_entities(),
                 )
             } else {
-                (
-                    Counted::with_tokens(text.text().to_owned(), text.tokens()),
-                    entities.to_vec(),
-                )
+                (text.clone(), Rc::clone(entities))
             };
             if delay > 0 {
                 self.channel.delayed.push(DelayedMessage {
@@ -1071,9 +1070,11 @@ impl EmbodiedSystem {
                 useful = entities.iter().any(|e| !agent.memory.knows(e));
             }
             for _ in 0..copies {
-                agent
-                    .memory
-                    .store_counted(RecordKind::Dialogue, text.clone(), entities.clone());
+                agent.memory.store_counted(
+                    RecordKind::Dialogue,
+                    text.clone(),
+                    Rc::clone(&entities),
+                );
                 agent.inbox.push(text.clone());
             }
         }

@@ -13,7 +13,9 @@
 //!    rendered and when it is assembled as a count alone;
 //! 2. a full episode's allocation rate is **flat**: later steps do not
 //!    allocate more than earlier ones, i.e. nothing on the step loop clones
-//!    or re-formats ever-growing history.
+//!    or re-formats ever-growing history — on the single-agent path and on
+//!    the six-agent dialogue path, where every message reaches five
+//!    teammates' inboxes and memories.
 //!
 //! The allocator lives here (an integration test is its own crate) because
 //! the library itself is `#![forbid(unsafe_code)]`.
@@ -26,7 +28,7 @@ use embodied_agents::modules::{MemoryModule, Percept, RecordKind, WorldMap};
 use embodied_agents::prompt::{write_joint_plan_prompt, Body, Counted, PromptWriter};
 use embodied_agents::{workloads, RunOverrides};
 use embodied_env::{Subgoal, TaskDifficulty};
-use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, Purpose};
+use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, Purpose, ServingConfig};
 
 /// Delegates everything to [`System`], bumping a thread-local counter on
 /// each allocation (and reallocation — growth is an allocation for the
@@ -136,8 +138,8 @@ fn steady_state_allocations(render: bool) -> usize {
         );
         map.integrate(
             &Percept {
-                entities: vec![format!("object_{}", step % 10)],
-                text: String::new(),
+                entities: vec![format!("object_{}", step % 10)].into(),
+                text: "".into(),
                 location: format!("room_{}", step % 9),
             },
             step,
@@ -150,8 +152,8 @@ fn steady_state_allocations(render: bool) -> usize {
         map,
         percepts: (0..3)
             .map(|i| Percept {
-                entities: vec![format!("object_{i}")],
-                text: format!("agent {i} sees object_{i} near the forge"),
+                entities: vec![format!("object_{i}")].into(),
+                text: format!("agent {i} sees object_{i} near the forge").into(),
                 location: "forge".to_owned(),
             })
             .collect(),
@@ -204,31 +206,59 @@ fn steady_state_count_only_planning_path_is_allocation_free() {
 
 #[test]
 fn episode_allocations_do_not_grow_with_history() {
-    // Drive a long episode step by step and compare the allocation count of
-    // an early window against a late one. If any hot-path component cloned
-    // or re-formatted the full history each step, the late window would
-    // allocate strictly more; a flat profile pins the data-oriented loop.
-    let spec = workloads::find("DEPS").expect("suite member");
+    assert_flat_allocation_rate("DEPS", RunOverrides::default(), 15, 30);
+    // Six agents in dialogue on a batched serving tier (perf_bench's
+    // team_dialogue). The episode completes its task in 20 steps, which
+    // bounds the windows.
+    assert_flat_allocation_rate(
+        "CoELA",
+        RunOverrides {
+            num_agents: Some(6),
+            serving: Some(ServingConfig::batched()),
+            ..Default::default()
+        },
+        4,
+        8,
+    );
+}
+
+/// Drives a long episode of `system` step by step, `warmup` steps and then
+/// two windows of `window` steps, and compares the allocation count of the
+/// early window against the late one. If any hot-path
+/// component cloned or re-formatted the full history each step, the late
+/// window would allocate strictly more; a flat profile pins the
+/// data-oriented loop.
+fn assert_flat_allocation_rate(
+    system: &str,
+    overrides: RunOverrides,
+    warmup: usize,
+    window: usize,
+) {
+    let spec = workloads::find(system).expect("suite member");
     let overrides = RunOverrides {
         difficulty: Some(TaskDifficulty::Hard),
-        ..Default::default()
+        ..overrides
     };
     let config = overrides.apply(&spec);
-    let mut sys = spec.build_system(&config, TaskDifficulty::Hard, 1, 42);
-
-    const WARMUP: usize = 15;
-    const WINDOW: usize = 30;
-    for _ in 0..WARMUP {
-        assert!(sys.step_once(), "episode ended during warm-up");
+    let team = overrides.num_agents.unwrap_or(spec.default_agents);
+    let mut sys = spec.build_system(&config, TaskDifficulty::Hard, team, 42);
+    for _ in 0..warmup {
+        assert!(sys.step_once(), "{system}: episode ended during warm-up");
     }
     let start = allocs();
-    for _ in 0..WINDOW {
-        assert!(sys.step_once(), "episode ended during the early window");
+    for _ in 0..window {
+        assert!(
+            sys.step_once(),
+            "{system}: episode ended during the early window"
+        );
     }
     let early = allocs() - start;
     let start = allocs();
-    for _ in 0..WINDOW {
-        assert!(sys.step_once(), "episode ended during the late window");
+    for _ in 0..window {
+        assert!(
+            sys.step_once(),
+            "{system}: episode ended during the late window"
+        );
     }
     let late = allocs() - start;
 
@@ -238,6 +268,6 @@ fn episode_allocations_do_not_grow_with_history() {
     // constant slack for amortized container growth.
     assert!(
         late <= early + early / 4 + 16,
-        "allocation rate grows with history: early window {early}, late window {late}"
+        "{system}: allocation rate grows with history: early window {early}, late window {late}"
     );
 }

@@ -31,10 +31,10 @@ EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test determinism
 # suite_integration's reports_are_internally_consistent checks, on the
 # count-only prompt path that experiments and perf_bench take, that every
 # report's breakdown and step latencies sum to its latency and that each LLM
-# call is billed once.
-echo "== resilience + integration tests (release) =="
-cargo test --release -q --test resilience --test fault_properties --test guardrail_properties \
-  --test suite_integration
+# call is billed once. alloc's allocation gates run on that path too.
+echo "== resilience + integration + allocation tests (release) =="
+cargo test --release -q -p embodied-suite -p embodied-agents --test resilience \
+  --test fault_properties --test guardrail_properties --test suite_integration --test alloc
 
 # Release builds assemble prompts as counts; debug builds render them.
 echo "== rendered vs count-only prompt differential (release) =="
