@@ -20,7 +20,7 @@ fn filled_memory(n: usize) -> MemoryModule {
         mem.store(
             RecordKind::Observation,
             format!("saw object_{} near room_{}", step % 7, step % 3),
-            vec![format!("object_{}", step % 7)],
+            vec![format!("object_{}", step % 7).into()],
         );
     }
     mem.begin_step(n);

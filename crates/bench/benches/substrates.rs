@@ -122,7 +122,7 @@ fn bench_memory_retrieval(c: &mut Criterion) {
             memory.store(
                 RecordKind::Observation,
                 format!("observed entity_{i} near the corridor at step {i}"),
-                vec![format!("entity_{i}")],
+                vec![format!("entity_{i}").into()],
             );
         }
         group.bench_with_input(BenchmarkId::from_parameter(records), &records, |b, _| {

@@ -205,6 +205,37 @@ const ROWS: &[Row] = &[
             Fires("recoveries", |r| r.recovery.interventions()),
         ],
     },
+    // perf_bench's faulted_mix: every plane on, every mitigation on.
+    Row {
+        name: "all_planes",
+        workloads: &["DEPS", "MindAgent", "CoELA", "HMAS"],
+        overrides: || RunOverrides {
+            fault_profile: Some(FaultProfile::uniform(0.1)),
+            retry_policy: Some(RetryPolicy::standard()),
+            agent_faults: Some(AgentFaultProfile::uniform_with_failover(0.05)),
+            channel: Some(ChannelProfile::lossy(0.1)),
+            semantic_faults: Some(SemanticFaultProfile::uniform(0.2)),
+            repair_policy: Some(RepairPolicy::Reprompt { max_attempts: 2 }),
+            serving: Some(
+                ServingConfig::limited(1)
+                    .with_replicas(2)
+                    .with_hedging(SimDuration::from_secs(2))
+                    .with_deadline(SimDuration::from_secs(240)),
+            ),
+            serving_faults: Some(ServingFaultProfile::stressed(0.2)),
+            env_faults: Some(EnvFaultProfile::uniform(0.15)),
+            recovery_policy: Some(RecoveryPolicy::standard()),
+            ..Default::default()
+        },
+        checks: &[
+            Jobs,
+            Plan,
+            Replay,
+            Fires("env faults", |r| r.env_faults.faults()),
+            Fires("repairs", |r| r.repairs.repair_attempts),
+            Fires("hedges", |r| r.serving_faults.hedges()),
+        ],
+    },
     Row {
         name: "env_quiet",
         workloads: PARADIGMS,

@@ -7,9 +7,10 @@ use crate::modules::{
     ReflectionModule, SensingModule, WorldMap,
 };
 use crate::prompt::{system_preamble, Counted};
-use embodied_env::Subgoal;
+use embodied_env::{Name, Subgoal};
 use embodied_llm::{EngineBuilder, InferenceService, LlmEngine};
 use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 /// One embodied agent assembled from its configured modules.
@@ -44,7 +45,10 @@ pub struct ModularAgent {
     pub last_failure: Option<(Subgoal, embodied_env::ExecOutcome)>,
     /// Remaining steps the current high-level plan still covers (Rec. 7).
     pub plan_budget: usize,
-    /// Subgoals reflection has blacklisted, mapped to expiry step.
+    /// Subgoals reflection has blacklisted, keyed by their `Display` text
+    /// and mapped to the step they expire at. Expired entries are purged
+    /// by [`ModularAgent::expire_blacklist`], so the map is empty whenever
+    /// nothing is blacklisted.
     pub blacklist: HashMap<String, usize>,
     /// What the agent knew at its last broadcast, over its memory's ids:
     /// the next message carries what it knows now and did not then. Each
@@ -174,11 +178,13 @@ impl ModularAgent {
     }
 
     /// Filters subgoals to those the agent can meaningfully plan: every
-    /// referenced entity passes `knows`, and the subgoal is not blacklisted.
-    /// The per-step hot path asks [`crate::modules::MemoryModule::knows`]
-    /// per referenced entity rather than cloning every known entity into a
-    /// fresh `HashSet` first; the blacklist key is only rendered while a
-    /// blacklist is actually live.
+    /// referenced entity passes `knows`, and the subgoal is not blacklisted
+    /// at `step`. The per-step hot path asks
+    /// [`crate::modules::MemoryModule::knows`] per referenced entity rather
+    /// than cloning every known entity into a fresh `HashSet` first, and
+    /// matches blacklist keys against each subgoal's `Display` output
+    /// without rendering it. Call [`ModularAgent::expire_blacklist`] for
+    /// the step first, so an expired entry costs nothing.
     pub fn filter_subgoals_with(
         &self,
         subgoals: Vec<Subgoal>,
@@ -189,13 +195,18 @@ impl ModularAgent {
             .into_iter()
             .filter(|sg| {
                 sg.entity_refs().into_iter().flatten().all(&mut knows)
-                    && (self.blacklist.is_empty()
-                        || self
-                            .blacklist
-                            .get(&sg.to_string())
-                            .is_none_or(|&expiry| expiry <= step))
+                    && !self
+                        .blacklist
+                        .iter()
+                        .any(|(key, &expiry)| expiry > step && displays_as(sg, key))
             })
             .collect()
+    }
+
+    /// Drops every blacklist entry that has expired by `step`. Steps only
+    /// move forward, so a dropped entry could never block again.
+    pub fn expire_blacklist(&mut self, step: usize) {
+        self.blacklist.retain(|_, &mut expiry| expiry > step);
     }
 
     /// Blacklists a subgoal for `duration` steps from `step`.
@@ -209,13 +220,28 @@ impl ModularAgent {
     /// [`ModularAgent::last_broadcast`]. Once the message carrying the
     /// delta is sent, the caller stores the knowledge as the new
     /// `last_broadcast`.
-    pub fn knowledge_delta(&mut self, percept_entities: &[String]) -> (EntitySet, Rc<[String]>) {
-        let knowledge = self
-            .memory
-            .knowledge(percept_entities.iter().map(String::as_str));
+    pub fn knowledge_delta(&mut self, percept_entities: &[Name]) -> (EntitySet, Rc<[Name]>) {
+        let knowledge = self.memory.knowledge(percept_entities);
         let delta = self.memory.names_not_in(&knowledge, &self.last_broadcast);
         (knowledge, delta)
     }
+}
+
+/// Whether `sg`'s `Display` output is exactly `key`, compared piece by
+/// piece as it is written, so nothing is rendered into a buffer.
+fn displays_as(sg: &Subgoal, key: &str) -> bool {
+    /// The part of the key the output has not matched yet.
+    struct Rest<'a>(&'a str);
+
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+
+    let mut rest = Rest(key);
+    write!(rest, "{sg}").is_ok() && rest.0.is_empty()
 }
 
 #[cfg(test)]
@@ -286,19 +312,37 @@ mod tests {
         assert_eq!(filtered.len(), 2); // apple + explore
 
         agent.blacklist_subgoal(&pick_apple, 5, 4);
+        agent.expire_blacklist(6);
         let filtered = agent.filter_subgoals_with(vec![pick_apple.clone()], knows, 6);
         assert!(filtered.is_empty(), "blacklisted until step 9");
+        agent.expire_blacklist(9);
+        assert!(agent.blacklist.is_empty(), "expired entries are purged");
         let filtered = agent.filter_subgoals_with(vec![pick_apple], knows, 9);
         assert_eq!(filtered.len(), 1, "blacklist expired");
+
+        // The key is the subgoal's text: a `GoTo` with the same target but
+        // another cell is the same key, a different target is not.
+        let goto = |target: &str, x| Subgoal::GoTo {
+            target: target.into(),
+            cell: embodied_exec::Cell::new(x, 0),
+        };
+        agent.blacklist_subgoal(&goto("room_0", 1), 10, 3);
+        agent.expire_blacklist(11);
+        let filtered = agent.filter_subgoals_with(
+            vec![goto("room_0", 7), goto("room_01", 1), goto("room_", 1)],
+            |_| true,
+            11,
+        );
+        assert_eq!(filtered, vec![goto("room_01", 1), goto("room_", 1)]);
     }
 
     /// One dialogue round's bookkeeping: the delta it would carry, with
     /// the knowledge recorded as broadcast.
     fn broadcast(agent: &mut ModularAgent, percept: &[&str]) -> Vec<String> {
-        let percept: Vec<String> = percept.iter().map(|e| (*e).to_owned()).collect();
+        let percept: Vec<Name> = percept.iter().map(|&e| e.into()).collect();
         let (knowledge, delta) = agent.knowledge_delta(&percept);
         agent.last_broadcast = knowledge;
-        delta.to_vec()
+        delta.iter().map(|e| e.to_string()).collect()
     }
 
     #[test]
@@ -318,7 +362,7 @@ mod tests {
         agent.memory.store(
             RecordKind::Observation,
             "saw apple_1 and box_2",
-            vec!["apple_1".to_owned(), "box_2".to_owned()],
+            vec!["apple_1".into(), "box_2".into()],
         );
         assert_eq!(broadcast(&mut agent, &[]), ["apple_1", "box_2", "room_0"]);
 
@@ -329,7 +373,7 @@ mod tests {
         agent.memory.store(
             RecordKind::Observation,
             "saw apple_1",
-            vec!["apple_1".to_owned()],
+            vec!["apple_1".into()],
         );
         assert_eq!(broadcast(&mut agent, &[]), ["apple_1"]);
 
@@ -347,7 +391,7 @@ mod tests {
         for name in ["zeta_9", "mug_4", "alpha_1"] {
             agent
                 .memory
-                .store(RecordKind::Observation, name, vec![name.to_owned()]);
+                .store(RecordKind::Observation, name, vec![name.into()]);
         }
         assert_eq!(
             broadcast(&mut agent, &["crate_3", "beta_2"]),

@@ -14,6 +14,7 @@
 //! byte-identical to builds that predate the subsystem.
 
 use crate::prompt::Counted;
+use embodied_env::Name;
 use embodied_profiler::{check_rate, AgentFaultStats, ChannelStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -353,7 +354,7 @@ pub(crate) struct DelayedMessage {
     /// was also corrupted), shared with the sender.
     pub text: Counted<Rc<str>>,
     /// Entity payload (empty if corrupted), shared with the sender.
-    pub entities: Rc<[String]>,
+    pub entities: Rc<[Name]>,
     /// Copies to deliver (2 if the delivery was also duplicated).
     pub copies: usize,
 }

@@ -28,7 +28,7 @@
 //! [`Phase::Repair`]: embodied_profiler::Phase::Repair
 
 use crate::prompt::{Counted, PromptWriter};
-use embodied_env::{AffordanceSet, Subgoal};
+use embodied_env::{AffordanceSet, Name, Subgoal};
 use embodied_llm::{
     floor_char, EngineHandle, InferenceOpts, LlmRequest, LlmResponse, Prompt, Purpose,
     SemanticFaultKind, SemanticFlaw,
@@ -289,20 +289,21 @@ fn substitute_entity(intended: &Subgoal, phantom: &str) -> Subgoal {
 /// a real entity wrapped in a skill pattern the menu does not offer. Falls
 /// back to a hallucination if every probe pattern happens to be afforded.
 fn invalid_action(salt: u64, intended: &Subgoal, affordances: &AffordanceSet) -> Subgoal {
-    let entity = intended
-        .referenced_entities()
-        .first()
-        .map(|e| (*e).to_owned())
+    let entity: Name = intended
+        .entity_refs()
+        .into_iter()
+        .flatten()
+        .next()
         .or_else(|| {
             affordances
                 .candidates()
                 .iter()
-                .flat_map(|c| c.referenced_entities())
+                .flat_map(|c| c.entity_refs().into_iter().flatten())
                 .next()
-                .map(str::to_owned)
         })
-        .unwrap_or_else(|| "site_0".to_owned());
-    let builders: [fn(String) -> Subgoal; 4] = [
+        .unwrap_or("site_0")
+        .into();
+    let builders: [fn(Name) -> Subgoal; 4] = [
         |e| Subgoal::Craft { item: e },
         |e| Subgoal::Open { container: e },
         |e| Subgoal::Serve { dish: e },

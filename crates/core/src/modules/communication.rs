@@ -7,6 +7,7 @@
 //! communication" finding (§V-D).
 
 use crate::prompt::{Counted, PromptWriter};
+use embodied_env::Name;
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -20,7 +21,7 @@ pub struct OutgoingMessage {
     /// once here and shared with its count by every recipient.
     pub text: Counted<Rc<str>>,
     /// Entity knowledge the message carries, shared by every recipient.
-    pub entities: Rc<[String]>,
+    pub entities: Rc<[Name]>,
     /// The LLM response that generated it.
     pub response: LlmResponse,
 }
@@ -73,7 +74,7 @@ impl CommunicationModule {
         goal: Counted<&str>,
         status: &str,
         dialogue_so_far: &[Counted<Rc<str>>],
-        knowledge_delta: Rc<[String]>,
+        knowledge_delta: Rc<[Name]>,
         difficulty: f64,
         opts: InferenceOpts,
     ) -> Result<OutgoingMessage, LlmError> {
@@ -118,7 +119,7 @@ impl CommunicationModule {
     /// Whether the planning-then-communication gate (Rec. 8) should allow a
     /// message this step: only when there is new knowledge to share or an
     /// explicit coordination need.
-    pub fn worth_sending(knowledge_delta: &[String], needs_coordination: bool) -> bool {
+    pub fn worth_sending(knowledge_delta: &[Name], needs_coordination: bool) -> bool {
         !knowledge_delta.is_empty() || needs_coordination
     }
 }
@@ -142,14 +143,14 @@ mod tests {
                 Counted::new("deliver objects"),
                 "in room_2, hands free",
                 &[],
-                vec!["object_3".to_owned()].into(),
+                vec!["object_3".into()].into(),
                 0.4,
                 InferenceOpts::default(),
             )
             .unwrap();
         assert!(msg.text.text().contains("object_3"));
         assert_eq!(msg.text, Counted::new(Rc::from(msg.text.text())));
-        assert_eq!(*msg.entities, ["object_3".to_owned()]);
+        assert_eq!(*msg.entities, ["object_3".into()]);
         assert_eq!(msg.from, 1);
     }
 

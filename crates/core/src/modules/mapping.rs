@@ -9,6 +9,7 @@
 
 use crate::modules::Percept;
 use crate::prompt::{count_tokens, digit_tokens};
+use embodied_env::Name;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -20,7 +21,7 @@ pub struct LocationKnowledge {
     pub visits: u64,
     /// Entities last seen here (most recent observation wins), shared with
     /// the percept that saw them.
-    pub entities: Rc<[String]>,
+    pub entities: Rc<[Name]>,
     /// Step of the most recent visit.
     pub last_seen_step: usize,
     /// Tokens in this location's summary line, counted from its parts
@@ -31,7 +32,7 @@ pub struct LocationKnowledge {
 /// Tokens in a summary line, from its parts: the name and its colon, the
 /// entity list (each comma one token) or "nothing notable", and
 /// "(seen step N)". The parts meet at spaces, where counts add up.
-fn line_tokens(name: &str, entities: &[String], step: usize) -> u64 {
+fn line_tokens(name: &str, entities: &[Name], step: usize) -> u64 {
     let body = if entities.is_empty() {
         count_tokens("nothing notable")
     } else {
@@ -199,7 +200,7 @@ mod tests {
 
     fn percept(location: &str, entities: &[&str]) -> Percept {
         Percept {
-            entities: entities.iter().map(|e| (*e).to_owned()).collect(),
+            entities: entities.iter().map(|&e| e.into()).collect(),
             text: Rc::from(""),
             location: location.to_owned(),
         }
@@ -223,7 +224,7 @@ mod tests {
         map.integrate(&percept("room_1", &["object_2"]), 5);
         assert_eq!(
             *map.location("room_1").unwrap().entities,
-            ["object_2".to_owned()],
+            ["object_2".into()],
             "a later look supersedes the old entity list"
         );
     }

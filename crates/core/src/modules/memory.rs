@@ -4,18 +4,19 @@
 
 use crate::config::MemoryCapacity;
 use crate::prompt::{count_tokens, digit_tokens, Counted};
+use embodied_env::Name;
 use embodied_profiler::SimDuration;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 thread_local! {
-    static NO_ENTITIES: Rc<[String]> = Rc::from([]);
+    static NO_ENTITIES: Rc<[Name]> = Rc::from([]);
 }
 
 /// An empty entity list: a reference-count bump on one shared empty slice,
 /// where `Rc::from(Vec::new())` would allocate a header per record.
-pub fn no_entities() -> Rc<[String]> {
+pub fn no_entities() -> Rc<[Name]> {
     NO_ENTITIES.with(Rc::clone)
 }
 
@@ -45,7 +46,7 @@ pub struct MemoryRecord {
     /// (left 0 by a disabled module, which never renders its records).
     pub tokens: u64,
     /// Entity names this record carries knowledge about.
-    pub entities: Rc<[String]>,
+    pub entities: Rc<[Name]>,
 }
 
 /// Result of a retrieval pass.
@@ -144,11 +145,12 @@ impl EntitySet {
 }
 
 /// The module's name table: each entity name it has met, once, under the
-/// id its indexes use.
+/// id its indexes use. A name that arrives shared (from a percept, message
+/// or record) is kept as that same allocation.
 #[derive(Debug, Clone, Default)]
 struct EntityNames {
-    ids: HashMap<Rc<str>, EntityId>,
-    names: Vec<Rc<str>>,
+    ids: HashMap<Name, EntityId>,
+    names: Vec<Name>,
 }
 
 impl EntityNames {
@@ -156,18 +158,19 @@ impl EntityNames {
         self.ids.get(name).copied()
     }
 
-    fn intern(&mut self, name: &str) -> EntityId {
+    /// The id of `name`, entering `shared()` under a new id on first sight.
+    fn intern_with(&mut self, name: &str, shared: impl FnOnce() -> Name) -> EntityId {
         if let Some(id) = self.get(name) {
             return id;
         }
         let id = EntityId(u32::try_from(self.names.len()).expect("fewer than 2^32 entities"));
-        let name: Rc<str> = Rc::from(name);
+        let name = shared();
         self.names.push(Rc::clone(&name));
         self.ids.insert(name, id);
         id
     }
 
-    fn name(&self, id: EntityId) -> &str {
+    fn name(&self, id: EntityId) -> &Name {
         &self.names[id.index()]
     }
 
@@ -273,7 +276,7 @@ impl MemoryModule {
         let mut names = EntityNames::default();
         let mut landmark_set = EntitySet::default();
         for name in &landmarks {
-            landmark_set.insert(names.intern(name));
+            landmark_set.insert(names.intern_with(name, || name.as_str().into()));
         }
         MemoryModule {
             enabled,
@@ -329,13 +332,13 @@ impl MemoryModule {
     /// storage and retrieval, not the agent's within-context awareness of
     /// the immediately preceding turn.
     ///
-    /// A shared `Rc<str>` or `Rc<[String]>` is stored as is; a `&str` is
+    /// A shared `Rc<str>` or `Rc<[Name]>` is stored as is; a `&str` is
     /// copied once, where a `String` would be copied again into its `Rc`.
     pub fn store(
         &mut self,
         kind: RecordKind,
         text: impl Into<Rc<str>>,
-        entities: impl Into<Rc<[String]>>,
+        entities: impl Into<Rc<[Name]>>,
     ) {
         let text = text.into();
         let tokens = if self.enabled { count_tokens(&text) } else { 0 };
@@ -348,19 +351,13 @@ impl MemoryModule {
         &mut self,
         kind: RecordKind,
         text: Counted<Rc<str>>,
-        entities: Rc<[String]>,
+        entities: Rc<[Name]>,
     ) {
         let tokens = text.tokens();
         self.push_record(kind, text.into_text(), tokens, entities);
     }
 
-    fn push_record(
-        &mut self,
-        kind: RecordKind,
-        text: Rc<str>,
-        tokens: u64,
-        entities: Rc<[String]>,
-    ) {
+    fn push_record(&mut self, kind: RecordKind, text: Rc<str>, tokens: u64, entities: Rc<[Name]>) {
         debug_assert!(
             self.records
                 .last()
@@ -368,7 +365,7 @@ impl MemoryModule {
             "records must be stored in step order"
         );
         for e in entities.iter() {
-            let id = self.intern(e);
+            let id = self.intern_shared(e);
             self.last_seen[id.index()] = Some(self.current_step);
             if self.dual && self.enabled && !self.long_term.contains(id) {
                 // A comma is one token; names join at its space.
@@ -424,14 +421,20 @@ impl MemoryModule {
     /// world no longer matches memory); it is excluded from knowledge until
     /// re-observed or the marker expires.
     pub fn mark_stale(&mut self, entity: &str) {
-        let id = self.intern(entity);
+        let id = self.intern_with(entity, || entity.into());
         self.stale.insert(id);
     }
 
-    /// The id of `name`, entering it into the name table (and the
-    /// last-seen index, as never seen) on first sight.
-    fn intern(&mut self, name: &str) -> EntityId {
-        let id = self.names.intern(name);
+    /// The id of `name`, entering the shared name itself into the name
+    /// table (and the last-seen index, as never seen) on first sight.
+    fn intern_shared(&mut self, name: &Name) -> EntityId {
+        self.intern_with(name, || Rc::clone(name))
+    }
+
+    /// [`MemoryModule::intern_shared`] for a name that may have to be
+    /// copied: `shared` makes the table's copy on first sight.
+    fn intern_with(&mut self, name: &str, shared: impl FnOnce() -> Name) -> EntityId {
+        let id = self.names.intern_with(name, shared);
         if self.last_seen.len() < self.names.len() {
             self.last_seen.resize(self.names.len(), None);
         }
@@ -489,7 +492,7 @@ impl MemoryModule {
     /// anything marked stale — plus `fresh`, this step's percept, which
     /// wins over a stale marker. Membership equals [`MemoryModule::knows`]
     /// for every name outside `fresh`.
-    pub fn knowledge<'a>(&mut self, fresh: impl IntoIterator<Item = &'a str>) -> EntitySet {
+    pub fn knowledge<'a>(&mut self, fresh: impl IntoIterator<Item = &'a Name>) -> EntitySet {
         let mut known = EntitySet {
             words: Vec::with_capacity(self.names.len().div_ceil(64)),
         };
@@ -508,7 +511,7 @@ impl MemoryModule {
             *w &= !stale;
         }
         for name in fresh {
-            let id = self.intern(name);
+            let id = self.intern_shared(name);
             known.insert(id);
         }
         known
@@ -521,10 +524,10 @@ impl MemoryModule {
 
     /// The names in `set` but not in `base` (both made by this module),
     /// name-sorted: the knowledge a message carries.
-    pub fn names_not_in(&self, set: &EntitySet, base: &EntitySet) -> Rc<[String]> {
-        let mut names: Vec<String> = set
+    pub fn names_not_in(&self, set: &EntitySet, base: &EntitySet) -> Rc<[Name]> {
+        let mut names: Vec<Name> = set
             .ids_not_in(base)
-            .map(|id| self.names.name(id).to_owned())
+            .map(|id| Rc::clone(self.names.name(id)))
             .collect();
         if names.is_empty() {
             return no_entities();
@@ -678,7 +681,7 @@ mod tests {
     /// The names of `set`'s members.
     fn names(m: &MemoryModule, set: &EntitySet) -> HashSet<String> {
         set.ids_not_in(&EntitySet::default())
-            .map(|id| m.names.name(id).to_owned())
+            .map(|id| m.names.name(id).to_string())
             .collect()
     }
 
@@ -699,7 +702,7 @@ mod tests {
                 if m.retrieval_mode == RetrievalMode::Multimodal
                     || text_embedding_recalls(e, m.current_step)
                 {
-                    known.insert(e.clone());
+                    known.insert(e.to_string());
                 }
             }
         }
@@ -772,7 +775,7 @@ mod tests {
                     m.store(
                         RecordKind::Observation,
                         format!("saw object_{} at step {step}", step % 5),
-                        vec![format!("object_{}", step % 5)],
+                        vec![format!("object_{}", step % 5).into()],
                     );
                     if step % 7 == 3 {
                         m.mark_stale(&format!("object_{}", step % 5));
@@ -835,12 +838,12 @@ mod tests {
                     m.store(
                         RecordKind::Observation,
                         format!("saw object_{}\u{3000}at dock Ω{k}", k % 5),
-                        vec![format!("object_{}", k % 5)],
+                        vec![format!("object_{}", k % 5).into()],
                     );
                     m.store_counted(
                         RecordKind::Dialogue,
                         Counted::new(format!("\u{85}agent {k}: antidisestablishment ok ").into()),
-                        vec![format!(" ω crate,{}", k % 3)].into(),
+                        vec![format!(" ω crate,{}", k % 3).into()].into(),
                     );
                     let mut buf = String::from("[map]\nroom_0\n");
                     let prefix = buf.len();
@@ -952,7 +955,7 @@ mod tests {
             m.store(
                 RecordKind::Observation,
                 format!("obs {i}"),
-                vec![format!("entity_{i}")],
+                vec![format!("entity_{i}").into()],
             );
         }
         let r = m.retrieve();
@@ -977,7 +980,7 @@ mod tests {
 
     #[test]
     fn text_embedding_mode_misses_some_entities() {
-        let entities: Vec<String> = (0..40).map(|i| format!("entity_{i}")).collect();
+        let entities: Vec<Name> = (0..40).map(|i| format!("entity_{i}").into()).collect();
         let mut multi = module(MemoryCapacity::Full);
         let mut text =
             module(MemoryCapacity::Full).with_retrieval_mode(RetrievalMode::TextEmbedding);

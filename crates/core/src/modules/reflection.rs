@@ -122,8 +122,9 @@ impl ReflectionModule {
         // not *forget*.
         let stale_entities = if caught && implies_absence(&outcome.note) {
             subgoal
-                .referenced_entities()
+                .entity_refs()
                 .into_iter()
+                .flatten()
                 .map(str::to_owned)
                 .collect()
         } else {

@@ -2,7 +2,7 @@
 //! observation and produces a percept (recognized entities + prompt text).
 
 use crate::modules::no_entities;
-use embodied_env::Observation;
+use embodied_env::{Name, Observation};
 use embodied_llm::EncoderProfile;
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
@@ -15,7 +15,7 @@ use std::rc::Rc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Percept {
     /// Names of entities the encoder recognized this step.
-    pub entities: Rc<[String]>,
+    pub entities: Rc<[Name]>,
     /// Prompt-ready description of the (recognized part of the) scene.
     pub text: Rc<str>,
     /// Current location label.
@@ -30,7 +30,7 @@ pub struct SensingModule {
     /// Reusable buffers the percept's text and entity list are assembled
     /// in before each is copied once into its shared allocation.
     text_buf: String,
-    entity_buf: Vec<String>,
+    entity_buf: Vec<Name>,
 }
 
 impl SensingModule {

@@ -131,7 +131,7 @@ pub(crate) fn plan_assignments(
             );
         }
         let fresh = percepts.iter().flat_map(|p| p.entities.iter());
-        central.memory.knowledge(fresh.map(String::as_str))
+        central.memory.knowledge(fresh)
     };
     let central_knows = {
         let central = sys.central.as_ref().expect("centralized system");
@@ -149,6 +149,7 @@ pub(crate) fn plan_assignments(
             menus.push(vec![Subgoal::Wait]);
             continue;
         }
+        sys.agents[i].expire_blacklist(step);
         let mut oracle =
             sys.agents[i].filter_subgoals_with(sys.env.oracle_subgoals(i), central_knows, step);
         let mut menu =

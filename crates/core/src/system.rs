@@ -14,7 +14,7 @@ use crate::modules::{
 use crate::orchestrator::{self, Paradigm};
 use crate::prompt::{renders_for, system_preamble, Body, Counted};
 use crate::recovery::RecoveryPolicy;
-use embodied_env::{Environment, ExecOutcome, Subgoal};
+use embodied_env::{Environment, ExecOutcome, Name, Subgoal};
 use embodied_llm::{
     EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmRequest, Purpose,
 };
@@ -721,12 +721,13 @@ impl EmbodiedSystem {
         let step = self.step;
 
         let agent = &mut self.agents[i];
+        agent.expire_blacklist(step);
         // Point-query knowledge filtering: `memory.knows` answers per
         // entity against the incremental last-seen index, so no per-step
         // `HashSet` of every known entity is materialized. An entity in
         // the current percept is known even if memory marked it stale —
         // fresh observation wins, as in `ModularAgent::knowledge`.
-        let knows = |e: &str| agent.memory.knows(e) || percept.entities.iter().any(|p| p == e);
+        let knows = |e: &str| agent.memory.knows(e) || percept.entities.iter().any(|p| **p == *e);
         let mut oracle = agent.filter_subgoals_with(oracle_raw, knows, step);
         let mut candidates = agent.filter_subgoals_with(candidates_raw, knows, step);
         // Re-plan around missing peers: a joint subgoal whose partner has
@@ -1021,7 +1022,7 @@ impl EmbodiedSystem {
         &mut self,
         from: usize,
         text: &Counted<Rc<str>>,
-        entities: &Rc<[String]>,
+        entities: &Rc<[Name]>,
         recipients: &[usize],
     ) {
         self.messages.generated += 1;

@@ -15,7 +15,10 @@
 //!    allocate more than earlier ones, i.e. nothing on the step loop clones
 //!    or re-formats ever-growing history — on the single-agent path and on
 //!    the six-agent dialogue path, where every message reaches five
-//!    teammates' inboxes and memories.
+//!    teammates' inboxes and memories;
+//! 3. an environment's menus — `candidate_subgoals`, `oracle_subgoals` and
+//!    `affordances` — allocate only their `Vec`: every name in them is a
+//!    reference-count bump on a name the environment built once.
 //!
 //! The allocator lives here (an integration test is its own crate) because
 //! the library itself is `#![forbid(unsafe_code)]`.
@@ -26,8 +29,10 @@ use std::cell::Cell;
 use embodied_agents::config::MemoryCapacity;
 use embodied_agents::modules::{MemoryModule, Percept, RecordKind, WorldMap};
 use embodied_agents::prompt::{write_joint_plan_prompt, Body, Counted, PromptWriter};
-use embodied_agents::{workloads, RunOverrides};
-use embodied_env::{Subgoal, TaskDifficulty};
+use embodied_agents::{workloads, EnvKind, RunOverrides};
+use embodied_env::{
+    BoxVariant, EnvFaultProfile, Environment, FaultyEnv, LowLevel, Subgoal, TaskDifficulty,
+};
 use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, Purpose, ServingConfig};
 
 /// Delegates everything to [`System`], bumping a thread-local counter on
@@ -129,16 +134,16 @@ fn steady_state_allocations(render: bool) -> usize {
         mem.store(
             RecordKind::Observation,
             format!("saw object_{} near the forge", step % 10),
-            vec![format!("object_{}", step % 10)],
+            vec![format!("object_{}", step % 10).into()],
         );
         mem.store(
             RecordKind::Action,
             format!("moved toward object_{}", step % 10),
-            vec![format!("object_{}", step % 10)],
+            vec![format!("object_{}", step % 10).into()],
         );
         map.integrate(
             &Percept {
-                entities: vec![format!("object_{}", step % 10)].into(),
+                entities: vec![format!("object_{}", step % 10).into()].into(),
                 text: "".into(),
                 location: format!("room_{}", step % 9),
             },
@@ -152,7 +157,7 @@ fn steady_state_allocations(render: bool) -> usize {
         map,
         percepts: (0..3)
             .map(|i| Percept {
-                entities: vec![format!("object_{i}")].into(),
+                entities: vec![format!("object_{i}").into()].into(),
                 text: format!("agent {i} sees object_{i} near the forge").into(),
                 location: "forge".to_owned(),
             })
@@ -162,7 +167,7 @@ fn steady_state_allocations(render: bool) -> usize {
                 vec![
                     Subgoal::Explore,
                     Subgoal::Pick {
-                        object: format!("object_{i}"),
+                        object: format!("object_{i}").into(),
                     },
                 ]
             })
@@ -270,4 +275,59 @@ fn assert_flat_allocation_rate(
         late <= early + early / 4 + 16,
         "{system}: allocation rate grows with history: early window {early}, late window {late}"
     );
+}
+
+/// Allocations a menu call may make: the growth of its one `Vec`,
+/// whatever the number of names in it.
+const MENU_ALLOCS: usize = 8;
+
+/// Every suite environment at `Medium` with its workloads' team sizes, and
+/// ALFWorld (no workload's default), plus the fault plane over BoxLift at
+/// four arms: after construction, no menu call copies a name.
+#[test]
+fn menus_allocate_only_their_vec() {
+    let mut envs: Vec<(String, Box<dyn Environment>)> = workloads::registry()
+        .iter()
+        .map(|spec| {
+            let env = spec.build_env(TaskDifficulty::Medium, spec.default_agents, 42);
+            (format!("{} ({})", env.name(), spec.name), env)
+        })
+        .collect();
+    envs.push((
+        "ALFWorld".into(),
+        EnvKind::AlfWorld.build(TaskDifficulty::Medium, 1, 42),
+    ));
+    let boxlift = EnvKind::BoxWorld(BoxVariant::BoxLift).build(TaskDifficulty::Medium, 4, 42);
+    envs.push((
+        "FaultyEnv over BoxLift@4".into(),
+        Box::new(FaultyEnv::new(boxlift, EnvFaultProfile::uniform(0.15), 42)),
+    ));
+    for (label, mut env) in envs {
+        let mut low = LowLevel::controller(7);
+        for step in 0..env.max_steps().min(20) {
+            env.begin_step(step);
+            for agent in 0..env.num_agents() {
+                let counted = |call: &str, make: &dyn Fn() -> usize| {
+                    let start = allocs();
+                    let len = make();
+                    let n = allocs() - start;
+                    assert!(
+                        n <= MENU_ALLOCS,
+                        "{label}: {call}({agent}) at step {step} allocated {n} times for {len} subgoals"
+                    );
+                };
+                counted("candidate_subgoals", &|| {
+                    env.candidate_subgoals(agent).len()
+                });
+                counted("oracle_subgoals", &|| env.oracle_subgoals(agent).len());
+                counted("affordances", &|| env.affordances(agent).candidates().len());
+                let sg = env
+                    .oracle_subgoals(agent)
+                    .first()
+                    .cloned()
+                    .unwrap_or(Subgoal::Explore);
+                env.execute(agent, &sg, &mut low);
+            }
+        }
+    }
 }

@@ -58,7 +58,7 @@ fn picks(names: &[String]) -> Vec<Subgoal> {
     names
         .iter()
         .map(|object| Subgoal::Pick {
-            object: object.clone(),
+            object: object.as_str().into(),
         })
         .collect()
 }

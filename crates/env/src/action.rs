@@ -4,87 +4,97 @@
 use embodied_exec::Cell;
 use embodied_profiler::SimDuration;
 use std::fmt;
+use std::rc::Rc;
+
+/// A shared entity name.
+///
+/// Each environment builds its names once, at construction, and every
+/// menu, observation, memory record and message that mentions an entity
+/// holds a handle to that one allocation: cloning a [`Subgoal`] or a
+/// [`crate::SeenEntity`] bumps a reference count instead of copying text.
+/// `Display` and `Debug` print exactly what the text as a `String` would.
+pub type Name = Rc<str>;
 
 /// A high-level subgoal, the unit of decision for the planning module.
 ///
 /// Every environment expresses its tasks with this shared vocabulary so the
 /// agent framework (prompting, memory, oracle-guided choice) stays
-/// environment-independent. Entity references are stable string names that
-/// also appear in observations, which is how knowledge (memory) gates what
-/// an agent can plan about.
+/// environment-independent. Entity references are stable, shared [`Name`]s
+/// that also appear in observations, which is how knowledge (memory) gates
+/// what an agent can plan about.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Subgoal {
     /// Navigate to a named location.
     GoTo {
         /// Target entity or room name.
-        target: String,
+        target: Name,
         /// Target cell for grid navigation.
         cell: Cell,
     },
     /// Pick up a named object (must be co-located).
     Pick {
         /// Object name.
-        object: String,
+        object: Name,
     },
     /// Place the carried object at/in a named destination.
     Place {
         /// Object name being placed.
-        object: String,
+        object: Name,
         /// Destination name.
-        dest: String,
+        dest: Name,
     },
     /// Open a named container/receptacle.
     Open {
         /// Container name.
-        container: String,
+        container: Name,
     },
     /// Gather a raw resource from the world (Minecraft-style).
     Gather {
         /// Resource name, e.g. `"log"`.
-        resource: String,
+        resource: Name,
     },
     /// Craft an item from inventory ingredients.
     Craft {
         /// Item name, e.g. `"stone_pickaxe"`.
-        item: String,
+        item: Name,
     },
     /// Perform a cooking/preparation step on a dish.
     Cook {
         /// Dish name.
-        dish: String,
+        dish: Name,
         /// Preparation stage, e.g. `"chop"`, `"fry"`.
-        stage: String,
+        stage: Name,
     },
     /// Serve a completed dish.
     Serve {
         /// Dish name.
-        dish: String,
+        dish: Name,
     },
     /// Move a box to an adjacent zone (box-world arms).
     MoveBox {
         /// Box name.
-        box_name: String,
+        box_name: Name,
         /// Destination zone name.
-        dest: String,
+        dest: Name,
     },
     /// Jointly lift a heavy box with a partner agent (BoxLift).
     LiftTogether {
         /// Box name.
-        box_name: String,
+        box_name: Name,
         /// Partner agent index.
         partner: usize,
     },
     /// Move an object with a robot arm to a workspace position.
     ArmMove {
         /// Object name.
-        object: String,
+        object: Name,
         /// Target position (meters).
         to: (f64, f64),
     },
     /// Execute a named low-level skill (Franka-Kitchen style).
     Skill {
         /// Skill name, e.g. `"open_microwave"`.
-        name: String,
+        name: Name,
     },
     /// Explore to discover unseen entities.
     Explore,
@@ -93,15 +103,10 @@ pub enum Subgoal {
 }
 
 impl Subgoal {
-    /// Entity names this subgoal refers to; an agent can only *usefully*
-    /// plan a subgoal whose entities it knows about.
-    pub fn referenced_entities(&self) -> Vec<&str> {
-        self.entity_refs().into_iter().flatten().collect()
-    }
-
-    /// The referenced entity names as a fixed-size array — no subgoal
-    /// refers to more than two — so per-step knowledge filtering can walk
-    /// them without allocating a `Vec` per candidate.
+    /// Entity names this subgoal refers to, as a fixed-size array — no
+    /// subgoal refers to more than two — so per-step knowledge filtering
+    /// can walk them without allocating. An agent can only *usefully* plan
+    /// a subgoal whose entities it knows about.
     pub fn entity_refs(&self) -> [Option<&str>; 2] {
         match self {
             Subgoal::GoTo { target, .. } => [Some(target), None],
@@ -212,13 +217,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn referenced_entities_cover_all_fields() {
+    fn entity_refs_cover_all_fields() {
         let sg = Subgoal::Place {
             object: "apple".into(),
             dest: "table".into(),
         };
-        assert_eq!(sg.referenced_entities(), vec!["apple", "table"]);
-        assert!(Subgoal::Explore.referenced_entities().is_empty());
+        assert_eq!(sg.entity_refs(), [Some("apple"), Some("table")]);
+        assert_eq!(Subgoal::Explore.entity_refs(), [None, None]);
     }
 
     #[test]

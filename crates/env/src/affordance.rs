@@ -11,29 +11,21 @@
 //! deterministic constraint target.
 
 use crate::action::Subgoal;
-use std::collections::BTreeSet;
 
 /// The set of subgoals an environment affords one agent at one instant,
 /// with membership, entity-knowledge and nearest-valid queries.
+///
+/// The set is the menu itself: entity queries scan its
+/// [`Subgoal::entity_refs`], so building one costs nothing beyond the menu.
 #[derive(Debug, Clone)]
 pub struct AffordanceSet {
     candidates: Vec<Subgoal>,
-    entities: BTreeSet<String>,
 }
 
 impl AffordanceSet {
     /// Builds the set from an environment's candidate menu.
     pub fn from_candidates(candidates: Vec<Subgoal>) -> Self {
-        let mut entities = BTreeSet::new();
-        for sg in &candidates {
-            for e in sg.referenced_entities() {
-                entities.insert(e.to_owned());
-            }
-        }
-        AffordanceSet {
-            candidates,
-            entities,
-        }
+        AffordanceSet { candidates }
     }
 
     /// The underlying candidate menu, in environment order.
@@ -51,15 +43,18 @@ impl AffordanceSet {
     /// Whether the entity name appears anywhere in the afforded menu —
     /// the "does this thing exist here" check hallucinations fail.
     pub fn knows_entity(&self, name: &str) -> bool {
-        self.entities.contains(name)
+        self.candidates
+            .iter()
+            .any(|c| c.entity_refs().contains(&Some(name)))
     }
 
     /// The first entity of `subgoal` the environment does not know about,
     /// if any — the offending span a validator reports.
     pub fn unknown_entity<'a>(&self, subgoal: &'a Subgoal) -> Option<&'a str> {
         subgoal
-            .referenced_entities()
+            .entity_refs()
             .into_iter()
+            .flatten()
             .find(|e| !self.knows_entity(e))
     }
 
@@ -67,14 +62,19 @@ impl AffordanceSet {
     /// the same skill pattern, preferring entries sharing an entity with
     /// the rejected subgoal; [`Subgoal::Explore`] when nothing matches.
     pub fn nearest_valid(&self, subgoal: &Subgoal) -> Subgoal {
-        let wanted: Vec<&str> = subgoal.referenced_entities();
+        let wanted = subgoal.entity_refs();
         let same_pattern = || {
             self.candidates
                 .iter()
                 .filter(|c| c.pattern() == subgoal.pattern())
         };
         same_pattern()
-            .find(|c| c.referenced_entities().iter().any(|e| wanted.contains(e)))
+            .find(|c| {
+                c.entity_refs()
+                    .into_iter()
+                    .flatten()
+                    .any(|e| wanted.contains(&Some(e)))
+            })
             .or_else(|| same_pattern().next())
             .cloned()
             .unwrap_or(Subgoal::Explore)

@@ -6,7 +6,7 @@
 //! This is the most memory-intensive environment in the suite: every opened
 //! container is knowledge that evaporates without the memory module.
 
-use crate::action::{ExecOutcome, Subgoal};
+use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use embodied_profiler::SimDuration;
@@ -24,14 +24,14 @@ const RECEPTACLES: [&str; 6] = [
 
 #[derive(Debug, Clone)]
 struct Receptacle {
-    name: &'static str,
+    name: Name,
     openable: bool,
     opened: bool,
 }
 
 #[derive(Debug, Clone)]
 struct HiddenObject {
-    name: String,
+    name: Name,
     /// Index into `receptacles` where the object currently sits; `None`
     /// while carried.
     location: Option<usize>,
@@ -58,10 +58,10 @@ impl AlfWorldEnv {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xa1f3);
         let receptacles: Vec<Receptacle> = RECEPTACLES
             .iter()
-            .map(|name| Receptacle {
-                name,
+            .map(|&name| Receptacle {
+                name: name.into(),
                 // countertop and sinkbasin are open surfaces
-                openable: !matches!(*name, "countertop" | "sinkbasin"),
+                openable: !matches!(name, "countertop" | "sinkbasin"),
                 opened: false,
             })
             .collect();
@@ -83,7 +83,7 @@ impl AlfWorldEnv {
                     }
                 };
                 HiddenObject {
-                    name: format!("{}_{i}", kinds[i % kinds.len()]),
+                    name: format!("{}_{i}", kinds[i % kinds.len()]).into(),
                     location: Some(hide),
                     goal,
                     done: false,
@@ -106,11 +106,11 @@ impl AlfWorldEnv {
     }
 
     fn receptacle_index(&self, name: &str) -> Option<usize> {
-        self.receptacles.iter().position(|r| r.name == name)
+        self.receptacles.iter().position(|r| *r.name == *name)
     }
 
     fn object_index(&self, name: &str) -> Option<usize> {
-        self.objects.iter().position(|o| o.name == name)
+        self.objects.iter().position(|o| *o.name == *name)
     }
 
     fn contents_visible(&self, idx: usize) -> bool {
@@ -149,7 +149,7 @@ impl Environment for AlfWorldEnv {
         // The task statement names the objects and every receptacle; where
         // the objects are *hidden* must be discovered.
         let mut names: Vec<String> = RECEPTACLES.iter().map(|r| (*r).to_owned()).collect();
-        names.extend(self.objects.iter().map(|o| o.name.clone()));
+        names.extend(self.objects.iter().map(|o| o.name.to_string()));
         names
     }
 
@@ -157,7 +157,7 @@ impl Environment for AlfWorldEnv {
         let here = self.agent_at;
         let r = &self.receptacles[here];
         let mut visible = vec![SeenEntity::new(
-            r.name,
+            r.name.clone(),
             format!(
                 "the {} ({})",
                 r.name,
@@ -199,16 +199,16 @@ impl Environment for AlfWorldEnv {
                 let r = &self.receptacles[goal];
                 if r.openable && !r.opened {
                     return vec![Subgoal::Open {
-                        container: r.name.to_owned(),
+                        container: r.name.clone(),
                     }];
                 }
                 return vec![Subgoal::Place {
                     object: self.objects[idx].name.clone(),
-                    dest: self.receptacles[goal].name.to_owned(),
+                    dest: self.receptacles[goal].name.clone(),
                 }];
             }
             return vec![Subgoal::GoTo {
-                target: self.receptacles[goal].name.to_owned(),
+                target: self.receptacles[goal].name.clone(),
                 cell: embodied_exec::Cell::new(goal as i32, 0),
             }];
         }
@@ -225,7 +225,7 @@ impl Environment for AlfWorldEnv {
                         }];
                     }
                     return vec![Subgoal::GoTo {
-                        target: self.receptacles[loc].name.to_owned(),
+                        target: self.receptacles[loc].name.clone(),
                         cell: embodied_exec::Cell::new(loc as i32, 0),
                     }];
                 }
@@ -237,7 +237,7 @@ impl Environment for AlfWorldEnv {
             .filter(|&i| self.receptacles[i].openable && !self.receptacles[i].opened)
         {
             return vec![Subgoal::Open {
-                container: self.receptacles[here].name.to_owned(),
+                container: self.receptacles[here].name.clone(),
             }];
         }
         if let Some((idx, r)) = self
@@ -247,7 +247,7 @@ impl Environment for AlfWorldEnv {
             .find(|(_, r)| r.openable && !r.opened)
         {
             return vec![Subgoal::GoTo {
-                target: r.name.to_owned(),
+                target: r.name.clone(),
                 cell: embodied_exec::Cell::new(idx as i32, 0),
             }];
         }
@@ -258,12 +258,12 @@ impl Environment for AlfWorldEnv {
         let mut all = Vec::new();
         for (i, r) in self.receptacles.iter().enumerate() {
             all.push(Subgoal::GoTo {
-                target: r.name.to_owned(),
+                target: r.name.clone(),
                 cell: embodied_exec::Cell::new(i as i32, 0),
             });
             if r.openable {
                 all.push(Subgoal::Open {
-                    container: r.name.to_owned(),
+                    container: r.name.clone(),
                 });
             }
         }
@@ -276,7 +276,7 @@ impl Environment for AlfWorldEnv {
             });
             all.push(Subgoal::Place {
                 object: o.name.clone(),
-                dest: self.receptacles[o.goal].name.to_owned(),
+                dest: self.receptacles[o.goal].name.clone(),
             });
         }
         all.push(Subgoal::Explore);
@@ -407,7 +407,7 @@ impl Environment for AlfWorldEnv {
             }
             Subgoal::Explore => {
                 let next = (self.agent_at + 1) % self.receptacles.len();
-                let name = self.receptacles[next].name.to_owned();
+                let name = self.receptacles[next].name.clone();
                 let mut out = self.execute(
                     0,
                     &Subgoal::GoTo {
@@ -548,7 +548,7 @@ mod tests {
         let goal = e.objects[0].goal;
         let wrong = (goal + 1) % e.receptacles.len();
         e.agent_at = wrong;
-        let wrong_name = e.receptacles[wrong].name.to_owned();
+        let wrong_name = e.receptacles[wrong].name.clone();
         let obj = e.objects[0].name.clone();
         let out = e.execute(
             0,

@@ -3,7 +3,7 @@
 //! BoxLift adds heavy boxes that two arms must lift *in the same round* —
 //! the coordination-sensitive case that stresses communication.
 
-use crate::action::{ExecOutcome, Subgoal};
+use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use embodied_profiler::SimDuration;
@@ -37,7 +37,7 @@ impl std::fmt::Display for BoxVariant {
 
 #[derive(Debug, Clone)]
 struct BoxItem {
-    name: String,
+    name: Name,
     zone: usize,
     target: usize,
     heavy: bool,
@@ -62,6 +62,8 @@ pub struct BoxWorldEnv {
     max_steps: usize,
     pending_lifts: Vec<PendingLift>,
     calls: usize,
+    /// `zone_{z}` for every zone `z`.
+    zones: Vec<Name>,
 }
 
 impl BoxWorldEnv {
@@ -113,7 +115,7 @@ impl BoxWorldEnv {
                 }
             };
             boxes.push(BoxItem {
-                name: format!("box_{i}"),
+                name: format!("box_{i}").into(),
                 zone,
                 target,
                 heavy,
@@ -130,6 +132,7 @@ impl BoxWorldEnv {
             max_steps,
             pending_lifts: Vec::new(),
             calls: 0,
+            zones: (0..num_zones).map(|z| format!("zone_{z}").into()).collect(),
         }
     }
 
@@ -151,11 +154,7 @@ impl BoxWorldEnv {
     }
 
     fn box_index(&self, name: &str) -> Option<usize> {
-        self.boxes.iter().position(|b| b.name == name)
-    }
-
-    fn zone_name(zone: usize) -> String {
-        format!("zone_{zone}")
+        self.boxes.iter().position(|b| *b.name == *name)
     }
 
     fn parse_zone(name: &str) -> Option<usize> {
@@ -194,7 +193,7 @@ impl Environment for BoxWorldEnv {
         let goals: Vec<String> = self
             .boxes
             .iter()
-            .map(|b| format!("{} to {}", b.name, Self::zone_name(b.target)))
+            .map(|b| format!("{} to {}", b.name, self.zones[b.target]))
             .collect();
         format!("Relay every box to its target zone: {}.", goals.join(", "))
     }
@@ -202,8 +201,8 @@ impl Environment for BoxWorldEnv {
     fn landmarks(&self) -> Vec<String> {
         // The zone layout and the manifest of boxes are known a priori
         // (the task statement names them); *positions* must be observed.
-        let mut names: Vec<String> = (0..self.num_zones).map(Self::zone_name).collect();
-        names.extend(self.boxes.iter().map(|b| b.name.clone()));
+        let mut names: Vec<String> = self.zones.iter().map(|z| z.to_string()).collect();
+        names.extend(self.boxes.iter().map(|b| b.name.to_string()));
         names
     }
 
@@ -220,7 +219,7 @@ impl Environment for BoxWorldEnv {
                         "{}{} in {}",
                         b.name,
                         if b.heavy { " (heavy)" } else { "" },
-                        Self::zone_name(b.zone)
+                        self.zones[b.zone]
                     ),
                 )
             })
@@ -262,7 +261,7 @@ impl Environment for BoxWorldEnv {
             if dest.abs_diff(b.target) < b.zone.abs_diff(b.target) {
                 subgoals.push(Subgoal::MoveBox {
                     box_name: b.name.clone(),
-                    dest: Self::zone_name(dest),
+                    dest: self.zones[dest].clone(),
                 });
             }
             let _ = idx;
@@ -276,10 +275,10 @@ impl Environment for BoxWorldEnv {
             if b.delivered {
                 continue;
             }
-            for z in 0..self.num_zones {
+            for zone in &self.zones {
                 all.push(Subgoal::MoveBox {
                     box_name: b.name.clone(),
-                    dest: Self::zone_name(z),
+                    dest: zone.clone(),
                 });
             }
             if b.heavy {
@@ -528,7 +527,7 @@ mod tests {
             0,
             &Subgoal::MoveBox {
                 box_name: "box_0".into(),
-                dest: BoxWorldEnv::zone_name(far),
+                dest: e.zones[far].clone(),
             },
             &mut low,
         );
@@ -540,8 +539,8 @@ mod tests {
     fn observation_limited_to_reach() {
         let e = BoxWorldEnv::new(BoxVariant::Warehouse, TaskDifficulty::Easy, 3, 0);
         // Boxes start in zone 0: only arm 0 sees them.
-        assert!(e.observe(0).visible.iter().any(|v| v.name == "box_0"));
-        assert!(!e.observe(2).visible.iter().any(|v| v.name == "box_0"));
+        assert!(e.observe(0).visible.iter().any(|v| &*v.name == "box_0"));
+        assert!(!e.observe(2).visible.iter().any(|v| &*v.name == "box_0"));
     }
 
     #[test]
@@ -551,7 +550,7 @@ mod tests {
         let name = heavy.name.clone();
         let zone = heavy.zone;
         let arm = (0..2).find(|&a| e.reach(a).contains(&zone)).unwrap();
-        let dest = BoxWorldEnv::zone_name(*e.reach(arm).start());
+        let dest = e.zones[*e.reach(arm).start()].clone();
         let mut low = LowLevel::controller(1);
         let out = e.execute(
             arm,

@@ -2,7 +2,7 @@
 //! resources across biomes and climb a tool tech-tree up to the paper's
 //! canonical long-horizon goal, the diamond pickaxe.
 
-use crate::action::{ExecOutcome, Subgoal};
+use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
@@ -118,12 +118,41 @@ fn pickaxe_tier(item: &str) -> Option<u8> {
     }
 }
 
+/// The crafting vocabulary as shared names, each table in the order of
+/// its constant.
+#[derive(Debug, Clone)]
+struct Vocabulary {
+    biomes: [Name; 5],
+    resources: [Name; 4],
+    items: [Name; 9],
+}
+
+impl Vocabulary {
+    fn new() -> Self {
+        Vocabulary {
+            biomes: BIOMES.map(Name::from),
+            resources: RESOURCES.map(|(r, _, _)| Name::from(r)),
+            items: RECIPES.each_ref().map(|r| Name::from(r.item)),
+        }
+    }
+
+    /// The shared name of a resource or recipe item.
+    fn of(&self, word: &str) -> &Name {
+        self.resources
+            .iter()
+            .chain(&self.items)
+            .find(|n| ***n == *word)
+            .expect("plans only name the crafting vocabulary")
+    }
+}
+
 /// The crafting environment (single-agent).
 #[derive(Debug, Clone)]
 pub struct CraftEnv {
     world: GridWorld,
     agent_pos: Cell,
-    inventory: HashMap<String, u32>,
+    inventory: HashMap<Name, u32>,
+    names: Vocabulary,
     target: &'static str,
     difficulty: TaskDifficulty,
     max_steps: usize,
@@ -145,6 +174,7 @@ impl CraftEnv {
             world,
             agent_pos,
             inventory: HashMap::new(),
+            names: Vocabulary::new(),
             target,
             difficulty,
             max_steps,
@@ -202,11 +232,11 @@ impl CraftEnv {
             }
             if self.current_biome() == biome {
                 return Some(Subgoal::Gather {
-                    resource: item.to_owned(),
+                    resource: self.names.of(item).clone(),
                 });
             }
             return Some(Subgoal::GoTo {
-                target: BIOMES[biome].to_owned(),
+                target: self.names.biomes[biome].clone(),
                 cell: self.world.rooms()[biome].center(),
             });
         }
@@ -228,7 +258,7 @@ impl CraftEnv {
 
     fn craft_now(&self, item: &str) -> Option<Subgoal> {
         Some(Subgoal::Craft {
-            item: item.to_owned(),
+            item: self.names.of(item).clone(),
         })
     }
 
@@ -280,10 +310,10 @@ impl Environment for CraftEnv {
         let biome = self.current_biome();
         let mut visible = Vec::new();
         // Resources present in this biome.
-        for &(res, b, _) in &RESOURCES {
+        for (&(res, b, _), name) in RESOURCES.iter().zip(&self.names.resources) {
             if b == biome {
                 visible.push(SeenEntity::new(
-                    res,
+                    name.clone(),
                     format!("{res} deposits in the {}", BIOMES[biome]),
                 ));
             }
@@ -292,7 +322,7 @@ impl Environment for CraftEnv {
         for adj in [biome.wrapping_sub(1), biome + 1] {
             if adj < BIOMES.len() && adj != biome {
                 visible.push(SeenEntity::new(
-                    BIOMES[adj],
+                    self.names.biomes[adj].clone(),
                     format!("a passage to the {}", BIOMES[adj]),
                 ));
             }
@@ -326,21 +356,19 @@ impl Environment for CraftEnv {
 
     fn candidate_subgoals(&self, _agent: usize) -> Vec<Subgoal> {
         let mut all = Vec::new();
-        for (i, biome) in BIOMES.iter().enumerate() {
+        for (i, biome) in self.names.biomes.iter().enumerate() {
             all.push(Subgoal::GoTo {
-                target: (*biome).to_owned(),
+                target: biome.clone(),
                 cell: self.world.rooms()[i].center(),
             });
         }
-        for &(res, _, _) in &RESOURCES {
+        for resource in &self.names.resources {
             all.push(Subgoal::Gather {
-                resource: res.to_owned(),
+                resource: resource.clone(),
             });
         }
-        for r in &RECIPES {
-            all.push(Subgoal::Craft {
-                item: r.item.to_owned(),
-            });
+        for item in &self.names.items {
+            all.push(Subgoal::Craft { item: item.clone() });
         }
         all.push(Subgoal::Explore);
         all.push(Subgoal::Wait);
@@ -425,7 +453,7 @@ impl Environment for CraftEnv {
                 let out = self.execute(
                     0,
                     &Subgoal::GoTo {
-                        target: BIOMES[next].to_owned(),
+                        target: self.names.biomes[next].clone(),
                         cell,
                     },
                     low,

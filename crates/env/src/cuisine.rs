@@ -2,7 +2,7 @@
 //! task family): orders arrive over time, each needing a pipeline of
 //! preparation stages at shared stations, and agents must keep throughput up.
 
-use crate::action::{ExecOutcome, Subgoal};
+use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use embodied_profiler::SimDuration;
@@ -11,7 +11,7 @@ use rand::Rng;
 /// A dish's remaining pipeline, front = next stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Order {
-    dish: String,
+    dish: Name,
     stages: Vec<&'static str>, // e.g. ["fetch", "chop", "cook"]
     served: bool,
     arrived_at: usize, // execute-round index when the order appears
@@ -35,9 +35,16 @@ pub struct CuisineEnv {
     /// physical contention that caps a kitchen's parallel throughput.
     station_used_round: std::collections::HashMap<&'static str, usize>,
     calls: usize,
+    /// [`STAGES`] as shared names, in the same order.
+    stage_names: [Name; 4],
+    /// [`STATIONS`] as shared names, in the same order.
+    station_names: [Name; 4],
 }
 
 const STATIONS: [&str; 4] = ["pantry", "chop_station", "stove", "serving_counter"];
+
+/// Every preparation stage a `Cook` subgoal can name.
+const STAGES: [&str; 4] = ["fetch", "chop", "cook", "plate"];
 
 fn station_for(stage: &str) -> &'static str {
     match stage {
@@ -74,7 +81,7 @@ impl CuisineEnv {
                     }
                 };
                 Order {
-                    dish: format!("{}_{i}", dish_names[i % dish_names.len()]),
+                    dish: format!("{}_{i}", dish_names[i % dish_names.len()]).into(),
                     stages,
                     served: false,
                     arrived_at: i * 2, // staggered arrivals
@@ -91,7 +98,18 @@ impl CuisineEnv {
             rounds: 0,
             station_used_round: Default::default(),
             calls: 0,
+            stage_names: STAGES.map(Name::from),
+            station_names: STATIONS.map(Name::from),
         }
+    }
+
+    /// The shared name of `stage`, one of [`STAGES`].
+    fn stage_name(&self, stage: &str) -> &Name {
+        let i = STAGES
+            .iter()
+            .position(|s| *s == stage)
+            .expect("orders only hold known stages");
+        &self.stage_names[i]
     }
 
     /// Number of served dishes.
@@ -106,7 +124,7 @@ impl CuisineEnv {
     }
 
     fn order_mut(&mut self, dish: &str) -> Option<&mut Order> {
-        self.orders.iter_mut().find(|o| o.dish == dish)
+        self.orders.iter_mut().find(|o| *o.dish == *dish)
     }
 
     fn tick(&mut self) {
@@ -151,8 +169,8 @@ impl Environment for CuisineEnv {
                 SeenEntity::new(o.dish.clone(), format!("order {} awaiting {stage}", o.dish))
             })
             .collect();
-        for s in STATIONS {
-            visible.push(SeenEntity::new(s, format!("the {s}")));
+        for s in &self.station_names {
+            visible.push(SeenEntity::new(s.clone(), format!("the {s}")));
         }
         Observation {
             agent_pos: None,
@@ -179,7 +197,7 @@ impl Environment for CuisineEnv {
             let sg = match order.next_stage() {
                 Some(stage) => Subgoal::Cook {
                     dish: order.dish.clone(),
-                    stage: stage.to_owned(),
+                    stage: self.stage_name(stage).clone(),
                 },
                 None => Subgoal::Serve {
                     dish: order.dish.clone(),
@@ -196,10 +214,10 @@ impl Environment for CuisineEnv {
             if order.served {
                 continue;
             }
-            for stage in ["fetch", "chop", "cook", "plate"] {
+            for stage in &self.stage_names {
                 all.push(Subgoal::Cook {
                     dish: order.dish.clone(),
-                    stage: stage.to_owned(),
+                    stage: stage.clone(),
                 });
             }
             all.push(Subgoal::Serve {
@@ -236,7 +254,7 @@ impl Environment for CuisineEnv {
                     return ExecOutcome::failure(format!("{dish} has not been ordered yet"));
                 }
                 match order.next_stage() {
-                    Some(expected) if expected == stage => {
+                    Some(expected) if expected == &**stage => {
                         let drive = low.actuator.drive(SimDuration::from_millis(2_600));
                         let success =
                             drive.success && low.rng.gen_bool(low.competence.clamp(0.0, 1.0));

@@ -28,7 +28,7 @@
 //!   truth *without* drawing, so enabling recovery cannot shift the fault
 //!   stream — recovery-on and recovery-off runs face identical faults.
 
-use crate::action::{ExecOutcome, Subgoal};
+use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use embodied_profiler::{check_rate, EnvFaultStats};
@@ -194,16 +194,16 @@ struct AgentView {
     observation: Observation,
     candidates: Vec<Subgoal>,
     /// Misreads applied this frame: `(true_name, misread_name)`.
-    renames: Vec<(String, String)>,
+    renames: Vec<(Name, Name)>,
     /// Entity names dropped from this frame.
-    dropped: Vec<String>,
+    dropped: Vec<Name>,
 }
 
 /// Renames every reference to `from` inside one subgoal.
-fn rename_entity(sg: &mut Subgoal, from: &str, to: &str) {
-    let fix = |s: &mut String| {
-        if s == from {
-            to.clone_into(s);
+fn rename_entity(sg: &mut Subgoal, from: &str, to: &Name) {
+    let fix = |s: &mut Name| {
+        if **s == *from {
+            *s = to.clone();
         }
     };
     match sg {
@@ -242,6 +242,10 @@ pub struct FaultyEnv<E: Environment> {
     /// Per-agent step at which the actuator comes back, while down.
     down_until: Vec<Option<usize>>,
     stats: EnvFaultStats,
+    /// [`PHANTOMS`] as shared names, in the same order.
+    phantoms: [Name; 4],
+    /// [`MISREAD_ALIASES`] as shared names, in the same order.
+    aliases: [Name; 4],
 }
 
 impl<E: Environment> FaultyEnv<E> {
@@ -266,6 +270,8 @@ impl<E: Environment> FaultyEnv<E> {
             stale_until: vec![None; n],
             down_until: vec![None; n],
             stats: EnvFaultStats::default(),
+            phantoms: PHANTOMS.map(Name::from),
+            aliases: MISREAD_ALIASES.map(Name::from),
         }
     }
 
@@ -290,23 +296,22 @@ impl<E: Environment> FaultyEnv<E> {
         if p.dropout > 0.0 && self.rng.gen_bool(p.dropout) && !observation.visible.is_empty() {
             let idx = self.rng.gen_range(0..observation.visible.len());
             let name = observation.visible.remove(idx).name;
-            candidates.retain(|sg| !sg.referenced_entities().contains(&name.as_str()));
+            candidates.retain(|sg| !sg.entity_refs().contains(&Some(&*name)));
             dropped.push(name);
             self.stats.dropped_entities += 1;
         }
         if p.phantom > 0.0 && self.rng.gen_bool(p.phantom) {
-            let name = PHANTOMS[self.rng.gen_range(0..PHANTOMS.len())];
-            observation
-                .visible
-                .push(SeenEntity::new(name, format!("{name} within reach")));
-            candidates.push(Subgoal::Pick {
-                object: name.into(),
-            });
+            let name = self.phantoms[self.rng.gen_range(0..PHANTOMS.len())].clone();
+            observation.visible.push(SeenEntity::new(
+                name.clone(),
+                format!("{name} within reach"),
+            ));
+            candidates.push(Subgoal::Pick { object: name });
             self.stats.phantom_entities += 1;
         }
         if p.misread > 0.0 && self.rng.gen_bool(p.misread) && !observation.visible.is_empty() {
             let idx = self.rng.gen_range(0..observation.visible.len());
-            let alias = MISREAD_ALIASES[self.rng.gen_range(0..MISREAD_ALIASES.len())].to_string();
+            let alias = self.aliases[self.rng.gen_range(0..MISREAD_ALIASES.len())].clone();
             let true_name = observation.visible[idx].name.clone();
             if true_name != alias {
                 observation.visible[idx].name = alias.clone();
@@ -370,9 +375,10 @@ impl<E: Environment> Environment for FaultyEnv<E> {
         // then fail at the real seam — that is the fault's damage).
         let view = &self.views[agent];
         subgoals.retain(|sg| {
-            !sg.referenced_entities()
-                .iter()
-                .any(|e| view.dropped.iter().any(|d| d == e))
+            !sg.entity_refs()
+                .into_iter()
+                .flatten()
+                .any(|e| view.dropped.iter().any(|d| **d == *e))
         });
         for sg in &mut subgoals {
             for (from, to) in &view.renames {
@@ -579,7 +585,7 @@ mod tests {
                     faults_seen += 1;
                 }
                 for entity in &degraded.visible {
-                    if PHANTOMS.contains(&entity.name.as_str()) {
+                    if PHANTOMS.contains(&&*entity.name) {
                         assert!(!truth.sees(&entity.name), "phantom leaked into truth");
                         assert!(
                             aff.knows_entity(&entity.name),

@@ -2,7 +2,7 @@
 //! typed objects must reach typed destinations — plates to the dining
 //! table, groceries into the fridge.
 
-use crate::action::{ExecOutcome, Subgoal};
+use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
@@ -31,7 +31,7 @@ impl ItemKind {
 
 #[derive(Debug, Clone)]
 struct Item {
-    name: String,
+    name: Name,
     kind: ItemKind,
     pos: Option<Cell>,
     done: bool,
@@ -51,6 +51,8 @@ pub struct HouseholdEnv {
     agents: Vec<Body>,
     fridge_cell: Cell,
     table_cell: Cell,
+    fridge: Name,
+    table: Name,
     difficulty: TaskDifficulty,
     max_steps: usize,
 }
@@ -89,7 +91,8 @@ impl HouseholdEnv {
             let name = match kind {
                 ItemKind::Plate => format!("plate_{i}"),
                 ItemKind::Food => format!("food_{i}"),
-            };
+            }
+            .into();
             items.push(Item {
                 name,
                 kind,
@@ -113,6 +116,8 @@ impl HouseholdEnv {
             agents,
             fridge_cell,
             table_cell,
+            fridge: FRIDGE.into(),
+            table: TABLE.into(),
             difficulty,
             max_steps,
         }
@@ -124,7 +129,7 @@ impl HouseholdEnv {
     }
 
     fn item_index(&self, name: &str) -> Option<usize> {
-        self.items.iter().position(|i| i.name == name)
+        self.items.iter().position(|i| *i.name == *name)
     }
 
     fn dest_cell(&self, dest: &str) -> Option<Cell> {
@@ -132,6 +137,14 @@ impl HouseholdEnv {
             FRIDGE => Some(self.fridge_cell),
             TABLE => Some(self.table_cell),
             _ => None,
+        }
+    }
+
+    /// The shared name of a destination, `FRIDGE` or `TABLE`.
+    fn dest_name(&self, kind: ItemKind) -> &Name {
+        match kind {
+            ItemKind::Plate => &self.table,
+            ItemKind::Food => &self.fridge,
         }
     }
 }
@@ -183,18 +196,17 @@ impl Environment for HouseholdEnv {
                             item.name,
                             self.world
                                 .room_of(pos)
-                                .map(|r| r.name())
-                                .unwrap_or_default()
+                                .map_or("", |r| self.world.room_name(r.id))
                         ),
                     ));
                 }
             }
         }
         if self.world.same_room(body.pos, self.fridge_cell) {
-            visible.push(SeenEntity::new(FRIDGE, "the fridge"));
+            visible.push(SeenEntity::new(self.fridge.clone(), "the fridge"));
         }
         if self.world.same_room(body.pos, self.table_cell) {
-            visible.push(SeenEntity::new(TABLE, "the dining table"));
+            visible.push(SeenEntity::new(self.table.clone(), "the dining table"));
         }
         let status = match body.carrying {
             Some(idx) => format!("carrying {}", self.items[idx].name),
@@ -215,18 +227,18 @@ impl Environment for HouseholdEnv {
     fn oracle_subgoals(&self, agent: usize) -> Vec<Subgoal> {
         let body = &self.agents[agent];
         if let Some(idx) = body.carrying {
-            let dest = self.items[idx].kind.destination();
-            let cell = self.dest_cell(dest).expect("known destination");
+            let kind = self.items[idx].kind;
+            let cell = self
+                .dest_cell(kind.destination())
+                .expect("known destination");
+            let dest = self.dest_name(kind).clone();
             if self.world.same_room(body.pos, cell) && body.pos.manhattan(cell) <= 1 {
                 return vec![Subgoal::Place {
                     object: self.items[idx].name.clone(),
-                    dest: dest.into(),
+                    dest,
                 }];
             }
-            return vec![Subgoal::GoTo {
-                target: dest.into(),
-                cell,
-            }];
+            return vec![Subgoal::GoTo { target: dest, cell }];
         }
         let mut options = Vec::new();
         for item in &self.items {
@@ -266,13 +278,16 @@ impl Environment for HouseholdEnv {
         let mut all = Vec::new();
         for room in self.world.rooms() {
             all.push(Subgoal::GoTo {
-                target: room.name(),
+                target: self.world.room_name(room.id).clone(),
                 cell: room.center(),
             });
         }
-        for (dest, cell) in [(FRIDGE, self.fridge_cell), (TABLE, self.table_cell)] {
+        for (dest, cell) in [
+            (&self.fridge, self.fridge_cell),
+            (&self.table, self.table_cell),
+        ] {
             all.push(Subgoal::GoTo {
-                target: dest.into(),
+                target: dest.clone(),
                 cell,
             });
         }
@@ -290,10 +305,10 @@ impl Environment for HouseholdEnv {
         if let Some(idx) = body.carrying {
             // Both destinations are syntactically valid; only the
             // type-correct one will succeed — a classic wrong-plan trap.
-            for dest in [FRIDGE, TABLE] {
+            for dest in [&self.fridge, &self.table] {
                 all.push(Subgoal::Place {
                     object: self.items[idx].name.clone(),
-                    dest: dest.into(),
+                    dest: dest.clone(),
                 });
             }
         }
@@ -369,7 +384,7 @@ impl Environment for HouseholdEnv {
                 let Some(cell) = self.dest_cell(dest) else {
                     return ExecOutcome::failure(format!("{dest} is not a destination"));
                 };
-                if dest != self.items[carried].kind.destination() {
+                if **dest != *self.items[carried].kind.destination() {
                     return ExecOutcome::failure(format!("{object} does not belong at {dest}"));
                 }
                 if !self.world.same_room(self.agents[agent].pos, cell) {
@@ -403,7 +418,7 @@ impl Environment for HouseholdEnv {
                 let mut out = self.execute(
                     agent,
                     &Subgoal::GoTo {
-                        target: format!("room_{next}"),
+                        target: self.world.room_name(next).clone(),
                         cell,
                     },
                     low,
@@ -543,14 +558,14 @@ mod tests {
         e.items[plate_idx].pos = None;
         e.agents[0].carrying = Some(plate_idx);
         let candidates = e.candidate_subgoals(0);
-        let place_targets: Vec<String> = candidates
+        let place_targets: Vec<Name> = candidates
             .iter()
             .filter_map(|sg| match sg {
                 Subgoal::Place { dest, .. } => Some(dest.clone()),
                 _ => None,
             })
             .collect();
-        assert!(place_targets.contains(&FRIDGE.to_owned()));
-        assert!(place_targets.contains(&TABLE.to_owned()));
+        assert!(place_targets.contains(&FRIDGE.into()));
+        assert!(place_targets.contains(&TABLE.into()));
     }
 }

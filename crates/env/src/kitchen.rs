@@ -2,7 +2,7 @@
 //! single robot must complete a set of appliance-manipulation skills, each
 //! executed by an MLP control policy over several primitives.
 
-use crate::action::{ExecOutcome, Subgoal};
+use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use embodied_exec::{latency, MlpPolicy};
@@ -25,7 +25,10 @@ const PRIMS_PER_SKILL: usize = 3;
 /// The skill-suite environment (single agent).
 #[derive(Debug, Clone)]
 pub struct KitchenEnv {
+    /// The first `required.len()` entries of [`SKILLS`].
     required: Vec<&'static str>,
+    /// [`SKILLS`] as shared names, in the same order.
+    skills: [Name; 7],
     done: Vec<bool>,
     policy: MlpPolicy,
     difficulty: TaskDifficulty,
@@ -42,6 +45,7 @@ impl KitchenEnv {
             max_steps: k * 3 + 4,
             done,
             required,
+            skills: SKILLS.map(Name::from),
             policy: MlpPolicy::new(12, &[64, 64], 8, seed),
             difficulty,
         }
@@ -94,8 +98,12 @@ impl Environment for KitchenEnv {
             .required
             .iter()
             .zip(&self.done)
-            .map(|(s, d)| {
-                SeenEntity::new(*s, format!("{s}: {}", if *d { "done" } else { "pending" }))
+            .zip(&self.skills)
+            .map(|((s, d), name)| {
+                SeenEntity::new(
+                    name.clone(),
+                    format!("{s}: {}", if *d { "done" } else { "pending" }),
+                )
             })
             .collect();
         Observation {
@@ -111,22 +119,19 @@ impl Environment for KitchenEnv {
     }
 
     fn oracle_subgoals(&self, _agent: usize) -> Vec<Subgoal> {
-        self.required
+        self.skills
             .iter()
             .zip(&self.done)
             .filter(|(_, d)| !**d)
-            .map(|(s, _)| Subgoal::Skill {
-                name: (*s).to_owned(),
-            })
+            .map(|(name, _)| Subgoal::Skill { name: name.clone() })
             .collect()
     }
 
     fn candidate_subgoals(&self, _agent: usize) -> Vec<Subgoal> {
-        let mut all: Vec<Subgoal> = SKILLS
+        let mut all: Vec<Subgoal> = self
+            .skills
             .iter()
-            .map(|s| Subgoal::Skill {
-                name: (*s).to_owned(),
-            })
+            .map(|name| Subgoal::Skill { name: name.clone() })
             .collect();
         all.push(Subgoal::Wait);
         all

@@ -48,7 +48,7 @@ mod observation;
 mod transport;
 mod world;
 
-pub use action::{ExecOutcome, Subgoal};
+pub use action::{ExecOutcome, Name, Subgoal};
 pub use affordance::AffordanceSet;
 pub use alfworld::AlfWorldEnv;
 pub use boxworld::{BoxVariant, BoxWorldEnv};

@@ -3,7 +3,7 @@
 //! off across overlapping workspaces. Every motion runs a real RRT plan,
 //! which is what makes execution RoCo's dominant latency term (Fig. 2a).
 
-use crate::action::{ExecOutcome, Subgoal};
+use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty, TrajectoryPlanner};
 use crate::observation::{Observation, SeenEntity};
 use embodied_exec::{
@@ -18,7 +18,7 @@ const PLACE_TOL: f64 = 0.15;
 
 #[derive(Debug, Clone)]
 struct ArmObject {
-    name: String,
+    name: Name,
     pos: Point,
     target: Point,
     placed: bool,
@@ -71,7 +71,7 @@ impl ManipulationEnv {
             let pos = sample_near(&mut rng, bases[src_arm]);
             let target = sample_near(&mut rng, bases[dst_arm]);
             objects.push(ArmObject {
-                name: format!("part_{i}"),
+                name: format!("part_{i}").into(),
                 pos,
                 target,
                 placed: false,
@@ -100,7 +100,7 @@ impl ManipulationEnv {
     }
 
     fn object_index(&self, name: &str) -> Option<usize> {
-        self.objects.iter().position(|o| o.name == name)
+        self.objects.iter().position(|o| *o.name == *name)
     }
 
     /// The arm whose base is closest to `p`.
@@ -169,7 +169,7 @@ impl Environment for ManipulationEnv {
 
     fn landmarks(&self) -> Vec<String> {
         // The assembly manifest (part names and goal poses) is the task spec.
-        self.objects.iter().map(|o| o.name.clone()).collect()
+        self.objects.iter().map(|o| o.name.to_string()).collect()
     }
 
     fn observe(&self, agent: usize) -> Observation {

@@ -1,20 +1,22 @@
 //! Partial egocentric observations — what the sensing module sees each step.
 
+use crate::action::Name;
 use embodied_exec::Cell;
 
 /// One observed entity: a stable name plus a human-readable description
 /// fragment used when assembling prompts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeenEntity {
-    /// Stable name matching subgoal entity references, e.g. `"apple_1"`.
-    pub name: String,
+    /// Stable name matching subgoal entity references, e.g. `"apple_1"`,
+    /// shared with the environment's own copy.
+    pub name: Name,
     /// Prompt fragment, e.g. `"apple_1 on the counter in room_2"`.
     pub description: String,
 }
 
 impl SeenEntity {
     /// Convenience constructor.
-    pub fn new(name: impl Into<String>, description: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Name>, description: impl Into<String>) -> Self {
         SeenEntity {
             name: name.into(),
             description: description.into(),
@@ -47,7 +49,7 @@ impl Observation {
 
     /// Whether a named entity is currently visible.
     pub fn sees(&self, name: &str) -> bool {
-        self.visible.iter().any(|e| e.name == name)
+        self.visible.iter().any(|e| &*e.name == name)
     }
 
     /// Renders the observation as prompt text.

@@ -2,7 +2,7 @@
 //! family): find scattered objects in partially observable rooms and carry
 //! them to a goal zone.
 
-use crate::action::{ExecOutcome, Subgoal};
+use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
@@ -15,7 +15,7 @@ const GOAL_ZONE: &str = "goal_zone";
 
 #[derive(Debug, Clone)]
 struct TransportObject {
-    name: String,
+    name: Name,
     pos: Option<Cell>, // None while carried or after delivery
     delivered: bool,
 }
@@ -33,6 +33,9 @@ pub struct TransportEnv {
     objects: Vec<TransportObject>,
     agents: Vec<Body>,
     goal_cell: Cell,
+    goal_zone: Name,
+    /// `agent_{i}`, as teammates see each other.
+    agent_names: Vec<Name>,
     difficulty: TaskDifficulty,
     max_steps: usize,
 }
@@ -68,7 +71,7 @@ impl TransportEnv {
                 }
             };
             objects.push(TransportObject {
-                name: format!("object_{i}"),
+                name: format!("object_{i}").into(),
                 pos: Some(pos),
                 delivered: false,
             });
@@ -90,6 +93,10 @@ impl TransportEnv {
             objects,
             agents,
             goal_cell,
+            goal_zone: GOAL_ZONE.into(),
+            agent_names: (0..num_agents)
+                .map(|i| format!("agent_{i}").into())
+                .collect(),
             difficulty,
             max_steps,
         }
@@ -101,7 +108,7 @@ impl TransportEnv {
     }
 
     fn object_index(&self, name: &str) -> Option<usize> {
-        self.objects.iter().position(|o| o.name == name)
+        self.objects.iter().position(|o| *o.name == *name)
     }
 
     fn navigate(&mut self, agent: usize, target: Cell, low: &mut LowLevel) -> ExecOutcome {
@@ -174,8 +181,7 @@ impl Environment for TransportEnv {
                     let room_name = self
                         .world
                         .room_of(pos)
-                        .map(|r| r.name())
-                        .unwrap_or_default();
+                        .map_or("", |r| self.world.room_name(r.id));
                     visible.push(SeenEntity::new(
                         obj.name.clone(),
                         format!("{} on the floor of {room_name}", obj.name),
@@ -184,12 +190,12 @@ impl Environment for TransportEnv {
             }
         }
         if self.world.same_room(body.pos, self.goal_cell) {
-            visible.push(SeenEntity::new(GOAL_ZONE, "the goal zone"));
+            visible.push(SeenEntity::new(self.goal_zone.clone(), "the goal zone"));
         }
         for (i, other) in self.agents.iter().enumerate() {
             if i != agent && self.world.same_room(body.pos, other.pos) {
                 visible.push(SeenEntity::new(
-                    format!("agent_{i}"),
+                    self.agent_names[i].clone(),
                     format!("agent_{i} nearby"),
                 ));
             }
@@ -214,11 +220,11 @@ impl Environment for TransportEnv {
             {
                 return vec![Subgoal::Place {
                     object: self.objects[idx].name.clone(),
-                    dest: GOAL_ZONE.into(),
+                    dest: self.goal_zone.clone(),
                 }];
             }
             return vec![Subgoal::GoTo {
-                target: GOAL_ZONE.into(),
+                target: self.goal_zone.clone(),
                 cell: self.goal_cell,
             }];
         }
@@ -262,12 +268,12 @@ impl Environment for TransportEnv {
         let mut all = Vec::new();
         for room in self.world.rooms() {
             all.push(Subgoal::GoTo {
-                target: room.name(),
+                target: self.world.room_name(room.id).clone(),
                 cell: room.center(),
             });
         }
         all.push(Subgoal::GoTo {
-            target: GOAL_ZONE.into(),
+            target: self.goal_zone.clone(),
             cell: self.goal_cell,
         });
         for obj in &self.objects {
@@ -284,7 +290,7 @@ impl Environment for TransportEnv {
         if let Some(idx) = body.carrying {
             all.push(Subgoal::Place {
                 object: self.objects[idx].name.clone(),
-                dest: GOAL_ZONE.into(),
+                dest: self.goal_zone.clone(),
             });
         }
         all.push(Subgoal::Explore);
@@ -352,7 +358,7 @@ impl Environment for TransportEnv {
                 if self.objects[carried].name != *object {
                     return ExecOutcome::failure(format!("not carrying {object}"));
                 }
-                if dest != GOAL_ZONE {
+                if **dest != *GOAL_ZONE {
                     return ExecOutcome::failure(format!("{dest} is not a valid destination"));
                 }
                 if !self.world.same_room(self.agents[agent].pos, self.goal_cell) {
@@ -572,7 +578,7 @@ mod tests {
         let subgoals = e.oracle_subgoals(0);
         for sg in &subgoals {
             assert!(
-                !sg.referenced_entities().contains(&"object_0"),
+                !sg.entity_refs().contains(&Some("object_0")),
                 "agent 0 should not target contested object_0: {sg}"
             );
         }

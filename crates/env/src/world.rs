@@ -1,11 +1,13 @@
 //! Shared spatial world model: a room-partitioned occupancy grid.
 
+use crate::action::Name;
 use embodied_exec::{Cell, DenseGrid, NavGrid};
 
 /// A rectangular room within the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Room {
-    /// Room index (stable identifier used in entity names).
+    /// Room index (stable identifier used in entity names), which is also
+    /// its position in [`GridWorld::rooms`].
     pub id: usize,
     /// Inclusive min corner.
     pub min: Cell,
@@ -24,7 +26,8 @@ impl Room {
         Cell::new((self.min.x + self.max.x) / 2, (self.min.y + self.max.y) / 2)
     }
 
-    /// Human-readable room name used in prompts and subgoals.
+    /// Human-readable room name used in prompts and subgoals; its world
+    /// keeps it as a shared [`GridWorld::room_name`].
     pub fn name(&self) -> String {
         format!("room_{}", self.id)
     }
@@ -43,6 +46,9 @@ impl Room {
 pub struct GridWorld {
     walls: DenseGrid,
     rooms: Vec<Room>,
+    /// Each room's [`Room::name`], built once: `Room` is `Copy`, so the
+    /// shared names live here, indexed like `rooms`.
+    room_names: Vec<Name>,
     /// Each cell's position in `rooms`, indexed like `walls`; [`NO_ROOM`] on
     /// walls and doorways.
     room_index: Vec<u32>,
@@ -90,6 +96,15 @@ impl GridWorld {
     /// The rooms of this world.
     pub fn rooms(&self) -> &[Room] {
         &self.rooms
+    }
+
+    /// The shared name of the room with id `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no room has that id.
+    pub fn room_name(&self, id: usize) -> &Name {
+        &self.room_names[id]
     }
 
     /// The room containing `cell`, if any (wall cells belong to no room).
@@ -260,8 +275,10 @@ impl Layout {
                 room_index[i] = NO_ROOM;
             }
         }
+        debug_assert!(self.rooms.iter().enumerate().all(|(i, r)| r.id == i));
         GridWorld {
             walls,
+            room_names: self.rooms.iter().map(|r| r.name().into()).collect(),
             rooms: self.rooms,
             room_index,
         }
@@ -418,5 +435,6 @@ mod tests {
     fn room_names_are_stable() {
         let w = GridWorld::rooms_in_row(20, 10, 3);
         assert_eq!(w.rooms()[2].name(), "room_2");
+        assert_eq!(&**w.room_name(2), "room_2");
     }
 }

@@ -146,19 +146,19 @@ impl Environment for DoorButtonPuzzle {
             note,
         };
         match subgoal {
-            Subgoal::Skill { name } if name == "hold_button" => {
+            Subgoal::Skill { name } if &**name == "hold_button" => {
                 self.button_held_by = Some(agent);
                 self.door_open = true;
                 ok(format!("agent {agent} holds the button; the door opens"))
             }
-            Subgoal::Skill { name } if name == "release_button" => {
+            Subgoal::Skill { name } if &**name == "release_button" => {
                 if self.button_held_by == Some(agent) {
                     self.button_held_by = None;
                     self.door_open = false;
                 }
                 ok("released the button".into())
             }
-            Subgoal::GoTo { target, .. } if target == "door" => {
+            Subgoal::GoTo { target, .. } if &**target == "door" => {
                 if !self.door_open {
                     return ExecOutcome::failure("the door is sealed");
                 }
@@ -168,7 +168,7 @@ impl Environment for DoorButtonPuzzle {
                 self.past_door[agent] = true;
                 ok(format!("agent {agent} slipped through the door"))
             }
-            Subgoal::Pick { object } if object == "artifact" => {
+            Subgoal::Pick { object } if &**object == "artifact" => {
                 if !self.past_door[agent] {
                     return ExecOutcome::failure("artifact is out of reach");
                 }

@@ -5,15 +5,17 @@
 
 use embodied_suite::env::{
     AlfWorldEnv, BoxVariant, BoxWorldEnv, CraftEnv, CuisineEnv, Environment, HouseholdEnv,
-    KitchenEnv, LowLevel, ManipulationEnv, Subgoal, TaskDifficulty, TransportEnv,
+    KitchenEnv, LowLevel, ManipulationEnv, Name, Subgoal, TaskDifficulty, TransportEnv,
 };
 use embodied_suite::exec::Cell;
 use proptest::prelude::*;
 
 /// A strategy generating arbitrary (often invalid) subgoals.
 fn any_subgoal() -> impl Strategy<Value = Subgoal> {
-    fn name() -> impl Strategy<Value = String> {
-        proptest::string::string_regex("[a-z]{1,8}(_[0-9]{1,2})?").expect("valid regex")
+    fn name() -> impl Strategy<Value = Name> {
+        proptest::string::string_regex("[a-z]{1,8}(_[0-9]{1,2})?")
+            .expect("valid regex")
+            .prop_map(Name::from)
     }
     prop_oneof![
         (name(), -5i32..40, -5i32..40).prop_map(|(target, x, y)| Subgoal::GoTo {
@@ -109,7 +111,7 @@ proptest! {
                     .observe(agent)
                     .visible
                     .iter()
-                    .map(|e| e.name.clone())
+                    .map(|e| e.name.to_string())
                     .collect();
                 for sg in env.oracle_subgoals(agent) {
                     // The oracle must be *executable knowledge*: everything
