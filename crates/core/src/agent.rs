@@ -315,10 +315,12 @@ mod tests {
         agent.expire_blacklist(6);
         let filtered = agent.filter_subgoals_with(vec![pick_apple.clone()], knows, 6);
         assert!(filtered.is_empty(), "blacklisted until step 9");
-        agent.expire_blacklist(9);
-        assert!(agent.blacklist.is_empty(), "expired entries are purged");
+        // The filter ignores an expired entry that is still in the map ...
         let filtered = agent.filter_subgoals_with(vec![pick_apple], knows, 9);
         assert_eq!(filtered.len(), 1, "blacklist expired");
+        // ... and the purge drops it.
+        agent.expire_blacklist(9);
+        assert!(agent.blacklist.is_empty(), "expired entries are purged");
 
         // The key is the subgoal's text: a `GoTo` with the same target but
         // another cell is the same key, a different target is not.

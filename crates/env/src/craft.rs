@@ -97,15 +97,19 @@ const MILESTONES: [&str; 5] = [
     "diamond_pickaxe",
 ];
 
-fn recipe_for(item: &str) -> Option<&'static Recipe> {
-    RECIPES.iter().find(|r| r.item == item)
+/// The recipe making `item`, with its index in [`RECIPES`].
+fn recipe_for(item: &str) -> Option<(usize, &'static Recipe)> {
+    RECIPES.iter().enumerate().find(|(_, r)| r.item == item)
 }
 
-fn resource_info(name: &str) -> Option<(usize, u8)> {
+/// A resource's index in [`RESOURCES`], its biome index and the pickaxe
+/// tier it needs.
+fn resource_info(name: &str) -> Option<(usize, usize, u8)> {
     RESOURCES
         .iter()
-        .find(|(r, _, _)| *r == name)
-        .map(|&(_, biome, tier)| (biome, tier))
+        .enumerate()
+        .find(|(_, (r, _, _))| *r == name)
+        .map(|(i, &(_, biome, tier))| (i, biome, tier))
 }
 
 fn pickaxe_tier(item: &str) -> Option<u8> {
@@ -134,15 +138,6 @@ impl Vocabulary {
             resources: RESOURCES.map(|(r, _, _)| Name::from(r)),
             items: RECIPES.each_ref().map(|r| Name::from(r.item)),
         }
-    }
-
-    /// The shared name of a resource or recipe item.
-    fn of(&self, word: &str) -> &Name {
-        self.resources
-            .iter()
-            .chain(&self.items)
-            .find(|n| ***n == *word)
-            .expect("plans only name the crafting vocabulary")
     }
 }
 
@@ -221,7 +216,7 @@ impl CraftEnv {
         if depth > 12 || self.has(item) >= count {
             return None;
         }
-        if let Some((biome, tier)) = resource_info(item) {
+        if let Some((resource, biome, tier)) = resource_info(item) {
             if self.best_pickaxe_tier() < tier {
                 let tool = match tier {
                     1 => "wooden_pickaxe",
@@ -232,7 +227,7 @@ impl CraftEnv {
             }
             if self.current_biome() == biome {
                 return Some(Subgoal::Gather {
-                    resource: self.names.of(item).clone(),
+                    resource: self.names.resources[resource].clone(),
                 });
             }
             return Some(Subgoal::GoTo {
@@ -240,12 +235,12 @@ impl CraftEnv {
                 cell: self.world.rooms()[biome].center(),
             });
         }
-        let recipe = recipe_for(item)?;
+        let (index, recipe) = recipe_for(item)?;
         if let Some(station) = recipe.station {
             if self.has(station) == 0 {
                 return self
                     .plan_for(station, 1, depth + 1)
-                    .or_else(|| self.craft_now(station));
+                    .or_else(|| recipe_for(station).map(|(s, _)| self.craft_now(s)));
             }
         }
         for &(ing, need) in recipe.ingredients {
@@ -253,13 +248,14 @@ impl CraftEnv {
                 return Some(sg);
             }
         }
-        self.craft_now(item)
+        Some(self.craft_now(index))
     }
 
-    fn craft_now(&self, item: &str) -> Option<Subgoal> {
-        Some(Subgoal::Craft {
-            item: self.names.of(item).clone(),
-        })
+    /// Crafting the item of `RECIPES[recipe]`.
+    fn craft_now(&self, recipe: usize) -> Subgoal {
+        Subgoal::Craft {
+            item: self.names.items[recipe].clone(),
+        }
     }
 
     fn can_craft(&self, recipe: &Recipe) -> Result<(), String> {
@@ -391,7 +387,7 @@ impl Environment for CraftEnv {
                 Err(_) => ExecOutcome::failure(format!("cannot reach {target}")),
             },
             Subgoal::Gather { resource } => {
-                let Some((biome, tier)) = resource_info(resource) else {
+                let Some((_, biome, tier)) = resource_info(resource) else {
                     return ExecOutcome::failure(format!("{resource} is not gatherable"));
                 };
                 if self.current_biome() != biome {
@@ -421,7 +417,7 @@ impl Environment for CraftEnv {
                 }
             }
             Subgoal::Craft { item } => {
-                let Some(recipe) = recipe_for(item) else {
+                let Some((_, recipe)) = recipe_for(item) else {
                     return ExecOutcome::failure(format!("no recipe for {item}"));
                 };
                 if let Err(msg) = self.can_craft(recipe) {

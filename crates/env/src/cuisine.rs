@@ -12,14 +12,14 @@ use rand::Rng;
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Order {
     dish: Name,
-    stages: Vec<&'static str>, // e.g. ["fetch", "chop", "cook"]
+    stages: Vec<Name>, // e.g. ["fetch", "chop", "cook"]
     served: bool,
     arrived_at: usize, // execute-round index when the order appears
 }
 
 impl Order {
-    fn next_stage(&self) -> Option<&'static str> {
-        self.stages.first().copied()
+    fn next_stage(&self) -> Option<&Name> {
+        self.stages.first()
     }
 }
 
@@ -67,18 +67,15 @@ impl CuisineEnv {
         let _ = seed;
         let n_orders = 3 * difficulty.scale();
         let dish_names = ["salad", "soup", "stew", "curry", "noodles", "pie", "roast"];
+        let stage_names = STAGES.map(Name::from);
+        // The first `len` stages; Easy dishes skip `chop`.
+        let pipeline = |len: usize| stage_names[..len].to_vec();
         let orders: Vec<Order> = (0..n_orders)
             .map(|i| {
-                let stages: Vec<&'static str> = match difficulty {
-                    TaskDifficulty::Easy => vec!["fetch", "cook"],
-                    TaskDifficulty::Medium => vec!["fetch", "chop", "cook"],
-                    TaskDifficulty::Hard => {
-                        if i % 2 == 0 {
-                            vec!["fetch", "chop", "cook"]
-                        } else {
-                            vec!["fetch", "chop", "cook", "plate"]
-                        }
-                    }
+                let stages = match difficulty {
+                    TaskDifficulty::Easy => vec![stage_names[0].clone(), stage_names[2].clone()],
+                    TaskDifficulty::Medium => pipeline(3),
+                    TaskDifficulty::Hard => pipeline(if i % 2 == 0 { 3 } else { 4 }),
                 };
                 Order {
                     dish: format!("{}_{i}", dish_names[i % dish_names.len()]).into(),
@@ -98,18 +95,9 @@ impl CuisineEnv {
             rounds: 0,
             station_used_round: Default::default(),
             calls: 0,
-            stage_names: STAGES.map(Name::from),
+            stage_names,
             station_names: STATIONS.map(Name::from),
         }
-    }
-
-    /// The shared name of `stage`, one of [`STAGES`].
-    fn stage_name(&self, stage: &str) -> &Name {
-        let i = STAGES
-            .iter()
-            .position(|s| *s == stage)
-            .expect("orders only hold known stages");
-        &self.stage_names[i]
     }
 
     /// Number of served dishes.
@@ -165,7 +153,7 @@ impl Environment for CuisineEnv {
         let mut visible: Vec<SeenEntity> = self
             .active_orders()
             .map(|o| {
-                let stage = o.next_stage().unwrap_or("serve");
+                let stage = o.next_stage().map_or("serve", |s| s);
                 SeenEntity::new(o.dish.clone(), format!("order {} awaiting {stage}", o.dish))
             })
             .collect();
@@ -197,7 +185,7 @@ impl Environment for CuisineEnv {
             let sg = match order.next_stage() {
                 Some(stage) => Subgoal::Cook {
                     dish: order.dish.clone(),
-                    stage: self.stage_name(stage).clone(),
+                    stage: stage.clone(),
                 },
                 None => Subgoal::Serve {
                     dish: order.dish.clone(),
@@ -254,7 +242,7 @@ impl Environment for CuisineEnv {
                     return ExecOutcome::failure(format!("{dish} has not been ordered yet"));
                 }
                 match order.next_stage() {
-                    Some(expected) if expected == &**stage => {
+                    Some(expected) if expected == stage => {
                         let drive = low.actuator.drive(SimDuration::from_millis(2_600));
                         let success =
                             drive.success && low.rng.gen_bool(low.competence.clamp(0.0, 1.0));

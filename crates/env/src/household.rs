@@ -177,7 +177,12 @@ impl Environment for HouseholdEnv {
     }
 
     fn landmarks(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.world.rooms().iter().map(|r| r.name()).collect();
+        let mut names: Vec<String> = self
+            .world
+            .rooms()
+            .iter()
+            .map(|r| self.world.room_name(r.id).to_string())
+            .collect();
         names.push(FRIDGE.into());
         names.push(TABLE.into());
         names
@@ -217,7 +222,7 @@ impl Environment for HouseholdEnv {
             location: self
                 .world
                 .room_of(body.pos)
-                .map(|r| r.name())
+                .map(|r| self.world.room_name(r.id).to_string())
                 .unwrap_or_default(),
             visible,
             status,

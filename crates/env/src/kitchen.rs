@@ -25,10 +25,10 @@ const PRIMS_PER_SKILL: usize = 3;
 /// The skill-suite environment (single agent).
 #[derive(Debug, Clone)]
 pub struct KitchenEnv {
-    /// The first `required.len()` entries of [`SKILLS`].
-    required: Vec<&'static str>,
-    /// [`SKILLS`] as shared names, in the same order.
+    /// [`SKILLS`] as shared names, in the same order; the task requires
+    /// the first `done.len()` of them.
     skills: [Name; 7],
+    /// Whether each required skill is done.
     done: Vec<bool>,
     policy: MlpPolicy,
     difficulty: TaskDifficulty,
@@ -39,12 +39,9 @@ impl KitchenEnv {
     /// Builds an instance requiring 3/5/7 skills by difficulty.
     pub fn new(difficulty: TaskDifficulty, _num_agents: usize, seed: u64) -> Self {
         let k = 2 * difficulty.scale() + 1;
-        let required: Vec<&'static str> = SKILLS.iter().copied().take(k).collect();
-        let done = vec![false; required.len()];
         KitchenEnv {
             max_steps: k * 3 + 4,
-            done,
-            required,
+            done: vec![false; k],
             skills: SKILLS.map(Name::from),
             policy: MlpPolicy::new(12, &[64, 64], 8, seed),
             difficulty,
@@ -56,8 +53,13 @@ impl KitchenEnv {
         self.done.iter().filter(|d| **d).count()
     }
 
+    /// The skills this task requires.
+    fn required(&self) -> &[Name] {
+        &self.skills[..self.done.len()]
+    }
+
     fn skill_index(&self, name: &str) -> Option<usize> {
-        self.required.iter().position(|s| *s == name)
+        self.required().iter().position(|s| **s == *name)
     }
 
     fn features_for(&self, skill_idx: usize, prim: usize) -> Vec<f64> {
@@ -85,24 +87,26 @@ impl Environment for KitchenEnv {
     }
 
     fn goal_text(&self) -> String {
-        format!("Complete the kitchen skills: {}.", self.required.join(", "))
+        format!(
+            "Complete the kitchen skills: {}.",
+            self.required().join(", ")
+        )
     }
 
     fn landmarks(&self) -> Vec<String> {
         // The task spec names its skills.
-        self.required.iter().map(|s| (*s).to_owned()).collect()
+        self.required().iter().map(|s| s.to_string()).collect()
     }
 
     fn observe(&self, _agent: usize) -> Observation {
         let visible: Vec<SeenEntity> = self
-            .required
+            .required()
             .iter()
             .zip(&self.done)
-            .zip(&self.skills)
-            .map(|((s, d), name)| {
+            .map(|(name, d)| {
                 SeenEntity::new(
                     name.clone(),
-                    format!("{s}: {}", if *d { "done" } else { "pending" }),
+                    format!("{name}: {}", if *d { "done" } else { "pending" }),
                 )
             })
             .collect();
@@ -113,13 +117,13 @@ impl Environment for KitchenEnv {
             status: format!(
                 "{}/{} skills complete",
                 self.completed_count(),
-                self.required.len()
+                self.done.len()
             ),
         }
     }
 
     fn oracle_subgoals(&self, _agent: usize) -> Vec<Subgoal> {
-        self.skills
+        self.required()
             .iter()
             .zip(&self.done)
             .filter(|(_, d)| !**d)
@@ -193,10 +197,10 @@ impl Environment for KitchenEnv {
     }
 
     fn progress(&self) -> f64 {
-        if self.required.is_empty() {
+        if self.done.is_empty() {
             1.0
         } else {
-            self.completed_count() as f64 / self.required.len() as f64
+            self.completed_count() as f64 / self.done.len() as f64
         }
     }
 }
@@ -259,15 +263,17 @@ mod tests {
     #[test]
     fn difficulty_scales_skill_count() {
         assert_eq!(
-            KitchenEnv::new(TaskDifficulty::Easy, 1, 0).required.len(),
+            KitchenEnv::new(TaskDifficulty::Easy, 1, 0).required().len(),
             3
         );
         assert_eq!(
-            KitchenEnv::new(TaskDifficulty::Medium, 1, 0).required.len(),
+            KitchenEnv::new(TaskDifficulty::Medium, 1, 0)
+                .required()
+                .len(),
             5
         );
         assert_eq!(
-            KitchenEnv::new(TaskDifficulty::Hard, 1, 0).required.len(),
+            KitchenEnv::new(TaskDifficulty::Hard, 1, 0).required().len(),
             7
         );
     }

@@ -166,7 +166,12 @@ impl Environment for TransportEnv {
     }
 
     fn landmarks(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.world.rooms().iter().map(|r| r.name()).collect();
+        let mut names: Vec<String> = self
+            .world
+            .rooms()
+            .iter()
+            .map(|r| self.world.room_name(r.id).to_string())
+            .collect();
         names.push(GOAL_ZONE.to_owned());
         names
     }
@@ -206,7 +211,9 @@ impl Environment for TransportEnv {
         };
         Observation {
             agent_pos: Some(body.pos),
-            location: room.map(|r| r.name()).unwrap_or_default(),
+            location: room
+                .map(|r| self.world.room_name(r.id).to_string())
+                .unwrap_or_default(),
             visible,
             status,
         }

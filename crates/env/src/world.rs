@@ -25,12 +25,6 @@ impl Room {
     pub fn center(&self) -> Cell {
         Cell::new((self.min.x + self.max.x) / 2, (self.min.y + self.max.y) / 2)
     }
-
-    /// Human-readable room name used in prompts and subgoals; its world
-    /// keeps it as a shared [`GridWorld::room_name`].
-    pub fn name(&self) -> String {
-        format!("room_{}", self.id)
-    }
 }
 
 /// A grid world partitioned into rooms connected by doorways.
@@ -46,8 +40,8 @@ impl Room {
 pub struct GridWorld {
     walls: DenseGrid,
     rooms: Vec<Room>,
-    /// Each room's [`Room::name`], built once: `Room` is `Copy`, so the
-    /// shared names live here, indexed like `rooms`.
+    /// Each room's name (`room_{id}`), built once: `Room` is `Copy`, so
+    /// the shared names live here, indexed like `rooms`.
     room_names: Vec<Name>,
     /// Each cell's position in `rooms`, indexed like `walls`; [`NO_ROOM`] on
     /// walls and doorways.
@@ -98,7 +92,8 @@ impl GridWorld {
         &self.rooms
     }
 
-    /// The shared name of the room with id `id`.
+    /// The shared name of the room with id `id` (`room_{id}`), used in
+    /// prompts and subgoals.
     ///
     /// # Panics
     ///
@@ -278,7 +273,9 @@ impl Layout {
         debug_assert!(self.rooms.iter().enumerate().all(|(i, r)| r.id == i));
         GridWorld {
             walls,
-            room_names: self.rooms.iter().map(|r| r.name().into()).collect(),
+            room_names: (0..self.rooms.len())
+                .map(|id| format!("room_{id}").into())
+                .collect(),
             rooms: self.rooms,
             room_index,
         }
@@ -434,7 +431,6 @@ mod tests {
     #[test]
     fn room_names_are_stable() {
         let w = GridWorld::rooms_in_row(20, 10, 3);
-        assert_eq!(w.rooms()[2].name(), "room_2");
         assert_eq!(&**w.room_name(2), "room_2");
     }
 }
