@@ -472,6 +472,12 @@ fn note_rejection(stats: &mut RepairStats, error: &ValidationError) {
     }
 }
 
+/// The repair re-prompt's instruction.
+const REPAIR_INSTRUCTION: Counted<&str> = Counted::literal(
+    "Your previous decision was rejected. Re-emit exactly one action \
+     chosen from the available actions above.",
+);
+
 /// Writes the repair re-prompt into `out`, rendered or counted as
 /// `engine` needs: the validator's structured error feedback plus the full
 /// afforded menu, so the model can ground its retry.
@@ -487,11 +493,7 @@ fn write_repair_prompt<'a>(
     w.push_counted("task goal", goal)
         .push("validator error", &error.feedback())
         .push_candidates(affordances.candidates())
-        .push(
-            "instruction",
-            "Your previous decision was rejected. Re-emit exactly one action \
-             chosen from the available actions above.",
-        );
+        .push_counted("instruction", REPAIR_INSTRUCTION);
     w.finish()
 }
 

@@ -6,11 +6,17 @@
 //! paper's "only 20% of pre-generated messages lead to actual
 //! communication" finding (§V-D).
 
-use crate::prompt::{Counted, PromptWriter};
+use crate::prompt::{count_tokens, digit_tokens, literal_tokens, Counted, PromptWriter};
 use embodied_env::Name;
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 use std::fmt::Write as _;
 use std::rc::Rc;
+
+/// The message prompt's instruction.
+const INSTRUCTION: Counted<&str> = Counted::literal(
+    "Compose a short message to your teammates sharing anything \
+     they need to coordinate effectively.",
+);
 
 /// A message produced by one agent for broadcast.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,9 +37,11 @@ pub struct OutgoingMessage {
 #[derive(Debug, Clone)]
 pub struct CommunicationModule {
     engine: EngineHandle,
-    /// Reusable buffer, allocated once: each call renders its prompt here,
-    /// then assembles the message text.
+    /// Reusable prompt buffer: rendered fresh each call, allocated once.
     prompt_buf: String,
+    /// Reusable buffer the message text is assembled in before it is
+    /// copied once into its shared allocation.
+    text_buf: String,
 }
 
 impl CommunicationModule {
@@ -44,6 +52,7 @@ impl CommunicationModule {
         CommunicationModule {
             engine: engine.into(),
             prompt_buf: String::new(),
+            text_buf: String::new(),
         }
     }
 
@@ -59,9 +68,10 @@ impl CommunicationModule {
 
     /// Generates one outgoing message.
     ///
-    /// `status` is the sender's own state line; `knowledge_delta` is what
-    /// the sender has learned since it last broadcast (possibly empty — the
-    /// redundant-message case), which the message carries.
+    /// `status` is the sender's own state line, counted where it was made;
+    /// `knowledge_delta` is what the sender has learned since it last
+    /// broadcast (possibly empty — the redundant-message case), which the
+    /// message carries.
     ///
     /// # Errors
     ///
@@ -72,7 +82,7 @@ impl CommunicationModule {
         from: usize,
         preamble: Counted<&str>,
         goal: Counted<&str>,
-        status: &str,
+        status: Counted<&str>,
         dialogue_so_far: &[Counted<Rc<str>>],
         knowledge_delta: Rc<[Name]>,
         difficulty: f64,
@@ -80,24 +90,26 @@ impl CommunicationModule {
     ) -> Result<OutgoingMessage, LlmError> {
         let mut w = PromptWriter::for_engine(&mut self.prompt_buf, preamble, &self.engine);
         w.push_counted("task goal", goal)
-            .push("your status", status)
+            .push_counted("your status", status)
             .push_lines("dialogue so far", dialogue_so_far)
-            .push(
-                "instruction",
-                "Compose a short message to your teammates sharing anything \
-                 they need to coordinate effectively.",
-            );
+            .push_counted("instruction", INSTRUCTION);
         let response = self.engine.infer(
             LlmRequest::new(Purpose::Communication, w.finish(), 60)
                 .with_difficulty(difficulty)
                 .with_opts(opts),
         )?;
 
-        let text = &mut self.prompt_buf;
+        // The text is counted from its parts, which meet at spaces and
+        // punctuation: `agent {from}: {status}. ` is a word, the digits, a
+        // colon, the status and a period.
+        let text = &mut self.text_buf;
         text.clear();
-        let _ = write!(text, "agent {from}: {status}. ");
+        let _ = write!(text, "agent {from}: {}. ", status.text());
+        let mut tokens =
+            const { literal_tokens("agent :.") } + digit_tokens(from) + status.tokens();
         if knowledge_delta.is_empty() {
             text.push_str("Proceeding with my current plan.");
+            tokens += const { literal_tokens("Proceeding with my current plan.") };
         } else {
             text.push_str("I have located ");
             for (k, e) in knowledge_delta.iter().enumerate() {
@@ -105,15 +117,25 @@ impl CommunicationModule {
                     text.push_str(", ");
                 }
                 text.push_str(e);
+                tokens += count_tokens(e);
             }
             text.push('.');
+            // One comma between each two names, and the closing period.
+            tokens += const { literal_tokens("I have located") } + knowledge_delta.len() as u64;
         }
         Ok(OutgoingMessage {
             from,
-            text: Counted::new(Rc::from(text.as_str())),
+            text: Counted::with_tokens(Rc::from(text.as_str()), tokens),
             entities: knowledge_delta,
             response,
         })
+    }
+
+    /// Capacity of the prompt buffer: 0 while every prompt was only
+    /// counted.
+    #[cfg(test)]
+    pub(crate) fn prompt_capacity(&self) -> usize {
+        self.prompt_buf.capacity()
     }
 
     /// Whether the planning-then-communication gate (Rec. 8) should allow a
@@ -141,7 +163,7 @@ mod tests {
                 1,
                 Counted::new("you are a communicator"),
                 Counted::new("deliver objects"),
-                "in room_2, hands free",
+                Counted::new("in room_2, hands free"),
                 &[],
                 vec!["object_3".into()].into(),
                 0.4,
@@ -162,7 +184,7 @@ mod tests {
                 0,
                 Counted::new("you are a communicator"),
                 Counted::new("deliver objects"),
-                "in room_0",
+                Counted::new("in room_0"),
                 &[Counted::new(Rc::from("agent 1: hello"))],
                 crate::modules::no_entities(),
                 0.4,
@@ -182,7 +204,7 @@ mod tests {
                 0,
                 preamble.as_deref(),
                 Counted::new("deliver objects"),
-                "in room_0",
+                Counted::new("in room_0"),
                 &[],
                 crate::modules::no_entities(),
                 0.4,

@@ -8,7 +8,7 @@
 //! — the measurable footprint of exploration.
 
 use crate::modules::Percept;
-use crate::prompt::{count_tokens, digit_tokens};
+use crate::prompt::{count_tokens, digit_tokens, literal_tokens};
 use embodied_env::Name;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -34,11 +34,11 @@ pub struct LocationKnowledge {
 /// "(seen step N)". The parts meet at spaces, where counts add up.
 fn line_tokens(name: &str, entities: &[Name], step: usize) -> u64 {
     let body = if entities.is_empty() {
-        count_tokens("nothing notable")
+        const { literal_tokens("nothing notable") }
     } else {
         entities.iter().map(|e| count_tokens(e)).sum::<u64>() + entities.len() as u64 - 1
     };
-    count_tokens(name) + 1 + body + count_tokens("(seen step)") + digit_tokens(step)
+    count_tokens(name) + 1 + body + const { literal_tokens("(seen step)") } + digit_tokens(step)
 }
 
 /// An accumulated map of the (partially observed) world.
@@ -118,7 +118,7 @@ impl WorldMap {
         if let Some(out) = out.as_deref_mut() {
             out.push_str("[map]\n");
         }
-        let mut tokens = count_tokens("[map]");
+        let mut tokens = const { literal_tokens("[map]") };
         let mut first = true;
         self.for_each_recent(max_locations, |name, k| {
             tokens += k.line_tokens;
@@ -197,11 +197,12 @@ impl WorldMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prompt::Counted;
 
     fn percept(location: &str, entities: &[&str]) -> Percept {
         Percept {
             entities: entities.iter().map(|&e| e.into()).collect(),
-            text: Rc::from(""),
+            text: Counted::new(Rc::from("")),
             location: location.to_owned(),
         }
     }

@@ -3,7 +3,7 @@
 //! (Fig. 5), and the dual long/short-term structure of Rec. 5.
 
 use crate::config::MemoryCapacity;
-use crate::prompt::{count_tokens, digit_tokens, Counted};
+use crate::prompt::{count_tokens, digit_tokens, literal_tokens, Counted};
 use embodied_env::Name;
 use embodied_profiler::SimDuration;
 use std::collections::HashMap;
@@ -256,7 +256,8 @@ const KEEP_LAST: usize = 6;
 /// Tokens in the summarized view's `[N earlier entries summarized: …]`
 /// header: the bracket, one per digit of `N`, and the fixed words.
 fn summary_header_tokens(omitted: usize) -> u64 {
-    1 + digit_tokens(omitted) + count_tokens(" earlier entries summarized: routine progress]")
+    1 + digit_tokens(omitted)
+        + const { literal_tokens(" earlier entries summarized: routine progress]") }
 }
 
 impl MemoryModule {
@@ -346,14 +347,16 @@ impl MemoryModule {
     }
 
     /// [`MemoryModule::store`] for text counted where it was made, such as
-    /// a message its sender counted once for every recipient.
+    /// a percept or a message its sender counted once for every recipient.
     pub fn store_counted(
         &mut self,
         kind: RecordKind,
         text: Counted<Rc<str>>,
         entities: Rc<[Name]>,
     ) {
-        let tokens = text.tokens();
+        // As in `store`: a disabled module never retrieves, so its records
+        // carry no count.
+        let tokens = if self.enabled { text.tokens() } else { 0 };
         self.push_record(kind, text.into_text(), tokens, entities);
     }
 
@@ -617,7 +620,8 @@ impl MemoryModule {
                         out.push_str(self.names.name(id));
                     }
                 }
-                tokens += count_tokens("long-term: known entities") + self.long_term_tokens;
+                tokens +=
+                    const { literal_tokens("long-term: known entities") } + self.long_term_tokens;
                 first = false;
             }
             line_idx += 1;

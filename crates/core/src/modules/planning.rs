@@ -11,6 +11,9 @@ use embodied_env::Subgoal;
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 use std::rc::Rc;
 
+/// The action-selection pass's closing request, after the proposed plan.
+const CONFIRM_SELECTION: Counted<&str> = Counted::literal("Confirm or pick the best action.");
+
 /// Everything the planner needs for one decision.
 #[derive(Debug, Clone)]
 pub struct PlanContext<'a> {
@@ -18,8 +21,8 @@ pub struct PlanContext<'a> {
     pub preamble: Counted<&'a str>,
     /// Natural-language goal.
     pub goal: Counted<&'a str>,
-    /// Sensing output text.
-    pub percept_text: &'a str,
+    /// Sensing output text, counted where sensing made it.
+    pub percept: Counted<&'a str>,
     /// Retrieved memory.
     pub memory: Body<'a>,
     /// Dialogue history (multi-agent systems): the messages received,
@@ -87,6 +90,13 @@ impl PlanningModule {
         &mut self.engine
     }
 
+    /// Capacity of the prompt buffer: 0 while every prompt was only
+    /// counted.
+    #[cfg(test)]
+    pub(crate) fn prompt_capacity(&self) -> usize {
+        self.prompt_buf.capacity()
+    }
+
     /// Starts the planning prompt in a reusable buffer: rendered or
     /// counted as the engine needs.
     fn writer<'b>(
@@ -96,7 +106,7 @@ impl PlanningModule {
     ) -> PromptWriter<'b> {
         let mut w = PromptWriter::for_engine(out, ctx.preamble, engine);
         w.push_counted("task goal", ctx.goal)
-            .push("current observation", ctx.percept_text)
+            .push_counted("current observation", ctx.percept)
             .push_counted("memory", ctx.memory)
             .push_lines("dialogue", ctx.dialogue)
             .push_candidates(&ctx.candidates);
@@ -157,10 +167,9 @@ impl PlanningModule {
         decision: PlanDecision,
     ) -> Result<PlanDecision, LlmError> {
         let mut w = Self::writer(ctx, &mut self.prompt_buf, &self.engine);
-        w.append(format_args!(
-            "\n[proposed plan]\n{}\nConfirm or pick the best action.",
-            decision.subgoal
-        ));
+        w.append(Counted::literal("\n"))
+            .push_subgoal("proposed plan", &decision.subgoal)
+            .append(CONFIRM_SELECTION);
         let response = self.engine.infer(
             LlmRequest::new(Purpose::ActionSelection, w.finish(), 24)
                 .with_difficulty(ctx.difficulty)
@@ -220,7 +229,7 @@ mod tests {
         PlanContext {
             preamble: Counted::new("you are a planner"),
             goal: Counted::new("deliver all objects"),
-            percept_text: "you see object_1",
+            percept: Counted::new("you see object_1"),
             memory: Body::Count(0),
             dialogue: &[],
             oracle: oracle.to_vec(),

@@ -6,6 +6,18 @@ use crate::prompt::{Counted, PromptWriter};
 use embodied_env::{ExecOutcome, Subgoal};
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 
+/// The reflection prompt's instruction after a failed action.
+const REFLECT_INSTRUCTION: Counted<&str> = Counted::literal(
+    "Did the action achieve its intent? If not, diagnose the \
+     error and state what belief must be corrected.",
+);
+
+/// The plan-verification prompt's instruction.
+const VERIFY_INSTRUCTION: Counted<&str> = Counted::literal(
+    "Verify the proposed plan against the current world state and \
+     task goal. Answer whether it should be executed or revised.",
+);
+
 /// Reflection's judgement of the last action.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReflectionVerdict {
@@ -90,6 +102,13 @@ impl ReflectionModule {
         &mut self.engine
     }
 
+    /// Capacity of the prompt buffer: 0 while every prompt was only
+    /// counted.
+    #[cfg(test)]
+    pub(crate) fn prompt_capacity(&self) -> usize {
+        self.prompt_buf.capacity()
+    }
+
     /// Reflects on a failed (or unproductive) action.
     ///
     /// # Errors
@@ -104,13 +123,9 @@ impl ReflectionModule {
         opts: InferenceOpts,
     ) -> Result<ReflectionVerdict, LlmError> {
         let mut w = PromptWriter::for_engine(&mut self.prompt_buf, preamble, &self.engine);
-        w.push_display("attempted action", subgoal)
+        w.push_subgoal("attempted action", subgoal)
             .push("observed result", &outcome.note)
-            .push(
-                "instruction",
-                "Did the action achieve its intent? If not, diagnose the \
-                 error and state what belief must be corrected.",
-            );
+            .push_counted("instruction", REFLECT_INSTRUCTION);
         let response = self.engine.infer(
             LlmRequest::new(Purpose::Reflection, w.finish(), 70)
                 .with_difficulty(difficulty)
@@ -158,11 +173,8 @@ impl ReflectionModule {
         opts: InferenceOpts,
     ) -> Result<(bool, LlmResponse), LlmError> {
         let mut w = PromptWriter::for_engine(&mut self.prompt_buf, preamble, &self.engine);
-        w.push_display("proposed plan", subgoal).push(
-            "instruction",
-            "Verify the proposed plan against the current world state and \
-             task goal. Answer whether it should be executed or revised.",
-        );
+        w.push_subgoal("proposed plan", subgoal)
+            .push_counted("instruction", VERIFY_INSTRUCTION);
         let response = self.engine.infer(
             LlmRequest::new(Purpose::Reflection, w.finish(), 18)
                 .with_difficulty(difficulty)

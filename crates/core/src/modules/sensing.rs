@@ -2,6 +2,7 @@
 //! observation and produces a percept (recognized entities + prompt text).
 
 use crate::modules::no_entities;
+use crate::prompt::Counted;
 use embodied_env::{Name, Observation};
 use embodied_llm::EncoderProfile;
 use embodied_profiler::SimDuration;
@@ -11,13 +12,15 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// What sensing hands to the rest of the pipeline. Its text and entity
-/// names are shared with the memory record and map entry made from it.
+/// names are shared with the memory record and map entry made from it, and
+/// the text's token count, taken once here, with every prompt that shows
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Percept {
     /// Names of entities the encoder recognized this step.
     pub entities: Rc<[Name]>,
     /// Prompt-ready description of the (recognized part of the) scene.
-    pub text: Rc<str>,
+    pub text: Counted<Rc<str>>,
     /// Current location label.
     pub location: String,
 }
@@ -89,7 +92,7 @@ impl SensingModule {
         (
             Percept {
                 entities,
-                text: Rc::from(text.as_str()),
+                text: Counted::new(Rc::from(text.as_str())),
                 location: obs.location.clone(),
             },
             latency,
@@ -142,9 +145,10 @@ mod tests {
     fn percept_text_mentions_location_and_status() {
         let mut s = SensingModule::new(None, 0);
         let (p, _) = s.sense(&obs(1));
-        assert!(p.text.contains("room_1"));
-        assert!(p.text.contains("hands free"));
-        assert!(p.text.contains("obj_0"));
+        assert!(p.text.text().contains("room_1"));
+        assert!(p.text.text().contains("hands free"));
+        assert!(p.text.text().contains("obj_0"));
+        assert_eq!(p.text, Counted::new(Rc::from(p.text.text())));
     }
 
     #[test]

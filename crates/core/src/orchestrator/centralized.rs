@@ -8,16 +8,27 @@
 
 use crate::guardrail;
 use crate::modules::{no_entities, Percept, RecordKind};
-use crate::prompt::{renders_for, write_joint_plan_prompt, Body, Counted, PromptWriter};
+use crate::prompt::{
+    digit_tokens, literal_tokens, renders_for, subgoal_tokens, write_joint_plan_prompt, Body,
+    Counted, PromptWriter,
+};
 use crate::system::EmbodiedSystem;
-use embodied_env::Subgoal;
+use embodied_env::{AffordanceSet, Subgoal};
 use embodied_llm::{InferenceOpts, LlmRequest, Purpose, SemanticFlaw};
 use embodied_profiler::{ModuleKind, Phase, RepairStats};
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Difficulty inflation per extra agent the central planner must reason
 /// jointly about (action interdependencies grow combinatorially).
 const JOINT_DIFFICULTY_PER_AGENT: f64 = 0.09;
+
+/// `agent {i}: {text}`, a central memory line, counted from its parts: a
+/// word, the digits and a colon before the text's own count.
+fn agent_line(i: usize, text: Counted<&str>) -> Counted<Rc<str>> {
+    let tokens = const { literal_tokens("agent :") } + digit_tokens(i) + text.tokens();
+    Counted::with_tokens(format!("agent {i}: {}", text.text()).into(), tokens)
+}
 
 /// Runs one environment step for a centralized system.
 pub(crate) fn step(sys: &mut EmbodiedSystem) {
@@ -69,9 +80,9 @@ pub(crate) fn execute_assignments(sys: &mut EmbodiedSystem, assignments: &[Subgo
         let outcome = sys.execute_with_reflection(i, &subgoal);
         // Local feedback flows back into the central memory.
         if let Some(central) = sys.central.as_mut() {
-            central.memory.store(
+            central.memory.store_counted(
                 RecordKind::Action,
-                format!("agent {i}: {}", outcome.note),
+                agent_line(i, Counted::new(&outcome.note)),
                 no_entities(),
             );
         }
@@ -124,9 +135,9 @@ pub(crate) fn plan_assignments(
         let central = sys.central.as_mut().expect("centralized system");
         central.memory.begin_step(step);
         for (i, p) in percepts.iter().enumerate() {
-            central.memory.store(
+            central.memory.store_counted(
                 RecordKind::Observation,
-                format!("agent {i}: {}", p.text),
+                agent_line(i, p.text.as_deref()),
                 Rc::clone(&p.entities),
             );
         }
@@ -140,6 +151,11 @@ pub(crate) fn plan_assignments(
     };
     let mut oracles = Vec::with_capacity(n);
     let mut menus = Vec::with_capacity(n);
+    // Under a repair policy the guard validates each agent against its
+    // unfiltered menu, kept from here: nothing acts on the environment in
+    // between.
+    let guarded = !sys.agents[0].config.repair_policy.is_off();
+    let mut afforded: Vec<Option<AffordanceSet>> = Vec::with_capacity(n);
     for i in 0..n {
         // The center knows exactly who is unresponsive (it just saw their
         // report slots empty) and assigns them Wait, routing joint work
@@ -147,13 +163,15 @@ pub(crate) fn plan_assignments(
         if !sys.agent_faults.is_active(i) {
             oracles.push(Vec::new());
             menus.push(vec![Subgoal::Wait]);
+            afforded.push(None);
             continue;
         }
         sys.agents[i].expire_blacklist(step);
         let mut oracle =
             sys.agents[i].filter_subgoals_with(sys.env.oracle_subgoals(i), central_knows, step);
-        let mut menu =
-            sys.agents[i].filter_subgoals_with(sys.env.candidate_subgoals(i), central_knows, step);
+        let candidates = sys.env.candidate_subgoals(i);
+        afforded.push(guarded.then(|| AffordanceSet::from_candidates(candidates.clone())));
+        let mut menu = sys.agents[i].filter_subgoals_with(candidates, central_knows, step);
         let partner_missing = |sg: &Subgoal| {
             matches!(sg, Subgoal::LiftTogether { partner, .. }
                 if *partner < n && !sys.agent_faults.is_active(*partner))
@@ -230,7 +248,14 @@ pub(crate) fn plan_assignments(
         };
         assignments.push(subgoal);
     }
-    guard_assignments(sys, &mut assignments, response.flaw, joint_difficulty, opts);
+    guard_assignments(
+        sys,
+        &mut assignments,
+        afforded,
+        response.flaw,
+        joint_difficulty,
+        opts,
+    );
     assignments
 }
 
@@ -240,9 +265,11 @@ pub(crate) fn plan_assignments(
 /// agent's assignment is then validated against its own affordances and
 /// repaired per policy through the *central* planning engine. Inert while
 /// the policy is `Off`, except that the corruption then lands unguarded.
+/// `afforded` holds each active agent's affordances when a policy is on.
 fn guard_assignments(
     sys: &mut EmbodiedSystem,
     assignments: &mut [Subgoal],
+    afforded: Vec<Option<AffordanceSet>>,
     flaw: Option<SemanticFlaw>,
     difficulty: f64,
     opts: InferenceOpts,
@@ -264,11 +291,11 @@ fn guard_assignments(
         }
         return;
     }
-    for (i, assigned) in assignments.iter_mut().enumerate() {
-        if !sys.agent_faults.is_active(i) {
+    for ((i, assigned), aff) in assignments.iter_mut().enumerate().zip(afforded) {
+        // Unresponsive agents have no menu: they were assigned `Wait`.
+        let Some(aff) = aff else {
             continue;
-        }
-        let aff = sys.env.affordances(i);
+        };
         let flaw_i = flaw.filter(|_| victim == Some(i));
         let mut stats = RepairStats::default();
         let central = sys.central.as_mut().expect("centralized system");
@@ -338,11 +365,15 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
         let Some(comm) = central.communication.as_mut() else {
             return;
         };
+        let status = format!("extract agent {i}'s feedback on the proposal: {sg}");
+        let status_tokens = const { literal_tokens("extract agent's feedback on the proposal:") }
+            + digit_tokens(i)
+            + subgoal_tokens(sg);
         let result = comm.generate(
             i,
             central.preamble.as_deref(),
             sys.goal.as_deref(),
-            &format!("extract agent {i}'s feedback on the proposal: {sg}"),
+            Counted::with_tokens(&status, status_tokens),
             &[],
             no_entities(),
             difficulty,
@@ -363,9 +394,12 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
         );
         sys.messages.generated += 1;
         let central = sys.central.as_mut().expect("checked above");
-        central.memory.store(
+        let line = format!("agent {i} feedback on {sg}");
+        let tokens =
+            const { literal_tokens("agent feedback on") } + digit_tokens(i) + subgoal_tokens(sg);
+        central.memory.store_counted(
             RecordKind::Dialogue,
-            format!("agent {i} feedback on {sg}"),
+            Counted::with_tokens(line.into(), tokens),
             no_entities(),
         );
     }
@@ -386,16 +420,24 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
     let Some(comm) = central.communication.as_mut() else {
         return;
     };
-    let instruction_text: Vec<String> = assignments
-        .iter()
-        .enumerate()
-        .map(|(i, sg)| format!("agent {i}: {sg}"))
-        .collect();
+    // `instructions: agent 0: {sg}; agent 1: {sg}…`, counted from its parts
+    // as it is written: each line is a word, its digits, a colon and the
+    // subgoal, and each semicolon a token.
+    let mut status = String::from("instructions: ");
+    let mut status_tokens = const { literal_tokens("instructions:") };
+    for (i, sg) in assignments.iter().enumerate() {
+        if i > 0 {
+            status.push_str("; ");
+            status_tokens += 1;
+        }
+        let _ = write!(status, "agent {i}: {sg}");
+        status_tokens += const { literal_tokens("agent :") } + digit_tokens(i) + subgoal_tokens(sg);
+    }
     let result = comm.generate(
         usize::MAX, // the center itself
         central.preamble.as_deref(),
         sys.goal.as_deref(),
-        &format!("instructions: {}", instruction_text.join("; ")),
+        Counted::with_tokens(&status, status_tokens),
         &[],
         no_entities(),
         difficulty,
@@ -426,12 +468,17 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
         if !sg.is_idle() {
             sys.messages.useful += 1;
         }
+        let sg_tokens = subgoal_tokens(sg);
+        let task = format!("center: your task: {sg}");
+        let task_tokens = const { literal_tokens("center: your task:") } + sg_tokens;
         sys.agents[i]
             .inbox
-            .push(Counted::new(format!("center: your task: {sg}").into()));
-        sys.agents[i].memory.store(
+            .push(Counted::with_tokens(task.into(), task_tokens));
+        let assigned = format!("center assigned: {sg}");
+        let assigned_tokens = const { literal_tokens("center assigned:") } + sg_tokens;
+        sys.agents[i].memory.store_counted(
             RecordKind::Dialogue,
-            format!("center assigned: {sg}"),
+            Counted::with_tokens(assigned.into(), assigned_tokens),
             no_entities(),
         );
     }

@@ -70,7 +70,7 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
                 i,
                 agent.preamble.as_deref(),
                 sys.goal.as_deref(),
-                &percepts[i].text,
+                percepts[i].text.as_deref(),
                 &agent.inbox,
                 delta,
                 difficulty,

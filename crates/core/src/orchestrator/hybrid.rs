@@ -4,6 +4,7 @@
 
 use super::centralized;
 use crate::modules::RecordKind;
+use crate::prompt::{literal_tokens, subgoal_tokens, Counted};
 use crate::system::EmbodiedSystem;
 use embodied_profiler::ModuleKind;
 
@@ -41,13 +42,18 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
         let agent = &mut sys.agents[i];
         let (knowledge, delta) = agent.knowledge_delta(&percepts[i].entities);
         let opts = EmbodiedSystem::infer_opts_for(&agent.config, n);
-        let status = format!("{} | primed task: {}", percepts[i].text, primer[i]);
+        let percept = percepts[i].text.as_deref();
+        let status = format!("{} | primed task: {}", percept.text(), primer[i]);
+        // The percept's count, the bar, the label and the subgoal.
+        let status_tokens = percept.tokens()
+            + const { literal_tokens("| primed task:") }
+            + subgoal_tokens(&primer[i]);
         let comm = agent.communication.as_mut().expect("checked above");
         let result = comm.generate(
             i,
             agent.preamble.as_deref(),
             sys.goal.as_deref(),
-            &status,
+            Counted::with_tokens(&status, status_tokens),
             &[],
             delta,
             difficulty,

@@ -11,11 +11,14 @@
 //! each rendered prompt against the count assembly summed (see
 //! [`PromptWriter::for_engine`]).
 //!
-//! Text that never changes once made (preambles, memory lines, messages)
-//! carries its token count from where it was made as a [`Counted`], and
-//! [`PromptWriter`] adds those counts up instead of re-scanning the bytes.
-//! The token rule is additive across whitespace, and the writer ends every
-//! section with a newline, so the sum is exactly the count of the text.
+//! Nothing is formatted to be counted. Text that never changes once made
+//! (preambles, percepts, memory lines, messages) carries its token count
+//! from where it was made as a [`Counted`]; fixed wording (instructions,
+//! header brackets, a subgoal's verbs) is counted at compile time with
+//! [`Counted::literal`]; a subgoal adds its wording to the counts of its
+//! names ([`subgoal_tokens`]). The token rule is additive across
+//! whitespace and across punctuation, and every piece meets its
+//! neighbours at such a seam, so the sum is exactly the count of the text.
 
 use crate::modules::Percept;
 use embodied_env::Subgoal;
@@ -24,12 +27,92 @@ use std::fmt::{self, Display, Write as _};
 
 /// Tokens in `text` under the tokenizer every simulated model uses.
 pub fn count_tokens(text: &str) -> u64 {
-    Tokenizer::default().count(text)
+    Tokenizer::STANDARD.count(text)
+}
+
+/// [`count_tokens`] of ASCII `text`, usable in constants.
+pub(crate) const fn literal_tokens(text: &str) -> u64 {
+    Tokenizer::STANDARD.count_ascii(text)
 }
 
 /// Tokens in the decimal digits of `n`: every digit is a token of its own.
 pub(crate) fn digit_tokens(n: usize) -> u64 {
     u64::from(n.checked_ilog10().unwrap_or(0) + 1)
+}
+
+/// Tokens in `x` written as `{:.1}`. Every char of a finite number (sign,
+/// digit, point) is a token of its own, so the count is its length: the
+/// sign, the whole part's digits after rounding (9.96 is written `10.0`),
+/// the point and one decimal. Rounding carries into the whole part exactly
+/// when the fraction exceeds 0.95, which no `f64` fraction equals.
+fn coordinate_tokens(x: f64) -> u64 {
+    if x.is_nan() {
+        return literal_tokens("NaN");
+    }
+    if x.is_infinite() {
+        return if x < 0.0 {
+            literal_tokens("-inf")
+        } else {
+            literal_tokens("inf")
+        };
+    }
+    let sign = u64::from(x.is_sign_negative());
+    let abs = x.abs();
+    let whole = abs.trunc();
+    let rounded = whole + f64::from(u8::from(abs - whole > 0.95));
+    let digits = if rounded < 1e15 {
+        // Exact: an integral `f64` below 2^53 converts without loss.
+        digit_tokens(rounded as usize)
+    } else {
+        let mut len = ByteLen(0);
+        let _ = write!(len, "{rounded:.0}");
+        len.0
+    };
+    sign + digits + 2
+}
+
+/// A [`fmt::Write`] sink that keeps only the length of what it is given.
+struct ByteLen(u64);
+
+impl fmt::Write for ByteLen {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len() as u64;
+        Ok(())
+    }
+}
+
+/// Tokens in `subgoal`'s [`Display`] text, added up from its fixed wording
+/// and its names without writing it: every name stands between spaces or
+/// at an end of the text.
+pub fn subgoal_tokens(subgoal: &Subgoal) -> u64 {
+    let n = |name: &str| count_tokens(name);
+    match subgoal {
+        Subgoal::GoTo { target, .. } => n(target) + const { literal_tokens("go to") },
+        Subgoal::Pick { object } => n(object) + const { literal_tokens("pick up") },
+        Subgoal::Place { object, dest } => {
+            n(object) + n(dest) + const { literal_tokens("place at") }
+        }
+        Subgoal::Open { container } => n(container) + const { literal_tokens("open the") },
+        Subgoal::Gather { resource } => n(resource) + const { literal_tokens("gather") },
+        Subgoal::Craft { item } => n(item) + const { literal_tokens("craft") },
+        Subgoal::Cook { dish, stage } => n(stage) + n(dish),
+        Subgoal::Serve { dish } => n(dish) + const { literal_tokens("serve") },
+        Subgoal::MoveBox { box_name, dest } => {
+            n(box_name) + n(dest) + const { literal_tokens("move to") }
+        }
+        Subgoal::LiftTogether { box_name, partner } => {
+            n(box_name) + digit_tokens(*partner) + const { literal_tokens("lift with agent") }
+        }
+        Subgoal::ArmMove { object, to } => {
+            n(object)
+                + coordinate_tokens(to.0)
+                + coordinate_tokens(to.1)
+                + const { literal_tokens("move to (, )") }
+        }
+        Subgoal::Skill { name } => n(name) + const { literal_tokens("execute skill") },
+        Subgoal::Explore => const { literal_tokens("explore the environment") },
+        Subgoal::Wait => const { literal_tokens("wait") },
+    }
 }
 
 /// Whether prompts for `engine` are rendered as text: when the engine reads
@@ -65,8 +148,9 @@ pub(crate) fn set_render_by_default(render: bool) {
 
 /// Prompt text paired with its token count, taken once where the text is
 /// made. `Counted<String>` owns text that never changes (a preamble, a
-/// goal); `Counted<Rc<str>>` shares it (a message, held by every
-/// recipient); `Counted<&str>` lends it to prompt assembly.
+/// goal); `Counted<Rc<str>>` shares it (a percept or a message, held by
+/// memory and every recipient); `Counted<&str>` lends it to prompt
+/// assembly.
 ///
 /// ```
 /// use embodied_agents::prompt::Counted;
@@ -79,6 +163,23 @@ pub(crate) fn set_render_by_default(render: bool) {
 pub struct Counted<T> {
     text: T,
     tokens: u64,
+}
+
+impl Counted<&'static str> {
+    /// Fixed ASCII wording, counted at compile time in a constant.
+    ///
+    /// ```
+    /// use embodied_agents::prompt::Counted;
+    ///
+    /// const ASK: Counted<&str> = Counted::literal("Answer in one line.");
+    /// assert_eq!(ASK, Counted::new("Answer in one line."));
+    /// ```
+    pub const fn literal(text: &'static str) -> Self {
+        Counted {
+            text,
+            tokens: literal_tokens(text),
+        }
+    }
 }
 
 impl<T: AsRef<str>> Counted<T> {
@@ -161,19 +262,21 @@ impl<'a> From<Counted<&'a str>> for Body<'a> {
     }
 }
 
+/// The action menu's header title.
+const AVAILABLE_ACTIONS: &str = "available actions";
+
 /// Assembles a prompt's sections into a caller-owned `String` and keeps a
 /// running token count. Each section is `[title]\n{body}\n`, skipped when
 /// the body is empty or whitespace.
 ///
 /// A writer has two forms. [`PromptWriter::new`] renders the text and sums
-/// its count. [`PromptWriter::counting`] only sums the count: a counted
-/// body adds its count and copies nothing, while headers and uncounted
-/// bodies are written, counted exactly as the rendering form counts them,
-/// and dropped again, so the two forms always agree on the count. The
-/// writer scans only its own headers, bodies that arrive without a count,
-/// and text it renders itself. The per-step hot path reuses one buffer
-/// across an entire episode, so assembly performs no allocations once the
-/// buffer has grown.
+/// its count. [`PromptWriter::counting`] only sums the count and never
+/// touches its buffer: every section adds counts made elsewhere (a header
+/// costs its title's tokens and two brackets, a menu line its number, its
+/// parentheses and [`subgoal_tokens`]), so the two forms always agree on
+/// the count. The writer scans only titles and bodies that arrive without
+/// a count. The per-step hot path reuses one buffer across an entire
+/// episode, so rendering performs no allocations once the buffer has grown.
 ///
 /// ```
 /// use embodied_agents::prompt::{count_tokens, Counted, PromptWriter};
@@ -190,7 +293,7 @@ impl<'a> From<Counted<&'a str>> for Body<'a> {
 /// let counted = PromptWriter::counting(&mut scratch, Counted::new("be helpful"))
 ///     .push("goal", "deliver things")
 ///     .tokens();
-/// assert_eq!((counted, scratch.as_str()), (tokens, ""));
+/// assert_eq!((counted, scratch.capacity()), (tokens, 0));
 /// ```
 pub struct PromptWriter<'a> {
     out: &'a mut String,
@@ -206,7 +309,7 @@ impl<'a> PromptWriter<'a> {
     }
 
     /// Starts counting a prompt without rendering it. `scratch` is cleared
-    /// and holds each header or uncounted body only while it is counted.
+    /// and never written.
     pub fn counting(scratch: &'a mut String, preamble: Counted<&str>) -> Self {
         Self::start(scratch, preamble, false)
     }
@@ -246,7 +349,7 @@ impl<'a> PromptWriter<'a> {
     }
 
     /// Appends a named section, counting `body` here.
-    pub fn push(&mut self, title: impl Display, body: &str) -> &mut Self {
+    pub fn push(&mut self, title: &str, body: &str) -> &mut Self {
         self.push_counted(title, Counted::new(body))
     }
 
@@ -255,39 +358,17 @@ impl<'a> PromptWriter<'a> {
     /// # Panics
     ///
     /// Panics if a rendering writer gets a nonempty [`Body::Count`].
-    pub fn push_counted<'b>(
-        &mut self,
-        title: impl Display,
-        body: impl Into<Body<'b>>,
-    ) -> &mut Self {
-        let body = body.into();
-        // Every char that is not whitespace costs at least one token, so a
-        // zero count is exactly a body that `trim` leaves empty.
-        if body.tokens() > 0 {
-            self.header(title);
-            if self.render {
-                let Body::Text(text) = body else {
-                    panic!("a rendered prompt needs the text of every section");
-                };
-                self.out.push_str(text.text());
-                self.out.push('\n');
-            }
-            self.tokens += body.tokens();
-        }
-        self
+    pub fn push_counted<'b>(&mut self, title: &str, body: impl Into<Body<'b>>) -> &mut Self {
+        self.section(title, count_tokens(title), body.into())
     }
 
     /// Appends a named section whose body is `lines` joined by newlines,
     /// each counted where it was made: the newlines are token seams, so the
     /// body's count is the sum of theirs.
-    pub fn push_lines<T: AsRef<str>>(
-        &mut self,
-        title: impl Display,
-        lines: &[Counted<T>],
-    ) -> &mut Self {
+    pub fn push_lines<T: AsRef<str>>(&mut self, title: &str, lines: &[Counted<T>]) -> &mut Self {
         let tokens = lines.iter().map(Counted::tokens).sum::<u64>();
         if tokens > 0 {
-            self.header(title);
+            self.header(title, count_tokens(title));
             if self.render {
                 for (k, line) in lines.iter().enumerate() {
                     if k > 0 {
@@ -302,21 +383,17 @@ impl<'a> PromptWriter<'a> {
         self
     }
 
-    /// Appends a named section whose body is rendered through [`Display`]
-    /// straight into the buffer — no intermediate `to_string`. Produces the
-    /// same bytes as `push(title, &body.to_string())`, including skipping
-    /// the section when the rendered body is empty or whitespace.
-    pub fn push_display(&mut self, title: impl Display, body: &impl Display) -> &mut Self {
-        let start = self.out.len();
-        let _ = writeln!(self.out, "[{title}]");
-        let body_start = self.out.len();
-        let _ = writeln!(self.out, "{body}");
-        let body_tokens = count_tokens(&self.out[body_start..]);
-        if body_tokens == 0 {
-            self.out.truncate(start);
-        } else {
-            let header_tokens = count_tokens(&self.out[start..body_start]);
-            self.settle(start, header_tokens + body_tokens);
+    /// Appends a named section whose body is `subgoal`'s [`Display`] text,
+    /// counted by [`subgoal_tokens`]; skipped, like any section, when that
+    /// text is blank.
+    pub fn push_subgoal(&mut self, title: &str, subgoal: &Subgoal) -> &mut Self {
+        let tokens = subgoal_tokens(subgoal);
+        if tokens > 0 {
+            self.header(title, count_tokens(title));
+            if self.render {
+                let _ = writeln!(self.out, "{subgoal}");
+            }
+            self.tokens += tokens;
         }
         self
     }
@@ -327,42 +404,70 @@ impl<'a> PromptWriter<'a> {
         if candidates.is_empty() {
             return self;
         }
-        let start = self.out.len();
-        self.out.push_str("[available actions]\n");
-        for (i, sg) in candidates.iter().enumerate() {
-            let _ = writeln!(self.out, "({i}) {sg}");
+        self.header(
+            AVAILABLE_ACTIONS,
+            const { literal_tokens(AVAILABLE_ACTIONS) },
+        );
+        if self.render {
+            for (i, sg) in candidates.iter().enumerate() {
+                let _ = writeln!(self.out, "({i}) {sg}");
+            }
+            self.out.push('\n');
         }
-        self.out.push('\n');
-        self.settle(start, count_tokens(&self.out[start..]));
+        // Each line is `(i) {subgoal}`: two parentheses and the digits.
+        self.tokens += candidates
+            .iter()
+            .enumerate()
+            .map(|(i, sg)| 2 + digit_tokens(i) + subgoal_tokens(sg))
+            .sum::<u64>();
         self
     }
 
-    /// Appends free text after the last section and counts it. Sections
-    /// end in a newline, so the text starts at a token seam.
-    pub fn append(&mut self, text: fmt::Arguments<'_>) -> &mut Self {
-        debug_assert!(self.out.is_empty() || self.out.ends_with('\n'));
-        let start = self.out.len();
-        let _ = self.out.write_fmt(text);
-        self.settle(start, count_tokens(&self.out[start..]));
+    /// Appends free text after the last section. Sections end in a
+    /// newline, so the text starts at a token seam.
+    pub fn append(&mut self, text: Counted<&str>) -> &mut Self {
+        if self.render {
+            debug_assert!(self.out.is_empty() || self.out.ends_with('\n'));
+            self.out.push_str(text.text());
+        }
+        self.tokens += text.tokens();
         self
     }
 
-    /// Writes `[title]` and its newline, counting the title.
-    fn header(&mut self, title: impl Display) {
-        let start = self.out.len();
-        let _ = writeln!(self.out, "[{title}]");
-        self.settle(start, count_tokens(&self.out[start..]));
+    /// A section of `title_tokens` titled `title` around `body`, skipped
+    /// when the body is blank.
+    fn section(&mut self, title: impl Display, title_tokens: u64, body: Body<'_>) -> &mut Self {
+        // Every char that is not whitespace costs at least one token, so a
+        // zero count is exactly a body that `trim` leaves empty.
+        if body.tokens() > 0 {
+            self.header(title, title_tokens);
+            if self.render {
+                let Body::Text(text) = body else {
+                    panic!("a rendered prompt needs the text of every section");
+                };
+                self.out.push_str(text.text());
+                self.out.push('\n');
+            }
+            self.tokens += body.tokens();
+        }
+        self
     }
 
-    /// Adds the count of the text written from `start`, and drops that text
-    /// again when only counting.
-    fn settle(&mut self, start: usize, tokens: u64) {
-        self.tokens += tokens;
-        if !self.render {
-            self.out.truncate(start);
+    /// Writes `[title]` and its newline when rendering, and counts it:
+    /// each bracket is a token of its own.
+    fn header(&mut self, title: impl Display, title_tokens: u64) {
+        if self.render {
+            let _ = writeln!(self.out, "[{title}]");
         }
+        self.tokens += title_tokens + 2;
     }
 }
+
+/// The joint prompt's closing instruction.
+const JOINT_INSTRUCTION: Counted<&str> = Counted::literal(
+    "Assign the best next action to every agent, resolving conflicts \
+     and interdependencies between their actions.",
+);
 
 /// Writes the centralized planner's joint prompt after `w`'s preamble — one
 /// prompt covering every agent, so tokens grow linearly with the team.
@@ -376,14 +481,16 @@ pub fn write_joint_plan_prompt<'b>(
     w.push_counted("task goal", goal)
         .push_counted("memory", memory);
     for (i, (p, menu)) in percepts.iter().zip(menus).enumerate() {
-        w.push(format_args!("agent {i} observation"), &p.text)
-            .push_candidates(menu);
+        // `agent {i} observation`: a word, the digits and a word.
+        let title_tokens = const { literal_tokens("agent observation") } + digit_tokens(i);
+        w.section(
+            format_args!("agent {i} observation"),
+            title_tokens,
+            p.text.as_deref().into(),
+        )
+        .push_candidates(menu);
     }
-    w.push(
-        "instruction",
-        "Assign the best next action to every agent, resolving conflicts \
-         and interdependencies between their actions.",
-    );
+    w.push_counted("instruction", JOINT_INSTRUCTION);
 }
 
 /// Workload-specific flavor appended to the system preamble: each suite
@@ -478,8 +585,14 @@ mod tests {
                 ],
             )
             .push_lines::<&str>("no lines", &[])
-            .push_display("proposed plan", &Subgoal::Explore)
-            .push_display("blank", &"  ")
+            .push_subgoal("proposed plan", &Subgoal::Explore)
+            .push_subgoal(
+                "blank",
+                &Subgoal::Cook {
+                    dish: " ".into(),
+                    stage: "".into(),
+                },
+            )
             .push_candidates(candidates);
     }
 
@@ -494,14 +607,15 @@ mod tests {
         let candidates = [Subgoal::Explore, Subgoal::Wait];
         let mut buf = String::new();
         let rendered = write(&mut buf, &candidates);
-        let mut scratch = String::from("stale");
+        let mut scratch = String::new();
         let mut w = PromptWriter::counting(&mut scratch, Counted::new("be helpful"));
         sections(&mut w, &candidates);
         w.push_counted("memory", Body::Count(7))
-            .append(format_args!("Confirm."));
+            .append(Counted::literal("Confirm."));
         assert_eq!(w.tokens(), rendered + 3 + 7 + 2);
         assert_eq!(w.finish(), Prompt::Tokens(rendered + 12));
         assert!(scratch.is_empty());
+        assert_eq!(scratch.capacity(), 0, "a counting writer wrote its buffer");
 
         let w = PromptWriter::new(&mut buf, Counted::new("x"));
         assert_eq!(w.finish(), Prompt::Counted("[system]\nx\n", 4));
@@ -549,10 +663,9 @@ mod tests {
     fn appended_text_is_counted() {
         let mut buf = String::new();
         let tokens = PromptWriter::new(&mut buf, Counted::new("x"))
-            .append(format_args!(
-                "\n[proposed plan]\n{}\nConfirm.",
-                Subgoal::Explore
-            ))
+            .append(Counted::literal("\n"))
+            .push_subgoal("proposed plan", &Subgoal::Explore)
+            .append(Counted::literal("Confirm."))
             .tokens();
         assert!(buf.ends_with("x\n\n[proposed plan]\nexplore the environment\nConfirm."));
         assert_eq!(tokens, count_tokens(&buf));
@@ -563,7 +676,7 @@ mod tests {
         let percepts: Vec<Percept> = (0..3)
             .map(|i| Percept {
                 entities: crate::modules::no_entities(),
-                text: format!("agent {i} sees crate_{i} in zone Б").into(),
+                text: Counted::new(format!("agent {i} sees crate_{i} in zone Б").into()),
                 location: String::new(),
             })
             .collect();

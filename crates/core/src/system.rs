@@ -12,9 +12,9 @@ use crate::modules::{
     RecordKind,
 };
 use crate::orchestrator::{self, Paradigm};
-use crate::prompt::{renders_for, system_preamble, Body, Counted};
+use crate::prompt::{digit_tokens, literal_tokens, renders_for, system_preamble, Body, Counted};
 use crate::recovery::RecoveryPolicy;
-use embodied_env::{Environment, ExecOutcome, Name, Subgoal};
+use embodied_env::{AffordanceSet, Environment, ExecOutcome, Name, Subgoal};
 use embodied_llm::{
     EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmRequest, Purpose,
 };
@@ -451,9 +451,12 @@ impl EmbodiedSystem {
         if self.agent_faults.is_active(i) {
             self.sense_phase(i)
         } else {
+            let text = format!("agent {i} unresponsive (no report this step)");
+            let tokens = const { literal_tokens("agent unresponsive (no report this step)") }
+                + digit_tokens(i);
             Percept {
                 entities: no_entities(),
-                text: format!("agent {i} unresponsive (no report this step)").into(),
+                text: Counted::with_tokens(text.into(), tokens),
                 location: String::new(),
             }
         }
@@ -519,9 +522,9 @@ impl EmbodiedSystem {
             .trace
             .record(ModuleKind::Sensing, Phase::Reobserve, i, latency);
         self.recovery_stats.reobserve_latency += latency;
-        agent.memory.store(
+        agent.memory.store_counted(
             RecordKind::Observation,
-            Rc::clone(&percept.text),
+            percept.text.clone(),
             Rc::clone(&percept.entities),
         );
         agent.map.integrate(&percept, self.step);
@@ -582,9 +585,9 @@ impl EmbodiedSystem {
             .trace
             .record(ModuleKind::Sensing, Phase::Encoding, i, latency);
         agent.memory.begin_step(self.step);
-        agent.memory.store(
+        agent.memory.store_counted(
             RecordKind::Observation,
-            Rc::clone(&percept.text),
+            percept.text.clone(),
             Rc::clone(&percept.entities),
         );
         agent.map.integrate(&percept, self.step);
@@ -721,6 +724,10 @@ impl EmbodiedSystem {
         let step = self.step;
 
         let agent = &mut self.agents[i];
+        let policy = agent.config.repair_policy;
+        // Under a repair policy the guardrail validates against this same
+        // unfiltered menu: nothing acts on the environment in between.
+        let afforded = (!policy.is_off()).then(|| candidates_raw.clone());
         agent.expire_blacklist(step);
         // Point-query knowledge filtering: `memory.knows` answers per
         // entity against the incremental last-seen index, so no per-step
@@ -791,7 +798,7 @@ impl EmbodiedSystem {
         let ctx = PlanContext {
             preamble: agent.preamble.as_deref(),
             goal,
-            percept_text: &percept.text,
+            percept: percept.text.as_deref(),
             memory: Body::new(render, &agent.memory_buf, map_tokens + retrieval.tokens),
             dialogue: &agent.inbox,
             oracle,
@@ -888,10 +895,13 @@ impl EmbodiedSystem {
         // unguarded (the baseline the sweep measures) — but a clean
         // decision takes the zero-cost path: no affordance snapshot, no
         // extra draws, no spans.
-        let policy = agent.config.repair_policy;
         let mut reground = false;
         if flaw.is_some() || !policy.is_off() {
-            let affordances = self.env.affordances(i);
+            let affordances = match afforded {
+                Some(menu) => AffordanceSet::from_candidates(menu),
+                // A flaw that lands under `Off`: no menu was kept.
+                None => self.env.affordances(i),
+            };
             let mut stats = RepairStats::default();
             let verdict = crate::guardrail::guard_decision(
                 agent.planning.engine_mut(),
@@ -1047,10 +1057,10 @@ impl EmbodiedSystem {
                 continue; // dropped or partition-blocked
             };
             let (text, entities) = if corrupt {
-                (
-                    Counted::new(format!("[garbled transmission from agent {from}]").into()),
-                    no_entities(),
-                )
+                let garbled = format!("[garbled transmission from agent {from}]");
+                let tokens = const { literal_tokens("[garbled transmission from agent]") }
+                    + digit_tokens(from);
+                (Counted::with_tokens(garbled.into(), tokens), no_entities())
             } else {
                 (text.clone(), Rc::clone(entities))
             };

@@ -144,7 +144,7 @@ fn steady_state_allocations(render: bool) -> usize {
         map.integrate(
             &Percept {
                 entities: vec![format!("object_{}", step % 10).into()].into(),
-                text: "".into(),
+                text: Counted::new("".into()),
                 location: format!("room_{}", step % 9),
             },
             step,
@@ -158,7 +158,7 @@ fn steady_state_allocations(render: bool) -> usize {
         percepts: (0..3)
             .map(|i| Percept {
                 entities: vec![format!("object_{i}").into()].into(),
-                text: format!("agent {i} sees object_{i} near the forge").into(),
+                text: Counted::new(format!("agent {i} sees object_{i} near the forge").into()),
                 location: "forge".to_owned(),
             })
             .collect(),

@@ -1,21 +1,51 @@
-//! Property tests for prompt assembly: [`PromptWriter`]'s running token
-//! count must equal a full count of the text it wrote, for arbitrary section
-//! sequences over edge-case text, with and without supplied counts, and the
-//! text itself must be the plain `[title]\n{body}\n` rendering with blank
-//! bodies skipped.
+//! Property tests for prompt assembly: for arbitrary section sequences over
+//! edge-case text, with and without supplied counts, and menus over every
+//! [`Subgoal`] variant, a rendering [`PromptWriter`] writes the plain
+//! `[title]\n{body}\n` text with blank bodies skipped, its running token
+//! count equals a full count of that text, and a counting writer reaches
+//! the same count without writing a byte.
 
 #[path = "../../llm/tests/support/edge_text.rs"]
 mod edge_text;
 
 use edge_text::{blank_text, edge_text};
-use embodied_agents::prompt::{count_tokens, Counted, PromptWriter};
+use embodied_agents::prompt::{count_tokens, subgoal_tokens, Counted, PromptWriter};
 use embodied_env::Subgoal;
+use embodied_exec::Cell;
 use proptest::collection;
 use proptest::prelude::*;
 
 /// What a body may start or end with: nothing, an ASCII space, or
 /// whitespace outside ASCII.
 const EDGES: &[&str] = &["", " ", "\u{85}", "\u{3000}", "\u{2029}"];
+
+/// Coordinates at the edges of `{:.1}`: negative values, negative zero,
+/// values that round up into one more digit (9.96 is written `10.0`),
+/// fractions at the carry boundary, huge and non-finite values.
+const COORDINATES: &[f64] = &[
+    0.0,
+    -0.0,
+    -0.04,
+    0.05,
+    0.95,
+    0.96,
+    9.95,
+    9.96,
+    -9.96,
+    99.96,
+    -999.951,
+    0.25,
+    1e15 - 0.01,
+    1e15,
+    -1e16,
+    123_456_789_012_345_680.0,
+    1e300,
+    f64::MAX,
+    f64::MIN_POSITIVE,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
 
 /// One call on the writer.
 #[derive(Debug, Clone)]
@@ -25,10 +55,12 @@ enum Section {
     /// `push_counted` with the body's lines joined by newlines and the
     /// count summed from the lines, the way memory retrieval supplies it.
     Counted(String, Vec<String>),
-    /// `push_display`: the writer renders and counts the body.
-    Display(String, String),
-    /// `push_candidates` over one pick per name.
-    Candidates(Vec<String>),
+    /// `push_lines` over lines counted one by one, the way dialogue is.
+    Lines(String, Vec<String>),
+    /// `push_subgoal`: the body is the subgoal's text.
+    Subgoal(String, Subgoal),
+    /// `push_candidates` over a menu.
+    Candidates(Vec<Subgoal>),
 }
 
 /// Edge-case text, whitespace-only text, or edge-case text wrapped in
@@ -43,24 +75,106 @@ fn body() -> BoxedStrategy<String> {
     .boxed()
 }
 
-fn section() -> impl Strategy<Value = Section> {
-    (0u32..4, edge_text(), body(), collection::vec(body(), 0..4)).prop_map(
-        |(kind, title, body, more)| match kind {
-            0 => Section::Plain(title, body),
-            1 => Section::Counted(title, more),
-            2 => Section::Display(title, body),
-            _ => Section::Candidates(more),
-        },
-    )
+/// An entity name: edge-case text or an environment-style name.
+fn name() -> BoxedStrategy<String> {
+    prop_oneof![
+        edge_text(),
+        (0usize..200).prop_map(|i| format!("object_{i}")),
+        Just(String::new()),
+    ]
+    .boxed()
 }
 
-fn picks(names: &[String]) -> Vec<Subgoal> {
-    names
-        .iter()
-        .map(|object| Subgoal::Pick {
-            object: object.as_str().into(),
+/// A coordinate from [`COORDINATES`], any value in a workspace-sized range,
+/// or one just below a whole number, which rounds up.
+fn coordinate() -> BoxedStrategy<f64> {
+    prop_oneof![
+        (0..COORDINATES.len()).prop_map(|i| COORDINATES[i]),
+        -1e4..1e4f64,
+        (-1000i32..1000, 0.95..1.0f64).prop_map(|(whole, frac)| f64::from(whole) + frac),
+    ]
+    .boxed()
+}
+
+/// Any of the 14 subgoal variants, with partners past one digit.
+fn subgoal() -> BoxedStrategy<Subgoal> {
+    (
+        0u32..14,
+        name(),
+        name(),
+        0usize..1000,
+        (coordinate(), coordinate()),
+    )
+        .prop_map(|(kind, a, b, partner, (x, y))| {
+            let (a, b) = (a.as_str().into(), b.as_str().into());
+            match kind {
+                0 => Subgoal::GoTo {
+                    target: a,
+                    cell: Cell::new(partner as i32, 3),
+                },
+                1 => Subgoal::Pick { object: a },
+                2 => Subgoal::Place { object: a, dest: b },
+                3 => Subgoal::Open { container: a },
+                4 => Subgoal::Gather { resource: a },
+                5 => Subgoal::Craft { item: a },
+                6 => Subgoal::Cook { dish: a, stage: b },
+                7 => Subgoal::Serve { dish: a },
+                8 => Subgoal::MoveBox {
+                    box_name: a,
+                    dest: b,
+                },
+                9 => Subgoal::LiftTogether {
+                    box_name: a,
+                    partner,
+                },
+                10 => Subgoal::ArmMove {
+                    object: a,
+                    to: (x, y),
+                },
+                11 => Subgoal::Skill { name: a },
+                12 => Subgoal::Explore,
+                _ => Subgoal::Wait,
+            }
         })
-        .collect()
+        .boxed()
+}
+
+/// A menu of a few entries, or of more than 10 or more than 100, so line
+/// numbers take two and three digits.
+fn menu() -> BoxedStrategy<Vec<Subgoal>> {
+    prop_oneof![
+        collection::vec(subgoal(), 0..4),
+        collection::vec(subgoal(), 11..14),
+        collection::vec(subgoal(), 101..104),
+    ]
+    .boxed()
+}
+
+fn section() -> impl Strategy<Value = Section> {
+    (
+        0u32..5,
+        edge_text(),
+        body(),
+        collection::vec(body(), 0..4),
+        subgoal(),
+    )
+        .prop_map(|(kind, title, body, lines, subgoal)| match kind {
+            0 => Section::Plain(title, body),
+            1 => Section::Counted(title, lines),
+            2 => Section::Lines(title, lines),
+            _ => Section::Subgoal(title, subgoal),
+        })
+}
+
+fn sections() -> impl Strategy<Value = Vec<Section>> {
+    // One section in four is a menu.
+    let one = prop_oneof![
+        section(),
+        section(),
+        section(),
+        menu().prop_map(Section::Candidates),
+    ];
+    collection::vec(one, 0..10)
 }
 
 /// The text the writer must produce, built without it.
@@ -74,64 +188,105 @@ fn reference(preamble: &str, sections: &[Section], tail: Option<&str>) -> String
     section(&mut out, "system", preamble);
     for s in sections {
         match s {
-            Section::Plain(title, body) | Section::Display(title, body) => {
-                section(&mut out, title, body)
+            Section::Plain(title, body) => section(&mut out, title, body),
+            Section::Counted(title, lines) | Section::Lines(title, lines) => {
+                section(&mut out, title, &lines.join("\n"))
             }
-            Section::Counted(title, lines) => section(&mut out, title, &lines.join("\n")),
-            Section::Candidates(names) => {
-                if !names.is_empty() {
-                    let menu: String = picks(names)
+            Section::Subgoal(title, subgoal) => section(&mut out, title, &subgoal.to_string()),
+            Section::Candidates(menu) => {
+                if !menu.is_empty() {
+                    let lines: String = menu
                         .iter()
                         .enumerate()
                         .map(|(i, sg)| format!("({i}) {sg}\n"))
                         .collect();
-                    out.push_str(&format!("[available actions]\n{menu}\n"));
+                    out.push_str(&format!("[available actions]\n{lines}\n"));
                 }
             }
         }
     }
     if let Some(tail) = tail {
-        out.push_str(&format!("\n{tail}"));
+        out.push_str(tail);
     }
     out
+}
+
+/// Runs `sections` (and `tail`) through `w`, returning its count.
+fn write(mut w: PromptWriter<'_>, sections: &[Section], tail: Option<&str>) -> u64 {
+    for s in sections {
+        match s {
+            Section::Plain(title, body) => {
+                w.push(title, body);
+            }
+            Section::Counted(title, lines) => {
+                let text = lines.join("\n");
+                let tokens = lines.iter().map(|l| count_tokens(l)).sum();
+                w.push_counted(title, Counted::with_tokens(text.as_str(), tokens));
+            }
+            Section::Lines(title, lines) => {
+                let lines: Vec<_> = lines.iter().map(Counted::new).collect();
+                w.push_lines(title, &lines);
+            }
+            Section::Subgoal(title, subgoal) => {
+                w.push_subgoal(title, subgoal);
+            }
+            Section::Candidates(menu) => {
+                w.push_candidates(menu);
+            }
+        }
+    }
+    if let Some(tail) = tail {
+        w.append(Counted::new(tail));
+    }
+    w.tokens()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn running_count_equals_a_count_of_the_written_text(
+    fn counting_equals_rendering(
         preamble in body(),
-        sections in collection::vec(section(), 0..10),
+        sections in sections(),
         tail in edge_text(),
         append in 0u32..2,
     ) {
-        let mut out = String::from("stale text from an earlier prompt");
-        let mut w = PromptWriter::new(&mut out, Counted::new(preamble.as_str()));
-        for s in &sections {
-            match s {
-                Section::Plain(title, body) => {
-                    w.push(title, body);
-                }
-                Section::Counted(title, lines) => {
-                    let text = lines.join("\n");
-                    let tokens = lines.iter().map(|l| count_tokens(l)).sum();
-                    w.push_counted(title, Counted::with_tokens(text.as_str(), tokens));
-                }
-                Section::Display(title, body) => {
-                    w.push_display(title, body);
-                }
-                Section::Candidates(names) => {
-                    w.push_candidates(&picks(names));
-                }
-            }
-        }
+        let tail = format!("\n{tail}");
         let tail = (append == 1).then_some(tail.as_str());
-        if let Some(tail) = tail {
-            w.append(format_args!("\n{tail}"));
-        }
-        let tokens = w.tokens();
-        prop_assert_eq!(&out, &reference(&preamble, &sections, tail));
-        prop_assert_eq!(tokens, count_tokens(&out), "{:?}", out);
+        let preamble = Counted::new(preamble.as_str());
+
+        let mut out = String::from("stale text from an earlier prompt");
+        let rendered = write(PromptWriter::new(&mut out, preamble), &sections, tail);
+        prop_assert_eq!(&out, &reference(preamble.text(), &sections, tail));
+        prop_assert_eq!(rendered, count_tokens(&out), "{:?}", out);
+
+        let mut scratch = String::new();
+        let counted = write(PromptWriter::counting(&mut scratch, preamble), &sections, tail);
+        prop_assert_eq!(counted, rendered);
+        prop_assert_eq!(scratch.capacity(), 0, "a counting writer wrote its buffer");
     }
+
+    #[test]
+    fn a_subgoal_counts_as_its_text(subgoal in subgoal()) {
+        prop_assert_eq!(subgoal_tokens(&subgoal), count_tokens(&subgoal.to_string()));
+    }
+}
+
+#[test]
+fn every_edge_coordinate_counts_as_its_text() {
+    for &x in COORDINATES {
+        for y in [x, -x, 9.96] {
+            let subgoal = Subgoal::ArmMove {
+                object: "mug".into(),
+                to: (x, y),
+            };
+            let text = subgoal.to_string();
+            assert_eq!(subgoal_tokens(&subgoal), count_tokens(&text), "{text}");
+        }
+    }
+    let rounds_up = Subgoal::ArmMove {
+        object: "mug".into(),
+        to: (9.96, -0.04),
+    };
+    assert_eq!(rounds_up.to_string(), "move mug to (10.0, -0.0)");
 }

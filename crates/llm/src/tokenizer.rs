@@ -28,16 +28,18 @@ pub struct Tokenizer {
 
 impl Default for Tokenizer {
     fn default() -> Self {
-        // Calibrated so English prose lands near the familiar
-        // ~4 characters/token (~0.75 tokens/word) ratio.
-        Tokenizer {
-            subword_len: 4,
-            whole_word_len: 7,
-        }
+        Self::STANDARD
     }
 }
 
 impl Tokenizer {
+    /// The default granularity, calibrated so English prose lands near the
+    /// familiar ~4 characters/token (~0.75 tokens/word) ratio.
+    pub const STANDARD: Tokenizer = Tokenizer {
+        subword_len: 4,
+        whole_word_len: 7,
+    };
+
     /// Creates a tokenizer with explicit granularity.
     ///
     /// # Panics
@@ -93,7 +95,43 @@ impl Tokenizer {
         tokens + self.alpha_tokens(run)
     }
 
-    fn alpha_tokens(&self, len: usize) -> u64 {
+    /// [`Tokenizer::count`] of ASCII `text`, usable in constants: prompt
+    /// assembly counts its fixed wording at compile time.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time, in a constant) if `text` is not ASCII.
+    ///
+    /// ```
+    /// use embodied_llm::Tokenizer;
+    ///
+    /// const TOKENS: u64 = Tokenizer::STANDARD.count_ascii("[available actions]");
+    /// assert_eq!(TOKENS, Tokenizer::default().count("[available actions]"));
+    /// ```
+    pub const fn count_ascii(&self, text: &str) -> u64 {
+        assert!(text.is_ascii(), "count_ascii needs ASCII text");
+        let bytes = text.as_bytes();
+        let mut tokens = 0u64;
+        let mut run = 0usize;
+        let mut i = 0;
+        while i < bytes.len() {
+            match ASCII_CLASS[bytes[i] as usize] {
+                Class::Letter => run += 1,
+                Class::Other => {
+                    tokens += self.alpha_tokens(run) + 1;
+                    run = 0;
+                }
+                Class::Space => {
+                    tokens += self.alpha_tokens(run);
+                    run = 0;
+                }
+            }
+            i += 1;
+        }
+        tokens + self.alpha_tokens(run)
+    }
+
+    const fn alpha_tokens(&self, len: usize) -> u64 {
         if len == 0 {
             0
         } else if len <= self.whole_word_len {
@@ -222,6 +260,26 @@ mod tests {
                 assert_eq!(common_prefix_len(&a, &b), diff, "len {len} diff {diff}");
             }
         }
+    }
+
+    #[test]
+    fn ascii_count_agrees_with_count() {
+        let tok = Tokenizer::default();
+        let ascii: String = (0u8..128).map(char::from).collect();
+        for text in [
+            "",
+            " \t\n",
+            "[available actions]",
+            "antidisestablishmentarianism, room_12!",
+            &ascii,
+        ] {
+            assert_eq!(tok.count_ascii(text), tok.count(text), "{text:?}");
+        }
+        let coarse = Tokenizer::new(3, 2);
+        assert_eq!(
+            coarse.count_ascii("kitchen sink"),
+            coarse.count("kitchen sink")
+        );
     }
 
     #[test]
