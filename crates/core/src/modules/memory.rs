@@ -209,8 +209,9 @@ pub struct MemoryModule {
     stale: EntitySet,
     /// Action memory (paper §II-A): per-skill success counts — "knowledge
     /// on how to execute specific high-level plans", the JARVIS-1/VOYAGER
-    /// skill library.
-    skills: HashMap<String, u32>,
+    /// skill library. Keyed by [`embodied_env::Subgoal::pattern`]'s static
+    /// names, so recording a skill allocates nothing.
+    skills: HashMap<&'static str, u32>,
     current_step: usize,
 }
 
@@ -398,9 +399,9 @@ impl MemoryModule {
 
     /// Records a successfully executed skill pattern in action memory
     /// (no-op when the module is disabled).
-    pub fn record_skill(&mut self, pattern: &str) {
+    pub fn record_skill(&mut self, pattern: &'static str) {
         if self.enabled {
-            *self.skills.entry(pattern.to_owned()).or_insert(0) += 1;
+            *self.skills.entry(pattern).or_insert(0) += 1;
         }
     }
 

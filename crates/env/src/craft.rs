@@ -6,7 +6,7 @@ use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
-use embodied_exec::{astar, latency, Cell};
+use embodied_exec::{latency, Cell};
 use embodied_profiler::SimDuration;
 use rand::Rng;
 use std::collections::HashMap;
@@ -373,7 +373,7 @@ impl Environment for CraftEnv {
 
     fn execute(&mut self, _agent: usize, subgoal: &Subgoal, low: &mut LowLevel) -> ExecOutcome {
         match subgoal {
-            Subgoal::GoTo { cell, target } => match astar(&self.world, self.agent_pos, *cell) {
+            Subgoal::GoTo { cell, target } => match self.world.route(self.agent_pos, *cell) {
                 Ok(plan) => {
                     self.agent_pos = *cell;
                     ExecOutcome {

@@ -199,6 +199,19 @@ struct AgentView {
     dropped: Vec<Name>,
 }
 
+impl AgentView {
+    /// `agent`'s undegraded view: what `inner` shows it, with no misreads
+    /// and nothing dropped.
+    fn ground_truth(inner: &impl Environment, agent: usize) -> Self {
+        AgentView {
+            observation: inner.observe(agent),
+            candidates: inner.candidate_subgoals(agent),
+            renames: Vec::new(),
+            dropped: Vec::new(),
+        }
+    }
+}
+
 /// Renames every reference to `from` inside one subgoal.
 fn rename_entity(sg: &mut Subgoal, from: &str, to: &Name) {
     let fix = |s: &mut Name| {
@@ -254,12 +267,7 @@ impl<E: Environment> FaultyEnv<E> {
     pub fn new(inner: E, profile: EnvFaultProfile, seed: u64) -> Self {
         let n = inner.num_agents();
         let views = (0..n)
-            .map(|agent| AgentView {
-                observation: inner.observe(agent),
-                candidates: inner.candidate_subgoals(agent),
-                renames: Vec::new(),
-                dropped: Vec::new(),
-            })
+            .map(|agent| AgentView::ground_truth(&inner, agent))
             .collect();
         FaultyEnv {
             inner,
@@ -288,16 +296,14 @@ impl<E: Environment> FaultyEnv<E> {
     /// Rebuilds one agent's degraded view from ground truth, drawing the
     /// perception faults for this frame.
     fn degrade_view(&mut self, agent: usize) {
-        let mut observation = self.inner.observe(agent);
-        let mut candidates = self.inner.candidate_subgoals(agent);
-        let mut renames = Vec::new();
-        let mut dropped = Vec::new();
+        let mut view = AgentView::ground_truth(&self.inner, agent);
+        let (observation, candidates) = (&mut view.observation, &mut view.candidates);
         let p = self.profile;
         if p.dropout > 0.0 && self.rng.gen_bool(p.dropout) && !observation.visible.is_empty() {
             let idx = self.rng.gen_range(0..observation.visible.len());
             let name = observation.visible.remove(idx).name;
             candidates.retain(|sg| !sg.entity_refs().contains(&Some(&*name)));
-            dropped.push(name);
+            view.dropped.push(name);
             self.stats.dropped_entities += 1;
         }
         if p.phantom > 0.0 && self.rng.gen_bool(p.phantom) {
@@ -316,19 +322,14 @@ impl<E: Environment> FaultyEnv<E> {
             if true_name != alias {
                 observation.visible[idx].name = alias.clone();
                 observation.visible[idx].description = format!("{alias}, partially occluded");
-                for sg in &mut candidates {
+                for sg in candidates.iter_mut() {
                     rename_entity(sg, &true_name, &alias);
                 }
-                renames.push((true_name, alias));
+                view.renames.push((true_name, alias));
                 self.stats.misread_entities += 1;
             }
         }
-        self.views[agent] = AgentView {
-            observation,
-            candidates,
-            renames,
-            dropped,
-        };
+        self.views[agent] = view;
     }
 }
 
@@ -482,12 +483,7 @@ impl<E: Environment> Environment for FaultyEnv<E> {
         // Intentionally draw-free, so recovery timing can never shift the
         // fault stream — recovery-on and -off runs face identical faults.
         self.stale_until[agent] = None;
-        self.views[agent] = AgentView {
-            observation: self.inner.observe(agent),
-            candidates: self.inner.candidate_subgoals(agent),
-            renames: Vec::new(),
-            dropped: Vec::new(),
-        };
+        self.views[agent] = AgentView::ground_truth(&self.inner, agent);
     }
 
     fn env_fault_stats(&self) -> EnvFaultStats {

@@ -6,7 +6,7 @@ use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
-use embodied_exec::{astar, latency, Cell, NavGrid};
+use embodied_exec::{latency, Cell, NavGrid};
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -327,7 +327,7 @@ impl Environment for HouseholdEnv {
             Subgoal::GoTo { cell, .. } => {
                 let from = self.agents[agent].pos;
                 let goal = self.world.nav_goal(*cell, from);
-                match astar(&self.world, from, goal) {
+                match self.world.route(from, goal) {
                     Ok(plan) => {
                         let full = plan.length();
                         let reach = if low.rng.gen_bool(low.competence.clamp(0.0, 1.0)) {

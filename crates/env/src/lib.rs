@@ -45,6 +45,7 @@ mod household;
 mod kitchen;
 mod manipulation;
 mod observation;
+mod routes;
 mod transport;
 mod world;
 
@@ -60,5 +61,6 @@ pub use household::HouseholdEnv;
 pub use kitchen::KitchenEnv;
 pub use manipulation::ManipulationEnv;
 pub use observation::{Observation, SeenEntity};
+pub use routes::{Route, RouteMemo};
 pub use transport::TransportEnv;
 pub use world::{GridWorld, Room};

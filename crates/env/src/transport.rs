@@ -6,7 +6,7 @@ use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
-use embodied_exec::{astar, latency, Cell, GraspPlanner, GraspTarget, NavGrid};
+use embodied_exec::{latency, Cell, GraspPlanner, GraspTarget, NavGrid};
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -114,7 +114,7 @@ impl TransportEnv {
     fn navigate(&mut self, agent: usize, target: Cell, low: &mut LowLevel) -> ExecOutcome {
         let from = self.agents[agent].pos;
         let goal = self.world.nav_goal(target, from);
-        match astar(&self.world, from, goal) {
+        match self.world.route(from, goal) {
             Ok(plan) => {
                 let compute = latency::astar_compute(plan.nodes_expanded);
                 // Competence caps how far a step's locomotion gets.

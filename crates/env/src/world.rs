@@ -1,7 +1,8 @@
 //! Shared spatial world model: a room-partitioned occupancy grid.
 
 use crate::action::Name;
-use embodied_exec::{Cell, DenseGrid, NavGrid};
+use crate::routes::{Route, RouteMemo};
+use embodied_exec::{Cell, DenseGrid, NavGrid, PlanError};
 
 /// A rectangular room within the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +37,13 @@ impl Room {
 /// room, painted once at construction, so [`NavGrid::passable`],
 /// [`GridWorld::room_of`] and [`GridWorld::same_room`] are a bounds check
 /// and an index.
+///
+/// Nothing changes a world after construction, so [`GridWorld::route`]
+/// plans each route once and shares it with every later query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridWorld {
-    walls: DenseGrid,
+    /// The wall bitmap, with the routes planned on it.
+    walls: RouteMemo<DenseGrid>,
     rooms: Vec<Room>,
     /// Each room's name (`room_{id}`), built once: `Room` is `Copy`, so
     /// the shared names live here, indexed like `rooms`.
@@ -84,7 +89,7 @@ impl GridWorld {
 
     /// Grid height.
     pub fn grid_height(&self) -> i32 {
-        self.walls.height()
+        self.walls.grid().height()
     }
 
     /// The rooms of this world.
@@ -104,7 +109,7 @@ impl GridWorld {
 
     /// The room containing `cell`, if any (wall cells belong to no room).
     pub fn room_of(&self, cell: Cell) -> Option<&Room> {
-        let slot = self.room_index[self.walls.index(cell)?];
+        let slot = self.room_index[self.walls.grid().index(cell)?];
         (slot != NO_ROOM).then(|| &self.rooms[slot as usize])
     }
 
@@ -129,17 +134,30 @@ impl GridWorld {
             .find(|&c| self.passable(c))
             .unwrap_or(from)
     }
+
+    /// The shortest route from `from` to `goal`, as [`embodied_exec::astar`]
+    /// plans it. The first query for a pair runs the search; later ones
+    /// share its result, `NoPath` included. Callers bill
+    /// `route.nodes_expanded` on every query all the same.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::InvalidEndpoint`] if either endpoint is a wall or out
+    /// of bounds, [`PlanError::NoPath`] if the goal is unreachable.
+    pub fn route(&mut self, from: Cell, goal: Cell) -> Result<Route, PlanError> {
+        self.walls.route(from, goal)
+    }
 }
 
 impl NavGrid for GridWorld {
     fn width(&self) -> i32 {
-        self.walls.width()
+        self.walls.grid().width()
     }
     fn height(&self) -> i32 {
-        self.walls.height()
+        self.walls.grid().height()
     }
     fn passable(&self, cell: Cell) -> bool {
-        self.walls.passable(cell)
+        self.walls.grid().passable(cell)
     }
 }
 
@@ -272,7 +290,7 @@ impl Layout {
         }
         debug_assert!(self.rooms.iter().enumerate().all(|(i, r)| r.id == i));
         GridWorld {
-            walls,
+            walls: RouteMemo::new(walls),
             room_names: (0..self.rooms.len())
                 .map(|id| format!("room_{id}").into())
                 .collect(),

@@ -52,6 +52,9 @@ impl std::error::Error for PlanError {}
 
 /// Plans a shortest 4-connected path from `start` to `goal`.
 ///
+/// Generic over the grid, so a concrete grid's `passable` inlines into the
+/// search; `&dyn NavGrid` still works.
+///
 /// # Errors
 ///
 /// * [`PlanError::InvalidEndpoint`] if either endpoint is impassable or out
@@ -60,7 +63,9 @@ impl std::error::Error for PlanError {}
 ///
 /// # Panics
 ///
-/// Panics if the grid has `u32::MAX` cells or more.
+/// Panics if the grid is too large for the packed open-list keys: their
+/// fields must fit 64 bits, which holds up to about 2 million cells (up to
+/// 1447 × 1447 square, or a (2²¹ − 1) × 1 strip).
 ///
 /// ```
 /// use embodied_exec::{astar, Cell, DenseGrid};
@@ -72,7 +77,11 @@ impl std::error::Error for PlanError {}
 /// assert_eq!(plan.path.last(), Some(&Cell::new(9, 0)));
 /// assert!(plan.length() > 9); // forced around the wall
 /// ```
-pub fn astar(grid: &dyn NavGrid, start: Cell, goal: Cell) -> Result<GridPlan, PlanError> {
+pub fn astar<G: NavGrid + ?Sized>(
+    grid: &G,
+    start: Cell,
+    goal: Cell,
+) -> Result<GridPlan, PlanError> {
     let (width, height) = (grid.width(), grid.height());
     // Out-of-bounds cells are impassable before anything indexes them, even
     // on a grid whose `passable` says otherwise.
@@ -89,27 +98,26 @@ pub fn astar(grid: &dyn NavGrid, start: Cell, goal: Cell) -> Result<GridPlan, Pl
     }
 
     // Per-cell state in flat row-major arrays; `UNSET` marks a cell the
-    // search has not reached (or, in `came_from`, the start).
+    // search has not reached (or, in `came_from`, the start). The key
+    // layout's size check also keeps every index below `UNSET`.
+    let keys = KeyLayout::new(width, height);
     let w = width as usize;
     let index = |c: Cell| c.y as usize * w + c.x as usize;
     let cell_at = |i: u32| Cell::new((i as usize % w) as i32, (i as usize / w) as i32);
     let cells = w * height as usize;
-    assert!(
-        cells < UNSET as usize,
-        "grid too large for u32 cell indices"
-    );
     let mut g_score = vec![UNSET; cells];
     let mut came_from = vec![UNSET; cells];
 
-    // Open list keyed by (f, g) with deterministic tie-breaking on the cell.
-    let mut open: BinaryHeap<Reverse<(u32, u32, i32, i32)>> = BinaryHeap::new();
+    // Open list ordered by (f, g, x, y), packed into one integer per entry:
+    // deterministic tie-breaking on the cell.
+    let mut open: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
     let mut expanded = 0usize;
 
     g_score[index(start)] = 0;
-    open.push(Reverse((start.manhattan(goal), 0, start.x, start.y)));
+    open.push(Reverse(keys.pack(start.manhattan(goal), 0, start)));
 
-    while let Some(Reverse((_, g, x, y))) = open.pop() {
-        let current = Cell::new(x, y);
+    while let Some(Reverse(key)) = open.pop() {
+        let (g, current) = keys.unpack(key);
         let at = index(current);
         if g_score[at] != g {
             continue; // stale entry
@@ -137,11 +145,10 @@ pub fn astar(grid: &dyn NavGrid, start: Cell, goal: Cell) -> Result<GridPlan, Pl
             if tentative < g_score[to] {
                 g_score[to] = tentative;
                 came_from[to] = at as u32;
-                open.push(Reverse((
+                open.push(Reverse(keys.pack(
                     tentative + next.manhattan(goal),
                     tentative,
-                    next.x,
-                    next.y,
+                    next,
                 )));
             }
         }
@@ -154,6 +161,85 @@ pub fn astar(grid: &dyn NavGrid, start: Cell, goal: Cell) -> Result<GridPlan, Pl
 /// Marks an unreached cell in `g_score` and a start (no predecessor) in
 /// `came_from`.
 const UNSET: u32 = u32::MAX;
+
+/// How an open-list entry `(f, g, x, y)` packs into one `u64`: from the top,
+/// `f`, then `g`, then `x`, then `y`, each field just wide enough for its
+/// largest value on one grid. Packed keys order exactly as the tuples do, so
+/// the heap pops, and the search expands, in the same order.
+///
+/// The widths follow from the grid alone. `x < width` and `y < height`. A
+/// tentative `g` is a popped cell's `g` plus one; the Manhattan heuristic
+/// is consistent, so a popped `g` is a shortest distance, below the number
+/// of cells: `g ≤ cells`. The heuristic is at most `width + height - 2`, so
+/// `f ≤ cells + width + height - 2`.
+#[derive(Debug, Clone, Copy)]
+struct KeyLayout {
+    /// Bits of `y`; `x` starts here.
+    y_bits: u32,
+    /// Bits below `g`: `x` and `y` together.
+    cell_bits: u32,
+    /// Bits below `f`: `g`, `x` and `y` together.
+    f_shift: u32,
+}
+
+impl KeyLayout {
+    /// The layout for a `width` × `height` grid (both positive).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the four fields need more than 64 bits.
+    fn new(width: i32, height: i32) -> Self {
+        let (w, h) = (width as u64, height as u64);
+        let cells = w * h;
+        let (x_bits, y_bits) = (bits(w - 1), bits(h - 1));
+        let g_bits = bits(cells);
+        let f_bits = bits(cells + w + h - 2);
+        let total = f_bits + g_bits + x_bits + y_bits;
+        assert!(
+            total <= u64::BITS,
+            "a {width} x {height} grid is too large for packed A* keys \
+             ({total} bits needed, 64 available)"
+        );
+        KeyLayout {
+            y_bits,
+            cell_bits: x_bits + y_bits,
+            f_shift: g_bits + x_bits + y_bits,
+        }
+    }
+
+    /// Packs `(f, g, cell)`; every field must lie within the grid's bounds.
+    fn pack(self, f: u32, g: u32, cell: Cell) -> u64 {
+        debug_assert!(
+            u64::from(f) <= u64::MAX >> self.f_shift
+                && u64::from(g) <= mask(self.f_shift - self.cell_bits)
+                && (cell.x as u64) <= mask(self.cell_bits - self.y_bits)
+                && (cell.y as u64) <= mask(self.y_bits),
+            "({f}, {g}, {cell}) overflows its key fields"
+        );
+        u64::from(f) << self.f_shift
+            | u64::from(g) << self.cell_bits
+            | (cell.x as u64) << self.y_bits
+            | cell.y as u64
+    }
+
+    /// The `g` and cell a key packs.
+    fn unpack(self, key: u64) -> (u32, Cell) {
+        let g = (key & mask(self.f_shift)) >> self.cell_bits;
+        let x = (key & mask(self.cell_bits)) >> self.y_bits;
+        let y = key & mask(self.y_bits);
+        (g as u32, Cell::new(x as i32, y as i32))
+    }
+}
+
+/// Bits needed to write `n`.
+fn bits(n: u64) -> u32 {
+    u64::BITS - n.leading_zeros()
+}
+
+/// The low `bits` bits set (`bits < 64`).
+fn mask(bits: u32) -> u64 {
+    (1 << bits) - 1
+}
 
 #[cfg(test)]
 mod tests {
@@ -283,5 +369,81 @@ mod tests {
         maze.block_vwall(18, 0, 22);
         let hard = astar(&maze, Cell::new(0, 0), Cell::new(24, 0)).unwrap();
         assert!(hard.nodes_expanded > easy.nodes_expanded);
+    }
+
+    /// Every combination of each field's boundary values: 0, 1 and the
+    /// two largest the grid allows.
+    fn boundary_keys(width: i32, height: i32) -> Vec<(u32, u32, i32, i32)> {
+        let cells = width as u32 * height as u32;
+        let edges = |max: u32| {
+            let mut v = vec![0, 1.min(max), max.saturating_sub(1), max];
+            v.dedup();
+            v
+        };
+        let mut keys = Vec::new();
+        for f in edges(cells + width as u32 + height as u32 - 2) {
+            for g in edges(cells) {
+                for x in edges(width as u32 - 1) {
+                    for y in edges(height as u32 - 1) {
+                        keys.push((f, g, x as i32, y as i32));
+                    }
+                }
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn packed_keys_order_as_tuples_up_to_the_largest_grids() {
+        // The largest square and the longest strips (one more cell of side
+        // overflows 64 bits, see the tests below), and cell counts that are
+        // powers of two, where `g`'s largest value needs one bit more than
+        // a cell index does.
+        for (width, height) in [
+            (1447, 1447),
+            ((1 << 21) - 1, 1),
+            (1, (1 << 21) - 1),
+            (1024, 1024),
+            (4, 2),
+            (7, 3),
+        ] {
+            let layout = KeyLayout::new(width, height);
+            let keys = boundary_keys(width, height);
+            for &(f, g, x, y) in &keys {
+                let key = layout.pack(f, g, Cell::new(x, y));
+                assert_eq!(layout.unpack(key), (g, Cell::new(x, y)));
+            }
+            for a in &keys {
+                for b in &keys {
+                    let packed =
+                        |&(f, g, x, y): &(u32, u32, i32, i32)| layout.pack(f, g, Cell::new(x, y));
+                    assert_eq!(packed(a).cmp(&packed(b)), a.cmp(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a 1448 x 1448 grid is too large for packed A* keys")]
+    fn a_square_past_the_key_limit_is_rejected() {
+        let grid = DenseGrid::open(1448, 1448);
+        let _ = astar(&grid, Cell::new(0, 0), Cell::new(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "a 2097152 x 1 grid is too large for packed A* keys")]
+    fn a_strip_past_the_key_limit_is_rejected() {
+        let _ = KeyLayout::new(1 << 21, 1);
+    }
+
+    #[test]
+    fn plans_reach_the_far_edges_of_the_largest_square() {
+        let grid = DenseGrid::open(1447, 1447);
+        let plan = astar(&grid, Cell::new(0, 1446), Cell::new(1446, 1446)).unwrap();
+        assert_eq!(plan.length(), 1446);
+        assert_eq!(plan.nodes_expanded, 1447);
+        let plan = astar(&grid, Cell::new(1446, 1446), Cell::new(1446, 0)).unwrap();
+        assert_eq!(plan.path.last(), Some(&Cell::new(1446, 0)));
+        assert_eq!(plan.length(), 1446);
     }
 }

@@ -36,6 +36,14 @@ echo "== resilience + integration + allocation tests (release) =="
 cargo test --release -q -p embodied-suite -p embodied-agents --test resilience \
   --test fault_properties --test guardrail_properties --test suite_integration --test alloc
 
+# A*'s packed open-list keys rely on size checks that hold in both builds,
+# but a field overflow that debug builds catch would wrap silently in release.
+# So the planner's reference gate, its key-boundary unit tests and the route
+# memo's properties run in release too.
+echo "== A* reference + packed keys + route memo (release) =="
+cargo test --release -q -p embodied-exec -p embodied-env --lib --test astar_reference \
+  --test route_memo
+
 # Release builds assemble prompts as counts; debug builds render them.
 echo "== rendered vs count-only prompt differential (release) =="
 cargo test --release -q -p embodied-agents --lib differential
