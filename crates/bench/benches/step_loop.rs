@@ -8,7 +8,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use embodied_agents::modules::{MemoryModule, RecordKind};
 use embodied_agents::{run_episode, workloads, MemoryCapacity, RunOverrides};
-use embodied_env::TaskDifficulty;
+use embodied_env::{Name, TaskDifficulty};
 use embodied_llm::ServingConfig;
 
 /// A memory module filled with `n` records in steady state.
@@ -42,8 +42,9 @@ fn bench_knows(c: &mut Criterion) {
     let mut group = c.benchmark_group("knows");
     for n in [10usize, 1000] {
         let mem = filled_memory(n);
+        let probe = Name::from("object_3");
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(mem.knows("object_3")))
+            b.iter(|| black_box(mem.knows(&probe)))
         });
     }
     group.finish();

@@ -188,7 +188,7 @@ impl ModularAgent {
     pub fn filter_subgoals_with(
         &self,
         subgoals: Vec<Subgoal>,
-        mut knows: impl FnMut(&str) -> bool,
+        mut knows: impl FnMut(&Name) -> bool,
         step: usize,
     ) -> Vec<Subgoal> {
         subgoals
@@ -288,9 +288,10 @@ mod tests {
     fn knowledge_merges_memory_and_percept() {
         let mut agent = agent_with(ModuleToggles::all_on());
         let (known, _) = agent.knowledge_delta(&["apple_1".into()]);
-        assert!(agent.memory.set_contains(&known, "room_0")); // landmark
-        assert!(agent.memory.set_contains(&known, "apple_1")); // fresh percept
-        assert!(!agent.memory.set_contains(&known, "box_2"));
+        let contains = |name: &str| agent.memory.set_contains(&known, &name.into());
+        assert!(contains("room_0")); // landmark
+        assert!(contains("apple_1")); // fresh percept
+        assert!(!contains("box_2"));
     }
 
     #[test]
@@ -303,7 +304,7 @@ mod tests {
         let pick_ghost = Subgoal::Pick {
             object: "ghost_9".into(),
         };
-        let knows = |e: &str| known.contains(e);
+        let knows = |e: &Name| known.contains(e.as_str());
         let filtered = agent.filter_subgoals_with(
             vec![pick_apple.clone(), pick_ghost, Subgoal::Explore],
             knows,

@@ -27,7 +27,7 @@
 //! [`Phase::Validate`]: embodied_profiler::Phase::Validate
 //! [`Phase::Repair`]: embodied_profiler::Phase::Repair
 
-use crate::prompt::{Counted, PromptWriter};
+use crate::prompt::{title, Counted, PromptWriter};
 use embodied_env::{AffordanceSet, Name, Subgoal};
 use embodied_llm::{
     floor_char, EngineHandle, InferenceOpts, LlmRequest, LlmResponse, Prompt, Purpose,
@@ -186,7 +186,7 @@ impl PlanValidator {
             Proposal::Action(sg) => {
                 if let Some(entity) = affordances.unknown_entity(sg) {
                     Err(ValidationError::HallucinatedEntity {
-                        entity: entity.to_owned(),
+                        entity: entity.to_string(),
                     })
                 } else if !affordances.permits(sg) {
                     Err(ValidationError::InvalidAction {
@@ -301,8 +301,8 @@ fn invalid_action(salt: u64, intended: &Subgoal, affordances: &AffordanceSet) ->
                 .flat_map(|c| c.entity_refs().into_iter().flatten())
                 .next()
         })
-        .unwrap_or("site_0")
-        .into();
+        .cloned()
+        .unwrap_or_else(|| "site_0".into());
     let builders: [fn(Name) -> Subgoal; 4] = [
         |e| Subgoal::Craft { item: e },
         |e| Subgoal::Open { container: e },
@@ -490,10 +490,10 @@ fn write_repair_prompt<'a>(
     affordances: &AffordanceSet,
 ) -> Prompt<'a> {
     let mut w = PromptWriter::for_engine(out, preamble, engine);
-    w.push_counted("task goal", goal)
-        .push("validator error", &error.feedback())
+    w.push_counted(title::TASK_GOAL, goal)
+        .push(title::VALIDATOR_ERROR, &error.feedback())
         .push_candidates(affordances.candidates())
-        .push_counted("instruction", REPAIR_INSTRUCTION);
+        .push_counted(title::INSTRUCTION, REPAIR_INSTRUCTION);
     w.finish()
 }
 

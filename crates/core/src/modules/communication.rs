@@ -6,7 +6,7 @@
 //! paper's "only 20% of pre-generated messages lead to actual
 //! communication" finding (§V-D).
 
-use crate::prompt::{count_tokens, digit_tokens, literal_tokens, Counted, PromptWriter};
+use crate::prompt::{digit_tokens, literal_tokens, name_tokens, title, Counted, PromptWriter};
 use embodied_env::Name;
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 use std::fmt::Write as _;
@@ -89,10 +89,10 @@ impl CommunicationModule {
         opts: InferenceOpts,
     ) -> Result<OutgoingMessage, LlmError> {
         let mut w = PromptWriter::for_engine(&mut self.prompt_buf, preamble, &self.engine);
-        w.push_counted("task goal", goal)
-            .push_counted("your status", status)
-            .push_lines("dialogue so far", dialogue_so_far)
-            .push_counted("instruction", INSTRUCTION);
+        w.push_counted(title::TASK_GOAL, goal)
+            .push_counted(title::YOUR_STATUS, status)
+            .push_lines(title::DIALOGUE_SO_FAR, dialogue_so_far)
+            .push_counted(title::INSTRUCTION, INSTRUCTION);
         let response = self.engine.infer(
             LlmRequest::new(Purpose::Communication, w.finish(), 60)
                 .with_difficulty(difficulty)
@@ -117,7 +117,7 @@ impl CommunicationModule {
                     text.push_str(", ");
                 }
                 text.push_str(e);
-                tokens += count_tokens(e);
+                tokens += name_tokens(e);
             }
             text.push('.');
             // One comma between each two names, and the closing period.

@@ -8,7 +8,7 @@
 //! — the measurable footprint of exploration.
 
 use crate::modules::Percept;
-use crate::prompt::{count_tokens, digit_tokens, literal_tokens};
+use crate::prompt::{count_tokens, digit_tokens, literal_tokens, name_tokens};
 use embodied_env::Name;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -24,21 +24,34 @@ pub struct LocationKnowledge {
     pub entities: Rc<[Name]>,
     /// Step of the most recent visit.
     pub last_seen_step: usize,
+    /// Tokens in the location's name, counted on the first visit.
+    name_tokens: u64,
     /// Tokens in this location's summary line, counted from its parts
     /// when the line's content last changed.
     line_tokens: u64,
 }
 
-/// Tokens in a summary line, from its parts: the name and its colon, the
-/// entity list (each comma one token) or "nothing notable", and
-/// "(seen step N)". The parts meet at spaces, where counts add up.
-fn line_tokens(name: &str, entities: &[Name], step: usize) -> u64 {
+impl LocationKnowledge {
+    /// Records a visit at `step` that saw `entities`.
+    fn visit(&mut self, entities: &Rc<[Name]>, step: usize) {
+        self.visits += 1;
+        self.last_seen_step = step;
+        self.entities = Rc::clone(entities);
+        self.line_tokens = line_tokens(self.name_tokens, entities, step);
+    }
+}
+
+/// Tokens in a summary line, from its parts: the location's name
+/// (`location_tokens`) and its colon, the entity list (each comma one
+/// token) or "nothing notable", and "(seen step N)". The parts meet at
+/// spaces, where counts add up.
+fn line_tokens(location_tokens: u64, entities: &[Name], step: usize) -> u64 {
     let body = if entities.is_empty() {
         const { literal_tokens("nothing notable") }
     } else {
-        entities.iter().map(|e| count_tokens(e)).sum::<u64>() + entities.len() as u64 - 1
+        entities.iter().map(name_tokens).sum::<u64>() + entities.len() as u64 - 1
     };
-    count_tokens(name) + 1 + body + const { literal_tokens("(seen step)") } + digit_tokens(step)
+    location_tokens + 1 + body + const { literal_tokens("(seen step)") } + digit_tokens(step)
 }
 
 /// An accumulated map of the (partially observed) world.
@@ -53,16 +66,23 @@ impl WorldMap {
         Self::default()
     }
 
-    /// Folds one percept into the map.
+    /// Folds one percept into the map. The location's name is copied and
+    /// counted on its first visit only.
     pub fn integrate(&mut self, percept: &Percept, step: usize) {
-        if percept.location.is_empty() {
+        let location = percept.location.as_str();
+        if location.is_empty() {
             return;
         }
-        let entry = self.locations.entry(percept.location.clone()).or_default();
-        entry.visits += 1;
-        entry.last_seen_step = step;
-        entry.entities = percept.entities.clone();
-        entry.line_tokens = line_tokens(&percept.location, &entry.entities, step);
+        if let Some(known) = self.locations.get_mut(location) {
+            known.visit(&percept.entities, step);
+            return;
+        }
+        let mut first = LocationKnowledge {
+            name_tokens: count_tokens(location),
+            ..LocationKnowledge::default()
+        };
+        first.visit(&percept.entities, step);
+        self.locations.insert(location.to_owned(), first);
     }
 
     /// Number of distinct locations visited.
@@ -86,9 +106,10 @@ impl WorldMap {
                 if k.entities.is_empty() {
                     format!("{name}: nothing notable (seen step {})", k.last_seen_step)
                 } else {
+                    let entities: Vec<&str> = k.entities.iter().map(Name::as_str).collect();
                     format!(
                         "{name}: {} (seen step {})",
-                        k.entities.join(", "),
+                        entities.join(", "),
                         k.last_seen_step
                     )
                 }

@@ -3,11 +3,12 @@
 //! (Fig. 5), and the dual long/short-term structure of Rec. 5.
 
 use crate::config::MemoryCapacity;
-use crate::prompt::{count_tokens, digit_tokens, literal_tokens, Counted};
-use embodied_env::Name;
+use crate::prompt::{count_tokens, digit_tokens, literal_tokens, name_tokens, Counted};
+use embodied_env::{Name, NameHasher, SubgoalKind};
 use embodied_profiler::SimDuration;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 thread_local! {
@@ -146,27 +147,29 @@ impl EntitySet {
 
 /// The module's name table: each entity name it has met, once, under the
 /// id its indexes use. A name that arrives shared (from a percept, message
-/// or record) is kept as that same allocation.
+/// or record) is kept as that same symbol. A lookup reads no text: the
+/// table hashes a name by the hash it was made with, and compares text
+/// only when that hash matches another name's and the two are different
+/// symbols.
 #[derive(Debug, Clone, Default)]
 struct EntityNames {
-    ids: HashMap<Name, EntityId>,
+    ids: HashMap<Name, EntityId, BuildHasherDefault<NameHasher>>,
     names: Vec<Name>,
 }
 
 impl EntityNames {
-    fn get(&self, name: &str) -> Option<EntityId> {
+    fn get(&self, name: &Name) -> Option<EntityId> {
         self.ids.get(name).copied()
     }
 
-    /// The id of `name`, entering `shared()` under a new id on first sight.
-    fn intern_with(&mut self, name: &str, shared: impl FnOnce() -> Name) -> EntityId {
+    /// The id of `name`, entering it under a new id on first sight.
+    fn intern(&mut self, name: &Name) -> EntityId {
         if let Some(id) = self.get(name) {
             return id;
         }
         let id = EntityId(u32::try_from(self.names.len()).expect("fewer than 2^32 entities"));
-        let name = shared();
-        self.names.push(Rc::clone(&name));
-        self.ids.insert(name, id);
+        self.names.push(name.clone());
+        self.ids.insert(name.clone(), id);
         id
     }
 
@@ -209,9 +212,9 @@ pub struct MemoryModule {
     stale: EntitySet,
     /// Action memory (paper §II-A): per-skill success counts — "knowledge
     /// on how to execute specific high-level plans", the JARVIS-1/VOYAGER
-    /// skill library. Keyed by [`embodied_env::Subgoal::pattern`]'s static
-    /// names, so recording a skill allocates nothing.
-    skills: HashMap<&'static str, u32>,
+    /// skill library. Indexed by [`SubgoalKind`], so recording or asking
+    /// about a skill hashes nothing.
+    skills: [u32; SubgoalKind::COUNT],
     current_step: usize,
 }
 
@@ -277,8 +280,8 @@ impl MemoryModule {
     ) -> Self {
         let mut names = EntityNames::default();
         let mut landmark_set = EntitySet::default();
-        for name in &landmarks {
-            landmark_set.insert(names.intern_with(name, || name.as_str().into()));
+        for name in landmarks {
+            landmark_set.insert(names.intern(&name.into()));
         }
         MemoryModule {
             enabled,
@@ -294,7 +297,7 @@ impl MemoryModule {
             long_term_sorted: Vec::new(),
             long_term_tokens: 0,
             stale: EntitySet::default(),
-            skills: HashMap::new(),
+            skills: [0; SubgoalKind::COUNT],
             current_step: 0,
         }
     }
@@ -374,7 +377,7 @@ impl MemoryModule {
             if self.dual && self.enabled && !self.long_term.contains(id) {
                 // A comma is one token; names join at its space.
                 let comma = u64::from(!self.long_term_sorted.is_empty());
-                self.long_term_tokens += count_tokens(e) + comma;
+                self.long_term_tokens += name_tokens(e) + comma;
                 self.long_term.insert(id);
                 let names = &self.names;
                 let pos = self
@@ -397,18 +400,18 @@ impl MemoryModule {
         }
     }
 
-    /// Records a successfully executed skill pattern in action memory
-    /// (no-op when the module is disabled).
-    pub fn record_skill(&mut self, pattern: &'static str) {
+    /// Records a successful execution of a kind of subgoal in action
+    /// memory (no-op when the module is disabled).
+    pub fn record_skill(&mut self, kind: SubgoalKind) {
         if self.enabled {
-            *self.skills.entry(pattern).or_insert(0) += 1;
+            self.skills[kind as usize] += 1;
         }
     }
 
-    /// How often a skill pattern has succeeded before.
-    pub fn skill_familiarity(&self, pattern: &str) -> u32 {
+    /// How often a kind of subgoal has succeeded before.
+    pub fn skill_familiarity(&self, kind: SubgoalKind) -> u32 {
         if self.enabled {
-            self.skills.get(pattern).copied().unwrap_or(0)
+            self.skills[kind as usize]
         } else {
             0
         }
@@ -417,28 +420,23 @@ impl MemoryModule {
     /// Quality bonus from a practiced skill: accumulated procedural
     /// knowledge makes re-planning the same kind of step more reliable,
     /// saturating quickly (≤ +0.04).
-    pub fn skill_bonus(&self, pattern: &str) -> f64 {
-        (f64::from(self.skill_familiarity(pattern)) * 0.01).min(0.04)
+    pub fn skill_bonus(&self, kind: SubgoalKind) -> f64 {
+        (f64::from(self.skill_familiarity(kind)) * 0.01).min(0.04)
     }
 
     /// Marks an entity's knowledge as stale (reflection discovered the
     /// world no longer matches memory); it is excluded from knowledge until
-    /// re-observed or the marker expires.
+    /// re-observed or the marker expires. The name made here from `entity`
+    /// meets the shared name of the same text under one id.
     pub fn mark_stale(&mut self, entity: &str) {
-        let id = self.intern_with(entity, || entity.into());
+        let id = self.intern_shared(&entity.into());
         self.stale.insert(id);
     }
 
     /// The id of `name`, entering the shared name itself into the name
     /// table (and the last-seen index, as never seen) on first sight.
     fn intern_shared(&mut self, name: &Name) -> EntityId {
-        self.intern_with(name, || Rc::clone(name))
-    }
-
-    /// [`MemoryModule::intern_shared`] for a name that may have to be
-    /// copied: `shared` makes the table's copy on first sight.
-    fn intern_with(&mut self, name: &str, shared: impl FnOnce() -> Name) -> EntityId {
-        let id = self.names.intern_with(name, shared);
+        let id = self.names.intern(name);
         if self.last_seen.len() < self.names.len() {
             self.last_seen.resize(self.names.len(), None);
         }
@@ -470,7 +468,7 @@ impl MemoryModule {
 
     /// Whether one entity is currently known: a point query against
     /// landmarks, the incremental last-seen index and the long-term store.
-    pub fn knows(&self, entity: &str) -> bool {
+    pub fn knows(&self, entity: &Name) -> bool {
         let Some(id) = self.names.get(entity) else {
             return false;
         };
@@ -522,7 +520,7 @@ impl MemoryModule {
     }
 
     /// Whether `name` is a member of `set`, a set this module made.
-    pub fn set_contains(&self, set: &EntitySet, name: &str) -> bool {
+    pub fn set_contains(&self, set: &EntitySet, name: &Name) -> bool {
         self.names.get(name).is_some_and(|id| set.contains(id))
     }
 
@@ -531,7 +529,7 @@ impl MemoryModule {
     pub fn names_not_in(&self, set: &EntitySet, base: &EntitySet) -> Rc<[Name]> {
         let mut names: Vec<Name> = set
             .ids_not_in(base)
-            .map(|id| Rc::clone(self.names.name(id)))
+            .map(|id| self.names.name(id).clone())
             .collect();
         if names.is_empty() {
             return no_entities();
@@ -792,12 +790,15 @@ mod tests {
                         "known set diverged at {step}"
                     );
                     for e in &expect {
-                        assert!(m.knows(e), "knows() must accept {e} at step {step}");
+                        assert!(
+                            m.knows(&e.as_str().into()),
+                            "knows() must accept {e} at step {step}"
+                        );
                     }
                     for i in 0..5 {
                         let e = format!("object_{i}");
                         assert_eq!(
-                            m.knows(&e),
+                            m.knows(&e.as_str().into()),
                             expect.contains(&e),
                             "knows({e}) diverged at step {step}"
                         );
@@ -1021,21 +1022,65 @@ mod tests {
     #[test]
     fn skill_library_accumulates_and_saturates() {
         let mut m = module(MemoryCapacity::Steps(4));
-        assert_eq!(m.skill_bonus("pick"), 0.0);
+        assert_eq!(m.skill_bonus(SubgoalKind::Pick), 0.0);
         for _ in 0..10 {
-            m.record_skill("pick");
+            m.record_skill(SubgoalKind::Pick);
         }
-        assert_eq!(m.skill_familiarity("pick"), 10);
-        assert!((m.skill_bonus("pick") - 0.04).abs() < 1e-12, "bonus caps");
-        assert_eq!(m.skill_bonus("craft"), 0.0);
+        m.record_skill(SubgoalKind::Wait);
+        assert_eq!(m.skill_familiarity(SubgoalKind::Pick), 10);
+        assert_eq!(m.skill_familiarity(SubgoalKind::Wait), 1);
+        assert!(
+            (m.skill_bonus(SubgoalKind::Pick) - 0.04).abs() < 1e-12,
+            "bonus caps"
+        );
+        assert_eq!(m.skill_bonus(SubgoalKind::Craft), 0.0);
     }
 
     #[test]
     fn disabled_memory_has_no_skill_library() {
         let mut m = MemoryModule::new(false, MemoryCapacity::Full, false, false, vec![]);
-        m.record_skill("pick");
-        assert_eq!(m.skill_familiarity("pick"), 0);
-        assert_eq!(m.skill_bonus("pick"), 0.0);
+        m.record_skill(SubgoalKind::Pick);
+        assert_eq!(m.skill_familiarity(SubgoalKind::Pick), 0);
+        assert_eq!(m.skill_bonus(SubgoalKind::Pick), 0.0);
+    }
+
+    /// Landmarks arrive as text and `mark_stale` takes text, so memory
+    /// makes those names itself. Each must meet the environment's shared
+    /// name of the same text under one id, and the table keeps the first.
+    #[test]
+    fn names_made_twice_meet_their_shared_twins() {
+        use embodied_env::{Environment, TaskDifficulty, TransportEnv};
+
+        let env = TransportEnv::new(TaskDifficulty::Easy, 2, 7);
+        let landmarks = env.landmarks();
+        let mut m = MemoryModule::new(true, MemoryCapacity::Full, false, false, landmarks.clone());
+        let menu = env.candidate_subgoals(0);
+        let shared: Vec<&Name> = menu
+            .iter()
+            .flat_map(|sg| sg.entity_refs().into_iter().flatten())
+            .collect();
+        let (twins, others): (Vec<&Name>, Vec<&Name>) = shared
+            .into_iter()
+            .partition(|n| landmarks.iter().any(|l| l == n.as_str()));
+        assert!(!twins.is_empty() && !others.is_empty(), "{menu:?}");
+        let table = m.names.len();
+        for twin in twins {
+            let id = m.names.get(twin).expect("the landmark's id");
+            assert!(!Name::ptr_eq(m.names.name(id), twin), "made twice");
+            assert_eq!(m.intern_shared(twin), id);
+            assert!(m.knows(twin));
+        }
+        assert_eq!(m.names.len(), table);
+
+        let other = others[0];
+        m.mark_stale(other);
+        let id = m.names.get(other).expect("the stale marker's id");
+        assert!(!Name::ptr_eq(m.names.name(id), other), "made twice");
+        m.begin_step(1);
+        m.store(RecordKind::Observation, "saw it", vec![other.clone()]);
+        assert_eq!(m.intern_shared(other), id);
+        assert!(!m.knows(other), "the marker holds for the shared twin");
+        assert_eq!(m.names.len(), table + 1);
     }
 
     #[test]

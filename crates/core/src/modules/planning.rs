@@ -6,7 +6,7 @@
 //! oracle or draws a wrong candidate — so success rates, wasted steps and
 //! replanning loops all flow from the quality model.
 
-use crate::prompt::{Body, Counted, PromptWriter};
+use crate::prompt::{title, Body, Counted, PromptWriter};
 use embodied_env::Subgoal;
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 use std::rc::Rc;
@@ -105,10 +105,10 @@ impl PlanningModule {
         engine: &EngineHandle,
     ) -> PromptWriter<'b> {
         let mut w = PromptWriter::for_engine(out, ctx.preamble, engine);
-        w.push_counted("task goal", ctx.goal)
-            .push_counted("current observation", ctx.percept)
-            .push_counted("memory", ctx.memory)
-            .push_lines("dialogue", ctx.dialogue)
+        w.push_counted(title::TASK_GOAL, ctx.goal)
+            .push_counted(title::CURRENT_OBSERVATION, ctx.percept)
+            .push_counted(title::MEMORY, ctx.memory)
+            .push_lines(title::DIALOGUE, ctx.dialogue)
             .push_candidates(&ctx.candidates);
         w
     }
@@ -168,7 +168,7 @@ impl PlanningModule {
     ) -> Result<PlanDecision, LlmError> {
         let mut w = Self::writer(ctx, &mut self.prompt_buf, &self.engine);
         w.append(Counted::literal("\n"))
-            .push_subgoal("proposed plan", &decision.subgoal)
+            .push_subgoal(title::PROPOSED_PLAN, &decision.subgoal)
             .append(CONFIRM_SELECTION);
         let response = self.engine.infer(
             LlmRequest::new(Purpose::ActionSelection, w.finish(), 24)

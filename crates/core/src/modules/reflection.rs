@@ -2,7 +2,7 @@
 //! catches an error, cleans up the agent's beliefs so planning does not
 //! loop on invalid operations (paper §II-A, Fig. 3).
 
-use crate::prompt::{Counted, PromptWriter};
+use crate::prompt::{title, Counted, PromptWriter};
 use embodied_env::{ExecOutcome, Subgoal};
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 
@@ -123,9 +123,9 @@ impl ReflectionModule {
         opts: InferenceOpts,
     ) -> Result<ReflectionVerdict, LlmError> {
         let mut w = PromptWriter::for_engine(&mut self.prompt_buf, preamble, &self.engine);
-        w.push_subgoal("attempted action", subgoal)
-            .push("observed result", &outcome.note)
-            .push_counted("instruction", REFLECT_INSTRUCTION);
+        w.push_subgoal(title::ATTEMPTED_ACTION, subgoal)
+            .push(title::OBSERVED_RESULT, &outcome.note)
+            .push_counted(title::INSTRUCTION, REFLECT_INSTRUCTION);
         let response = self.engine.infer(
             LlmRequest::new(Purpose::Reflection, w.finish(), 70)
                 .with_difficulty(difficulty)
@@ -140,7 +140,7 @@ impl ReflectionModule {
                 .entity_refs()
                 .into_iter()
                 .flatten()
-                .map(str::to_owned)
+                .map(ToString::to_string)
                 .collect()
         } else {
             Vec::new()
@@ -173,8 +173,8 @@ impl ReflectionModule {
         opts: InferenceOpts,
     ) -> Result<(bool, LlmResponse), LlmError> {
         let mut w = PromptWriter::for_engine(&mut self.prompt_buf, preamble, &self.engine);
-        w.push_subgoal("proposed plan", subgoal)
-            .push_counted("instruction", VERIFY_INSTRUCTION);
+        w.push_subgoal(title::PROPOSED_PLAN, subgoal)
+            .push_counted(title::INSTRUCTION, VERIFY_INSTRUCTION);
         let response = self.engine.infer(
             LlmRequest::new(Purpose::Reflection, w.finish(), 18)
                 .with_difficulty(difficulty)

@@ -13,7 +13,7 @@ use crate::prompt::{
     Counted, PromptWriter,
 };
 use crate::system::EmbodiedSystem;
-use embodied_env::{AffordanceSet, Subgoal};
+use embodied_env::{AffordanceSet, Name, Subgoal};
 use embodied_llm::{InferenceOpts, LlmRequest, Purpose, SemanticFlaw};
 use embodied_profiler::{ModuleKind, Phase, RepairStats};
 use std::fmt::Write as _;
@@ -147,7 +147,7 @@ pub(crate) fn plan_assignments(
     let central_knows = {
         let central = sys.central.as_ref().expect("centralized system");
         let knowledge = &knowledge;
-        move |e: &str| central.memory.set_contains(knowledge, e)
+        move |e: &Name| central.memory.set_contains(knowledge, e)
     };
     let mut oracles = Vec::with_capacity(n);
     let mut menus = Vec::with_capacity(n);

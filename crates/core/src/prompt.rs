@@ -14,20 +14,31 @@
 //! Nothing is formatted to be counted. Text that never changes once made
 //! (preambles, percepts, memory lines, messages) carries its token count
 //! from where it was made as a [`Counted`]; fixed wording (instructions,
-//! header brackets, a subgoal's verbs) is counted at compile time with
-//! [`Counted::literal`]; a subgoal adds its wording to the counts of its
-//! names ([`subgoal_tokens`]). The token rule is additive across
-//! whitespace and across punctuation, and every piece meets its
-//! neighbours at such a seam, so the sum is exactly the count of the text.
+//! header brackets, section titles, a subgoal's verbs) is counted at
+//! compile time with [`Counted::literal`]; a subgoal adds its wording to
+//! the counts of its names ([`subgoal_tokens`]), and each entity name is
+//! counted once, on its first use, and keeps its count ([`name_tokens`]).
+//! The token rule is additive across whitespace and across punctuation,
+//! and every piece meets its neighbours at such a seam, so the sum is
+//! exactly the count of the text.
 
 use crate::modules::Percept;
-use embodied_env::Subgoal;
+use embodied_env::{Name, Subgoal};
 use embodied_llm::{EngineHandle, Prompt, Tokenizer};
 use std::fmt::{self, Display, Write as _};
 
 /// Tokens in `text` under the tokenizer every simulated model uses.
 pub fn count_tokens(text: &str) -> u64 {
     Tokenizer::STANDARD.count(text)
+}
+
+/// [`count_tokens`] of an entity name, counted on the name's first use and
+/// kept in it: every later count reads the memo its clones share. Debug
+/// builds recount.
+pub fn name_tokens(name: &Name) -> u64 {
+    let tokens = name.tokens_with(count_tokens);
+    debug_assert_eq!(tokens, count_tokens(name), "token memo of {name:?}");
+    tokens
 }
 
 /// [`count_tokens`] of ASCII `text`, usable in constants.
@@ -82,10 +93,10 @@ impl fmt::Write for ByteLen {
 }
 
 /// Tokens in `subgoal`'s [`Display`] text, added up from its fixed wording
-/// and its names without writing it: every name stands between spaces or
-/// at an end of the text.
+/// and its names' [`name_tokens`] without writing it: every name stands
+/// between spaces or at an end of the text.
 pub fn subgoal_tokens(subgoal: &Subgoal) -> u64 {
-    let n = |name: &str| count_tokens(name);
+    let n = name_tokens;
     match subgoal {
         Subgoal::GoTo { target, .. } => n(target) + const { literal_tokens("go to") },
         Subgoal::Pick { object } => n(object) + const { literal_tokens("pick up") },
@@ -262,36 +273,67 @@ impl<'a> From<Counted<&'a str>> for Body<'a> {
     }
 }
 
-/// The action menu's header title.
-const AVAILABLE_ACTIONS: &str = "available actions";
+/// Section titles, counted at compile time.
+pub mod title {
+    use super::Counted;
+
+    /// The system preamble.
+    pub const SYSTEM: Counted<&str> = Counted::literal("system");
+    /// The task goal.
+    pub const TASK_GOAL: Counted<&str> = Counted::literal("task goal");
+    /// The planner's current percept.
+    pub const CURRENT_OBSERVATION: Counted<&str> = Counted::literal("current observation");
+    /// Retrieved memory and the map.
+    pub const MEMORY: Counted<&str> = Counted::literal("memory");
+    /// Messages received.
+    pub const DIALOGUE: Counted<&str> = Counted::literal("dialogue");
+    /// The dialogue a message answers.
+    pub const DIALOGUE_SO_FAR: Counted<&str> = Counted::literal("dialogue so far");
+    /// A message sender's own state.
+    pub const YOUR_STATUS: Counted<&str> = Counted::literal("your status");
+    /// A prompt's closing instruction.
+    pub const INSTRUCTION: Counted<&str> = Counted::literal("instruction");
+    /// A plan up for confirmation or verification.
+    pub const PROPOSED_PLAN: Counted<&str> = Counted::literal("proposed plan");
+    /// The action reflection diagnoses.
+    pub const ATTEMPTED_ACTION: Counted<&str> = Counted::literal("attempted action");
+    /// What that action did.
+    pub const OBSERVED_RESULT: Counted<&str> = Counted::literal("observed result");
+    /// The guardrail's feedback on a rejected action.
+    pub const VALIDATOR_ERROR: Counted<&str> = Counted::literal("validator error");
+    /// The candidate menu.
+    pub const AVAILABLE_ACTIONS: Counted<&str> = Counted::literal("available actions");
+}
 
 /// Assembles a prompt's sections into a caller-owned `String` and keeps a
 /// running token count. Each section is `[title]\n{body}\n`, skipped when
-/// the body is empty or whitespace.
+/// the body is empty or whitespace. Titles arrive counted, as the
+/// constants of [`mod@title`].
 ///
 /// A writer has two forms. [`PromptWriter::new`] renders the text and sums
 /// its count. [`PromptWriter::counting`] only sums the count and never
 /// touches its buffer: every section adds counts made elsewhere (a header
 /// costs its title's tokens and two brackets, a menu line its number, its
 /// parentheses and [`subgoal_tokens`]), so the two forms always agree on
-/// the count. The writer scans only titles and bodies that arrive without
-/// a count. The per-step hot path reuses one buffer across an entire
-/// episode, so rendering performs no allocations once the buffer has grown.
+/// the count. The writer scans only bodies that arrive without a count.
+/// The per-step hot path reuses one buffer across an entire episode, so
+/// rendering performs no allocations once the buffer has grown.
 ///
 /// ```
 /// use embodied_agents::prompt::{count_tokens, Counted, PromptWriter};
 ///
+/// const GOAL: Counted<&str> = Counted::literal("goal");
 /// let mut buf = String::new();
 /// let tokens = PromptWriter::new(&mut buf, Counted::new("be helpful"))
-///     .push("goal", "deliver things")
-///     .push("empty", "  ")
+///     .push(GOAL, "deliver things")
+///     .push(Counted::literal("empty"), "  ")
 ///     .tokens();
 /// assert_eq!(buf, "[system]\nbe helpful\n[goal]\ndeliver things\n");
 /// assert_eq!(tokens, count_tokens(&buf));
 ///
 /// let mut scratch = String::new();
 /// let counted = PromptWriter::counting(&mut scratch, Counted::new("be helpful"))
-///     .push("goal", "deliver things")
+///     .push(GOAL, "deliver things")
 ///     .tokens();
 /// assert_eq!((counted, scratch.capacity()), (tokens, 0));
 /// ```
@@ -327,7 +369,7 @@ impl<'a> PromptWriter<'a> {
             render,
             tokens: 0,
         };
-        w.push_counted("system", preamble);
+        w.push_counted(title::SYSTEM, preamble);
         w
     }
 
@@ -349,7 +391,7 @@ impl<'a> PromptWriter<'a> {
     }
 
     /// Appends a named section, counting `body` here.
-    pub fn push(&mut self, title: &str, body: &str) -> &mut Self {
+    pub fn push(&mut self, title: Counted<&str>, body: &str) -> &mut Self {
         self.push_counted(title, Counted::new(body))
     }
 
@@ -358,17 +400,25 @@ impl<'a> PromptWriter<'a> {
     /// # Panics
     ///
     /// Panics if a rendering writer gets a nonempty [`Body::Count`].
-    pub fn push_counted<'b>(&mut self, title: &str, body: impl Into<Body<'b>>) -> &mut Self {
-        self.section(title, count_tokens(title), body.into())
+    pub fn push_counted<'b>(
+        &mut self,
+        title: Counted<&str>,
+        body: impl Into<Body<'b>>,
+    ) -> &mut Self {
+        self.section(title.text(), title.tokens(), body.into())
     }
 
     /// Appends a named section whose body is `lines` joined by newlines,
     /// each counted where it was made: the newlines are token seams, so the
     /// body's count is the sum of theirs.
-    pub fn push_lines<T: AsRef<str>>(&mut self, title: &str, lines: &[Counted<T>]) -> &mut Self {
+    pub fn push_lines<T: AsRef<str>>(
+        &mut self,
+        title: Counted<&str>,
+        lines: &[Counted<T>],
+    ) -> &mut Self {
         let tokens = lines.iter().map(Counted::tokens).sum::<u64>();
         if tokens > 0 {
-            self.header(title, count_tokens(title));
+            self.header(title.text(), title.tokens());
             if self.render {
                 for (k, line) in lines.iter().enumerate() {
                     if k > 0 {
@@ -386,10 +436,10 @@ impl<'a> PromptWriter<'a> {
     /// Appends a named section whose body is `subgoal`'s [`Display`] text,
     /// counted by [`subgoal_tokens`]; skipped, like any section, when that
     /// text is blank.
-    pub fn push_subgoal(&mut self, title: &str, subgoal: &Subgoal) -> &mut Self {
+    pub fn push_subgoal(&mut self, title: Counted<&str>, subgoal: &Subgoal) -> &mut Self {
         let tokens = subgoal_tokens(subgoal);
         if tokens > 0 {
-            self.header(title, count_tokens(title));
+            self.header(title.text(), title.tokens());
             if self.render {
                 let _ = writeln!(self.out, "{subgoal}");
             }
@@ -405,8 +455,8 @@ impl<'a> PromptWriter<'a> {
             return self;
         }
         self.header(
-            AVAILABLE_ACTIONS,
-            const { literal_tokens(AVAILABLE_ACTIONS) },
+            title::AVAILABLE_ACTIONS.text(),
+            title::AVAILABLE_ACTIONS.tokens(),
         );
         if self.render {
             for (i, sg) in candidates.iter().enumerate() {
@@ -478,8 +528,8 @@ pub fn write_joint_plan_prompt<'b>(
     percepts: &[Percept],
     menus: &[Vec<Subgoal>],
 ) {
-    w.push_counted("task goal", goal)
-        .push_counted("memory", memory);
+    w.push_counted(title::TASK_GOAL, goal)
+        .push_counted(title::MEMORY, memory);
     for (i, (p, menu)) in percepts.iter().zip(menus).enumerate() {
         // `agent {i} observation`: a word, the digits and a word.
         let title_tokens = const { literal_tokens("agent observation") } + digit_tokens(i);
@@ -490,7 +540,7 @@ pub fn write_joint_plan_prompt<'b>(
         )
         .push_candidates(menu);
     }
-    w.push_counted("instruction", JOINT_INSTRUCTION);
+    w.push_counted(title::INSTRUCTION, JOINT_INSTRUCTION);
 }
 
 /// Workload-specific flavor appended to the system preamble: each suite
@@ -572,22 +622,22 @@ mod tests {
     use super::*;
 
     fn sections(w: &mut PromptWriter<'_>, candidates: &[Subgoal]) {
-        w.push("goal", "deliver things")
-            .push("empty", " \u{3000}\n")
-            .push_counted("memory", Counted::new("saw an apple"))
-            .push_counted("no dialogue", Body::Count(0))
+        w.push(Counted::literal("goal"), "deliver things")
+            .push(Counted::literal("empty"), " \u{3000}\n")
+            .push_counted(title::MEMORY, Counted::new("saw an apple"))
+            .push_counted(Counted::literal("no dialogue"), Body::Count(0))
             .push_lines(
-                "dialogue",
+                title::DIALOGUE,
                 &[
                     Counted::new("agent 1: hi"),
                     Counted::new(" "),
                     Counted::new("ok"),
                 ],
             )
-            .push_lines::<&str>("no lines", &[])
-            .push_subgoal("proposed plan", &Subgoal::Explore)
+            .push_lines::<&str>(Counted::literal("no lines"), &[])
+            .push_subgoal(title::PROPOSED_PLAN, &Subgoal::Explore)
             .push_subgoal(
-                "blank",
+                Counted::literal("blank"),
                 &Subgoal::Cook {
                     dish: " ".into(),
                     stage: "".into(),
@@ -610,7 +660,7 @@ mod tests {
         let mut scratch = String::new();
         let mut w = PromptWriter::counting(&mut scratch, Counted::new("be helpful"));
         sections(&mut w, &candidates);
-        w.push_counted("memory", Body::Count(7))
+        w.push_counted(title::MEMORY, Body::Count(7))
             .append(Counted::literal("Confirm."));
         assert_eq!(w.tokens(), rendered + 3 + 7 + 2);
         assert_eq!(w.finish(), Prompt::Tokens(rendered + 12));
@@ -625,7 +675,7 @@ mod tests {
     #[should_panic(expected = "needs the text of every section")]
     fn a_rendering_writer_rejects_a_bare_count() {
         let mut buf = String::new();
-        PromptWriter::new(&mut buf, Counted::new("x")).push_counted("memory", Body::Count(3));
+        PromptWriter::new(&mut buf, Counted::new("x")).push_counted(title::MEMORY, Body::Count(3));
     }
 
     #[test]
@@ -664,7 +714,7 @@ mod tests {
         let mut buf = String::new();
         let tokens = PromptWriter::new(&mut buf, Counted::new("x"))
             .append(Counted::literal("\n"))
-            .push_subgoal("proposed plan", &Subgoal::Explore)
+            .push_subgoal(title::PROPOSED_PLAN, &Subgoal::Explore)
             .append(Counted::literal("Confirm."))
             .tokens();
         assert!(buf.ends_with("x\n\n[proposed plan]\nexplore the environment\nConfirm."));

@@ -734,7 +734,7 @@ impl EmbodiedSystem {
         // `HashSet` of every known entity is materialized. An entity in
         // the current percept is known even if memory marked it stale —
         // fresh observation wins, as in `ModularAgent::knowledge`.
-        let knows = |e: &str| agent.memory.knows(e) || percept.entities.iter().any(|p| **p == *e);
+        let knows = |e: &Name| agent.memory.knows(e) || percept.entities.contains(e);
         let mut oracle = agent.filter_subgoals_with(oracle_raw, knows, step);
         let mut candidates = agent.filter_subgoals_with(candidates_raw, knows, step);
         // Re-plan around missing peers: a joint subgoal whose partner has
@@ -793,7 +793,7 @@ impl EmbodiedSystem {
         // bonus keys on the kind of the oracle's preferred next step.
         let skill_bonus = oracle
             .first()
-            .map(|sg| agent.memory.skill_bonus(sg.pattern()))
+            .map(|sg| agent.memory.skill_bonus(sg.kind()))
             .unwrap_or(0.0);
         let ctx = PlanContext {
             preamble: agent.preamble.as_deref(),
@@ -997,7 +997,7 @@ impl EmbodiedSystem {
             .memory
             .store(RecordKind::Action, outcome.note.as_str(), no_entities());
         if outcome.completed {
-            agent.memory.record_skill(subgoal.pattern());
+            agent.memory.record_skill(subgoal.kind());
         }
         if outcome.completed || outcome.made_progress {
             agent.last_failure = None;

@@ -18,7 +18,10 @@
 //!    teammates' inboxes and memories;
 //! 3. an environment's menus — `candidate_subgoals`, `oracle_subgoals` and
 //!    `affordances` — allocate only their `Vec`: every name in them is a
-//!    reference-count bump on a name the environment built once.
+//!    reference-count bump on a name the environment built once;
+//! 4. knowledge-filtering such a menu against a memory's entity set and
+//!    counting its tokens allocate nothing: lookups read each name's stored
+//!    hash and counts read its token memo.
 //!
 //! The allocator lives here (an integration test is its own crate) because
 //! the library itself is `#![forbid(unsafe_code)]`.
@@ -28,12 +31,14 @@ use std::cell::Cell;
 
 use embodied_agents::config::MemoryCapacity;
 use embodied_agents::modules::{MemoryModule, Percept, RecordKind, WorldMap};
-use embodied_agents::prompt::{write_joint_plan_prompt, Body, Counted, PromptWriter};
-use embodied_agents::{workloads, EnvKind, RunOverrides};
-use embodied_env::{
-    BoxVariant, EnvFaultProfile, Environment, FaultyEnv, LowLevel, Subgoal, TaskDifficulty,
+use embodied_agents::prompt::{
+    subgoal_tokens, title, write_joint_plan_prompt, Body, Counted, PromptWriter,
 };
-use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, Purpose, ServingConfig};
+use embodied_agents::{workloads, AgentConfig, EnvKind, ModularAgent, RunOverrides};
+use embodied_env::{
+    BoxVariant, EnvFaultProfile, Environment, FaultyEnv, LowLevel, Name, Subgoal, TaskDifficulty,
+};
+use embodied_llm::{InferenceService, LlmEngine, LlmRequest, ModelProfile, Purpose, ServingConfig};
 
 /// Delegates everything to [`System`], bumping a thread-local counter on
 /// each allocation (and reallocation — growth is an allocation for the
@@ -79,6 +84,8 @@ struct Planner {
     map: WorldMap,
     percepts: Vec<Percept>,
     menus: Vec<Vec<Subgoal>>,
+    /// The entity the point `knows` query asks about.
+    probe: Name,
     memory_buf: String,
     prompt_buf: String,
 }
@@ -108,11 +115,14 @@ fn plan_once(mem: &MemoryModule, p: &mut Planner, render: bool) -> f64 {
         (p.map.context_tokens(6), mem.retrieve_count())
     };
     let memory = Body::new(render, &p.memory_buf, map_tokens + stats.tokens);
-    let known = mem.knows("object_3");
+    let known = mem.knows(&p.probe);
     let mut w = writer(&mut p.prompt_buf, p.preamble.as_deref(), render);
-    w.push_counted("goal", p.goal.as_deref())
-        .push("known", if known { "object_3" } else { "nothing" })
-        .push_counted("memory", memory);
+    w.push_counted(title::TASK_GOAL, p.goal.as_deref())
+        .push(
+            Counted::literal("known"),
+            if known { p.probe.as_str() } else { "nothing" },
+        )
+        .push_counted(title::MEMORY, memory);
     let req = LlmRequest::new(Purpose::Planning, w.finish(), 64).with_difficulty(0.4);
     let resp = p.engine.infer(req).expect("inference succeeds");
 
@@ -172,6 +182,7 @@ fn steady_state_allocations(render: bool) -> usize {
                 ]
             })
             .collect(),
+        probe: "object_3".into(),
         memory_buf: String::new(),
         prompt_buf: String::new(),
     };
@@ -330,4 +341,62 @@ fn menus_allocate_only_their_vec() {
             }
         }
     }
+}
+
+/// The knowledge filter over BoxLift at four arms, as the centralized
+/// planner runs it for each agent: the menu against the central memory's
+/// entity set, then the filtered menu's token count. The menu is fetched
+/// before counting starts; the filter keeps its buffer, membership reads
+/// each name's stored hash and the count each name's memo.
+#[test]
+fn knowledge_filter_and_menu_count_allocate_nothing() {
+    let mut env = EnvKind::BoxWorld(BoxVariant::BoxLift).build(TaskDifficulty::Medium, 4, 42);
+    let agent = ModularAgent::new(
+        0,
+        "MindAgent",
+        AgentConfig::gpt4_modular(),
+        env.landmarks(),
+        42,
+        &InferenceService::default(),
+        0,
+    );
+    // No landmarks: the center knows only what it has seen.
+    let mut mem = MemoryModule::new(true, MemoryCapacity::Steps(4), false, false, Vec::new());
+    let mut low = LowLevel::controller(7);
+    let (mut kept, mut dropped) = (0, 0);
+    for step in 0..12 {
+        env.begin_step(step);
+        mem.begin_step(step);
+        // The center sees agent 0's view only, so other agents' menus name
+        // entities it does not know.
+        let seen: Vec<Name> = env.observe(0).visible.into_iter().map(|e| e.name).collect();
+        let known = mem.knowledge(&seen);
+        for agent_id in 0..env.num_agents() {
+            let menu = env.candidate_subgoals(agent_id);
+            let offered = menu.len();
+            let start = allocs();
+            let menu = agent.filter_subgoals_with(menu, |e| mem.set_contains(&known, e), step);
+            let tokens: u64 = menu.iter().map(subgoal_tokens).sum();
+            let n = allocs() - start;
+            assert_eq!(
+                n,
+                0,
+                "step {step}, agent {agent_id}: filtering {offered} subgoals to {} \
+                 ({tokens} tokens) allocated {n} times",
+                menu.len()
+            );
+            kept += menu.len();
+            dropped += offered - menu.len();
+        }
+        mem.store(RecordKind::Observation, "saw the boxes", seen);
+        for agent_id in 0..env.num_agents() {
+            let sg = env
+                .oracle_subgoals(agent_id)
+                .first()
+                .cloned()
+                .unwrap_or(Subgoal::Explore);
+            env.execute(agent_id, &sg, &mut low);
+        }
+    }
+    assert!(kept > 0 && dropped > 0, "kept {kept}, dropped {dropped}");
 }

@@ -9,8 +9,8 @@
 mod edge_text;
 
 use edge_text::{blank_text, edge_text};
-use embodied_agents::prompt::{count_tokens, subgoal_tokens, Counted, PromptWriter};
-use embodied_env::Subgoal;
+use embodied_agents::prompt::{count_tokens, name_tokens, subgoal_tokens, Counted, PromptWriter};
+use embodied_env::{Name, Subgoal};
 use embodied_exec::Cell;
 use proptest::collection;
 use proptest::prelude::*;
@@ -216,19 +216,22 @@ fn write(mut w: PromptWriter<'_>, sections: &[Section], tail: Option<&str>) -> u
     for s in sections {
         match s {
             Section::Plain(title, body) => {
-                w.push(title, body);
+                w.push(Counted::new(title), body);
             }
             Section::Counted(title, lines) => {
                 let text = lines.join("\n");
                 let tokens = lines.iter().map(|l| count_tokens(l)).sum();
-                w.push_counted(title, Counted::with_tokens(text.as_str(), tokens));
+                w.push_counted(
+                    Counted::new(title),
+                    Counted::with_tokens(text.as_str(), tokens),
+                );
             }
             Section::Lines(title, lines) => {
                 let lines: Vec<_> = lines.iter().map(Counted::new).collect();
-                w.push_lines(title, &lines);
+                w.push_lines(Counted::new(title), &lines);
             }
             Section::Subgoal(title, subgoal) => {
-                w.push_subgoal(title, subgoal);
+                w.push_subgoal(Counted::new(title), subgoal);
             }
             Section::Candidates(menu) => {
                 w.push_candidates(menu);
@@ -269,6 +272,44 @@ proptest! {
     #[test]
     fn a_subgoal_counts_as_its_text(subgoal in subgoal()) {
         prop_assert_eq!(subgoal_tokens(&subgoal), count_tokens(&subgoal.to_string()));
+    }
+
+    #[test]
+    fn a_name_counts_as_its_text(text in name()) {
+        let name = Name::from(text.as_str());
+        let clone = name.clone();
+        prop_assert_eq!(name_tokens(&name), count_tokens(&text));
+        // The clone reads the memo the first count filled.
+        prop_assert_eq!(name_tokens(&clone), count_tokens(&text));
+    }
+}
+
+#[test]
+fn edge_names_count_as_their_text() {
+    for text in [
+        "",
+        " ",
+        "apple_1",
+        "stone_pickaxe",
+        "42",
+        "box_1024",
+        "crate,9",
+        " ω crate,9 ",
+        "(seen)",
+        "物体",
+        "dock Ω",
+        "Ǆungla",
+        "x\u{301}",
+        "🍎🦀",
+        "\u{3000}zone\u{85}",
+    ] {
+        let name = Name::from(text);
+        assert_eq!(name_tokens(&name), count_tokens(text), "{text:?}");
+        assert_eq!(
+            name_tokens(&name.clone()),
+            count_tokens(text),
+            "{text:?} again"
+        );
     }
 }
 

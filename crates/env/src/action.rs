@@ -1,19 +1,10 @@
 //! High-level subgoals — the vocabulary the planning module chooses from —
 //! and the outcome record execution produces.
 
+pub(crate) use crate::name::Name;
 use embodied_exec::Cell;
 use embodied_profiler::SimDuration;
 use std::fmt;
-use std::rc::Rc;
-
-/// A shared entity name.
-///
-/// Each environment builds its names once, at construction, and every
-/// menu, observation, memory record and message that mentions an entity
-/// holds a handle to that one allocation: cloning a [`Subgoal`] or a
-/// [`crate::SeenEntity`] bumps a reference count instead of copying text.
-/// `Display` and `Debug` print exactly what the text as a `String` would.
-pub type Name = Rc<str>;
 
 /// A high-level subgoal, the unit of decision for the planning module.
 ///
@@ -107,7 +98,7 @@ impl Subgoal {
     /// subgoal refers to more than two — so per-step knowledge filtering
     /// can walk them without allocating. An agent can only *usefully* plan
     /// a subgoal whose entities it knows about.
-    pub fn entity_refs(&self) -> [Option<&str>; 2] {
+    pub fn entity_refs(&self) -> [Option<&Name>; 2] {
         match self {
             Subgoal::GoTo { target, .. } => [Some(target), None],
             Subgoal::Pick { object } => [Some(object), None],
@@ -129,25 +120,88 @@ impl Subgoal {
         matches!(self, Subgoal::Explore | Subgoal::Wait)
     }
 
-    /// The skill *pattern* of this subgoal — its kind, independent of the
-    /// referenced entities — the key under which action memory accumulates
-    /// procedural knowledge (paper §II-A).
-    pub fn pattern(&self) -> &'static str {
+    /// The kind of this subgoal: its variant, without the entities.
+    pub fn kind(&self) -> SubgoalKind {
         match self {
-            Subgoal::GoTo { .. } => "goto",
-            Subgoal::Pick { .. } => "pick",
-            Subgoal::Place { .. } => "place",
-            Subgoal::Open { .. } => "open",
-            Subgoal::Gather { .. } => "gather",
-            Subgoal::Craft { .. } => "craft",
-            Subgoal::Cook { .. } => "cook",
-            Subgoal::Serve { .. } => "serve",
-            Subgoal::MoveBox { .. } => "move-box",
-            Subgoal::LiftTogether { .. } => "lift-together",
-            Subgoal::ArmMove { .. } => "arm-move",
-            Subgoal::Skill { .. } => "skill",
-            Subgoal::Explore => "explore",
-            Subgoal::Wait => "wait",
+            Subgoal::GoTo { .. } => SubgoalKind::GoTo,
+            Subgoal::Pick { .. } => SubgoalKind::Pick,
+            Subgoal::Place { .. } => SubgoalKind::Place,
+            Subgoal::Open { .. } => SubgoalKind::Open,
+            Subgoal::Gather { .. } => SubgoalKind::Gather,
+            Subgoal::Craft { .. } => SubgoalKind::Craft,
+            Subgoal::Cook { .. } => SubgoalKind::Cook,
+            Subgoal::Serve { .. } => SubgoalKind::Serve,
+            Subgoal::MoveBox { .. } => SubgoalKind::MoveBox,
+            Subgoal::LiftTogether { .. } => SubgoalKind::LiftTogether,
+            Subgoal::ArmMove { .. } => SubgoalKind::ArmMove,
+            Subgoal::Skill { .. } => SubgoalKind::Skill,
+            Subgoal::Explore => SubgoalKind::Explore,
+            Subgoal::Wait => SubgoalKind::Wait,
+        }
+    }
+
+    /// The skill *pattern* of this subgoal — its kind's name, independent
+    /// of the referenced entities.
+    pub fn pattern(&self) -> &'static str {
+        self.kind().pattern()
+    }
+}
+
+/// A subgoal's variant without its fields: the key under which action
+/// memory accumulates procedural knowledge (paper §II-A).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubgoalKind {
+    /// [`Subgoal::GoTo`].
+    GoTo,
+    /// [`Subgoal::Pick`].
+    Pick,
+    /// [`Subgoal::Place`].
+    Place,
+    /// [`Subgoal::Open`].
+    Open,
+    /// [`Subgoal::Gather`].
+    Gather,
+    /// [`Subgoal::Craft`].
+    Craft,
+    /// [`Subgoal::Cook`].
+    Cook,
+    /// [`Subgoal::Serve`].
+    Serve,
+    /// [`Subgoal::MoveBox`].
+    MoveBox,
+    /// [`Subgoal::LiftTogether`].
+    LiftTogether,
+    /// [`Subgoal::ArmMove`].
+    ArmMove,
+    /// [`Subgoal::Skill`].
+    Skill,
+    /// [`Subgoal::Explore`].
+    Explore,
+    /// [`Subgoal::Wait`].
+    Wait,
+}
+
+impl SubgoalKind {
+    /// How many kinds there are: `kind as usize` is below it.
+    pub const COUNT: usize = SubgoalKind::Wait as usize + 1;
+
+    /// The kind's name, e.g. `"move-box"`.
+    pub fn pattern(self) -> &'static str {
+        match self {
+            SubgoalKind::GoTo => "goto",
+            SubgoalKind::Pick => "pick",
+            SubgoalKind::Place => "place",
+            SubgoalKind::Open => "open",
+            SubgoalKind::Gather => "gather",
+            SubgoalKind::Craft => "craft",
+            SubgoalKind::Cook => "cook",
+            SubgoalKind::Serve => "serve",
+            SubgoalKind::MoveBox => "move-box",
+            SubgoalKind::LiftTogether => "lift-together",
+            SubgoalKind::ArmMove => "arm-move",
+            SubgoalKind::Skill => "skill",
+            SubgoalKind::Explore => "explore",
+            SubgoalKind::Wait => "wait",
         }
     }
 }
@@ -222,7 +276,10 @@ mod tests {
             object: "apple".into(),
             dest: "table".into(),
         };
-        assert_eq!(sg.entity_refs(), [Some("apple"), Some("table")]);
+        assert_eq!(
+            sg.entity_refs().map(|e| e.map(Name::as_str)),
+            [Some("apple"), Some("table")]
+        );
         assert_eq!(Subgoal::Explore.entity_refs(), [None, None]);
     }
 
@@ -242,7 +299,9 @@ mod tests {
             object: "plate_7".into(),
         };
         assert_eq!(a.pattern(), b.pattern());
+        assert_eq!(a.kind(), SubgoalKind::Pick);
         assert_ne!(a.pattern(), Subgoal::Explore.pattern());
+        assert_eq!(Subgoal::Wait.kind() as usize + 1, SubgoalKind::COUNT);
     }
 
     #[test]

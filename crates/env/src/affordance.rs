@@ -10,7 +10,7 @@
 //! action", and the nearest-valid lookup gives repair policies a
 //! deterministic constraint target.
 
-use crate::action::Subgoal;
+use crate::action::{Name, Subgoal};
 
 /// The set of subgoals an environment affords one agent at one instant,
 /// with membership, entity-knowledge and nearest-valid queries.
@@ -42,7 +42,7 @@ impl AffordanceSet {
 
     /// Whether the entity name appears anywhere in the afforded menu —
     /// the "does this thing exist here" check hallucinations fail.
-    pub fn knows_entity(&self, name: &str) -> bool {
+    pub fn knows_entity(&self, name: &Name) -> bool {
         self.candidates
             .iter()
             .any(|c| c.entity_refs().contains(&Some(name)))
@@ -50,7 +50,7 @@ impl AffordanceSet {
 
     /// The first entity of `subgoal` the environment does not know about,
     /// if any — the offending span a validator reports.
-    pub fn unknown_entity<'a>(&self, subgoal: &'a Subgoal) -> Option<&'a str> {
+    pub fn unknown_entity<'a>(&self, subgoal: &'a Subgoal) -> Option<&'a Name> {
         subgoal
             .entity_refs()
             .into_iter()
@@ -59,23 +59,23 @@ impl AffordanceSet {
     }
 
     /// Deterministic nearest afforded subgoal: the first menu entry with
-    /// the same skill pattern, preferring entries sharing an entity with
+    /// the same kind, preferring entries sharing an entity with
     /// the rejected subgoal; [`Subgoal::Explore`] when nothing matches.
     pub fn nearest_valid(&self, subgoal: &Subgoal) -> Subgoal {
         let wanted = subgoal.entity_refs();
-        let same_pattern = || {
+        let same_kind = || {
             self.candidates
                 .iter()
-                .filter(|c| c.pattern() == subgoal.pattern())
+                .filter(|c| c.kind() == subgoal.kind())
         };
-        same_pattern()
+        same_kind()
             .find(|c| {
                 c.entity_refs()
                     .into_iter()
                     .flatten()
                     .any(|e| wanted.contains(&Some(e)))
             })
-            .or_else(|| same_pattern().next())
+            .or_else(|| same_kind().next())
             .cloned()
             .unwrap_or(Subgoal::Explore)
     }
@@ -119,14 +119,14 @@ mod tests {
     #[test]
     fn entity_knowledge_and_offending_span() {
         let aff = AffordanceSet::from_candidates(menu());
-        assert!(aff.knows_entity("apple_1"));
-        assert!(aff.knows_entity("table"));
-        assert!(!aff.knows_entity("unicorn"));
+        assert!(aff.knows_entity(&"apple_1".into()));
+        assert!(aff.knows_entity(&"table".into()));
+        assert!(!aff.knows_entity(&"unicorn".into()));
         let bad = Subgoal::Place {
             object: "apple_1".into(),
             dest: "unicorn".into(),
         };
-        assert_eq!(aff.unknown_entity(&bad), Some("unicorn"));
+        assert_eq!(aff.unknown_entity(&bad).map(Name::as_str), Some("unicorn"));
         assert_eq!(
             aff.unknown_entity(&Subgoal::Pick {
                 object: "apple_1".into()

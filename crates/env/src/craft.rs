@@ -146,7 +146,8 @@ impl Vocabulary {
 pub struct CraftEnv {
     world: GridWorld,
     agent_pos: Cell,
-    inventory: HashMap<Name, u32>,
+    /// Item counts, keyed by the vocabulary's own text.
+    inventory: HashMap<&'static str, u32>,
     names: Vocabulary,
     target: &'static str,
     difficulty: TaskDifficulty,
@@ -387,7 +388,7 @@ impl Environment for CraftEnv {
                 Err(_) => ExecOutcome::failure(format!("cannot reach {target}")),
             },
             Subgoal::Gather { resource } => {
-                let Some((_, biome, tier)) = resource_info(resource) else {
+                let Some((index, biome, tier)) = resource_info(resource) else {
                     return ExecOutcome::failure(format!("{resource} is not gatherable"));
                 };
                 if self.current_biome() != biome {
@@ -402,7 +403,7 @@ impl Environment for CraftEnv {
                 let drive = low.actuator.drive(latency::action_list_step() * 3);
                 let success = drive.success && low.rng.gen_bool(low.competence.clamp(0.0, 1.0));
                 if success {
-                    *self.inventory.entry(resource.clone()).or_insert(0) += GATHER_YIELD;
+                    *self.inventory.entry(RESOURCES[index].0).or_insert(0) += GATHER_YIELD;
                 }
                 ExecOutcome {
                     completed: success,
@@ -429,7 +430,7 @@ impl Environment for CraftEnv {
                     for &(ing, need) in recipe.ingredients {
                         *self.inventory.get_mut(ing).expect("checked by can_craft") -= need;
                     }
-                    *self.inventory.entry(item.clone()).or_insert(0) += recipe.yields;
+                    *self.inventory.entry(recipe.item).or_insert(0) += recipe.yields;
                 }
                 ExecOutcome {
                     completed: success,
@@ -586,7 +587,7 @@ mod tests {
     #[test]
     fn crafting_consumes_and_produces() {
         let mut e = CraftEnv::new(TaskDifficulty::Easy, 1, 0);
-        e.inventory.insert("log".into(), 2);
+        e.inventory.insert("log", 2);
         let mut low = LowLevel::controller(0);
         let out = e.execute(
             0,
@@ -604,8 +605,8 @@ mod tests {
     fn progress_tracks_milestones() {
         let mut e = CraftEnv::new(TaskDifficulty::Hard, 1, 0);
         assert_eq!(e.progress(), 0.0);
-        e.inventory.insert("planks".into(), 4);
-        e.inventory.insert("wooden_pickaxe".into(), 1);
+        e.inventory.insert("planks", 4);
+        e.inventory.insert("wooden_pickaxe", 1);
         assert!((e.progress() - 0.4).abs() < 1e-12);
     }
 

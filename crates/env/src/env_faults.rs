@@ -213,9 +213,9 @@ impl AgentView {
 }
 
 /// Renames every reference to `from` inside one subgoal.
-fn rename_entity(sg: &mut Subgoal, from: &str, to: &Name) {
+fn rename_entity(sg: &mut Subgoal, from: &Name, to: &Name) {
     let fix = |s: &mut Name| {
-        if **s == *from {
+        if *s == *from {
             *s = to.clone();
         }
     };
@@ -302,7 +302,7 @@ impl<E: Environment> FaultyEnv<E> {
         if p.dropout > 0.0 && self.rng.gen_bool(p.dropout) && !observation.visible.is_empty() {
             let idx = self.rng.gen_range(0..observation.visible.len());
             let name = observation.visible.remove(idx).name;
-            candidates.retain(|sg| !sg.entity_refs().contains(&Some(&*name)));
+            candidates.retain(|sg| !sg.entity_refs().contains(&Some(&name)));
             view.dropped.push(name);
             self.stats.dropped_entities += 1;
         }
@@ -379,7 +379,7 @@ impl<E: Environment> Environment for FaultyEnv<E> {
             !sg.entity_refs()
                 .into_iter()
                 .flatten()
-                .any(|e| view.dropped.iter().any(|d| **d == *e))
+                .any(|e| view.dropped.contains(e))
         });
         for sg in &mut subgoals {
             for (from, to) in &view.renames {

@@ -89,7 +89,11 @@ impl Environment for KitchenEnv {
     fn goal_text(&self) -> String {
         format!(
             "Complete the kitchen skills: {}.",
-            self.required().join(", ")
+            self.required()
+                .iter()
+                .map(Name::as_str)
+                .collect::<Vec<_>>()
+                .join(", ")
         )
     }
 

@@ -44,12 +44,13 @@ mod environment;
 mod household;
 mod kitchen;
 mod manipulation;
+mod name;
 mod observation;
 mod routes;
 mod transport;
 mod world;
 
-pub use action::{ExecOutcome, Name, Subgoal};
+pub use action::{ExecOutcome, Subgoal, SubgoalKind};
 pub use affordance::AffordanceSet;
 pub use alfworld::AlfWorldEnv;
 pub use boxworld::{BoxVariant, BoxWorldEnv};
@@ -60,6 +61,7 @@ pub use environment::{Environment, LowLevel, TaskDifficulty, TrajectoryPlanner};
 pub use household::HouseholdEnv;
 pub use kitchen::KitchenEnv;
 pub use manipulation::ManipulationEnv;
+pub use name::{Name, NameHasher};
 pub use observation::{Observation, SeenEntity};
 pub use routes::{Route, RouteMemo};
 pub use transport::TransportEnv;

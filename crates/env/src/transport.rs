@@ -583,9 +583,10 @@ mod tests {
         let pos = e.objects[0].pos.unwrap();
         e.agents[1].pos = pos;
         let subgoals = e.oracle_subgoals(0);
+        let contested = Name::from("object_0");
         for sg in &subgoals {
             assert!(
-                !sg.entity_refs().contains(&Some("object_0")),
+                !sg.entity_refs().contains(&Some(&contested)),
                 "agent 0 should not target contested object_0: {sg}"
             );
         }

@@ -39,10 +39,11 @@ cargo test --release -q -p embodied-suite -p embodied-agents --test resilience \
 # A*'s packed open-list keys rely on size checks that hold in both builds,
 # but a field overflow that debug builds catch would wrap silently in release.
 # So the planner's reference gate, its key-boundary unit tests and the route
-# memo's properties run in release too.
-echo "== A* reference + packed keys + route memo (release) =="
+# memo's properties run in release too, as do the entity names' properties
+# (wrapping hash arithmetic, the token memo).
+echo "== A* reference + packed keys + route memo + names (release) =="
 cargo test --release -q -p embodied-exec -p embodied-env --lib --test astar_reference \
-  --test route_memo
+  --test route_memo --test name_props
 
 # Release builds assemble prompts as counts; debug builds render them.
 echo "== rendered vs count-only prompt differential (release) =="

@@ -271,6 +271,7 @@ fn plan_then_communicate_cuts_messages() {
 #[test]
 fn skill_library_records_practiced_patterns() {
     use embodied_suite::agents::modules::{MemoryModule, RecordKind};
+    use embodied_suite::env::SubgoalKind;
     let mut m = MemoryModule::new(
         true,
         MemoryCapacity::Steps(8),
@@ -280,10 +281,10 @@ fn skill_library_records_practiced_patterns() {
     );
     m.store(RecordKind::Action, "picked something", Vec::new());
     for _ in 0..6 {
-        m.record_skill("pick");
+        m.record_skill(SubgoalKind::Pick);
     }
-    assert!(m.skill_bonus("pick") > 0.0);
-    assert!(m.skill_bonus("pick") <= 0.04);
+    assert!(m.skill_bonus(SubgoalKind::Pick) > 0.0);
+    assert!(m.skill_bonus(SubgoalKind::Pick) <= 0.04);
 }
 
 /// In-text §V-D: most of CoELA's generated messages are not useful.
