@@ -162,7 +162,7 @@ impl ModularAgent {
             reflection,
             execution,
             map: WorldMap::new(),
-            preamble: Counted::new(system_preamble(workload, "planning")),
+            preamble: system_preamble(workload, "planning"),
             config,
             last_failure: None,
             plan_budget: 0,

@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn generation_costs_latency_and_tokens() {
         let mut m = module();
-        let preamble = Counted::new(crate::prompt::system_preamble("CoELA", "communication"));
+        let preamble = crate::prompt::system_preamble("CoELA", "communication");
         let msg = m
             .generate(
                 0,

@@ -8,7 +8,7 @@
 //! — the measurable footprint of exploration.
 
 use crate::modules::Percept;
-use crate::prompt::{count_tokens, digit_tokens, literal_tokens, name_tokens};
+use crate::prompt::{digit_tokens, literal_tokens, name_tokens};
 use embodied_env::Name;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -24,7 +24,8 @@ pub struct LocationKnowledge {
     pub entities: Rc<[Name]>,
     /// Step of the most recent visit.
     pub last_seen_step: usize,
-    /// Tokens in the location's name, counted on the first visit.
+    /// Tokens in the location's name, read from its memo on the first
+    /// visit.
     name_tokens: u64,
     /// Tokens in this location's summary line, counted from its parts
     /// when the line's content last changed.
@@ -57,7 +58,9 @@ fn line_tokens(location_tokens: u64, entities: &[Name], step: usize) -> u64 {
 /// An accumulated map of the (partially observed) world.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorldMap {
-    locations: BTreeMap<String, LocationKnowledge>,
+    /// Keyed by the environment's shared location names, which order as
+    /// their texts.
+    locations: BTreeMap<Name, LocationKnowledge>,
 }
 
 impl WorldMap {
@@ -66,10 +69,10 @@ impl WorldMap {
         Self::default()
     }
 
-    /// Folds one percept into the map. The location's name is copied and
-    /// counted on its first visit only.
+    /// Folds one percept into the map. The location's name is shared and
+    /// its count read from its memo on its first visit only.
     pub fn integrate(&mut self, percept: &Percept, step: usize) {
-        let location = percept.location.as_str();
+        let location = &percept.location;
         if location.is_empty() {
             return;
         }
@@ -78,11 +81,11 @@ impl WorldMap {
             return;
         }
         let mut first = LocationKnowledge {
-            name_tokens: count_tokens(location),
+            name_tokens: name_tokens(location),
             ..LocationKnowledge::default()
         };
         first.visit(&percept.entities, step);
-        self.locations.insert(location.to_owned(), first);
+        self.locations.insert(location.clone(), first);
     }
 
     /// Number of distinct locations visited.
@@ -92,13 +95,15 @@ impl WorldMap {
 
     /// Knowledge about a location, if visited.
     pub fn location(&self, name: &str) -> Option<&LocationKnowledge> {
-        self.locations.get(name)
+        self.locations
+            .iter()
+            .find_map(|(known, k)| (known.as_str() == name).then_some(k))
     }
 
     /// Renders a compact prompt section: one line per location, most
     /// recently seen first, capped at `max_locations` lines.
     pub fn summary(&self, max_locations: usize) -> String {
-        let mut locs: Vec<(&String, &LocationKnowledge)> = self.locations.iter().collect();
+        let mut locs: Vec<(&Name, &LocationKnowledge)> = self.locations.iter().collect();
         locs.sort_by_key(|(_, k)| std::cmp::Reverse(k.last_seen_step));
         locs.iter()
             .take(max_locations)
@@ -187,7 +192,7 @@ impl WorldMap {
             }
             return;
         }
-        let mut top: [Option<(&String, &LocationKnowledge)>; STACK] = [None; STACK];
+        let mut top: [Option<(&Name, &LocationKnowledge)>; STACK] = [None; STACK];
         let mut len = 0usize;
         for entry in &self.locations {
             let step = entry.1.last_seen_step;
@@ -218,13 +223,13 @@ impl WorldMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prompt::Counted;
+    use crate::prompt::{count_tokens, Counted};
 
     fn percept(location: &str, entities: &[&str]) -> Percept {
         Percept {
             entities: entities.iter().map(|&e| e.into()).collect(),
             text: Counted::new(Rc::from("")),
-            location: location.to_owned(),
+            location: location.into(),
         }
     }
 

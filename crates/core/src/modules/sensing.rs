@@ -2,13 +2,12 @@
 //! observation and produces a percept (recognized entities + prompt text).
 
 use crate::modules::no_entities;
-use crate::prompt::Counted;
+use crate::prompt::{literal_tokens, name_tokens, phrase_tokens, Counted};
 use embodied_env::{Name, Observation};
 use embodied_llm::EncoderProfile;
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// What sensing hands to the rest of the pipeline. Its text and entity
@@ -21,8 +20,8 @@ pub struct Percept {
     pub entities: Rc<[Name]>,
     /// Prompt-ready description of the (recognized part of the) scene.
     pub text: Counted<Rc<str>>,
-    /// Current location label.
-    pub location: String,
+    /// Current location, shared with the observation and the map.
+    pub location: Name,
 }
 
 /// The sensing module.
@@ -60,39 +59,49 @@ impl SensingModule {
             Some(enc) => (enc.frame_latency(obs.entity_count()), enc.recognition_rate),
             None => (SimDuration::from_millis(4), 1.0),
         };
+        // The text is rendered part by part, and its count summed from the
+        // parts' counts: every part meets its neighbours at a space or a
+        // punctuation mark.
         let text = &mut self.text_buf;
         text.clear();
+        let mut tokens = 0;
         if !obs.location.is_empty() {
-            let _ = write!(text, "Location: {}. ", obs.location);
+            text.push_str("Location: ");
+            text.push_str(&obs.location);
+            text.push_str(". ");
+            tokens += name_tokens(&obs.location) + const { literal_tokens("Location: . ") };
         }
         if !obs.status.is_empty() {
-            let _ = write!(text, "{}. ", obs.status);
+            obs.status.push_to(text);
+            text.push_str(". ");
+            tokens += phrase_tokens(&obs.status) + const { literal_tokens(". ") };
         }
         for seen in &obs.visible {
             if self.rng.gen_bool(recognition.clamp(0.0, 1.0)) {
-                text.push_str(if self.entity_buf.is_empty() {
-                    "Detected: "
+                let (separator, separator_tokens) = if self.entity_buf.is_empty() {
+                    ("Detected: ", const { literal_tokens("Detected: ") })
                 } else {
-                    "; "
-                });
-                text.push_str(&seen.description);
+                    ("; ", const { literal_tokens("; ") })
+                };
+                text.push_str(separator);
+                seen.description.push_to(text);
+                tokens += separator_tokens + phrase_tokens(&seen.description);
                 self.entity_buf.push(seen.name.clone());
             }
         }
-        if self.entity_buf.is_empty() {
-            text.push_str("Nothing notable detected.");
-        } else {
-            text.push('.');
-        }
         let entities = if self.entity_buf.is_empty() {
+            text.push_str("Nothing notable detected.");
+            tokens += const { literal_tokens("Nothing notable detected.") };
             no_entities()
         } else {
+            text.push('.');
+            tokens += const { literal_tokens(".") };
             self.entity_buf.drain(..).collect()
         };
         (
             Percept {
                 entities,
-                text: Counted::new(Rc::from(text.as_str())),
+                text: Counted::with_tokens(Rc::from(text.as_str()), tokens),
                 location: obs.location.clone(),
             },
             latency,

@@ -23,7 +23,7 @@
 //! exactly the count of the text.
 
 use crate::modules::Percept;
-use embodied_env::{Name, Subgoal};
+use embodied_env::{Name, Part, Phrase, Subgoal, Word};
 use embodied_llm::{EngineHandle, Prompt, Tokenizer};
 use std::fmt::{self, Display, Write as _};
 
@@ -39,6 +39,32 @@ pub fn name_tokens(name: &Name) -> u64 {
     let tokens = name.tokens_with(count_tokens);
     debug_assert_eq!(tokens, count_tokens(name), "token memo of {name:?}");
     tokens
+}
+
+/// [`count_tokens`] of a phrase's fixed word, counted on the word's first
+/// use in the program and kept in its static memo. Debug builds recount.
+pub fn word_tokens(word: Word) -> u64 {
+    let tokens = word.tokens_with(count_tokens);
+    debug_assert_eq!(tokens, count_tokens(word.text()), "token memo of {word:?}");
+    tokens
+}
+
+/// Tokens in `phrase`'s text, summed from its parts without writing it:
+/// names and words from their memos, an integer from its digits, a point
+/// from its coordinates. Exact when no two parts meet letter to letter,
+/// as in every environment's phrases.
+pub fn phrase_tokens(phrase: &Phrase) -> u64 {
+    phrase
+        .parts()
+        .map(|part| match part {
+            Part::Name(name) => name_tokens(name),
+            Part::Word(word) => word_tokens(*word),
+            Part::Int(n) => digit_tokens(*n),
+            Part::Point(x, y) => {
+                coordinate_tokens(*x) + coordinate_tokens(*y) + const { literal_tokens("(, )") }
+            }
+        })
+        .sum()
 }
 
 /// [`count_tokens`] of ASCII `text`, usable in constants.
@@ -595,13 +621,38 @@ pub fn workload_flavor(workload: &str) -> &'static str {
     }
 }
 
+/// The fixed wording of [`system_preamble`], around its three slots: the
+/// role, the workload and the workload's flavor.
+const PREAMBLE: [&str; 4] = [
+    "You are the ",
+    " module of the ",
+    " embodied agent system. You operate a physical agent in a partially observable environment and must pursue the long-horizon task goal efficiently. ",
+    " Reason step by step about the current observation, your memory of the world, and any messages from teammates before committing to a decision. Respect the environment's physical constraints: objects must be reachable, prerequisites must be satisfied, and only one action executes per step. Prefer actions that make direct progress toward the goal; avoid repeating actions that recently failed. Answer with exactly one choice from the provided action list, followed by a brief justification of how it advances the task.",
+];
+
 /// The standard system preamble for a workload, ~120–170 words so the base
-/// prompt cost is realistic, with per-workload flavor.
-pub fn system_preamble(workload: &str, role: &str) -> String {
+/// prompt cost is realistic, with per-workload flavor. Its count is summed
+/// from the parts: the fixed wording is counted at compile time, and only
+/// the role, the workload and its one-sentence flavor are counted here.
+/// Every slot sits between spaces, where counts add up.
+pub fn system_preamble(workload: &str, role: &str) -> Counted<String> {
+    const FIXED: u64 = literal_tokens(PREAMBLE[0])
+        + literal_tokens(PREAMBLE[1])
+        + literal_tokens(PREAMBLE[2])
+        + literal_tokens(PREAMBLE[3]);
     let flavor = workload_flavor(workload);
-    format!(
-        "You are the {role} module of the {workload} embodied agent system. You operate a physical agent in a partially observable environment and must pursue the long-horizon task goal efficiently. {flavor} Reason step by step about the current observation, your memory of the world, and any messages from teammates before committing to a decision. Respect the environment's physical constraints: objects must be reachable, prerequisites must be satisfied, and only one action executes per step. Prefer actions that make direct progress toward the goal; avoid repeating actions that recently failed. Answer with exactly one choice from the provided action list, followed by a brief justification of how it advances the task."
-    )
+    let text = [
+        PREAMBLE[0],
+        role,
+        PREAMBLE[1],
+        workload,
+        PREAMBLE[2],
+        flavor,
+        PREAMBLE[3],
+    ]
+    .concat();
+    let tokens = FIXED + count_tokens(role) + count_tokens(workload) + count_tokens(flavor);
+    Counted::with_tokens(text, tokens)
 }
 
 /// A compact summarized rendering of a list of history lines (Rec. 6):
@@ -727,7 +778,7 @@ mod tests {
             .map(|i| Percept {
                 entities: crate::modules::no_entities(),
                 text: Counted::new(format!("agent {i} sees crate_{i} in zone Б").into()),
-                location: String::new(),
+                location: Name::default(),
             })
             .collect();
         let menus = vec![vec![Subgoal::Explore]; 3];
@@ -763,11 +814,40 @@ mod tests {
     #[test]
     fn preamble_costs_realistic_tokens() {
         let tok = Tokenizer::default();
-        let n = tok.count(&system_preamble("CoELA", "planning"));
+        let n = tok.count(system_preamble("CoELA", "planning").text());
         assert!(
             (100..300).contains(&n),
             "preamble should cost ~120-250 tokens, got {n}"
         );
+    }
+
+    #[test]
+    fn a_preamble_is_its_template_and_counts_as_its_text() {
+        let workloads = crate::workloads::registry();
+        let names = workloads.iter().map(|spec| spec.name);
+        for workload in names.chain(["SomethingElse"]) {
+            for role in ["planning", "central planning", "communication", ""] {
+                let flavor = workload_flavor(workload);
+                let preamble = system_preamble(workload, role);
+                assert_eq!(
+                    preamble.text(),
+                    format!(
+                        "You are the {role} module of the {workload} embodied agent system. \
+                         You operate a physical agent in a partially observable environment \
+                         and must pursue the long-horizon task goal efficiently. {flavor} \
+                         Reason step by step about the current observation, your memory of \
+                         the world, and any messages from teammates before committing to a \
+                         decision. Respect the environment's physical constraints: objects \
+                         must be reachable, prerequisites must be satisfied, and only one \
+                         action executes per step. Prefer actions that make direct progress \
+                         toward the goal; avoid repeating actions that recently failed. \
+                         Answer with exactly one choice from the provided action list, \
+                         followed by a brief justification of how it advances the task."
+                    )
+                );
+                assert_eq!(preamble.tokens(), count_tokens(preamble.text()));
+            }
+        }
     }
 
     #[test]
@@ -801,8 +881,8 @@ mod tests {
         let a = system_preamble("JARVIS-1", "planning");
         let b = system_preamble("CoELA", "planning");
         assert_ne!(a, b);
-        assert!(a.contains("Minecraft"));
-        assert!(b.contains("cooperative"));
+        assert!(a.text().contains("Minecraft"));
+        assert!(b.text().contains("cooperative"));
     }
 
     #[test]

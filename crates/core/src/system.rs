@@ -182,7 +182,7 @@ impl EmbodiedSystem {
                     config.opts.summarization,
                     landmarks,
                 ),
-                preamble: Counted::new(system_preamble(&workload, "central planning")),
+                preamble: system_preamble(&workload, "central planning"),
                 memory_buf: String::new(),
                 prompt_buf: String::new(),
             }),
@@ -457,7 +457,7 @@ impl EmbodiedSystem {
             Percept {
                 entities: no_entities(),
                 text: Counted::with_tokens(text.into(), tokens),
-                location: String::new(),
+                location: Name::default(),
             }
         }
     }

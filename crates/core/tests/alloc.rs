@@ -21,7 +21,11 @@
 //!    reference-count bump on a name the environment built once;
 //! 4. knowledge-filtering such a menu against a memory's entity set and
 //!    counting its tokens allocate nothing: lookups read each name's stored
-//!    hash and counts read its token memo.
+//!    hash and counts read its token memo;
+//! 5. an environment's `observe` allocates only its `Vec` of seen
+//!    entities, whose descriptions are inline phrases over shared names,
+//!    and sensing an observation allocates exactly the percept's shared
+//!    text and, when it recognized anything, its entity list.
 //!
 //! The allocator lives here (an integration test is its own crate) because
 //! the library itself is `#![forbid(unsafe_code)]`.
@@ -30,7 +34,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use embodied_agents::config::MemoryCapacity;
-use embodied_agents::modules::{MemoryModule, Percept, RecordKind, WorldMap};
+use embodied_agents::modules::{MemoryModule, Percept, RecordKind, SensingModule, WorldMap};
 use embodied_agents::prompt::{
     subgoal_tokens, title, write_joint_plan_prompt, Body, Counted, PromptWriter,
 };
@@ -155,7 +159,7 @@ fn steady_state_allocations(render: bool) -> usize {
             &Percept {
                 entities: vec![format!("object_{}", step % 10).into()].into(),
                 text: Counted::new("".into()),
-                location: format!("room_{}", step % 9),
+                location: format!("room_{}", step % 9).into(),
             },
             step,
         );
@@ -169,7 +173,7 @@ fn steady_state_allocations(render: bool) -> usize {
             .map(|i| Percept {
                 entities: vec![format!("object_{i}").into()].into(),
                 text: Counted::new(format!("agent {i} sees object_{i} near the forge").into()),
-                location: "forge".to_owned(),
+                location: "forge".into(),
             })
             .collect(),
         menus: (0..3)
@@ -294,9 +298,8 @@ const MENU_ALLOCS: usize = 8;
 
 /// Every suite environment at `Medium` with its workloads' team sizes, and
 /// ALFWorld (no workload's default), plus the fault plane over BoxLift at
-/// four arms: after construction, no menu call copies a name.
-#[test]
-fn menus_allocate_only_their_vec() {
+/// four arms, each with a label.
+fn menu_envs() -> Vec<(String, Box<dyn Environment>)> {
     let mut envs: Vec<(String, Box<dyn Environment>)> = workloads::registry()
         .iter()
         .map(|spec| {
@@ -313,7 +316,13 @@ fn menus_allocate_only_their_vec() {
         "FaultyEnv over BoxLift@4".into(),
         Box::new(FaultyEnv::new(boxlift, EnvFaultProfile::uniform(0.15), 42)),
     ));
-    for (label, mut env) in envs {
+    envs
+}
+
+/// [`menu_envs`]: after construction, no menu call copies a name.
+#[test]
+fn menus_allocate_only_their_vec() {
+    for (label, mut env) in menu_envs() {
         let mut low = LowLevel::controller(7);
         for step in 0..env.max_steps().min(20) {
             env.begin_step(step);
@@ -332,6 +341,49 @@ fn menus_allocate_only_their_vec() {
                 });
                 counted("oracle_subgoals", &|| env.oracle_subgoals(agent).len());
                 counted("affordances", &|| env.affordances(agent).candidates().len());
+                let sg = env
+                    .oracle_subgoals(agent)
+                    .first()
+                    .cloned()
+                    .unwrap_or(Subgoal::Explore);
+                env.execute(agent, &sg, &mut low);
+            }
+        }
+    }
+}
+
+/// Every suite environment, ALFWorld and the fault plane over BoxLift, as
+/// [`menus_allocate_only_their_vec`] builds them: `observe` allocates only
+/// its `Vec`'s growth, and a warmed-up sensing pass allocates exactly the
+/// percept's text and, when it saw anything, its entity list.
+#[test]
+fn observations_allocate_only_their_vec() {
+    for (label, mut env) in menu_envs() {
+        let mut sensing = SensingModule::new(None, 42);
+        let mut low = LowLevel::controller(7);
+        for step in 0..env.max_steps().min(20) {
+            env.begin_step(step);
+            for agent in 0..env.num_agents() {
+                let start = allocs();
+                let obs = env.observe(agent);
+                let n = allocs() - start;
+                assert!(
+                    n <= MENU_ALLOCS,
+                    "{label}: observe({agent}) at step {step} allocated {n} times for {} entities",
+                    obs.visible.len()
+                );
+                // The first pass grows the module's buffers to this frame.
+                sensing.sense(&obs);
+                let start = allocs();
+                let (percept, _) = sensing.sense(&obs);
+                let n = allocs() - start;
+                let expected = 1 + usize::from(!percept.entities.is_empty());
+                assert_eq!(
+                    n,
+                    expected,
+                    "{label}: sensing agent {agent}'s frame at step {step} allocated {n} times: {:?}",
+                    percept.text.text()
+                );
                 let sg = env
                     .oracle_subgoals(agent)
                     .first()

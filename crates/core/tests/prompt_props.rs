@@ -3,15 +3,25 @@
 //! [`Subgoal`] variant, a rendering [`PromptWriter`] writes the plain
 //! `[title]\n{body}\n` text with blank bodies skipped, its running token
 //! count equals a full count of that text, and a counting writer reaches
-//! the same count without writing a byte.
+//! the same count without writing a byte. Phrases and the percepts
+//! sensing renders from every environment's observations count as their
+//! text too, though their counts are summed from parts.
 
 #[path = "../../llm/tests/support/edge_text.rs"]
 mod edge_text;
 
 use edge_text::{blank_text, edge_text};
-use embodied_agents::prompt::{count_tokens, name_tokens, subgoal_tokens, Counted, PromptWriter};
-use embodied_env::{Name, Subgoal};
+use embodied_agents::modules::SensingModule;
+use embodied_agents::prompt::{
+    count_tokens, name_tokens, phrase_tokens, subgoal_tokens, Counted, PromptWriter,
+};
+use embodied_agents::{workloads, EnvKind};
+use embodied_env::{
+    word, EnvFaultProfile, Environment, FaultyEnv, LowLevel, Name, Part, Phrase, Subgoal,
+    TaskDifficulty, Word,
+};
 use embodied_exec::Cell;
+use embodied_llm::EncoderProfile;
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -244,8 +254,103 @@ fn write(mut w: PromptWriter<'_>, sections: &[Section], tail: Option<&str>) -> u
     w.tokens()
 }
 
+/// Fixed words that lead a phrase, as environments use them: each ends
+/// with a space.
+fn leader() -> BoxedStrategy<Word> {
+    let words = [
+        word!("the "),
+        word!("carrying "),
+        word!("a passage to the "),
+        word!("order "),
+    ];
+    (0..words.len()).prop_map(move |i| words[i]).boxed()
+}
+
+/// Fixed words that join two parts, as environments use them: each starts
+/// and ends with a space or a punctuation mark.
+fn joiner() -> BoxedStrategy<Word> {
+    let words = [
+        word!(" on the floor of "),
+        word!(" (heavy) in "),
+        word!("/"),
+        word!(" at "),
+        word!(" awaiting "),
+        word!(""),
+    ];
+    (0..words.len()).prop_map(move |i| words[i]).boxed()
+}
+
+/// Fixed words that end a phrase, as environments use them: each starts
+/// with a space or a punctuation mark.
+fn trailer() -> BoxedStrategy<Word> {
+    let words = [
+        word!(", partially occluded"),
+        word!(": done"),
+        word!(" boxes delivered"),
+        word!(" within reach"),
+        word!(" (closed)"),
+        word!(""),
+    ];
+    (0..words.len()).prop_map(move |i| words[i]).boxed()
+}
+
+/// A part that may start or end with a letter: a name, an integer or a
+/// point.
+fn filler() -> BoxedStrategy<Part> {
+    prop_oneof![
+        name().prop_map(|text| Part::Name(text.into())),
+        (0usize..usize::MAX).prop_map(Part::Int),
+        (0usize..1000).prop_map(Part::Int),
+        (coordinate(), coordinate()).prop_map(|(x, y)| Part::Point(x, y)),
+    ]
+    .boxed()
+}
+
+/// A phrase of one to four parts in the shapes environments build, so no
+/// two parts meet letter to letter.
+fn phrase() -> BoxedStrategy<Phrase> {
+    ((0u32..6, leader()), filler(), joiner(), filler(), trailer())
+        .prop_map(|((shape, lead), a, join, c, trail)| {
+            let (lead, join, trail) = (Part::Word(lead), Part::Word(join), Part::Word(trail));
+            match shape {
+                0 => Phrase::new([a]),
+                1 => Phrase::new([trail]),
+                2 => Phrase::new([a, trail]),
+                3 => Phrase::new([lead, a, trail]),
+                4 => Phrase::new([a, join, c]),
+                _ => Phrase::new([a, join, c, trail]),
+            }
+        })
+        .boxed()
+}
+
+/// Every suite environment at its workload's team size, ALFWorld, and the
+/// embodied fault plane over each suite environment.
+fn environments(difficulty: TaskDifficulty, seed: u64) -> Vec<Box<dyn Environment>> {
+    let specs = workloads::registry();
+    let mut envs: Vec<Box<dyn Environment>> = specs
+        .iter()
+        .map(|spec| spec.build_env(difficulty, spec.default_agents, seed))
+        .collect();
+    envs.push(EnvKind::AlfWorld.build(difficulty, 1, seed));
+    for spec in &specs {
+        let inner = spec.build_env(difficulty, spec.default_agents, seed);
+        envs.push(Box::new(FaultyEnv::new(
+            inner,
+            EnvFaultProfile::uniform(0.3),
+            seed,
+        )));
+    }
+    envs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_phrase_counts_as_its_text(phrase in phrase()) {
+        prop_assert_eq!(phrase_tokens(&phrase), count_tokens(&phrase.to_string()));
+    }
 
     #[test]
     fn counting_equals_rendering(
@@ -281,6 +386,50 @@ proptest! {
         prop_assert_eq!(name_tokens(&name), count_tokens(&text));
         // The clone reads the memo the first count filled.
         prop_assert_eq!(name_tokens(&clone), count_tokens(&text));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Sensing sums a percept's count from the observation's parts, and
+    /// release builds take that sum unchecked. Over episodes at random
+    /// seeds, with perfect or imperfect recognition, in which agents
+    /// mostly follow the oracle, every percept's count is its text's.
+    #[test]
+    fn a_percept_counts_as_its_text(
+        seed in 0u64..u64::MAX,
+        level in 0u32..3,
+        steps in 1usize..30,
+        encoder in 0u32..2,
+    ) {
+        let difficulty = [TaskDifficulty::Easy, TaskDifficulty::Medium, TaskDifficulty::Hard]
+            [level as usize];
+        for mut env in environments(difficulty, seed) {
+            let encoder = (encoder == 1).then(EncoderProfile::mask_rcnn);
+            let mut sensing = SensingModule::new(encoder, seed);
+            let mut low = LowLevel::controller(seed);
+            for step in 0..steps.min(env.max_steps()) {
+                env.begin_step(step);
+                for agent in 0..env.num_agents() {
+                    let (percept, _) = sensing.sense(&env.observe(agent));
+                    prop_assert_eq!(
+                        percept.text.tokens(),
+                        count_tokens(percept.text.text()),
+                        "{} step {} agent {}: {:?}",
+                        env.name(),
+                        step,
+                        agent,
+                        percept.text.text()
+                    );
+                    let subgoal = match env.oracle_subgoals(agent).first() {
+                        Some(sg) if step % 5 != 4 => sg.clone(),
+                        _ => Subgoal::Explore,
+                    };
+                    env.execute(agent, &subgoal, &mut low);
+                }
+            }
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
+use crate::{phrase, word};
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,6 +26,8 @@ const RECEPTACLES: [&str; 6] = [
 #[derive(Debug, Clone)]
 struct Receptacle {
     name: Name,
+    /// Where the agent is when it stands here: `at the {name}`.
+    location: Name,
     openable: bool,
     opened: bool,
 }
@@ -60,6 +63,7 @@ impl AlfWorldEnv {
             .iter()
             .map(|&name| Receptacle {
                 name: name.into(),
+                location: format!("at the {name}").into(),
                 // countertop and sinkbasin are open surfaces
                 openable: !matches!(name, "countertop" | "sinkbasin"),
                 opened: false,
@@ -156,37 +160,34 @@ impl Environment for AlfWorldEnv {
     fn observe(&self, _agent: usize) -> Observation {
         let here = self.agent_at;
         let r = &self.receptacles[here];
+        let state = if !r.openable {
+            word!(" (a surface)")
+        } else if r.opened {
+            word!(" (open)")
+        } else {
+            word!(" (closed)")
+        };
         let mut visible = vec![SeenEntity::new(
             r.name.clone(),
-            format!(
-                "the {} ({})",
-                r.name,
-                if !r.openable {
-                    "a surface"
-                } else if r.opened {
-                    "open"
-                } else {
-                    "closed"
-                }
-            ),
+            phrase![word!("the "), r.name.clone(), state],
         )];
         if self.contents_visible(here) {
             for o in &self.objects {
                 if o.location == Some(here) && !o.done {
                     visible.push(SeenEntity::new(
                         o.name.clone(),
-                        format!("{} inside the {}", o.name, r.name),
+                        phrase![o.name.clone(), word!(" inside the "), r.name.clone()],
                     ));
                 }
             }
         }
         Observation {
             agent_pos: None,
-            location: format!("at the {}", r.name),
+            location: r.location.clone(),
             visible,
             status: match self.carrying {
-                Some(idx) => format!("carrying {}", self.objects[idx].name),
-                None => "hands free".into(),
+                Some(idx) => phrase![word!("carrying "), self.objects[idx].name.clone()],
+                None => word!("hands free").into(),
             },
         }
     }
@@ -446,6 +447,7 @@ impl Environment for AlfWorldEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::rendered_at;
 
     fn oracle_rollout(env: &mut AlfWorldEnv, seed: u64) -> usize {
         let mut low = LowLevel::controller(seed);
@@ -579,5 +581,21 @@ mod tests {
         // Object names are in the task statement (landmarks), but their
         // locations are environment state, not knowledge.
         assert!(lm.iter().any(|l| l.contains('_')));
+    }
+
+    #[test]
+    fn observations_render_as_before() {
+        let fresh = || AlfWorldEnv::new(TaskDifficulty::Easy, 1, 42);
+        let (location, status, seen) = rendered_at(&mut fresh(), 0);
+        assert_eq!(
+            (location.as_str(), status.as_str()),
+            ("at the fridge", "hands free")
+        );
+        assert_eq!(seen, ["the fridge (closed)"]);
+        let (location, _, seen) = rendered_at(&mut fresh(), 3);
+        assert_eq!(location, "at the microwave");
+        assert_eq!(seen, ["the microwave (open)", "mug_0 inside the microwave"]);
+        let (_, status, _) = rendered_at(&mut fresh(), 4);
+        assert_eq!(status, "carrying mug_0");
     }
 }

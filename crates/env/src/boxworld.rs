@@ -6,6 +6,7 @@
 use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
+use crate::{phrase, word};
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,6 +65,8 @@ pub struct BoxWorldEnv {
     calls: usize,
     /// `zone_{z}` for every zone `z`.
     zones: Vec<Name>,
+    /// Each arm's location, `arm covering zones {lo}..={hi}`.
+    arm_locations: Vec<Name>,
 }
 
 impl BoxWorldEnv {
@@ -123,7 +126,7 @@ impl BoxWorldEnv {
             });
         }
         let max_steps = 8 + base_boxes * num_zones / num_agents.min(4);
-        BoxWorldEnv {
+        let mut env = BoxWorldEnv {
             variant,
             boxes,
             num_agents,
@@ -133,7 +136,15 @@ impl BoxWorldEnv {
             pending_lifts: Vec::new(),
             calls: 0,
             zones: (0..num_zones).map(|z| format!("zone_{z}").into()).collect(),
-        }
+            arm_locations: Vec::new(),
+        };
+        env.arm_locations = (0..num_agents)
+            .map(|agent| {
+                let reach = env.reach(agent);
+                format!("arm covering zones {}..={}", reach.start(), reach.end()).into()
+            })
+            .collect();
+        env
     }
 
     /// The instantiated variant.
@@ -213,26 +224,27 @@ impl Environment for BoxWorldEnv {
             .iter()
             .filter(|b| !b.delivered && reach.contains(&b.zone))
             .map(|b| {
+                let within = if b.heavy {
+                    word!(" (heavy) in ")
+                } else {
+                    word!(" in ")
+                };
                 SeenEntity::new(
                     b.name.clone(),
-                    format!(
-                        "{}{} in {}",
-                        b.name,
-                        if b.heavy { " (heavy)" } else { "" },
-                        self.zones[b.zone]
-                    ),
+                    phrase![b.name.clone(), within, self.zones[b.zone].clone()],
                 )
             })
             .collect();
         Observation {
             agent_pos: None,
-            location: format!("arm covering zones {}..={}", reach.start(), reach.end()),
+            location: self.arm_locations[agent].clone(),
             visible,
-            status: format!(
-                "{}/{} boxes delivered",
+            status: phrase![
                 self.delivered_count(),
-                self.boxes.len()
-            ),
+                word!("/"),
+                self.boxes.len(),
+                word!(" boxes delivered")
+            ],
         }
     }
 
@@ -428,6 +440,7 @@ impl Environment for BoxWorldEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::rendered_at;
 
     fn oracle_rollout(env: &mut BoxWorldEnv, seed: u64) -> usize {
         let mut low = LowLevel::controller(seed);
@@ -595,5 +608,24 @@ mod tests {
             &mut low,
         );
         assert!(!out.completed, "expired request must not complete a lift");
+    }
+
+    #[test]
+    fn observations_render_as_before() {
+        let mut env = BoxWorldEnv::new(BoxVariant::BoxLift, TaskDifficulty::Easy, 2, 42);
+        let (location, status, seen) = rendered_at(&mut env, 0);
+        assert_eq!(location, "arm covering zones 0..=3");
+        assert_eq!(status, "0/4 boxes delivered");
+        assert_eq!(
+            seen,
+            [
+                "box_0 (heavy) in zone_2",
+                "box_2 (heavy) in zone_2",
+                "box_3 in zone_0"
+            ]
+        );
+        let mut env = BoxWorldEnv::new(BoxVariant::BoxLift, TaskDifficulty::Easy, 2, 42);
+        let (_, status, _) = rendered_at(&mut env, 1);
+        assert_eq!(status, "1/4 boxes delivered");
     }
 }

@@ -6,6 +6,7 @@ use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
+use crate::{phrase, word};
 use embodied_exec::{latency, Cell};
 use embodied_profiler::SimDuration;
 use rand::Rng;
@@ -148,6 +149,9 @@ pub struct CraftEnv {
     agent_pos: Cell,
     /// Item counts, keyed by the vocabulary's own text.
     inventory: HashMap<&'static str, u32>,
+    /// The inventory as the observation shows it, rebuilt by
+    /// [`CraftEnv::refresh_status`] whenever a gather or craft changes it.
+    status: Name,
     names: Vocabulary,
     target: &'static str,
     difficulty: TaskDifficulty,
@@ -170,6 +174,7 @@ impl CraftEnv {
             world,
             agent_pos,
             inventory: HashMap::new(),
+            status: Name::from("inventory empty"),
             names: Vocabulary::new(),
             target,
             difficulty,
@@ -180,6 +185,24 @@ impl CraftEnv {
     /// Current count of an inventory item.
     pub fn has(&self, item: &str) -> u32 {
         self.inventory.get(item).copied().unwrap_or(0)
+    }
+
+    /// Rebuilds the status after the inventory changed: its non-empty
+    /// entries as `{count} {item}`, sorted by that text, so `10 planks`
+    /// comes before `2 log`.
+    fn refresh_status(&mut self) {
+        let mut entries: Vec<String> = self
+            .inventory
+            .iter()
+            .filter(|(_, &v)| v > 0)
+            .map(|(k, v)| format!("{v} {k}"))
+            .collect();
+        self.status = if entries.is_empty() {
+            Name::from("inventory empty")
+        } else {
+            entries.sort();
+            format!("inventory: {}", entries.join(", ")).into()
+        };
     }
 
     /// The episode's target item.
@@ -307,40 +330,33 @@ impl Environment for CraftEnv {
         let biome = self.current_biome();
         let mut visible = Vec::new();
         // Resources present in this biome.
-        for (&(res, b, _), name) in RESOURCES.iter().zip(&self.names.resources) {
+        for (&(_, b, _), name) in RESOURCES.iter().zip(&self.names.resources) {
             if b == biome {
                 visible.push(SeenEntity::new(
                     name.clone(),
-                    format!("{res} deposits in the {}", BIOMES[biome]),
+                    phrase![
+                        name.clone(),
+                        word!(" deposits in the "),
+                        self.names.biomes[biome].clone()
+                    ],
                 ));
             }
         }
         // Neighbouring biomes are visible through their passages.
         for adj in [biome.wrapping_sub(1), biome + 1] {
             if adj < BIOMES.len() && adj != biome {
+                let passage = &self.names.biomes[adj];
                 visible.push(SeenEntity::new(
-                    self.names.biomes[adj].clone(),
-                    format!("a passage to the {}", BIOMES[adj]),
+                    passage.clone(),
+                    phrase![word!("a passage to the "), passage.clone()],
                 ));
             }
         }
-        let inv: Vec<String> = self
-            .inventory
-            .iter()
-            .filter(|(_, &v)| v > 0)
-            .map(|(k, v)| format!("{v} {k}"))
-            .collect();
         Observation {
             agent_pos: Some(self.agent_pos),
-            location: BIOMES[biome].to_owned(),
+            location: self.names.biomes[biome].clone(),
             visible,
-            status: if inv.is_empty() {
-                "inventory empty".into()
-            } else {
-                let mut sorted = inv;
-                sorted.sort();
-                format!("inventory: {}", sorted.join(", "))
-            },
+            status: self.status.clone().into(),
         }
     }
 
@@ -404,6 +420,7 @@ impl Environment for CraftEnv {
                 let success = drive.success && low.rng.gen_bool(low.competence.clamp(0.0, 1.0));
                 if success {
                     *self.inventory.entry(RESOURCES[index].0).or_insert(0) += GATHER_YIELD;
+                    self.refresh_status();
                 }
                 ExecOutcome {
                     completed: success,
@@ -431,6 +448,7 @@ impl Environment for CraftEnv {
                         *self.inventory.get_mut(ing).expect("checked by can_craft") -= need;
                     }
                     *self.inventory.entry(recipe.item).or_insert(0) += recipe.yields;
+                    self.refresh_status();
                 }
                 ExecOutcome {
                     completed: success,
@@ -492,6 +510,7 @@ impl Environment for CraftEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::rendered_at;
 
     fn oracle_rollout(env: &mut CraftEnv, seed: u64) -> usize {
         let mut low = LowLevel::controller(seed);
@@ -649,5 +668,47 @@ mod tests {
         assert!(!obs.sees("deep_cave"));
         // Biomes beyond the start are not landmarks.
         assert!(!e.landmarks().contains(&"forest".to_owned()));
+    }
+
+    #[test]
+    fn observations_render_as_before() {
+        let mut env = CraftEnv::new(TaskDifficulty::Hard, 1, 42);
+        let (location, status, seen) = rendered_at(&mut env, 0);
+        assert_eq!(
+            (location.as_str(), status.as_str()),
+            ("plains", "inventory empty")
+        );
+        assert_eq!(seen, ["a passage to the forest"]);
+        let mut env = CraftEnv::new(TaskDifficulty::Hard, 1, 42);
+        let (location, status, seen) = rendered_at(&mut env, 11);
+        assert_eq!(location, "quarry");
+        assert_eq!(
+            status,
+            "inventory: 1 crafting_table, 1 wooden_pickaxe, 2 stick, 3 planks, 6 cobblestone"
+        );
+        assert_eq!(
+            seen,
+            [
+                "cobblestone deposits in the quarry",
+                "a passage to the forest",
+                "a passage to the cave"
+            ]
+        );
+    }
+
+    #[test]
+    fn inventory_status_sorts_by_its_text() {
+        let mut e = CraftEnv::new(TaskDifficulty::Easy, 1, 0);
+        e.inventory.insert("log", 2);
+        e.inventory.insert("planks", 10);
+        e.inventory.insert("stick", 0);
+        e.refresh_status();
+        assert_eq!(
+            e.observe(0).status.to_string(),
+            "inventory: 10 planks, 2 log"
+        );
+        e.inventory.clear();
+        e.refresh_status();
+        assert_eq!(e.observe(0).status.to_string(), "inventory empty");
     }
 }

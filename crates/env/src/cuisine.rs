@@ -4,7 +4,8 @@
 
 use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
-use crate::observation::{Observation, SeenEntity};
+use crate::observation::{Observation, Part, SeenEntity};
+use crate::{phrase, word};
 use embodied_profiler::SimDuration;
 use rand::Rng;
 
@@ -39,6 +40,8 @@ pub struct CuisineEnv {
     stage_names: [Name; 4],
     /// [`STATIONS`] as shared names, in the same order.
     station_names: [Name; 4],
+    /// Where every agent is: `kitchen`.
+    location: Name,
 }
 
 const STATIONS: [&str; 4] = ["pantry", "chop_station", "stove", "serving_counter"];
@@ -97,6 +100,7 @@ impl CuisineEnv {
             calls: 0,
             stage_names,
             station_names: STATIONS.map(Name::from),
+            location: Name::from("kitchen"),
         }
     }
 
@@ -153,22 +157,31 @@ impl Environment for CuisineEnv {
         let mut visible: Vec<SeenEntity> = self
             .active_orders()
             .map(|o| {
-                let stage = o.next_stage().map_or("serve", |s| s);
-                SeenEntity::new(o.dish.clone(), format!("order {} awaiting {stage}", o.dish))
+                let stage = o
+                    .next_stage()
+                    .map_or(Part::Word(word!("serve")), |s| Part::Name(s.clone()));
+                SeenEntity::new(
+                    o.dish.clone(),
+                    phrase![word!("order "), o.dish.clone(), word!(" awaiting "), stage],
+                )
             })
             .collect();
         for s in &self.station_names {
-            visible.push(SeenEntity::new(s.clone(), format!("the {s}")));
+            visible.push(SeenEntity::new(
+                s.clone(),
+                phrase![word!("the "), s.clone()],
+            ));
         }
         Observation {
             agent_pos: None,
-            location: "kitchen".into(),
+            location: self.location.clone(),
             visible,
-            status: format!(
-                "{}/{} dishes served",
+            status: phrase![
                 self.served_count(),
-                self.orders.len()
-            ),
+                word!("/"),
+                self.orders.len(),
+                word!(" dishes served")
+            ],
         }
     }
 
@@ -325,6 +338,7 @@ impl Environment for CuisineEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::rendered_at;
 
     fn oracle_rollout(env: &mut CuisineEnv, seed: u64) -> usize {
         let mut low = LowLevel::controller(seed);
@@ -437,5 +451,30 @@ mod tests {
         let n = e.orders.len();
         e.orders[0].served = true;
         assert!((e.progress() - 1.0 / n as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn observations_render_as_before() {
+        let fresh = || CuisineEnv::new(TaskDifficulty::Easy, 2, 42);
+        let (location, status, seen) = rendered_at(&mut fresh(), 0);
+        assert_eq!(
+            (location.as_str(), status.as_str()),
+            ("kitchen", "0/3 dishes served")
+        );
+        assert_eq!(
+            seen,
+            [
+                "order salad_0 awaiting fetch",
+                "the pantry",
+                "the chop_station",
+                "the stove",
+                "the serving_counter"
+            ]
+        );
+        let (_, _, seen) = rendered_at(&mut fresh(), 1);
+        assert_eq!(seen[0], "order salad_0 awaiting serve");
+        let (_, status, seen) = rendered_at(&mut fresh(), 3);
+        assert_eq!(status, "1/3 dishes served");
+        assert_eq!(seen[0], "order soup_1 awaiting cook");
     }
 }

@@ -31,6 +31,7 @@
 use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
+use crate::{phrase, word};
 use embodied_profiler::{check_rate, EnvFaultStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -310,7 +311,7 @@ impl<E: Environment> FaultyEnv<E> {
             let name = self.phantoms[self.rng.gen_range(0..PHANTOMS.len())].clone();
             observation.visible.push(SeenEntity::new(
                 name.clone(),
-                format!("{name} within reach"),
+                phrase![name.clone(), word!(" within reach")],
             ));
             candidates.push(Subgoal::Pick { object: name });
             self.stats.phantom_entities += 1;
@@ -321,7 +322,8 @@ impl<E: Environment> FaultyEnv<E> {
             let true_name = observation.visible[idx].name.clone();
             if true_name != alias {
                 observation.visible[idx].name = alias.clone();
-                observation.visible[idx].description = format!("{alias}, partially occluded");
+                observation.visible[idx].description =
+                    phrase![alias.clone(), word!(", partially occluded")];
                 for sg in candidates.iter_mut() {
                     rename_entity(sg, &true_name, &alias);
                 }
@@ -494,6 +496,7 @@ impl<E: Environment> Environment for FaultyEnv<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::rendered_at;
     use crate::transport::TransportEnv;
     use rand::RngCore;
 
@@ -746,5 +749,29 @@ mod tests {
             ..EnvFaultProfile::none()
         };
         assert!(no_window.validated().is_err());
+    }
+
+    #[test]
+    fn phantoms_and_misreads_render_as_before() {
+        let profile = EnvFaultProfile {
+            phantom: 1.0,
+            misread: 1.0,
+            ..EnvFaultProfile::none()
+        };
+        let fresh = || FaultyEnv::new(bare(42), profile, 42);
+        let (_, _, seen) = rendered_at(&mut fresh(), 0);
+        assert_eq!(
+            seen,
+            [
+                "the goal zone",
+                "agent_1 nearby",
+                "dusty_lever, partially occluded"
+            ]
+        );
+        let (_, _, seen) = rendered_at(&mut fresh(), 1);
+        assert_eq!(
+            seen[2..],
+            ["dim_door, partially occluded", "phantom_lever within reach"]
+        );
     }
 }

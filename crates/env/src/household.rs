@@ -6,6 +6,7 @@ use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
+use crate::{phrase, word};
 use embodied_exec::{latency, Cell, NavGrid};
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
@@ -196,34 +197,31 @@ impl Environment for HouseholdEnv {
                 if self.world.same_room(body.pos, pos) {
                     visible.push(SeenEntity::new(
                         item.name.clone(),
-                        format!(
-                            "{} in {}",
-                            item.name,
-                            self.world
-                                .room_of(pos)
-                                .map_or("", |r| self.world.room_name(r.id))
-                        ),
+                        phrase![
+                            item.name.clone(),
+                            word!(" in "),
+                            self.world.location_name(pos).clone()
+                        ],
                     ));
                 }
             }
         }
         if self.world.same_room(body.pos, self.fridge_cell) {
-            visible.push(SeenEntity::new(self.fridge.clone(), "the fridge"));
+            visible.push(SeenEntity::new(self.fridge.clone(), word!("the fridge")));
         }
         if self.world.same_room(body.pos, self.table_cell) {
-            visible.push(SeenEntity::new(self.table.clone(), "the dining table"));
+            visible.push(SeenEntity::new(
+                self.table.clone(),
+                word!("the dining table"),
+            ));
         }
         let status = match body.carrying {
-            Some(idx) => format!("carrying {}", self.items[idx].name),
-            None => "hands free".into(),
+            Some(idx) => phrase![word!("carrying "), self.items[idx].name.clone()],
+            None => word!("hands free").into(),
         };
         Observation {
             agent_pos: Some(body.pos),
-            location: self
-                .world
-                .room_of(body.pos)
-                .map(|r| self.world.room_name(r.id).to_string())
-                .unwrap_or_default(),
+            location: self.world.location_name(body.pos).clone(),
             visible,
             status,
         }
@@ -459,6 +457,7 @@ impl Environment for HouseholdEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::rendered_at;
 
     fn oracle_rollout(env: &mut HouseholdEnv, seed: u64) -> usize {
         let mut low = LowLevel::controller(seed);
@@ -572,5 +571,22 @@ mod tests {
             .collect();
         assert!(place_targets.contains(&FRIDGE.into()));
         assert!(place_targets.contains(&TABLE.into()));
+    }
+
+    #[test]
+    fn observations_render_as_before() {
+        let fresh = || HouseholdEnv::new(TaskDifficulty::Easy, 2, 42);
+        let (location, status, seen) = rendered_at(&mut fresh(), 1);
+        assert_eq!(
+            (location.as_str(), status.as_str()),
+            ("room_2", "hands free")
+        );
+        assert_eq!(seen, ["plate_0 in room_2", "plate_2 in room_2"]);
+        let (location, status, seen) = rendered_at(&mut fresh(), 3);
+        assert_eq!(
+            (location.as_str(), status.as_str()),
+            ("room_1", "carrying plate_0")
+        );
+        assert_eq!(seen, ["the dining table"]);
     }
 }

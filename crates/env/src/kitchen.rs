@@ -5,6 +5,7 @@
 use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
+use crate::{phrase, word};
 use embodied_exec::{latency, MlpPolicy};
 use embodied_profiler::SimDuration;
 use rand::Rng;
@@ -33,6 +34,8 @@ pub struct KitchenEnv {
     policy: MlpPolicy,
     difficulty: TaskDifficulty,
     max_steps: usize,
+    /// Where the arm is: `franka kitchen`.
+    location: Name,
 }
 
 impl KitchenEnv {
@@ -45,6 +48,7 @@ impl KitchenEnv {
             skills: SKILLS.map(Name::from),
             policy: MlpPolicy::new(12, &[64, 64], 8, seed),
             difficulty,
+            location: Name::from("franka kitchen"),
         }
     }
 
@@ -108,21 +112,24 @@ impl Environment for KitchenEnv {
             .iter()
             .zip(&self.done)
             .map(|(name, d)| {
-                SeenEntity::new(
-                    name.clone(),
-                    format!("{name}: {}", if *d { "done" } else { "pending" }),
-                )
+                let state = if *d {
+                    word!(": done")
+                } else {
+                    word!(": pending")
+                };
+                SeenEntity::new(name.clone(), phrase![name.clone(), state])
             })
             .collect();
         Observation {
             agent_pos: None,
-            location: "franka kitchen".into(),
+            location: self.location.clone(),
             visible,
-            status: format!(
-                "{}/{} skills complete",
+            status: phrase![
                 self.completed_count(),
-                self.done.len()
-            ),
+                word!("/"),
+                self.done.len(),
+                word!(" skills complete")
+            ],
         }
     }
 
@@ -212,6 +219,7 @@ impl Environment for KitchenEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::rendered_at;
 
     #[test]
     fn oracle_completes_all_difficulties() {
@@ -287,7 +295,23 @@ mod tests {
         let mut e = KitchenEnv::new(TaskDifficulty::Easy, 1, 0);
         e.done[0] = true;
         let obs = e.observe(0);
-        assert!(obs.status.contains("1/3"));
-        assert!(obs.visible[0].description.contains("done"));
+        assert!(obs.status.to_string().contains("1/3"));
+        assert!(obs.visible[0].description.to_string().contains("done"));
+    }
+
+    #[test]
+    fn observations_render_as_before() {
+        let mut env = KitchenEnv::new(TaskDifficulty::Easy, 1, 42);
+        let (location, status, seen) = rendered_at(&mut env, 1);
+        assert_eq!(location, "franka kitchen");
+        assert_eq!(status, "1/3 skills complete");
+        assert_eq!(
+            seen,
+            [
+                "open_microwave: done",
+                "move_kettle: pending",
+                "turn_on_light: pending"
+            ]
+        );
     }
 }

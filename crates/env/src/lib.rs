@@ -62,7 +62,9 @@ pub use household::HouseholdEnv;
 pub use kitchen::KitchenEnv;
 pub use manipulation::ManipulationEnv;
 pub use name::{Name, NameHasher};
-pub use observation::{Observation, SeenEntity};
+#[doc(hidden)]
+pub use observation::WordText;
+pub use observation::{Observation, Part, Phrase, SeenEntity, Word};
 pub use routes::{Route, RouteMemo};
 pub use transport::TransportEnv;
 pub use world::{GridWorld, Room};

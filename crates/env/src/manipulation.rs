@@ -6,6 +6,7 @@
 use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty, TrajectoryPlanner};
 use crate::observation::{Observation, SeenEntity};
+use crate::{phrase, word};
 use embodied_exec::{
     latency, plan_rrt, plan_rrt_connect, smooth_trajectory, Point, RrtParams, Workspace,
 };
@@ -35,6 +36,8 @@ pub struct ManipulationEnv {
     max_steps: usize,
     seed: u64,
     plans_made: usize,
+    /// Each arm's location, `arm_{i} workspace`.
+    arm_locations: Vec<Name>,
 }
 
 impl ManipulationEnv {
@@ -87,6 +90,9 @@ impl ManipulationEnv {
             max_steps,
             seed,
             plans_made: 0,
+            arm_locations: (0..num_agents)
+                .map(|i| format!("arm_{i} workspace").into())
+                .collect(),
         }
     }
 
@@ -180,19 +186,20 @@ impl Environment for ManipulationEnv {
             .map(|o| {
                 SeenEntity::new(
                     o.name.clone(),
-                    format!("{} at ({:.1}, {:.1})", o.name, o.pos.x, o.pos.y),
+                    phrase![o.name.clone(), word!(" at "), (o.pos.x, o.pos.y)],
                 )
             })
             .collect();
         Observation {
             agent_pos: None,
-            location: format!("arm_{agent} workspace"),
+            location: self.arm_locations[agent].clone(),
             visible,
-            status: format!(
-                "{}/{} parts placed",
+            status: phrase![
                 self.placed_count(),
-                self.objects.len()
-            ),
+                word!("/"),
+                self.objects.len(),
+                word!(" parts placed")
+            ],
         }
     }
 
@@ -361,6 +368,7 @@ impl Environment for ManipulationEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::rendered_at;
 
     fn oracle_rollout(env: &mut ManipulationEnv, seed: u64) -> usize {
         let mut low = LowLevel::controller(seed);
@@ -494,5 +502,15 @@ mod tests {
         let n = e.objects.len();
         e.objects[0].placed = true;
         assert!((e.progress() - 1.0 / n as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn observations_render_as_before() {
+        let mut env = ManipulationEnv::new(TaskDifficulty::Easy, 2, 42);
+        let (location, status, seen) = rendered_at(&mut env, 0);
+        assert_eq!(location, "arm_0 workspace");
+        assert_eq!(status, "0/3 parts placed");
+        assert_eq!(seen, ["part_0 at (0.8, 1.4)", "part_2 at (1.5, 1.1)"]);
+        assert_eq!(env.observe(1).location.as_str(), "arm_1 workspace");
     }
 }

@@ -46,9 +46,9 @@ struct Symbol {
     text: Box<str>,
 }
 
-/// The memo of a name nothing has counted yet: no text has that many
-/// tokens.
-const UNCOUNTED: u64 = u64::MAX;
+/// The memo of a name (or a [`crate::Word`]) nothing has counted yet: no
+/// text has that many tokens.
+pub(crate) const UNCOUNTED: u64 = u64::MAX;
 
 /// FNV-1a over `text`, with the high half folded into the low so the low
 /// bits a hash table indexes with depend on every byte.
@@ -116,6 +116,14 @@ impl Deref for Name {
 impl From<&str> for Name {
     fn from(text: &str) -> Self {
         Self::from_boxed(text.into(), text_hash(text))
+    }
+}
+
+/// The empty name. Each call makes a new symbol; an environment that
+/// needs one (a doorway's location) builds it once and shares it.
+impl Default for Name {
+    fn default() -> Self {
+        Name::from("")
     }
 }
 

@@ -1,22 +1,302 @@
 //! Partial egocentric observations — what the sensing module sees each step.
+//!
+//! An observation is data, not text. Every description and status is a
+//! [`Phrase`]: a few parts — shared [`Name`]s, fixed [`Word`]s, integers
+//! and points — that the environment assembles without allocating and the
+//! sensing module renders once, into the one percept text it keeps. Each
+//! part carries or yields its token count (a name's and a word's memo, an
+//! integer's digits), so the percept's count is summed from its parts, and
+//! the environment never needs the tokenizer.
 
 use crate::action::Name;
+use crate::name::UNCOUNTED;
 use embodied_exec::Cell;
+use std::fmt::{self, Write as _};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One observed entity: a stable name plus a human-readable description
-/// fragment used when assembling prompts.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Fixed wording in a [`Phrase`]: a `'static` text with a token-count memo,
+/// made by [`word!`](crate::word!). Each use site of the macro owns one
+/// static, so the text is counted once per program run, by the first
+/// [`Word::tokens_with`], and copying a word copies a pointer.
+///
+/// ```
+/// use embodied_env::word;
+///
+/// let on = word!(" on the floor of ");
+/// assert_eq!(on.text(), " on the floor of ");
+/// assert_eq!(on.tokens_with(|t| t.split_whitespace().count() as u64), 4);
+/// ```
+#[derive(Clone, Copy)]
+pub struct Word(&'static WordText);
+
+/// The static behind a [`Word`]; build it with [`word!`](crate::word!).
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct WordText {
+    text: &'static str,
+    /// [`UNCOUNTED`] until the first [`Word::tokens_with`].
+    tokens: AtomicU64,
+}
+
+impl WordText {
+    /// Uncounted `text`.
+    #[doc(hidden)]
+    pub const fn new(text: &'static str) -> Self {
+        WordText {
+            text,
+            tokens: AtomicU64::new(UNCOUNTED),
+        }
+    }
+}
+
+impl Word {
+    /// The word kept in `text`.
+    #[doc(hidden)]
+    pub const fn new(text: &'static WordText) -> Self {
+        Word(text)
+    }
+
+    /// The text.
+    pub fn text(self) -> &'static str {
+        self.0.text
+    }
+
+    /// `count(text)`, computed on the first call for this word and read
+    /// from its memo afterwards, as [`Name::tokens_with`] does: every
+    /// caller must count with the same function.
+    pub fn tokens_with(self, count: impl FnOnce(&str) -> u64) -> u64 {
+        // Relaxed: the memo publishes no other data, and threads that race
+        // to fill it store the same count.
+        let memo = &self.0.tokens;
+        match memo.load(Ordering::Relaxed) {
+            UNCOUNTED => {
+                let tokens = count(self.0.text);
+                assert_ne!(tokens, UNCOUNTED, "token count out of range");
+                memo.store(tokens, Ordering::Relaxed);
+                tokens
+            }
+            tokens => tokens,
+        }
+    }
+}
+
+/// Words compare as their texts.
+impl PartialEq for Word {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.text == other.0.text
+    }
+}
+
+impl fmt::Debug for Word {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0.text, f)
+    }
+}
+
+/// A [`Word`] for a string literal, with its own static memo.
+///
+/// ```
+/// use embodied_env::{phrase, word, Name};
+///
+/// let p = phrase![Name::from("box_1"), word!(" in "), Name::from("zone_2")];
+/// assert_eq!(p.to_string(), "box_1 in zone_2");
+/// ```
+#[macro_export]
+macro_rules! word {
+    ($text:literal) => {{
+        static WORD: $crate::WordText = $crate::WordText::new($text);
+        $crate::Word::new(&WORD)
+    }};
+}
+
+/// One part of a [`Phrase`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Part {
+    /// A shared entity or place name.
+    Name(Name),
+    /// Fixed wording.
+    Word(Word),
+    /// A whole number, written in decimal.
+    Int(usize),
+    /// A point, written `({x:.1}, {y:.1})`.
+    Point(f64, f64),
+}
+
+impl Part {
+    /// Whether the part renders no text: only an empty name or word.
+    fn is_empty(&self) -> bool {
+        match self {
+            Part::Name(name) => name.is_empty(),
+            Part::Word(word) => word.text().is_empty(),
+            Part::Int(_) | Part::Point(..) => false,
+        }
+    }
+
+    /// Appends the part's text to `out`; only a point goes through `fmt`.
+    fn push_to(&self, out: &mut String) {
+        match self {
+            Part::Name(name) => out.push_str(name),
+            Part::Word(word) => out.push_str(word.text()),
+            Part::Int(n) => push_int(out, *n),
+            Part::Point(x, y) => {
+                let _ = write!(out, "({x:.1}, {y:.1})");
+            }
+        }
+    }
+}
+
+/// Appends `n` in decimal.
+fn push_int(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+impl From<Name> for Part {
+    fn from(name: Name) -> Self {
+        Part::Name(name)
+    }
+}
+
+impl From<Word> for Part {
+    fn from(word: Word) -> Self {
+        Part::Word(word)
+    }
+}
+
+impl From<usize> for Part {
+    fn from(n: usize) -> Self {
+        Part::Int(n)
+    }
+}
+
+impl From<(f64, f64)> for Part {
+    fn from((x, y): (f64, f64)) -> Self {
+        Part::Point(x, y)
+    }
+}
+
+/// A description or status: up to [`Phrase::MAX_PARTS`] parts, held
+/// inline, so building one allocates nothing. Its text is its parts' texts
+/// run together; build it with [`phrase!`](crate::phrase!).
+///
+/// Counting sums the parts' counts, which is exact when no two parts meet
+/// letter to letter: every environment's phrases join their parts at a
+/// space or a punctuation mark. Debug builds recount every percept.
+///
+/// ```
+/// use embodied_env::{phrase, word, Name, Phrase};
+///
+/// let at = phrase![Name::from("part_0"), word!(" at "), (0.75, 1.4)];
+/// assert_eq!(at.to_string(), "part_0 at (0.8, 1.4)");
+/// let status = phrase![2usize, word!("/"), 3usize, word!(" skills complete")];
+/// assert_eq!(status.to_string(), "2/3 skills complete");
+/// assert!(Phrase::default().is_empty() && !status.is_empty());
+/// ```
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Phrase([Option<Part>; Phrase::MAX_PARTS]);
+
+impl Phrase {
+    /// The most parts a phrase holds.
+    pub const MAX_PARTS: usize = 4;
+
+    /// The phrase of `parts`, in order.
+    pub fn new<const N: usize>(parts: [Part; N]) -> Self {
+        const { assert!(N <= Phrase::MAX_PARTS, "a phrase holds at most four parts") };
+        let mut phrase = Phrase::default();
+        for (slot, part) in phrase.0.iter_mut().zip(parts) {
+            *slot = Some(part);
+        }
+        phrase
+    }
+
+    /// The parts, in order.
+    pub fn parts(&self) -> impl Iterator<Item = &Part> {
+        self.0.iter().flatten()
+    }
+
+    /// Whether the phrase renders no text.
+    pub fn is_empty(&self) -> bool {
+        self.parts().all(Part::is_empty)
+    }
+
+    /// Appends the phrase's text to `out`.
+    pub fn push_to(&self, out: &mut String) {
+        for part in self.parts() {
+            part.push_to(out);
+        }
+    }
+}
+
+/// The phrase of `parts`, each converted with [`Part::from`].
+#[macro_export]
+macro_rules! phrase {
+    ($($part:expr),+ $(,)?) => {
+        $crate::Phrase::new([$($crate::Part::from($part)),+])
+    };
+}
+
+impl fmt::Display for Phrase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for part in self.parts() {
+            match part {
+                Part::Name(name) => f.write_str(name)?,
+                Part::Word(word) => f.write_str(word.text())?,
+                Part::Int(n) => write!(f, "{n}")?,
+                Part::Point(x, y) => write!(f, "({x:.1}, {y:.1})")?,
+            }
+        }
+        Ok(())
+    }
+}
+
+impl From<Name> for Phrase {
+    fn from(name: Name) -> Self {
+        Phrase::new([Part::Name(name)])
+    }
+}
+
+impl From<Word> for Phrase {
+    fn from(word: Word) -> Self {
+        Phrase::new([Part::Word(word)])
+    }
+}
+
+/// Text made at run time becomes one name, counted on first use.
+impl From<&str> for Phrase {
+    fn from(text: &str) -> Self {
+        Name::from(text).into()
+    }
+}
+
+impl From<String> for Phrase {
+    fn from(text: String) -> Self {
+        Name::from(text).into()
+    }
+}
+
+/// One observed entity: a stable name plus a description used when
+/// assembling prompts.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeenEntity {
     /// Stable name matching subgoal entity references, e.g. `"apple_1"`,
     /// shared with the environment's own copy.
     pub name: Name,
-    /// Prompt fragment, e.g. `"apple_1 on the counter in room_2"`.
-    pub description: String,
+    /// Prompt fragment, e.g. `apple_1 on the floor of room_2`.
+    pub description: Phrase,
 }
 
 impl SeenEntity {
     /// Convenience constructor.
-    pub fn new(name: impl Into<Name>, description: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Name>, description: impl Into<Phrase>) -> Self {
         SeenEntity {
             name: name.into(),
             description: description.into(),
@@ -29,16 +309,17 @@ impl SeenEntity {
 /// Observations are intentionally *local* (same room / within reach): the
 /// memory module's value in Fig. 3 and Fig. 5 comes precisely from
 /// accumulating these partial views into persistent knowledge.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Observation {
     /// The observing agent's grid position, if the env is grid-based.
     pub agent_pos: Option<Cell>,
-    /// Current location label, e.g. `"room_1"` or `"workspace"`.
-    pub location: String,
+    /// Current location, e.g. `room_1`, built once per place by the
+    /// environment; empty where the place has no name (a doorway).
+    pub location: Name,
     /// Entities currently perceivable.
     pub visible: Vec<SeenEntity>,
-    /// Free-text status, e.g. `"carrying apple_1"`.
-    pub status: String,
+    /// Status, e.g. `carrying apple_1`.
+    pub status: Phrase,
 }
 
 impl Observation {
@@ -56,25 +337,61 @@ impl Observation {
     pub fn to_prompt_text(&self) -> String {
         let mut s = String::new();
         if !self.location.is_empty() {
-            s.push_str(&format!("You are in {}. ", self.location));
+            s.push_str("You are in ");
+            s.push_str(&self.location);
+            s.push_str(". ");
         }
         if !self.status.is_empty() {
-            s.push_str(&format!("Status: {}. ", self.status));
+            s.push_str("Status: ");
+            self.status.push_to(&mut s);
+            s.push_str(". ");
         }
         if self.visible.is_empty() {
             s.push_str("You see nothing notable.");
         } else {
             s.push_str("You see: ");
-            let descs: Vec<&str> = self
-                .visible
-                .iter()
-                .map(|e| e.description.as_str())
-                .collect();
-            s.push_str(&descs.join("; "));
+            for (i, e) in self.visible.iter().enumerate() {
+                if i > 0 {
+                    s.push_str("; ");
+                }
+                e.description.push_to(&mut s);
+            }
             s.push('.');
         }
         s
     }
+}
+
+/// Agent 0's location, status and descriptions, rendered, at `step` of an
+/// episode in which every agent followed the oracle (or explored, without
+/// one) at every earlier step: the texts environments pin in their tests.
+#[cfg(test)]
+pub(crate) fn rendered_at(
+    env: &mut impl crate::Environment,
+    step: usize,
+) -> (String, String, Vec<String>) {
+    let mut low = crate::LowLevel::controller(7);
+    for s in 0..step {
+        env.begin_step(s);
+        for agent in 0..env.num_agents() {
+            let subgoal = env
+                .oracle_subgoals(agent)
+                .first()
+                .cloned()
+                .unwrap_or(crate::Subgoal::Explore);
+            env.execute(agent, &subgoal, &mut low);
+        }
+    }
+    env.begin_step(step);
+    let obs = env.observe(0);
+    (
+        obs.location.to_string(),
+        obs.status.to_string(),
+        obs.visible
+            .iter()
+            .map(|e| e.description.to_string())
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -93,17 +410,18 @@ mod tests {
             status: "carrying nothing".into(),
         };
         let text = obs.to_prompt_text();
-        assert!(text.contains("room_0"));
-        assert!(text.contains("apple_1 on the floor"));
-        assert!(text.contains("box_2 near the door"));
-        assert!(text.contains("carrying nothing"));
+        assert_eq!(
+            text,
+            "You are in room_0. Status: carrying nothing. \
+             You see: apple_1 on the floor; box_2 near the door."
+        );
         assert_eq!(obs.entity_count(), 2);
     }
 
     #[test]
     fn empty_observation_still_renders() {
         let obs = Observation::default();
-        assert!(obs.to_prompt_text().contains("nothing notable"));
+        assert_eq!(obs.to_prompt_text(), "You see nothing notable.");
         assert_eq!(obs.entity_count(), 0);
     }
 
@@ -115,5 +433,41 @@ mod tests {
         };
         assert!(obs.sees("apple_1"));
         assert!(!obs.sees("apple"));
+    }
+
+    #[test]
+    fn parts_render_as_format_would() {
+        for n in [0, 7, 10, 99, 100, 4096, usize::MAX] {
+            let mut out = String::from("|");
+            Part::Int(n).push_to(&mut out);
+            assert_eq!(out, format!("|{n}"));
+        }
+        for (x, y) in [(0.0, -0.0), (0.75, 1.45), (9.96, -9.96), (1e16, f64::NAN)] {
+            let phrase = phrase![word!("at "), (x, y)];
+            let mut out = String::new();
+            phrase.push_to(&mut out);
+            assert_eq!(out, format!("at ({x:.1}, {y:.1})"));
+            assert_eq!(phrase.to_string(), out);
+        }
+        let full = phrase![3usize, word!("/"), 12usize, Name::from(" boxes")];
+        assert_eq!(full.to_string(), "3/12 boxes");
+        assert_eq!(full.parts().count(), Phrase::MAX_PARTS);
+    }
+
+    #[test]
+    fn a_phrase_is_empty_only_when_every_part_is() {
+        assert!(Phrase::from(Name::default()).is_empty());
+        assert!(phrase![Name::default(), word!("")].is_empty());
+        assert!(!phrase![Name::default(), 0usize].is_empty());
+        assert!(!Phrase::from(word!("hands free")).is_empty());
+    }
+
+    #[test]
+    fn a_word_is_counted_once_per_use_site() {
+        let word = || word!("the goal zone");
+        assert_eq!(word().tokens_with(|t| t.len() as u64), 13);
+        assert_eq!(word().tokens_with(|_| unreachable!("counted once")), 13);
+        assert_eq!(word(), word!("the goal zone"));
+        assert_ne!(word(), word!("the goal"));
     }
 }

@@ -4,9 +4,13 @@
 //! [`RouteMemo`] runs [`astar`] once per `(from, goal)` pair and hands every
 //! later query the same shared [`Route`]. Only host work is shared: the
 //! route keeps the search's `nodes_expanded`, and callers bill it as
-//! compute on every query, exactly as if the search ran again.
+//! compute on every query, exactly as if the search ran again. The memo
+//! searches with [`astar_in`] in one [`AstarScratch`] it keeps, so a search
+//! allocates only the route's shared path.
+//!
+//! [`astar`]: embodied_exec::astar
 
-use embodied_exec::{astar, Cell, GridPlan, NavGrid, PlanError};
+use embodied_exec::{astar_in, AstarScratch, Cell, GridPlan, NavGrid, PlanError};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
@@ -46,6 +50,8 @@ pub struct RouteMemo<G> {
     grid: G,
     /// Keyed by the endpoints' row-major indices, `from` in the high half.
     routes: HashMap<u64, Result<Route, PlanError>, BuildHasherDefault<PairHasher>>,
+    /// The buffers every search on `grid` runs in.
+    scratch: AstarScratch,
 }
 
 impl<G: NavGrid> RouteMemo<G> {
@@ -54,6 +60,7 @@ impl<G: NavGrid> RouteMemo<G> {
         RouteMemo {
             grid,
             routes: HashMap::default(),
+            scratch: AstarScratch::default(),
         }
     }
 
@@ -74,14 +81,26 @@ impl<G: NavGrid> RouteMemo<G> {
     /// # Panics
     ///
     /// As [`astar`], on a grid too large for its packed keys.
+    ///
+    /// [`astar`]: embodied_exec::astar
     pub fn route(&mut self, from: Cell, goal: Cell) -> Result<Route, PlanError> {
         let (Some(a), Some(b)) = (self.open_index(from), self.open_index(goal)) else {
             return Err(PlanError::InvalidEndpoint);
         };
-        let grid = &self.grid;
-        self.routes
+        let RouteMemo {
+            grid,
+            routes,
+            scratch,
+        } = self;
+        routes
             .entry(a << 32 | b)
-            .or_insert_with(|| astar(grid, from, goal).map(Route::from))
+            .or_insert_with(|| {
+                let nodes_expanded = astar_in(scratch, grid, from, goal)?;
+                Ok(Route {
+                    path: scratch.path().into(),
+                    nodes_expanded,
+                })
+            })
             .clone()
     }
 

@@ -6,6 +6,7 @@ use crate::action::{ExecOutcome, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
+use crate::{phrase, word};
 use embodied_exec::{latency, Cell, GraspPlanner, GraspTarget, NavGrid};
 use embodied_profiler::SimDuration;
 use rand::rngs::StdRng;
@@ -178,42 +179,43 @@ impl Environment for TransportEnv {
 
     fn observe(&self, agent: usize) -> Observation {
         let body = &self.agents[agent];
-        let room = self.world.room_of(body.pos);
         let mut visible = Vec::new();
         for obj in &self.objects {
             if let Some(pos) = obj.pos {
                 if self.world.same_room(body.pos, pos) {
-                    let room_name = self
-                        .world
-                        .room_of(pos)
-                        .map_or("", |r| self.world.room_name(r.id));
                     visible.push(SeenEntity::new(
                         obj.name.clone(),
-                        format!("{} on the floor of {room_name}", obj.name),
+                        phrase![
+                            obj.name.clone(),
+                            word!(" on the floor of "),
+                            self.world.location_name(pos).clone()
+                        ],
                     ));
                 }
             }
         }
         if self.world.same_room(body.pos, self.goal_cell) {
-            visible.push(SeenEntity::new(self.goal_zone.clone(), "the goal zone"));
+            visible.push(SeenEntity::new(
+                self.goal_zone.clone(),
+                word!("the goal zone"),
+            ));
         }
         for (i, other) in self.agents.iter().enumerate() {
             if i != agent && self.world.same_room(body.pos, other.pos) {
+                let name = &self.agent_names[i];
                 visible.push(SeenEntity::new(
-                    self.agent_names[i].clone(),
-                    format!("agent_{i} nearby"),
+                    name.clone(),
+                    phrase![name.clone(), word!(" nearby")],
                 ));
             }
         }
         let status = match body.carrying {
-            Some(idx) => format!("carrying {}", self.objects[idx].name),
-            None => "hands free".into(),
+            Some(idx) => phrase![word!("carrying "), self.objects[idx].name.clone()],
+            None => word!("hands free").into(),
         };
         Observation {
             agent_pos: Some(body.pos),
-            location: room
-                .map(|r| self.world.room_name(r.id).to_string())
-                .unwrap_or_default(),
+            location: self.world.location_name(body.pos).clone(),
             visible,
             status,
         }
@@ -430,6 +432,7 @@ impl Environment for TransportEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::rendered_at;
 
     fn env(difficulty: TaskDifficulty, agents: usize) -> TransportEnv {
         TransportEnv::new(difficulty, agents, 42)
@@ -590,5 +593,31 @@ mod tests {
                 "agent 0 should not target contested object_0: {sg}"
             );
         }
+    }
+
+    #[test]
+    fn observations_render_as_before() {
+        let mut env = TransportEnv::new(TaskDifficulty::Easy, 2, 42);
+        let (location, status, seen) = rendered_at(&mut env, 1);
+        assert_eq!(
+            (location.as_str(), status.as_str()),
+            ("room_1", "hands free")
+        );
+        assert_eq!(
+            seen,
+            [
+                "object_0 on the floor of room_1",
+                "object_3 on the floor of room_1",
+                "agent_1 nearby"
+            ]
+        );
+        let (_, status, _) = rendered_at(&mut TransportEnv::new(TaskDifficulty::Easy, 2, 42), 2);
+        assert_eq!(status, "carrying object_0");
+        let (location, _, seen) =
+            rendered_at(&mut TransportEnv::new(TaskDifficulty::Easy, 2, 42), 0);
+        assert_eq!(
+            (location.as_str(), seen[0].as_str()),
+            ("room_0", "the goal zone")
+        );
     }
 }

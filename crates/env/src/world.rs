@@ -48,6 +48,8 @@ pub struct GridWorld {
     /// Each room's name (`room_{id}`), built once: `Room` is `Copy`, so
     /// the shared names live here, indexed like `rooms`.
     room_names: Vec<Name>,
+    /// The location of a cell in no room, shared by every doorway.
+    nowhere: Name,
     /// Each cell's position in `rooms`, indexed like `walls`; [`NO_ROOM`] on
     /// walls and doorways.
     room_index: Vec<u32>,
@@ -105,6 +107,13 @@ impl GridWorld {
     /// Panics if no room has that id.
     pub fn room_name(&self, id: usize) -> &Name {
         &self.room_names[id]
+    }
+
+    /// The shared name of the room containing `cell`, or one shared empty
+    /// name for a cell in no room (a doorway or a wall).
+    pub fn location_name(&self, cell: Cell) -> &Name {
+        self.room_of(cell)
+            .map_or(&self.nowhere, |room| &self.room_names[room.id])
     }
 
     /// The room containing `cell`, if any (wall cells belong to no room).
@@ -294,6 +303,7 @@ impl Layout {
             room_names: (0..self.rooms.len())
                 .map(|id| format!("room_{id}").into())
                 .collect(),
+            nowhere: Name::default(),
             rooms: self.rooms,
             room_index,
         }

@@ -53,7 +53,8 @@ impl std::error::Error for PlanError {}
 /// Plans a shortest 4-connected path from `start` to `goal`.
 ///
 /// Generic over the grid, so a concrete grid's `passable` inlines into the
-/// search; `&dyn NavGrid` still works.
+/// search; `&dyn NavGrid` still works. Each call allocates its own search
+/// state; [`astar_in`] reuses one [`AstarScratch`] across searches.
 ///
 /// # Errors
 ///
@@ -82,6 +83,69 @@ pub fn astar<G: NavGrid + ?Sized>(
     start: Cell,
     goal: Cell,
 ) -> Result<GridPlan, PlanError> {
+    let mut scratch = AstarScratch::default();
+    let nodes_expanded = astar_in(&mut scratch, grid, start, goal)?;
+    Ok(GridPlan {
+        path: scratch.path,
+        nodes_expanded,
+    })
+}
+
+/// The buffers of an A* search, kept between searches so a planner that
+/// searches often allocates only while they grow: per-cell scores and
+/// predecessors, the open list, and the last path found. One scratch
+/// serves grids of any size.
+#[derive(Debug, Clone, Default)]
+pub struct AstarScratch {
+    /// Per-cell best known `g`, row-major; `UNSET` where unreached.
+    g_score: Vec<u32>,
+    /// Per-cell predecessor index. Only cells this search reached are
+    /// read, and the start's entry is `UNSET`, so it is never cleared.
+    came_from: Vec<u32>,
+    /// Open list ordered by (f, g, x, y), packed into one integer per
+    /// entry: deterministic tie-breaking on the cell.
+    open: BinaryHeap<Reverse<u64>>,
+    path: Vec<Cell>,
+}
+
+impl AstarScratch {
+    /// The path the last successful [`astar_in`] found, start to goal
+    /// inclusive; empty before any.
+    pub fn path(&self) -> &[Cell] {
+        &self.path
+    }
+}
+
+/// [`astar`] in `scratch`'s buffers: the same search, returning the nodes
+/// it expanded and leaving the path in [`AstarScratch::path`].
+///
+/// # Errors
+///
+/// As [`astar`]. A failed search leaves the path empty.
+///
+/// # Panics
+///
+/// As [`astar`].
+///
+/// ```
+/// use embodied_exec::{astar, astar_in, AstarScratch, Cell, DenseGrid};
+///
+/// let mut scratch = AstarScratch::default();
+/// for side in [12, 5] {
+///     let grid = DenseGrid::open(side, side);
+///     let goal = Cell::new(side - 1, side - 1);
+///     let plan = astar(&grid, Cell::new(0, 0), goal).unwrap();
+///     let expanded = astar_in(&mut scratch, &grid, Cell::new(0, 0), goal).unwrap();
+///     assert_eq!((scratch.path(), expanded), (&plan.path[..], plan.nodes_expanded));
+/// }
+/// ```
+pub fn astar_in<G: NavGrid + ?Sized>(
+    scratch: &mut AstarScratch,
+    grid: &G,
+    start: Cell,
+    goal: Cell,
+) -> Result<usize, PlanError> {
+    scratch.path.clear();
     let (width, height) = (grid.width(), grid.height());
     // Out-of-bounds cells are impassable before anything indexes them, even
     // on a grid whose `passable` says otherwise.
@@ -91,29 +155,33 @@ pub fn astar<G: NavGrid + ?Sized>(
         return Err(PlanError::InvalidEndpoint);
     }
     if start == goal {
-        return Ok(GridPlan {
-            path: vec![start],
-            nodes_expanded: 0,
-        });
+        scratch.path.push(start);
+        return Ok(0);
     }
 
-    // Per-cell state in flat row-major arrays; `UNSET` marks a cell the
-    // search has not reached (or, in `came_from`, the start). The key
-    // layout's size check also keeps every index below `UNSET`.
+    // Per-cell state in flat row-major arrays. The key layout's size check
+    // also keeps every index below `UNSET`.
     let keys = KeyLayout::new(width, height);
     let w = width as usize;
     let index = |c: Cell| c.y as usize * w + c.x as usize;
     let cell_at = |i: u32| Cell::new((i as usize % w) as i32, (i as usize / w) as i32);
     let cells = w * height as usize;
-    let mut g_score = vec![UNSET; cells];
-    let mut came_from = vec![UNSET; cells];
-
-    // Open list ordered by (f, g, x, y), packed into one integer per entry:
-    // deterministic tie-breaking on the cell.
-    let mut open: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+    let AstarScratch {
+        g_score,
+        came_from,
+        open,
+        path,
+    } = scratch;
+    g_score.clear();
+    g_score.resize(cells, UNSET);
+    if came_from.len() < cells {
+        came_from.resize(cells, UNSET);
+    }
+    open.clear();
     let mut expanded = 0usize;
 
     g_score[index(start)] = 0;
+    came_from[index(start)] = UNSET;
     open.push(Reverse(keys.pack(start.manhattan(goal), 0, start)));
 
     while let Some(Reverse(key)) = open.pop() {
@@ -124,17 +192,14 @@ pub fn astar<G: NavGrid + ?Sized>(
         }
         expanded += 1;
         if current == goal {
-            let mut path = vec![current];
+            path.push(current);
             let mut prev = came_from[at];
             while prev != UNSET {
                 path.push(cell_at(prev));
                 prev = came_from[prev as usize];
             }
             path.reverse();
-            return Ok(GridPlan {
-                path,
-                nodes_expanded: expanded,
-            });
+            return Ok(expanded);
         }
         for next in current.neighbors4() {
             if !open_at(next) {

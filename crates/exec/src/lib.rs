@@ -37,7 +37,7 @@ pub mod latency;
 mod mlp;
 mod rrt;
 
-pub use astar::{astar, GridPlan, PlanError};
+pub use astar::{astar, astar_in, AstarScratch, GridPlan, PlanError};
 pub use controller::{ActuationResult, Actuator};
 pub use grasp::{GraspCandidate, GraspOutcome, GraspPlanner, GraspTarget};
 pub use grid::{Cell, DenseGrid, NavGrid};

@@ -1,10 +1,11 @@
 //! The flat-array A* against the frozen `HashMap` A* it replaced, on random
-//! walled grids: same path, same `nodes_expanded`, same error.
+//! walled grids: same path, same `nodes_expanded`, same error, whether each
+//! search starts fresh or reuses one scratch across grids of many sizes.
 
 #[path = "support/reference_astar.rs"]
 mod reference_astar;
 
-use embodied_exec::{astar, Cell, DenseGrid, PlanError};
+use embodied_exec::{astar, astar_in, AstarScratch, Cell, DenseGrid, PlanError};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
 use reference_astar::reference_astar;
@@ -46,6 +47,31 @@ proptest! {
     ) {
         let (grid, start, goal) = walled_case(w, h, density, seed, wall_off == 0);
         prop_assert_eq!(astar(&grid, start, goal), reference_astar(&grid, start, goal));
+    }
+
+    /// One scratch carried through a run of searches on grids that grow
+    /// and shrink: every search matches the reference, so nothing a larger
+    /// grid or a failed search left in the buffers leaks into the next.
+    #[test]
+    fn a_reused_scratch_matches_the_reference(
+        cases in proptest::collection::vec(
+            (3i32..=40, 3i32..=40, 0.0f64..0.45, 0u64..u64::MAX, 0u32..5),
+            1..12,
+        ),
+    ) {
+        let mut scratch = AstarScratch::default();
+        for (w, h, density, seed, wall_off) in cases {
+            let (grid, start, goal) = walled_case(w, h, density, seed, wall_off == 0);
+            let reused = astar_in(&mut scratch, &grid, start, goal).map(|nodes_expanded| {
+                (scratch.path().to_vec(), nodes_expanded)
+            });
+            let reference = reference_astar(&grid, start, goal)
+                .map(|plan| (plan.path, plan.nodes_expanded));
+            prop_assert_eq!(&reused, &reference);
+            if reused.is_err() {
+                prop_assert!(scratch.path().is_empty());
+            }
+        }
     }
 }
 

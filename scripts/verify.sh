@@ -31,10 +31,13 @@ EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test determinism
 # suite_integration's reports_are_internally_consistent checks, on the
 # count-only prompt path that experiments and perf_bench take, that every
 # report's breakdown and step latencies sum to its latency and that each LLM
-# call is billed once. alloc's allocation gates run on that path too.
-echo "== resilience + integration + allocation tests (release) =="
+# call is billed once. alloc's allocation gates run on that path too. Release
+# builds take summed token counts (percepts, phrases, preambles) without the
+# debug recount, so prompt_props is the check of those sums on that path.
+echo "== resilience + integration + allocation + prompt properties (release) =="
 cargo test --release -q -p embodied-suite -p embodied-agents --test resilience \
-  --test fault_properties --test guardrail_properties --test suite_integration --test alloc
+  --test fault_properties --test guardrail_properties --test suite_integration --test alloc \
+  --test prompt_props
 
 # A*'s packed open-list keys rely on size checks that hold in both builds,
 # but a field overflow that debug builds catch would wrap silently in release.
