@@ -40,9 +40,10 @@ pub struct ModularAgent {
     pub map: WorldMap,
     /// System preamble used in this agent's prompts, counted once here.
     pub preamble: Counted<String>,
-    /// Last failed subgoal and its outcome, until reflection clears it —
-    /// feeds the planner's perseveration bias and the reflection prompt.
-    pub last_failure: Option<(Subgoal, embodied_env::ExecOutcome)>,
+    /// Last failed subgoal, until a success or a caught category error
+    /// clears it — feeds the planner's perseveration bias and failure
+    /// confusion.
+    pub last_failure: Option<Subgoal>,
     /// Remaining steps the current high-level plan still covers (Rec. 7).
     pub plan_budget: usize,
     /// Subgoals reflection has blacklisted, keyed by their `Display` text

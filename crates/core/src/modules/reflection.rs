@@ -3,7 +3,7 @@
 //! loop on invalid operations (paper §II-A, Fig. 3).
 
 use crate::prompt::{title, Counted, PromptWriter};
-use embodied_env::{ExecOutcome, Subgoal};
+use embodied_env::{ExecOutcome, FailureKind, Subgoal};
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
 
 /// The reflection prompt's instruction after a failed action.
@@ -32,44 +32,6 @@ pub struct ReflectionVerdict {
     pub stale_entities: Vec<String>,
     /// The LLM response behind the verdict.
     pub response: LlmResponse,
-}
-
-/// Whether a failure note indicates the referenced entity no longer exists
-/// in the believed state (vs. a transient physical failure worth retrying).
-fn implies_absence(note: &str) -> bool {
-    [
-        "not available",
-        "does not exist",
-        "was already",
-        "already delivered",
-        "already served",
-        "already placed",
-        "already done",
-    ]
-    .iter()
-    .any(|pat| note.contains(pat))
-}
-
-/// Whether a failure note marks a category error — an action that is wrong
-/// in kind, so repeating it is the paper's "loop of invalid operations".
-fn implies_category_error(note: &str) -> bool {
-    [
-        "does not belong",
-        "is not a valid destination",
-        "is not a zone",
-        "no recipe",
-        "not part of this task",
-        "unsupported subgoal",
-        "does not need a joint lift",
-        "is not gatherable",
-        "too heavy",
-        "invalid lift partner",
-        "not found in the",
-        "need a better pickaxe",
-        "is not a destination",
-    ]
-    .iter()
-    .any(|pat| note.contains(pat))
 }
 
 /// The reflection module, holding one tenant handle onto the shared
@@ -135,7 +97,8 @@ impl ReflectionModule {
         // Knowledge is corrected only when the failure shows the referent is
         // genuinely gone; a slipped grasp or interrupted walk means *retry*,
         // not *forget*.
-        let stale_entities = if caught && implies_absence(&outcome.note) {
+        let gone = outcome.kind == FailureKind::Gone;
+        let stale_entities = if caught && gone {
             subgoal
                 .entity_refs()
                 .into_iter()
@@ -147,8 +110,7 @@ impl ReflectionModule {
         };
         Ok(ReflectionVerdict {
             caught_error: caught,
-            category_error: caught
-                && (implies_category_error(&outcome.note) || implies_absence(&outcome.note)),
+            category_error: caught && (gone || outcome.kind == FailureKind::Invalid),
             stale_entities,
             response,
         })
@@ -207,7 +169,7 @@ mod tests {
     }
 
     fn failed_outcome() -> ExecOutcome {
-        ExecOutcome::failure("object_1 is not available")
+        ExecOutcome::gone("object_1 is not available")
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::modules::{
 use crate::orchestrator::{self, Paradigm};
 use crate::prompt::{digit_tokens, literal_tokens, renders_for, system_preamble, Body, Counted};
 use crate::recovery::RecoveryPolicy;
-use embodied_env::{AffordanceSet, Environment, ExecOutcome, Name, Subgoal};
+use embodied_env::{AffordanceSet, Environment, ExecOutcome, FailureKind, Name, Subgoal};
 use embodied_llm::{
     EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmRequest, Purpose,
 };
@@ -600,17 +600,17 @@ impl EmbodiedSystem {
     /// budget (each attempt marked with a [`Phase::ActRetry`] span and its
     /// real compute/actuation cost), and an exhausted budget escalates to a
     /// diagnose-and-replan inference billed to the recovery ledger.
-    /// Resource contention (busy/waiting) is not an actuation fault and is
-    /// never retried.
+    /// Resource contention ([`FailureKind::Busy`]) is not an actuation fault
+    /// and is never retried.
     pub(crate) fn execute_with_reflection(&mut self, i: usize, subgoal: &Subgoal) -> ExecOutcome {
         let mut outcome = self.reflect_and_execute(i, subgoal);
         let budget = self.recovery_policy.act_retries();
         // Retry only *unexplained* failures — the action was afforded yet
-        // produced no observable effect at all (the silent-no-op signature).
+        // produced no observable effect at all ([`FailureKind::NoEffect`]).
         // A failure that comes back with a reason is deterministic: the
         // normal plan loop handles it, and re-issuing the same action would
         // burn latency at zero fault rates for nothing.
-        if budget == 0 || !Self::looks_transient(&outcome) || subgoal.is_idle() {
+        if budget == 0 || outcome.kind != FailureKind::NoEffect || subgoal.is_idle() {
             return outcome;
         }
         for _ in 0..budget {
@@ -628,7 +628,7 @@ impl EmbodiedSystem {
                 self.recovery_stats.retries_recovered += 1;
                 return outcome;
             }
-            if !Self::looks_transient(&outcome) {
+            if outcome.kind != FailureKind::NoEffect {
                 // The retry surfaced a real precondition failure: the plan
                 // itself is wrong, which is the planner's job, not ours.
                 return outcome;
@@ -639,12 +639,6 @@ impl EmbodiedSystem {
         // diagnostic replan instead of hammering the same actuator.
         self.escalate_replan(i, subgoal);
         outcome
-    }
-
-    /// Whether a failed outcome carries the no-observable-effect signature
-    /// that closed-loop recovery treats as transient and worth retrying.
-    fn looks_transient(outcome: &ExecOutcome) -> bool {
-        !outcome.completed && !outcome.made_progress && outcome.note.starts_with("nothing happened")
     }
 
     /// Executes a subgoal and, on failure, runs the reflection loop: the
@@ -807,7 +801,7 @@ impl EmbodiedSystem {
             opts: Self::infer_opts_for(&agent.config, team_size),
             quality_penalty: (retrieval.inconsistency_penalty + failure_confusion - skill_bonus)
                 .max(0.0),
-            repeat_bias: agent.last_failure.as_ref().map(|(sg, _)| sg.clone()),
+            repeat_bias: agent.last_failure.clone(),
             failure_streak: agent.failure_streak,
         };
         let planned = agent.planning.plan(&ctx);
@@ -1005,14 +999,14 @@ impl EmbodiedSystem {
             // The watchdog only counts steps with zero environment
             // progress; any success resets this agent's stuck clock.
             self.last_progress[i] = self.step;
-        } else if outcome.note.contains("busy") || outcome.note.contains("waiting") {
+        } else if outcome.kind == FailureKind::Busy {
             // Resource contention is not an error: the agent queued for a
             // busy station / held for a partner. No belief is wrong, so no
             // perseveration loop or confusion follows.
             agent.plan_budget = 0;
         } else {
             agent.plan_budget = 0; // a broken plan must be re-made
-            agent.last_failure = Some((subgoal.clone(), outcome.clone()));
+            agent.last_failure = Some(subgoal.clone());
             agent.failure_streak += 1;
         }
         if outcome.made_progress {

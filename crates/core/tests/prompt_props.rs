@@ -9,19 +9,20 @@
 
 #[path = "../../llm/tests/support/edge_text.rs"]
 mod edge_text;
+#[path = "support/environments.rs"]
+mod environments;
 
 use edge_text::{blank_text, edge_text};
 use embodied_agents::modules::SensingModule;
 use embodied_agents::prompt::{
     count_tokens, name_tokens, phrase_tokens, subgoal_tokens, Counted, PromptWriter,
 };
-use embodied_agents::{workloads, EnvKind};
 use embodied_env::{
-    word, EnvFaultProfile, Environment, FaultyEnv, LowLevel, Name, Part, Phrase, Subgoal,
-    TaskDifficulty, Word,
+    word, Environment, LowLevel, Name, Part, Phrase, Subgoal, TaskDifficulty, Word,
 };
 use embodied_exec::Cell;
 use embodied_llm::EncoderProfile;
+use environments::environments;
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -322,26 +323,6 @@ fn phrase() -> BoxedStrategy<Phrase> {
             }
         })
         .boxed()
-}
-
-/// Every suite environment at its workload's team size, ALFWorld, and the
-/// embodied fault plane over each suite environment.
-fn environments(difficulty: TaskDifficulty, seed: u64) -> Vec<Box<dyn Environment>> {
-    let specs = workloads::registry();
-    let mut envs: Vec<Box<dyn Environment>> = specs
-        .iter()
-        .map(|spec| spec.build_env(difficulty, spec.default_agents, seed))
-        .collect();
-    envs.push(EnvKind::AlfWorld.build(difficulty, 1, seed));
-    for spec in &specs {
-        let inner = spec.build_env(difficulty, spec.default_agents, seed);
-        envs.push(Box::new(FaultyEnv::new(
-            inner,
-            EnvFaultProfile::uniform(0.3),
-            seed,
-        )));
-    }
-    envs
 }
 
 proptest! {

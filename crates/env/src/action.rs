@@ -139,12 +139,6 @@ impl Subgoal {
             Subgoal::Wait => SubgoalKind::Wait,
         }
     }
-
-    /// The skill *pattern* of this subgoal — its kind's name, independent
-    /// of the referenced entities.
-    pub fn pattern(&self) -> &'static str {
-        self.kind().pattern()
-    }
 }
 
 /// A subgoal's variant without its fields: the key under which action
@@ -184,26 +178,6 @@ pub enum SubgoalKind {
 impl SubgoalKind {
     /// How many kinds there are: `kind as usize` is below it.
     pub const COUNT: usize = SubgoalKind::Wait as usize + 1;
-
-    /// The kind's name, e.g. `"move-box"`.
-    pub fn pattern(self) -> &'static str {
-        match self {
-            SubgoalKind::GoTo => "goto",
-            SubgoalKind::Pick => "pick",
-            SubgoalKind::Place => "place",
-            SubgoalKind::Open => "open",
-            SubgoalKind::Gather => "gather",
-            SubgoalKind::Craft => "craft",
-            SubgoalKind::Cook => "cook",
-            SubgoalKind::Serve => "serve",
-            SubgoalKind::MoveBox => "move-box",
-            SubgoalKind::LiftTogether => "lift-together",
-            SubgoalKind::ArmMove => "arm-move",
-            SubgoalKind::Skill => "skill",
-            SubgoalKind::Explore => "explore",
-            SubgoalKind::Wait => "wait",
-        }
-    }
 }
 
 impl fmt::Display for Subgoal {
@@ -231,6 +205,27 @@ impl fmt::Display for Subgoal {
     }
 }
 
+/// How a failed execution failed: set by the environment where it raises
+/// the failure, read by recovery and reflection in place of the note text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FailureKind {
+    /// No particular kind; every success carries it.
+    #[default]
+    Plain,
+    /// Resource contention: a busy station, or a partner not there yet. No
+    /// belief is wrong, so the agent just re-queues.
+    Busy,
+    /// The referent is absent or already handled: the agent's knowledge of
+    /// it is stale.
+    Gone,
+    /// A category error (wrong destination, impossible recipe, unsupported
+    /// action): retrying the same subgoal can never succeed.
+    Invalid,
+    /// An afforded action silently did nothing: the transient signature
+    /// closed-loop recovery retries.
+    NoEffect,
+}
+
 /// What executing one subgoal did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecOutcome {
@@ -243,19 +238,61 @@ pub struct ExecOutcome {
     pub compute: SimDuration,
     /// Physical actuation time.
     pub actuation: SimDuration,
+    /// How the execution failed; [`FailureKind::Plain`] on success.
+    pub kind: FailureKind,
     /// One-line account for reflection and memory, e.g.
     /// `"picked up apple_1"` or `"craft failed: missing planks"`.
     pub note: String,
 }
 
 impl ExecOutcome {
-    /// A failed outcome with a note and only trivial time spent.
-    pub fn failure(note: impl Into<String>) -> Self {
+    /// A failed outcome of `kind` with a note and only trivial time spent.
+    fn failed(kind: FailureKind, note: impl Into<String>) -> Self {
         ExecOutcome {
             completed: false,
             made_progress: false,
             compute: SimDuration::from_millis(10),
             actuation: SimDuration::ZERO,
+            kind,
+            note: note.into(),
+        }
+    }
+
+    /// A [`FailureKind::Plain`] failure: a precondition or physical
+    /// failure with no more specific kind.
+    pub fn failure(note: impl Into<String>) -> Self {
+        Self::failed(FailureKind::Plain, note)
+    }
+
+    /// A [`FailureKind::Busy`] failure.
+    pub fn busy(note: impl Into<String>) -> Self {
+        Self::failed(FailureKind::Busy, note)
+    }
+
+    /// A [`FailureKind::Gone`] failure.
+    pub fn gone(note: impl Into<String>) -> Self {
+        Self::failed(FailureKind::Gone, note)
+    }
+
+    /// A [`FailureKind::Invalid`] failure.
+    pub fn invalid(note: impl Into<String>) -> Self {
+        Self::failed(FailureKind::Invalid, note)
+    }
+
+    /// A [`FailureKind::NoEffect`] failure.
+    pub fn no_effect(note: impl Into<String>) -> Self {
+        Self::failed(FailureKind::NoEffect, note)
+    }
+
+    /// A completed idle step (`Wait`, or an `Explore` that stays put): no
+    /// compute, `actuation` spent, no progress.
+    pub fn idle(actuation: SimDuration, note: impl Into<String>) -> Self {
+        ExecOutcome {
+            completed: true,
+            made_progress: false,
+            compute: SimDuration::ZERO,
+            actuation,
+            kind: FailureKind::Plain,
             note: note.into(),
         }
     }
@@ -298,9 +335,9 @@ mod tests {
         let b = Subgoal::Pick {
             object: "plate_7".into(),
         };
-        assert_eq!(a.pattern(), b.pattern());
+        assert_eq!(a.kind(), b.kind());
         assert_eq!(a.kind(), SubgoalKind::Pick);
-        assert_ne!(a.pattern(), Subgoal::Explore.pattern());
+        assert_ne!(a.kind(), Subgoal::Explore.kind());
         assert_eq!(Subgoal::Wait.kind() as usize + 1, SubgoalKind::COUNT);
     }
 
@@ -324,5 +361,29 @@ mod tests {
         assert!(!o.made_progress);
         assert!(o.total_time() < SimDuration::from_millis(100));
         assert!(o.note.contains("missing"));
+        assert_eq!(o.kind, FailureKind::Plain);
+        for (out, kind) in [
+            (ExecOutcome::busy("x"), FailureKind::Busy),
+            (ExecOutcome::gone("x"), FailureKind::Gone),
+            (ExecOutcome::invalid("x"), FailureKind::Invalid),
+            (ExecOutcome::no_effect("x"), FailureKind::NoEffect),
+        ] {
+            assert_eq!(
+                out,
+                ExecOutcome {
+                    kind,
+                    note: "x".into(),
+                    ..o.clone()
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn idle_outcomes_complete_without_progress_or_compute() {
+        let o = ExecOutcome::idle(SimDuration::from_millis(200), "waited");
+        assert!(o.completed && !o.made_progress);
+        assert_eq!(o.total_time(), SimDuration::from_millis(200));
+        assert_eq!(o.kind, FailureKind::Plain);
     }
 }

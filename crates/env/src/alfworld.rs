@@ -6,7 +6,7 @@
 //! This is the most memory-intensive environment in the suite: every opened
 //! container is knowledge that evaporates without the memory module.
 
-use crate::action::{ExecOutcome, Name, Subgoal};
+use crate::action::{ExecOutcome, FailureKind, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::{phrase, word};
@@ -298,12 +298,13 @@ impl Environment for AlfWorldEnv {
                     made_progress: true,
                     compute: SimDuration::from_millis(15),
                     actuation: SimDuration::from_millis(1_500) * hops as u64,
+                    kind: FailureKind::Plain,
                     note: format!("went to the {target}"),
                 }
             }
             Subgoal::Open { container } => {
                 let Some(idx) = self.receptacle_index(container) else {
-                    return ExecOutcome::failure(format!("{container} does not exist"));
+                    return ExecOutcome::gone(format!("{container} does not exist"));
                 };
                 if self.agent_at != idx {
                     return ExecOutcome::failure(format!("not at the {container}"));
@@ -313,7 +314,7 @@ impl Environment for AlfWorldEnv {
                     return ExecOutcome::failure(format!("the {container} cannot be opened"));
                 }
                 if r.opened {
-                    return ExecOutcome::failure(format!("the {container} was already open"));
+                    return ExecOutcome::gone(format!("the {container} was already open"));
                 }
                 let drive = low.actuator.drive(SimDuration::from_millis(1_200));
                 let success = drive.success && low.rng.gen_bool(low.competence.clamp(0.0, 1.0));
@@ -325,6 +326,7 @@ impl Environment for AlfWorldEnv {
                     made_progress: success,
                     compute: SimDuration::from_millis(20),
                     actuation: drive.total_time,
+                    kind: FailureKind::Plain,
                     note: if success {
                         format!("opened the {container}")
                     } else {
@@ -334,13 +336,13 @@ impl Environment for AlfWorldEnv {
             }
             Subgoal::Pick { object } => {
                 let Some(idx) = self.object_index(object) else {
-                    return ExecOutcome::failure(format!("{object} does not exist"));
+                    return ExecOutcome::gone(format!("{object} does not exist"));
                 };
                 if self.carrying.is_some() {
                     return ExecOutcome::failure("already carrying something");
                 }
                 let Some(loc) = self.objects[idx].location else {
-                    return ExecOutcome::failure(format!("{object} is not available"));
+                    return ExecOutcome::gone(format!("{object} is not available"));
                 };
                 if self.agent_at != loc {
                     return ExecOutcome::failure(format!("{object} is out of reach"));
@@ -362,6 +364,7 @@ impl Environment for AlfWorldEnv {
                     made_progress: success,
                     compute: SimDuration::from_millis(40),
                     actuation: drive.total_time,
+                    kind: FailureKind::Plain,
                     note: if success {
                         format!("took {object}")
                     } else {
@@ -383,7 +386,7 @@ impl Environment for AlfWorldEnv {
                     return ExecOutcome::failure(format!("not at the {dest}"));
                 }
                 if dest_idx != self.objects[carried].goal {
-                    return ExecOutcome::failure(format!("{object} does not belong at {dest}"));
+                    return ExecOutcome::invalid(format!("{object} does not belong at {dest}"));
                 }
                 if self.receptacles[dest_idx].openable && !self.receptacles[dest_idx].opened {
                     return ExecOutcome::failure(format!("the {dest} is closed"));
@@ -399,6 +402,7 @@ impl Environment for AlfWorldEnv {
                     made_progress: drive.success,
                     compute: SimDuration::from_millis(20),
                     actuation: drive.total_time,
+                    kind: FailureKind::Plain,
                     note: if drive.success {
                         format!("placed {object} in/on {dest}")
                     } else {
@@ -420,14 +424,8 @@ impl Environment for AlfWorldEnv {
                 out.made_progress = false;
                 out
             }
-            Subgoal::Wait => ExecOutcome {
-                completed: true,
-                made_progress: false,
-                compute: SimDuration::ZERO,
-                actuation: SimDuration::from_millis(200),
-                note: "waited".into(),
-            },
-            other => ExecOutcome::failure(format!("unsupported subgoal: {other}")),
+            Subgoal::Wait => ExecOutcome::idle(SimDuration::from_millis(200), "waited"),
+            other => ExecOutcome::invalid(format!("unsupported subgoal: {other}")),
         }
     }
 
@@ -510,6 +508,7 @@ mod tests {
         let out = e.execute(0, &Subgoal::Pick { object: name }, &mut low);
         assert!(!out.completed);
         assert!(out.note.contains("closed"));
+        assert_eq!(out.kind, FailureKind::Plain);
     }
 
     #[test]
@@ -528,6 +527,7 @@ mod tests {
         );
         assert!(!out.completed);
         assert!(out.note.contains("cannot be opened"));
+        assert_eq!(out.kind, FailureKind::Plain);
         // fridge from afar
         e.agent_at = counter;
         let out = e.execute(

@@ -3,7 +3,7 @@
 //! BoxLift adds heavy boxes that two arms must lift *in the same round* —
 //! the coordination-sensitive case that stresses communication.
 
-use crate::action::{ExecOutcome, Name, Subgoal};
+use crate::action::{ExecOutcome, FailureKind, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::{phrase, word};
@@ -313,10 +313,10 @@ impl Environment for BoxWorldEnv {
         match subgoal {
             Subgoal::MoveBox { box_name, dest } => {
                 let Some(idx) = self.box_index(box_name) else {
-                    return ExecOutcome::failure(format!("{box_name} does not exist"));
+                    return ExecOutcome::gone(format!("{box_name} does not exist"));
                 };
                 let Some(dest_zone) = Self::parse_zone(dest) else {
-                    return ExecOutcome::failure(format!("{dest} is not a zone"));
+                    return ExecOutcome::invalid(format!("{dest} is not a zone"));
                 };
                 if dest_zone >= self.num_zones {
                     return ExecOutcome::failure(format!("{dest} is out of range"));
@@ -324,10 +324,10 @@ impl Environment for BoxWorldEnv {
                 let reach = self.reach(agent);
                 let b = &self.boxes[idx];
                 if b.delivered {
-                    return ExecOutcome::failure(format!("{box_name} is already delivered"));
+                    return ExecOutcome::gone(format!("{box_name} is already delivered"));
                 }
                 if b.heavy {
-                    return ExecOutcome::failure(format!("{box_name} is too heavy for one arm"));
+                    return ExecOutcome::invalid(format!("{box_name} is too heavy for one arm"));
                 }
                 if !reach.contains(&b.zone) {
                     return ExecOutcome::failure(format!("{box_name} is out of reach"));
@@ -351,6 +351,7 @@ impl Environment for BoxWorldEnv {
                     made_progress,
                     compute: SimDuration::from_millis(60),
                     actuation: drive.total_time,
+                    kind: FailureKind::Plain,
                     note: if success {
                         format!("moved {box_name} to {dest}")
                     } else {
@@ -360,17 +361,17 @@ impl Environment for BoxWorldEnv {
             }
             Subgoal::LiftTogether { box_name, partner } => {
                 let Some(idx) = self.box_index(box_name) else {
-                    return ExecOutcome::failure(format!("{box_name} does not exist"));
+                    return ExecOutcome::gone(format!("{box_name} does not exist"));
                 };
                 if *partner >= self.num_agents || *partner == agent {
-                    return ExecOutcome::failure("invalid lift partner");
+                    return ExecOutcome::invalid("invalid lift partner");
                 }
                 let b = &self.boxes[idx];
                 if b.delivered {
-                    return ExecOutcome::failure(format!("{box_name} is already delivered"));
+                    return ExecOutcome::gone(format!("{box_name} is already delivered"));
                 }
                 if !b.heavy {
-                    return ExecOutcome::failure(format!("{box_name} does not need a joint lift"));
+                    return ExecOutcome::invalid(format!("{box_name} does not need a joint lift"));
                 }
                 if !self.reach(agent).contains(&b.zone) || !self.reach(*partner).contains(&b.zone) {
                     return ExecOutcome::failure(format!("{box_name} is outside joint reach"));
@@ -392,6 +393,7 @@ impl Environment for BoxWorldEnv {
                         made_progress: drive.success,
                         compute: SimDuration::from_millis(80),
                         actuation: drive.total_time,
+                        kind: FailureKind::Plain,
                         note: if drive.success {
                             format!("jointly lifted {box_name} to its target")
                         } else {
@@ -409,18 +411,15 @@ impl Environment for BoxWorldEnv {
                         made_progress: false,
                         compute: SimDuration::from_millis(30),
                         actuation: SimDuration::from_millis(1_000),
+                        kind: FailureKind::Busy,
                         note: format!("holding {box_name}, waiting for agent {partner}"),
                     }
                 }
             }
-            Subgoal::Wait | Subgoal::Explore => ExecOutcome {
-                completed: true,
-                made_progress: false,
-                compute: SimDuration::ZERO,
-                actuation: SimDuration::from_millis(200),
-                note: "arm idle".into(),
-            },
-            other => ExecOutcome::failure(format!("unsupported subgoal: {other}")),
+            Subgoal::Wait | Subgoal::Explore => {
+                ExecOutcome::idle(SimDuration::from_millis(200), "arm idle")
+            }
+            other => ExecOutcome::invalid(format!("unsupported subgoal: {other}")),
         }
     }
 
@@ -500,6 +499,7 @@ mod tests {
         );
         assert!(!out.completed);
         assert!(out.note.contains("waiting"));
+        assert_eq!(out.kind, FailureKind::Busy);
         // …partner completes the lift in the same round.
         let out = e.execute(
             a1,
@@ -575,6 +575,7 @@ mod tests {
         );
         assert!(!out.completed);
         assert!(out.note.contains("heavy"));
+        assert_eq!(out.kind, FailureKind::Invalid);
     }
 
     #[test]

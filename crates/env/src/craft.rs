@@ -2,7 +2,7 @@
 //! resources across biomes and climb a tool tech-tree up to the paper's
 //! canonical long-horizon goal, the diamond pickaxe.
 
-use crate::action::{ExecOutcome, Name, Subgoal};
+use crate::action::{ExecOutcome, FailureKind, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
@@ -398,6 +398,7 @@ impl Environment for CraftEnv {
                         made_progress: true,
                         compute: latency::astar_compute(plan.nodes_expanded),
                         actuation: latency::grid_motion(plan.length()),
+                        kind: FailureKind::Plain,
                         note: format!("traveled to {target}"),
                     }
                 }
@@ -405,16 +406,16 @@ impl Environment for CraftEnv {
             },
             Subgoal::Gather { resource } => {
                 let Some((index, biome, tier)) = resource_info(resource) else {
-                    return ExecOutcome::failure(format!("{resource} is not gatherable"));
+                    return ExecOutcome::invalid(format!("{resource} is not gatherable"));
                 };
                 if self.current_biome() != biome {
-                    return ExecOutcome::failure(format!(
+                    return ExecOutcome::invalid(format!(
                         "{resource} is not found in the {}",
                         BIOMES[self.current_biome()]
                     ));
                 }
                 if self.best_pickaxe_tier() < tier {
-                    return ExecOutcome::failure(format!("need a better pickaxe for {resource}"));
+                    return ExecOutcome::invalid(format!("need a better pickaxe for {resource}"));
                 }
                 let drive = low.actuator.drive(latency::action_list_step() * 3);
                 let success = drive.success && low.rng.gen_bool(low.competence.clamp(0.0, 1.0));
@@ -427,6 +428,7 @@ impl Environment for CraftEnv {
                     made_progress: success,
                     compute: SimDuration::from_millis(40),
                     actuation: drive.total_time,
+                    kind: FailureKind::Plain,
                     note: if success {
                         format!("gathered {GATHER_YIELD} {resource}")
                     } else {
@@ -436,7 +438,7 @@ impl Environment for CraftEnv {
             }
             Subgoal::Craft { item } => {
                 let Some((_, recipe)) = recipe_for(item) else {
-                    return ExecOutcome::failure(format!("no recipe for {item}"));
+                    return ExecOutcome::invalid(format!("no recipe for {item}"));
                 };
                 if let Err(msg) = self.can_craft(recipe) {
                     return ExecOutcome::failure(format!("craft failed: {msg}"));
@@ -455,6 +457,7 @@ impl Environment for CraftEnv {
                     made_progress: success,
                     compute: SimDuration::from_millis(25),
                     actuation: drive.total_time,
+                    kind: FailureKind::Plain,
                     note: if success {
                         format!("crafted {} {item}", recipe.yields)
                     } else {
@@ -479,14 +482,8 @@ impl Environment for CraftEnv {
                     ..out
                 }
             }
-            Subgoal::Wait => ExecOutcome {
-                completed: true,
-                made_progress: false,
-                compute: SimDuration::ZERO,
-                actuation: SimDuration::from_millis(200),
-                note: "waited".into(),
-            },
-            other => ExecOutcome::failure(format!("unsupported subgoal: {other}")),
+            Subgoal::Wait => ExecOutcome::idle(SimDuration::from_millis(200), "waited"),
+            other => ExecOutcome::invalid(format!("unsupported subgoal: {other}")),
         }
     }
 
@@ -586,6 +583,7 @@ mod tests {
         );
         assert!(!out.completed);
         assert!(out.note.contains("pickaxe"));
+        assert_eq!(out.kind, FailureKind::Invalid);
     }
 
     #[test]
@@ -601,6 +599,7 @@ mod tests {
         );
         assert!(!out.completed);
         assert!(out.note.contains("missing"));
+        assert_eq!(out.kind, FailureKind::Plain);
     }
 
     #[test]

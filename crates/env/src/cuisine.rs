@@ -2,7 +2,7 @@
 //! task family): orders arrive over time, each needing a pipeline of
 //! preparation stages at shared stations, and agents must keep throughput up.
 
-use crate::action::{ExecOutcome, Name, Subgoal};
+use crate::action::{ExecOutcome, FailureKind, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, Part, SeenEntity};
 use crate::{phrase, word};
@@ -241,7 +241,7 @@ impl Environment for CuisineEnv {
                 // large-team throughput (paper §VI).
                 let station = station_for(stage);
                 if self.station_used_round.get(station) == Some(&self.rounds) {
-                    return ExecOutcome::failure(format!("{station} is busy"));
+                    return ExecOutcome::busy(format!("{station} is busy"));
                 }
                 self.station_used_round.insert(station, self.rounds);
                 let rounds = self.rounds;
@@ -249,7 +249,7 @@ impl Environment for CuisineEnv {
                     return ExecOutcome::failure(format!("no order for {dish}"));
                 };
                 if order.served {
-                    return ExecOutcome::failure(format!("{dish} was already served"));
+                    return ExecOutcome::gone(format!("{dish} was already served"));
                 }
                 if order.arrived_at > rounds {
                     return ExecOutcome::failure(format!("{dish} has not been ordered yet"));
@@ -268,6 +268,7 @@ impl Environment for CuisineEnv {
                             made_progress: success,
                             compute: SimDuration::from_millis(30),
                             actuation: drive.total_time,
+                            kind: FailureKind::Plain,
                             note: if success {
                                 format!("{stage} done for {dish}")
                             } else {
@@ -287,7 +288,7 @@ impl Environment for CuisineEnv {
                     return ExecOutcome::failure(format!("no order for {dish}"));
                 };
                 if order.served {
-                    return ExecOutcome::failure(format!("{dish} was already served"));
+                    return ExecOutcome::gone(format!("{dish} was already served"));
                 }
                 if order.arrived_at > rounds {
                     return ExecOutcome::failure(format!("{dish} has not been ordered yet"));
@@ -304,6 +305,7 @@ impl Environment for CuisineEnv {
                     made_progress: drive.success,
                     compute: SimDuration::from_millis(20),
                     actuation: drive.total_time,
+                    kind: FailureKind::Plain,
                     note: if drive.success {
                         format!("served {dish}")
                     } else {
@@ -311,14 +313,10 @@ impl Environment for CuisineEnv {
                     },
                 }
             }
-            Subgoal::Wait | Subgoal::Explore => ExecOutcome {
-                completed: true,
-                made_progress: false,
-                compute: SimDuration::ZERO,
-                actuation: SimDuration::from_millis(300),
-                note: "idled in the kitchen".into(),
-            },
-            other => ExecOutcome::failure(format!("unsupported subgoal: {other}")),
+            Subgoal::Wait | Subgoal::Explore => {
+                ExecOutcome::idle(SimDuration::from_millis(300), "idled in the kitchen")
+            }
+            other => ExecOutcome::invalid(format!("unsupported subgoal: {other}")),
         }
     }
 
@@ -423,6 +421,22 @@ mod tests {
         );
         assert!(!out.completed);
         assert!(out.note.contains("not been ordered"));
+        assert_eq!(out.kind, FailureKind::Plain);
+    }
+
+    #[test]
+    fn a_used_station_is_busy_for_the_round() {
+        let mut e = CuisineEnv::new(TaskDifficulty::Medium, 2, 0);
+        let mut low = LowLevel::controller(0);
+        let fetch = Subgoal::Cook {
+            dish: e.orders[0].dish.clone(),
+            stage: "fetch".into(),
+        };
+        e.execute(0, &fetch, &mut low);
+        let out = e.execute(1, &fetch, &mut low);
+        assert!(!out.completed);
+        assert_eq!(out.note, "pantry is busy");
+        assert_eq!(out.kind, FailureKind::Busy);
     }
 
     #[test]

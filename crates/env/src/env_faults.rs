@@ -408,7 +408,7 @@ impl<E: Environment> Environment for FaultyEnv<E> {
             }
             if self.profile.silent_fail > 0.0 && self.rng.gen_bool(self.profile.silent_fail) {
                 self.stats.silent_failures += 1;
-                return ExecOutcome::failure(format!("nothing happened: {subgoal}"));
+                return ExecOutcome::no_effect(format!("nothing happened: {subgoal}"));
             }
             if self.profile.slip > 0.0 && self.rng.gen_bool(self.profile.slip) {
                 let mut out = self.inner.execute(agent, subgoal, low);
@@ -496,6 +496,7 @@ impl<E: Environment> Environment for FaultyEnv<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::FailureKind;
     use crate::observation::rendered_at;
     use crate::transport::TransportEnv;
     use rand::RngCore;
@@ -634,6 +635,7 @@ mod tests {
         let mut env = FaultyEnv::new(bare(17), EnvFaultProfile::actuation(0.2), 21);
         let mut low = LowLevel::controller(1);
         let mut offline_failures = 0u64;
+        let mut no_effects = 0u64;
         let mut successes = 0u64;
         for step in 0..80 {
             env.begin_step(step);
@@ -643,6 +645,9 @@ mod tests {
                 if out.note == "actuator offline" {
                     offline_failures += 1;
                 }
+                if out.kind == FailureKind::NoEffect {
+                    no_effects += 1;
+                }
                 if out.completed {
                     successes += 1;
                 }
@@ -650,6 +655,7 @@ mod tests {
         }
         let stats = env.env_fault_stats();
         assert!(stats.silent_failures > 0);
+        assert_eq!(no_effects, stats.silent_failures);
         assert!(stats.actuator_downtimes > 0);
         assert!(stats.actuator_down_steps >= stats.actuator_downtimes);
         assert!(offline_failures > 0, "downtime never blocked an action");

@@ -2,7 +2,7 @@
 //! typed objects must reach typed destinations — plates to the dining
 //! table, groceries into the fridge.
 
-use crate::action::{ExecOutcome, Name, Subgoal};
+use crate::action::{ExecOutcome, FailureKind, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
@@ -340,6 +340,7 @@ impl Environment for HouseholdEnv {
                             made_progress: reach > 0,
                             compute: latency::astar_compute(plan.nodes_expanded),
                             actuation: latency::grid_motion(reach),
+                            kind: FailureKind::Plain,
                             note: format!("moved {reach} cells"),
                         }
                     }
@@ -348,13 +349,13 @@ impl Environment for HouseholdEnv {
             }
             Subgoal::Pick { object } => {
                 let Some(idx) = self.item_index(object) else {
-                    return ExecOutcome::failure(format!("{object} does not exist"));
+                    return ExecOutcome::gone(format!("{object} does not exist"));
                 };
                 if self.agents[agent].carrying.is_some() {
                     return ExecOutcome::failure("already carrying something");
                 }
                 let Some(pos) = self.items[idx].pos else {
-                    return ExecOutcome::failure(format!("{object} is not available"));
+                    return ExecOutcome::gone(format!("{object} is not available"));
                 };
                 if self.agents[agent].pos.manhattan(pos) > 1 {
                     return ExecOutcome::failure(format!("{object} is out of reach"));
@@ -370,6 +371,7 @@ impl Environment for HouseholdEnv {
                     made_progress: success,
                     compute: SimDuration::from_millis(120),
                     actuation: drive.total_time,
+                    kind: FailureKind::Plain,
                     note: if success {
                         format!("picked up {object}")
                     } else {
@@ -385,10 +387,10 @@ impl Environment for HouseholdEnv {
                     return ExecOutcome::failure(format!("not carrying {object}"));
                 }
                 let Some(cell) = self.dest_cell(dest) else {
-                    return ExecOutcome::failure(format!("{dest} is not a destination"));
+                    return ExecOutcome::invalid(format!("{dest} is not a destination"));
                 };
                 if **dest != *self.items[carried].kind.destination() {
-                    return ExecOutcome::failure(format!("{object} does not belong at {dest}"));
+                    return ExecOutcome::invalid(format!("{object} does not belong at {dest}"));
                 }
                 if !self.world.same_room(self.agents[agent].pos, cell) {
                     return ExecOutcome::failure(format!("not at the {dest}"));
@@ -403,6 +405,7 @@ impl Environment for HouseholdEnv {
                     made_progress: drive.success,
                     compute: SimDuration::from_millis(20),
                     actuation: drive.total_time,
+                    kind: FailureKind::Plain,
                     note: if drive.success {
                         format!("placed {object} at {dest}")
                     } else {
@@ -430,14 +433,8 @@ impl Environment for HouseholdEnv {
                 out.note = format!("explored toward room_{next}");
                 out
             }
-            Subgoal::Wait => ExecOutcome {
-                completed: true,
-                made_progress: false,
-                compute: SimDuration::ZERO,
-                actuation: SimDuration::from_millis(200),
-                note: "waited".into(),
-            },
-            other => ExecOutcome::failure(format!("unsupported subgoal: {other}")),
+            Subgoal::Wait => ExecOutcome::idle(SimDuration::from_millis(200), "waited"),
+            other => ExecOutcome::invalid(format!("unsupported subgoal: {other}")),
         }
     }
 
@@ -523,6 +520,7 @@ mod tests {
         );
         assert!(!out.completed);
         assert!(out.note.contains("does not belong"));
+        assert_eq!(out.kind, FailureKind::Invalid);
     }
 
     #[test]

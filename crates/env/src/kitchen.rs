@@ -2,7 +2,7 @@
 //! single robot must complete a set of appliance-manipulation skills, each
 //! executed by an MLP control policy over several primitives.
 
-use crate::action::{ExecOutcome, Name, Subgoal};
+use crate::action::{ExecOutcome, FailureKind, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::{phrase, word};
@@ -156,10 +156,10 @@ impl Environment for KitchenEnv {
         match subgoal {
             Subgoal::Skill { name } => {
                 let Some(idx) = self.skill_index(name) else {
-                    return ExecOutcome::failure(format!("{name} is not part of this task"));
+                    return ExecOutcome::invalid(format!("{name} is not part of this task"));
                 };
                 if self.done[idx] {
-                    return ExecOutcome::failure(format!("{name} is already done"));
+                    return ExecOutcome::gone(format!("{name} is already done"));
                 }
                 // Run the control policy for each primitive; the policy is
                 // real compute, success is gated by actuation + competence.
@@ -185,6 +185,7 @@ impl Environment for KitchenEnv {
                     made_progress: ok,
                     compute,
                     actuation,
+                    kind: FailureKind::Plain,
                     note: if ok {
                         format!("completed {name}")
                     } else {
@@ -192,14 +193,10 @@ impl Environment for KitchenEnv {
                     },
                 }
             }
-            Subgoal::Wait | Subgoal::Explore => ExecOutcome {
-                completed: true,
-                made_progress: false,
-                compute: SimDuration::ZERO,
-                actuation: SimDuration::from_millis(200),
-                note: "idle at the bench".into(),
-            },
-            other => ExecOutcome::failure(format!("unsupported subgoal: {other}")),
+            Subgoal::Wait | Subgoal::Explore => {
+                ExecOutcome::idle(SimDuration::from_millis(200), "idle at the bench")
+            }
+            other => ExecOutcome::invalid(format!("unsupported subgoal: {other}")),
         }
     }
 
@@ -249,6 +246,7 @@ mod tests {
         );
         assert!(!out.completed);
         assert!(out.note.contains("not part"));
+        assert_eq!(out.kind, FailureKind::Invalid);
     }
 
     #[test]
@@ -260,6 +258,7 @@ mod tests {
         let out = e.execute(0, &sg, &mut low);
         assert!(!out.completed);
         assert!(out.note.contains("already done"));
+        assert_eq!(out.kind, FailureKind::Gone);
     }
 
     #[test]

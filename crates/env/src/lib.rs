@@ -50,7 +50,7 @@ mod routes;
 mod transport;
 mod world;
 
-pub use action::{ExecOutcome, Subgoal, SubgoalKind};
+pub use action::{ExecOutcome, FailureKind, Subgoal, SubgoalKind};
 pub use affordance::AffordanceSet;
 pub use alfworld::AlfWorldEnv;
 pub use boxworld::{BoxVariant, BoxWorldEnv};

@@ -3,7 +3,7 @@
 //! off across overlapping workspaces. Every motion runs a real RRT plan,
 //! which is what makes execution RoCo's dominant latency term (Fig. 2a).
 
-use crate::action::{ExecOutcome, Name, Subgoal};
+use crate::action::{ExecOutcome, FailureKind, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty, TrajectoryPlanner};
 use crate::observation::{Observation, SeenEntity};
 use crate::{phrase, word};
@@ -267,10 +267,10 @@ impl Environment for ManipulationEnv {
         match subgoal {
             Subgoal::ArmMove { object, to } => {
                 let Some(idx) = self.object_index(object) else {
-                    return ExecOutcome::failure(format!("{object} does not exist"));
+                    return ExecOutcome::gone(format!("{object} does not exist"));
                 };
                 if self.objects[idx].placed {
-                    return ExecOutcome::failure(format!("{object} is already placed"));
+                    return ExecOutcome::gone(format!("{object} is already placed"));
                 }
                 let from = self.objects[idx].pos;
                 let dest = Point::new(to.0, to.1);
@@ -319,6 +319,7 @@ impl Environment for ManipulationEnv {
                             made_progress,
                             compute,
                             actuation: actuation + drive.total_time,
+                            kind: FailureKind::Plain,
                             note: if success {
                                 format!("moved {object} to ({:.1}, {:.1})", dest.x, dest.y)
                             } else {
@@ -336,19 +337,16 @@ impl Environment for ManipulationEnv {
                             made_progress: false,
                             compute: latency::rrt_compute(iterations),
                             actuation: SimDuration::ZERO,
+                            kind: FailureKind::Plain,
                             note: format!("motion planning failed for {object}: {err}"),
                         }
                     }
                 }
             }
-            Subgoal::Wait | Subgoal::Explore => ExecOutcome {
-                completed: true,
-                made_progress: false,
-                compute: SimDuration::ZERO,
-                actuation: SimDuration::from_millis(200),
-                note: "arm idle".into(),
-            },
-            other => ExecOutcome::failure(format!("unsupported subgoal: {other}")),
+            Subgoal::Wait | Subgoal::Explore => {
+                ExecOutcome::idle(SimDuration::from_millis(200), "arm idle")
+            }
+            other => ExecOutcome::invalid(format!("unsupported subgoal: {other}")),
         }
     }
 

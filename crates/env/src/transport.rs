@@ -2,7 +2,7 @@
 //! family): find scattered objects in partially observable rooms and carry
 //! them to a goal zone.
 
-use crate::action::{ExecOutcome, Name, Subgoal};
+use crate::action::{ExecOutcome, FailureKind, Name, Subgoal};
 use crate::environment::{Environment, LowLevel, TaskDifficulty};
 use crate::observation::{Observation, SeenEntity};
 use crate::world::GridWorld;
@@ -134,6 +134,7 @@ impl TransportEnv {
                     made_progress: moved_closer,
                     compute,
                     actuation: latency::grid_motion(reach),
+                    kind: FailureKind::Plain,
                     note: format!("moved {reach} cells toward {goal}"),
                 }
             }
@@ -312,13 +313,13 @@ impl Environment for TransportEnv {
             Subgoal::GoTo { cell, .. } => self.navigate(agent, *cell, low),
             Subgoal::Pick { object } => {
                 let Some(idx) = self.object_index(object) else {
-                    return ExecOutcome::failure(format!("{object} does not exist"));
+                    return ExecOutcome::gone(format!("{object} does not exist"));
                 };
                 if self.agents[agent].carrying.is_some() {
                     return ExecOutcome::failure("already carrying an object");
                 }
                 let Some(pos) = self.objects[idx].pos else {
-                    return ExecOutcome::failure(format!("{object} is not available"));
+                    return ExecOutcome::gone(format!("{object} is not available"));
                 };
                 if self.agents[agent].pos.manhattan(pos) > 1 {
                     return ExecOutcome::failure(format!("{object} is out of reach"));
@@ -353,6 +354,7 @@ impl Environment for TransportEnv {
                     made_progress: success,
                     compute,
                     actuation,
+                    kind: FailureKind::Plain,
                     note: if success {
                         format!("picked up {object}")
                     } else {
@@ -368,7 +370,7 @@ impl Environment for TransportEnv {
                     return ExecOutcome::failure(format!("not carrying {object}"));
                 }
                 if **dest != *GOAL_ZONE {
-                    return ExecOutcome::failure(format!("{dest} is not a valid destination"));
+                    return ExecOutcome::invalid(format!("{dest} is not a valid destination"));
                 }
                 if !self.world.same_room(self.agents[agent].pos, self.goal_cell) {
                     return ExecOutcome::failure("not at the goal zone");
@@ -383,6 +385,7 @@ impl Environment for TransportEnv {
                     made_progress: drive.success,
                     compute: SimDuration::from_millis(20),
                     actuation: drive.total_time,
+                    kind: FailureKind::Plain,
                     note: if drive.success {
                         format!("delivered {object}")
                     } else {
@@ -405,14 +408,8 @@ impl Environment for TransportEnv {
                 outcome.made_progress = false; // exploring is not goal progress
                 outcome
             }
-            Subgoal::Wait => ExecOutcome {
-                completed: true,
-                made_progress: false,
-                compute: SimDuration::ZERO,
-                actuation: SimDuration::from_millis(200),
-                note: "waited".into(),
-            },
-            other => ExecOutcome::failure(format!("unsupported subgoal: {other}")),
+            Subgoal::Wait => ExecOutcome::idle(SimDuration::from_millis(200), "waited"),
+            other => ExecOutcome::invalid(format!("unsupported subgoal: {other}")),
         }
     }
 
@@ -533,6 +530,7 @@ mod tests {
         );
         assert!(!out.completed);
         assert!(out.note.contains("unsupported"));
+        assert_eq!(out.kind, FailureKind::Invalid);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 
 use embodied_suite::agents::{AgentConfig, EmbodiedSystem, Paradigm};
 use embodied_suite::env::{
-    Environment, ExecOutcome, LowLevel, Observation, SeenEntity, Subgoal, TaskDifficulty,
+    Environment, ExecOutcome, FailureKind, LowLevel, Observation, SeenEntity, Subgoal,
+    TaskDifficulty,
 };
 use embodied_suite::prelude::*;
 use embodied_suite::profiler::SimDuration;
@@ -143,8 +144,15 @@ impl Environment for DoorButtonPuzzle {
             made_progress: true,
             compute: SimDuration::from_millis(25),
             actuation: SimDuration::from_millis(1_200),
+            kind: FailureKind::Plain,
             note,
         };
+        // A failure says how it failed by its constructor, and agents act on
+        // that kind, never on the note's wording: `busy` for contention (the
+        // agent re-queues), `gone` for a referent that no longer exists
+        // (reflection forgets it), `invalid` for an action wrong in kind
+        // (reflection blacklists it), `no_effect` for a silent no-op
+        // (closed-loop recovery retries it), and `failure` for the rest.
         match subgoal {
             Subgoal::Skill { name } if &**name == "hold_button" => {
                 self.button_held_by = Some(agent);
@@ -175,14 +183,10 @@ impl Environment for DoorButtonPuzzle {
                 self.artifact_taken = true;
                 ok(format!("agent {agent} took the artifact"))
             }
-            Subgoal::Wait | Subgoal::Explore => ExecOutcome {
-                completed: true,
-                made_progress: false,
-                compute: SimDuration::ZERO,
-                actuation: SimDuration::from_millis(300),
-                note: "held position".into(),
-            },
-            other => ExecOutcome::failure(format!("unsupported subgoal: {other}")),
+            Subgoal::Wait | Subgoal::Explore => {
+                ExecOutcome::idle(SimDuration::from_millis(300), "held position")
+            }
+            other => ExecOutcome::invalid(format!("unsupported subgoal: {other}")),
         }
     }
 

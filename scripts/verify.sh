@@ -69,6 +69,14 @@ if [ "$status1" -ne 0 ] || [ "$status4" -ne 0 ]; then
   exit 1
 fi
 
+# The examples are the documented entry points, and custom_env is the one
+# environment outside the env crate. Each must run to the end without a panic.
+echo "== examples (release) =="
+cargo build --release -q -p embodied-suite --examples
+for example in examples/*.rs; do
+  ./target/release/examples/"$(basename "$example" .rs)" > /dev/null
+done
+
 echo "== scenario regression fixtures + evolution properties =="
 cargo test --release -q -p embodied-bench --test regression_scenarios --test scenario_evolution
 
