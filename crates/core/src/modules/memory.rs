@@ -856,7 +856,7 @@ mod tests {
                     let stats = m.retrieve_write(&mut buf);
                     assert_eq!(
                         stats.tokens,
-                        Tokenizer::default().count(&buf[prefix..]),
+                        Tokenizer::STANDARD.count(&buf[prefix..]),
                         "step {step}, enabled {enabled}, dual {dual}, summarize \
                          {summarize}, {mode:?}, {capacity:?}: {:?}",
                         &buf[prefix..]

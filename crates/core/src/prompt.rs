@@ -813,7 +813,7 @@ mod tests {
 
     #[test]
     fn preamble_costs_realistic_tokens() {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         let n = tok.count(system_preamble("CoELA", "planning").text());
         assert!(
             (100..300).contains(&n),

@@ -25,7 +25,9 @@
 //! 5. an environment's `observe` allocates only its `Vec` of seen
 //!    entities, whose descriptions are inline phrases over shared names,
 //!    and sensing an observation allocates exactly the percept's shared
-//!    text and, when it recognized anything, its entity list.
+//!    text and, when it recognized anything, its entity list;
+//! 6. retrieval from a full-history memory allocates nothing at 10, 100
+//!    or 1000 records, with and without summarization.
 //!
 //! The allocator lives here (an integration test is its own crate) because
 //! the library itself is `#![forbid(unsafe_code)]`.
@@ -451,4 +453,49 @@ fn knowledge_filter_and_menu_count_allocate_nothing() {
         }
     }
     assert!(kept > 0 && dropped > 0, "kept {kept}, dropped {dropped}");
+}
+
+/// A full-history memory holding `records` observations, one per step.
+fn full_history_memory(records: usize, summarize: bool) -> MemoryModule {
+    let landmarks = vec!["goal_zone".to_owned(), "room_0".to_owned()];
+    let mut mem = MemoryModule::new(true, MemoryCapacity::Full, false, summarize, landmarks);
+    for step in 0..records {
+        mem.begin_step(step);
+        mem.store(
+            RecordKind::Observation,
+            format!("saw object_{} near room_{}", step % 7, step % 3),
+            vec![format!("object_{}", step % 7).into()],
+        );
+    }
+    mem.begin_step(records);
+    mem
+}
+
+/// Retrieval stays allocation-free however long the history grows: after
+/// a warm-up pass sizes the buffer, writing the context into it and
+/// counting it allocate nothing, whether every record is rendered or the
+/// summarized view skips all but the last few.
+#[test]
+fn retrieval_allocates_nothing_at_any_history_length() {
+    for records in [10, 100, 1000] {
+        for summarize in [false, true] {
+            let mem = full_history_memory(records, summarize);
+            let mut buf = String::new();
+            let warm = mem.retrieve_write(&mut buf);
+            assert_eq!(warm.records_scanned, records);
+            let start = allocs();
+            let mut tokens = 0;
+            for _ in 0..100 {
+                buf.clear();
+                tokens += mem.retrieve_write(&mut buf).tokens;
+                tokens += mem.retrieve_count().tokens;
+            }
+            let n = allocs() - start;
+            assert_eq!(tokens, 200 * warm.tokens);
+            assert_eq!(
+                n, 0,
+                "{records} records, summarize {summarize}: retrieval allocated {n} times over 100 passes"
+            );
+        }
+    }
 }

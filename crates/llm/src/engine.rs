@@ -94,7 +94,6 @@ pub fn floor_char(s: &str, max: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct LlmEngine {
     profile: ModelProfile,
-    tokenizer: Tokenizer,
     quality_model: QualityModel,
     rng: StdRng,
     usage: TokenStats,
@@ -113,7 +112,6 @@ impl LlmEngine {
     pub fn new(profile: ModelProfile, seed: u64) -> Self {
         LlmEngine {
             profile,
-            tokenizer: Tokenizer::default(),
             quality_model: QualityModel::default(),
             rng: StdRng::seed_from_u64(seed ^ 0x5eed_11a3),
             usage: TokenStats::default(),
@@ -168,11 +166,6 @@ impl LlmEngine {
     /// The model profile this engine serves.
     pub fn profile(&self) -> &ModelProfile {
         &self.profile
-    }
-
-    /// The tokenizer in use.
-    pub fn tokenizer(&self) -> &Tokenizer {
-        &self.tokenizer
     }
 
     /// Accumulated usage counters (including context-window overflows).
@@ -308,9 +301,7 @@ impl LlmEngine {
         });
         if let (Some(text), Some(prev)) = (reuse_text, &self.last_prompt) {
             let shared_bytes = common_prefix_len(prev.as_bytes(), text.as_bytes());
-            let reused = self
-                .tokenizer
-                .count(&text[..floor_char(text, shared_bytes)]);
+            let reused = Tokenizer::STANDARD.count(&text[..floor_char(text, shared_bytes)]);
             opts.kv_reused_tokens = opts.kv_reused_tokens.max(reused.min(prompt_tokens));
         }
 
@@ -378,11 +369,11 @@ impl LlmEngine {
     /// runs a rendered prompt checks it.
     fn prompt_tokens(&self, req: &LlmRequest<'_>) -> u64 {
         match req.prompt {
-            Prompt::Text(text) => self.tokenizer.count(text),
+            Prompt::Text(text) => Tokenizer::STANDARD.count(text),
             Prompt::Counted(text, tokens) => {
                 debug_assert_eq!(
                     tokens,
-                    self.tokenizer.count(text),
+                    Tokenizer::STANDARD.count(text),
                     "supplied token count of {text:?}"
                 );
                 tokens
@@ -625,7 +616,7 @@ mod tests {
         // A request that carries its count must be served exactly like one
         // the engine counts itself, for a growing multi-byte prompt stream
         // with the KV-reuse path exercised too.
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         let mut counted = LlmEngine::new(ModelProfile::gpt4_api(), 17).with_kv_reuse(true);
         let mut plain = LlmEngine::new(ModelProfile::gpt4_api(), 17).with_kv_reuse(true);
         let mut prompt = String::from("[system] plan the long-horizon task\n");
@@ -647,7 +638,7 @@ mod tests {
 
     #[test]
     fn count_only_prompts_bill_like_their_text() {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         let mut text = LlmEngine::new(ModelProfile::gpt4_api(), 5);
         let mut count = LlmEngine::new(ModelProfile::gpt4_api(), 5);
         for step in 0..8 {

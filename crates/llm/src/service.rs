@@ -1091,7 +1091,7 @@ mod tests {
         let preamble = "You are an embodied agent in a simulated household. \
                         Coordinate with your teammates to finish the task.";
         let mut handles: Vec<_> = (0..3).map(|i| handle(&service, i as u64 + 10, 0)).collect();
-        let prefix_tokens = Tokenizer::default().count(preamble);
+        let prefix_tokens = Tokenizer::STANDARD.count(preamble);
         service.open_window(InferenceOpts::default(), prefix_tokens);
         assert!(service.window_is_open());
         let mut responses = Vec::new();

@@ -18,41 +18,19 @@
 /// // Long words split into subwords, like real BPE vocabularies.
 /// assert!(tok.count("antidisestablishmentarianism") > 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tokenizer {
-    /// Maximum characters a single subword token absorbs.
-    subword_len: usize,
-    /// Words up to this length count as a single token.
-    whole_word_len: usize,
-}
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Tokenizer;
 
-impl Default for Tokenizer {
-    fn default() -> Self {
-        Self::STANDARD
-    }
-}
+/// Maximum characters a single subword token absorbs.
+const SUBWORD_LEN: usize = 4;
+/// Words up to this length count as a single token.
+const WHOLE_WORD_LEN: usize = 7;
 
 impl Tokenizer {
-    /// The default granularity, calibrated so English prose lands near the
-    /// familiar ~4 characters/token (~0.75 tokens/word) ratio.
-    pub const STANDARD: Tokenizer = Tokenizer {
-        subword_len: 4,
-        whole_word_len: 7,
-    };
-
-    /// Creates a tokenizer with explicit granularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either length is zero.
-    pub fn new(subword_len: usize, whole_word_len: usize) -> Self {
-        assert!(subword_len > 0, "subword_len must be positive");
-        assert!(whole_word_len > 0, "whole_word_len must be positive");
-        Tokenizer {
-            subword_len,
-            whole_word_len,
-        }
-    }
+    /// The tokenizer every simulated model uses. Its granularity is
+    /// calibrated so English prose lands near the familiar ~4
+    /// characters/token (~0.75 tokens/word) ratio.
+    pub const STANDARD: Tokenizer = Tokenizer;
 
     /// Number of tokens in `text`, in one pass over its bytes: whitespace
     /// ends a word, a run of alphabetic chars up to the whole-word length
@@ -83,16 +61,16 @@ impl Tokenizer {
             match class {
                 Class::Letter => run += 1,
                 Class::Other => {
-                    tokens += self.alpha_tokens(run) + 1;
+                    tokens += alpha_tokens(run) + 1;
                     run = 0;
                 }
                 Class::Space => {
-                    tokens += self.alpha_tokens(run);
+                    tokens += alpha_tokens(run);
                     run = 0;
                 }
             }
         }
-        tokens + self.alpha_tokens(run)
+        tokens + alpha_tokens(run)
     }
 
     /// [`Tokenizer::count`] of ASCII `text`, usable in constants: prompt
@@ -118,27 +96,29 @@ impl Tokenizer {
             match ASCII_CLASS[bytes[i] as usize] {
                 Class::Letter => run += 1,
                 Class::Other => {
-                    tokens += self.alpha_tokens(run) + 1;
+                    tokens += alpha_tokens(run) + 1;
                     run = 0;
                 }
                 Class::Space => {
-                    tokens += self.alpha_tokens(run);
+                    tokens += alpha_tokens(run);
                     run = 0;
                 }
             }
             i += 1;
         }
-        tokens + self.alpha_tokens(run)
+        tokens + alpha_tokens(run)
     }
+}
 
-    const fn alpha_tokens(&self, len: usize) -> u64 {
-        if len == 0 {
-            0
-        } else if len <= self.whole_word_len {
-            1
-        } else {
-            len.div_ceil(self.subword_len) as u64
-        }
+/// Tokens in a run of `len` letters: one up to the whole-word length, one
+/// per subword-length chunk beyond it.
+const fn alpha_tokens(len: usize) -> u64 {
+    if len == 0 {
+        0
+    } else if len <= WHOLE_WORD_LEN {
+        1
+    } else {
+        len.div_ceil(SUBWORD_LEN) as u64
     }
 }
 
@@ -200,35 +180,35 @@ mod tests {
 
     #[test]
     fn empty_and_whitespace_count_zero() {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         assert_eq!(tok.count(""), 0);
         assert_eq!(tok.count("   \n\t  "), 0);
     }
 
     #[test]
     fn short_words_are_one_token() {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         assert_eq!(tok.count("kitchen"), 1);
         assert_eq!(tok.count("a b c"), 3);
     }
 
     #[test]
     fn long_words_split() {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         // 12 letters → ceil(12/4) = 3 tokens
         assert_eq!(tok.count("transporting"), 3);
     }
 
     #[test]
     fn punctuation_tokenizes_separately() {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         assert_eq!(tok.count("go,"), 2);
         assert_eq!(tok.count("room_3"), 1 + 1 + 1); // "room" + "_" + "3"
     }
 
     #[test]
     fn prose_ratio_is_plausible() {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         let text = "the agent moves the red apple from the kitchen counter \
                     to the dining table and then reports task completion";
         let tokens = tok.count(text) as f64;
@@ -242,7 +222,7 @@ mod tests {
 
     #[test]
     fn count_is_additive_over_concatenation_with_space() {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         let a = "pick up the box";
         let b = "move to room three";
         assert_eq!(tok.count(&format!("{a} {b}")), tok.count(a) + tok.count(b));
@@ -264,7 +244,7 @@ mod tests {
 
     #[test]
     fn ascii_count_agrees_with_count() {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         let ascii: String = (0u8..128).map(char::from).collect();
         for text in [
             "",
@@ -275,16 +255,5 @@ mod tests {
         ] {
             assert_eq!(tok.count_ascii(text), tok.count(text), "{text:?}");
         }
-        let coarse = Tokenizer::new(3, 2);
-        assert_eq!(
-            coarse.count_ascii("kitchen sink"),
-            coarse.count("kitchen sink")
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "subword_len")]
-    fn zero_subword_rejected() {
-        let _ = Tokenizer::new(0, 5);
     }
 }

@@ -16,20 +16,17 @@ use proptest::collection;
 use proptest::prelude::*;
 
 /// Reference token rule: split on `char::is_whitespace`, then walk each
-/// word's chars. A run of alphabetic chars is one token up to `whole_word`
-/// chars and `ceil(len / subword)` tokens beyond; every other char is one
-/// token.
-fn reference_count(text: &str, subword: usize, whole_word: usize) -> u64 {
-    text.split_whitespace()
-        .map(|word| reference_count_word(word, subword, whole_word))
-        .sum()
+/// word's chars. A run of alphabetic chars is one token up to 7 chars and
+/// `ceil(len / 4)` tokens beyond; every other char is one token.
+fn reference_count(text: &str) -> u64 {
+    text.split_whitespace().map(reference_count_word).sum()
 }
 
-fn reference_count_word(word: &str, subword: usize, whole_word: usize) -> u64 {
+fn reference_count_word(word: &str) -> u64 {
     let alpha_tokens = |len: usize| match len {
         0 => 0,
-        len if len <= whole_word => 1,
-        len => len.div_ceil(subword) as u64,
+        len if len <= 7 => 1,
+        len => len.div_ceil(4) as u64,
     };
     let mut tokens = 0u64;
     let mut alpha_run = 0usize;
@@ -46,15 +43,15 @@ fn reference_count_word(word: &str, subword: usize, whole_word: usize) -> u64 {
 
 #[test]
 fn every_char_and_pair_of_the_alphabet_counts_like_the_reference() {
-    let tok = Tokenizer::default();
+    let tok = Tokenizer::STANDARD;
     let chars = alphabet();
     for &a in &chars {
         for text in [a.to_string(), format!("ab{a}cd"), format!("{a}{a}")] {
-            assert_eq!(tok.count(&text), reference_count(&text, 4, 7), "{text:?}");
+            assert_eq!(tok.count(&text), reference_count(&text), "{text:?}");
         }
         for &b in &chars {
             let text = format!("{a}{b}");
-            assert_eq!(tok.count(&text), reference_count(&text, 4, 7), "{text:?}");
+            assert_eq!(tok.count(&text), reference_count(&text), "{text:?}");
         }
     }
 }
@@ -62,23 +59,10 @@ fn every_char_and_pair_of_the_alphabet_counts_like_the_reference() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The kernel counts exactly what the two-pass reference counts, at the
-    /// default granularity and at arbitrary ones.
+    /// The kernel counts exactly what the two-pass reference counts.
     #[test]
-    fn count_equals_two_pass_reference(
-        text in edge_text(),
-        subword in 1usize..6,
-        whole_word in 1usize..10,
-    ) {
-        prop_assert_eq!(Tokenizer::default().count(&text), reference_count(&text, 4, 7));
-        prop_assert_eq!(
-            Tokenizer::new(subword, whole_word).count(&text),
-            reference_count(&text, subword, whole_word),
-            "subword {} whole_word {} on {:?}",
-            subword,
-            whole_word,
-            text
-        );
+    fn count_equals_two_pass_reference(text in edge_text()) {
+        prop_assert_eq!(Tokenizer::STANDARD.count(&text), reference_count(&text), "{:?}", text);
     }
 
     /// Counting is additive across any whitespace seam: the count of
@@ -91,7 +75,7 @@ proptest! {
         seam in blank_text(),
         b in edge_text(),
     ) {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         let seam = if seam.is_empty() { "\u{3000}" } else { seam.as_str() };
         let whole = format!("{a}{seam}{b}");
         prop_assert_eq!(tok.count(&whole), tok.count(&a) + tok.count(&b), "{:?}", whole);
@@ -146,7 +130,7 @@ fn heuristic_tokenizer_is_calibrated_against_bpe() {
     // domain prose — close enough that latency/quality conclusions are
     // insensitive to the tokenizer choice.
     let bpe = tok();
-    let heuristic = Tokenizer::default();
+    let heuristic = Tokenizer::STANDARD;
     let text = "the agent transports the red apple from the kitchen \
                 counter to the dining table then reports progress to \
                 its teammates and updates the shared memory of object \

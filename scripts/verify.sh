@@ -1,20 +1,13 @@
 #!/usr/bin/env bash
 # Full verification gate: build, tests, formatting, lints, rustdoc.
-# Run before every commit; CI runs the same sequence.
-#
-# Optional flags:
-#   --bench   also run quick criterion passes over the step loop, the event
-#             queue, the tokenizer and the execution substrates (A* et al.).
+# Run before every commit; CI runs the same sequence. It takes no flags.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-run_bench=0
-for arg in "$@"; do
-  case "$arg" in
-    --bench) run_bench=1 ;;
-    *) echo "verify.sh: unknown flag $arg" >&2; exit 2 ;;
-  esac
-done
+if [ "$#" -ne 0 ]; then
+  echo "verify.sh: takes no arguments (got: $*)" >&2
+  exit 2
+fi
 
 echo "== cargo build --release =="
 cargo build --release
@@ -22,35 +15,14 @@ cargo build --release
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
-# One table-driven determinism suite. Its tests pin their own worker counts;
-# EMBODIED_JOBS=4 drives the env-driven sweep test through the pool. Release,
-# because release builds take the count-only prompt path.
-echo "== determinism suite (release, EMBODIED_JOBS=4) =="
-EMBODIED_JOBS=4 cargo test --release -q -p embodied-bench --test determinism
-
-# suite_integration's reports_are_internally_consistent checks, on the
-# count-only prompt path that experiments and perf_bench take, that every
-# report's breakdown and step latencies sum to its latency and that each LLM
-# call is billed once. alloc's allocation gates run on that path too. Release
-# builds take summed token counts (percepts, phrases, preambles) without the
-# debug recount, so prompt_props is the check of those sums on that path.
-echo "== resilience + integration + allocation + prompt properties (release) =="
-cargo test --release -q -p embodied-suite -p embodied-agents --test resilience \
-  --test fault_properties --test guardrail_properties --test suite_integration --test alloc \
-  --test prompt_props
-
-# A*'s packed open-list keys rely on size checks that hold in both builds,
-# but a field overflow that debug builds catch would wrap silently in release.
-# So the planner's reference gate, its key-boundary unit tests and the route
-# memo's properties run in release too, as do the entity names' properties
-# (wrapping hash arithmetic, the token memo).
-echo "== A* reference + packed keys + route memo + names (release) =="
-cargo test --release -q -p embodied-exec -p embodied-env --lib --test astar_reference \
-  --test route_memo --test name_props
-
-# Release builds assemble prompts as counts; debug builds render them.
-echo "== rendered vs count-only prompt differential (release) =="
-cargo test --release -q -p embodied-agents --lib differential
+# The whole workspace again in release, where debug_assert!s and overflow
+# checks are off: release builds sum prompt token counts without the debug
+# recount (prompt_props and the prompt differential check those sums), and
+# an overflow in A*'s packed open-list keys or the names' hash arithmetic
+# would wrap silently. EMBODIED_JOBS=4 drives the determinism suite's
+# env-driven sweep test through the worker pool.
+echo "== cargo test (workspace, release, EMBODIED_JOBS=4) =="
+EMBODIED_JOBS=4 cargo test --release -q --workspace
 
 # Every committed results/*.md and scenario fixture must regenerate byte for
 # byte, at one worker and at four. --check writes nothing; it names any
@@ -77,21 +49,11 @@ for example in examples/*.rs; do
   ./target/release/examples/"$(basename "$example" .rs)" > /dev/null
 done
 
-echo "== scenario regression fixtures + evolution properties =="
-cargo test --release -q -p embodied-bench --test regression_scenarios --test scenario_evolution
-
 echo "== perf_bench tests =="
 cargo test --release --offline --locked --manifest-path perf_bench/Cargo.toml
 
 echo "== perf_bench --smoke =="
 cargo run --release -q --offline --locked --manifest-path perf_bench/Cargo.toml -- --smoke > /dev/null
-
-if [ "$run_bench" -eq 1 ]; then
-  for bench in step_loop event_queue tokenizer substrates; do
-    echo "== bench smoke: criterion $bench (quick mode) =="
-    CRITERION_SHIM_ITERS=5 cargo bench -q -p embodied-bench --bench "$bench"
-  done
-fi
 
 echo "== cargo fmt --check =="
 cargo fmt --check

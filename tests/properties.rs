@@ -35,7 +35,7 @@ proptest! {
     /// for whitespace.
     #[test]
     fn tokenizer_additive(a in "[a-z]{1,12}( [a-z]{1,12}){0,8}", b in "[a-z]{1,12}( [a-z]{1,12}){0,8}") {
-        let tok = Tokenizer::default();
+        let tok = Tokenizer::STANDARD;
         prop_assert_eq!(
             tok.count(&format!("{a} {b}")),
             tok.count(&a) + tok.count(&b)
