@@ -6,9 +6,10 @@
 //! paper's "only 20% of pre-generated messages lead to actual
 //! communication" finding (§V-D).
 
-use crate::prompt::{digit_tokens, literal_tokens, name_tokens, title, Counted, PromptWriter};
+use crate::prompt::{title, Counted, PromptWriter};
 use embodied_env::Name;
 use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
+use embodied_profiler::{ascii_tokens, digit_tokens};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -105,11 +106,10 @@ impl CommunicationModule {
         let text = &mut self.text_buf;
         text.clear();
         let _ = write!(text, "agent {from}: {}. ", status.text());
-        let mut tokens =
-            const { literal_tokens("agent :.") } + digit_tokens(from) + status.tokens();
+        let mut tokens = const { ascii_tokens("agent :.") } + digit_tokens(from) + status.tokens();
         if knowledge_delta.is_empty() {
             text.push_str("Proceeding with my current plan.");
-            tokens += const { literal_tokens("Proceeding with my current plan.") };
+            tokens += const { ascii_tokens("Proceeding with my current plan.") };
         } else {
             text.push_str("I have located ");
             for (k, e) in knowledge_delta.iter().enumerate() {
@@ -117,11 +117,11 @@ impl CommunicationModule {
                     text.push_str(", ");
                 }
                 text.push_str(e);
-                tokens += name_tokens(e);
+                tokens += e.tokens();
             }
             text.push('.');
             // One comma between each two names, and the closing period.
-            tokens += const { literal_tokens("I have located") } + knowledge_delta.len() as u64;
+            tokens += const { ascii_tokens("I have located") } + knowledge_delta.len() as u64;
         }
         Ok(OutgoingMessage {
             from,

@@ -8,8 +8,8 @@
 //! — the measurable footprint of exploration.
 
 use crate::modules::Percept;
-use crate::prompt::{digit_tokens, literal_tokens, name_tokens};
 use embodied_env::Name;
+use embodied_profiler::{ascii_tokens, digit_tokens};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -24,21 +24,18 @@ pub struct LocationKnowledge {
     pub entities: Rc<[Name]>,
     /// Step of the most recent visit.
     pub last_seen_step: usize,
-    /// Tokens in the location's name, read from its memo on the first
-    /// visit.
-    name_tokens: u64,
     /// Tokens in this location's summary line, counted from its parts
     /// when the line's content last changed.
     line_tokens: u64,
 }
 
 impl LocationKnowledge {
-    /// Records a visit at `step` that saw `entities`.
-    fn visit(&mut self, entities: &Rc<[Name]>, step: usize) {
+    /// Records a visit to `location` at `step` that saw `entities`.
+    fn visit(&mut self, location: &Name, entities: &Rc<[Name]>, step: usize) {
         self.visits += 1;
         self.last_seen_step = step;
         self.entities = Rc::clone(entities);
-        self.line_tokens = line_tokens(self.name_tokens, entities, step);
+        self.line_tokens = line_tokens(location.tokens(), entities, step);
     }
 }
 
@@ -48,11 +45,11 @@ impl LocationKnowledge {
 /// spaces, where counts add up.
 fn line_tokens(location_tokens: u64, entities: &[Name], step: usize) -> u64 {
     let body = if entities.is_empty() {
-        const { literal_tokens("nothing notable") }
+        const { ascii_tokens("nothing notable") }
     } else {
-        entities.iter().map(name_tokens).sum::<u64>() + entities.len() as u64 - 1
+        entities.iter().map(Name::tokens).sum::<u64>() + entities.len() as u64 - 1
     };
-    location_tokens + 1 + body + const { literal_tokens("(seen step)") } + digit_tokens(step)
+    location_tokens + 1 + body + const { ascii_tokens("(seen step)") } + digit_tokens(step)
 }
 
 /// An accumulated map of the (partially observed) world.
@@ -69,22 +66,19 @@ impl WorldMap {
         Self::default()
     }
 
-    /// Folds one percept into the map. The location's name is shared and
-    /// its count read from its memo on its first visit only.
+    /// Folds one percept into the map. The location's name is shared, not
+    /// copied.
     pub fn integrate(&mut self, percept: &Percept, step: usize) {
         let location = &percept.location;
         if location.is_empty() {
             return;
         }
         if let Some(known) = self.locations.get_mut(location) {
-            known.visit(&percept.entities, step);
+            known.visit(location, &percept.entities, step);
             return;
         }
-        let mut first = LocationKnowledge {
-            name_tokens: name_tokens(location),
-            ..LocationKnowledge::default()
-        };
-        first.visit(&percept.entities, step);
+        let mut first = LocationKnowledge::default();
+        first.visit(location, &percept.entities, step);
         self.locations.insert(location.clone(), first);
     }
 
@@ -144,7 +138,7 @@ impl WorldMap {
         if let Some(out) = out.as_deref_mut() {
             out.push_str("[map]\n");
         }
-        let mut tokens = const { literal_tokens("[map]") };
+        let mut tokens = const { ascii_tokens("[map]") };
         let mut first = true;
         self.for_each_recent(max_locations, |name, k| {
             tokens += k.line_tokens;
@@ -223,7 +217,8 @@ impl WorldMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prompt::{count_tokens, Counted};
+    use crate::prompt::Counted;
+    use embodied_profiler::count_tokens;
 
     fn percept(location: &str, entities: &[&str]) -> Percept {
         Percept {

@@ -3,9 +3,9 @@
 //! (Fig. 5), and the dual long/short-term structure of Rec. 5.
 
 use crate::config::MemoryCapacity;
-use crate::prompt::{count_tokens, digit_tokens, literal_tokens, name_tokens, Counted};
+use crate::prompt::Counted;
 use embodied_env::{Name, NameHasher, SubgoalKind};
-use embodied_profiler::SimDuration;
+use embodied_profiler::{ascii_tokens, count_tokens, digit_tokens, SimDuration};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::BuildHasherDefault;
@@ -261,7 +261,7 @@ const KEEP_LAST: usize = 6;
 /// header: the bracket, one per digit of `N`, and the fixed words.
 fn summary_header_tokens(omitted: usize) -> u64 {
     1 + digit_tokens(omitted)
-        + const { literal_tokens(" earlier entries summarized: routine progress]") }
+        + const { ascii_tokens(" earlier entries summarized: routine progress]") }
 }
 
 impl MemoryModule {
@@ -377,7 +377,7 @@ impl MemoryModule {
             if self.dual && self.enabled && !self.long_term.contains(id) {
                 // A comma is one token; names join at its space.
                 let comma = u64::from(!self.long_term_sorted.is_empty());
-                self.long_term_tokens += name_tokens(e) + comma;
+                self.long_term_tokens += e.tokens() + comma;
                 self.long_term.insert(id);
                 let names = &self.names;
                 let pos = self
@@ -620,7 +620,7 @@ impl MemoryModule {
                     }
                 }
                 tokens +=
-                    const { literal_tokens("long-term: known entities") } + self.long_term_tokens;
+                    const { ascii_tokens("long-term: known entities") } + self.long_term_tokens;
                 first = false;
             }
             line_idx += 1;
@@ -673,7 +673,6 @@ impl MemoryModule {
 mod tests {
     use super::*;
     use crate::prompt::summarize_history;
-    use embodied_llm::Tokenizer;
 
     use std::collections::HashSet;
 
@@ -856,7 +855,7 @@ mod tests {
                     let stats = m.retrieve_write(&mut buf);
                     assert_eq!(
                         stats.tokens,
-                        Tokenizer::STANDARD.count(&buf[prefix..]),
+                        count_tokens(&buf[prefix..]),
                         "step {step}, enabled {enabled}, dual {dual}, summarize \
                          {summarize}, {mode:?}, {capacity:?}: {:?}",
                         &buf[prefix..]

@@ -2,10 +2,10 @@
 //! observation and produces a percept (recognized entities + prompt text).
 
 use crate::modules::no_entities;
-use crate::prompt::{literal_tokens, name_tokens, phrase_tokens, Counted};
+use crate::prompt::Counted;
 use embodied_env::{Name, Observation};
 use embodied_llm::EncoderProfile;
-use embodied_profiler::SimDuration;
+use embodied_profiler::{ascii_tokens, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::rc::Rc;
@@ -69,33 +69,33 @@ impl SensingModule {
             text.push_str("Location: ");
             text.push_str(&obs.location);
             text.push_str(". ");
-            tokens += name_tokens(&obs.location) + const { literal_tokens("Location: . ") };
+            tokens += obs.location.tokens() + const { ascii_tokens("Location: . ") };
         }
         if !obs.status.is_empty() {
             obs.status.push_to(text);
             text.push_str(". ");
-            tokens += phrase_tokens(&obs.status) + const { literal_tokens(". ") };
+            tokens += obs.status.tokens() + const { ascii_tokens(". ") };
         }
         for seen in &obs.visible {
             if self.rng.gen_bool(recognition.clamp(0.0, 1.0)) {
                 let (separator, separator_tokens) = if self.entity_buf.is_empty() {
-                    ("Detected: ", const { literal_tokens("Detected: ") })
+                    ("Detected: ", const { ascii_tokens("Detected: ") })
                 } else {
-                    ("; ", const { literal_tokens("; ") })
+                    ("; ", const { ascii_tokens("; ") })
                 };
                 text.push_str(separator);
                 seen.description.push_to(text);
-                tokens += separator_tokens + phrase_tokens(&seen.description);
+                tokens += separator_tokens + seen.description.tokens();
                 self.entity_buf.push(seen.name.clone());
             }
         }
         let entities = if self.entity_buf.is_empty() {
             text.push_str("Nothing notable detected.");
-            tokens += const { literal_tokens("Nothing notable detected.") };
+            tokens += const { ascii_tokens("Nothing notable detected.") };
             no_entities()
         } else {
             text.push('.');
-            tokens += const { literal_tokens(".") };
+            tokens += const { ascii_tokens(".") };
             self.entity_buf.drain(..).collect()
         };
         (

@@ -8,14 +8,11 @@
 
 use crate::guardrail;
 use crate::modules::{no_entities, Percept, RecordKind};
-use crate::prompt::{
-    digit_tokens, literal_tokens, renders_for, subgoal_tokens, write_joint_plan_prompt, Body,
-    Counted, PromptWriter,
-};
+use crate::prompt::{renders_for, write_joint_plan_prompt, Body, Counted, PromptWriter};
 use crate::system::EmbodiedSystem;
 use embodied_env::{AffordanceSet, Name, Subgoal};
 use embodied_llm::{InferenceOpts, LlmRequest, Purpose, SemanticFlaw};
-use embodied_profiler::{ModuleKind, Phase, RepairStats};
+use embodied_profiler::{ascii_tokens, digit_tokens, ModuleKind, Phase, RepairStats};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -26,7 +23,7 @@ const JOINT_DIFFICULTY_PER_AGENT: f64 = 0.09;
 /// `agent {i}: {text}`, a central memory line, counted from its parts: a
 /// word, the digits and a colon before the text's own count.
 fn agent_line(i: usize, text: Counted<&str>) -> Counted<Rc<str>> {
-    let tokens = const { literal_tokens("agent :") } + digit_tokens(i) + text.tokens();
+    let tokens = const { ascii_tokens("agent :") } + digit_tokens(i) + text.tokens();
     Counted::with_tokens(format!("agent {i}: {}", text.text()).into(), tokens)
 }
 
@@ -366,9 +363,9 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
             return;
         };
         let status = format!("extract agent {i}'s feedback on the proposal: {sg}");
-        let status_tokens = const { literal_tokens("extract agent's feedback on the proposal:") }
+        let status_tokens = const { ascii_tokens("extract agent's feedback on the proposal:") }
             + digit_tokens(i)
-            + subgoal_tokens(sg);
+            + sg.tokens();
         let result = comm.generate(
             i,
             central.preamble.as_deref(),
@@ -395,8 +392,7 @@ pub(crate) fn extract_feedback(sys: &mut EmbodiedSystem, assignments: &[Subgoal]
         sys.messages.generated += 1;
         let central = sys.central.as_mut().expect("checked above");
         let line = format!("agent {i} feedback on {sg}");
-        let tokens =
-            const { literal_tokens("agent feedback on") } + digit_tokens(i) + subgoal_tokens(sg);
+        let tokens = const { ascii_tokens("agent feedback on") } + digit_tokens(i) + sg.tokens();
         central.memory.store_counted(
             RecordKind::Dialogue,
             Counted::with_tokens(line.into(), tokens),
@@ -424,14 +420,14 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
     // as it is written: each line is a word, its digits, a colon and the
     // subgoal, and each semicolon a token.
     let mut status = String::from("instructions: ");
-    let mut status_tokens = const { literal_tokens("instructions:") };
+    let mut status_tokens = const { ascii_tokens("instructions:") };
     for (i, sg) in assignments.iter().enumerate() {
         if i > 0 {
             status.push_str("; ");
             status_tokens += 1;
         }
         let _ = write!(status, "agent {i}: {sg}");
-        status_tokens += const { literal_tokens("agent :") } + digit_tokens(i) + subgoal_tokens(sg);
+        status_tokens += const { ascii_tokens("agent :") } + digit_tokens(i) + sg.tokens();
     }
     let result = comm.generate(
         usize::MAX, // the center itself
@@ -468,14 +464,14 @@ pub(crate) fn broadcast_instructions(sys: &mut EmbodiedSystem, assignments: &[Su
         if !sg.is_idle() {
             sys.messages.useful += 1;
         }
-        let sg_tokens = subgoal_tokens(sg);
+        let sg_tokens = sg.tokens();
         let task = format!("center: your task: {sg}");
-        let task_tokens = const { literal_tokens("center: your task:") } + sg_tokens;
+        let task_tokens = const { ascii_tokens("center: your task:") } + sg_tokens;
         sys.agents[i]
             .inbox
             .push(Counted::with_tokens(task.into(), task_tokens));
         let assigned = format!("center assigned: {sg}");
-        let assigned_tokens = const { literal_tokens("center assigned:") } + sg_tokens;
+        let assigned_tokens = const { ascii_tokens("center assigned:") } + sg_tokens;
         sys.agents[i].memory.store_counted(
             RecordKind::Dialogue,
             Counted::with_tokens(assigned.into(), assigned_tokens),

@@ -4,9 +4,9 @@
 
 use super::centralized;
 use crate::modules::RecordKind;
-use crate::prompt::{literal_tokens, subgoal_tokens, Counted};
+use crate::prompt::Counted;
 use crate::system::EmbodiedSystem;
-use embodied_profiler::ModuleKind;
+use embodied_profiler::{ascii_tokens, ModuleKind};
 
 /// Quality bonus the refine pass earns from incorporating agent feedback.
 const FEEDBACK_BONUS: f64 = 0.06;
@@ -45,9 +45,8 @@ pub(crate) fn step(sys: &mut EmbodiedSystem) {
         let percept = percepts[i].text.as_deref();
         let status = format!("{} | primed task: {}", percept.text(), primer[i]);
         // The percept's count, the bar, the label and the subgoal.
-        let status_tokens = percept.tokens()
-            + const { literal_tokens("| primed task:") }
-            + subgoal_tokens(&primer[i]);
+        let status_tokens =
+            percept.tokens() + const { ascii_tokens("| primed task:") } + primer[i].tokens();
         let comm = agent.communication.as_mut().expect("checked above");
         let result = comm.generate(
             i,

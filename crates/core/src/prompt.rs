@@ -14,143 +14,22 @@
 //! Nothing is formatted to be counted. Text that never changes once made
 //! (preambles, percepts, memory lines, messages) carries its token count
 //! from where it was made as a [`Counted`]; fixed wording (instructions,
-//! header brackets, section titles, a subgoal's verbs) is counted at
-//! compile time with [`Counted::literal`]; a subgoal adds its wording to
-//! the counts of its names ([`subgoal_tokens`]), and each entity name is
-//! counted once, on its first use, and keeps its count ([`name_tokens`]).
+//! header brackets, section titles) is counted at compile time with
+//! [`Counted::literal`]. What the environment makes
+//! arrives counted: each entity name and fixed word carries its count from
+//! where it was made ([`Name::tokens`](embodied_env::Name::tokens)), and a
+//! subgoal or a phrase adds its wording to the counts of its names
+//! ([`Subgoal::tokens`], [`Phrase::tokens`](embodied_env::Phrase::tokens)),
+//! so prompt assembly repeats none of the environment's wording.
 //! The token rule is additive across whitespace and across punctuation,
 //! and every piece meets its neighbours at such a seam, so the sum is
 //! exactly the count of the text.
 
 use crate::modules::Percept;
-use embodied_env::{Name, Part, Phrase, Subgoal, Word};
-use embodied_llm::{EngineHandle, Prompt, Tokenizer};
-use std::fmt::{self, Display, Write as _};
-
-/// Tokens in `text` under the tokenizer every simulated model uses.
-pub fn count_tokens(text: &str) -> u64 {
-    Tokenizer::STANDARD.count(text)
-}
-
-/// [`count_tokens`] of an entity name, counted on the name's first use and
-/// kept in it: every later count reads the memo its clones share. Debug
-/// builds recount.
-pub fn name_tokens(name: &Name) -> u64 {
-    let tokens = name.tokens_with(count_tokens);
-    debug_assert_eq!(tokens, count_tokens(name), "token memo of {name:?}");
-    tokens
-}
-
-/// [`count_tokens`] of a phrase's fixed word, counted on the word's first
-/// use in the program and kept in its static memo. Debug builds recount.
-pub fn word_tokens(word: Word) -> u64 {
-    let tokens = word.tokens_with(count_tokens);
-    debug_assert_eq!(tokens, count_tokens(word.text()), "token memo of {word:?}");
-    tokens
-}
-
-/// Tokens in `phrase`'s text, summed from its parts without writing it:
-/// names and words from their memos, an integer from its digits, a point
-/// from its coordinates. Exact when no two parts meet letter to letter,
-/// as in every environment's phrases.
-pub fn phrase_tokens(phrase: &Phrase) -> u64 {
-    phrase
-        .parts()
-        .map(|part| match part {
-            Part::Name(name) => name_tokens(name),
-            Part::Word(word) => word_tokens(*word),
-            Part::Int(n) => digit_tokens(*n),
-            Part::Point(x, y) => {
-                coordinate_tokens(*x) + coordinate_tokens(*y) + const { literal_tokens("(, )") }
-            }
-        })
-        .sum()
-}
-
-/// [`count_tokens`] of ASCII `text`, usable in constants.
-pub(crate) const fn literal_tokens(text: &str) -> u64 {
-    Tokenizer::STANDARD.count_ascii(text)
-}
-
-/// Tokens in the decimal digits of `n`: every digit is a token of its own.
-pub(crate) fn digit_tokens(n: usize) -> u64 {
-    u64::from(n.checked_ilog10().unwrap_or(0) + 1)
-}
-
-/// Tokens in `x` written as `{:.1}`. Every char of a finite number (sign,
-/// digit, point) is a token of its own, so the count is its length: the
-/// sign, the whole part's digits after rounding (9.96 is written `10.0`),
-/// the point and one decimal. Rounding carries into the whole part exactly
-/// when the fraction exceeds 0.95, which no `f64` fraction equals.
-fn coordinate_tokens(x: f64) -> u64 {
-    if x.is_nan() {
-        return literal_tokens("NaN");
-    }
-    if x.is_infinite() {
-        return if x < 0.0 {
-            literal_tokens("-inf")
-        } else {
-            literal_tokens("inf")
-        };
-    }
-    let sign = u64::from(x.is_sign_negative());
-    let abs = x.abs();
-    let whole = abs.trunc();
-    let rounded = whole + f64::from(u8::from(abs - whole > 0.95));
-    let digits = if rounded < 1e15 {
-        // Exact: an integral `f64` below 2^53 converts without loss.
-        digit_tokens(rounded as usize)
-    } else {
-        let mut len = ByteLen(0);
-        let _ = write!(len, "{rounded:.0}");
-        len.0
-    };
-    sign + digits + 2
-}
-
-/// A [`fmt::Write`] sink that keeps only the length of what it is given.
-struct ByteLen(u64);
-
-impl fmt::Write for ByteLen {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len() as u64;
-        Ok(())
-    }
-}
-
-/// Tokens in `subgoal`'s [`Display`] text, added up from its fixed wording
-/// and its names' [`name_tokens`] without writing it: every name stands
-/// between spaces or at an end of the text.
-pub fn subgoal_tokens(subgoal: &Subgoal) -> u64 {
-    let n = name_tokens;
-    match subgoal {
-        Subgoal::GoTo { target, .. } => n(target) + const { literal_tokens("go to") },
-        Subgoal::Pick { object } => n(object) + const { literal_tokens("pick up") },
-        Subgoal::Place { object, dest } => {
-            n(object) + n(dest) + const { literal_tokens("place at") }
-        }
-        Subgoal::Open { container } => n(container) + const { literal_tokens("open the") },
-        Subgoal::Gather { resource } => n(resource) + const { literal_tokens("gather") },
-        Subgoal::Craft { item } => n(item) + const { literal_tokens("craft") },
-        Subgoal::Cook { dish, stage } => n(stage) + n(dish),
-        Subgoal::Serve { dish } => n(dish) + const { literal_tokens("serve") },
-        Subgoal::MoveBox { box_name, dest } => {
-            n(box_name) + n(dest) + const { literal_tokens("move to") }
-        }
-        Subgoal::LiftTogether { box_name, partner } => {
-            n(box_name) + digit_tokens(*partner) + const { literal_tokens("lift with agent") }
-        }
-        Subgoal::ArmMove { object, to } => {
-            n(object)
-                + coordinate_tokens(to.0)
-                + coordinate_tokens(to.1)
-                + const { literal_tokens("move to (, )") }
-        }
-        Subgoal::Skill { name } => n(name) + const { literal_tokens("execute skill") },
-        Subgoal::Explore => const { literal_tokens("explore the environment") },
-        Subgoal::Wait => const { literal_tokens("wait") },
-    }
-}
+use embodied_env::Subgoal;
+use embodied_llm::{EngineHandle, Prompt};
+use embodied_profiler::{ascii_tokens, count_tokens, digit_tokens};
+use std::fmt::{Display, Write as _};
 
 /// Whether prompts for `engine` are rendered as text: when the engine reads
 /// it (KV-prefix reuse), and in debug builds, so the engine recounts every
@@ -214,7 +93,7 @@ impl Counted<&'static str> {
     pub const fn literal(text: &'static str) -> Self {
         Counted {
             text,
-            tokens: literal_tokens(text),
+            tokens: ascii_tokens(text),
         }
     }
 }
@@ -340,13 +219,14 @@ pub mod title {
 /// its count. [`PromptWriter::counting`] only sums the count and never
 /// touches its buffer: every section adds counts made elsewhere (a header
 /// costs its title's tokens and two brackets, a menu line its number, its
-/// parentheses and [`subgoal_tokens`]), so the two forms always agree on
+/// parentheses and [`Subgoal::tokens`]), so the two forms always agree on
 /// the count. The writer scans only bodies that arrive without a count.
 /// The per-step hot path reuses one buffer across an entire episode, so
 /// rendering performs no allocations once the buffer has grown.
 ///
 /// ```
-/// use embodied_agents::prompt::{count_tokens, Counted, PromptWriter};
+/// use embodied_agents::prompt::{Counted, PromptWriter};
+/// use embodied_profiler::count_tokens;
 ///
 /// const GOAL: Counted<&str> = Counted::literal("goal");
 /// let mut buf = String::new();
@@ -400,7 +280,7 @@ impl<'a> PromptWriter<'a> {
     }
 
     /// Tokens in everything written so far: exactly
-    /// [`Tokenizer::count`] of the text the rendering form writes.
+    /// [`count_tokens`] of the text the rendering form writes.
     pub fn tokens(&self) -> u64 {
         self.tokens
     }
@@ -460,10 +340,10 @@ impl<'a> PromptWriter<'a> {
     }
 
     /// Appends a named section whose body is `subgoal`'s [`Display`] text,
-    /// counted by [`subgoal_tokens`]; skipped, like any section, when that
+    /// counted by [`Subgoal::tokens`]; skipped, like any section, when that
     /// text is blank.
     pub fn push_subgoal(&mut self, title: Counted<&str>, subgoal: &Subgoal) -> &mut Self {
-        let tokens = subgoal_tokens(subgoal);
+        let tokens = subgoal.tokens();
         if tokens > 0 {
             self.header(title.text(), title.tokens());
             if self.render {
@@ -494,7 +374,7 @@ impl<'a> PromptWriter<'a> {
         self.tokens += candidates
             .iter()
             .enumerate()
-            .map(|(i, sg)| 2 + digit_tokens(i) + subgoal_tokens(sg))
+            .map(|(i, sg)| 2 + digit_tokens(i) + sg.tokens())
             .sum::<u64>();
         self
     }
@@ -558,7 +438,7 @@ pub fn write_joint_plan_prompt<'b>(
         .push_counted(title::MEMORY, memory);
     for (i, (p, menu)) in percepts.iter().zip(menus).enumerate() {
         // `agent {i} observation`: a word, the digits and a word.
-        let title_tokens = const { literal_tokens("agent observation") } + digit_tokens(i);
+        let title_tokens = const { ascii_tokens("agent observation") } + digit_tokens(i);
         w.section(
             format_args!("agent {i} observation"),
             title_tokens,
@@ -636,10 +516,10 @@ const PREAMBLE: [&str; 4] = [
 /// the role, the workload and its one-sentence flavor are counted here.
 /// Every slot sits between spaces, where counts add up.
 pub fn system_preamble(workload: &str, role: &str) -> Counted<String> {
-    const FIXED: u64 = literal_tokens(PREAMBLE[0])
-        + literal_tokens(PREAMBLE[1])
-        + literal_tokens(PREAMBLE[2])
-        + literal_tokens(PREAMBLE[3]);
+    const FIXED: u64 = ascii_tokens(PREAMBLE[0])
+        + ascii_tokens(PREAMBLE[1])
+        + ascii_tokens(PREAMBLE[2])
+        + ascii_tokens(PREAMBLE[3]);
     let flavor = workload_flavor(workload);
     let text = [
         PREAMBLE[0],
@@ -671,6 +551,7 @@ pub fn summarize_history(lines: &[String], keep_last: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embodied_env::Name;
 
     fn sections(w: &mut PromptWriter<'_>, candidates: &[Subgoal]) {
         w.push(Counted::literal("goal"), "deliver things")
@@ -813,8 +694,7 @@ mod tests {
 
     #[test]
     fn preamble_costs_realistic_tokens() {
-        let tok = Tokenizer::STANDARD;
-        let n = tok.count(system_preamble("CoELA", "planning").text());
+        let n = count_tokens(system_preamble("CoELA", "planning").text());
         assert!(
             (100..300).contains(&n),
             "preamble should cost ~120-250 tokens, got {n}"

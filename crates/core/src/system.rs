@@ -12,15 +12,15 @@ use crate::modules::{
     RecordKind,
 };
 use crate::orchestrator::{self, Paradigm};
-use crate::prompt::{digit_tokens, literal_tokens, renders_for, system_preamble, Body, Counted};
+use crate::prompt::{renders_for, system_preamble, Body, Counted};
 use crate::recovery::RecoveryPolicy;
 use embodied_env::{AffordanceSet, Environment, ExecOutcome, FailureKind, Name, Subgoal};
 use embodied_llm::{
     EngineBuilder, InferenceOpts, InferenceService, LlmEngine, LlmRequest, Purpose,
 };
 use embodied_profiler::{
-    EpisodeReport, MessageStats, ModuleKind, Outcome, Phase, RecoveryStats, RepairStats,
-    SimDuration, Trace,
+    ascii_tokens, digit_tokens, EpisodeReport, MessageStats, ModuleKind, Outcome, Phase,
+    RecoveryStats, RepairStats, SimDuration, Trace,
 };
 use std::rc::Rc;
 
@@ -452,7 +452,7 @@ impl EmbodiedSystem {
             self.sense_phase(i)
         } else {
             let text = format!("agent {i} unresponsive (no report this step)");
-            let tokens = const { literal_tokens("agent unresponsive (no report this step)") }
+            let tokens = const { ascii_tokens("agent unresponsive (no report this step)") }
                 + digit_tokens(i);
             Percept {
                 entities: no_entities(),
@@ -1052,7 +1052,7 @@ impl EmbodiedSystem {
             };
             let (text, entities) = if corrupt {
                 let garbled = format!("[garbled transmission from agent {from}]");
-                let tokens = const { literal_tokens("[garbled transmission from agent]") }
+                let tokens = const { ascii_tokens("[garbled transmission from agent]") }
                     + digit_tokens(from);
                 (Counted::with_tokens(garbled.into(), tokens), no_entities())
             } else {

@@ -37,9 +37,7 @@ use std::cell::Cell;
 
 use embodied_agents::config::MemoryCapacity;
 use embodied_agents::modules::{MemoryModule, Percept, RecordKind, SensingModule, WorldMap};
-use embodied_agents::prompt::{
-    subgoal_tokens, title, write_joint_plan_prompt, Body, Counted, PromptWriter,
-};
+use embodied_agents::prompt::{title, write_joint_plan_prompt, Body, Counted, PromptWriter};
 use embodied_agents::{workloads, AgentConfig, EnvKind, ModularAgent, RunOverrides};
 use embodied_env::{
     BoxVariant, EnvFaultProfile, Environment, FaultyEnv, LowLevel, Name, Subgoal, TaskDifficulty,
@@ -430,7 +428,7 @@ fn knowledge_filter_and_menu_count_allocate_nothing() {
             let offered = menu.len();
             let start = allocs();
             let menu = agent.filter_subgoals_with(menu, |e| mem.set_contains(&known, e), step);
-            let tokens: u64 = menu.iter().map(subgoal_tokens).sum();
+            let tokens: u64 = menu.iter().map(Subgoal::tokens).sum();
             let n = allocs() - start;
             assert_eq!(
                 n,

@@ -7,21 +7,20 @@
 //! sensing renders from every environment's observations count as their
 //! text too, though their counts are summed from parts.
 
-#[path = "../../llm/tests/support/edge_text.rs"]
+#[path = "../../profiler/tests/support/edge_text.rs"]
 mod edge_text;
 #[path = "support/environments.rs"]
 mod environments;
 
 use edge_text::{blank_text, edge_text};
 use embodied_agents::modules::SensingModule;
-use embodied_agents::prompt::{
-    count_tokens, name_tokens, phrase_tokens, subgoal_tokens, Counted, PromptWriter,
-};
+use embodied_agents::prompt::{Counted, PromptWriter};
 use embodied_env::{
     word, Environment, LowLevel, Name, Part, Phrase, Subgoal, TaskDifficulty, Word,
 };
 use embodied_exec::Cell;
 use embodied_llm::EncoderProfile;
+use embodied_profiler::count_tokens;
 use environments::environments;
 use proptest::collection;
 use proptest::prelude::*;
@@ -330,7 +329,7 @@ proptest! {
 
     #[test]
     fn a_phrase_counts_as_its_text(phrase in phrase()) {
-        prop_assert_eq!(phrase_tokens(&phrase), count_tokens(&phrase.to_string()));
+        prop_assert_eq!(phrase.tokens(), count_tokens(&phrase.to_string()));
     }
 
     #[test]
@@ -357,16 +356,15 @@ proptest! {
 
     #[test]
     fn a_subgoal_counts_as_its_text(subgoal in subgoal()) {
-        prop_assert_eq!(subgoal_tokens(&subgoal), count_tokens(&subgoal.to_string()));
+        prop_assert_eq!(subgoal.tokens(), count_tokens(&subgoal.to_string()));
     }
 
     #[test]
     fn a_name_counts_as_its_text(text in name()) {
         let name = Name::from(text.as_str());
         let clone = name.clone();
-        prop_assert_eq!(name_tokens(&name), count_tokens(&text));
-        // The clone reads the memo the first count filled.
-        prop_assert_eq!(name_tokens(&clone), count_tokens(&text));
+        prop_assert_eq!(name.tokens(), count_tokens(&text));
+        prop_assert_eq!(clone.tokens(), count_tokens(&text));
     }
 }
 
@@ -434,12 +432,8 @@ fn edge_names_count_as_their_text() {
         "\u{3000}zone\u{85}",
     ] {
         let name = Name::from(text);
-        assert_eq!(name_tokens(&name), count_tokens(text), "{text:?}");
-        assert_eq!(
-            name_tokens(&name.clone()),
-            count_tokens(text),
-            "{text:?} again"
-        );
+        assert_eq!(name.tokens(), count_tokens(text), "{text:?}");
+        assert_eq!(name.clone().tokens(), count_tokens(text), "{text:?} again");
     }
 }
 
@@ -452,7 +446,7 @@ fn every_edge_coordinate_counts_as_its_text() {
                 to: (x, y),
             };
             let text = subgoal.to_string();
-            assert_eq!(subgoal_tokens(&subgoal), count_tokens(&text), "{text}");
+            assert_eq!(subgoal.tokens(), count_tokens(&text), "{text}");
         }
     }
     let rounds_up = Subgoal::ArmMove {

@@ -2,8 +2,9 @@
 //! and the outcome record execution produces.
 
 pub(crate) use crate::name::Name;
+use crate::observation::point_tokens;
 use embodied_exec::Cell;
-use embodied_profiler::SimDuration;
+use embodied_profiler::{ascii_tokens, digit_tokens, SimDuration};
 use std::fmt;
 
 /// A high-level subgoal, the unit of decision for the planning module.
@@ -201,6 +202,42 @@ impl fmt::Display for Subgoal {
             Subgoal::Skill { name } => write!(f, "execute skill {name}"),
             Subgoal::Explore => f.write_str("explore the environment"),
             Subgoal::Wait => f.write_str("wait"),
+        }
+    }
+}
+
+impl Subgoal {
+    /// Tokens in the [`Display`](fmt::Display) text, added up from its
+    /// fixed wording, counted at compile time, and its names' counts
+    /// without writing it: every name stands between spaces or at an end
+    /// of the text.
+    #[inline]
+    pub fn tokens(&self) -> u64 {
+        match self {
+            Subgoal::GoTo { target, .. } => target.tokens() + const { ascii_tokens("go to") },
+            Subgoal::Pick { object } => object.tokens() + const { ascii_tokens("pick up") },
+            Subgoal::Place { object, dest } => {
+                object.tokens() + dest.tokens() + const { ascii_tokens("place at") }
+            }
+            Subgoal::Open { container } => container.tokens() + const { ascii_tokens("open the") },
+            Subgoal::Gather { resource } => resource.tokens() + const { ascii_tokens("gather") },
+            Subgoal::Craft { item } => item.tokens() + const { ascii_tokens("craft") },
+            Subgoal::Cook { dish, stage } => stage.tokens() + dish.tokens(),
+            Subgoal::Serve { dish } => dish.tokens() + const { ascii_tokens("serve") },
+            Subgoal::MoveBox { box_name, dest } => {
+                box_name.tokens() + dest.tokens() + const { ascii_tokens("move to") }
+            }
+            Subgoal::LiftTogether { box_name, partner } => {
+                box_name.tokens()
+                    + digit_tokens(*partner)
+                    + const { ascii_tokens("lift with agent") }
+            }
+            Subgoal::ArmMove { object, to } => {
+                object.tokens() + point_tokens(to.0, to.1) + const { ascii_tokens("move to") }
+            }
+            Subgoal::Skill { name } => name.tokens() + const { ascii_tokens("execute skill") },
+            Subgoal::Explore => const { ascii_tokens("explore the environment") },
+            Subgoal::Wait => const { ascii_tokens("wait") },
         }
     }
 }

@@ -1,7 +1,7 @@
-//! Entity names as symbols: the text, its hash and a token-count memo
-//! behind one shared handle.
+//! Entity names as symbols: the text, its hash and its token count behind
+//! one shared handle.
 
-use std::cell::Cell;
+use embodied_profiler::count_tokens;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -16,8 +16,8 @@ use std::rc::Rc;
 /// [`crate::SeenEntity`] bumps a reference count instead of copying text.
 ///
 /// The symbol also keeps what readers would otherwise recompute from the
-/// text on every use: a 64-bit hash, taken once when the name is made, and
-/// a token-count memo, filled by the first [`Name::tokens_with`].
+/// text on every use: a 64-bit hash and the text's token count, both taken
+/// once when the name is made.
 ///
 /// A name behaves exactly like its text: equality, ordering, `Debug` and
 /// `Display` are those of the `&str`, so a name made twice from the same
@@ -41,14 +41,9 @@ pub struct Name(Rc<Symbol>);
 
 struct Symbol {
     hash: u64,
-    /// [`UNCOUNTED`] until the first [`Name::tokens_with`].
-    tokens: Cell<u64>,
+    tokens: u64,
     text: Box<str>,
 }
-
-/// The memo of a name (or a [`crate::Word`]) nothing has counted yet: no
-/// text has that many tokens.
-pub(crate) const UNCOUNTED: u64 = u64::MAX;
 
 /// FNV-1a over `text`, with the high half folded into the low so the low
 /// bits a hash table indexes with depend on every byte.
@@ -65,7 +60,7 @@ impl Name {
     fn from_boxed(text: Box<str>, hash: u64) -> Self {
         Name(Rc::new(Symbol {
             hash,
-            tokens: Cell::new(UNCOUNTED),
+            tokens: count_tokens(&text),
             text,
         }))
     }
@@ -82,21 +77,17 @@ impl Name {
         &self.0.text
     }
 
-    /// `count(text)`, computed on the first call for this symbol and read
-    /// from the memo by every later call through any clone. The memo keeps
-    /// one number, so every caller must count with the same function; a
-    /// name made again from the same text starts a memo of its own.
-    pub fn tokens_with(&self, count: impl FnOnce(&str) -> u64) -> u64 {
-        let memo = &self.0.tokens;
-        match memo.get() {
-            UNCOUNTED => {
-                let tokens = count(self.as_str());
-                assert_ne!(tokens, UNCOUNTED, "token count out of range");
-                memo.set(tokens);
-                tokens
-            }
-            tokens => tokens,
-        }
+    /// [`count_tokens`] of the text, taken when the name was made.
+    ///
+    /// ```
+    /// use embodied_env::Name;
+    /// use embodied_profiler::count_tokens;
+    ///
+    /// assert_eq!(Name::from("stone_pickaxe").tokens(), count_tokens("stone_pickaxe"));
+    /// ```
+    #[inline]
+    pub fn tokens(&self) -> u64 {
+        self.0.tokens
     }
 
     /// Whether `a` and `b` are handles to one symbol.
@@ -227,22 +218,5 @@ mod tests {
         assert_eq!((ids[&a], ids[&b]), (0, 1));
         assert_eq!(ids.get(&Name::with_hash("apple_1", 7)), Some(&0));
         assert_eq!(ids.get(&Name::with_hash("mug_3", 7)), None);
-    }
-
-    #[test]
-    fn the_memo_is_shared_by_clones_only() {
-        let a = Name::from("stone_pickaxe");
-        let clone = a.clone();
-        assert_eq!(a.tokens_with(|t| t.len() as u64), 13);
-        assert_eq!(clone.tokens_with(|_| unreachable!("counted once")), 13);
-        let twin = Name::from("stone_pickaxe");
-        assert_eq!(twin.tokens_with(|_| 3), 3);
-        assert!(Name::ptr_eq(&a, &clone) && !Name::ptr_eq(&a, &twin));
-    }
-
-    #[test]
-    #[should_panic(expected = "token count out of range")]
-    fn the_uncounted_marker_is_no_count() {
-        Name::from("x").tokens_with(|_| UNCOUNTED);
     }
 }

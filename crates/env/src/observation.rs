@@ -4,27 +4,28 @@
 //! [`Phrase`]: a few parts — shared [`Name`]s, fixed [`Word`]s, integers
 //! and points — that the environment assembles without allocating and the
 //! sensing module renders once, into the one percept text it keeps. Each
-//! part carries or yields its token count (a name's and a word's memo, an
-//! integer's digits), so the percept's count is summed from its parts, and
-//! the environment never needs the tokenizer.
+//! part carries or yields its token count (a name's and a word's, taken
+//! when it was made; an integer's digits; a point's rounded length), so
+//! [`Phrase::tokens`] sums the percept's count without writing its text.
 
 use crate::action::Name;
-use crate::name::UNCOUNTED;
 use embodied_exec::Cell;
-use std::fmt::{self, Write as _};
-use std::sync::atomic::{AtomicU64, Ordering};
+use embodied_profiler::{ascii_tokens, digit_tokens};
+use std::fmt;
 
-/// Fixed wording in a [`Phrase`]: a `'static` text with a token-count memo,
+/// Fixed wording in a [`Phrase`]: a `'static` text and its token count,
 /// made by [`word!`](crate::word!). Each use site of the macro owns one
-/// static, so the text is counted once per program run, by the first
-/// [`Word::tokens_with`], and copying a word copies a pointer.
+/// immutable static, counted at compile time, so copying a word copies a
+/// pointer.
 ///
 /// ```
 /// use embodied_env::word;
+/// use embodied_profiler::count_tokens;
 ///
 /// let on = word!(" on the floor of ");
 /// assert_eq!(on.text(), " on the floor of ");
-/// assert_eq!(on.tokens_with(|t| t.split_whitespace().count() as u64), 4);
+/// assert_eq!(on.tokens(), count_tokens(" on the floor of "));
+/// assert!(on == word!(" on the floor of ") && on != word!(" on the "));
 /// ```
 #[derive(Clone, Copy)]
 pub struct Word(&'static WordText);
@@ -34,17 +35,17 @@ pub struct Word(&'static WordText);
 #[derive(Debug)]
 pub struct WordText {
     text: &'static str,
-    /// [`UNCOUNTED`] until the first [`Word::tokens_with`].
-    tokens: AtomicU64,
+    tokens: u64,
 }
 
 impl WordText {
-    /// Uncounted `text`.
+    /// `text` with its count, taken at compile time in `word!`'s static:
+    /// a word that is not ASCII fails to compile.
     #[doc(hidden)]
     pub const fn new(text: &'static str) -> Self {
         WordText {
             text,
-            tokens: AtomicU64::new(UNCOUNTED),
+            tokens: ascii_tokens(text),
         }
     }
 }
@@ -61,22 +62,10 @@ impl Word {
         self.0.text
     }
 
-    /// `count(text)`, computed on the first call for this word and read
-    /// from its memo afterwards, as [`Name::tokens_with`] does: every
-    /// caller must count with the same function.
-    pub fn tokens_with(self, count: impl FnOnce(&str) -> u64) -> u64 {
-        // Relaxed: the memo publishes no other data, and threads that race
-        // to fill it store the same count.
-        let memo = &self.0.tokens;
-        match memo.load(Ordering::Relaxed) {
-            UNCOUNTED => {
-                let tokens = count(self.0.text);
-                assert_ne!(tokens, UNCOUNTED, "token count out of range");
-                memo.store(tokens, Ordering::Relaxed);
-                tokens
-            }
-            tokens => tokens,
-        }
+    /// Tokens in the text, counted at compile time.
+    #[inline]
+    pub fn tokens(self) -> u64 {
+        self.0.tokens
     }
 }
 
@@ -93,7 +82,7 @@ impl fmt::Debug for Word {
     }
 }
 
-/// A [`Word`] for a string literal, with its own static memo.
+/// A [`Word`] for an ASCII string literal, in its own static.
 ///
 /// ```
 /// use embodied_env::{phrase, word, Name};
@@ -131,22 +120,10 @@ impl Part {
             Part::Int(_) | Part::Point(..) => false,
         }
     }
-
-    /// Appends the part's text to `out`; only a point goes through `fmt`.
-    fn push_to(&self, out: &mut String) {
-        match self {
-            Part::Name(name) => out.push_str(name),
-            Part::Word(word) => out.push_str(word.text()),
-            Part::Int(n) => push_int(out, *n),
-            Part::Point(x, y) => {
-                let _ = write!(out, "({x:.1}, {y:.1})");
-            }
-        }
-    }
 }
 
-/// Appends `n` in decimal.
-fn push_int(out: &mut String, mut n: usize) {
+/// Writes `n` in decimal, without `fmt`.
+fn write_int(out: &mut impl fmt::Write, mut n: usize) -> fmt::Result {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -157,7 +134,42 @@ fn push_int(out: &mut String, mut n: usize) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+}
+
+/// Tokens in a point written `({x:.1}, {y:.1})`: its coordinates', its
+/// brackets' and its comma's.
+pub(crate) fn point_tokens(x: f64, y: f64) -> u64 {
+    decimal_tokens(x) + decimal_tokens(y) + const { ascii_tokens("(, )") }
+}
+
+/// Tokens in `x` written as `{:.1}`. Every char of a finite number (sign,
+/// digit, point) is a token of its own, so the count is its length: the
+/// sign, the whole part's digits after rounding (9.96 is written `10.0`),
+/// the point and one decimal. Rounding carries into the whole part exactly
+/// when the fraction exceeds 0.95, which no `f64` fraction equals.
+fn decimal_tokens(x: f64) -> u64 {
+    if x.is_nan() {
+        return const { ascii_tokens("NaN") };
+    }
+    if x.is_infinite() {
+        return if x < 0.0 {
+            const { ascii_tokens("-inf") }
+        } else {
+            const { ascii_tokens("inf") }
+        };
+    }
+    let sign = u64::from(x.is_sign_negative());
+    let abs = x.abs();
+    let whole = abs.trunc();
+    let rounded = whole + f64::from(u8::from(abs - whole > 0.95));
+    let digits = if rounded < 1e15 {
+        // Exact: an integral `f64` below 2^53 converts without loss.
+        digit_tokens(rounded as usize)
+    } else {
+        format!("{rounded:.0}").len() as u64
+    };
+    sign + digits + 2
 }
 
 impl From<Name> for Part {
@@ -188,9 +200,10 @@ impl From<(f64, f64)> for Part {
 /// inline, so building one allocates nothing. Its text is its parts' texts
 /// run together; build it with [`phrase!`](crate::phrase!).
 ///
-/// Counting sums the parts' counts, which is exact when no two parts meet
-/// letter to letter: every environment's phrases join their parts at a
-/// space or a punctuation mark. Debug builds recount every percept.
+/// [`Phrase::tokens`] sums the parts' counts, which is exact when no two
+/// parts meet letter to letter: every environment's phrases join their
+/// parts at a space or a punctuation mark. Debug builds recount every
+/// percept.
 ///
 /// ```
 /// use embodied_env::{phrase, word, Name, Phrase};
@@ -230,9 +243,35 @@ impl Phrase {
 
     /// Appends the phrase's text to `out`.
     pub fn push_to(&self, out: &mut String) {
+        self.write_to(out).expect("a String takes any text");
+    }
+
+    /// Writes the phrase's text; only a point goes through `fmt`.
+    fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
         for part in self.parts() {
-            part.push_to(out);
+            match part {
+                Part::Name(name) => out.write_str(name)?,
+                Part::Word(word) => out.write_str(word.text())?,
+                Part::Int(n) => write_int(out, *n)?,
+                Part::Point(x, y) => write!(out, "({x:.1}, {y:.1})")?,
+            }
         }
+        Ok(())
+    }
+
+    /// Tokens in the phrase's text, summed from its parts without writing
+    /// it: a name's and a word's stored count, an integer's digits, a
+    /// point's rounded length.
+    #[inline]
+    pub fn tokens(&self) -> u64 {
+        self.parts()
+            .map(|part| match part {
+                Part::Name(name) => name.tokens(),
+                Part::Word(word) => word.tokens(),
+                Part::Int(n) => digit_tokens(*n),
+                Part::Point(x, y) => point_tokens(*x, *y),
+            })
+            .sum()
     }
 }
 
@@ -246,15 +285,7 @@ macro_rules! phrase {
 
 impl fmt::Display for Phrase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for part in self.parts() {
-            match part {
-                Part::Name(name) => f.write_str(name)?,
-                Part::Word(word) => f.write_str(word.text())?,
-                Part::Int(n) => write!(f, "{n}")?,
-                Part::Point(x, y) => write!(f, "({x:.1}, {y:.1})")?,
-            }
-        }
-        Ok(())
+        self.write_to(f)
     }
 }
 
@@ -270,7 +301,7 @@ impl From<Word> for Phrase {
     }
 }
 
-/// Text made at run time becomes one name, counted on first use.
+/// Text made at run time becomes one name, counted as it is made.
 impl From<&str> for Phrase {
     fn from(text: &str) -> Self {
         Name::from(text).into()
@@ -439,8 +470,9 @@ mod tests {
     fn parts_render_as_format_would() {
         for n in [0, 7, 10, 99, 100, 4096, usize::MAX] {
             let mut out = String::from("|");
-            Part::Int(n).push_to(&mut out);
+            phrase![n].push_to(&mut out);
             assert_eq!(out, format!("|{n}"));
+            assert_eq!(phrase![n].to_string(), format!("{n}"));
         }
         for (x, y) in [(0.0, -0.0), (0.75, 1.45), (9.96, -9.96), (1e16, f64::NAN)] {
             let phrase = phrase![word!("at "), (x, y)];
@@ -460,14 +492,5 @@ mod tests {
         assert!(phrase![Name::default(), word!("")].is_empty());
         assert!(!phrase![Name::default(), 0usize].is_empty());
         assert!(!Phrase::from(word!("hands free")).is_empty());
-    }
-
-    #[test]
-    fn a_word_is_counted_once_per_use_site() {
-        let word = || word!("the goal zone");
-        assert_eq!(word().tokens_with(|t| t.len() as u64), 13);
-        assert_eq!(word().tokens_with(|_| unreachable!("counted once")), 13);
-        assert_eq!(word(), word!("the goal zone"));
-        assert_ne!(word(), word!("the goal"));
     }
 }

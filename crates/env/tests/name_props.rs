@@ -3,16 +3,15 @@
 //! equal, hash alike (the stored hash and through `Hash`), and order,
 //! print and debug-print as the `&str` does; names of unequal text compare
 //! as their texts. A map keyed by names under [`NameHasher`] keeps one
-//! entry per text, and the token memo counts once per symbol.
+//! entry per text.
 
-#[path = "../../llm/tests/support/edge_text.rs"]
+#[path = "../../profiler/tests/support/edge_text.rs"]
 mod edge_text;
 
 use edge_text::edge_text;
 use embodied_env::{Name, NameHasher};
 use proptest::collection;
 use proptest::prelude::*;
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -78,23 +77,5 @@ proptest! {
         let mut expect: Vec<&str> = texts.iter().map(String::as_str).collect();
         expect.sort();
         prop_assert_eq!(sorted, expect);
-    }
-
-    #[test]
-    fn the_memo_counts_once_per_symbol(text in text()) {
-        let calls = Cell::new(0);
-        let count = |t: &str| {
-            calls.set(calls.get() + 1);
-            t.chars().count() as u64
-        };
-        let a = Name::from(text.as_str());
-        let clone = a.clone();
-        let chars = text.chars().count() as u64;
-        prop_assert_eq!(a.tokens_with(count), chars);
-        prop_assert_eq!(clone.tokens_with(count), chars);
-        prop_assert_eq!(a.tokens_with(count), chars);
-        prop_assert_eq!(calls.get(), 1);
-        prop_assert_eq!(Name::from(text.as_str()).tokens_with(count), chars);
-        prop_assert_eq!(calls.get(), 2);
     }
 }

@@ -6,8 +6,7 @@ use crate::profile::ModelProfile;
 use crate::quality::QualityModel;
 use crate::request::{LlmRequest, LlmResponse, Prompt};
 use crate::semantic::{SemanticFaultInjector, SemanticFaultProfile};
-use crate::tokenizer::{common_prefix_len, Tokenizer};
-use embodied_profiler::{ResilienceStats, SimDuration, TokenStats};
+use embodied_profiler::{count_tokens, ResilienceStats, SimDuration, TokenStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,6 +70,19 @@ pub fn floor_char(s: &str, max: usize) -> usize {
         i -= 1;
     }
     i
+}
+
+/// Length of the longest common byte prefix of `a` and `b`: 16-byte chunks
+/// first, then byte by byte inside the first chunk that differs.
+fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    let (a16, _) = a.as_chunks::<16>();
+    let (b16, _) = b.as_chunks::<16>();
+    let same = 16 * a16.iter().zip(b16).take_while(|(x, y)| x == y).count();
+    same + a[same..]
+        .iter()
+        .zip(&b[same..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// A seeded, instrumented simulated-LLM endpoint.
@@ -301,7 +313,7 @@ impl LlmEngine {
         });
         if let (Some(text), Some(prev)) = (reuse_text, &self.last_prompt) {
             let shared_bytes = common_prefix_len(prev.as_bytes(), text.as_bytes());
-            let reused = Tokenizer::STANDARD.count(&text[..floor_char(text, shared_bytes)]);
+            let reused = count_tokens(&text[..floor_char(text, shared_bytes)]);
             opts.kv_reused_tokens = opts.kv_reused_tokens.max(reused.min(prompt_tokens));
         }
 
@@ -369,11 +381,11 @@ impl LlmEngine {
     /// runs a rendered prompt checks it.
     fn prompt_tokens(&self, req: &LlmRequest<'_>) -> u64 {
         match req.prompt {
-            Prompt::Text(text) => Tokenizer::STANDARD.count(text),
+            Prompt::Text(text) => count_tokens(text),
             Prompt::Counted(text, tokens) => {
                 debug_assert_eq!(
                     tokens,
-                    Tokenizer::STANDARD.count(text),
+                    count_tokens(text),
                     "supplied token count of {text:?}"
                 );
                 tokens
@@ -406,6 +418,20 @@ mod tests {
 
     fn planning_req(prompt: &str) -> LlmRequest<'_> {
         LlmRequest::new(Purpose::Planning, prompt, 150)
+    }
+
+    #[test]
+    fn common_prefix_len_finds_the_first_difference_across_chunks() {
+        let a: Vec<u8> = (0..48).collect();
+        for len in 0..=a.len() {
+            assert_eq!(common_prefix_len(&a, &a[..len]), len);
+            assert_eq!(common_prefix_len(&a[..len], &a), len);
+            for diff in 0..len {
+                let mut b = a[..len].to_vec();
+                b[diff] ^= 0x80;
+                assert_eq!(common_prefix_len(&a, &b), diff, "len {len} diff {diff}");
+            }
+        }
     }
 
     #[test]
@@ -616,7 +642,6 @@ mod tests {
         // A request that carries its count must be served exactly like one
         // the engine counts itself, for a growing multi-byte prompt stream
         // with the KV-reuse path exercised too.
-        let tok = Tokenizer::STANDARD;
         let mut counted = LlmEngine::new(ModelProfile::gpt4_api(), 17).with_kv_reuse(true);
         let mut plain = LlmEngine::new(ModelProfile::gpt4_api(), 17).with_kv_reuse(true);
         let mut prompt = String::from("[system] plan the long-horizon task\n");
@@ -624,7 +649,7 @@ mod tests {
             prompt.push_str(&format!(
                 "step {step}: observed 物体_{step} 🤖 at (3,{step})\n"
             ));
-            let supplied = Prompt::Counted(prompt.as_str(), tok.count(&prompt));
+            let supplied = Prompt::Counted(prompt.as_str(), count_tokens(&prompt));
             let a = counted
                 .infer(LlmRequest::new(Purpose::Planning, supplied, 40))
                 .unwrap();
@@ -632,18 +657,17 @@ mod tests {
                 .infer(LlmRequest::new(Purpose::Planning, prompt.as_str(), 40))
                 .unwrap();
             assert_eq!(a, b);
-            assert_eq!(a.prompt_tokens, tok.count(&prompt));
+            assert_eq!(a.prompt_tokens, count_tokens(&prompt));
         }
     }
 
     #[test]
     fn count_only_prompts_bill_like_their_text() {
-        let tok = Tokenizer::STANDARD;
         let mut text = LlmEngine::new(ModelProfile::gpt4_api(), 5);
         let mut count = LlmEngine::new(ModelProfile::gpt4_api(), 5);
         for step in 0..8 {
             let prompt = format!("[system] plan\n[memory]\nstep {step}: saw 物体_{step}\n");
-            let req = LlmRequest::new(Purpose::Planning, Prompt::Tokens(tok.count(&prompt)), 40);
+            let req = LlmRequest::new(Purpose::Planning, Prompt::Tokens(count_tokens(&prompt)), 40);
             assert_eq!(
                 text.infer(LlmRequest::new(Purpose::Planning, &prompt, 40)),
                 count.infer(req)

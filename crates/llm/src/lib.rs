@@ -8,13 +8,15 @@
 //! reasoning is under context dilution and task difficulty. This crate makes
 //! both explicit and deterministic:
 //!
-//! * [`Tokenizer`] — deterministic subword token counting of prompt text;
 //! * [`ModelProfile`] / [`EncoderProfile`] — the model zoo of Table II
 //!   (GPT-4 API, Llama family, LLaVA, ViT/MineCLIP/DINO/… encoders);
 //! * [`inference_latency`] / [`batch_latency`] / [`Quantization`] — the
 //!   analytic latency model, with the paper's Rec. 1 optimizations;
 //! * [`QualityModel`] — capability × context-focus × difficulty;
 //! * [`LlmEngine`] — the seeded, instrumented endpoint agents call.
+//!
+//! Prompt lengths are counted with [`embodied_profiler::count_tokens`], the
+//! one token rule every crate counts the text it makes with.
 //!
 //! ```
 //! use embodied_llm::{LlmEngine, LlmRequest, ModelProfile, Purpose};
@@ -47,7 +49,6 @@ mod semantic;
 mod service;
 mod serving_faults;
 mod sim;
-mod tokenizer;
 
 pub use engine::{floor_char, LlmEngine, LlmError};
 pub use fault::{check_factor, FaultInjector, FaultKind, FaultProfile};
@@ -65,4 +66,3 @@ pub use service::{
 };
 pub use serving_faults::{ServingFaultInjector, ServingFaultProfile};
 pub use sim::{EventQueue, FleetConfig, FleetSummary, ScheduledEvent, SimEvent};
-pub use tokenizer::Tokenizer;

@@ -46,7 +46,7 @@ pub enum Prompt<'a> {
     /// Text the engine counts itself.
     Text(&'a str),
     /// Text with its token count, summed where the prompt was assembled.
-    /// It must equal [`crate::Tokenizer::count`] of the text; debug builds
+    /// It must equal [`embodied_profiler::count_tokens`] of the text; debug builds
     /// recount it.
     Counted(&'a str, u64),
     /// The token count alone: nothing renders the text. An engine with

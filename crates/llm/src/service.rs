@@ -946,7 +946,7 @@ impl From<LlmEngine> for EngineHandle {
 mod tests {
     use super::*;
     use crate::request::Purpose;
-    use crate::tokenizer::Tokenizer;
+    use embodied_profiler::count_tokens;
 
     fn handle(service: &InferenceService, seed: u64, scope: usize) -> EngineHandle {
         let builder = EngineBuilder::new(
@@ -1091,7 +1091,7 @@ mod tests {
         let preamble = "You are an embodied agent in a simulated household. \
                         Coordinate with your teammates to finish the task.";
         let mut handles: Vec<_> = (0..3).map(|i| handle(&service, i as u64 + 10, 0)).collect();
-        let prefix_tokens = Tokenizer::STANDARD.count(preamble);
+        let prefix_tokens = count_tokens(preamble);
         service.open_window(InferenceOpts::default(), prefix_tokens);
         assert!(service.window_is_open());
         let mut responses = Vec::new();

@@ -15,6 +15,9 @@
 //!   also keeps the episode's per-purpose, per-phase and per-step ledgers;
 //! * [`LatencyBreakdown`], [`TokenStats`], [`MessageStats`], [`StepRecord`]
 //!   — derived metrics;
+//! * [`count_tokens`] / [`ascii_tokens`] / [`digit_tokens`] — the
+//!   deterministic subword token rule every simulated model counts prompt
+//!   text with, here so that every crate counts the text it makes;
 //! * [`EpisodeReport`] / [`Aggregate`] — what experiment binaries print;
 //! * [`Table`] / [`ascii_bar`] / [`pct`] — paper-style text rendering.
 //!
@@ -43,6 +46,7 @@ mod span;
 mod stats;
 mod table;
 mod time;
+mod tokenizer;
 
 pub use chrome::chrome_trace_json;
 pub use gantt::render_step_gantt;
@@ -58,6 +62,7 @@ pub use span::{LlmCall, Span, Trace};
 pub use stats::{std_normal_cdf, welch_t_test, Sample, WelchTest};
 pub use table::{ascii_bar, pct, Table};
 pub use time::{SimClock, SimDuration, SimInstant};
+pub use tokenizer::{ascii_tokens, count_tokens, digit_tokens};
 
 /// Checks one probability field: not NaN and in `[0, 1]`. Shared by every
 /// fault profile's `validated()` constructor.

@@ -1,7 +1,7 @@
 //! A small byte-pair-encoding tokenizer, trained deterministically at
 //! construction on an embedded embodied-domain corpus.
 //!
-//! The suite counts tokens with the fast heuristic `embodied_llm::Tokenizer`;
+//! The suite counts tokens with the fast heuristic `embodied_profiler::count_tokens`;
 //! [`BpeTokenizer`] is the reference it is calibrated against (see
 //! `tokenizer_props.rs`, which holds the two within a band on domain text).
 

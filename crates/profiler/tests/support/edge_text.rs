@@ -1,7 +1,8 @@
 //! Edge-case text for tokenizer and prompt-count properties: every ASCII
 //! char, the non-ASCII chars at the edges of the token rule, and letter
 //! runs long enough to split into subwords. Shared by the tokenizer
-//! properties here and the prompt-writer properties in `embodied-agents`.
+//! properties here, the name properties in `embodied-env` and the
+//! prompt-writer properties in `embodied-agents`.
 
 #![allow(dead_code)] // each including test crate uses its own subset
 

@@ -11,7 +11,7 @@ mod edge_text;
 
 use bpe::BpeTokenizer;
 use edge_text::{alphabet, blank_text, edge_text};
-use embodied_llm::Tokenizer;
+use embodied_profiler::count_tokens;
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -43,15 +43,14 @@ fn reference_count_word(word: &str) -> u64 {
 
 #[test]
 fn every_char_and_pair_of_the_alphabet_counts_like_the_reference() {
-    let tok = Tokenizer::STANDARD;
     let chars = alphabet();
     for &a in &chars {
         for text in [a.to_string(), format!("ab{a}cd"), format!("{a}{a}")] {
-            assert_eq!(tok.count(&text), reference_count(&text), "{text:?}");
+            assert_eq!(count_tokens(&text), reference_count(&text), "{text:?}");
         }
         for &b in &chars {
             let text = format!("{a}{b}");
-            assert_eq!(tok.count(&text), reference_count(&text), "{text:?}");
+            assert_eq!(count_tokens(&text), reference_count(&text), "{text:?}");
         }
     }
 }
@@ -62,7 +61,7 @@ proptest! {
     /// The kernel counts exactly what the two-pass reference counts.
     #[test]
     fn count_equals_two_pass_reference(text in edge_text()) {
-        prop_assert_eq!(Tokenizer::STANDARD.count(&text), reference_count(&text), "{:?}", text);
+        prop_assert_eq!(count_tokens(&text), reference_count(&text), "{:?}", text);
     }
 
     /// Counting is additive across any whitespace seam: the count of
@@ -75,10 +74,9 @@ proptest! {
         seam in blank_text(),
         b in edge_text(),
     ) {
-        let tok = Tokenizer::STANDARD;
         let seam = if seam.is_empty() { "\u{3000}" } else { seam.as_str() };
         let whole = format!("{a}{seam}{b}");
-        prop_assert_eq!(tok.count(&whole), tok.count(&a) + tok.count(&b), "{:?}", whole);
+        prop_assert_eq!(count_tokens(&whole), count_tokens(&a) + count_tokens(&b), "{:?}", whole);
     }
 }
 
@@ -130,13 +128,12 @@ fn heuristic_tokenizer_is_calibrated_against_bpe() {
     // domain prose — close enough that latency/quality conclusions are
     // insensitive to the tokenizer choice.
     let bpe = tok();
-    let heuristic = Tokenizer::STANDARD;
     let text = "the agent transports the red apple from the kitchen \
                 counter to the dining table then reports progress to \
                 its teammates and updates the shared memory of object \
                 locations before planning the next exploration step";
     let b = bpe.count(text) as f64;
-    let h = heuristic.count(text) as f64;
+    let h = count_tokens(text) as f64;
     let ratio = h / b;
     assert!(
         (0.6..1.4).contains(&ratio),
