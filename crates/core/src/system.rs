@@ -1015,13 +1015,13 @@ impl EmbodiedSystem {
         outcome
     }
 
-    /// Delivers a broadcast message to `recipients` (excluding the sender),
-    /// counting utility (did any receiver learn something new?). Every
-    /// per-recipient delivery runs through the channel fault layer: it can
-    /// be dropped, blocked at a partition, duplicated, garbled (text
-    /// unusable, entity payload lost), or held for late delivery; crashed
-    /// recipients miss the message entirely. A `none()` channel performs
-    /// zero draws and delivers exactly as before.
+    /// Delivers a broadcast message to `recipients`, in strictly increasing
+    /// order and skipping the sender, counting utility (did any receiver
+    /// learn something new?). Every per-recipient delivery runs through the
+    /// channel fault layer: it can be dropped, blocked at a partition,
+    /// duplicated, garbled (text unusable, entity payload lost), or held
+    /// for late delivery; crashed recipients miss the message entirely. A
+    /// `none()` channel performs zero draws and delivers exactly as before.
     pub(crate) fn deliver_message_to(
         &mut self,
         from: usize,
@@ -1029,12 +1029,13 @@ impl EmbodiedSystem {
         entities: &Rc<[Name]>,
         recipients: &[usize],
     ) {
+        debug_assert!(recipients.windows(2).all(|w| w[0] < w[1]));
         self.messages.generated += 1;
         let n = self.agents.len();
         let step = self.step;
         let mut useful = false;
-        for idx in 0..n {
-            if idx == from || !recipients.contains(&idx) {
+        for &idx in recipients {
+            if idx == from {
                 continue;
             }
             if self.agent_faults.is_down(idx) {

@@ -21,13 +21,15 @@
 //!    reference-count bump on a name the environment built once;
 //! 4. knowledge-filtering such a menu against a memory's entity set and
 //!    counting its tokens allocate nothing: lookups read each name's stored
-//!    hash and counts read its token memo;
+//!    hash and counts read the token count it stored when it was made;
 //! 5. an environment's `observe` allocates only its `Vec` of seen
 //!    entities, whose descriptions are inline phrases over shared names,
 //!    and sensing an observation allocates exactly the percept's shared
 //!    text and, when it recognized anything, its entity list;
 //! 6. retrieval from a full-history memory allocates nothing at 10, 100
-//!    or 1000 records, with and without summarization.
+//!    or 1000 records, with and without summarization;
+//! 7. a world searches each route once: repeating a pair's query after
+//!    the first allocates nothing.
 //!
 //! The allocator lives here (an integration test is its own crate) because
 //! the library itself is `#![forbid(unsafe_code)]`.
@@ -40,7 +42,8 @@ use embodied_agents::modules::{MemoryModule, Percept, RecordKind, SensingModule,
 use embodied_agents::prompt::{title, write_joint_plan_prompt, Body, Counted, PromptWriter};
 use embodied_agents::{workloads, AgentConfig, EnvKind, ModularAgent, RunOverrides};
 use embodied_env::{
-    BoxVariant, EnvFaultProfile, Environment, FaultyEnv, LowLevel, Name, Subgoal, TaskDifficulty,
+    BoxVariant, EnvFaultProfile, Environment, FaultyEnv, GridWorld, LowLevel, Name, Subgoal,
+    TaskDifficulty,
 };
 use embodied_llm::{InferenceService, LlmEngine, LlmRequest, ModelProfile, Purpose, ServingConfig};
 
@@ -399,7 +402,8 @@ fn observations_allocate_only_their_vec() {
 /// planner runs it for each agent: the menu against the central memory's
 /// entity set, then the filtered menu's token count. The menu is fetched
 /// before counting starts; the filter keeps its buffer, membership reads
-/// each name's stored hash and the count each name's memo.
+/// each name's stored hash, and the count reads the token count each name
+/// stored when it was made.
 #[test]
 fn knowledge_filter_and_menu_count_allocate_nothing() {
     let mut env = EnvKind::BoxWorld(BoxVariant::BoxLift).build(TaskDifficulty::Medium, 4, 42);
@@ -496,4 +500,25 @@ fn retrieval_allocates_nothing_at_any_history_length() {
             );
         }
     }
+}
+
+/// A world keeps every route it planned: after a pair's first query, which
+/// searches and allocates the route's shared path, 100 repeats of it share
+/// that path and allocate nothing. A world that searched on every query
+/// would allocate a path per query.
+#[test]
+fn a_repeated_route_allocates_nothing() {
+    let mut world = GridWorld::rooms_in_row(28, 10, 4);
+    let (from, goal) = (world.rooms()[0].center(), world.rooms()[3].center());
+    let first = world.route(from, goal).expect("the rooms connect");
+    let start = allocs();
+    let (mut expanded, mut shared) = (0, 0);
+    for _ in 0..100 {
+        let again = world.route(from, goal).expect("the rooms connect");
+        expanded += again.nodes_expanded;
+        shared += usize::from(std::rc::Rc::ptr_eq(&again.path, &first.path));
+    }
+    let n = allocs() - start;
+    assert_eq!(n, 0, "100 repeats of one route allocated {n} times");
+    assert_eq!((expanded, shared), (100 * first.nodes_expanded, 100));
 }

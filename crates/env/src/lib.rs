@@ -46,7 +46,6 @@ mod kitchen;
 mod manipulation;
 mod name;
 mod observation;
-mod routes;
 mod transport;
 mod world;
 
@@ -65,6 +64,5 @@ pub use name::{Name, NameHasher};
 #[doc(hidden)]
 pub use observation::WordText;
 pub use observation::{Observation, Part, Phrase, SeenEntity, Word};
-pub use routes::{Route, RouteMemo};
 pub use transport::TransportEnv;
-pub use world::{GridWorld, Room};
+pub use world::{GridWorld, Room, Route};

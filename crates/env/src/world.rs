@@ -1,8 +1,10 @@
-//! Shared spatial world model: a room-partitioned occupancy grid.
+//! Shared spatial world model: a room-partitioned occupancy grid and the
+//! routes planned on it.
 
 use crate::action::Name;
-use crate::routes::{Route, RouteMemo};
-use embodied_exec::{Cell, DenseGrid, NavGrid, PlanError};
+use embodied_exec::{astar_in, AstarScratch, Cell, DenseGrid, NavGrid, PlanError};
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// A rectangular room within the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,10 +42,14 @@ impl Room {
 ///
 /// Nothing changes a world after construction, so [`GridWorld::route`]
 /// plans each route once and shares it with every later query.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct GridWorld {
-    /// The wall bitmap, with the routes planned on it.
-    walls: RouteMemo<DenseGrid>,
+    /// The wall bitmap.
+    walls: DenseGrid,
+    /// Every route queried so far, keyed by its endpoints.
+    routes: HashMap<(Cell, Cell), Result<Route, PlanError>>,
+    /// The buffers every search on `walls` runs in.
+    scratch: AstarScratch,
     rooms: Vec<Room>,
     /// Each room's name (`room_{id}`), built once: `Room` is `Copy`, so
     /// the shared names live here, indexed like `rooms`.
@@ -91,7 +97,7 @@ impl GridWorld {
 
     /// Grid height.
     pub fn grid_height(&self) -> i32 {
-        self.walls.grid().height()
+        self.walls.height()
     }
 
     /// The rooms of this world.
@@ -118,7 +124,7 @@ impl GridWorld {
 
     /// The room containing `cell`, if any (wall cells belong to no room).
     pub fn room_of(&self, cell: Cell) -> Option<&Room> {
-        let slot = self.room_index[self.walls.grid().index(cell)?];
+        let slot = self.room_index[self.walls.index(cell)?];
         (slot != NO_ROOM).then(|| &self.rooms[slot as usize])
     }
 
@@ -146,7 +152,7 @@ impl GridWorld {
 
     /// The shortest route from `from` to `goal`, as [`embodied_exec::astar`]
     /// plans it. The first query for a pair runs the search; later ones
-    /// share its result, `NoPath` included. Callers bill
+    /// share its result, errors included. Callers bill
     /// `route.nodes_expanded` on every query all the same.
     ///
     /// # Errors
@@ -154,19 +160,51 @@ impl GridWorld {
     /// [`PlanError::InvalidEndpoint`] if either endpoint is a wall or out
     /// of bounds, [`PlanError::NoPath`] if the goal is unreachable.
     pub fn route(&mut self, from: Cell, goal: Cell) -> Result<Route, PlanError> {
-        self.walls.route(from, goal)
+        let GridWorld {
+            walls,
+            routes,
+            scratch,
+            ..
+        } = self;
+        routes
+            .entry((from, goal))
+            .or_insert_with(|| {
+                let nodes_expanded = astar_in(scratch, walls, from, goal)?;
+                Ok(Route {
+                    path: scratch.path().into(),
+                    nodes_expanded,
+                })
+            })
+            .clone()
+    }
+}
+
+/// A planned route as [`GridWorld::route`] keeps it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Route {
+    /// Cells from start to goal inclusive, shared by every query for this
+    /// pair of endpoints.
+    pub path: Rc<[Cell]>,
+    /// Nodes the search popped from its open list.
+    pub nodes_expanded: usize,
+}
+
+impl Route {
+    /// Number of moves along the path.
+    pub fn length(&self) -> usize {
+        self.path.len().saturating_sub(1)
     }
 }
 
 impl NavGrid for GridWorld {
     fn width(&self) -> i32 {
-        self.walls.grid().width()
+        self.walls.width()
     }
     fn height(&self) -> i32 {
-        self.walls.grid().height()
+        self.walls.height()
     }
     fn passable(&self, cell: Cell) -> bool {
-        self.walls.grid().passable(cell)
+        self.walls.passable(cell)
     }
 }
 
@@ -299,7 +337,9 @@ impl Layout {
         }
         debug_assert!(self.rooms.iter().enumerate().all(|(i, r)| r.id == i));
         GridWorld {
-            walls: RouteMemo::new(walls),
+            walls,
+            routes: HashMap::new(),
+            scratch: AstarScratch::default(),
             room_names: (0..self.rooms.len())
                 .map(|id| format!("room_{id}").into())
                 .collect(),

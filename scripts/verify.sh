@@ -52,8 +52,24 @@ done
 echo "== perf_bench tests =="
 cargo test --release --offline --locked --manifest-path perf_bench/Cargo.toml
 
-echo "== perf_bench --smoke =="
-cargo run --release -q --offline --locked --manifest-path perf_bench/Cargo.toml -- --smoke > /dev/null
+# Each workload's smoke report_digest is pinned: a change that moves any
+# modelled result fails here, naming the workload. A change that moves
+# results on purpose re-pins these values and says why in CHANGES.md.
+echo "== perf_bench --smoke (pinned digests) =="
+declare -A pinned=(
+  [suite_mix]=a9ce0f25dcbd7e39
+  [team_dialogue]=941cead9f2863027
+  [fleet_shared]=cb18502c69d0352c
+  [faulted_mix]=75030725149ea1b7
+)
+for workload in suite_mix team_dialogue fleet_shared faulted_mix; do
+  digest=$(cargo run --release -q --offline --locked --manifest-path perf_bench/Cargo.toml -- \
+    --smoke --workload "$workload" | sed -n 's/^# checks report_digest=\([0-9a-f]*\).*/\1/p')
+  if [ "$digest" != "${pinned[$workload]}" ]; then
+    echo "perf_bench --smoke: $workload report_digest is '$digest', pinned ${pinned[$workload]}" >&2
+    exit 1
+  fi
+done
 
 echo "== cargo fmt --check =="
 cargo fmt --check
