@@ -75,7 +75,8 @@ pub struct ModularAgent {
     pub suspected: HashSet<usize>,
     /// Reusable render buffer for the planner's memory/map context section:
     /// allocated once per episode, rewritten in place every step the
-    /// planning prompt is rendered.
+    /// planning prompt is rendered, and never written while it is only
+    /// counted.
     pub memory_buf: String,
 }
 

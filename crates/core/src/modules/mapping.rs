@@ -8,11 +8,15 @@
 //! — the measurable footprint of exploration.
 
 use crate::modules::Percept;
+use crate::prompt::{Counted, TextSink};
 use embodied_env::Name;
 use embodied_profiler::{ascii_tokens, digit_tokens};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
+
+/// Locations the map's prompt context lists: the most recently seen.
+const CONTEXT_LOCATIONS: usize = 6;
 
 /// What the agent knows about one location.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -94,8 +98,9 @@ impl WorldMap {
             .find_map(|(known, k)| (known.as_str() == name).then_some(k))
     }
 
-    /// Renders a compact prompt section: one line per location, most
-    /// recently seen first, capped at `max_locations` lines.
+    /// Renders one line per location, most recently seen first, capped at
+    /// `max_locations` lines: the plain rendering that
+    /// [`Self::write_context`]'s lines are tested against.
     pub fn summary(&self, max_locations: usize) -> String {
         let mut locs: Vec<(&Name, &LocationKnowledge)> = self.locations.iter().collect();
         locs.sort_by_key(|(_, k)| std::cmp::Reverse(k.last_seen_step));
@@ -117,76 +122,40 @@ impl WorldMap {
             .join("\n")
     }
 
-    /// Appends the map's prompt context to `out` — a `[map]` header, the
-    /// [`Self::summary`] of the `max_locations` most recent locations, and
-    /// a newline; nothing while no location is mapped — and returns its
-    /// token count, summed from the lines' stored counts. Allocation-free
-    /// for `max_locations` up to 16.
-    pub fn write_context(&self, out: &mut String, max_locations: usize) -> u64 {
-        self.context_into(Some(out), max_locations)
-    }
-
-    /// The token count [`Self::write_context`] returns, without the text.
-    pub fn context_tokens(&self, max_locations: usize) -> u64 {
-        self.context_into(None, max_locations)
-    }
-
-    fn context_into(&self, mut out: Option<&mut String>, max_locations: usize) -> u64 {
+    /// Writes the map's prompt context into `text`: a `[map]` header and
+    /// the [`Self::summary`] of the six most recently seen locations, each
+    /// line ending in a newline and counted from its parts when its content
+    /// last changed; nothing while no location is mapped. Allocation-free.
+    pub fn write_context(&self, text: &mut TextSink<'_>) {
         if self.locations.is_empty() {
-            return 0;
-        }
-        if let Some(out) = out.as_deref_mut() {
-            out.push_str("[map]\n");
-        }
-        let mut tokens = const { ascii_tokens("[map]") };
-        let mut first = true;
-        self.for_each_recent(max_locations, |name, k| {
-            tokens += k.line_tokens;
-            let Some(out) = out.as_deref_mut() else {
-                return;
-            };
-            if !std::mem::take(&mut first) {
-                out.push('\n');
-            }
-            if k.entities.is_empty() {
-                let _ = write!(
-                    out,
-                    "{name}: nothing notable (seen step {})",
-                    k.last_seen_step
-                );
-            } else {
-                let _ = write!(out, "{name}: ");
-                for (j, e) in k.entities.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(e);
-                }
-                let _ = write!(out, " (seen step {})", k.last_seen_step);
-            }
-        });
-        if let Some(out) = out {
-            out.push('\n');
-        }
-        tokens
-    }
-
-    /// Visits the `max_locations` most recently seen locations, newest
-    /// first, in [`Self::summary`]'s order: ties on `last_seen_step` keep
-    /// map (alphabetical) order, as its stable sort does. Up to 16, the
-    /// selection runs on a stack scratchpad.
-    fn for_each_recent(&self, max_locations: usize, mut f: impl FnMut(&str, &LocationKnowledge)) {
-        const STACK: usize = 16;
-        if max_locations > STACK {
-            // Cold path for oversized requests; prompt callers cap at 6.
-            let mut locs: Vec<_> = self.locations.iter().collect();
-            locs.sort_by_key(|(_, k)| std::cmp::Reverse(k.last_seen_step));
-            for (name, k) in locs.into_iter().take(max_locations) {
-                f(name, k);
-            }
             return;
         }
-        let mut top: [Option<(&Name, &LocationKnowledge)>; STACK] = [None; STACK];
+        text.push(Counted::literal("[map]\n"));
+        self.for_each_recent(|name, k| {
+            text.write(k.line_tokens, |out| {
+                if k.entities.is_empty() {
+                    let _ = write!(out, "{name}: nothing notable");
+                } else {
+                    let _ = write!(out, "{name}: ");
+                    for (j, e) in k.entities.iter().enumerate() {
+                        if j > 0 {
+                            out.push_str(", ");
+                        }
+                        out.push_str(e);
+                    }
+                }
+                let _ = writeln!(out, " (seen step {})", k.last_seen_step);
+            });
+        });
+    }
+
+    /// Visits the `CONTEXT_LOCATIONS` most recently seen locations, newest
+    /// first, in [`Self::summary`]'s order: ties on `last_seen_step` keep
+    /// map (alphabetical) order, as its stable sort does. The selection
+    /// runs on a stack scratchpad.
+    fn for_each_recent(&self, mut f: impl FnMut(&str, &LocationKnowledge)) {
+        const N: usize = CONTEXT_LOCATIONS;
+        let mut top: [Option<(&Name, &LocationKnowledge)>; N] = [None; N];
         let mut len = 0usize;
         for entry in &self.locations {
             let step = entry.1.last_seen_step;
@@ -197,10 +166,10 @@ impl WorldMap {
                     break;
                 }
             }
-            if pos >= max_locations {
+            if pos >= N {
                 continue;
             }
-            let new_len = (len + 1).min(max_locations);
+            let new_len = (len + 1).min(N);
             for i in (pos..new_len - 1).rev() {
                 top[i + 1] = top[i];
             }
@@ -217,7 +186,6 @@ impl WorldMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prompt::Counted;
     use embodied_profiler::count_tokens;
 
     fn percept(location: &str, entities: &[&str]) -> Percept {
@@ -251,46 +219,63 @@ mod tests {
         );
     }
 
+    /// The map's context through a rendering sink, and its count.
+    fn context(map: &WorldMap) -> (String, u64) {
+        let mut buf = String::from("stale text");
+        let mut text = TextSink::new(Some(&mut buf));
+        map.write_context(&mut text);
+        let tokens = text.tokens();
+        (buf, tokens)
+    }
+
     #[test]
     fn summary_orders_by_recency_and_caps() {
         let mut map = WorldMap::new();
-        for i in 0..6 {
+        for i in 0..8 {
             map.integrate(&percept(&format!("room_{i}"), &["x"]), i);
         }
         let summary = map.summary(3);
         assert_eq!(summary.lines().count(), 3);
-        assert!(summary.lines().next().unwrap().starts_with("room_5"));
-        assert!(!summary.contains("room_0"));
+        assert!(summary.lines().next().unwrap().starts_with("room_7"));
+        assert!(!summary.contains("room_4"));
+        let (context, _) = context(&map);
+        assert_eq!(context.lines().count(), 1 + CONTEXT_LOCATIONS);
+        assert!(context.lines().nth(1).unwrap().starts_with("room_7"));
+        assert!(!context.contains("room_1"));
     }
 
     #[test]
     fn context_is_the_summary_and_its_count_matches_the_text() {
-        let mut map = WorldMap::new();
         // Distinct steps, a revisit, an entity-less room, a tie on
         // last_seen_step (rooms 7 and 8) to pin the stable-sort order, and
-        // entity names with spaces, punctuation and non-ASCII letters.
-        for i in 0..7 {
-            map.integrate(&percept(&format!("room_{i}"), &["x", "y"]), i);
-        }
-        map.integrate(&percept("room_2", &[]), 9);
-        map.integrate(&percept("room_8", &["z"]), 10);
-        map.integrate(&percept("room_7", &["w"]), 10);
-        map.integrate(&percept("dock Ω", &["", " crate,9 ", "物体"]), 1234);
-        for cap in [0, 1, 3, 6, 12, 16, 17, 40] {
-            let mut buf = String::from("prefix|\n");
-            let tokens = map.write_context(&mut buf, cap);
+        // entity names with spaces, punctuation and non-ASCII letters:
+        // ten locations, so the cap of six binds.
+        let mut visits: Vec<(String, &[&str], usize)> = (0..7)
+            .map(|i| (format!("room_{i}"), &["x", "y"][..], i))
+            .collect();
+        visits.extend([
+            ("room_2".to_owned(), &[][..], 9),
+            ("room_8".to_owned(), &["z"][..], 10),
+            ("room_7".to_owned(), &["w"][..], 10),
+            ("dock Ω".to_owned(), &["", " crate,9 ", "物体"][..], 1234),
+        ]);
+        let mut map = WorldMap::new();
+        assert_eq!(context(&map), (String::new(), 0));
+        for (location, entities, step) in visits {
+            map.integrate(&percept(&location, entities), step);
+            let (buf, tokens) = context(&map);
+            let expected = format!("[map]\n{}\n", map.summary(CONTEXT_LOCATIONS));
+            assert_eq!(buf, expected, "after {location} at step {step}");
             assert_eq!(
-                buf,
-                format!("prefix|\n[map]\n{}\n", map.summary(cap)),
-                "cap {cap}"
+                tokens,
+                count_tokens(&buf),
+                "after {location} at step {step}"
             );
-            assert_eq!(tokens, count_tokens(&buf["prefix|\n".len()..]), "cap {cap}");
-            assert_eq!(map.context_tokens(cap), tokens, "cap {cap}");
+            let mut counted = TextSink::new(None);
+            map.write_context(&mut counted);
+            assert_eq!(counted.tokens(), tokens, "after {location} at step {step}");
         }
-        let empty = WorldMap::new();
-        let mut buf = String::new();
-        assert_eq!(empty.write_context(&mut buf, 6), 0);
-        assert!(buf.is_empty());
+        assert_eq!(map.coverage(), 10);
     }
 
     #[test]
@@ -299,5 +284,6 @@ mod tests {
         map.integrate(&percept("", &["ghost"]), 0);
         assert_eq!(map.coverage(), 0);
         assert!(map.summary(5).is_empty());
+        assert_eq!(context(&map), (String::new(), 0));
     }
 }

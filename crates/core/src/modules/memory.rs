@@ -3,7 +3,7 @@
 //! (Fig. 5), and the dual long/short-term structure of Rec. 5.
 
 use crate::config::MemoryCapacity;
-use crate::prompt::Counted;
+use crate::prompt::{Counted, TextSink};
 use embodied_env::{Name, NameHasher, SubgoalKind};
 use embodied_profiler::{ascii_tokens, count_tokens, digit_tokens, SimDuration};
 use std::collections::HashMap;
@@ -50,36 +50,18 @@ pub struct MemoryRecord {
     pub entities: Rc<[Name]>,
 }
 
-/// Result of a retrieval pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Retrieval {
-    /// Prompt text of the retrieved context.
-    pub text: String,
-    /// Time the lookup took (grows with stored records — Fig. 5's
-    /// "longer information retrieval times").
+/// What a retrieval pass measures; [`MemoryModule::retrieve`]
+/// writes its text and count into a [`TextSink`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetrievalStats {
+    /// Time the lookup took (grows with stored records — Fig. 5's "longer
+    /// information retrieval times").
     pub latency: SimDuration,
     /// Quality penalty from memory inconsistency (0 unless the retained
     /// window is excessively large, per Fig. 5's full-history regime).
     pub inconsistency_penalty: f64,
     /// Records scanned by the lookup.
     pub records_scanned: usize,
-}
-
-/// Everything a retrieval pass measures except the text, which
-/// [`MemoryModule::retrieve_write`] streams into a caller-owned buffer so
-/// the steady-state step loop retrieves without heap allocation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetrievalStats {
-    /// Time the lookup took.
-    pub latency: SimDuration,
-    /// Quality penalty from memory inconsistency.
-    pub inconsistency_penalty: f64,
-    /// Records scanned by the lookup.
-    pub records_scanned: usize,
-    /// Tokens in the text the lookup wrote: the stored record counts plus
-    /// the `step N: ` prefixes, with only the summary header and the
-    /// long-term line scanned.
-    pub tokens: u64,
 }
 
 /// An entity's index in one memory module's name table.
@@ -538,32 +520,18 @@ impl MemoryModule {
         names.into()
     }
 
-    /// Streams retrieval context into `out` (appending), returning the
-    /// measured stats. Allocation-free in steady state: record lines are
-    /// written straight into the caller's buffer, the summarized view
-    /// renders only the lines it keeps, and the dual-memory long-term line
-    /// walks the pre-sorted store.
-    pub fn retrieve_write(&self, out: &mut String) -> RetrievalStats {
-        self.retrieve_into(Some(out))
-    }
-
-    /// The stats [`MemoryModule::retrieve_write`] returns, token count
-    /// included, without writing a line: for prompts assembled as counts.
-    pub fn retrieve_count(&self) -> RetrievalStats {
-        self.retrieve_into(None)
-    }
-
-    /// Retrieval, rendering into `out` when there is one. The token count
-    /// never reads the rendered text, so both forms count alike: record
-    /// lines add their stored counts, and the header and the long-term line
-    /// are counted from their parts.
-    fn retrieve_into(&self, mut out: Option<&mut String>) -> RetrievalStats {
+    /// Retrieves context for prompting: appends it to `text` and returns
+    /// the measured stats. Record lines add their stored counts, and the
+    /// summary header and the long-term line are counted from their parts.
+    /// Allocation-free in steady state: the summarized view renders only
+    /// the lines it keeps, and the dual-memory long-term line walks the
+    /// pre-sorted store.
+    pub fn retrieve(&self, text: &mut TextSink<'_>) -> RetrievalStats {
         if !self.enabled {
             return RetrievalStats {
                 latency: SimDuration::ZERO,
                 inconsistency_penalty: 0.0,
                 records_scanned: 0,
-                tokens: 0,
             };
         }
         let retained = self.retained();
@@ -579,7 +547,8 @@ impl MemoryModule {
         // one long-term line plus the last ≤4 records; the flat path is
         // every retained record. Summarization keeps the last 6 lines
         // behind a "[N earlier entries summarized]" header, so lines that
-        // would be dropped are never formatted at all.
+        // would be dropped are never formatted at all. Lines are joined by
+        // newlines, so the text's count is the sum of the lines' counts.
         let tail = if self.dual {
             &retained[retained.len() - retained.len().min(4)..]
         } else {
@@ -590,54 +559,46 @@ impl MemoryModule {
         } else {
             tail.len()
         };
-        // Lines are joined by newlines, so the text's count is the sum of
-        // the lines' counts.
-        let mut tokens = 0;
         let skip = if self.summarize && n_lines > KEEP_LAST {
             let omitted = n_lines - KEEP_LAST;
-            if let Some(out) = out.as_deref_mut() {
+            text.write(summary_header_tokens(omitted), |out| {
                 let _ = writeln!(
                     out,
                     "[{omitted} earlier entries summarized: routine progress]"
                 );
-            }
-            tokens += summary_header_tokens(omitted);
+            });
             omitted
         } else {
             0
         };
-        let mut line_idx = 0usize;
-        let mut first = true;
-        if self.dual {
-            if line_idx >= skip {
-                if let Some(out) = out.as_deref_mut() {
-                    out.push_str("long-term: known entities ");
-                    for (i, &id) in self.long_term_sorted.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(self.names.name(id));
+        // The dual view's long-term line is its line 0.
+        let long_term = self.dual && skip == 0;
+        if long_term {
+            let tokens =
+                const { ascii_tokens("long-term: known entities") } + self.long_term_tokens;
+            text.write(tokens, |out| {
+                out.push_str("long-term: known entities ");
+                for (i, &id) in self.long_term_sorted.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
                     }
+                    out.push_str(self.names.name(id));
                 }
-                tokens +=
-                    const { ascii_tokens("long-term: known entities") } + self.long_term_tokens;
-                first = false;
-            }
-            line_idx += 1;
+            });
         }
-        for r in tail {
-            if line_idx >= skip {
-                if let Some(out) = out.as_deref_mut() {
-                    if !first {
-                        out.push('\n');
-                    }
-                    let _ = write!(out, "step {}: {}", r.step, r.text);
+        let kept = &tail[skip - usize::from(self.dual && !long_term)..];
+        let tokens = kept
+            .iter()
+            .map(|r| step_prefix_tokens(r.step) + r.tokens)
+            .sum();
+        text.write(tokens, |out| {
+            for (i, r) in kept.iter().enumerate() {
+                if long_term || i > 0 {
+                    out.push('\n');
                 }
-                first = false;
-                tokens += step_prefix_tokens(r.step) + r.tokens;
+                let _ = write!(out, "step {}: {}", r.step, r.text);
             }
-            line_idx += 1;
-        }
+        });
 
         let inconsistency_penalty = if self.dual || retained.len() <= INCONSISTENCY_ONSET {
             0.0
@@ -649,22 +610,6 @@ impl MemoryModule {
             latency,
             inconsistency_penalty,
             records_scanned: scanned,
-            tokens,
-        }
-    }
-
-    /// Retrieves context for prompting into a fresh string. The step loop
-    /// uses [`MemoryModule::retrieve_write`] with a reused buffer; this
-    /// wrapper keeps the allocating convenience shape for callers that
-    /// want an owned [`Retrieval`].
-    pub fn retrieve(&self) -> Retrieval {
-        let mut text = String::new();
-        let stats = self.retrieve_write(&mut text);
-        Retrieval {
-            text,
-            latency: stats.latency,
-            inconsistency_penalty: stats.inconsistency_penalty,
-            records_scanned: stats.records_scanned,
         }
     }
 }
@@ -678,6 +623,13 @@ mod tests {
 
     fn module(capacity: MemoryCapacity) -> MemoryModule {
         MemoryModule::new(true, capacity, false, false, vec!["room_0".into()])
+    }
+
+    /// Retrieval through a rendering sink: the text it wrote and the stats.
+    fn rendered(m: &MemoryModule) -> (String, RetrievalStats) {
+        let mut buf = String::new();
+        let stats = m.retrieve(&mut TextSink::new(Some(&mut buf)));
+        (buf, stats)
     }
 
     /// The names of `set`'s members.
@@ -694,7 +646,7 @@ mod tests {
     }
 
     /// The pre-rework algorithms: the known set from the landmarks plus a
-    /// scan of every retained record's entity names; `retrieve` collected
+    /// scan of every retained record's entity names; retrieval collected
     /// every line into a `Vec<String>` before joining. The incremental
     /// index and the streaming writer must match both exactly.
     fn known_entities_by_record_scan(m: &MemoryModule) -> HashSet<String> {
@@ -803,7 +755,7 @@ mod tests {
                         );
                     }
                     assert_eq!(
-                        m.retrieve().text,
+                        rendered(&m).0,
                         retrieval_text_by_line_collection(&m),
                         "retrieval text diverged at step {step}"
                     );
@@ -850,33 +802,41 @@ mod tests {
                         Counted::new(format!("\u{85}agent {k}: antidisestablishment ok ").into()),
                         vec![format!(" ω crate,{}", k % 3).into()].into(),
                     );
-                    let mut buf = String::from("[map]\nroom_0\n");
-                    let prefix = buf.len();
-                    let stats = m.retrieve_write(&mut buf);
+                    let mut buf = String::new();
+                    let mut text = TextSink::new(Some(&mut buf));
+                    text.push(Counted::literal("[map]\nroom_0\n"));
+                    let stats = m.retrieve(&mut text);
+                    let tokens = text.tokens();
                     assert_eq!(
-                        stats.tokens,
-                        count_tokens(&buf[prefix..]),
+                        tokens,
+                        count_tokens(&buf),
                         "step {step}, enabled {enabled}, dual {dual}, summarize \
-                         {summarize}, {mode:?}, {capacity:?}: {:?}",
-                        &buf[prefix..]
+                         {summarize}, {mode:?}, {capacity:?}: {buf:?}"
                     );
-                    assert_eq!(m.retrieve_count(), stats);
+                    let mut counted = TextSink::new(None);
+                    counted.push(Counted::literal("[map]\nroom_0\n"));
+                    assert_eq!(m.retrieve(&mut counted), stats);
+                    assert_eq!(counted.tokens(), tokens);
                 }
             }
         }
     }
 
     #[test]
-    fn retrieve_write_appends_without_clearing() {
+    fn retrieve_appends_without_clearing() {
         let mut m = module(MemoryCapacity::Full);
         m.begin_step(1);
         m.store(RecordKind::Action, "picked up apple_1", vec![]);
-        let mut buf = String::from("[map]\nroom_0: apple_1\n");
-        let stats = m.retrieve_write(&mut buf);
+        let mut buf = String::new();
+        let mut text = TextSink::new(Some(&mut buf));
+        text.push(Counted::literal("[map]\nroom_0: apple_1\n"));
+        let stats = m.retrieve(&mut text);
+        let tokens = text.tokens();
         assert!(buf.starts_with("[map]\n"));
         assert!(buf.ends_with("step 1: picked up apple_1"));
+        assert_eq!(tokens, count_tokens(&buf));
         assert_eq!(stats.records_scanned, 1);
-        assert_eq!(stats.latency, m.retrieve().latency);
+        assert_eq!(stats, m.retrieve(&mut TextSink::new(None)));
     }
 
     #[test]
@@ -892,7 +852,7 @@ mod tests {
         m.store(RecordKind::Observation, "saw apple", vec!["apple_1".into()]);
         // The immediately preceding turn is still in working context…
         assert!(known_entities(&mut m).contains("apple_1"));
-        assert_eq!(m.retrieve().latency, SimDuration::ZERO);
+        assert_eq!(rendered(&m).1.latency, SimDuration::ZERO);
         // …but two steps later it is gone, and landmarks remain.
         m.begin_step(3);
         let known = known_entities(&mut m);
@@ -926,12 +886,12 @@ mod tests {
     fn retrieval_latency_grows_with_records() {
         let mut m = module(MemoryCapacity::Full);
         m.begin_step(0);
-        let early = m.retrieve().latency;
+        let early = rendered(&m).1.latency;
         for i in 0..50 {
             m.begin_step(i);
             m.store(RecordKind::Action, format!("did thing {i}"), vec![]);
         }
-        let late = m.retrieve().latency;
+        let late = rendered(&m).1.latency;
         assert!(late > early);
     }
 
@@ -942,14 +902,14 @@ mod tests {
             m.begin_step(i);
             m.store(RecordKind::Observation, format!("obs {i}"), vec![]);
         }
-        assert!(m.retrieve().inconsistency_penalty > 0.0);
+        assert!(rendered(&m).1.inconsistency_penalty > 0.0);
 
         let mut small = module(MemoryCapacity::Steps(8));
         for i in 0..100 {
             small.begin_step(i);
             small.store(RecordKind::Observation, format!("obs {i}"), vec![]);
         }
-        assert_eq!(small.retrieve().inconsistency_penalty, 0.0);
+        assert_eq!(rendered(&small).1.inconsistency_penalty, 0.0);
     }
 
     #[test]
@@ -963,7 +923,7 @@ mod tests {
                 vec![format!("entity_{i}").into()],
             );
         }
-        let r = m.retrieve();
+        let (_, r) = rendered(&m);
         assert_eq!(r.inconsistency_penalty, 0.0);
         // Long-term store retains everything…
         assert!(known_entities(&mut m).contains("entity_0"));
@@ -1013,9 +973,9 @@ mod tests {
         let mut m = module(MemoryCapacity::Steps(5));
         m.begin_step(2);
         m.store(RecordKind::Action, "picked up apple_1", vec![]);
-        let r = m.retrieve();
-        assert!(r.text.contains("picked up apple_1"));
-        assert!(r.text.contains("step 2"));
+        let (text, _) = rendered(&m);
+        assert!(text.contains("picked up apple_1"));
+        assert!(text.contains("step 2"));
     }
 
     #[test]
@@ -1093,6 +1053,6 @@ mod tests {
             plain.store(RecordKind::Observation, text.clone(), vec![]);
             summ.store(RecordKind::Observation, text, vec![]);
         }
-        assert!(summ.retrieve().text.len() < plain.retrieve().text.len() / 2);
+        assert!(rendered(&summ).0.len() < rendered(&plain).0.len() / 2);
     }
 }

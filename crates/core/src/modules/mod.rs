@@ -12,8 +12,7 @@ pub use communication::{CommunicationModule, OutgoingMessage};
 pub use execution::{ExecMode, ExecutionModule, ExecutionReport};
 pub use mapping::{LocationKnowledge, WorldMap};
 pub use memory::{
-    no_entities, EntitySet, MemoryModule, MemoryRecord, RecordKind, Retrieval, RetrievalMode,
-    RetrievalStats,
+    no_entities, EntitySet, MemoryModule, MemoryRecord, RecordKind, RetrievalMode, RetrievalStats,
 };
 pub use planning::{PlanContext, PlanDecision, PlanningModule};
 pub use reflection::{ReflectionModule, ReflectionVerdict};

@@ -6,9 +6,11 @@
 //! oracle or draws a wrong candidate — so success rates, wasted steps and
 //! replanning loops all flow from the quality model.
 
-use crate::prompt::{title, Body, Counted, PromptWriter};
+use crate::prompt::{title, Counted, PromptWriter};
 use embodied_env::Subgoal;
-use embodied_llm::{EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Purpose};
+use embodied_llm::{
+    EngineHandle, InferenceOpts, LlmError, LlmRequest, LlmResponse, Prompt, Purpose,
+};
 use std::rc::Rc;
 
 /// The action-selection pass's closing request, after the proposed plan.
@@ -23,8 +25,9 @@ pub struct PlanContext<'a> {
     pub goal: Counted<&'a str>,
     /// Sensing output text, counted where sensing made it.
     pub percept: Counted<&'a str>,
-    /// Retrieved memory.
-    pub memory: Body<'a>,
+    /// Retrieved memory and the map: the text with its count, or the
+    /// count alone, as the planner's engine needs.
+    pub memory: Prompt<'a>,
     /// Dialogue history (multi-agent systems): the messages received,
     /// concatenated one per line.
     pub dialogue: &'a [Counted<Rc<str>>],
@@ -230,7 +233,7 @@ mod tests {
             preamble: Counted::new("you are a planner"),
             goal: Counted::new("deliver all objects"),
             percept: Counted::new("you see object_1"),
-            memory: Body::Count(0),
+            memory: Prompt::Tokens(0),
             dialogue: &[],
             oracle: oracle.to_vec(),
             candidates: candidates.to_vec(),

@@ -8,7 +8,7 @@
 
 use crate::guardrail;
 use crate::modules::{no_entities, Percept, RecordKind};
-use crate::prompt::{renders_for, write_joint_plan_prompt, Body, Counted, PromptWriter};
+use crate::prompt::{write_joint_plan_prompt, Counted, PromptWriter, TextSink};
 use crate::system::EmbodiedSystem;
 use embodied_env::{AffordanceSet, Name, Subgoal};
 use embodied_llm::{InferenceOpts, LlmRequest, Purpose, SemanticFlaw};
@@ -183,13 +183,8 @@ pub(crate) fn plan_assignments(
     }
 
     let central = sys.central.as_mut().expect("centralized system");
-    let render = renders_for(central.planning.engine());
-    let retrieval = if render {
-        central.memory_buf.clear();
-        central.memory.retrieve_write(&mut central.memory_buf)
-    } else {
-        central.memory.retrieve_count()
-    };
+    let mut memory = TextSink::for_engine(&mut central.memory_buf, central.planning.engine());
+    let retrieval = central.memory.retrieve(&mut memory);
     sys.accounts
         .trace
         .record(ModuleKind::Memory, Phase::Retrieval, 0, retrieval.latency);
@@ -201,7 +196,7 @@ pub(crate) fn plan_assignments(
     write_joint_plan_prompt(
         &mut w,
         sys.goal.as_deref(),
-        Body::new(render, &central.memory_buf, retrieval.tokens),
+        memory.finish(),
         percepts,
         &menus,
     );

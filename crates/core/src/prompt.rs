@@ -8,8 +8,12 @@
 //! scores a call by that count alone. The bytes are rendered only where
 //! something reads them: for an engine with KV-prefix reuse, which compares
 //! consecutive prompts, and in every debug build, where the engine recounts
-//! each rendered prompt against the count assembly summed (see
-//! [`PromptWriter::for_engine`]).
+//! each rendered prompt against the count assembly summed. One type knows
+//! which: the [`TextSink`] prompt text goes into. It writes the text only
+//! when it has a buffer, and always adds the count the text was made with.
+//! The map and the memory write their context into one, and a
+//! [`PromptWriter`] writes its sections into another, so no other code
+//! asks whether a prompt is rendered.
 //!
 //! Nothing is formatted to be counted. Text that never changes once made
 //! (preambles, percepts, memory lines, messages) carries its token count
@@ -30,14 +34,6 @@ use embodied_env::Subgoal;
 use embodied_llm::{EngineHandle, Prompt};
 use embodied_profiler::{ascii_tokens, count_tokens, digit_tokens};
 use std::fmt::{Display, Write as _};
-
-/// Whether prompts for `engine` are rendered as text: when the engine reads
-/// it (KV-prefix reuse), and in debug builds, so the engine recounts every
-/// rendered prompt against its summed count. Otherwise assembly only sums
-/// counts.
-pub(crate) fn renders_for(engine: &EngineHandle) -> bool {
-    engine.reads_prompt_text() || render_by_default()
-}
 
 #[cfg(not(test))]
 fn render_by_default() -> bool {
@@ -141,40 +137,9 @@ impl<T: AsRef<str>> Counted<T> {
     }
 }
 
-/// A section body made elsewhere and counted there: its text with the
-/// count, or the count alone when the prompt is assembled without text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Body<'a> {
-    /// The text and its count.
-    Text(Counted<&'a str>),
-    /// The count alone; a rendering [`PromptWriter`] accepts only a zero
-    /// count, an empty body it skips.
-    Count(u64),
-}
-
-impl<'a> Body<'a> {
-    /// The text in `buf` with its count when `rendered`, else the count
-    /// alone (`buf` is then not read).
-    pub fn new(rendered: bool, buf: &'a str, tokens: u64) -> Self {
-        if rendered {
-            Body::Text(Counted::with_tokens(buf, tokens))
-        } else {
-            Body::Count(tokens)
-        }
-    }
-
-    /// Tokens in the body.
-    pub fn tokens(&self) -> u64 {
-        match self {
-            Body::Text(text) => text.tokens(),
-            Body::Count(tokens) => *tokens,
-        }
-    }
-}
-
-impl<'a> From<Counted<&'a str>> for Body<'a> {
+impl<'a> From<Counted<&'a str>> for Prompt<'a> {
     fn from(text: Counted<&'a str>) -> Self {
-        Body::Text(text)
+        Prompt::Counted(text.text, text.tokens)
     }
 }
 
@@ -210,19 +175,99 @@ pub mod title {
     pub const AVAILABLE_ACTIONS: Counted<&str> = Counted::literal("available actions");
 }
 
-/// Assembles a prompt's sections into a caller-owned `String` and keeps a
-/// running token count. Each section is `[title]\n{body}\n`, skipped when
-/// the body is empty or whitespace. Titles arrive counted, as the
-/// constants of [`mod@title`].
+/// Prompt text under assembly, and the one place that knows whether it is
+/// rendered: a buffer the text is written into, or none, and the running
+/// token count. Every piece arrives with the count taken where its text
+/// was made; the sink always adds that count, and writes the text only
+/// when it has a buffer. A counting sink has no buffer to write, and both
+/// forms reach the same count. The map and the memory write their prompt
+/// context into one ([`WorldMap::write_context`],
+/// [`MemoryModule::retrieve`]); a [`PromptWriter`] writes its
+/// sections into another.
 ///
-/// A writer has two forms. [`PromptWriter::new`] renders the text and sums
-/// its count. [`PromptWriter::counting`] only sums the count and never
-/// touches its buffer: every section adds counts made elsewhere (a header
-/// costs its title's tokens and two brackets, a menu line its number, its
-/// parentheses and [`Subgoal::tokens`]), so the two forms always agree on
-/// the count. The writer scans only bodies that arrive without a count.
-/// The per-step hot path reuses one buffer across an entire episode, so
-/// rendering performs no allocations once the buffer has grown.
+/// ```
+/// use embodied_agents::prompt::{Counted, TextSink};
+/// use embodied_llm::Prompt;
+/// use embodied_profiler::count_tokens;
+///
+/// let line = [Counted::literal("step 3: "), Counted::new("saw the apple")];
+/// let mut buf = String::from("stale text");
+/// let mut text = TextSink::new(Some(&mut buf));
+/// line.into_iter().for_each(|piece| text.push(piece));
+/// let tokens = text.tokens();
+/// assert_eq!(buf, "step 3: saw the apple");
+/// assert_eq!(tokens, count_tokens(&buf));
+///
+/// let mut counted = TextSink::new(None);
+/// line.into_iter().for_each(|piece| counted.push(piece));
+/// assert_eq!(counted.finish(), Prompt::Tokens(tokens));
+/// ```
+///
+/// [`WorldMap::write_context`]: crate::modules::WorldMap::write_context
+/// [`MemoryModule::retrieve`]: crate::modules::MemoryModule::retrieve
+#[derive(Debug)]
+pub struct TextSink<'a> {
+    out: Option<&'a mut String>,
+    tokens: u64,
+}
+
+impl<'a> TextSink<'a> {
+    /// Starts text rendered into `out`, cleared first, or only counted
+    /// when there is no buffer.
+    pub fn new(mut out: Option<&'a mut String>) -> Self {
+        if let Some(out) = out.as_deref_mut() {
+            out.clear();
+        }
+        TextSink { out, tokens: 0 }
+    }
+
+    /// Starts text for a prompt to `engine`: rendered into `out` when the
+    /// engine reads it (KV-prefix reuse) and in debug builds, where the
+    /// engine recounts every rendered prompt against its summed count;
+    /// otherwise only counted, and `out` is left alone.
+    pub fn for_engine(out: &'a mut String, engine: &EngineHandle) -> Self {
+        Self::new((engine.reads_prompt_text() || render_by_default()).then_some(out))
+    }
+
+    /// Tokens in everything written so far: exactly [`count_tokens`] of the
+    /// text a rendering sink writes.
+    pub fn tokens(&self) -> u64 {
+        self.tokens
+    }
+
+    /// Adds `tokens`, the count of the text `render` writes, and calls
+    /// `render` only when the sink renders.
+    pub fn write(&mut self, tokens: u64, render: impl FnOnce(&mut String)) {
+        if let Some(out) = self.out.as_deref_mut() {
+            render(out);
+        }
+        self.tokens += tokens;
+    }
+
+    /// Appends text counted where it was made.
+    pub fn push(&mut self, text: Counted<&str>) {
+        self.write(text.tokens(), |out| out.push_str(text.text()));
+    }
+
+    /// The finished text with its count, or the count alone.
+    pub fn finish(self) -> Prompt<'a> {
+        match self.out {
+            Some(out) => Prompt::Counted(out, self.tokens),
+            None => Prompt::Tokens(self.tokens),
+        }
+    }
+}
+
+/// Assembles a prompt's sections into a [`TextSink`]. Each section is
+/// `[title]\n{body}\n`, skipped when the body is empty or whitespace.
+/// Titles arrive counted, as the constants of [`mod@title`].
+///
+/// The writer adds every section's count the same way whether or not its
+/// sink renders: a header costs its title's tokens and two brackets, a
+/// menu line its number, its parentheses and [`Subgoal::tokens`]. It scans
+/// only bodies that arrive without a count. The per-step hot path reuses
+/// one buffer across an entire episode, so rendering performs no
+/// allocations once the buffer has grown.
 ///
 /// ```
 /// use embodied_agents::prompt::{Counted, PromptWriter};
@@ -230,86 +275,68 @@ pub mod title {
 ///
 /// const GOAL: Counted<&str> = Counted::literal("goal");
 /// let mut buf = String::new();
-/// let tokens = PromptWriter::new(&mut buf, Counted::new("be helpful"))
+/// let tokens = PromptWriter::new(Some(&mut buf), Counted::new("be helpful"))
 ///     .push(GOAL, "deliver things")
 ///     .push(Counted::literal("empty"), "  ")
 ///     .tokens();
 /// assert_eq!(buf, "[system]\nbe helpful\n[goal]\ndeliver things\n");
 /// assert_eq!(tokens, count_tokens(&buf));
 ///
-/// let mut scratch = String::new();
-/// let counted = PromptWriter::counting(&mut scratch, Counted::new("be helpful"))
+/// let counted = PromptWriter::new(None, Counted::new("be helpful"))
 ///     .push(GOAL, "deliver things")
 ///     .tokens();
-/// assert_eq!((counted, scratch.capacity()), (tokens, 0));
+/// assert_eq!(counted, tokens);
 /// ```
 pub struct PromptWriter<'a> {
-    out: &'a mut String,
-    render: bool,
-    tokens: u64,
+    text: TextSink<'a>,
 }
 
 impl<'a> PromptWriter<'a> {
-    /// Clears `out` and starts rendering a prompt with the workload's
-    /// system preamble.
-    pub fn new(out: &'a mut String, preamble: Counted<&str>) -> Self {
-        Self::start(out, preamble, true)
+    /// Starts a prompt with the workload's system preamble, rendered into
+    /// `out` (cleared first) or, with no buffer, only counted.
+    pub fn new(out: Option<&'a mut String>, preamble: Counted<&str>) -> Self {
+        Self::start(TextSink::new(out), preamble)
     }
 
-    /// Starts counting a prompt without rendering it. `scratch` is cleared
-    /// and never written.
-    pub fn counting(scratch: &'a mut String, preamble: Counted<&str>) -> Self {
-        Self::start(scratch, preamble, false)
-    }
-
-    /// Starts a prompt for `engine`: rendered when the engine reads text or
-    /// the build is a debug build, else only counted.
+    /// Starts a prompt for `engine` in `out`, rendered or only counted as
+    /// [`TextSink::for_engine`] decides.
     pub fn for_engine(out: &'a mut String, preamble: Counted<&str>, engine: &EngineHandle) -> Self {
-        Self::start(out, preamble, renders_for(engine))
+        Self::start(TextSink::for_engine(out, engine), preamble)
     }
 
-    fn start(out: &'a mut String, preamble: Counted<&str>, render: bool) -> Self {
-        out.clear();
-        let mut w = PromptWriter {
-            out,
-            render,
-            tokens: 0,
-        };
+    fn start(text: TextSink<'a>, preamble: Counted<&str>) -> Self {
+        let mut w = PromptWriter { text };
         w.push_counted(title::SYSTEM, preamble);
         w
     }
 
     /// Tokens in everything written so far: exactly
-    /// [`count_tokens`] of the text the rendering form writes.
+    /// [`count_tokens`] of the text a rendering writer writes.
     pub fn tokens(&self) -> u64 {
-        self.tokens
+        self.text.tokens()
     }
 
     /// The finished prompt for a request: the text with its count, or the
     /// count alone.
     pub fn finish(self) -> Prompt<'a> {
-        let out: &'a String = self.out;
-        if self.render {
-            Prompt::Counted(out, self.tokens)
-        } else {
-            Prompt::Tokens(self.tokens)
-        }
+        self.text.finish()
     }
 
     /// Appends a named section, counting `body` here.
     pub fn push(&mut self, title: Counted<&str>, body: &str) -> &mut Self {
-        self.push_counted(title, Counted::new(body))
+        self.push_counted(title, Prompt::Text(body))
     }
 
-    /// Appends a named section whose body was counted where it was made.
+    /// Appends a named section whose body was counted where it was made: a
+    /// [`Counted`] text, or a finished [`TextSink`].
     ///
     /// # Panics
     ///
-    /// Panics if a rendering writer gets a nonempty [`Body::Count`].
+    /// Panics if a rendering writer gets a nonempty [`Prompt::Tokens`].
     pub fn push_counted<'b>(
         &mut self,
         title: Counted<&str>,
-        body: impl Into<Body<'b>>,
+        body: impl Into<Prompt<'b>>,
     ) -> &mut Self {
         self.section(title.text(), title.tokens(), body.into())
     }
@@ -325,16 +352,15 @@ impl<'a> PromptWriter<'a> {
         let tokens = lines.iter().map(Counted::tokens).sum::<u64>();
         if tokens > 0 {
             self.header(title.text(), title.tokens());
-            if self.render {
+            self.text.write(tokens, |out| {
                 for (k, line) in lines.iter().enumerate() {
                     if k > 0 {
-                        self.out.push('\n');
+                        out.push('\n');
                     }
-                    self.out.push_str(line.text());
+                    out.push_str(line.text());
                 }
-                self.out.push('\n');
-            }
-            self.tokens += tokens;
+                out.push('\n');
+            });
         }
         self
     }
@@ -346,10 +372,9 @@ impl<'a> PromptWriter<'a> {
         let tokens = subgoal.tokens();
         if tokens > 0 {
             self.header(title.text(), title.tokens());
-            if self.render {
-                let _ = writeln!(self.out, "{subgoal}");
-            }
-            self.tokens += tokens;
+            self.text.write(tokens, |out| {
+                let _ = writeln!(out, "{subgoal}");
+            });
         }
         self
     }
@@ -364,58 +389,59 @@ impl<'a> PromptWriter<'a> {
             title::AVAILABLE_ACTIONS.text(),
             title::AVAILABLE_ACTIONS.tokens(),
         );
-        if self.render {
-            for (i, sg) in candidates.iter().enumerate() {
-                let _ = writeln!(self.out, "({i}) {sg}");
-            }
-            self.out.push('\n');
-        }
         // Each line is `(i) {subgoal}`: two parentheses and the digits.
-        self.tokens += candidates
+        let tokens = candidates
             .iter()
             .enumerate()
             .map(|(i, sg)| 2 + digit_tokens(i) + sg.tokens())
             .sum::<u64>();
+        self.text.write(tokens, |out| {
+            for (i, sg) in candidates.iter().enumerate() {
+                let _ = writeln!(out, "({i}) {sg}");
+            }
+            out.push('\n');
+        });
         self
     }
 
     /// Appends free text after the last section. Sections end in a
     /// newline, so the text starts at a token seam.
     pub fn append(&mut self, text: Counted<&str>) -> &mut Self {
-        if self.render {
-            debug_assert!(self.out.is_empty() || self.out.ends_with('\n'));
-            self.out.push_str(text.text());
-        }
-        self.tokens += text.tokens();
+        self.text.write(text.tokens(), |out| {
+            debug_assert!(out.is_empty() || out.ends_with('\n'));
+            out.push_str(text.text());
+        });
         self
     }
 
     /// A section of `title_tokens` titled `title` around `body`, skipped
     /// when the body is blank.
-    fn section(&mut self, title: impl Display, title_tokens: u64, body: Body<'_>) -> &mut Self {
+    fn section(&mut self, title: impl Display, title_tokens: u64, body: Prompt<'_>) -> &mut Self {
+        let tokens = match body {
+            Prompt::Text(text) => count_tokens(text),
+            Prompt::Counted(_, tokens) | Prompt::Tokens(tokens) => tokens,
+        };
         // Every char that is not whitespace costs at least one token, so a
         // zero count is exactly a body that `trim` leaves empty.
-        if body.tokens() > 0 {
+        if tokens > 0 {
             self.header(title, title_tokens);
-            if self.render {
-                let Body::Text(text) = body else {
-                    panic!("a rendered prompt needs the text of every section");
-                };
-                self.out.push_str(text.text());
-                self.out.push('\n');
-            }
-            self.tokens += body.tokens();
+            self.text.write(tokens, |out| {
+                let text = body
+                    .text()
+                    .expect("a rendered prompt needs the text of every section");
+                out.push_str(text);
+                out.push('\n');
+            });
         }
         self
     }
 
-    /// Writes `[title]` and its newline when rendering, and counts it:
-    /// each bracket is a token of its own.
+    /// Writes `[title]` and its newline, and counts it: each bracket is a
+    /// token of its own.
     fn header(&mut self, title: impl Display, title_tokens: u64) {
-        if self.render {
-            let _ = writeln!(self.out, "[{title}]");
-        }
-        self.tokens += title_tokens + 2;
+        self.text.write(title_tokens + 2, |out| {
+            let _ = writeln!(out, "[{title}]");
+        });
     }
 }
 
@@ -430,7 +456,7 @@ const JOINT_INSTRUCTION: Counted<&str> = Counted::literal(
 pub fn write_joint_plan_prompt<'b>(
     w: &mut PromptWriter<'_>,
     goal: Counted<&str>,
-    memory: impl Into<Body<'b>>,
+    memory: impl Into<Prompt<'b>>,
     percepts: &[Percept],
     menus: &[Vec<Subgoal>],
 ) {
@@ -557,7 +583,7 @@ mod tests {
         w.push(Counted::literal("goal"), "deliver things")
             .push(Counted::literal("empty"), " \u{3000}\n")
             .push_counted(title::MEMORY, Counted::new("saw an apple"))
-            .push_counted(Counted::literal("no dialogue"), Body::Count(0))
+            .push_counted(Counted::literal("no dialogue"), Prompt::Tokens(0))
             .push_lines(
                 title::DIALOGUE,
                 &[
@@ -579,27 +605,24 @@ mod tests {
     }
 
     fn write(out: &mut String, candidates: &[Subgoal]) -> u64 {
-        let mut w = PromptWriter::new(out, Counted::new("be helpful"));
+        let mut w = PromptWriter::new(Some(out), Counted::new("be helpful"));
         sections(&mut w, candidates);
         w.tokens()
     }
 
     #[test]
-    fn counting_agrees_with_rendering_and_copies_nothing() {
+    fn counting_agrees_with_rendering() {
         let candidates = [Subgoal::Explore, Subgoal::Wait];
         let mut buf = String::new();
         let rendered = write(&mut buf, &candidates);
-        let mut scratch = String::new();
-        let mut w = PromptWriter::counting(&mut scratch, Counted::new("be helpful"));
+        let mut w = PromptWriter::new(None, Counted::new("be helpful"));
         sections(&mut w, &candidates);
-        w.push_counted(title::MEMORY, Body::Count(7))
+        w.push_counted(title::MEMORY, Prompt::Tokens(7))
             .append(Counted::literal("Confirm."));
         assert_eq!(w.tokens(), rendered + 3 + 7 + 2);
         assert_eq!(w.finish(), Prompt::Tokens(rendered + 12));
-        assert!(scratch.is_empty());
-        assert_eq!(scratch.capacity(), 0, "a counting writer wrote its buffer");
 
-        let w = PromptWriter::new(&mut buf, Counted::new("x"));
+        let w = PromptWriter::new(Some(&mut buf), Counted::new("x"));
         assert_eq!(w.finish(), Prompt::Counted("[system]\nx\n", 4));
     }
 
@@ -607,7 +630,8 @@ mod tests {
     #[should_panic(expected = "needs the text of every section")]
     fn a_rendering_writer_rejects_a_bare_count() {
         let mut buf = String::new();
-        PromptWriter::new(&mut buf, Counted::new("x")).push_counted(title::MEMORY, Body::Count(3));
+        PromptWriter::new(Some(&mut buf), Counted::new("x"))
+            .push_counted(title::MEMORY, Prompt::Tokens(3));
     }
 
     #[test]
@@ -644,7 +668,7 @@ mod tests {
     #[test]
     fn appended_text_is_counted() {
         let mut buf = String::new();
-        let tokens = PromptWriter::new(&mut buf, Counted::new("x"))
+        let tokens = PromptWriter::new(Some(&mut buf), Counted::new("x"))
             .append(Counted::literal("\n"))
             .push_subgoal(title::PROPOSED_PLAN, &Subgoal::Explore)
             .append(Counted::literal("Confirm."))
@@ -675,13 +699,12 @@ mod tests {
         };
         let mut buf = String::new();
         let tokens = joint(&mut PromptWriter::new(
-            &mut buf,
+            Some(&mut buf),
             Counted::new("plan jointly"),
         ));
         assert!(buf.contains("[agent 2 observation]\nagent 2 sees crate_2"));
         assert_eq!(tokens, count_tokens(&buf));
-        let mut scratch = String::new();
-        let mut w = PromptWriter::counting(&mut scratch, Counted::new("plan jointly"));
+        let mut w = PromptWriter::new(None, Counted::new("plan jointly"));
         assert_eq!(joint(&mut w), tokens);
     }
 

@@ -12,7 +12,7 @@ use crate::modules::{
     RecordKind,
 };
 use crate::orchestrator::{self, Paradigm};
-use crate::prompt::{renders_for, system_preamble, Body, Counted};
+use crate::prompt::{system_preamble, Counted, TextSink};
 use crate::recovery::RecoveryPolicy;
 use embodied_env::{AffordanceSet, Environment, ExecOutcome, FailureKind, Name, Subgoal};
 use embodied_llm::{
@@ -758,17 +758,9 @@ impl EmbodiedSystem {
         // bring their counts from where their lines were made; when the
         // prompt is rendered they write into the agent's reusable buffer,
         // with no per-step allocation.
-        let render = renders_for(agent.planning.engine());
-        let (map_tokens, retrieval) = if render {
-            agent.memory_buf.clear();
-            let map_tokens = agent.map.write_context(&mut agent.memory_buf, 6);
-            (
-                map_tokens,
-                agent.memory.retrieve_write(&mut agent.memory_buf),
-            )
-        } else {
-            (agent.map.context_tokens(6), agent.memory.retrieve_count())
-        };
+        let mut memory = TextSink::for_engine(&mut agent.memory_buf, agent.planning.engine());
+        agent.map.write_context(&mut memory);
+        let retrieval = agent.memory.retrieve(&mut memory);
         self.accounts
             .trace
             .record(ModuleKind::Memory, Phase::Retrieval, i, retrieval.latency);
@@ -793,7 +785,7 @@ impl EmbodiedSystem {
             preamble: agent.preamble.as_deref(),
             goal,
             percept: percept.text.as_deref(),
-            memory: Body::new(render, &agent.memory_buf, map_tokens + retrieval.tokens),
+            memory: memory.finish(),
             dialogue: &agent.inbox,
             oracle,
             candidates,

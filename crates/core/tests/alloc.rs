@@ -39,7 +39,7 @@ use std::cell::Cell;
 
 use embodied_agents::config::MemoryCapacity;
 use embodied_agents::modules::{MemoryModule, Percept, RecordKind, SensingModule, WorldMap};
-use embodied_agents::prompt::{title, write_joint_plan_prompt, Body, Counted, PromptWriter};
+use embodied_agents::prompt::{title, write_joint_plan_prompt, Counted, PromptWriter, TextSink};
 use embodied_agents::{workloads, AgentConfig, EnvKind, ModularAgent, RunOverrides};
 use embodied_env::{
     BoxVariant, EnvFaultProfile, Environment, FaultyEnv, GridWorld, LowLevel, Name, Subgoal,
@@ -97,15 +97,6 @@ struct Planner {
     prompt_buf: String,
 }
 
-/// A writer that renders the prompt, or only counts it.
-fn writer<'a>(out: &'a mut String, preamble: Counted<&str>, render: bool) -> PromptWriter<'a> {
-    if render {
-        PromptWriter::new(out, preamble)
-    } else {
-        PromptWriter::counting(out, preamble)
-    }
-}
-
 /// The steady-state planning path: the map context and retrieval streamed
 /// into a reused buffer (or only counted), a point `knows` query, prompt
 /// assembly into a second reused buffer with the memory section's count
@@ -114,16 +105,12 @@ fn writer<'a>(out: &'a mut String, preamble: Counted<&str>, render: bool) -> Pro
 /// prompt over the same memory, written into the same buffer and served
 /// the same way.
 fn plan_once(mem: &MemoryModule, p: &mut Planner, render: bool) -> f64 {
-    let (map_tokens, stats) = if render {
-        p.memory_buf.clear();
-        let map_tokens = p.map.write_context(&mut p.memory_buf, 6);
-        (map_tokens, mem.retrieve_write(&mut p.memory_buf))
-    } else {
-        (p.map.context_tokens(6), mem.retrieve_count())
-    };
-    let memory = Body::new(render, &p.memory_buf, map_tokens + stats.tokens);
+    let mut memory = TextSink::new(render.then_some(&mut p.memory_buf));
+    p.map.write_context(&mut memory);
+    let stats = mem.retrieve(&mut memory);
+    let memory = memory.finish();
     let known = mem.knows(&p.probe);
-    let mut w = writer(&mut p.prompt_buf, p.preamble.as_deref(), render);
+    let mut w = PromptWriter::new(render.then_some(&mut p.prompt_buf), p.preamble.as_deref());
     w.push_counted(title::TASK_GOAL, p.goal.as_deref())
         .push(
             Counted::literal("known"),
@@ -133,7 +120,7 @@ fn plan_once(mem: &MemoryModule, p: &mut Planner, render: bool) -> f64 {
     let req = LlmRequest::new(Purpose::Planning, w.finish(), 64).with_difficulty(0.4);
     let resp = p.engine.infer(req).expect("inference succeeds");
 
-    let mut w = writer(&mut p.prompt_buf, p.preamble.as_deref(), render);
+    let mut w = PromptWriter::new(render.then_some(&mut p.prompt_buf), p.preamble.as_deref());
     write_joint_plan_prompt(&mut w, p.goal.as_deref(), memory, &p.percepts, &p.menus);
     let req = LlmRequest::new(Purpose::Planning, w.finish(), 64);
     let joint = p.engine.infer(req).expect("inference succeeds");
@@ -483,17 +470,20 @@ fn retrieval_allocates_nothing_at_any_history_length() {
         for summarize in [false, true] {
             let mem = full_history_memory(records, summarize);
             let mut buf = String::new();
-            let warm = mem.retrieve_write(&mut buf);
-            assert_eq!(warm.records_scanned, records);
+            let mut warm = TextSink::new(Some(&mut buf));
+            assert_eq!(mem.retrieve(&mut warm).records_scanned, records);
+            let warm = warm.tokens();
             let start = allocs();
             let mut tokens = 0;
             for _ in 0..100 {
-                buf.clear();
-                tokens += mem.retrieve_write(&mut buf).tokens;
-                tokens += mem.retrieve_count().tokens;
+                for render in [true, false] {
+                    let mut text = TextSink::new(render.then_some(&mut buf));
+                    mem.retrieve(&mut text);
+                    tokens += text.tokens();
+                }
             }
             let n = allocs() - start;
-            assert_eq!(tokens, 200 * warm.tokens);
+            assert_eq!(tokens, 200 * warm);
             assert_eq!(
                 n, 0,
                 "{records} records, summarize {summarize}: retrieval allocated {n} times over 100 passes"
