@@ -43,6 +43,6 @@ pub use grasp::{GraspCandidate, GraspOutcome, GraspPlanner, GraspTarget};
 pub use grid::{Cell, DenseGrid, NavGrid};
 pub use mlp::MlpPolicy;
 pub use rrt::{
-    plan_rrt, plan_rrt_connect, smooth_trajectory, Circle, Point, RrtError, RrtParams, Trajectory,
-    Workspace,
+    nearest, plan_rrt, plan_rrt_connect, smooth_trajectory, Circle, Point, RrtError, RrtParams,
+    Trajectory, Workspace,
 };

@@ -89,12 +89,98 @@ impl Workspace {
             && self.obstacles.iter().all(|o| p.dist(o.center) > o.radius)
     }
 
-    /// Whether the straight segment `a`→`b` stays free (checked at 2 cm
-    /// resolution).
+    /// Whether the straight segment `a`→`b` stays free, answered exactly as
+    /// the 2 cm sampler would: [`Workspace::free`] at `ceil(|ab| / 2 cm)`
+    /// evenly spaced points, both ends included.
+    ///
+    /// Most segments never reach the sampler. Each circle's exact clearance
+    /// is the distance from its centre to the closest point of the segment.
+    /// If both endpoints lie inside the bounds by a margin of 10⁻⁹ m and
+    /// every circle is cleared by its radius plus that margin, no sample can
+    /// be out of bounds or inside a circle, so the answer is `true`. The
+    /// samples and both computations are exact up to rounding of a few ulps
+    /// of the coordinates and radii involved. That is below 10⁻¹⁰ m while
+    /// they stay under 10⁵ m, so the margin covers it; larger workspaces
+    /// and circles always sample. Any other segment (near a circle or a
+    /// wall, or with a non-finite coordinate) is sampled.
     pub fn segment_free(&self, a: Point, b: Point) -> bool {
+        if self.clears(a, b) {
+            debug_assert!(
+                self.sampled_free(a, b),
+                "clearance test passed {a:?}->{b:?}, which the sampler rejects"
+            );
+            return true;
+        }
+        self.sampled_free(a, b)
+    }
+
+    /// The clearance test: `true` only when no 2 cm sample of `a`→`b` can
+    /// leave the bounds or touch a circle.
+    fn clears(&self, a: Point, b: Point) -> bool {
+        let inside = |p: Point| {
+            (CLEARANCE_MARGIN..=self.width - CLEARANCE_MARGIN).contains(&p.x)
+                && (CLEARANCE_MARGIN..=self.height - CLEARANCE_MARGIN).contains(&p.y)
+        };
+        if self.width.max(self.height) > EXACT_SCALE || !inside(a) || !inside(b) {
+            return false;
+        }
+        let (dx, dy) = (b.x - a.x, b.y - a.y);
+        let len2 = dx * dx + dy * dy;
+        self.obstacles.iter().all(|o| {
+            let (cx, cy) = (o.center.x - a.x, o.center.y - a.y);
+            let t = if len2 > 0.0 {
+                ((cx * dx + cy * dy) / len2).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            let (ex, ey) = (cx - t * dx, cy - t * dy);
+            let reach = o.radius + CLEARANCE_MARGIN;
+            o.radius <= EXACT_SCALE && ex * ex + ey * ey > reach * reach
+        })
+    }
+
+    /// The 2 cm sampler: [`Workspace::free`] at every sample of `a`→`b`.
+    fn sampled_free(&self, a: Point, b: Point) -> bool {
         let steps = (a.dist(b) / 0.02).ceil().max(1.0) as usize;
         (0..=steps).all(|i| self.free(a.lerp(b, i as f64 / steps as f64)))
     }
+}
+
+/// How far inside the bounds, and beyond each circle's radius, a segment
+/// must stay for [`Workspace::segment_free`] to answer without sampling
+/// (meters).
+const CLEARANCE_MARGIN: f64 = 1e-9;
+
+/// The largest workspace side and circle radius (meters) for which
+/// rounding stays far inside [`CLEARANCE_MARGIN`]; beyond it
+/// [`Workspace::segment_free`] always samples.
+const EXACT_SCALE: f64 = 1e5;
+
+/// The node of `nodes` nearest to `target`: its index, the node and its
+/// distance, the first of equal minima winning, as `min_by` over
+/// [`Point::dist`] would pick. Squared distances screen each node, and the
+/// square root is taken only for a node that may improve on the best so
+/// far, so ties between distinct squares that round to one distance still
+/// go to the first. Coordinates must not be NaN.
+///
+/// # Panics
+///
+/// Panics if `nodes` is empty.
+pub fn nearest(nodes: &[Point], target: Point) -> (usize, Point, f64) {
+    let square = |p: Point| (p.x - target.x).powi(2) + (p.y - target.y).powi(2);
+    let first = *nodes.first().expect("tree is never empty");
+    let (mut best, mut best_square) = (0, square(first));
+    let mut best_dist = best_square.sqrt();
+    for (i, &node) in nodes.iter().enumerate().skip(1) {
+        let sq = square(node);
+        if sq < best_square {
+            let dist = sq.sqrt();
+            if dist < best_dist {
+                (best, best_square, best_dist) = (i, sq, dist);
+            }
+        }
+    }
+    (best, nodes[best], best_dist)
 }
 
 /// RRT tuning parameters.
@@ -209,18 +295,7 @@ pub fn plan_rrt(
                 rng.gen_range(0.0..=ws.height),
             )
         };
-        // Nearest node.
-        let (nearest_idx, nearest) = nodes
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|a, b| {
-                a.1.dist(sample)
-                    .partial_cmp(&b.1.dist(sample))
-                    .expect("distances are finite")
-            })
-            .expect("tree is never empty");
-        let d = nearest.dist(sample);
+        let (nearest_idx, nearest, d) = nearest(&nodes, sample);
         let new = if d <= params.step_size {
             sample
         } else {
@@ -323,8 +398,10 @@ pub fn plan_rrt_connect(
         let other = 1 - active;
         let mut connected: Option<usize> = None;
         while let Some(idx) = extend(ws, &mut trees[other], new_point, params.step_size) {
-            if trees[other].0[idx].dist(new_point) <= params.goal_tolerance {
-                connected = Some(idx);
+            let meet = trees[other].0[idx];
+            if meet.dist(new_point) <= params.goal_tolerance {
+                // The stitch joins `meet` to `new_point` directly.
+                connected = ws.segment_free(meet, new_point).then_some(idx);
                 break;
             }
         }
@@ -396,17 +473,7 @@ fn extend(
     step_size: f64,
 ) -> Option<usize> {
     let (nodes, parents) = tree;
-    let (nearest_idx, nearest) = nodes
-        .iter()
-        .copied()
-        .enumerate()
-        .min_by(|a, b| {
-            a.1.dist(target)
-                .partial_cmp(&b.1.dist(target))
-                .expect("distances are finite")
-        })
-        .expect("tree is never empty");
-    let d = nearest.dist(target);
+    let (nearest_idx, nearest, d) = nearest(nodes, target);
     if d < 1e-9 {
         return None;
     }
@@ -471,6 +538,32 @@ mod tests {
         for w in t.waypoints.windows(2) {
             assert!(ws.segment_free(w[0], w[1]), "segment through obstacle");
         }
+    }
+
+    #[test]
+    fn clearance_answers_open_segments_and_leaves_close_ones_to_the_sampler() {
+        let ws = simple_ws();
+        let open = [
+            (0.2, 0.2, 3.8, 0.2),
+            (0.2, 0.2, 0.2, 0.2),
+            (0.2, 3.8, 3.8, 3.8),
+        ];
+        for (ax, ay, bx, by) in open {
+            assert!(ws.clears(Point::new(ax, ay), Point::new(bx, by)));
+        }
+        let touching = 2.5 + 1e-12;
+        let close = [
+            (1.0, touching, 3.0, touching),
+            (0.0, 0.2, 1.0, 0.2),
+            (0.2, 0.2, 4.0 + 1e-12, 0.2),
+            (0.2, f64::NAN, 1.0, 0.2),
+        ];
+        for (ax, ay, bx, by) in close {
+            let (a, b) = (Point::new(ax, ay), Point::new(bx, by));
+            assert!(!ws.clears(a, b), "{a:?}->{b:?}");
+        }
+        assert!(ws.segment_free(Point::new(1.0, touching), Point::new(3.0, touching)));
+        assert!(!Workspace::new(2e5, 2e5).clears(Point::new(1.0, 1.0), Point::new(2.0, 1.0)));
     }
 
     #[test]
@@ -593,21 +686,23 @@ mod tests {
     #[test]
     fn rrt_connect_path_is_valid() {
         let ws = simple_ws();
-        let t = plan_rrt_connect(
-            &ws,
-            Point::new(0.2, 0.2),
-            Point::new(3.8, 3.8),
-            RrtParams::default(),
-            3,
-        )
-        .unwrap();
-        assert_eq!(t.waypoints[0], Point::new(0.2, 0.2));
-        assert_eq!(*t.waypoints.last().unwrap(), Point::new(3.8, 3.8));
-        for w in t.waypoints.windows(2) {
-            assert!(
-                ws.segment_free(w[0], w[1]) || w[0].dist(w[1]) <= 0.15,
-                "segment through obstacle"
-            );
+        for seed in 0..50 {
+            let t = plan_rrt_connect(
+                &ws,
+                Point::new(0.2, 0.2),
+                Point::new(3.8, 3.8),
+                RrtParams::default(),
+                seed,
+            )
+            .unwrap();
+            assert_eq!(t.waypoints[0], Point::new(0.2, 0.2));
+            assert_eq!(*t.waypoints.last().unwrap(), Point::new(3.8, 3.8));
+            for w in t.waypoints.windows(2) {
+                assert!(
+                    ws.segment_free(w[0], w[1]),
+                    "seed {seed}: segment through obstacle"
+                );
+            }
         }
     }
 
